@@ -1,14 +1,9 @@
 //! Experiment drivers that regenerate the paper's figures and tables.
 //!
-//! Since the `Engine`/`SweepRunner` redesign the sweeps are expressed
-//! declaratively: build one [`crate::Engine`] per (system, backend) pair and
-//! run [`crate::SweepSpec`]s against it — the engine's shared session cache
-//! then serves the overlap between sweep points from memory. The free
-//! functions this module exposed before the redesign (`table1_sweep`,
-//! `figure5_sweep`, the three ablation sweeps, `baseline_comparison`) lived
-//! on as `#[deprecated]` wrappers for one release and have now been removed;
-//! the migration table in the [crate-level docs](crate) maps each old call
-//! to its `SweepSpec` equivalent.
+//! The sweeps are expressed declaratively: build one [`crate::Engine`] per
+//! (system, backend) pair and run [`crate::SweepSpec`]s against it — the
+//! engine's shared session cache then serves the overlap between sweep
+//! points from memory.
 //!
 //! [`figure1`] (the motivational example) is not a sweep and stays a
 //! first-class driver, as do the grid helpers ([`default_temperature_limits`]

@@ -59,119 +59,52 @@
 //! # }
 //! ```
 //!
-//! # Migrating from the pre-`Engine` API
+//! # Backends
 //!
-//! The pre-`Engine` entry points were `#[deprecated]` for one release and
-//! have now been **removed** (along with `TransientMethod::PrecomputedOperator`,
-//! which was folded into the default `Auto`). Code still written against
-//! them maps as follows:
-//!
-//! | removed call | replacement |
-//! |---|---|
-//! | `RcThermalSimulator::fast_from_floorplan(fp)` | `RcThermalSimulator::from_floorplan(fp)` (fast is the default; `reference_from_floorplan` opts into implicit Euler) |
-//! | `TransientConfig::fast()` / `TransientMethod::PrecomputedOperator` | `TransientConfig::default()` / `TransientMethod::Auto` (identical behaviour) |
-//! | `ThermalAwareScheduler::new(&sut, &sim, cfg)?.schedule()` | `Engine::builder().sut(&sut).backend(&sim).config(cfg).build()?.schedule()` (the scheduler itself remains public) |
-//! | `experiments::table1_sweep(&sut, &sim, tls, stcls)` | `engine.sweep(&SweepSpec::grid(tls, stcls))` |
-//! | `experiments::figure5_sweep(&sut, &sim)` | `engine.sweep(&SweepSpec::figure5())` |
-//! | `experiments::table1_default()` | `engine.sweep(&SweepSpec::table1())` |
-//! | `experiments::weight_factor_sweep(...)` | `engine.sweep(&SweepSpec::weight_ablation(tl, stcl, factors))` |
-//! | `experiments::ordering_sweep(...)` | `engine.sweep(&SweepSpec::ordering_ablation(tl, stcl))` |
-//! | `experiments::model_options_sweep(...)` | `engine.sweep(&SweepSpec::model_ablation(tl, stcl))` |
-//! | `experiments::baseline_comparison(...)` | `engine.sweep(&SweepSpec::point(tl, stcl).with_baseline())` |
-//! | `ScheduleValidator::new(&sut, &sim)?.evaluate(&schedule)` | `engine.evaluate(&schedule)` (the validator remains public) |
-//!
-//! Code that passed a `GridThermalSimulator` to any of these entry points
-//! should also note that since PR 5 the grid backend defaults to its
-//! **full-fidelity transient path** (`fidelity() == Transient`,
-//! `backend_name() == "grid-transient"`); the previous steady-state
-//! upper-bound behaviour is one call away via
-//! `.with_fidelity(SimulationFidelity::SteadyState)`.
-//!
-//! PR 6 adds `TransientMethod::Adi` (Peaceman–Rachford alternating
-//! directions, `O(n)` per step, for 96×96+ cell grids) next to the existing
-//! `Auto` and `ImplicitEuler` variants. This is purely additive: `Auto`
-//! remains the default and no existing configuration changes meaning. Two
-//! consequences for exhaustive matches and capability checks:
-//!
-//! * code matching on `TransientMethod` exhaustively gains an arm
-//!   (`TransientMethod::Adi`, selected via
-//!   `TransientConfig::with_method`); the grid backend then reports
-//!   `backend_name() == "grid-transient-adi"`;
-//! * `uses_fast_path()` (and therefore `supports_fast_path()`) is `false`
-//!   for ADI — its iterates are not provably monotone, so session maxima
-//!   are tracked per step rather than read off the final state.
+//! Any [`thermsched_thermal::ThermalBackend`] can validate schedules. The
+//! RC-compact simulator is the default; the grid simulator runs its
+//! full-fidelity transient path (`backend_name() == "grid-transient"`) or,
+//! with `TransientMethod::Adi`, Peaceman–Rachford alternating directions at
+//! `O(n)` per step for 96×96+ cell grids. ADI iterates are not provably
+//! monotone, so that backend tracks session maxima per step and reports
+//! `supports_fast_path() == false`.
 //!
 //! # Scaling out
 //!
 //! For many scheduling runs over many systems, the `thermsched_service`
 //! crate layers a batch service on top of the engine: a seeded scenario
-//! corpus generator, a worker pool with per-worker engine reuse, and shared
-//! session stores ([`SessionStore`]) — either the single-lock
+//! corpus generator, one job executor with per-worker engine reuse, and
+//! shared session stores ([`SessionStore`]) — either the single-lock
 //! [`MutexSessionStore`] or the N-way [`ShardedSessionCache`], selected
-//! through [`SessionCacheHandle::sharded`].
-//!
-//! Beyond one process, the `thermsched_wire` crate defines the wire format
-//! every public type here serialises to (`SchedulerConfig`, `TestSchedule`,
-//! `CacheStats`, … all implement its `Wire` trait), and the service crate's
-//! `MultiprocCoordinator` shards a corpus across real worker processes over
-//! that format — with per-job results byte-identical at any process count.
-//! The formerly dormant `serde` feature gates were removed in favour of
-//! these hand-rolled `wire` modules; migrating code should serialise via
-//! `thermsched_wire::to_document` / `from_document` instead of serde derive.
+//! through [`SessionCacheHandle::sharded`]. Every public type here
+//! implements the `thermsched_wire` crate's `Wire` trait, which is how the
+//! service crate's `MultiprocCoordinator` ships work to worker processes,
+//! with per-job results byte-identical at any process count.
 //!
 //! # Observability
 //!
-//! PR 9 threads the `thermsched_obs` crate through the stack. Inside this
-//! crate, [`Engine`] (via `Engine::set_tracer` /
-//! `EngineBuilder::with_tracer`) and [`ThermalAwareScheduler`] emit spans
-//! around scheduling (`engine.schedule`, `scheduler.phase1`,
-//! `scheduler.phase2`) and store traffic (`store.probe`, `store.publish`);
-//! an engine built without a tracer pays nothing. The raw counter structs
-//! ([`StoreStats`], [`OperatorCacheStats`], and the service crate's
-//! `ServiceStats`) are unchanged and remain the exact source of truth —
-//! the metrics registry is a *view* over them under stable dotted names.
-//! Code that scraped counter fields can migrate to the registry as
-//! follows:
-//!
-//! | counter field | metrics-registry name |
-//! |---|---|
-//! | `StoreStats::lookups` / `hits` / `insertions` / `contended_locks` | `store.lookups` / `store.hits` / `store.insertions` / `store.contended_locks` |
-//! | `OperatorCacheStats::hits` / `misses` | `operator_cache.hits` / `operator_cache.misses` |
-//! | `ServiceStats::job_count` | `service.jobs` |
-//! | `ServiceStats::completed` / `failed` / `panicked` / `deadline_exceeded` / `shed` / `rejected` | `service.completed` / `service.failed` / `service.panicked` / `service.deadline_exceeded` / `service.shed` / `service.rejected` |
-//! | `ServiceStats::retried_attempts` / `injected_faults` / `worker_crashes` | `service.retried_attempts` / `service.injected_faults` / `service.worker_crashes` |
-//! | `ServiceStats::warm_cache_hits` / `cached_validations` / `prewarmed_sessions` | `service.warm_cache_hits` / `service.cached_validations` / `service.prewarmed_sessions` |
-//! | `ServiceStats::latency` (percentiles) | `job.latency_seconds` (histogram) |
-//! | `ServiceStats::wall_seconds` / `jobs_per_second` | `service.wall_seconds` / `service.jobs_per_second` (gauges) |
+//! [`Engine`] (via `Engine::set_tracer` / `EngineBuilder::with_tracer`)
+//! and [`ThermalAwareScheduler`] emit `thermsched_obs` spans around
+//! scheduling (`engine.schedule`, `scheduler.phase1`, `scheduler.phase2`)
+//! and store traffic (`store.probe`, `store.publish`); an engine built
+//! without a tracer pays nothing. The counters of [`StoreStats`] and
+//! [`OperatorCacheStats`] reach the service crate's metrics registry as
+//! `store.*` and `operator_cache.*`.
 //!
 //! # Time-varying power and online re-scheduling
 //!
-//! PR 10 adds *online mode*: sessions may run under a time-varying power
-//! trace ([`TraceProfile`], materialised per candidate into a
-//! `thermsched_thermal::PowerTrace`) and may be re-planned from a
-//! caller-supplied temperature state instead of an ambient die. Everything
-//! is additive — [`SchedulerConfig`] is untouched (it stays `Copy`); the
-//! online inputs travel in an [`OnlineContext`]. New entry points map onto
-//! the existing ones as follows:
-//!
-//! | offline call | online equivalent |
-//! |---|---|
-//! | `engine.schedule()` | [`Engine::schedule_online`]`(&ctx)` |
-//! | `engine.schedule_with(cfg)` | [`Engine::schedule_online_with`]`(cfg, &ctx)` |
-//! | `engine.schedule_with_checkpoint(cfg, ck)` | [`Engine::schedule_online_with_checkpoint`]`(cfg, &ctx, ck)` |
-//! | `scheduler.schedule()` | `scheduler.with_online(ctx)?.schedule()` |
-//! | `ThermalSimulator::simulate_session(&p, d)` | `ThermalSimulator::simulate_trace(&trace, initial)` |
-//! | `SessionCache::key(cores)` | [`SessionCache::online_key`]`(cores, ctx.context_hash())` |
-//!
-//! Cache hygiene: online results are keyed through
-//! [`SessionCache::online_key`] (sorted cores + a `usize::MAX` sentinel +
-//! the context hash), so traced or warm-started entries can never alias the
-//! constant-power entries offline runs share, and [`OperatorKey`] gained an
-//! optional `with_context` discriminator for the same reason. Offline
-//! behaviour — including every golden snapshot — is bit-for-bit unchanged:
-//! an empty [`OnlineContext`] is normalised away, and a constant
-//! single-segment profile materialises to the exact single-phase trace the
-//! fast path already serves.
+//! Sessions may run under a time-varying power trace ([`TraceProfile`],
+//! materialised per candidate into a `thermsched_thermal::PowerTrace`) and
+//! may be re-planned from a caller-supplied temperature state instead of an
+//! ambient die. The online inputs travel in an [`OnlineContext`] passed to
+//! [`Engine::schedule_online`], [`Engine::schedule_online_with`] or
+//! [`Engine::schedule_online_with_checkpoint`]; [`SchedulerConfig`] stays
+//! `Copy`. An empty context is normalised away, so
+//! `schedule_online(&OnlineContext::new())` equals `schedule()`. Online
+//! results are cached under [`SessionCache::online_key`] (sorted cores, a
+//! sentinel and the context hash), and [`OperatorKey`] carries an optional
+//! context discriminator, so traced or warm-started entries never alias the
+//! constant-power entries offline runs share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

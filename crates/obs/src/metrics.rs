@@ -271,6 +271,11 @@ impl MetricsSnapshot {
             .map(|(_, v)| *v)
     }
 
+    /// The value of the named gauge, if present.
+    pub fn gauge(&self, name: &str) -> Option<f64> {
+        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+    }
+
     /// Merges `other` into `self` with the same rules as
     /// [`MetricsRegistry::absorb`]: counters add, gauges keep the max,
     /// histograms add bucket-wise (bounds must match; mismatches are

@@ -1,0 +1,1196 @@
+//! The one job executor behind [`crate::ServiceRunner`], [`crate::Frontend`]
+//! and the multi-process worker ([`crate::worker_serve`]).
+//!
+//! An [`Executor`] prepares a corpus once — one thermal backend per
+//! scenario (shared through the operator cache when enabled), one session
+//! store per scenario, and the optional same-shape prewarm — and then runs
+//! jobs through one attempt loop ([`Worker::run`]: fault injection,
+//! deadline checkpoints, seeded retries, panic isolation), counting each job
+//! in one [`Tally`] from which [`ServiceStats`] is derived. The three front
+//! doors differ only in how jobs arrive:
+//!
+//! * a batch run queues every corpus job, closes the queue and drains it on
+//!   a pool of worker threads ([`Executor::submit_batch`],
+//!   [`Executor::work`]);
+//! * the streaming front-end admits submissions one at a time into the same
+//!   queue and drains it on request ([`Executor::close_and_wait_idle`]);
+//! * a worker process runs each `JOB` frame on its own thread as it arrives
+//!   ([`Worker::run`]).
+//!
+//! Every per-job span is created inside that loop, which is what makes the
+//! structural span slice identical across all three.
+
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::ControlFlow;
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
+
+use thermsched::{
+    Engine, InterruptReason, NestedParallelismGuard, OperatorCacheHandle, OperatorCacheStats,
+    ScheduleCheckpoint, ScheduleError, ScheduleOutcome, ScheduleProgress, SessionCacheHandle,
+    StoreStats, TestSession,
+};
+use thermsched_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, Tracer};
+use thermsched_thermal::{PowerMap, SessionThermalResult, ThermalBackend};
+
+use crate::report::LatencyStats;
+use crate::{
+    ClockKind, Corpus, FaultKind, JobHandle, JobOutcome, JobResult, JobSpec, Priority, Result,
+    Scenario, ServiceConfig, ServiceError, ServiceStats,
+};
+
+/// Latency histogram bucket bounds (seconds), fixed so snapshots from
+/// different workers and processes always merge bucket-for-bucket.
+pub(crate) const LATENCY_BUCKETS: &[f64] = &[1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0];
+
+/// How an executor's jobs arrive, which decides what their latency measures
+/// and whether a drain may cancel them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Mode {
+    /// A closed set of jobs (a batch run, a worker process). Every job is
+    /// queued at once, so queue wait says nothing about the job: latency
+    /// runs from dispatch to result, and nothing is ever cancelled.
+    Batch,
+    /// Open-ended submissions (the streaming front-end): latency runs from
+    /// submission to resolution, and a drain cancels in-flight jobs at
+    /// their next scheduling checkpoint.
+    Stream,
+}
+
+/// One queued job.
+pub(crate) struct Pending<'a> {
+    /// Submission sequence number: the job's result index and its index in
+    /// the fault plan's hash space — a function of submission order alone,
+    /// never of worker interleaving.
+    pub(crate) seq: u64,
+    pub(crate) job: Cow<'a, JobSpec>,
+    /// Per-job effort budget overriding [`ServiceConfig::deadline_effort`].
+    pub(crate) deadline_effort: Option<f64>,
+    pub(crate) handle: JobHandle,
+    queued_at: Instant,
+}
+
+/// Queue state behind the executor's one lock.
+pub(crate) struct QueueState<'a> {
+    /// Queued jobs keyed by (priority rank, sequence): `pop_first` is the
+    /// dispatch order, `pop_last` the shed victim.
+    pub(crate) queue: BTreeMap<(u8, u64), Pending<'a>>,
+    /// Whether new jobs are admitted (cleared once the queue is closed).
+    pub(crate) accepting: bool,
+    /// Jobs currently executing on workers.
+    pub(crate) in_flight: usize,
+    /// Sequence numbers handed out so far.
+    submitted: u64,
+}
+
+impl<'a> QueueState<'a> {
+    /// Hands out the next sequence number.
+    pub(crate) fn next_seq(&mut self) -> u64 {
+        let seq = self.submitted;
+        self.submitted += 1;
+        seq
+    }
+
+    /// Queues `job` under `seq` at `priority` and returns its handle.
+    pub(crate) fn push(
+        &mut self,
+        priority: Priority,
+        seq: u64,
+        job: Cow<'a, JobSpec>,
+        deadline_effort: Option<f64>,
+    ) -> JobHandle {
+        let handle = JobHandle::new();
+        self.queue.insert(
+            (priority.rank(), seq),
+            Pending {
+                seq,
+                job,
+                deadline_effort,
+                handle: handle.clone(),
+                queued_at: Instant::now(),
+            },
+        );
+        handle
+    }
+}
+
+/// A prepared corpus plus the queue its jobs run from. See the
+/// [module docs](self).
+pub(crate) struct Executor<'a> {
+    config: ServiceConfig,
+    mode: Mode,
+    corpus: Cow<'a, Corpus>,
+    backends: Vec<Arc<dyn ThermalBackend>>,
+    caches: Vec<SessionCacheHandle>,
+    operator_cache: OperatorCacheHandle,
+    prewarmed_sessions: usize,
+    /// Run-level tracer every job derives its job-scoped handle from.
+    tracer: Tracer,
+    tally: Tally,
+    queue: Mutex<QueueState<'a>>,
+    /// Signalled on enqueue and on close (wakes idle workers).
+    work_ready: Condvar,
+    /// Signalled whenever the queue runs empty with nothing in flight.
+    idle: Condvar,
+    /// Drain cancellation ([`Mode::Stream`] only): in-flight jobs interrupt
+    /// at their next scheduling checkpoint once set.
+    cancel: AtomicBool,
+}
+
+impl<'a> Executor<'a> {
+    /// Prepares `corpus` for `config`: backends built once per scenario,
+    /// run-level `backend.build` and `prewarm` spans recorded into
+    /// `tracer`. The configuration is validated by the caller.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::Schedule`] if a scenario's backend cannot be built.
+    pub(crate) fn new(
+        config: ServiceConfig,
+        mode: Mode,
+        corpus: Cow<'a, Corpus>,
+        tracer: &Tracer,
+    ) -> Result<Self> {
+        // Backends are built up front, once per scenario: every worker
+        // borrows them, and construction (a factorisation each) is not
+        // worth paying per worker. The build loop is sequential, so the
+        // operator-cache counters are a deterministic function of the
+        // corpus.
+        let operator_cache = OperatorCacheHandle::new();
+        let backends = {
+            let mut span = tracer.span("backend.build");
+            span.attr("scenarios", corpus.scenarios().len());
+            span.attr("backend", config.backend.label());
+            build_backends(&config, &corpus, &operator_cache)?
+        };
+        let caches: Vec<SessionCacheHandle> = corpus
+            .scenarios()
+            .iter()
+            .map(|_| config.store.handle())
+            .collect();
+        // Same-shape batching: advance all phase-1 characterisation
+        // sessions of one operator key as a single multi-RHS pass and
+        // publish them before the first job runs. Bit-identical to the
+        // per-job path, so only throughput changes.
+        let prewarmed_sessions = if config.batch_same_shape {
+            let mut span = tracer.span("prewarm");
+            let prewarmed = prewarm_same_shape(&config, &corpus, &backends, &caches);
+            span.attr("sessions", prewarmed);
+            prewarmed
+        } else {
+            0
+        };
+        Ok(Executor {
+            config,
+            mode,
+            corpus,
+            backends,
+            caches,
+            operator_cache,
+            prewarmed_sessions,
+            tracer: tracer.clone(),
+            tally: Tally::new(),
+            queue: Mutex::new(QueueState {
+                queue: BTreeMap::new(),
+                accepting: true,
+                in_flight: 0,
+                submitted: 0,
+            }),
+            work_ready: Condvar::new(),
+            idle: Condvar::new(),
+            cancel: AtomicBool::new(false),
+        })
+    }
+
+    /// The corpus scenarios jobs index into.
+    pub(crate) fn scenarios(&self) -> &[Scenario] {
+        self.corpus.scenarios()
+    }
+
+    pub(crate) fn lock_queue(&self) -> MutexGuard<'_, QueueState<'a>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wakes one idle worker after a job was queued.
+    pub(crate) fn notify_work(&self) {
+        self.work_ready.notify_one();
+    }
+
+    /// Queues every job of a closed batch in order, as sequence numbers
+    /// `0..jobs.len()`, and closes the queue: workers exit once it is empty.
+    pub(crate) fn submit_batch(&self, jobs: &'a [JobSpec]) -> Vec<JobHandle> {
+        let mut state = self.lock_queue();
+        let handles = jobs
+            .iter()
+            .map(|job| {
+                let seq = state.next_seq();
+                state.push(Priority::Normal, seq, Cow::Borrowed(job), None)
+            })
+            .collect();
+        state.accepting = false;
+        drop(state);
+        self.work_ready.notify_all();
+        handles
+    }
+
+    /// Stops admitting jobs, wakes idle workers (they exit once the queue
+    /// is empty), and waits until nothing is queued or in flight, or until
+    /// `deadline`. Returns the queue still locked, so the caller can shed
+    /// what is left before any worker takes it.
+    pub(crate) fn close_and_wait_idle(&self, deadline: Instant) -> MutexGuard<'_, QueueState<'a>> {
+        let mut state = self.lock_queue();
+        state.accepting = false;
+        self.work_ready.notify_all();
+        while !(state.queue.is_empty() && state.in_flight == 0) {
+            let now = Instant::now();
+            if now >= deadline {
+                break;
+            }
+            let (guard, timeout) = self
+                .idle
+                .wait_timeout(state, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner);
+            state = guard;
+            if timeout.timed_out() {
+                break;
+            }
+        }
+        state
+    }
+
+    /// Interrupts in-flight jobs at their next scheduling checkpoint
+    /// ([`Mode::Stream`]; batch jobs never watch the flag).
+    pub(crate) fn cancel_in_flight(&self) {
+        self.cancel.store(true, Ordering::Relaxed);
+    }
+
+    /// The worker-thread loop: runs queued jobs in dispatch order and
+    /// resolves their handles until the queue is closed and empty.
+    pub(crate) fn work(&self) {
+        let mut worker = self.worker();
+        while let Some(pending) = self.next() {
+            let (result, _) = worker.run(
+                pending.seq,
+                &pending.job,
+                pending.deadline_effort,
+                pending.queued_at,
+            );
+            pending.handle.resolve(result);
+            let mut state = self.lock_queue();
+            state.in_flight -= 1;
+            if state.queue.is_empty() && state.in_flight == 0 {
+                self.idle.notify_all();
+            }
+        }
+    }
+
+    /// Blocks for the next job to dispatch; `None` once the queue is closed
+    /// and empty.
+    fn next(&self) -> Option<Pending<'a>> {
+        let mut state = self.lock_queue();
+        loop {
+            if let Some((_, pending)) = state.queue.pop_first() {
+                state.in_flight += 1;
+                return Some(pending);
+            }
+            if !state.accepting {
+                return None;
+            }
+            state = self
+                .work_ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// This thread's worker: jobs run inline through it on the caller's
+    /// thread.
+    pub(crate) fn worker(&self) -> Worker<'_, 'a> {
+        Worker {
+            executor: self,
+            engines: HashMap::new(),
+            _sequential: NestedParallelismGuard::enter(),
+        }
+    }
+
+    /// Counts and builds the result of a job that never ran (rejected at
+    /// submission or shed from the queue).
+    pub(crate) fn unrun(
+        &self,
+        seq: u64,
+        label: &str,
+        scenario: usize,
+        outcome: JobOutcome,
+    ) -> JobResult {
+        self.tally.record(&outcome, None);
+        let scenario_name = self
+            .scenarios()
+            .get(scenario)
+            .map_or("unknown", |s| s.name.as_str());
+        JobResult {
+            index: seq as usize,
+            scenario,
+            scenario_name: scenario_name.to_owned(),
+            label: label.to_owned(),
+            outcome,
+        }
+    }
+
+    /// The counters of this executor's jobs.
+    pub(crate) fn tally(&self) -> &Tally {
+        &self.tally
+    }
+
+    /// Usage counters summed over every scenario's session store.
+    pub(crate) fn store_stats(&self) -> StoreStats {
+        self.caches
+            .iter()
+            .map(SessionCacheHandle::stats)
+            .fold(StoreStats::default(), |sum, s| StoreStats {
+                lookups: sum.lookups + s.lookups,
+                hits: sum.hits + s.hits,
+                insertions: sum.insertions + s.insertions,
+                contended_locks: sum.contended_locks + s.contended_locks,
+            })
+    }
+
+    /// Operator-cache counters of the backend build.
+    pub(crate) fn operator_cache_stats(&self) -> OperatorCacheStats {
+        self.operator_cache.stats()
+    }
+
+    /// Characterisation sessions published by the same-shape prewarm.
+    pub(crate) fn prewarmed_sessions(&self) -> usize {
+        self.prewarmed_sessions
+    }
+
+    /// Counts the run-level work (store traffic, backend builds, prewarm)
+    /// into the tally. Call once, after the last job.
+    pub(crate) fn add_run_counters(&self) {
+        self.tally.add_run(
+            self.store_stats(),
+            self.operator_cache_stats(),
+            self.prewarmed_sessions,
+        );
+    }
+
+    /// Closes the books after the last job: counts the run-level work,
+    /// derives the stats of `wall_seconds` of job execution, and absorbs the
+    /// run's metrics into `registry`. Call once.
+    pub(crate) fn finish(&self, wall_seconds: f64, registry: &MetricsRegistry) -> ServiceStats {
+        self.add_run_counters();
+        let stats = self.tally.stats(
+            &self.config,
+            self.config.workers,
+            self.scenarios().len(),
+            wall_seconds,
+        );
+        registry.absorb(&self.tally.snapshot());
+        stats
+    }
+}
+
+/// One thread's view of an [`Executor`]: the engines it reuses per
+/// scenario (an engine prebuilds the guidance model, and rebuilding it per
+/// job would dominate small runs; every engine of a scenario shares that
+/// scenario's store), and the guard that keeps nested phase-1 fan-outs
+/// sequential — the workers are the parallelism, and W workers × P phase-1
+/// threads would oversubscribe the machine.
+pub(crate) struct Worker<'e, 'a> {
+    executor: &'e Executor<'a>,
+    engines: HashMap<usize, Engine<'e>>,
+    _sequential: NestedParallelismGuard,
+}
+
+impl<'e> Worker<'e, '_> {
+    /// Runs job `seq` (queued at `queued_at`), counts it in the executor's
+    /// tally, and returns its result with the accounting that was counted.
+    /// The job's scenario must exist in the corpus.
+    pub(crate) fn run(
+        &mut self,
+        seq: u64,
+        job: &JobSpec,
+        deadline_effort: Option<f64>,
+        queued_at: Instant,
+    ) -> (JobResult, JobAccounting) {
+        let executor = self.executor;
+        let config = &executor.config;
+        let dispatched = Instant::now();
+        let queue_seconds = match config.clock {
+            ClockKind::Wall => dispatched.duration_since(queued_at).as_secs_f64(),
+            ClockKind::Virtual => 0.0,
+        };
+        let deadline_effort = deadline_effort.or(config.deadline_effort);
+        let (outcome, mut accounting) = self.execute(seq, job, deadline_effort, queue_seconds);
+        if config.clock == ClockKind::Wall {
+            let since = match executor.mode {
+                Mode::Batch => dispatched,
+                Mode::Stream => queued_at,
+            };
+            accounting.latency_seconds = since.elapsed().as_secs_f64();
+        }
+        executor.tally.record(&outcome, Some(&accounting));
+        let scenario = &executor.scenarios()[job.scenario];
+        let result = JobResult::new(seq as usize, job, &scenario.name, outcome);
+        (result, accounting)
+    }
+
+    /// Executes one job with fault injection, deadline checkpoints and
+    /// retries. Every per-job span is created here, under a job-scoped
+    /// tracer handle.
+    ///
+    /// Per attempt, the fault plan is consulted first: an injected panic
+    /// goes through the real `catch_unwind` path, an injected error becomes
+    /// a retryable [`JobOutcome::Failed`], and an injected delay advances
+    /// the clock before the attempt runs. Store poisoning happens once,
+    /// before the first attempt. Retries are granted only to outcomes that
+    /// are retryable under [`ServiceError::is_retryable`] — injected faults
+    /// — because real scheduler errors, panics and deadline interrupts are
+    /// deterministic functions of the corpus and would only reproduce. The
+    /// attempt count is stamped into the final outcome.
+    ///
+    /// The returned latency is the virtual time the job accrued (injected
+    /// delays and retry backoffs) under [`ClockKind::Virtual`], and 0 under
+    /// the wall clock, which sleeps instead.
+    fn execute(
+        &mut self,
+        seq: u64,
+        job: &JobSpec,
+        deadline_effort: Option<f64>,
+        queue_seconds: f64,
+    ) -> (JobOutcome, JobAccounting) {
+        let executor = self.executor;
+        let ServiceConfig {
+            faults,
+            retry,
+            clock,
+            ..
+        } = executor.config;
+        let tracer = executor.tracer.for_job(seq);
+        let mut job_span = tracer.span("job");
+        job_span.attr("index", seq);
+        job_span.attr("scenario", executor.scenarios()[job.scenario].name.as_str());
+        job_span.attr("label", job.label.as_str());
+        job_span.attr_observed("queue_seconds", queue_seconds);
+        let mut accounting = JobAccounting::default();
+        if let Some(shard) = faults.poison_target(seq) {
+            accounting.injected_faults += 1;
+            executor.caches[job.scenario].poison_shard(shard);
+        }
+        let mut attempt = 0u32;
+        let (outcome, cache) = loop {
+            attempt += 1;
+            let fault = faults.fault_for(seq, attempt);
+            let mut attempt_span = tracer.span("attempt");
+            attempt_span.attr("number", attempt);
+            if let Some(kind) = fault {
+                // Faults are seeded by (plan seed, job, attempt), so which
+                // fault fires on which attempt is structural.
+                attempt_span.attr("fault", kind.to_string());
+                accounting.injected_faults += 1;
+            }
+            let injected = |kind| ServiceError::Injected {
+                kind,
+                job: seq,
+                attempt,
+            };
+            let (outcome, cache) = match fault {
+                Some(FaultKind::Panic) => {
+                    let message = injected(FaultKind::Panic).to_string();
+                    isolate(move || -> thermsched::Result<ScheduleOutcome> { panic!("{message}") })
+                }
+                Some(FaultKind::Error) => {
+                    let error = injected(FaultKind::Error);
+                    (
+                        JobOutcome::Failed {
+                            error: error.to_string(),
+                            retryable: error.is_retryable(),
+                            attempts: attempt,
+                        },
+                        CacheAccounting::default(),
+                    )
+                }
+                Some(FaultKind::Delay) => {
+                    advance_clock(clock, faults.delay_seconds, &mut accounting.latency_seconds);
+                    self.attempt(job, deadline_effort, &tracer)
+                }
+                Some(FaultKind::PoisonStore) | None => self.attempt(job, deadline_effort, &tracer),
+            };
+            // Injected panics are the one retryable panic shape: we know this
+            // attempt's panic was ours. Real panics stay terminal.
+            let retryable = match &outcome {
+                JobOutcome::Failed { retryable, .. } => *retryable,
+                JobOutcome::Panicked { .. } => fault == Some(FaultKind::Panic),
+                _ => false,
+            };
+            drop(attempt_span);
+            if retryable && attempt < retry.max_attempts {
+                advance_clock(
+                    clock,
+                    retry.backoff_seconds(seq, attempt + 1),
+                    &mut accounting.latency_seconds,
+                );
+                continue;
+            }
+            break (outcome, cache);
+        };
+        job_span.attr("attempts", attempt);
+        job_span.attr("outcome", outcome_kind(&outcome));
+        accounting.warm_cache_hits = cache.warm_cache_hits;
+        accounting.cached_validations = cache.cached_validations;
+        accounting.retried_attempts = attempt as usize - 1;
+        (stamp_attempts(outcome, attempt), accounting)
+    }
+
+    /// Runs one attempt: reuses (or builds) this worker's engine for the
+    /// job's scenario and schedules under panic isolation, with a
+    /// checkpoint installed when the job has a deadline or can be
+    /// cancelled.
+    fn attempt(
+        &mut self,
+        job: &JobSpec,
+        deadline_effort: Option<f64>,
+        tracer: &Tracer,
+    ) -> (JobOutcome, CacheAccounting) {
+        let executor: &'e Executor<'_> = self.executor;
+        let failed = |error: String| {
+            (
+                JobOutcome::Failed {
+                    error,
+                    retryable: false,
+                    attempts: 1,
+                },
+                CacheAccounting::default(),
+            )
+        };
+        let engine = match self.engines.entry(job.scenario) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(entry) => {
+                let built = Engine::builder()
+                    .sut(&executor.scenarios()[job.scenario].sut)
+                    .dyn_backend(executor.backends[job.scenario].as_ref())
+                    .cache(executor.caches[job.scenario].clone())
+                    .build();
+                match built {
+                    Ok(engine) => entry.insert(engine),
+                    Err(error) => return failed(error.to_string()),
+                }
+            }
+        };
+        // Engines are reused across jobs; point this one at the current
+        // job's scope so its schedule/phase spans land under the open
+        // attempt span.
+        engine.set_tracer(tracer.clone());
+        // Online state (trace / warm start) is part of the job's identity,
+        // so a malformed context is a deterministic, non-retryable failure.
+        let online = match job.online_context() {
+            Ok(online) => online,
+            Err(error) => return failed(error.to_string()),
+        };
+        let cancel = (executor.mode == Mode::Stream).then_some(&executor.cancel);
+        if deadline_effort.is_some() || cancel.is_some() {
+            let checkpoint = JobCheckpoint {
+                budget: deadline_effort,
+                cancel,
+            };
+            match &online {
+                Some(online) => isolate(|| {
+                    engine.schedule_online_with_checkpoint(job.config, online, &checkpoint)
+                }),
+                None => isolate(|| engine.schedule_with_checkpoint(job.config, &checkpoint)),
+            }
+        } else {
+            match &online {
+                Some(online) => isolate(|| engine.schedule_online_with(job.config, online)),
+                None => isolate(|| engine.schedule_with(job.config)),
+            }
+        }
+    }
+}
+
+/// What one job that ran adds to the run's counters beyond its outcome.
+/// All of it depends on timing or on which job warmed a store first, so it
+/// never enters the per-job results; a worker process ships it in its
+/// `RESULT` frame.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct JobAccounting {
+    pub(crate) warm_cache_hits: usize,
+    pub(crate) cached_validations: usize,
+    pub(crate) injected_faults: usize,
+    /// Attempts beyond the first.
+    pub(crate) retried_attempts: usize,
+    pub(crate) latency_seconds: f64,
+}
+
+/// Outcome kinds in counter order: the four kinds of a job that ran come
+/// first, then the two of a job that never did.
+const OUTCOME_KINDS: [&str; 6] = [
+    "completed",
+    "failed",
+    "panicked",
+    "deadline_exceeded",
+    "shed",
+    "rejected",
+];
+
+fn outcome_slot(outcome: &JobOutcome) -> usize {
+    match outcome {
+        JobOutcome::Completed(_) => 0,
+        JobOutcome::Failed { .. } => 1,
+        JobOutcome::Panicked { .. } => 2,
+        JobOutcome::DeadlineExceeded { .. } => 3,
+        JobOutcome::Shed(_) => 4,
+        JobOutcome::Rejected(_) => 5,
+    }
+}
+
+/// Stable label of an outcome variant for span attributes and per-outcome
+/// metric names.
+pub(crate) fn outcome_kind(outcome: &JobOutcome) -> &'static str {
+    OUTCOME_KINDS[outcome_slot(outcome)]
+}
+
+/// The counters behind [`ServiceStats`], kept once, in a metrics registry
+/// under the names [`ServiceStats::metrics`] documents. Hot counters are
+/// held as handles, so counting a job is a few relaxed atomic adds plus
+/// one latency sample; [`ServiceStats`] is derived from the registry's
+/// snapshot. The in-process executor, each worker process and the
+/// multi-process coordinator all count through this type, and a worker's
+/// snapshot merges into the coordinator's by plain counter addition.
+pub(crate) struct Tally {
+    registry: MetricsRegistry,
+    jobs: Counter,
+    outcomes: [Counter; 6],
+    retried_attempts: Counter,
+    injected_faults: Counter,
+    warm_cache_hits: Counter,
+    cached_validations: Counter,
+    latency_histogram: Histogram,
+    /// Raw latency samples: the percentiles need exact ranks, which the
+    /// fixed-bucket histogram cannot give.
+    latencies: Mutex<Vec<f64>>,
+}
+
+impl Tally {
+    /// An empty tally with every [`ServiceStats`] counter registered at 0.
+    pub(crate) fn new() -> Self {
+        let registry = MetricsRegistry::new();
+        for (name, _) in ServiceStats::default().metrics().counters {
+            registry.counter(&name);
+        }
+        let counter = |name: &str| registry.counter(name);
+        Tally {
+            jobs: counter("service.jobs"),
+            outcomes: OUTCOME_KINDS.map(|kind| counter(&format!("service.{kind}"))),
+            retried_attempts: counter("service.retried_attempts"),
+            injected_faults: counter("service.injected_faults"),
+            warm_cache_hits: counter("service.warm_cache_hits"),
+            cached_validations: counter("service.cached_validations"),
+            latency_histogram: registry.histogram("job.latency_seconds", LATENCY_BUCKETS),
+            latencies: Mutex::new(Vec::new()),
+            registry,
+        }
+    }
+
+    /// Counts one resolved job. `ran` is `None` for a job that never ran
+    /// (shed or rejected), which adds no latency sample.
+    pub(crate) fn record(&self, outcome: &JobOutcome, ran: Option<&JobAccounting>) {
+        self.jobs.inc();
+        self.outcomes[outcome_slot(outcome)].inc();
+        if let Some(ran) = ran {
+            self.retried_attempts.add(ran.retried_attempts as u64);
+            self.injected_faults.add(ran.injected_faults as u64);
+            self.warm_cache_hits.add(ran.warm_cache_hits as u64);
+            self.cached_validations.add(ran.cached_validations as u64);
+            self.latency_histogram.observe(ran.latency_seconds);
+            self.latencies
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(ran.latency_seconds);
+        }
+    }
+
+    /// Adds the run-level counters of one prepared corpus.
+    pub(crate) fn add_run(
+        &self,
+        store: StoreStats,
+        operator_cache: OperatorCacheStats,
+        prewarmed_sessions: usize,
+    ) {
+        let add = |name: &str, value: u64| self.registry.counter(name).add(value);
+        add("store.lookups", store.lookups);
+        add("store.hits", store.hits);
+        add("store.insertions", store.insertions);
+        add("store.contended_locks", store.contended_locks);
+        add("operator_cache.hits", operator_cache.hits);
+        add("operator_cache.misses", operator_cache.misses);
+        add("service.prewarmed_sessions", prewarmed_sessions as u64);
+    }
+
+    /// Counts a worker process that died mid-run.
+    pub(crate) fn worker_crashed(&self) {
+        self.registry.counter("service.worker_crashes").inc();
+    }
+
+    /// Sets the wall-clock gauges for `wall_seconds` of job execution and
+    /// derives the stats from the registry snapshot. Throughput counts the
+    /// jobs that ran.
+    pub(crate) fn stats(
+        &self,
+        config: &ServiceConfig,
+        workers: usize,
+        scenario_count: usize,
+        wall_seconds: f64,
+    ) -> ServiceStats {
+        let ran: u64 = self.outcomes[..4].iter().map(Counter::value).sum();
+        self.registry
+            .gauge("service.wall_seconds")
+            .set(wall_seconds);
+        self.registry
+            .gauge("service.jobs_per_second")
+            .set(ran as f64 / wall_seconds.max(1e-9));
+        let latency = LatencyStats::from_samples(
+            &self
+                .latencies
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        ServiceStats::from_metrics(
+            config,
+            workers,
+            scenario_count,
+            &self.registry.snapshot(),
+            latency,
+        )
+    }
+
+    /// Every counted metric.
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        self.registry.snapshot()
+    }
+}
+
+/// Builds one thermal backend per scenario, sequentially (so the operator
+/// cache's hit/miss counters stay a deterministic function of the corpus),
+/// collapsing same-key scenarios onto shared instances when the cache is
+/// enabled.
+fn build_backends(
+    config: &ServiceConfig,
+    corpus: &Corpus,
+    operator_cache: &OperatorCacheHandle,
+) -> Result<Vec<Arc<dyn ThermalBackend>>> {
+    corpus
+        .scenarios()
+        .iter()
+        .map(|scenario| {
+            if config.operator_cache {
+                operator_cache.get_or_try_build(config.backend.key(scenario), || {
+                    config.backend.build(scenario)
+                })
+            } else {
+                config.backend.build(scenario)
+            }
+        })
+        .collect()
+}
+
+/// Groups the corpus's phase-1 characterisation lanes — one (scenario,
+/// core) single-core session each — by operator key and session
+/// duration, advances each group through the shared backend's multi-RHS
+/// batch, and publishes the results to the scenarios' session stores.
+/// Returns the number of prewarmed lanes.
+///
+/// The grouping and iteration order are deterministic (sorted by key,
+/// then corpus order within a group), the per-lane results are
+/// bit-identical to what the scheduler's own phase 1 would compute, and
+/// a group that fails to simulate is simply skipped — its jobs compute
+/// phase 1 themselves and surface the error through the normal per-job
+/// path.
+///
+/// Prewarmed lanes are constant-power, from-ambient characterisations
+/// published under the plain cache keys. Online jobs (traces / warm
+/// starts) look up sentinel keys ([`thermsched::SessionCache::online_key`])
+/// instead, so they recompute their own phase 1 and never alias these
+/// entries.
+fn prewarm_same_shape(
+    config: &ServiceConfig,
+    corpus: &Corpus,
+    backends: &[Arc<dyn ThermalBackend>],
+    caches: &[SessionCacheHandle],
+) -> usize {
+    if !config.backend.batches_sessions() {
+        return 0;
+    }
+    // Lanes grouped by (operator key, duration bits): scenarios sharing
+    // a key share one bit-identical backend, and only equal-duration
+    // sessions can share a multi-RHS advance (the step count is a
+    // function of the duration).
+    type PrewarmGroups = BTreeMap<(String, u64), Vec<(usize, usize, f64)>>;
+    let mut groups = PrewarmGroups::new();
+    for (index, scenario) in corpus.scenarios().iter().enumerate() {
+        let key = config.backend.key(scenario).to_string();
+        for core in 0..scenario.sut.core_count() {
+            let session = TestSession::new([core], &scenario.sut);
+            let duration = session.duration();
+            groups
+                .entry((key.clone(), duration.to_bits()))
+                .or_default()
+                .push((index, core, duration));
+        }
+    }
+    let mut prewarmed = 0;
+    for lanes in groups.into_values() {
+        let duration = lanes[0].2;
+        let powers: std::result::Result<Vec<PowerMap>, _> = lanes
+            .iter()
+            .map(|&(scenario, core, _)| {
+                TestSession::new([core], &corpus.scenarios()[scenario].sut)
+                    .power_map(&corpus.scenarios()[scenario].sut)
+            })
+            .collect();
+        let Ok(powers) = powers else { continue };
+        // All scenarios of a key group share one bit-identical backend
+        // (the operator cache collapses them when enabled; private
+        // builds are deterministic replicas when not), so the group's
+        // first backend serves every lane.
+        let backend = backends[lanes[0].0].as_ref();
+        let Ok(results) = backend.simulate_sessions(&powers, duration) else {
+            continue;
+        };
+        let mut per_scenario: BTreeMap<usize, Vec<(Vec<usize>, SessionThermalResult)>> =
+            BTreeMap::new();
+        for (&(scenario, core, _), result) in lanes.iter().zip(results) {
+            per_scenario
+                .entry(scenario)
+                .or_default()
+                .push((vec![core], result));
+        }
+        prewarmed += lanes.len();
+        for (scenario, batch) in per_scenario {
+            caches[scenario].store_batch(batch);
+        }
+    }
+    prewarmed
+}
+
+/// Order-dependent cache accounting of one attempt: a job served from a
+/// store warmed by whichever job happened to run first reports hits the
+/// first runner does not, so these never enter the deterministic per-job
+/// results.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct CacheAccounting {
+    pub(crate) warm_cache_hits: usize,
+    pub(crate) cached_validations: usize,
+}
+
+/// Checkpoint installed into the scheduler for jobs with a deadline or a
+/// drain-cancellation flag. The budget is compared against *simulated*
+/// effort, so deadline interrupts are deterministic; cancellation is the one
+/// deliberately non-deterministic interrupt (it answers to a drain deadline,
+/// and is reported as such).
+struct JobCheckpoint<'c> {
+    budget: Option<f64>,
+    cancel: Option<&'c AtomicBool>,
+}
+
+impl ScheduleCheckpoint for JobCheckpoint<'_> {
+    fn check(&self, progress: &ScheduleProgress) -> ControlFlow<InterruptReason> {
+        if let Some(cancel) = self.cancel {
+            if cancel.load(Ordering::Relaxed) {
+                return ControlFlow::Break(InterruptReason::Cancelled);
+            }
+        }
+        if let Some(budget) = self.budget {
+            if progress.spent_effort() > budget {
+                return ControlFlow::Break(InterruptReason::DeadlineExceeded { budget });
+            }
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+/// Advances the configured clock by `seconds`: sleeps under the wall clock,
+/// accrues deterministic virtual time otherwise.
+fn advance_clock(clock: ClockKind, seconds: f64, virtual_seconds: &mut f64) {
+    match clock {
+        ClockKind::Wall => {
+            if seconds > 0.0 {
+                std::thread::sleep(std::time::Duration::from_secs_f64(seconds));
+            }
+        }
+        ClockKind::Virtual => *virtual_seconds += seconds,
+    }
+}
+
+/// Stamps the attempt count into a final outcome (shed/rejected outcomes
+/// never pass through here — they never ran).
+fn stamp_attempts(outcome: JobOutcome, attempts: u32) -> JobOutcome {
+    match outcome {
+        JobOutcome::Completed(mut metrics) => {
+            metrics.attempts = attempts;
+            JobOutcome::Completed(metrics)
+        }
+        JobOutcome::Failed {
+            error, retryable, ..
+        } => JobOutcome::Failed {
+            error,
+            retryable,
+            attempts,
+        },
+        JobOutcome::Panicked { message, .. } => JobOutcome::Panicked { message, attempts },
+        JobOutcome::DeadlineExceeded {
+            spent_effort,
+            budget,
+            ..
+        } => JobOutcome::DeadlineExceeded {
+            spent_effort,
+            budget,
+            attempts,
+        },
+        other => other,
+    }
+}
+
+/// Runs a scheduling closure with panic isolation, mapping the ways it can
+/// end onto [`JobOutcome`] and splitting off the order-dependent cache
+/// accounting. Checkpoint interrupts become
+/// [`JobOutcome::DeadlineExceeded`]; a drain cancellation is reported as a
+/// zero budget.
+pub(crate) fn isolate(
+    run: impl FnOnce() -> thermsched::Result<ScheduleOutcome>,
+) -> (JobOutcome, CacheAccounting) {
+    match std::panic::catch_unwind(AssertUnwindSafe(run)) {
+        Ok(Ok(outcome)) => (
+            JobOutcome::Completed((&outcome).into()),
+            CacheAccounting {
+                warm_cache_hits: outcome.warm_cache_hits,
+                cached_validations: outcome.cached_validations,
+            },
+        ),
+        Ok(Err(ScheduleError::Interrupted {
+            reason,
+            spent_effort,
+        })) => {
+            let budget = match reason {
+                InterruptReason::DeadlineExceeded { budget } => budget,
+                InterruptReason::Cancelled => 0.0,
+            };
+            (
+                JobOutcome::DeadlineExceeded {
+                    spent_effort,
+                    budget,
+                    attempts: 1,
+                },
+                CacheAccounting::default(),
+            )
+        }
+        Ok(Err(error)) => (
+            JobOutcome::Failed {
+                error: error.to_string(),
+                retryable: false,
+                attempts: 1,
+            },
+            CacheAccounting::default(),
+        ),
+        Err(payload) => (
+            JobOutcome::Panicked {
+                message: panic_message(payload.as_ref()),
+                attempts: 1,
+            },
+            CacheAccounting::default(),
+        ),
+    }
+}
+
+/// Renders a caught panic payload.
+///
+/// `panic!("...")` payloads carry `&str` or `String` and are rendered
+/// verbatim. `std::panic::panic_any` payloads are probed further: boxed
+/// error objects (`Box<dyn Error + Send (+ Sync)>`) render through their
+/// `Display`, and a table of well-known primitive payload types renders the
+/// value with its type name. Anything else renders as
+/// `"non-string panic payload"` with the payload's `TypeId` appended, so
+/// distinct opaque payloads stay distinguishable in reports.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        return (*s).to_owned();
+    }
+    if let Some(s) = payload.downcast_ref::<String>() {
+        return s.clone();
+    }
+    if let Some(e) = payload.downcast_ref::<Box<dyn std::error::Error + Send + Sync>>() {
+        return format!("error payload: {e}");
+    }
+    if let Some(e) = payload.downcast_ref::<Box<dyn std::error::Error + Send>>() {
+        return format!("error payload: {e}");
+    }
+    macro_rules! probe {
+        ($($ty:ty),* $(,)?) => {
+            $(
+                if let Some(value) = payload.downcast_ref::<$ty>() {
+                    return format!(
+                        "non-string panic payload: {} = {value:?}",
+                        stringify!($ty)
+                    );
+                }
+            )*
+        };
+    }
+    probe!(i8, i16, i32, i64, i128, isize, u8, u16, u32, u64, u128, usize, f32, f64, bool, char);
+    format!("non-string panic payload (type id {:?})", payload.type_id())
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use super::*;
+    use crate::{
+        Frontend, FrontendConfig, ScenarioSpec, ServiceReport, ServiceRunner, ShedCause, Submission,
+    };
+
+    fn corpus() -> Corpus {
+        ScenarioSpec {
+            scenarios: 3,
+            seed: 19,
+            ..ScenarioSpec::default()
+        }
+        .build()
+        .unwrap()
+    }
+
+    /// One worker on the virtual clock: dispatch order is submission order
+    /// in every front door, so even the order-dependent counters agree.
+    fn config() -> ServiceConfig {
+        ServiceConfig {
+            workers: 1,
+            clock: ClockKind::Virtual,
+            ..ServiceConfig::default()
+        }
+    }
+
+    fn batch(corpus: &Corpus) -> ServiceReport {
+        ServiceRunner::new(config()).unwrap().run(corpus).unwrap()
+    }
+
+    fn stream(corpus: &Corpus) -> (Vec<JobResult>, ServiceStats) {
+        let frontend = Frontend::start(
+            FrontendConfig {
+                service: config(),
+                ..FrontendConfig::default()
+            },
+            corpus.clone(),
+        )
+        .unwrap();
+        let handles: Vec<JobHandle> = corpus
+            .jobs()
+            .iter()
+            .map(|job| frontend.submit(Submission::from_job(job)))
+            .collect();
+        let jobs = handles.iter().map(JobHandle::wait).collect();
+        (jobs, frontend.drain(Duration::from_secs(30)).stats)
+    }
+
+    fn inline(corpus: &Corpus) -> (Vec<JobResult>, ServiceStats) {
+        let executor = Executor::new(
+            config(),
+            Mode::Batch,
+            Cow::Borrowed(corpus),
+            &Tracer::disabled(),
+        )
+        .unwrap();
+        let mut worker = executor.worker();
+        let jobs = corpus
+            .jobs()
+            .iter()
+            .enumerate()
+            .map(|(index, job)| worker.run(index as u64, job, None, Instant::now()).0)
+            .collect();
+        drop(worker);
+        (jobs, executor.finish(0.0, &MetricsRegistry::new()))
+    }
+
+    #[test]
+    fn batch_stream_and_inline_front_doors_agree_job_for_job_and_count_for_count() {
+        let corpus = corpus();
+        let reference = batch(&corpus);
+        assert_eq!(reference.stats().completed, corpus.jobs().len());
+        for (door, (jobs, stats)) in [("stream", stream(&corpus)), ("inline", inline(&corpus))] {
+            assert_eq!(jobs, reference.jobs(), "{door}: per-job results diverged");
+            let expected = reference.stats();
+            let counts = |s: &ServiceStats| {
+                (
+                    s.job_count,
+                    s.completed,
+                    s.warm_cache_hits,
+                    s.cached_validations,
+                    s.prewarmed_sessions,
+                    s.store,
+                    s.operator_cache,
+                    s.latency,
+                )
+            };
+            assert_eq!(
+                counts(&stats),
+                counts(expected),
+                "{door}: counters diverged"
+            );
+        }
+    }
+
+    #[test]
+    fn tally_counts_every_stats_counter_once_under_the_stats_names() {
+        let tally = Tally::new();
+        let ran = JobAccounting {
+            warm_cache_hits: 3,
+            cached_validations: 4,
+            injected_faults: 1,
+            retried_attempts: 2,
+            latency_seconds: 0.5,
+        };
+        let failed = JobOutcome::Failed {
+            error: "injected".to_owned(),
+            retryable: true,
+            attempts: 3,
+        };
+        tally.record(&failed, Some(&ran));
+        tally.record(&JobOutcome::Shed(ShedCause::Drained), None);
+        tally.add_run(
+            StoreStats {
+                lookups: 7,
+                hits: 2,
+                insertions: 5,
+                contended_locks: 1,
+            },
+            OperatorCacheStats { hits: 1, misses: 2 },
+            6,
+        );
+        tally.worker_crashed();
+        let stats = tally.stats(&ServiceConfig::default(), 2, 1, 2.0);
+        assert_eq!((stats.job_count, stats.failed, stats.shed), (2, 1, 1));
+        assert_eq!((stats.retried_attempts, stats.injected_faults), (2, 1));
+        assert_eq!((stats.warm_cache_hits, stats.cached_validations), (3, 4));
+        assert_eq!((stats.prewarmed_sessions, stats.worker_crashes), (6, 1));
+        assert_eq!(stats.store.lookups, 7);
+        assert_eq!(stats.operator_cache.misses, 2);
+        // Only the job that ran adds a latency sample and counts towards
+        // throughput.
+        assert_eq!(stats.latency.samples, 1);
+        assert_eq!(stats.jobs_per_second, 0.5);
+        assert_eq!(stats.wall_seconds, 2.0);
+
+        // The registry holds exactly the stats view plus the latency
+        // histogram: one copy of every counter, under one set of names.
+        let snapshot = tally.snapshot();
+        let view = stats.metrics();
+        assert_eq!(snapshot.counters, view.counters);
+        assert_eq!(snapshot.gauges, view.gauges);
+        assert_eq!(snapshot.histograms.len(), 1);
+        assert_eq!(snapshot.histograms[0].name, "job.latency_seconds");
+        assert_eq!(snapshot.histograms[0].count, 1);
+    }
+}

@@ -1,5 +1,5 @@
 //! The streaming front-end: a long-lived submission API with first-class
-//! failure handling, layered on the same execution machinery as
+//! failure handling, running on the same executor as
 //! [`crate::ServiceRunner`].
 //!
 //! Where the batch runner consumes a whole [`Corpus`] at once, the
@@ -23,33 +23,25 @@
 //!   their next checkpoint. No submitted job is ever lost — every handle
 //!   resolves to exactly one [`JobOutcome`].
 //!
-//! Everything is hand-rolled on `std::sync::mpsc`-era primitives — a
-//! `Mutex` + two `Condvar`s — no async runtime. Determinism: job outcomes
+//! Everything is hand-rolled on `std` primitives — the executor's queue is
+//! a `Mutex` + two `Condvar`s — no async runtime. Determinism: job outcomes
 //! are keyed by submission order (the sequence number doubles as the fault
 //! plan's job index), so under [`crate::ClockKind::Virtual`] the resolved
 //! outcomes are byte-identical at any worker count; only queue-occupancy
 //! effects (rejections, displacement) and wall-clock stats depend on
 //! timing.
 
-use std::collections::BTreeMap;
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use thermsched::{
-    Engine, NestedParallelismGuard, OperatorCacheHandle, SchedulerConfig, SessionCacheHandle,
-    StoreStats, TraceProfile,
-};
-use thermsched_obs::{Histogram, MetricsRegistry, Tracer};
-use thermsched_thermal::ThermalBackend;
+use thermsched::{SchedulerConfig, TraceProfile};
+use thermsched_obs::{MetricsRegistry, Tracer};
 
-use crate::report::LatencyStats;
-use crate::runner::{build_backends, execute_job, prewarm_same_shape, JobContext, LATENCY_BUCKETS};
+use crate::executor::{Executor, Mode};
 use crate::{
-    ClockKind, Corpus, JobOutcome, JobResult, JobSpec, Result, Scenario, ServiceConfig,
-    ServiceError, ServiceStats,
+    Corpus, JobOutcome, JobResult, JobSpec, Result, ServiceConfig, ServiceError, ServiceStats,
 };
 
 /// Why a submission was refused admission (it never entered the queue).
@@ -132,8 +124,8 @@ pub enum Priority {
 }
 
 impl Priority {
-    /// BTreeMap ordering rank: lower ranks dispatch first.
-    fn rank(self) -> u8 {
+    /// Queue ordering rank: lower ranks dispatch first.
+    pub(crate) fn rank(self) -> u8 {
         match self {
             Priority::High => 0,
             Priority::Normal => 1,
@@ -264,7 +256,7 @@ struct HandleInner {
 }
 
 impl JobHandle {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         JobHandle {
             inner: Arc::new(HandleInner {
                 slot: Mutex::new(None),
@@ -273,7 +265,7 @@ impl JobHandle {
         }
     }
 
-    fn resolve(&self, result: JobResult) {
+    pub(crate) fn resolve(&self, result: JobResult) {
         let mut slot = self
             .inner
             .slot
@@ -336,6 +328,20 @@ impl JobHandle {
             .unwrap_or_else(PoisonError::into_inner)
             .clone()
     }
+
+    /// Takes the result of a resolved job without cloning it.
+    ///
+    /// # Panics
+    ///
+    /// If the job has not resolved yet.
+    pub(crate) fn into_result(self) -> JobResult {
+        self.inner
+            .slot
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            .expect("the job resolved before its handle was consumed")
+    }
 }
 
 /// What [`Frontend::drain`] observed and aggregated.
@@ -351,87 +357,6 @@ pub struct DrainReport {
     /// next scheduling checkpoint (they resolve as
     /// [`JobOutcome::DeadlineExceeded`] with a zero budget).
     pub cancelled_in_flight: usize,
-}
-
-/// One admitted-but-not-yet-dispatched job.
-struct Pending {
-    seq: u64,
-    spec: JobSpec,
-    deadline_effort: Option<f64>,
-    handle: JobHandle,
-    enqueued_at: Instant,
-}
-
-/// Queue state behind the one front-end lock.
-struct QueueState {
-    /// Admitted jobs keyed by (priority rank, sequence): `pop_first` is the
-    /// dispatch order, `pop_last` the shed victim.
-    queue: BTreeMap<(u8, u64), Pending>,
-    /// Whether new submissions are admitted (cleared by drain).
-    accepting: bool,
-    /// Jobs currently executing on workers.
-    in_flight: usize,
-    /// Submissions seen so far; doubles as the next sequence number, which
-    /// is also the fault plan's job index — a function of submission order
-    /// alone, never of worker interleaving.
-    submitted: u64,
-}
-
-/// Everything workers and the handle share.
-struct Shared {
-    config: FrontendConfig,
-    scenarios: Vec<Scenario>,
-    backends: Vec<Arc<dyn ThermalBackend>>,
-    caches: Vec<SessionCacheHandle>,
-    operator_cache: OperatorCacheHandle,
-    prewarmed_sessions: usize,
-    queue: Mutex<QueueState>,
-    /// Signalled on enqueue and on drain (wakes idle workers).
-    work_ready: Condvar,
-    /// Signalled whenever the front-end goes idle (empty queue, nothing in
-    /// flight) — what drain's grace wait blocks on.
-    idle: Condvar,
-    /// Drain cancellation: in-flight jobs interrupt at their next
-    /// scheduling checkpoint once set.
-    cancel: AtomicBool,
-    completed: AtomicUsize,
-    failed: AtomicUsize,
-    panicked: AtomicUsize,
-    deadline_exceeded: AtomicUsize,
-    shed: AtomicUsize,
-    rejected: AtomicUsize,
-    retried_attempts: AtomicUsize,
-    injected_faults: AtomicUsize,
-    warm_cache_hits: AtomicUsize,
-    cached_validations: AtomicUsize,
-    latencies: Mutex<Vec<f64>>,
-    /// Run-level tracer the workers derive job-scoped handles from
-    /// (disabled unless the front-end was started via
-    /// [`Frontend::start_traced`]).
-    tracer: Tracer,
-    /// Registry the lifetime stats are absorbed into at drain.
-    registry: MetricsRegistry,
-    /// Per-job latency histogram (same buckets as the batch runner).
-    latency_histogram: Histogram,
-}
-
-impl Shared {
-    fn lock_queue(&self) -> std::sync::MutexGuard<'_, QueueState> {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Records a resolved outcome into the lifetime counters.
-    fn tally(&self, outcome: &JobOutcome) {
-        let counter = match outcome {
-            JobOutcome::Completed(_) => &self.completed,
-            JobOutcome::Failed { .. } => &self.failed,
-            JobOutcome::Panicked { .. } => &self.panicked,
-            JobOutcome::DeadlineExceeded { .. } => &self.deadline_exceeded,
-            JobOutcome::Shed(_) => &self.shed,
-            JobOutcome::Rejected(_) => &self.rejected,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// The streaming front-end. See the [module docs](self) for the model.
@@ -476,7 +401,10 @@ impl Shared {
 /// # }
 /// ```
 pub struct Frontend {
-    shared: Arc<Shared>,
+    executor: Arc<Executor<'static>>,
+    config: FrontendConfig,
+    /// Registry the lifetime metrics are absorbed into at drain.
+    registry: MetricsRegistry,
     workers: Vec<std::thread::JoinHandle<()>>,
     started: Instant,
     drained: bool,
@@ -499,9 +427,8 @@ impl Frontend {
     /// [`Self::start`] with observability attached: every job's span tree
     /// is recorded into `tracer` (the same per-job structure the batch
     /// runner's [`crate::ServiceRunner::run_traced`] produces, since both
-    /// funnel through the shared `execute_job`), and the lifetime stats are
-    /// absorbed into `registry` at drain alongside the per-job latency
-    /// histogram.
+    /// run on the same executor), and the lifetime metrics are absorbed
+    /// into `registry` at drain.
     ///
     /// # Errors
     ///
@@ -519,65 +446,22 @@ impl Frontend {
                 problem: "must be at least 1",
             });
         }
-        let operator_cache = OperatorCacheHandle::new();
-        let backends = {
-            let mut span = tracer.span("backend.build");
-            span.attr("scenarios", corpus.scenarios().len());
-            span.attr("backend", config.service.backend.label());
-            build_backends(&config.service, &corpus, &operator_cache)?
-        };
-        let caches: Vec<SessionCacheHandle> = corpus
-            .scenarios()
-            .iter()
-            .map(|_| config.service.store.handle())
-            .collect();
-        let prewarmed_sessions = if config.service.batch_same_shape {
-            let mut span = tracer.span("prewarm");
-            let prewarmed = prewarm_same_shape(&config.service, &corpus, &backends, &caches);
-            span.attr("sessions", prewarmed);
-            prewarmed
-        } else {
-            0
-        };
-        let shared = Arc::new(Shared {
-            config,
-            scenarios: corpus.scenarios().to_vec(),
-            backends,
-            caches,
-            operator_cache,
-            prewarmed_sessions,
-            queue: Mutex::new(QueueState {
-                queue: BTreeMap::new(),
-                accepting: true,
-                in_flight: 0,
-                submitted: 0,
-            }),
-            work_ready: Condvar::new(),
-            idle: Condvar::new(),
-            cancel: AtomicBool::new(false),
-            completed: AtomicUsize::new(0),
-            failed: AtomicUsize::new(0),
-            panicked: AtomicUsize::new(0),
-            deadline_exceeded: AtomicUsize::new(0),
-            shed: AtomicUsize::new(0),
-            rejected: AtomicUsize::new(0),
-            retried_attempts: AtomicUsize::new(0),
-            injected_faults: AtomicUsize::new(0),
-            warm_cache_hits: AtomicUsize::new(0),
-            cached_validations: AtomicUsize::new(0),
-            latencies: Mutex::new(Vec::new()),
-            tracer: tracer.clone(),
-            registry: registry.clone(),
-            latency_histogram: registry.histogram("job.latency_seconds", LATENCY_BUCKETS),
-        });
-        let workers = (0..shared.config.service.workers)
+        let executor = Arc::new(Executor::new(
+            config.service,
+            Mode::Stream,
+            Cow::Owned(corpus),
+            tracer,
+        )?);
+        let workers = (0..config.service.workers)
             .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
+                let executor = Arc::clone(&executor);
+                std::thread::spawn(move || executor.work())
             })
             .collect();
         Ok(Frontend {
-            shared,
+            executor,
+            config,
+            registry: registry.clone(),
             workers,
             started: Instant::now(),
             drained: false,
@@ -588,116 +472,73 @@ impl Frontend {
     /// submission resolves it immediately with [`JobOutcome::Rejected`],
     /// so callers have exactly one code path.
     pub fn submit(&self, submission: Submission) -> JobHandle {
-        let handle = JobHandle::new();
-        let mut state = self.shared.lock_queue();
-        let seq = state.submitted;
-        state.submitted += 1;
-
+        let executor = &self.executor;
+        let mut state = executor.lock_queue();
+        let seq = state.next_seq();
+        let scenario_count = executor.scenarios().len();
         let rejection = if !state.accepting {
             Some(Rejected::Draining)
-        } else if submission.scenario >= self.shared.scenarios.len() {
+        } else if submission.scenario >= scenario_count {
             Some(Rejected::UnknownScenario {
                 scenario: submission.scenario,
-                scenario_count: self.shared.scenarios.len(),
+                scenario_count,
             })
         } else if submission
             .deadline_effort
             .is_some_and(|b| !(b > 0.0 && b.is_finite()))
         {
             Some(Rejected::InvalidDeadline)
-        } else {
+        } else if state.queue.len() < self.config.queue_capacity {
             None
+        } else if self.config.shed_on_full
+            && state
+                .queue
+                .last_key_value()
+                .is_some_and(|(&(rank, _), _)| rank > submission.priority.rank())
+        {
+            let (_, victim) = state
+                .queue
+                .pop_last()
+                .expect("non-empty: len >= capacity >= 1");
+            victim.handle.resolve(executor.unrun(
+                victim.seq,
+                &victim.job.label,
+                victim.job.scenario,
+                JobOutcome::Shed(ShedCause::Displaced),
+            ));
+            None
+        } else {
+            Some(Rejected::QueueFull {
+                capacity: self.config.queue_capacity,
+            })
         };
         if let Some(rejection) = rejection {
             drop(state);
-            let result = self.unrun_result(
+            let handle = JobHandle::new();
+            handle.resolve(executor.unrun(
                 seq,
                 &submission.label,
                 submission.scenario,
                 JobOutcome::Rejected(rejection),
-            );
-            self.shared.tally(&result.outcome);
-            handle.resolve(result);
+            ));
             return handle;
         }
-
-        if state.queue.len() >= self.shared.config.queue_capacity {
-            let displaceable = self.shared.config.shed_on_full
-                && state
-                    .queue
-                    .last_key_value()
-                    .is_some_and(|(&(rank, _), _)| rank > submission.priority.rank());
-            if displaceable {
-                let (_, victim) = state
-                    .queue
-                    .pop_last()
-                    .expect("non-empty: len >= capacity >= 1");
-                let result = self.unrun_result(
-                    victim.seq,
-                    &victim.spec.label,
-                    victim.spec.scenario,
-                    JobOutcome::Shed(ShedCause::Displaced),
-                );
-                self.shared.tally(&result.outcome);
-                victim.handle.resolve(result);
-            } else {
-                let rejection = Rejected::QueueFull {
-                    capacity: self.shared.config.queue_capacity,
-                };
-                drop(state);
-                let result = self.unrun_result(
-                    seq,
-                    &submission.label,
-                    submission.scenario,
-                    JobOutcome::Rejected(rejection),
-                );
-                self.shared.tally(&result.outcome);
-                handle.resolve(result);
-                return handle;
-            }
-        }
-
-        let pending = Pending {
-            seq,
-            spec: JobSpec {
-                scenario: submission.scenario,
-                label: submission.label,
-                config: submission.config,
-                trace: submission.trace,
-                warm_start: submission.warm_start,
-            },
-            deadline_effort: submission.deadline_effort,
-            handle: handle.clone(),
-            enqueued_at: Instant::now(),
+        let job = JobSpec {
+            scenario: submission.scenario,
+            label: submission.label,
+            config: submission.config,
+            trace: submission.trace,
+            warm_start: submission.warm_start,
         };
-        state
-            .queue
-            .insert((submission.priority.rank(), seq), pending);
+        let handle = state.push(
+            submission.priority,
+            seq,
+            Cow::Owned(job),
+            submission.deadline_effort,
+        );
         drop(state);
-        self.shared.work_ready.notify_one();
+        executor.notify_work();
         handle
-    }
-
-    /// Builds the result for a job that never ran (rejected or shed).
-    fn unrun_result(
-        &self,
-        seq: u64,
-        label: &str,
-        scenario: usize,
-        outcome: JobOutcome,
-    ) -> JobResult {
-        let scenario_name = self
-            .shared
-            .scenarios
-            .get(scenario)
-            .map_or("unknown", |s| s.name.as_str());
-        JobResult {
-            index: seq as usize,
-            scenario,
-            scenario_name: scenario_name.to_owned(),
-            label: label.to_owned(),
-            outcome,
-        }
     }
 
     /// Gracefully drains the front-end:
@@ -718,104 +559,31 @@ impl Frontend {
 
     fn drain_impl(&mut self, grace: Duration) -> DrainReport {
         self.drained = true;
-        let deadline = Instant::now() + grace;
-        let mut state = self.shared.lock_queue();
-        state.accepting = false;
-        self.shared.work_ready.notify_all();
-
-        // Phase 1: grace period — wait for the front-end to go idle.
-        while !(state.queue.is_empty() && state.in_flight == 0) {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, timeout) = self
-                .shared
-                .idle
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            state = guard;
-            if timeout.timed_out() {
-                break;
-            }
-        }
-
-        // Phase 2: shed the leftovers, cancel what is running.
+        let executor = &self.executor;
+        let mut state = executor.close_and_wait_idle(Instant::now() + grace);
         let mut shed_at_drain = 0;
         while let Some((_, victim)) = state.queue.pop_first() {
-            let result = self.unrun_result(
+            victim.handle.resolve(executor.unrun(
                 victim.seq,
-                &victim.spec.label,
-                victim.spec.scenario,
+                &victim.job.label,
+                victim.job.scenario,
                 JobOutcome::Shed(ShedCause::Drained),
-            );
-            self.shared.tally(&result.outcome);
-            victim.handle.resolve(result);
+            ));
             shed_at_drain += 1;
         }
         let cancelled_in_flight = state.in_flight;
         drop(state);
         if cancelled_in_flight > 0 {
-            self.shared.cancel.store(true, Ordering::Relaxed);
+            executor.cancel_in_flight();
         }
-        self.shared.work_ready.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-
-        let stats = self.stats();
-        self.shared.registry.absorb(&stats.metrics());
+        let stats = executor.finish(self.started.elapsed().as_secs_f64(), &self.registry);
         DrainReport {
             stats,
             shed_at_drain,
             cancelled_in_flight,
-        }
-    }
-
-    /// Lifetime statistics of the front-end so far.
-    fn stats(&self) -> ServiceStats {
-        let s = &self.shared;
-        let mut store = StoreStats::default();
-        for cache in &s.caches {
-            let c = cache.stats();
-            store.lookups += c.lookups;
-            store.hits += c.hits;
-            store.insertions += c.insertions;
-            store.contended_locks += c.contended_locks;
-        }
-        let latency =
-            LatencyStats::from_samples(&s.latencies.lock().unwrap_or_else(PoisonError::into_inner));
-        let job_count = s.lock_queue().submitted as usize;
-        let wall_seconds = self.started.elapsed().as_secs_f64();
-        let resolved = s.completed.load(Ordering::Relaxed)
-            + s.failed.load(Ordering::Relaxed)
-            + s.panicked.load(Ordering::Relaxed)
-            + s.deadline_exceeded.load(Ordering::Relaxed);
-        ServiceStats {
-            workers: s.config.service.workers,
-            store_name: s.config.service.store.name(),
-            shard_count: s.config.service.store.shard_count(),
-            backend_name: s.config.service.backend.label(),
-            operator_cache_enabled: s.config.service.operator_cache,
-            operator_cache: s.operator_cache.stats(),
-            scenario_count: s.scenarios.len(),
-            job_count,
-            completed: s.completed.load(Ordering::Relaxed),
-            failed: s.failed.load(Ordering::Relaxed),
-            panicked: s.panicked.load(Ordering::Relaxed),
-            deadline_exceeded: s.deadline_exceeded.load(Ordering::Relaxed),
-            shed: s.shed.load(Ordering::Relaxed),
-            rejected: s.rejected.load(Ordering::Relaxed),
-            retried_attempts: s.retried_attempts.load(Ordering::Relaxed),
-            injected_faults: s.injected_faults.load(Ordering::Relaxed),
-            worker_crashes: 0,
-            latency,
-            wall_seconds,
-            jobs_per_second: resolved as f64 / wall_seconds.max(1e-9),
-            cached_validations: s.cached_validations.load(Ordering::Relaxed),
-            warm_cache_hits: s.warm_cache_hits.load(Ordering::Relaxed),
-            prewarmed_sessions: s.prewarmed_sessions,
-            store,
         }
     }
 }
@@ -831,102 +599,10 @@ impl Drop for Frontend {
     }
 }
 
-/// The worker loop: pop the highest-priority pending job, execute it with
-/// the shared fault/retry/deadline machinery, resolve its handle, repeat —
-/// until the queue is closed and empty.
-fn worker_loop(shared: &Shared) {
-    let _guard = NestedParallelismGuard::enter();
-    let mut engines: HashMap<usize, Engine<'_>> = HashMap::new();
-    loop {
-        let pending = {
-            let mut state = shared.lock_queue();
-            loop {
-                if let Some((_, pending)) = state.queue.pop_first() {
-                    state.in_flight += 1;
-                    break Some(pending);
-                }
-                if !state.accepting {
-                    break None;
-                }
-                state = shared
-                    .work_ready
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        let Some(pending) = pending else { return };
-
-        let scenario = &shared.scenarios[pending.spec.scenario];
-        let deadline_effort = pending
-            .deadline_effort
-            .or(shared.config.service.deadline_effort);
-        // Time spent queued before this dispatch — interleaving-dependent,
-        // recorded only as an observed span attribute.
-        let queue_seconds = match shared.config.service.clock {
-            ClockKind::Wall => pending.enqueued_at.elapsed().as_secs_f64(),
-            ClockKind::Virtual => 0.0,
-        };
-        let execution = execute_job(
-            &JobContext {
-                job: &pending.spec,
-                job_index: pending.seq,
-                scenario,
-                backend: shared.backends[pending.spec.scenario].as_ref(),
-                cache: &shared.caches[pending.spec.scenario],
-                faults: shared.config.service.faults,
-                retry: shared.config.service.retry,
-                clock: shared.config.service.clock,
-                deadline_effort,
-                cancel: Some(&shared.cancel),
-                tracer: shared.tracer.clone(),
-                queue_seconds,
-            },
-            &mut engines,
-        );
-        let latency = match shared.config.service.clock {
-            ClockKind::Wall => pending.enqueued_at.elapsed().as_secs_f64(),
-            ClockKind::Virtual => execution.virtual_seconds,
-        };
-        shared.latency_histogram.observe(latency);
-        shared
-            .warm_cache_hits
-            .fetch_add(execution.accounting.warm_cache_hits, Ordering::Relaxed);
-        shared
-            .cached_validations
-            .fetch_add(execution.accounting.cached_validations, Ordering::Relaxed);
-        shared
-            .injected_faults
-            .fetch_add(execution.injected_faults, Ordering::Relaxed);
-        shared.retried_attempts.fetch_add(
-            execution.attempts.saturating_sub(1) as usize,
-            Ordering::Relaxed,
-        );
-        shared
-            .latencies
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(latency);
-        shared.tally(&execution.outcome);
-        let result = JobResult::new(
-            pending.seq as usize,
-            &pending.spec,
-            &scenario.name,
-            execution.outcome,
-        );
-        pending.handle.resolve(result);
-
-        let mut state = shared.lock_queue();
-        state.in_flight -= 1;
-        if state.queue.is_empty() && state.in_flight == 0 {
-            shared.idle.notify_all();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultPlan, RetryPolicy, ScenarioSpec};
+    use crate::{ClockKind, FaultPlan, RetryPolicy, ScenarioSpec};
 
     fn tiny_corpus(scenarios: usize) -> Corpus {
         ScenarioSpec {
@@ -1086,7 +762,7 @@ mod tests {
         let _normal = frontend.submit(submission(&corpus, 0));
         let _high = frontend.submit(submission(&corpus, 0).with_priority(Priority::High));
         {
-            let state = frontend.shared.lock_queue();
+            let state = frontend.executor.lock_queue();
             let keys: Vec<(u8, u64)> = state.queue.keys().copied().collect();
             assert_eq!(keys, vec![(0, 2), (1, 1), (2, 0)], "high first, low last");
         }

@@ -11,12 +11,12 @@
 //!    [`thermsched_soc::SocGenerator`]) crossed with an operating grid of
 //!    `TL × STCL` points and configuration variants. Fully deterministic:
 //!    the corpus is a pure function of the spec.
-//! 2. **A concurrent job runner** ([`ServiceRunner`]): scoped worker threads
-//!    drain one job queue, each worker reuses one [`thermsched::Engine`] per
-//!    scenario, per-job errors and panics are isolated into the job's
-//!    [`JobOutcome`], and all jobs of a scenario share one session store —
-//!    either the single-lock mutex store or the N-way
-//!    [`thermsched::ShardedSessionCache`] ([`StoreKind`]).
+//! 2. **A concurrent job runner** ([`ServiceRunner`]): every job is queued
+//!    and worker threads drain the queue, each worker reuses one
+//!    [`thermsched::Engine`] per scenario, per-job errors and panics are
+//!    isolated into the job's [`JobOutcome`], and all jobs of a scenario
+//!    share one session store — either the single-lock mutex store or the
+//!    N-way [`thermsched::ShardedSessionCache`] ([`StoreKind`]).
 //! 3. **An aggregated report** ([`ServiceReport`]): deterministic per-job
 //!    results (identical at any worker count) plus run statistics —
 //!    throughput, cache hit rates, shard contention, latency percentiles
@@ -37,14 +37,22 @@
 //!    ([`ServiceStats::worker_crashes`]). Per-job results remain
 //!    byte-identical at any process count.
 //!
+//! The runner, the front-end and each worker process run their jobs on one
+//! executor: one preparation step (backends, stores, prewarm), one attempt
+//! loop (faults, deadlines, retries, panic isolation) and one set of
+//! counters. They differ only in how jobs arrive — a closed batch, a stream
+//! of submissions, or `JOB` frames.
+//!
 //! Every execution path is instrumented with [`thermsched_obs`]: pass a
 //! [`thermsched_obs::Tracer`] and [`thermsched_obs::MetricsRegistry`] to
 //! [`ServiceRunner::run_traced`], [`Frontend::start_traced`] or
 //! [`MultiprocCoordinator::run_traced`] and every job produces a span tree
 //! (`job` → `attempt` → `engine.schedule` → scheduler phases and store
-//! probes) while the counters behind [`ServiceStats`] land in the registry
-//! as mergeable metrics. The untraced entry points pay nothing — they run
-//! with a disabled tracer whose span calls compile down to no-ops.
+//! probes). Every run counts into a metrics registry, [`ServiceStats`] is
+//! read off its snapshot, and the snapshot is absorbed into the caller's
+//! registry ([`ServiceStats::metrics`] lists the names). The untraced entry
+//! points pay nothing for spans — they run with a disabled tracer whose span
+//! calls compile down to no-ops.
 //!
 //! # Example
 //!
@@ -82,6 +90,7 @@
 #![warn(missing_docs)]
 
 mod error;
+mod executor;
 mod fault;
 mod frontend;
 mod multiproc;

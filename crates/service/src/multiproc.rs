@@ -33,26 +33,24 @@
 //! jitter are keyed by the *global* corpus index — a worker that hashed its
 //! local receive order instead would break the byte-identity contract.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::Instant;
 
-use thermsched::{NestedParallelismGuard, OperatorCacheHandle, OperatorCacheStats, StoreStats};
+use thermsched::{OperatorCacheStats, StoreStats};
 use thermsched_obs::{
     MetricsRegistry, MetricsSnapshot, ObsClock, SpanRecord, Tracer, TracerConfig,
 };
 use thermsched_wire::frame::{read_frame, write_frame, Frame};
 use thermsched_wire::{decode_value, encode_value, obj, JsonValue, Wire, WireError};
 
-use crate::report::LatencyStats;
-use crate::runner::{
-    build_backends, execute_job, outcome_kind, prewarm_same_shape, JobContext, LATENCY_BUCKETS,
-};
+use crate::executor::{Executor, JobAccounting, Mode, Tally};
 use crate::{
-    ClockKind, Corpus, JobOutcome, JobResult, JobSpec, Result, ServiceConfig, ServiceError,
-    ServiceReport, ServiceStats,
+    ClockKind, Corpus, JobResult, JobSpec, Result, ServiceConfig, ServiceError, ServiceReport,
+    ServiceStats,
 };
 
 /// Version of the coordinator↔worker protocol, checked in `HELLO`.
@@ -104,11 +102,7 @@ enum Event {
         worker: usize,
         index: usize,
         result: JobResult,
-        warm_cache_hits: usize,
-        cached_validations: usize,
-        injected_faults: usize,
-        retried_attempts: usize,
-        latency_seconds: f64,
+        accounting: JobAccounting,
     },
     /// The worker's final stats after `SHUTDOWN`.
     Fin {
@@ -183,7 +177,7 @@ impl MultiprocCoordinator {
         if jobs.is_empty() {
             return Ok(ServiceReport::new(
                 Vec::new(),
-                self.stats_template(corpus, &Merged::default(), 0, started),
+                self.stats(corpus, &Tally::new(), started),
             ));
         }
         let processes = self.config.processes.min(jobs.len());
@@ -274,10 +268,13 @@ impl MultiprocCoordinator {
     /// The coordinator event loop: collect results, reassign the jobs of
     /// dead workers, then shut the survivors down and merge their stats.
     ///
-    /// Worker FIN frames carry each worker's metrics snapshot and span
-    /// records when tracing; the coordinator folds those straight into
-    /// `tracer`/`registry` (it deliberately does *not* absorb its own
-    /// [`ServiceStats`] view — the workers already reported those counts).
+    /// Each result is counted once, with the accounting its worker shipped,
+    /// into the same [`Tally`] an in-process run counts into; each `FIN`
+    /// adds its worker's run-level counters. Worker FIN frames also carry
+    /// each worker's metrics snapshot and span records when tracing; the
+    /// coordinator folds those straight into `tracer`/`registry` (it
+    /// deliberately does *not* absorb its own tally — the workers already
+    /// reported those counts).
     #[allow(clippy::too_many_arguments)]
     fn coordinate(
         &self,
@@ -303,7 +300,25 @@ impl MultiprocCoordinator {
         let mut resolved = 0usize;
         let mut dead = vec![false; processes];
         let mut finished = vec![false; processes];
-        let mut merged = Merged::default();
+        let tally = Tally::new();
+        let fin = |finished: &mut [bool], event: Event| {
+            if let Event::Fin {
+                worker,
+                store,
+                operator_cache,
+                prewarmed_sessions,
+                metrics,
+                spans,
+                dropped_spans,
+            } = event
+            {
+                finished[worker] = true;
+                tally.add_run(store, operator_cache, prewarmed_sessions);
+                registry.absorb(&metrics);
+                tracer.absorb(spans);
+                tracer.add_dropped(dropped_spans);
+            }
+        };
 
         while resolved < jobs.len() {
             let event = events
@@ -314,44 +329,22 @@ impl MultiprocCoordinator {
                     worker,
                     index,
                     result,
-                    warm_cache_hits,
-                    cached_validations,
-                    injected_faults,
-                    retried_attempts,
-                    latency_seconds,
+                    accounting,
                 } => {
                     assigned[worker].remove(&index);
                     if results[index].is_none() {
                         resolved += 1;
+                        tally.record(&result.outcome, Some(&accounting));
                         results[index] = Some(result);
-                        merged.warm_cache_hits += warm_cache_hits;
-                        merged.cached_validations += cached_validations;
-                        merged.injected_faults += injected_faults;
-                        merged.retried_attempts += retried_attempts;
-                        merged.latencies.push(latency_seconds);
                     }
                 }
-                Event::Fin {
-                    worker,
-                    store,
-                    operator_cache,
-                    prewarmed_sessions,
-                    metrics,
-                    spans,
-                    dropped_spans,
-                } => {
-                    finished[worker] = true;
-                    merged.absorb_fin(store, operator_cache, prewarmed_sessions);
-                    registry.absorb(&metrics);
-                    tracer.absorb(spans);
-                    tracer.add_dropped(dropped_spans);
-                }
+                Event::Fin { .. } => fin(&mut finished, event),
                 Event::Dead { worker } => {
                     if dead[worker] || finished[worker] {
                         continue;
                     }
                     dead[worker] = true;
-                    merged.worker_crashes += 1;
+                    tally.worker_crashed();
                     writer_txs[worker] = None;
                     let orphans = std::mem::take(&mut assigned[worker]);
                     if orphans.is_empty() {
@@ -385,21 +378,9 @@ impl MultiprocCoordinator {
         }
         while awaiting > 0 {
             match events.recv() {
-                Ok(Event::Fin {
-                    worker,
-                    store,
-                    operator_cache,
-                    prewarmed_sessions,
-                    metrics,
-                    spans,
-                    dropped_spans,
-                }) => {
+                Ok(event @ Event::Fin { worker, .. }) => {
                     if !finished[worker] {
-                        finished[worker] = true;
-                        merged.absorb_fin(store, operator_cache, prewarmed_sessions);
-                        registry.absorb(&metrics);
-                        tracer.absorb(spans);
-                        tracer.add_dropped(dropped_spans);
+                        fin(&mut finished, event);
                         awaiting -= 1;
                     }
                 }
@@ -408,7 +389,7 @@ impl MultiprocCoordinator {
                     // reassign, but it is a crash all the same.
                     if !dead[worker] && !finished[worker] {
                         dead[worker] = true;
-                        merged.worker_crashes += 1;
+                        tally.worker_crashed();
                         awaiting -= 1;
                     }
                 }
@@ -421,92 +402,21 @@ impl MultiprocCoordinator {
             .into_iter()
             .map(|slot| slot.expect("loop exits only once every job is resolved"))
             .collect();
-        let stats = self.stats_template(corpus, &merged, jobs_done.len(), started);
-        let stats = ServiceStats {
-            completed: count(&jobs_done, |o| matches!(o, JobOutcome::Completed(_))),
-            failed: count(&jobs_done, |o| matches!(o, JobOutcome::Failed { .. })),
-            panicked: count(&jobs_done, |o| matches!(o, JobOutcome::Panicked { .. })),
-            deadline_exceeded: count(&jobs_done, |o| {
-                matches!(o, JobOutcome::DeadlineExceeded { .. })
-            }),
-            ..stats
-        };
-        Ok(ServiceReport::new(jobs_done, stats))
+        Ok(ServiceReport::new(
+            jobs_done,
+            self.stats(corpus, &tally, started),
+        ))
     }
 
-    /// The merged stats skeleton shared by the empty-corpus early return and
-    /// the real run.
-    fn stats_template(
-        &self,
-        corpus: &Corpus,
-        merged: &Merged,
-        job_count: usize,
-        started: Instant,
-    ) -> ServiceStats {
-        let wall_seconds = started.elapsed().as_secs_f64();
-        ServiceStats {
-            workers: self.config.processes,
-            store_name: self.config.service.store.name(),
-            shard_count: self.config.service.store.shard_count(),
-            backend_name: self.config.service.backend.label(),
-            operator_cache_enabled: self.config.service.operator_cache,
-            operator_cache: merged.operator_cache,
-            scenario_count: corpus.scenarios().len(),
-            job_count,
-            completed: 0,
-            failed: 0,
-            panicked: 0,
-            deadline_exceeded: 0,
-            shed: 0,
-            rejected: 0,
-            retried_attempts: merged.retried_attempts,
-            injected_faults: merged.injected_faults,
-            worker_crashes: merged.worker_crashes,
-            latency: LatencyStats::from_samples(&merged.latencies),
-            wall_seconds,
-            jobs_per_second: job_count as f64 / wall_seconds.max(1e-9),
-            cached_validations: merged.cached_validations,
-            warm_cache_hits: merged.warm_cache_hits,
-            prewarmed_sessions: merged.prewarmed_sessions,
-            store: merged.store,
-        }
+    /// The merged stats of a run that started at `started`.
+    fn stats(&self, corpus: &Corpus, tally: &Tally, started: Instant) -> ServiceStats {
+        tally.stats(
+            &self.config.service,
+            self.config.processes,
+            corpus.scenarios().len(),
+            started.elapsed().as_secs_f64(),
+        )
     }
-}
-
-/// Counters merged over workers (all on the timing-dependent side of the
-/// report).
-#[derive(Default)]
-struct Merged {
-    warm_cache_hits: usize,
-    cached_validations: usize,
-    injected_faults: usize,
-    retried_attempts: usize,
-    worker_crashes: usize,
-    prewarmed_sessions: usize,
-    latencies: Vec<f64>,
-    store: StoreStats,
-    operator_cache: OperatorCacheStats,
-}
-
-impl Merged {
-    fn absorb_fin(
-        &mut self,
-        store: StoreStats,
-        operator_cache: OperatorCacheStats,
-        prewarmed_sessions: usize,
-    ) {
-        self.store.lookups += store.lookups;
-        self.store.hits += store.hits;
-        self.store.insertions += store.insertions;
-        self.store.contended_locks += store.contended_locks;
-        self.operator_cache.hits += operator_cache.hits;
-        self.operator_cache.misses += operator_cache.misses;
-        self.prewarmed_sessions += prewarmed_sessions;
-    }
-}
-
-fn count(jobs: &[JobResult], predicate: impl Fn(&JobOutcome) -> bool) -> usize {
-    jobs.iter().filter(|j| predicate(&j.outcome)).count()
 }
 
 /// Writer thread of one worker: `HELLO`, then jobs as the coordinator
@@ -571,19 +481,21 @@ fn decode_event(worker: usize, frame: &Frame) -> Option<Event> {
             worker,
             index: payload.field_usize("result_frame", "index").ok()?,
             result: JobResult::from_wire(payload.field("result_frame", "result").ok()?).ok()?,
-            warm_cache_hits: payload
-                .field_usize("result_frame", "warm_cache_hits")
-                .ok()?,
-            cached_validations: payload
-                .field_usize("result_frame", "cached_validations")
-                .ok()?,
-            injected_faults: payload
-                .field_usize("result_frame", "injected_faults")
-                .ok()?,
-            retried_attempts: payload
-                .field_usize("result_frame", "retried_attempts")
-                .ok()?,
-            latency_seconds: payload.field_f64("result_frame", "latency_seconds").ok()?,
+            accounting: JobAccounting {
+                warm_cache_hits: payload
+                    .field_usize("result_frame", "warm_cache_hits")
+                    .ok()?,
+                cached_validations: payload
+                    .field_usize("result_frame", "cached_validations")
+                    .ok()?,
+                injected_faults: payload
+                    .field_usize("result_frame", "injected_faults")
+                    .ok()?,
+                retried_attempts: payload
+                    .field_usize("result_frame", "retried_attempts")
+                    .ok()?,
+                latency_seconds: payload.field_f64("result_frame", "latency_seconds").ok()?,
+            },
         }),
         FRAME_FIN => Some(Event::Fin {
             worker,
@@ -686,36 +598,11 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
     } else {
         Tracer::disabled()
     };
-    let registry = MetricsRegistry::new();
 
-    // Same setup as the in-process runner: backends once per scenario
-    // (shared through the operator cache when enabled), one store per
-    // scenario, optional same-shape prewarming. Jobs then run sequentially
-    // on this thread — the processes are the parallelism, so nested phase-1
-    // fan-outs stay sequential too.
-    let _guard = NestedParallelismGuard::enter();
-    let operator_cache = OperatorCacheHandle::new();
-    let backends = {
-        let mut span = tracer.span("backend.build");
-        span.attr("scenarios", corpus.scenarios().len());
-        span.attr("backend", config.backend.label());
-        build_backends(&config, &corpus, &operator_cache)?
-    };
-    let caches: Vec<_> = corpus
-        .scenarios()
-        .iter()
-        .map(|_| config.store.handle())
-        .collect();
-    let prewarmed_sessions = if config.batch_same_shape {
-        let mut span = tracer.span("prewarm");
-        let prewarmed = prewarm_same_shape(&config, &corpus, &backends, &caches);
-        span.attr("sessions", prewarmed);
-        prewarmed
-    } else {
-        0
-    };
-
-    let mut engines = std::collections::HashMap::new();
+    // The same executor as the in-process runner, fed from frames: jobs run
+    // one at a time on this thread — the processes are the parallelism.
+    let executor = Executor::new(config, Mode::Batch, Cow::Owned(corpus), &tracer)?;
+    let mut worker = executor.worker();
     let mut resolved = 0usize;
     loop {
         let Some(frame) = read_frame(&mut input).map_err(ServiceError::Wire)? else {
@@ -731,116 +618,41 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
                 let payload = decode_value(&frame.payload)?;
                 let index = payload.field_usize("job_frame", "index")?;
                 let job = JobSpec::from_wire(payload.field("job_frame", "job")?)?;
-                if job.scenario >= corpus.scenarios().len() {
+                let scenario_count = executor.scenarios().len();
+                if job.scenario >= scenario_count {
                     return Err(multiproc_error(format!(
-                        "job {index} references scenario {} of {}",
-                        job.scenario,
-                        corpus.scenarios().len()
+                        "job {index} references scenario {} of {scenario_count}",
+                        job.scenario
                     )));
                 }
-                let scenario = &corpus.scenarios()[job.scenario];
-                let job_started = Instant::now();
-                let execution = execute_job(
-                    &JobContext {
-                        job: &job,
-                        job_index: index as u64,
-                        scenario,
-                        backend: backends[job.scenario].as_ref(),
-                        cache: &caches[job.scenario],
-                        faults: config.faults,
-                        retry: config.retry,
-                        clock: config.clock,
-                        deadline_effort: config.deadline_effort,
-                        cancel: None,
-                        tracer: tracer.clone(),
-                        queue_seconds: 0.0,
-                    },
-                    &mut engines,
-                );
-                let latency_seconds = match config.clock {
-                    ClockKind::Wall => job_started.elapsed().as_secs_f64(),
-                    ClockKind::Virtual => execution.virtual_seconds,
-                };
-                if trace {
-                    registry.counter("service.jobs").inc();
-                    registry
-                        .counter(&format!("service.{}", outcome_kind(&execution.outcome)))
-                        .inc();
-                    registry
-                        .counter("service.warm_cache_hits")
-                        .add(execution.accounting.warm_cache_hits as u64);
-                    registry
-                        .counter("service.cached_validations")
-                        .add(execution.accounting.cached_validations as u64);
-                    registry
-                        .counter("service.injected_faults")
-                        .add(execution.injected_faults as u64);
-                    registry
-                        .counter("service.retried_attempts")
-                        .add(execution.attempts.saturating_sub(1) as u64);
-                    registry
-                        .histogram("job.latency_seconds", LATENCY_BUCKETS)
-                        .observe(latency_seconds);
-                }
-                let result = JobResult::new(index, &job, &scenario.name, execution.outcome);
+                let (result, accounting) = worker.run(index as u64, &job, None, Instant::now());
                 let reply = encode_value(
                     &obj()
                         .field("index", index)
                         .field("result", result.to_wire())
-                        .field("warm_cache_hits", execution.accounting.warm_cache_hits)
-                        .field(
-                            "cached_validations",
-                            execution.accounting.cached_validations,
-                        )
-                        .field("injected_faults", execution.injected_faults)
-                        .field(
-                            "retried_attempts",
-                            execution.attempts.saturating_sub(1) as usize,
-                        )
-                        .field("latency_seconds", latency_seconds)
+                        .field("warm_cache_hits", accounting.warm_cache_hits)
+                        .field("cached_validations", accounting.cached_validations)
+                        .field("injected_faults", accounting.injected_faults)
+                        .field("retried_attempts", accounting.retried_attempts)
+                        .field("latency_seconds", accounting.latency_seconds)
                         .build(),
                 )?;
                 write_frame(&mut output, FRAME_RESULT, &reply).map_err(ServiceError::Wire)?;
                 resolved += 1;
             }
             FRAME_SHUTDOWN => {
-                let mut store = StoreStats::default();
-                for cache in &caches {
-                    let s = cache.stats();
-                    store.lookups += s.lookups;
-                    store.hits += s.hits;
-                    store.insertions += s.insertions;
-                    store.contended_locks += s.contended_locks;
-                }
                 let mut fin = obj()
-                    .field("store", store.to_wire())
-                    .field("operator_cache", operator_cache.stats().to_wire())
-                    .field("prewarmed_sessions", prewarmed_sessions);
+                    .field("store", executor.store_stats().to_wire())
+                    .field("operator_cache", executor.operator_cache_stats().to_wire())
+                    .field("prewarmed_sessions", executor.prewarmed_sessions());
                 if trace {
-                    // Stamp the end-of-run counters (store, operator cache,
-                    // prewarm) into the registry so the snapshot the
-                    // coordinator absorbs mirrors the in-process
-                    // `ServiceStats::metrics` names, then attach the
-                    // worker's spans for the merged cross-process trace.
-                    let cache_stats = operator_cache.stats();
-                    registry
-                        .counter("operator_cache.hits")
-                        .add(cache_stats.hits);
-                    registry
-                        .counter("operator_cache.misses")
-                        .add(cache_stats.misses);
-                    registry
-                        .counter("service.prewarmed_sessions")
-                        .add(prewarmed_sessions as u64);
-                    registry
-                        .counter("store.contended_locks")
-                        .add(store.contended_locks);
-                    registry.counter("store.hits").add(store.hits);
-                    registry.counter("store.insertions").add(store.insertions);
-                    registry.counter("store.lookups").add(store.lookups);
+                    // The worker's tally carries the same counters, under
+                    // the same names, as an in-process run's registry; ship
+                    // it with the worker's spans for the merged trace.
+                    executor.add_run_counters();
                     let spans: Vec<JsonValue> = tracer.drain().iter().map(Wire::to_wire).collect();
                     fin = fin
-                        .field("metrics", registry.snapshot().to_wire())
+                        .field("metrics", executor.tally().snapshot().to_wire())
                         .field("spans", JsonValue::Array(spans))
                         .field("dropped_spans", tracer.dropped_spans());
                 }
@@ -860,7 +672,7 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ScenarioSpec;
+    use crate::{JobOutcome, ScenarioSpec};
 
     /// In-memory worker loopback: runs `worker_serve` against buffered
     /// pipes, returning the frames it produced. The process-boundary tests

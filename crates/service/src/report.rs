@@ -20,7 +20,7 @@ use thermsched::{OperatorCacheStats, ScheduleOutcome, StoreStats};
 use thermsched_obs::MetricsSnapshot;
 
 use crate::frontend::{Rejected, ShedCause};
-use crate::JobSpec;
+use crate::{JobSpec, ServiceConfig};
 
 /// The deterministic metrics of one completed scheduling job.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,7 +200,7 @@ impl JobResult {
 }
 
 /// Timing- and interleaving-dependent aggregates of one batch run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServiceStats {
     /// Worker threads the batch ran with.
     pub workers: usize,
@@ -248,8 +248,9 @@ pub struct ServiceStats {
     /// multi-process coordinator ([`crate::MultiprocCoordinator`]) can make
     /// this non-zero; in-process runs always report 0.
     pub worker_crashes: usize,
-    /// Latency percentiles over resolved jobs (all-zero when no latency was
-    /// recorded, e.g. for direct [`crate::ServiceRunner::run`] batches).
+    /// Latency percentiles over the jobs that ran (all-zero when none
+    /// did): dispatch to result for batch and multi-process runs,
+    /// submission to resolution for the streaming front-end.
     pub latency: LatencyStats,
     /// Wall-clock duration of the batch in seconds.
     pub wall_seconds: f64,
@@ -381,11 +382,23 @@ impl ServiceStats {
         self.render_with_max_temperature(None)
     }
 
-    /// These stats as a metrics snapshot — the view the metrics registry
-    /// subsumes the legacy counter fields under. Names are stable (they are
-    /// what [`crate::ServiceRunner::run_traced`] absorbs into its registry
-    /// and what trace documents carry); see the `thermsched` crate docs for
-    /// the field-to-metric migration table.
+    /// These stats as a metrics snapshot, under the stable names every run
+    /// counts into — the inverse of how the stats are derived: a run's
+    /// counters live once, in a metrics registry, and these stats are read
+    /// off its snapshot. The names are what
+    /// [`crate::ServiceRunner::run_traced`] absorbs into its registry and
+    /// what trace documents carry:
+    ///
+    /// | field | metric |
+    /// |---|---|
+    /// | `job_count` | `service.jobs` |
+    /// | `completed` / `failed` / `panicked` / `deadline_exceeded` / `shed` / `rejected` | `service.<field>` |
+    /// | `retried_attempts` / `injected_faults` / `worker_crashes` | `service.<field>` |
+    /// | `warm_cache_hits` / `cached_validations` / `prewarmed_sessions` | `service.<field>` |
+    /// | `store.<field>` | `store.<field>` |
+    /// | `operator_cache.hits` / `misses` | `operator_cache.hits` / `misses` |
+    /// | `wall_seconds` / `jobs_per_second` | `service.<field>` (gauges) |
+    /// | `latency` | `job.latency_seconds` (histogram, in the run's registry) |
     pub fn metrics(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: vec![
@@ -441,6 +454,56 @@ impl ServiceStats {
                 ("service.wall_seconds".to_owned(), self.wall_seconds),
             ],
             histograms: Vec::new(),
+        }
+    }
+
+    /// The stats a run's metrics snapshot describes — the inverse of
+    /// [`Self::metrics`]. The header fields come from the configuration
+    /// and the latency percentiles from the raw samples, which a
+    /// fixed-bucket histogram cannot rank.
+    pub(crate) fn from_metrics(
+        config: &ServiceConfig,
+        workers: usize,
+        scenario_count: usize,
+        metrics: &MetricsSnapshot,
+        latency: LatencyStats,
+    ) -> ServiceStats {
+        let count = |name: &str| metrics.counter(name).unwrap_or(0);
+        let size = |name: &str| count(name) as usize;
+        let gauge = |name: &str| metrics.gauge(name).unwrap_or(0.0);
+        ServiceStats {
+            workers,
+            store_name: config.store.name(),
+            shard_count: config.store.shard_count(),
+            backend_name: config.backend.label(),
+            operator_cache_enabled: config.operator_cache,
+            operator_cache: OperatorCacheStats {
+                hits: count("operator_cache.hits"),
+                misses: count("operator_cache.misses"),
+            },
+            scenario_count,
+            job_count: size("service.jobs"),
+            completed: size("service.completed"),
+            failed: size("service.failed"),
+            panicked: size("service.panicked"),
+            deadline_exceeded: size("service.deadline_exceeded"),
+            shed: size("service.shed"),
+            rejected: size("service.rejected"),
+            retried_attempts: size("service.retried_attempts"),
+            injected_faults: size("service.injected_faults"),
+            worker_crashes: size("service.worker_crashes"),
+            latency,
+            wall_seconds: gauge("service.wall_seconds"),
+            jobs_per_second: gauge("service.jobs_per_second"),
+            cached_validations: size("service.cached_validations"),
+            warm_cache_hits: size("service.warm_cache_hits"),
+            prewarmed_sessions: size("service.prewarmed_sessions"),
+            store: StoreStats {
+                lookups: count("store.lookups"),
+                hits: count("store.hits"),
+                insertions: count("store.insertions"),
+                contended_locks: count("store.contended_locks"),
+            },
         }
     }
 
@@ -768,6 +831,24 @@ mod tests {
         assert_eq!(snapshot.counter("operator_cache.misses"), Some(1));
         assert_eq!(snapshot.gauges.len(), 2);
         assert!(snapshot.histograms.is_empty());
+    }
+
+    #[test]
+    fn stats_derive_back_from_their_metrics_view() {
+        let stats = report().stats().clone();
+        let config = ServiceConfig::default();
+        assert_eq!(
+            (config.store.name(), config.backend.label()),
+            (stats.store_name.clone(), stats.backend_name.clone())
+        );
+        let derived = ServiceStats::from_metrics(
+            &config,
+            stats.workers,
+            stats.scenario_count,
+            &stats.metrics(),
+            stats.latency,
+        );
+        assert_eq!(derived, stats);
     }
 
     #[test]

@@ -87,7 +87,7 @@ fn faulted_batches_are_byte_identical_across_worker_counts_and_runs() {
 
 #[test]
 fn poisoned_shards_mid_batch_do_not_change_results_under_the_prewarmer() {
-    // Satellite of PR 7 over the PR-6 batcher: every job poisons one shard
+    // Store poisoning under the same-shape batcher: every job poisons one shard
     // of its scenario's sharded session store before phase 1, while the
     // same-shape prewarmer has already published multi-RHS results through
     // the same store. The batch must complete and match a fault-free

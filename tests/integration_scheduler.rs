@@ -180,7 +180,7 @@ fn figure1_system_schedules_separate_hot_cores() {
 fn scheduler_accepts_the_grid_simulator_as_validator() {
     // The scheduler is generic over `ThermalSimulator`; the fine-grained grid
     // model (HotSpot's "grid mode" analogue) can replace the block-level RC
-    // model as the validating simulator — since PR 5 on its full-fidelity
+    // model as the validating simulator — on its full-fidelity
     // transient path (coarse 10 ms steps keep the debug-build run cheap; the
     // path is exact at any step size).
     use thermsched_thermal::{
