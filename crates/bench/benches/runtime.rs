@@ -7,10 +7,8 @@
 //! through the sequential implicit-Euler reference path against the
 //! precomputed-operator fast path (now the library default) on both library
 //! SUTs, and verifies that the two paths produce identical schedules. The
-//! PR 2 wall-clock baseline for this comparison is the *committed*
-//! `BENCH_pr2.json` at the workspace root — a historical record this bench
-//! no longer rewrites; the facade-era numbers are recorded by the
-//! `engine_overhead` bench as `BENCH_pr3.json` alongside it.
+//! committed `BENCH_pr2.json` at the workspace root is a frozen record of
+//! this comparison; this bench does not rewrite it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use thermsched::{ScheduleOutcome, SchedulerConfig, ThermalAwareScheduler};

@@ -1,10 +1,12 @@
-//! Shared fixtures for the `thermsched` benchmark harness.
+//! Shared fixtures for the `thermsched` Criterion bench targets.
 //!
-//! Each Criterion bench target regenerates one table or figure of the DATE
-//! 2005 paper (printing the reproduced rows/series to stdout before timing
-//! the underlying computation) or one ablation from `DESIGN.md`. The actual
-//! experiment logic lives in [`thermsched::experiments`]; this crate only
-//! provides the common setup used by every target.
+//! Each target regenerates one table or figure of the DATE 2005 paper
+//! (printing the reproduced rows/series to stdout before timing the
+//! underlying computation), one ablation, or times the thermal building
+//! blocks (`runtime`, `resolution_scaling`). The experiment logic lives in
+//! [`thermsched::experiments`]; this crate only provides the common setup.
+//! End-to-end service throughput, latency and per-layer timings are
+//! measured by the workspace's one benchmark, `perfbench/`.
 
 use thermsched_soc::{library, SystemUnderTest};
 use thermsched_thermal::RcThermalSimulator;
@@ -33,34 +35,6 @@ pub fn figure1_fixture() -> (SystemUnderTest, RcThermalSimulator) {
     let simulator = RcThermalSimulator::from_floorplan(sut.floorplan())
         .expect("library floorplan produces a valid thermal model");
     (sut, simulator)
-}
-
-/// Median of a set of wall-clock samples.
-///
-/// # Panics
-///
-/// Panics on an empty or NaN-containing sample set.
-pub fn median(mut values: Vec<f64>) -> f64 {
-    values.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    values[values.len() / 2]
-}
-
-/// Whether a baseline-recording bench invocation should (re)measure and
-/// overwrite its committed `BENCH_pr<N>.json` file. Mirrors the vendored
-/// criterion stub's filter semantics: the baseline is recorded only when at
-/// least one of `recorded_ids` is actually selected by the CLI filter, and
-/// never in `cargo test --benches` (`--test`) mode — a filtered run like
-/// `cargo bench -- some_other_group` must not clobber committed numbers
-/// with timings nobody asked for.
-pub fn baseline_recording_enabled(recorded_ids: &[&str]) -> bool {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--test") {
-        return false;
-    }
-    match args.iter().find(|a| !a.starts_with('-')) {
-        None => true,
-        Some(filter) => recorded_ids.iter().any(|id| id.contains(filter.as_str())),
-    }
 }
 
 #[cfg(test)]

@@ -74,12 +74,12 @@
 //! For many scheduling runs over many systems, the `thermsched_service`
 //! crate layers a batch service on top of the engine: a seeded scenario
 //! corpus generator, one job executor with per-worker engine reuse, and
-//! shared session stores ([`SessionStore`]) — either the single-lock
-//! [`MutexSessionStore`] or the N-way [`ShardedSessionCache`], selected
-//! through [`SessionCacheHandle::sharded`]. Every public type here
-//! implements the `thermsched_wire` crate's `Wire` trait, which is how the
-//! service crate's `MultiprocCoordinator` ships work to worker processes,
-//! with per-job results byte-identical at any process count.
+//! shared session stores: an N-way [`ShardedSessionCache`] per scenario,
+//! held through [`SessionCacheHandle::sharded`] (one shard by default).
+//! Every public type here implements the `thermsched_wire` crate's `Wire`
+//! trait, which is how the service crate's `MultiprocCoordinator` ships
+//! work to worker processes, with per-job results byte-identical at any
+//! process count.
 //!
 //! # Observability
 //!
@@ -142,9 +142,7 @@ pub use schedule::{TestSchedule, TestSession};
 pub use scheduler::{ScheduleOutcome, SessionRecord, ThermalAwareScheduler};
 pub use session_cache::SessionCache;
 pub use session_model::{SessionModelOptions, SessionThermalModel, DEFAULT_STC_SCALE};
-pub use session_store::{
-    MutexSessionStore, SessionCacheHandle, SessionStore, ShardedSessionCache, StoreStats,
-};
+pub use session_store::{SessionCacheHandle, ShardedSessionCache, StoreStats};
 pub use sweep::{SweepReport, SweepRunner, SweepSpec, SweepVariant};
 pub use validator::{ScheduleEvaluation, ScheduleValidator, SessionEvaluation};
 pub use weights::CoreWeights;

@@ -529,9 +529,9 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
             std::collections::HashMap::new();
         // Fresh phase-2 simulations destined for the shared store. They are
         // published in ONE batched store operation after the loop instead of
-        // one lock round trip per candidate — the cold-run publication
-        // overhead the `engine_overhead` bench prices. The clone itself is
-        // unavoidable either way (the per-run cache needs the result too).
+        // one lock round trip per candidate, which is what a cold run would
+        // otherwise pay. The clone itself is unavoidable either way (the
+        // per-run cache needs the result too).
         // The loop runs inside an immediately-invoked closure so that a
         // FAILING run (exhausted iteration budget, simulation error) still
         // flushes what it simulated: a batch service isolates failed jobs

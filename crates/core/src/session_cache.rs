@@ -1,5 +1,5 @@
 //! Caching of session thermal-validation results (the per-run map; the
-//! shared, thread-safe stores live behind [`crate::SessionStore`] and
+//! shared, thread-safe store is [`crate::ShardedSessionCache`], held through
 //! [`crate::SessionCacheHandle`]).
 
 use std::collections::HashMap;

@@ -1,19 +1,14 @@
-//! Shared session-result stores: the [`SessionStore`] trait and its two
-//! implementations, plus the [`SessionCacheHandle`] the rest of the stack
-//! holds.
+//! The shared session-result store, [`ShardedSessionCache`], and the
+//! [`SessionCacheHandle`] the rest of the stack holds.
 //!
 //! A [`crate::SessionCache`] is a plain per-run map. Sharing validated
 //! session results *across* runs — sweep points on one engine, or the many
 //! concurrent jobs of a `thermsched_service` batch — needs a thread-safe
-//! store. The original implementation was a single `Mutex<HashMap>`;
-//! [`MutexSessionStore`] keeps exactly that behaviour, while
-//! [`ShardedSessionCache`] splits the key space over N independently-locked
-//! shards so wide fan-outs do not serialise on one lock. Both implement
-//! [`SessionStore`], and [`SessionCacheHandle`] erases the choice behind an
-//! `Arc<dyn SessionStore>` so the engine, scheduler and service layers are
-//! store-agnostic.
+//! store. [`ShardedSessionCache`] splits the key space over N
+//! independently-locked shards so wide fan-outs do not serialise on one
+//! lock; with one shard it is a single `Mutex` around one map.
 
-use std::fmt;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
@@ -21,12 +16,13 @@ use thermsched_thermal::SessionThermalResult;
 
 use crate::SessionCache;
 
-/// Point-in-time usage counters of a [`SessionStore`].
+/// Point-in-time usage counters of a [`ShardedSessionCache`].
 ///
 /// All counters are monotone over the store's lifetime (a
-/// [`SessionStore::clear`] resets the *entries*, not the counters) and are
-/// maintained with relaxed atomics: totals are exact, but a reader racing
-/// concurrent writers may observe counters from slightly different instants.
+/// [`ShardedSessionCache::clear`] resets the *entries*, not the counters)
+/// and are maintained with relaxed atomics: totals are exact, but a reader
+/// racing concurrent writers may observe counters from slightly different
+/// instants.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Keys probed through `lookup`/`lookup_batch`.
@@ -35,9 +31,9 @@ pub struct StoreStats {
     pub hits: u64,
     /// Results actually inserted (first-write-wins duplicates excluded).
     pub insertions: u64,
-    /// Lock acquisitions that found the target lock already held. For the
-    /// sharded store this counts per-shard contention; a well-sharded
-    /// workload keeps it near zero even under heavy concurrency.
+    /// Shard-lock acquisitions that found the lock already held; a
+    /// well-sharded workload keeps it near zero even under heavy
+    /// concurrency.
     pub contended_locks: u64,
 }
 
@@ -53,89 +49,7 @@ impl StoreStats {
     }
 }
 
-/// A thread-safe, shareable store of session thermal-validation results
-/// keyed by sorted core sets (see [`SessionCache::key`]).
-///
-/// Semantics every implementation must provide:
-///
-/// * **Determinism of content** — the simulators are deterministic, so the
-///   result stored under a key is a pure function of the key (for a fixed
-///   system and backend). First write wins; a racing duplicate insert is
-///   dropped, and either race outcome stores the same bytes.
-/// * **Batch operations** — [`SessionStore::lookup_batch`] and
-///   [`SessionStore::store_batch`] exist so callers with many keys (the
-///   scheduler's phase-1 probe and its end-of-run publication) pay one lock
-///   round trip per store — or per shard — instead of one per key.
-/// * **Panic tolerance** — a worker that panics while holding a store lock
-///   must not take the store down with it; implementations recover from
-///   mutex poisoning (entries are only ever whole, valid results).
-pub trait SessionStore: Send + Sync + fmt::Debug {
-    /// Short human-readable name (`"mutex"`, `"sharded(8)"`, ...).
-    fn name(&self) -> String;
-
-    /// Number of independently-locked shards (1 for unsharded stores).
-    fn shard_count(&self) -> usize;
-
-    /// Number of cached results.
-    fn len(&self) -> usize;
-
-    /// Returns `true` if the store holds no results.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Returns a clone of the cached result for a key, if present.
-    fn lookup(&self, key: &[usize]) -> Option<SessionThermalResult>;
-
-    /// Looks up many keys, returning one slot per key in order. Counts one
-    /// lookup (and at most one hit) per key.
-    fn lookup_batch(&self, keys: &[Vec<usize>]) -> Vec<Option<SessionThermalResult>> {
-        keys.iter().map(|key| self.lookup(key)).collect()
-    }
-
-    /// Stores a result unless the key is already present (first write wins).
-    fn store(&self, key: Vec<usize>, result: SessionThermalResult);
-
-    /// Stores many results, batching lock acquisitions where the
-    /// implementation can. First write wins per key.
-    fn store_batch(&self, entries: Vec<(Vec<usize>, SessionThermalResult)>) {
-        for (key, result) in entries {
-            self.store(key, result);
-        }
-    }
-
-    /// Drops every cached result (usage counters are preserved).
-    fn clear(&self);
-
-    /// Usage counters accumulated so far.
-    fn stats(&self) -> StoreStats;
-
-    /// Fault-injection hook: deliberately poisons the lock guarding shard
-    /// `shard % shard_count` by panicking a throwaway thread while it holds
-    /// the lock. Entries are untouched — the store must keep serving them
-    /// through the recovered lock (the panic-tolerance contract above), and
-    /// this hook exists precisely so harnesses can prove that recovery
-    /// without reaching into store internals. Implementations without
-    /// interior locks may ignore the call (the default is a no-op).
-    fn poison_shard(&self, shard: usize) {
-        let _ = shard;
-    }
-}
-
-/// Poisons a mutex by panicking a scoped throwaway thread while it holds the
-/// lock. Used by the stores' [`SessionStore::poison_shard`] fault hooks.
-fn poison_lock(mutex: &Mutex<SessionCache>) {
-    std::thread::scope(|scope| {
-        let _ = scope
-            .spawn(|| {
-                let _guard = mutex.lock().unwrap_or_else(PoisonError::into_inner);
-                panic!("injected store poison");
-            })
-            .join();
-    });
-}
-
-/// Shared atomic counter block used by both store implementations.
+/// The store's atomic usage counters.
 #[derive(Debug, Default)]
 struct Counters {
     lookups: AtomicU64,
@@ -170,108 +84,28 @@ fn lock_counting<'m, T>(mutex: &'m Mutex<T>, counters: &Counters) -> MutexGuard<
     }
 }
 
-/// The original single-lock shared store: one `Mutex` around one
-/// [`SessionCache`]. Simple, and still the right choice for narrow
-/// (sequential or low-concurrency) workloads; the service benchmarks compare
-/// it against [`ShardedSessionCache`].
-#[derive(Debug, Default)]
-pub struct MutexSessionStore {
-    entries: Mutex<SessionCache>,
-    counters: Counters,
-}
-
-impl MutexSessionStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl SessionStore for MutexSessionStore {
-    fn name(&self) -> String {
-        "mutex".to_owned()
-    }
-
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    fn len(&self) -> usize {
-        lock_counting(&self.entries, &self.counters).len()
-    }
-
-    fn lookup(&self, key: &[usize]) -> Option<SessionThermalResult> {
-        self.counters.lookups.fetch_add(1, Ordering::Relaxed);
-        let found = lock_counting(&self.entries, &self.counters)
-            .get(key)
-            .cloned();
-        if found.is_some() {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    fn lookup_batch(&self, keys: &[Vec<usize>]) -> Vec<Option<SessionThermalResult>> {
-        self.counters
-            .lookups
-            .fetch_add(keys.len() as u64, Ordering::Relaxed);
-        let cache = lock_counting(&self.entries, &self.counters);
-        let found: Vec<Option<SessionThermalResult>> =
-            keys.iter().map(|key| cache.get(key).cloned()).collect();
-        drop(cache);
-        let hits = found.iter().filter(|slot| slot.is_some()).count() as u64;
-        self.counters.hits.fetch_add(hits, Ordering::Relaxed);
-        found
-    }
-
-    fn store(&self, key: Vec<usize>, result: SessionThermalResult) {
-        let mut cache = lock_counting(&self.entries, &self.counters);
-        if !cache.contains(&key) {
-            cache.insert(key, result);
-            self.counters.insertions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn store_batch(&self, entries: Vec<(Vec<usize>, SessionThermalResult)>) {
-        let mut inserted = 0u64;
-        let mut cache = lock_counting(&self.entries, &self.counters);
-        for (key, result) in entries {
-            if !cache.contains(&key) {
-                cache.insert(key, result);
-                inserted += 1;
-            }
-        }
-        drop(cache);
-        self.counters
-            .insertions
-            .fetch_add(inserted, Ordering::Relaxed);
-    }
-
-    fn clear(&self) {
-        *lock_counting(&self.entries, &self.counters) = SessionCache::new();
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.counters.snapshot()
-    }
-
-    fn poison_shard(&self, _shard: usize) {
-        poison_lock(&self.entries);
-    }
-}
-
-/// An N-way sharded shared store: the key space is split by a deterministic
-/// hash over the core set, and each shard has its own lock, so concurrent
-/// workers touching different core sets do not serialise on one another.
+/// A thread-safe store of session thermal-validation results keyed by
+/// sorted core sets (see [`SessionCache::key`]), split into N shards: the
+/// key space is divided by a deterministic hash over the core set, and each
+/// shard has its own lock, so concurrent workers touching different core
+/// sets do not serialise on one another.
 ///
-/// Batch operations group their keys by shard and take each shard lock once,
-/// which keeps the scheduler's phase-1 probe and end-of-run publication at
-/// `O(shards)` lock round trips regardless of how many keys move.
+/// * **Determinism of content** — the simulators are deterministic, so the
+///   result stored under a key is a pure function of the key (for a fixed
+///   system and backend). First write wins; a racing duplicate insert is
+///   dropped, and either race outcome stores the same bytes.
+/// * **Batch operations** — [`Self::lookup_batch`] and [`Self::store_batch`]
+///   group their keys by shard and take each shard lock once, so the
+///   scheduler's phase-1 probe and end-of-run publication cost `O(shards)`
+///   lock round trips regardless of how many keys move.
+/// * **Panic tolerance** — a worker that panics while holding a shard lock
+///   does not take the store down with it: locks recover from poisoning
+///   (entries are only ever whole, valid results).
 ///
 /// # Example
 ///
 /// ```
-/// use thermsched::{SessionStore, ShardedSessionCache};
+/// use thermsched::ShardedSessionCache;
 ///
 /// let store = ShardedSessionCache::new(8);
 /// assert_eq!(store.shard_count(), 8);
@@ -314,25 +148,34 @@ impl ShardedSessionCache {
         hash ^= hash >> 32;
         (hash % self.shards.len() as u64) as usize
     }
-}
 
-impl SessionStore for ShardedSessionCache {
-    fn name(&self) -> String {
+    /// Short human-readable name (`"sharded(8)"`).
+    pub fn name(&self) -> String {
         format!("sharded({})", self.shards.len())
     }
 
-    fn shard_count(&self) -> usize {
+    /// Number of independently-locked shards.
+    pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
-    fn len(&self) -> usize {
+    /// Number of cached results.
+    pub fn len(&self) -> usize {
         self.shards
             .iter()
             .map(|shard| lock_counting(shard, &self.counters).len())
             .sum()
     }
 
-    fn lookup(&self, key: &[usize]) -> Option<SessionThermalResult> {
+    /// Returns `true` if the store holds no results.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Returns a clone of the cached result for a key, if present. Cloning
+    /// keeps the lock hold time short and leaves the shared entry available
+    /// to other runs.
+    pub fn lookup(&self, key: &[usize]) -> Option<SessionThermalResult> {
         self.counters.lookups.fetch_add(1, Ordering::Relaxed);
         let shard = &self.shards[self.shard_for(key)];
         let found = lock_counting(shard, &self.counters).get(key).cloned();
@@ -342,7 +185,9 @@ impl SessionStore for ShardedSessionCache {
         found
     }
 
-    fn lookup_batch(&self, keys: &[Vec<usize>]) -> Vec<Option<SessionThermalResult>> {
+    /// Looks up many keys, returning one slot per key in order. Counts one
+    /// lookup (and at most one hit) per key.
+    pub fn lookup_batch(&self, keys: &[Vec<usize>]) -> Vec<Option<SessionThermalResult>> {
         self.counters
             .lookups
             .fetch_add(keys.len() as u64, Ordering::Relaxed);
@@ -369,7 +214,8 @@ impl SessionStore for ShardedSessionCache {
         found
     }
 
-    fn store(&self, key: Vec<usize>, result: SessionThermalResult) {
+    /// Stores a result unless the key is already cached (first write wins).
+    pub fn store(&self, key: Vec<usize>, result: SessionThermalResult) {
         let shard = &self.shards[self.shard_for(&key)];
         let mut cache = lock_counting(shard, &self.counters);
         if !cache.contains(&key) {
@@ -378,7 +224,10 @@ impl SessionStore for ShardedSessionCache {
         }
     }
 
-    fn store_batch(&self, entries: Vec<(Vec<usize>, SessionThermalResult)>) {
+    /// Stores many results, first write wins per key — the scheduler
+    /// publishes a whole run's fresh simulations through this at end-of-run
+    /// instead of paying a lock round trip per candidate.
+    pub fn store_batch(&self, entries: Vec<(Vec<usize>, SessionThermalResult)>) {
         // One pass computes each entry's shard; the per-shard passes then
         // take each populated shard lock exactly once and move the matching
         // entries out of their slots.
@@ -404,22 +253,38 @@ impl SessionStore for ShardedSessionCache {
             .fetch_add(inserted, Ordering::Relaxed);
     }
 
-    fn clear(&self) {
+    /// Drops every cached result (usage counters are preserved).
+    pub fn clear(&self) {
         for shard in &self.shards {
             *lock_counting(shard, &self.counters) = SessionCache::new();
         }
     }
 
-    fn stats(&self) -> StoreStats {
+    /// Usage counters accumulated so far.
+    pub fn stats(&self) -> StoreStats {
         self.counters.snapshot()
     }
 
-    fn poison_shard(&self, shard: usize) {
-        poison_lock(&self.shards[shard % self.shards.len()]);
+    /// Fault-injection hook: poisons the lock guarding shard
+    /// `shard % shard_count` by panicking a scoped throwaway thread while it
+    /// holds the lock. Entries are untouched — the store keeps serving them
+    /// through the recovered lock, and this hook exists so harnesses can
+    /// prove that recovery without reaching into store internals.
+    pub fn poison_shard(&self, shard: usize) {
+        let mutex = &self.shards[shard % self.shards.len()];
+        std::thread::scope(|scope| {
+            let _ = scope
+                .spawn(|| {
+                    let _guard = mutex.lock().unwrap_or_else(PoisonError::into_inner);
+                    panic!("injected store poison");
+                })
+                .join();
+        });
     }
 }
 
-/// A cloneable, thread-safe handle to a shared [`SessionStore`].
+/// A cloneable, thread-safe handle to a shared [`ShardedSessionCache`],
+/// through which it derefs.
 ///
 /// A plain [`SessionCache`] lives for one `schedule()` call; the handle is
 /// the long-lived variant the [`crate::Engine`] owns, so that every run
@@ -427,10 +292,6 @@ impl SessionStore for ShardedSessionCache {
 /// clones the *handle*, not the store: all clones see the same entries,
 /// which is how the engine threads the cache through parallel sweeps and how
 /// the service layer shares one store between its workers.
-///
-/// The backing store defaults to a [`MutexSessionStore`];
-/// [`SessionCacheHandle::sharded`] selects a [`ShardedSessionCache`] and
-/// [`SessionCacheHandle::with_store`] accepts any custom implementation.
 ///
 /// # Example
 ///
@@ -444,7 +305,7 @@ impl SessionStore for ShardedSessionCache {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SessionCacheHandle {
-    inner: Arc<dyn SessionStore>,
+    inner: Arc<ShardedSessionCache>,
 }
 
 impl Default for SessionCacheHandle {
@@ -454,91 +315,24 @@ impl Default for SessionCacheHandle {
 }
 
 impl SessionCacheHandle {
-    /// Creates a handle to a fresh, empty single-lock store.
+    /// Creates a handle to a fresh, empty one-shard store.
     pub fn new() -> Self {
-        Self::with_store(Arc::new(MutexSessionStore::new()))
+        Self::sharded(1)
     }
 
-    /// Creates a handle to a fresh, empty [`ShardedSessionCache`] with the
-    /// given shard count.
+    /// Creates a handle to a fresh, empty store with the given shard count.
     pub fn sharded(shards: usize) -> Self {
-        Self::with_store(Arc::new(ShardedSessionCache::new(shards)))
-    }
-
-    /// Wraps an existing store (share the `Arc` to alias it elsewhere).
-    pub fn with_store(store: Arc<dyn SessionStore>) -> Self {
-        SessionCacheHandle { inner: store }
-    }
-
-    /// Borrows the backing store.
-    pub fn backing_store(&self) -> &dyn SessionStore {
-        self.inner.as_ref()
-    }
-
-    /// Short name of the backing store (`"mutex"`, `"sharded(8)"`, ...).
-    pub fn store_name(&self) -> String {
-        self.inner.name()
-    }
-
-    /// Number of independently-locked shards of the backing store.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shard_count()
-    }
-
-    /// Number of cached results.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Returns `true` if the store holds no results.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Returns a clone of the cached result for a key, if present. Cloning
-    /// keeps the lock hold time short and leaves the shared entry available
-    /// to other runs.
-    pub fn lookup(&self, key: &[usize]) -> Option<SessionThermalResult> {
-        self.inner.lookup(key)
-    }
-
-    /// Looks up many keys with batched lock acquisitions, returning one slot
-    /// per key in order.
-    pub fn lookup_batch(&self, keys: &[Vec<usize>]) -> Vec<Option<SessionThermalResult>> {
-        self.inner.lookup_batch(keys)
-    }
-
-    /// Stores a result unless the key is already cached (the simulators are
-    /// deterministic, so a racing duplicate is identical and the first write
-    /// wins).
-    pub fn store(&self, key: Vec<usize>, result: SessionThermalResult) {
-        self.inner.store(key, result);
-    }
-
-    /// Stores many results with batched lock acquisitions — the scheduler
-    /// publishes a whole run's fresh simulations through this at end-of-run
-    /// instead of paying a lock round trip per candidate.
-    pub fn store_batch(&self, entries: Vec<(Vec<usize>, SessionThermalResult)>) {
-        if !entries.is_empty() {
-            self.inner.store_batch(entries);
+        SessionCacheHandle {
+            inner: Arc::new(ShardedSessionCache::new(shards)),
         }
     }
+}
 
-    /// Drops every cached result.
-    pub fn clear(&self) {
-        self.inner.clear();
-    }
+impl Deref for SessionCacheHandle {
+    type Target = ShardedSessionCache;
 
-    /// Usage counters of the backing store.
-    pub fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-
-    /// Fault-injection hook: poisons one shard lock of the backing store
-    /// (see [`SessionStore::poison_shard`]). Harnesses use this to prove
-    /// that scheduling keeps working through a poisoned store.
-    pub fn poison_shard(&self, shard: usize) {
-        self.inner.poison_shard(shard);
+    fn deref(&self) -> &ShardedSessionCache {
+        &self.inner
     }
 }
 
@@ -556,12 +350,8 @@ mod tests {
             .unwrap()
     }
 
-    fn stores() -> Vec<Arc<dyn SessionStore>> {
-        vec![
-            Arc::new(MutexSessionStore::new()),
-            Arc::new(ShardedSessionCache::new(1)),
-            Arc::new(ShardedSessionCache::new(7)),
-        ]
+    fn stores() -> Vec<ShardedSessionCache> {
+        vec![ShardedSessionCache::new(1), ShardedSessionCache::new(7)]
     }
 
     #[test]
@@ -653,14 +443,11 @@ mod tests {
 
     #[test]
     fn handle_reports_its_backing_store() {
-        assert_eq!(SessionCacheHandle::new().store_name(), "mutex");
+        assert_eq!(SessionCacheHandle::new().name(), "sharded(1)");
         assert_eq!(SessionCacheHandle::new().shard_count(), 1);
         let sharded = SessionCacheHandle::sharded(6);
-        assert_eq!(sharded.store_name(), "sharded(6)");
+        assert_eq!(sharded.name(), "sharded(6)");
         assert_eq!(sharded.shard_count(), 6);
-        assert_eq!(sharded.backing_store().shard_count(), 6);
-        let custom = SessionCacheHandle::with_store(Arc::new(MutexSessionStore::new()));
-        assert_eq!(custom.store_name(), "mutex");
     }
 
     #[test]
@@ -761,12 +548,13 @@ mod tests {
 
     #[test]
     fn poisoned_locks_recover_instead_of_cascading() {
-        let store = Arc::new(MutexSessionStore::new());
+        // The one-shard store: every key behind a single lock.
+        let store = Arc::new(ShardedSessionCache::new(1));
         store.store(vec![1], result_for(&[1]));
         let poisoner = Arc::clone(&store);
         // Poison the mutex by panicking while it is held.
         let _ = std::thread::spawn(move || {
-            let _guard = poisoner.entries.lock().unwrap();
+            let _guard = poisoner.shards[0].lock().unwrap();
             panic!("deliberate poison");
         })
         .join();

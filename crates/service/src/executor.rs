@@ -2,12 +2,12 @@
 //! and the multi-process worker ([`crate::worker_serve`]).
 //!
 //! An [`Executor`] prepares a corpus once — one thermal backend per
-//! scenario (shared through the operator cache when enabled), one session
-//! store per scenario, and the optional same-shape prewarm — and then runs
-//! jobs through one attempt loop ([`Worker::run`]: fault injection,
-//! deadline checkpoints, seeded retries, panic isolation), counting each job
-//! in one [`Tally`] from which [`ServiceStats`] is derived. The three front
-//! doors differ only in how jobs arrive:
+//! scenario (same-shape scenarios share one through the operator cache),
+//! one session store per scenario, and the optional same-shape prewarm —
+//! and then runs jobs through one attempt loop ([`Worker::run`]: fault
+//! injection, deadline checkpoints, seeded retries, panic isolation),
+//! counting each job in one [`Tally`] from which [`ServiceStats`] is
+//! derived. The three front doors differ only in how jobs arrive:
 //!
 //! * a batch run queues every corpus job, closes the queue and drains it on
 //!   a pool of worker threads ([`Executor::submit_batch`],
@@ -349,7 +349,7 @@ impl<'a> Executor<'a> {
     pub(crate) fn store_stats(&self) -> StoreStats {
         self.caches
             .iter()
-            .map(SessionCacheHandle::stats)
+            .map(|cache| cache.stats())
             .fold(StoreStats::default(), |sum, s| StoreStats {
                 lookups: sum.lookups + s.lookups,
                 hits: sum.hits + s.hits,
@@ -776,8 +776,9 @@ impl Tally {
 
 /// Builds one thermal backend per scenario, sequentially (so the operator
 /// cache's hit/miss counters stay a deterministic function of the corpus),
-/// collapsing same-key scenarios onto shared instances when the cache is
-/// enabled.
+/// collapsing same-key scenarios onto shared instances. Exact: same-key
+/// scenarios have identical floorplans, so the shared backend is bit for bit
+/// the one a private build would produce.
 fn build_backends(
     config: &ServiceConfig,
     corpus: &Corpus,
@@ -787,13 +788,9 @@ fn build_backends(
         .scenarios()
         .iter()
         .map(|scenario| {
-            if config.operator_cache {
-                operator_cache.get_or_try_build(config.backend.key(scenario), || {
-                    config.backend.build(scenario)
-                })
-            } else {
+            operator_cache.get_or_try_build(config.backend.key(scenario), || {
                 config.backend.build(scenario)
-            }
+            })
         })
         .collect()
 }
@@ -853,10 +850,8 @@ fn prewarm_same_shape(
             })
             .collect();
         let Ok(powers) = powers else { continue };
-        // All scenarios of a key group share one bit-identical backend
-        // (the operator cache collapses them when enabled; private
-        // builds are deterministic replicas when not), so the group's
-        // first backend serves every lane.
+        // The operator cache gives all scenarios of a key group one
+        // shared backend, so the group's first backend serves every lane.
         let backend = backends[lanes[0].0].as_ref();
         let Ok(results) = backend.simulate_sessions(&powers, duration) else {
             continue;

@@ -412,7 +412,7 @@ pub struct Frontend {
 
 impl Frontend {
     /// Starts a front-end over `corpus`: builds one backend per scenario
-    /// (through the operator cache when enabled), prewarms the session
+    /// (through the operator cache), prewarms the session
     /// stores like the batch runner, and spawns the worker pool.
     ///
     /// # Errors

@@ -15,8 +15,7 @@
 //!    and worker threads drain the queue, each worker reuses one
 //!    [`thermsched::Engine`] per scenario, per-job errors and panics are
 //!    isolated into the job's [`JobOutcome`], and all jobs of a scenario
-//!    share one session store — either the single-lock mutex store or the
-//!    N-way [`thermsched::ShardedSessionCache`] ([`StoreKind`]).
+//!    share one N-way [`thermsched::ShardedSessionCache`] ([`StoreKind`]).
 //! 3. **An aggregated report** ([`ServiceReport`]): deterministic per-job
 //!    results (identical at any worker count) plus run statistics —
 //!    throughput, cache hit rates, shard contention, latency percentiles

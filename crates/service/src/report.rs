@@ -205,16 +205,13 @@ pub struct ServiceStats {
     /// Worker threads the batch ran with.
     pub workers: usize,
     /// Name of the shared session store backing each scenario
-    /// (`"mutex"`, `"sharded(8)"`, ...).
+    /// (`"sharded(8)"`, ...).
     pub store_name: String,
     /// Shards per scenario store.
     pub shard_count: usize,
     /// Label of the thermal backend kind validating every job
     /// (`"rc-compact"`, `"grid-transient(4)"`).
     pub backend_name: String,
-    /// Whether same-shape scenarios shared backend instances through the
-    /// run's operator cache.
-    pub operator_cache_enabled: bool,
     /// Operator-cache counters of the run's backend-construction pass.
     /// Backends are built sequentially before the workers start, so unlike
     /// the session-store counters these are a deterministic function of the
@@ -476,7 +473,6 @@ impl ServiceStats {
             store_name: config.store.name(),
             shard_count: config.store.shard_count(),
             backend_name: config.backend.label(),
-            operator_cache_enabled: config.operator_cache,
             operator_cache: OperatorCacheStats {
                 hits: count("operator_cache.hits"),
                 misses: count("operator_cache.misses"),
@@ -574,15 +570,11 @@ impl ServiceStats {
             "  warm cache hits {}, cached validations {}, prewarmed sessions {}",
             s.warm_cache_hits, s.cached_validations, s.prewarmed_sessions
         );
-        if s.operator_cache_enabled {
-            let _ = writeln!(
-                out,
-                "  operator cache: {} backends built, {} scenarios reusing one",
-                s.operator_cache.misses, s.operator_cache.hits
-            );
-        } else {
-            let _ = writeln!(out, "  operator cache: off");
-        }
+        let _ = writeln!(
+            out,
+            "  operator cache: {} backends built, {} scenarios reusing one",
+            s.operator_cache.misses, s.operator_cache.hits
+        );
         out
     }
 }
@@ -630,7 +622,6 @@ mod tests {
             store_name: "sharded(8)".to_owned(),
             shard_count: 8,
             backend_name: "rc-compact".to_owned(),
-            operator_cache_enabled: true,
             operator_cache: OperatorCacheStats { hits: 1, misses: 1 },
             scenario_count: 2,
             job_count: 2,

@@ -131,15 +131,14 @@ impl BackendKind {
     }
 }
 
-/// Which shared [`thermsched::SessionStore`] backs each scenario's session
-/// cache.
+/// The session store backing each scenario's session cache: an N-way
+/// [`thermsched::ShardedSessionCache`], so wide worker pools do not
+/// serialise on one lock. One shard is a single lock around one map; the
+/// wire name `"mutex"` of the former single-lock store decodes to exactly
+/// that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreKind {
-    /// One `Mutex` around one map — the pre-service store, kept as the
-    /// baseline the throughput benchmarks compare against.
-    Mutex,
-    /// An N-way sharded store ([`thermsched::ShardedSessionCache`]); wide
-    /// worker pools stop serialising on a single lock.
+    /// An N-way sharded store.
     Sharded {
         /// Number of independently-locked shards.
         shards: usize,
@@ -148,27 +147,19 @@ pub enum StoreKind {
 
 impl StoreKind {
     pub(crate) fn handle(self) -> SessionCacheHandle {
-        match self {
-            StoreKind::Mutex => SessionCacheHandle::new(),
-            StoreKind::Sharded { shards } => SessionCacheHandle::sharded(shards),
-        }
+        SessionCacheHandle::sharded(self.shard_count())
     }
 
-    /// Short name matching `SessionStore::name` of the store [`Self::handle`]
-    /// builds (`"mutex"`, `"sharded(8)"`).
+    /// Short name matching `ShardedSessionCache::name` of the store this
+    /// kind builds (`"sharded(8)"`).
     pub fn name(self) -> String {
-        match self {
-            StoreKind::Mutex => "mutex".to_owned(),
-            StoreKind::Sharded { shards } => format!("sharded({})", shards.max(1)),
-        }
+        format!("sharded({})", self.shard_count())
     }
 
-    /// Shards of the store [`Self::handle`] builds.
+    /// Shards of the store this kind builds.
     pub fn shard_count(self) -> usize {
-        match self {
-            StoreKind::Mutex => 1,
-            StoreKind::Sharded { shards } => shards.max(1),
-        }
+        let StoreKind::Sharded { shards } = self;
+        shards.max(1)
     }
 }
 
@@ -181,13 +172,6 @@ pub struct ServiceConfig {
     pub store: StoreKind,
     /// Thermal backend validating every job.
     pub backend: BackendKind,
-    /// Whether scenarios sharing a grid shape share one backend instance
-    /// (and therefore its factorisations) through the run's
-    /// [`OperatorCacheHandle`]. Exact — same-shape scenarios have identical
-    /// floorplans, so the shared operator is bit-for-bit the one a private
-    /// build would produce — and on by default; the benchmarks record the
-    /// off configuration for comparison.
-    pub operator_cache: bool,
     /// Whether the runner prewarms the session stores by batching same-shape
     /// phase-1 work: queued jobs are grouped by [`BackendKind::key`], their
     /// single-core characterisation sessions collected into one column-blocked
@@ -224,7 +208,6 @@ impl Default for ServiceConfig {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             store: StoreKind::Sharded { shards: 8 },
             backend: BackendKind::default(),
-            operator_cache: true,
             batch_same_shape: true,
             faults: FaultPlan::none(),
             retry: RetryPolicy::disabled(),
@@ -412,7 +395,7 @@ mod tests {
         let corpus = small_spec().build().unwrap();
         let reference = ServiceRunner::new(ServiceConfig {
             workers: 1,
-            store: StoreKind::Mutex,
+            store: StoreKind::Sharded { shards: 1 },
             ..ServiceConfig::default()
         })
         .unwrap()
@@ -420,7 +403,7 @@ mod tests {
         .unwrap();
         assert_eq!(reference.stats().completed, corpus.jobs().len());
         for (workers, store) in [
-            (3, StoreKind::Mutex),
+            (3, StoreKind::Sharded { shards: 1 }),
             (1, StoreKind::Sharded { shards: 4 }),
             (3, StoreKind::Sharded { shards: 4 }),
         ] {
@@ -687,34 +670,52 @@ mod tests {
             ..small_spec()
         };
         let corpus = spec.build().unwrap();
-        let cached = ServiceRunner::new(ServiceConfig {
+        let shared = ServiceRunner::new(ServiceConfig {
             workers: 2,
-            operator_cache: true,
             ..ServiceConfig::default()
         })
         .unwrap()
         .run(&corpus)
         .unwrap();
-        assert!(cached.stats().operator_cache_enabled);
-        assert_eq!(cached.stats().operator_cache.misses, 1);
-        assert_eq!(cached.stats().operator_cache.hits, 3);
-        assert_eq!(cached.stats().backend_name, "rc-compact");
+        assert_eq!(shared.stats().operator_cache.misses, 1);
+        assert_eq!(shared.stats().operator_cache.hits, 3);
+        assert_eq!(shared.stats().backend_name, "rc-compact");
+        assert!(shared
+            .render_summary()
+            .contains("operator cache: 1 backends built, 3 scenarios reusing one"));
 
-        // Shared operators are exact: switching the cache off changes
-        // nothing about the per-job results.
-        let private = ServiceRunner::new(ServiceConfig {
-            workers: 2,
-            operator_cache: false,
-            ..ServiceConfig::default()
-        })
-        .unwrap()
-        .run(&corpus)
-        .unwrap();
-        assert!(!private.stats().operator_cache_enabled);
-        assert_eq!(private.stats().operator_cache, Default::default());
-        assert_eq!(cached.jobs(), private.jobs());
-        assert_eq!(cached.render_jobs(), private.render_jobs());
-        assert!(private.render_summary().contains("operator cache: off"));
+        // Shared operators are exact: every scenario run on its own, with a
+        // backend built for it alone, gives the same per-job outcomes.
+        for (index, scenario) in corpus.scenarios().iter().enumerate() {
+            let jobs: Vec<JobSpec> = corpus
+                .jobs()
+                .iter()
+                .filter(|job| job.scenario == index)
+                .map(|job| JobSpec {
+                    scenario: 0,
+                    ..job.clone()
+                })
+                .collect();
+            let alone = Corpus::from_parts(vec![scenario.clone()], jobs).unwrap();
+            let private = ServiceRunner::new(ServiceConfig {
+                workers: 2,
+                ..ServiceConfig::default()
+            })
+            .unwrap()
+            .run(&alone)
+            .unwrap();
+            assert_eq!(private.stats().operator_cache.misses, 1);
+            assert_eq!(private.stats().operator_cache.hits, 0);
+            let outcomes = shared
+                .jobs()
+                .iter()
+                .filter(|job| job.scenario == index)
+                .map(|job| &job.outcome);
+            assert!(
+                outcomes.eq(private.jobs().iter().map(|job| &job.outcome)),
+                "scenario {index} changed when run alone"
+            );
+        }
     }
 
     #[test]
@@ -846,12 +847,13 @@ mod tests {
 
     #[test]
     fn store_kind_names_match_their_handles() {
+        // A zero request is promoted to one shard on both sides.
         for kind in [
-            StoreKind::Mutex,
+            StoreKind::Sharded { shards: 0 },
             StoreKind::Sharded { shards: 1 },
             StoreKind::Sharded { shards: 8 },
         ] {
-            assert_eq!(kind.name(), kind.handle().store_name());
+            assert_eq!(kind.name(), kind.handle().name());
             assert_eq!(kind.shard_count(), kind.handle().shard_count());
         }
     }
@@ -861,7 +863,6 @@ mod tests {
         assert!(matches!(
             ServiceRunner::new(ServiceConfig {
                 workers: 0,
-                store: StoreKind::Mutex,
                 ..ServiceConfig::default()
             }),
             Err(ServiceError::InvalidSpec {
@@ -959,7 +960,6 @@ mod tests {
         let runner = ServiceRunner::new(ServiceConfig::default()).unwrap();
         assert!(runner.config().workers >= 1);
         assert_eq!(runner.config().backend, BackendKind::RcCompact);
-        assert!(runner.config().operator_cache);
         assert!(!runner.config().faults.is_active());
         assert_eq!(runner.config().retry.max_attempts, 1);
         assert_eq!(runner.config().clock, ClockKind::Wall);

@@ -304,19 +304,18 @@ impl Wire for StoreKind {
     const WIRE_TYPE: &'static str = "store_kind";
 
     fn to_wire(&self) -> JsonValue {
-        match self {
-            StoreKind::Mutex => obj().field("kind", "mutex").build(),
-            StoreKind::Sharded { shards } => obj()
-                .field("kind", "sharded")
-                .field("shards", *shards)
-                .build(),
-        }
+        let StoreKind::Sharded { shards } = self;
+        obj()
+            .field("kind", "sharded")
+            .field("shards", *shards)
+            .build()
     }
 
+    /// `"mutex"`, the former single-lock store, decodes to one shard.
     fn from_wire(value: &JsonValue) -> Result<Self> {
         const T: &str = "store_kind";
         match value.field_str(T, "kind")? {
-            "mutex" => Ok(StoreKind::Mutex),
+            "mutex" => Ok(StoreKind::Sharded { shards: 1 }),
             "sharded" => Ok(StoreKind::Sharded {
                 shards: value.field_usize(T, "shards")?,
             }),
@@ -420,7 +419,7 @@ impl Wire for ServiceConfig {
             .field("workers", self.workers)
             .field("store", self.store.to_wire())
             .field("backend", self.backend.to_wire())
-            .field("operator_cache", self.operator_cache)
+            .field("operator_cache", true)
             .field("batch_same_shape", self.batch_same_shape)
             .field("faults", self.faults.to_wire())
             .field("retry", self.retry.to_wire())
@@ -429,13 +428,15 @@ impl Wire for ServiceConfig {
             .build()
     }
 
+    /// The operator cache is exact and always on, so the document's
+    /// `operator_cache` field is written as `true` (readers that still
+    /// require it keep decoding) and ignored on decode.
     fn from_wire(value: &JsonValue) -> Result<Self> {
         const T: &str = "service_config";
         let config = ServiceConfig {
             workers: value.field_usize(T, "workers")?,
             store: StoreKind::from_wire(value.field(T, "store")?)?,
             backend: BackendKind::from_wire(value.field(T, "backend")?)?,
-            operator_cache: value.field_bool(T, "operator_cache")?,
             batch_same_shape: value.field_bool(T, "batch_same_shape")?,
             faults: FaultPlan::from_wire(value.field(T, "faults")?)?,
             retry: RetryPolicy::from_wire(value.field(T, "retry")?)?,
@@ -684,7 +685,7 @@ impl Wire for ServiceStats {
             .field("store_name", self.store_name.as_str())
             .field("shard_count", self.shard_count)
             .field("backend_name", self.backend_name.as_str())
-            .field("operator_cache_enabled", self.operator_cache_enabled)
+            .field("operator_cache_enabled", true)
             .field("operator_cache", self.operator_cache.to_wire())
             .field("scenario_count", self.scenario_count)
             .field("job_count", self.job_count)
@@ -707,6 +708,8 @@ impl Wire for ServiceStats {
             .build()
     }
 
+    /// `operator_cache_enabled` is written as `true` and ignored on decode,
+    /// as for [`ServiceConfig`].
     fn from_wire(value: &JsonValue) -> Result<Self> {
         const T: &str = "service_stats";
         Ok(ServiceStats {
@@ -714,7 +717,6 @@ impl Wire for ServiceStats {
             store_name: value.field_str(T, "store_name")?.to_owned(),
             shard_count: value.field_usize(T, "shard_count")?,
             backend_name: value.field_str(T, "backend_name")?.to_owned(),
-            operator_cache_enabled: value.field_bool(T, "operator_cache_enabled")?,
             operator_cache: OperatorCacheStats::from_wire(value.field(T, "operator_cache")?)?,
             scenario_count: value.field_usize(T, "scenario_count")?,
             job_count: value.field_usize(T, "job_count")?,
@@ -924,7 +926,7 @@ mod tests {
             },
         ] {
             for (store, clock, deadline) in [
-                (StoreKind::Mutex, ClockKind::Wall, None),
+                (StoreKind::Sharded { shards: 1 }, ClockKind::Wall, None),
                 (
                     StoreKind::Sharded { shards: 8 },
                     ClockKind::Virtual,
@@ -951,6 +953,55 @@ mod tests {
                 assert_eq!(ServiceConfig::from_binary(&binary).unwrap(), config);
             }
         }
+    }
+
+    #[test]
+    fn documents_with_the_mutex_store_or_the_operator_cache_switch_still_decode() {
+        // Documents keep the switch fields, so readers that require them
+        // still decode what this version writes.
+        let config = ServiceConfig {
+            workers: 2,
+            store: StoreKind::Sharded { shards: 1 },
+            ..ServiceConfig::default()
+        };
+        assert!(config
+            .to_json()
+            .unwrap()
+            .contains("\"operator_cache\": true"));
+        let stats = ServiceStats::default();
+        assert!(stats
+            .to_json()
+            .unwrap()
+            .contains("\"operator_cache_enabled\": true"));
+
+        // What earlier versions could write: the single-lock store and the
+        // switches off.
+        let JsonValue::Object(mut entries) = config.to_wire() else {
+            panic!("a config encodes as an object");
+        };
+        for (key, value) in entries.iter_mut() {
+            match key.as_str() {
+                "store" => *value = obj().field("kind", "mutex").build(),
+                "operator_cache" => *value = JsonValue::from(false),
+                _ => {}
+            }
+        }
+        assert_eq!(
+            ServiceConfig::from_wire(&JsonValue::Object(entries)).unwrap(),
+            config
+        );
+        let JsonValue::Object(mut entries) = stats.to_wire() else {
+            panic!("stats encode as an object");
+        };
+        for (key, value) in entries.iter_mut() {
+            if key == "operator_cache_enabled" {
+                *value = JsonValue::from(false);
+            }
+        }
+        assert_eq!(
+            ServiceStats::from_wire(&JsonValue::Object(entries)).unwrap(),
+            stats
+        );
     }
 
     #[test]

@@ -334,7 +334,6 @@ fn operator_cache_results_are_worker_count_invariant() {
                 workers,
                 store: StoreKind::Sharded { shards: 4 },
                 backend,
-                operator_cache: true,
                 batch_same_shape: true,
                 ..ServiceConfig::default()
             })

@@ -1,15 +1,13 @@
 //! Concurrency and determinism contract of the batch-scheduling service:
 //!
 //! * the same seeded corpus must produce byte-identical per-job results at
-//!   1, 4 and 8 workers, with either session store backing the scenarios;
-//! * the `ShardedSessionCache` must behave exactly like the single-lock
-//!   `MutexSessionStore` under a multi-threaded hammer (same final
-//!   contents, first write wins per key), without locks poisoning out from
-//!   under surviving threads.
+//!   1, 4 and 8 workers, with one shard or eight backing the scenarios;
+//! * the 8-way `ShardedSessionCache` must behave exactly like the one-shard
+//!   store, where every key sits behind one lock, under a multi-threaded
+//!   hammer (same final contents, first write wins per key), without locks
+//!   poisoning out from under surviving threads.
 
-use std::sync::Arc;
-
-use thermsched::{MutexSessionStore, SessionStore, ShardedSessionCache};
+use thermsched::ShardedSessionCache;
 use thermsched_service::{
     BackendKind, JobOutcome, ScenarioSpec, ServiceConfig, ServiceReport, ServiceRunner, StoreKind,
 };
@@ -38,7 +36,7 @@ fn run(workers: usize, store: StoreKind) -> ServiceReport {
 
 #[test]
 fn per_job_results_are_byte_identical_across_worker_counts_and_stores() {
-    let reference = run(1, StoreKind::Mutex);
+    let reference = run(1, StoreKind::Sharded { shards: 1 });
     assert_eq!(
         reference.stats().completed,
         reference.stats().job_count,
@@ -49,7 +47,10 @@ fn per_job_results_are_byte_identical_across_worker_counts_and_stores() {
     assert!(!reference_table.is_empty());
 
     for workers in [4, 8] {
-        for store in [StoreKind::Mutex, StoreKind::Sharded { shards: 8 }] {
+        for store in [
+            StoreKind::Sharded { shards: 1 },
+            StoreKind::Sharded { shards: 8 },
+        ] {
             let report = run(workers, store);
             assert_eq!(
                 report.jobs(),
@@ -64,9 +65,9 @@ fn per_job_results_are_byte_identical_across_worker_counts_and_stores() {
 
 #[test]
 fn shard_count_is_invariant_with_the_same_shape_batcher_active() {
-    // PR-6 invariant: the prewarmer publishes multi-RHS results through the
-    // same `store_batch` contract the workers use, so the shard layout of
-    // the `ShardedSessionCache` must stay irrelevant to job results while
+    // The prewarmer publishes multi-RHS results through the same
+    // `store_batch` contract the workers use, so the shard layout of the
+    // `ShardedSessionCache` must stay irrelevant to job results while
     // batching is on — and turning batching off must not matter either.
     let corpus = ScenarioSpec {
         seed: 777,
@@ -80,11 +81,7 @@ fn shard_count_is_invariant_with_the_same_shape_batcher_active() {
     let run = |shards: usize, batch: bool| {
         ServiceRunner::new(ServiceConfig {
             workers: 4,
-            store: if shards == 0 {
-                StoreKind::Mutex
-            } else {
-                StoreKind::Sharded { shards }
-            },
+            store: StoreKind::Sharded { shards },
             backend: BackendKind::GridTransient { cells_per_core: 3 },
             batch_same_shape: batch,
             ..ServiceConfig::default()
@@ -93,7 +90,7 @@ fn shard_count_is_invariant_with_the_same_shape_batcher_active() {
         .run(&corpus)
         .expect("batch runs")
     };
-    let reference = run(0, true);
+    let reference = run(1, true);
     assert_eq!(reference.stats().completed, reference.stats().job_count);
     assert_eq!(
         reference.stats().prewarmed_sessions,
@@ -161,20 +158,16 @@ fn stress_keys() -> Vec<Vec<usize>> {
 }
 
 #[test]
-fn sharded_store_matches_the_mutex_store_under_a_scoped_thread_hammer() {
-    let sharded = Arc::new(ShardedSessionCache::new(8));
-    let mutex = Arc::new(MutexSessionStore::new());
+fn sharded_store_matches_the_one_shard_store_under_a_scoped_thread_hammer() {
+    let sharded = ShardedSessionCache::new(8);
+    let single = ShardedSessionCache::new(1);
     let keys = stress_keys();
     let threads = 8;
     let rounds = 30;
 
-    for store in [
-        Arc::clone(&sharded) as Arc<dyn SessionStore>,
-        Arc::clone(&mutex) as Arc<dyn SessionStore>,
-    ] {
+    for store in [&sharded, &single] {
         std::thread::scope(|scope| {
             for t in 0..threads {
-                let store = Arc::clone(&store);
                 let keys = &keys;
                 scope.spawn(move || {
                     for round in 0..rounds {
@@ -216,13 +209,13 @@ fn sharded_store_matches_the_mutex_store_under_a_scoped_thread_hammer() {
     // Every key was stored at least once on every store; the two stores must
     // agree entry for entry with the deterministic expectation.
     assert_eq!(sharded.len(), keys.len());
-    assert_eq!(mutex.len(), keys.len());
+    assert_eq!(single.len(), keys.len());
     for key in &keys {
         let expected = result_for_key(key);
         assert_eq!(sharded.lookup(key), Some(expected.clone()), "key {key:?}");
-        assert_eq!(mutex.lookup(key), Some(expected), "key {key:?}");
+        assert_eq!(single.lookup(key), Some(expected), "key {key:?}");
     }
     // Insertions are first-write-wins exact on both stores.
     assert_eq!(sharded.stats().insertions, keys.len() as u64);
-    assert_eq!(mutex.stats().insertions, keys.len() as u64);
+    assert_eq!(single.stats().insertions, keys.len() as u64);
 }

@@ -297,12 +297,11 @@ proptest! {
         roundtrip_eq(&OperatorCacheStats { hits: a, misses: c })?;
     }
 
-    /// Service configuration: every backend/store/clock kind, fault plans
+    /// Service configuration: every backend and clock kind, fault plans
     /// and retry policies with randomized (valid) parameters.
     #[test]
     fn service_configs_roundtrip(
         workers in 1usize..9,
-        shards in 0usize..2,
         shard_count in 1usize..33,
         backend_sel in 0u64..=u64::MAX,
         cells in 1usize..5,
@@ -331,13 +330,8 @@ proptest! {
         };
         let config = ServiceConfig {
             workers,
-            store: if shards == 0 {
-                StoreKind::Mutex
-            } else {
-                StoreKind::Sharded { shards: shard_count }
-            },
+            store: StoreKind::Sharded { shards: shard_count },
             backend: backend_kind(backend_sel, cells, dt),
-            operator_cache: seed % 2 == 0,
             batch_same_shape: seed % 3 == 0,
             faults,
             retry,
