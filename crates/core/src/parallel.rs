@@ -48,17 +48,25 @@ impl std::fmt::Debug for NestedParallelismGuard {
 /// thread computed them. Falls back to a plain sequential loop when only one
 /// thread is useful or when already running inside another
 /// `parallel_map_ordered` worker.
+///
+/// The nesting flag and the item count are checked before the machine is
+/// probed: on Linux `available_parallelism` reads several procfs and cgroup
+/// files, which would cost a service worker more than a small job's own
+/// phase 1.
 pub(crate) fn parallel_map_ordered<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Copy + Sync,
     U: Send,
     F: Fn(T) -> U + Sync,
 {
-    let threads = std::thread::available_parallelism()
-        .map_or(1, |t| t.get())
-        .min(items.len())
-        .max(1);
-    if threads == 1 || IN_PARALLEL_WORKER.with(Cell::get) {
+    let threads = if items.len() <= 1 || IN_PARALLEL_WORKER.with(Cell::get) {
+        1
+    } else {
+        std::thread::available_parallelism()
+            .map_or(1, |t| t.get())
+            .min(items.len())
+    };
+    if threads == 1 {
         return items.iter().map(|&item| f(item)).collect();
     }
     let mut slots: Vec<Option<U>> = items.iter().map(|_| None).collect();

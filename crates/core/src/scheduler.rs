@@ -6,6 +6,7 @@ use thermsched_thermal::{
     PackageConfig, PowerMap, SessionThermalResult, Temperatures, ThermalBackend,
 };
 
+use crate::session_model::SessionFill;
 use crate::{
     CoreOrdering, CoreViolationPolicy, CoreWeights, OnlineContext, Result, ScheduleCheckpoint,
     ScheduleError, ScheduleProgress, SchedulerConfig, SessionCache, SessionCacheHandle,
@@ -572,16 +573,11 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
 
                 // Lines 9-15: greedily fill a session under the STC limit.
                 let ordered = self.order_candidates(&available, &weights);
-                let mut active: Vec<usize> = Vec::new();
+                let mut fill = SessionFill::new(&self.model, &weights);
                 for &candidate in &ordered {
-                    let mut tentative = active.clone();
-                    tentative.push(candidate);
-                    if self.model.session_characteristic(&tentative, &weights)
-                        <= self.config.stc_limit
-                    {
-                        active = tentative;
-                    }
+                    fill.try_add(candidate, self.config.stc_limit);
                 }
+                let mut active = fill.into_cores();
                 if active.is_empty() {
                     // Every remaining core exceeds the STC limit on its own. The
                     // paper does not cover this corner; to guarantee progress we

@@ -79,8 +79,10 @@ impl SessionModelOptions {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SessionThermalModel {
-    /// Lateral resistance between blocks (K/W), `INFINITY` when not adjacent.
-    lateral: Vec<Vec<f64>>,
+    /// Lateral paths of each block as `(neighbour, 1 / R)` conductances
+    /// (W/K), in ascending neighbour id; blocks with no finite lateral
+    /// resistance between them are absent.
+    neighbours: Vec<Vec<(usize, f64)>>,
     /// Total conductance from each block to the die boundary (W/K).
     edge_conductance: Vec<f64>,
     /// Vertical resistance of each block to the spreader (K/W).
@@ -114,14 +116,17 @@ impl SessionThermalModel {
         options: SessionModelOptions,
     ) -> Self {
         let n = sut.core_count();
-        let mut lateral = vec![vec![f64::INFINITY; n]; n];
-        for (i, row) in lateral.iter_mut().enumerate() {
-            for (j, value) in row.iter_mut().enumerate() {
-                if i != j {
-                    *value = network.lateral_resistance(i, j);
-                }
-            }
-        }
+        let neighbours = (0..n)
+            .map(|i| {
+                (0..n)
+                    .filter(|&j| j != i)
+                    .filter_map(|j| {
+                        let r = network.lateral_resistance(i, j);
+                        r.is_finite().then(|| (j, 1.0 / r))
+                    })
+                    .collect()
+            })
+            .collect();
         let mut edge_conductance = vec![0.0; n];
         for (i, g) in edge_conductance.iter_mut().enumerate() {
             for side in Side::ALL {
@@ -134,7 +139,7 @@ impl SessionThermalModel {
         let vertical = (0..n).map(|i| network.vertical_resistance(i)).collect();
         let power = (0..n).map(|i| sut.test_power(i)).collect();
         SessionThermalModel {
-            lateral,
+            neighbours,
             edge_conductance,
             vertical,
             power,
@@ -164,17 +169,20 @@ impl SessionThermalModel {
     /// Panics if `core` or any id in `active` is out of range.
     pub fn equivalent_resistance(&self, active: &[usize], core: usize) -> f64 {
         assert!(core < self.core_count(), "core id out of range");
+        self.resistance_with(core, |j| active.contains(&j))
+    }
+
+    /// [`Self::equivalent_resistance`] with session membership answered by
+    /// `is_active`. The conductances are summed in one fixed order — die
+    /// boundary, lateral neighbours in ascending id, vertical path — so
+    /// every representation of the same session gives the same bits.
+    fn resistance_with(&self, core: usize, is_active: impl Fn(usize) -> bool) -> f64 {
         let mut conductance = self.edge_conductance[core];
-        for (j, &r) in self.lateral[core].iter().enumerate() {
-            if j == core || !r.is_finite() {
-                continue;
+        for &(j, g) in &self.neighbours[core] {
+            // Modification 2: active neighbours exchange negligible heat.
+            if self.options.keep_active_active_paths || !is_active(j) {
+                conductance += g;
             }
-            let j_active = active.contains(&j);
-            if j_active && !self.options.keep_active_active_paths {
-                // Modification 2: active neighbours exchange negligible heat.
-                continue;
-            }
-            conductance += 1.0 / r;
         }
         if self.options.include_vertical_path {
             conductance += 1.0 / self.vertical[core];
@@ -212,9 +220,25 @@ impl SessionThermalModel {
             self.core_count(),
             "weight vector does not match core count"
         );
+        self.characteristic_with(active, weights, |j| active.contains(&j))
+    }
+
+    /// [`Self::session_characteristic`] with session membership answered
+    /// by `is_active`: the per-core terms are folded in `active` order.
+    fn characteristic_with(
+        &self,
+        active: &[usize],
+        weights: &CoreWeights,
+        is_active: impl Fn(usize) -> bool + Copy,
+    ) -> f64 {
         active
             .iter()
-            .map(|&c| self.thermal_characteristic(active, c) * self.power[c] * weights.weight(c))
+            .map(|&c| {
+                self.power[c]
+                    * self.resistance_with(c, is_active)
+                    * self.power[c]
+                    * weights.weight(c)
+            })
             .fold(0.0_f64, f64::max)
             * self.options.stc_scale
     }
@@ -225,6 +249,68 @@ impl SessionThermalModel {
     pub fn singleton_characteristic(&self, core: usize) -> f64 {
         let weights = CoreWeights::ones(self.core_count());
         self.session_characteristic(&[core], &weights)
+    }
+}
+
+/// A test session grown one candidate at a time under a fixed weight
+/// vector: the greedy fill of Algorithm 1 (lines 9–15). Membership is a
+/// per-core mask next to the ordered core list, so evaluating a candidate
+/// costs a pass over the session's neighbour lists instead of a clone of
+/// the session plus a scan of it per neighbour. Every STC it computes is
+/// bit-identical to [`SessionThermalModel::session_characteristic`] of the
+/// same core list.
+pub(crate) struct SessionFill<'m> {
+    model: &'m SessionThermalModel,
+    weights: &'m CoreWeights,
+    /// The session's cores in the order they were added.
+    cores: Vec<usize>,
+    /// Membership mask: `active[c]` exactly when `cores` holds `c`.
+    active: Vec<bool>,
+}
+
+impl<'m> SessionFill<'m> {
+    /// An empty session.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the weights cover a different number of cores.
+    pub(crate) fn new(model: &'m SessionThermalModel, weights: &'m CoreWeights) -> Self {
+        assert_eq!(
+            weights.core_count(),
+            model.core_count(),
+            "weight vector does not match core count"
+        );
+        SessionFill {
+            model,
+            weights,
+            cores: Vec::new(),
+            active: vec![false; model.core_count()],
+        }
+    }
+
+    /// Appends `candidate` and returns the grown session's STC.
+    fn push(&mut self, candidate: usize) -> f64 {
+        self.cores.push(candidate);
+        self.active[candidate] = true;
+        let active = &self.active;
+        self.model
+            .characteristic_with(&self.cores, self.weights, |j| active[j])
+    }
+
+    /// Keeps `candidate` if the grown session's STC is at most `limit`,
+    /// and returns whether it did.
+    pub(crate) fn try_add(&mut self, candidate: usize, limit: f64) -> bool {
+        let fits = self.push(candidate) <= limit;
+        if !fits {
+            self.cores.pop();
+            self.active[candidate] = false;
+        }
+        fits
+    }
+
+    /// The session's cores, in the order they were added.
+    pub(crate) fn into_cores(self) -> Vec<usize> {
+        self.cores
     }
 }
 
@@ -417,5 +503,163 @@ mod tests {
     fn out_of_range_core_panics() {
         let (model, _) = model();
         let _ = model.equivalent_resistance(&[0], 99);
+    }
+
+    /// One SplitMix64 step.
+    fn draw(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// `Rth` of `core` as the dense lateral-matrix model computed it: the
+    /// boundary conductance, then `1 / r` for every other block with a
+    /// finite lateral resistance in ascending id, then the vertical path.
+    fn dense_resistance(
+        network: &ThermalNetwork,
+        options: SessionModelOptions,
+        n: usize,
+        active: &[usize],
+        core: usize,
+    ) -> f64 {
+        let mut conductance = 0.0;
+        for side in Side::ALL {
+            let r = network.edge_resistance(core, side);
+            if r.is_finite() && r > 0.0 {
+                conductance += 1.0 / r;
+            }
+        }
+        for j in 0..n {
+            let r = network.lateral_resistance(core, j);
+            if j == core || !r.is_finite() {
+                continue;
+            }
+            if active.contains(&j) && !options.keep_active_active_paths {
+                continue;
+            }
+            conductance += 1.0 / r;
+        }
+        if options.include_vertical_path {
+            conductance += 1.0 / network.vertical_resistance(core);
+        }
+        if conductance > 0.0 {
+            1.0 / conductance
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    #[test]
+    fn fill_characteristic_matches_session_characteristic_bit_for_bit() {
+        use thermsched_soc::{GeneratorConfig, SocGenerator};
+
+        let mut suts = vec![library::alpha21364_sut(), library::figure1_sut()];
+        for (seed, (grid_columns, grid_rows)) in
+            [(3, 3), (4, 3), (4, 4), (5, 4)].into_iter().enumerate()
+        {
+            let config = GeneratorConfig {
+                grid_columns,
+                grid_rows,
+                ..GeneratorConfig::default()
+            };
+            suts.push(
+                SocGenerator::new(seed as u64, config)
+                    .unwrap()
+                    .generate()
+                    .unwrap(),
+            );
+        }
+        let mut state = 2005;
+        for sut in &suts {
+            for (keep_active_active_paths, include_vertical_path) in
+                [(false, false), (false, true), (true, false), (true, true)]
+            {
+                let options = SessionModelOptions {
+                    keep_active_active_paths,
+                    include_vertical_path,
+                    ..SessionModelOptions::paper()
+                };
+                let network =
+                    ThermalNetwork::build(sut.floorplan(), &PackageConfig::default()).unwrap();
+                let model = SessionThermalModel::from_network(sut, &network, options);
+                let n = model.core_count();
+                for _ in 0..64 {
+                    // Random weights, a random active set in random order
+                    // (grown past some rejected cores) and one candidate
+                    // outside it.
+                    let mut weights = CoreWeights::ones(n);
+                    for core in 0..n {
+                        if draw(&mut state).is_multiple_of(3) {
+                            weights.multiply(core, 1.1);
+                        }
+                    }
+                    let mut cores: Vec<usize> = (0..n).collect();
+                    for i in (1..n).rev() {
+                        cores.swap(i, (draw(&mut state) % (i as u64 + 1)) as usize);
+                    }
+                    let size = (draw(&mut state) % n as u64) as usize;
+                    let candidate = cores[size];
+
+                    let mut fill = SessionFill::new(&model, &weights);
+                    let mut active = Vec::new();
+                    for &core in &cores[..size] {
+                        if draw(&mut state).is_multiple_of(4) {
+                            assert!(!fill.try_add(core, -1.0));
+                        } else {
+                            assert!(fill.try_add(core, f64::INFINITY));
+                            active.push(core);
+                        }
+                    }
+                    let grown = fill.push(candidate);
+                    active.push(candidate);
+                    let expected = model.session_characteristic(&active, &weights);
+                    assert_eq!(
+                        grown.to_bits(),
+                        expected.to_bits(),
+                        "{options:?}: session {active:?}: {grown} vs {expected}"
+                    );
+                    // The neighbour lists keep the dense model's bits too.
+                    let dense = active
+                        .iter()
+                        .map(|&c| {
+                            let r = dense_resistance(&network, options, n, &active, c);
+                            assert_eq!(
+                                model.equivalent_resistance(&active, c).to_bits(),
+                                r.to_bits()
+                            );
+                            sut.test_power(c) * r * sut.test_power(c) * weights.weight(c)
+                        })
+                        .fold(0.0_f64, f64::max)
+                        * options.stc_scale;
+                    assert_eq!(expected.to_bits(), dense.to_bits(), "{options:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fill_keeps_only_candidates_within_the_limit() {
+        let (model, sut) = model();
+        let weights = CoreWeights::ones(sut.core_count());
+        let limit = 40.0;
+        let mut fill = SessionFill::new(&model, &weights);
+        let mut expected: Vec<usize> = Vec::new();
+        for candidate in 0..sut.core_count() {
+            let mut tentative = expected.clone();
+            tentative.push(candidate);
+            let fits = model.session_characteristic(&tentative, &weights) <= limit;
+            if fits {
+                expected = tentative;
+            }
+            assert_eq!(
+                fill.try_add(candidate, limit),
+                fits,
+                "candidate {candidate}"
+            );
+        }
+        assert!(!expected.is_empty() && expected.len() < sut.core_count());
+        assert_eq!(fill.into_cores(), expected);
     }
 }

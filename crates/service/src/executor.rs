@@ -11,14 +11,19 @@
 //!
 //! * a batch run queues every corpus job, closes the queue and drains it on
 //!   a pool of worker threads ([`Executor::submit_batch`],
-//!   [`Executor::work`]);
+//!   [`Executor::work`]) in scenario-affine order: a freed worker takes the
+//!   next job of the scenario it just ran, else the first job of a scenario
+//!   no other worker is running, else the first queued job
+//!   ([`QueueState::dispatch`]);
 //! * the streaming front-end admits submissions one at a time into the same
-//!   queue and drains it on request ([`Executor::close_and_wait_idle`]);
+//!   queue and drains it on request ([`Executor::close_and_wait_idle`]) in
+//!   strict priority order, FIFO within a class;
 //! * a worker process runs each `JOB` frame on its own thread as it arrives
 //!   ([`Worker::run`]).
 //!
 //! Every per-job span is created inside that loop, which is what makes the
-//! structural span slice identical across all three.
+//! structural span slice identical across all three. Dispatch order changes
+//! only which job warms a store first, never a job's result.
 
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
@@ -74,25 +79,46 @@ pub(crate) struct Pending<'a> {
     queued_at: Instant,
 }
 
+/// Queue key: (priority rank, affinity group, sequence). The group is the
+/// job's scenario in [`Mode::Batch`] and 0 in [`Mode::Stream`], so a
+/// stream's key order is strict priority, FIFO within a class, and its
+/// last key is the shed victim.
+pub(crate) type QueueKey = (u8, usize, u64);
+
 /// Queue state behind the executor's one lock.
 pub(crate) struct QueueState<'a> {
-    /// Queued jobs keyed by (priority rank, sequence): `pop_first` is the
-    /// dispatch order, `pop_last` the shed victim.
-    pub(crate) queue: BTreeMap<(u8, u64), Pending<'a>>,
+    mode: Mode,
+    /// Queued jobs in key order.
+    pub(crate) queue: BTreeMap<QueueKey, Pending<'a>>,
     /// Whether new jobs are admitted (cleared once the queue is closed).
     pub(crate) accepting: bool,
-    /// Jobs currently executing on workers.
-    pub(crate) in_flight: usize,
+    /// The scenario of every job executing on a worker, one entry per job.
+    running: Vec<usize>,
     /// Sequence numbers handed out so far.
     submitted: u64,
 }
 
 impl<'a> QueueState<'a> {
+    fn new(mode: Mode) -> Self {
+        QueueState {
+            mode,
+            queue: BTreeMap::new(),
+            accepting: true,
+            running: Vec::new(),
+            submitted: 0,
+        }
+    }
+
     /// Hands out the next sequence number.
     pub(crate) fn next_seq(&mut self) -> u64 {
         let seq = self.submitted;
         self.submitted += 1;
         seq
+    }
+
+    /// Jobs currently executing on workers.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.running.len()
     }
 
     /// Queues `job` under `seq` at `priority` and returns its handle.
@@ -103,9 +129,13 @@ impl<'a> QueueState<'a> {
         job: Cow<'a, JobSpec>,
         deadline_effort: Option<f64>,
     ) -> JobHandle {
+        let group = match self.mode {
+            Mode::Batch => job.scenario,
+            Mode::Stream => 0,
+        };
         let handle = JobHandle::new();
         self.queue.insert(
-            (priority.rank(), seq),
+            (priority.rank(), group, seq),
             Pending {
                 seq,
                 job,
@@ -115,6 +145,58 @@ impl<'a> QueueState<'a> {
             },
         );
         handle
+    }
+
+    /// Takes the next job to run off the queue and counts it as running.
+    /// `last` is the scenario of the job the asking worker just finished.
+    ///
+    /// A stream dispatches in key order. A batch dispatches, within the
+    /// most urgent priority class, the next job of `last`, else the first
+    /// job of a scenario no worker is running, else the first job: sibling
+    /// jobs then run one after another on one worker, each finding what the
+    /// one before published in the scenario's store instead of both missing
+    /// it side by side, and a one-scenario batch still keeps every worker
+    /// busy. Each rule is one or a few `O(log n)` range lookups: the
+    /// second skips at most one scenario per running job.
+    fn dispatch(&mut self, last: Option<usize>) -> Option<Pending<'a>> {
+        let &head = self.queue.keys().next()?;
+        let key = match self.mode {
+            Mode::Stream => head,
+            Mode::Batch => {
+                let rank = head.0;
+                let first_from = |from: QueueKey| {
+                    self.queue
+                        .range(from..)
+                        .next()
+                        .map(|(&key, _)| key)
+                        .filter(|key| key.0 == rank)
+                };
+                let own = last.and_then(|scenario| {
+                    first_from((rank, scenario, 0)).filter(|key| key.1 == scenario)
+                });
+                let unheld = || {
+                    let mut next = Some(head);
+                    while let Some(key) = next.filter(|key| self.running.contains(&key.1)) {
+                        next = first_from((rank, key.1 + 1, 0));
+                    }
+                    next
+                };
+                own.or_else(unheld).unwrap_or(head)
+            }
+        };
+        let pending = self.queue.remove(&key).expect("the picked key is queued");
+        self.running.push(pending.job.scenario);
+        Some(pending)
+    }
+
+    /// Counts one running job of `scenario` as finished.
+    fn retire(&mut self, scenario: usize) {
+        let slot = self
+            .running
+            .iter()
+            .position(|&s| s == scenario)
+            .expect("a finished job was running");
+        self.running.swap_remove(slot);
     }
 }
 
@@ -194,12 +276,7 @@ impl<'a> Executor<'a> {
             prewarmed_sessions,
             tracer: tracer.clone(),
             tally: Tally::new(),
-            queue: Mutex::new(QueueState {
-                queue: BTreeMap::new(),
-                accepting: true,
-                in_flight: 0,
-                submitted: 0,
-            }),
+            queue: Mutex::new(QueueState::new(mode)),
             work_ready: Condvar::new(),
             idle: Condvar::new(),
             cancel: AtomicBool::new(false),
@@ -245,7 +322,7 @@ impl<'a> Executor<'a> {
         let mut state = self.lock_queue();
         state.accepting = false;
         self.work_ready.notify_all();
-        while !(state.queue.is_empty() && state.in_flight == 0) {
+        while !(state.queue.is_empty() && state.running.is_empty()) {
             let now = Instant::now();
             if now >= deadline {
                 break;
@@ -268,11 +345,13 @@ impl<'a> Executor<'a> {
         self.cancel.store(true, Ordering::Relaxed);
     }
 
-    /// The worker-thread loop: runs queued jobs in dispatch order and
-    /// resolves their handles until the queue is closed and empty.
+    /// The worker-thread loop: runs queued jobs in dispatch order (see
+    /// [`QueueState::dispatch`]) and resolves their handles until the queue
+    /// is closed and empty.
     pub(crate) fn work(&self) {
         let mut worker = self.worker();
-        while let Some(pending) = self.next() {
+        let mut finished = None;
+        while let Some(pending) = self.next(finished) {
             let (result, _) = worker.run(
                 pending.seq,
                 &pending.job,
@@ -280,21 +359,23 @@ impl<'a> Executor<'a> {
                 pending.queued_at,
             );
             pending.handle.resolve(result);
-            let mut state = self.lock_queue();
-            state.in_flight -= 1;
-            if state.queue.is_empty() && state.in_flight == 0 {
-                self.idle.notify_all();
-            }
+            finished = Some(pending.job.scenario);
         }
     }
 
-    /// Blocks for the next job to dispatch; `None` once the queue is closed
+    /// Retires the job of scenario `finished` this worker just ran, then
+    /// blocks for the next job to dispatch; `None` once the queue is closed
     /// and empty.
-    fn next(&self) -> Option<Pending<'a>> {
+    fn next(&self, finished: Option<usize>) -> Option<Pending<'a>> {
         let mut state = self.lock_queue();
+        if let Some(scenario) = finished {
+            state.retire(scenario);
+            if state.queue.is_empty() && state.running.is_empty() {
+                self.idle.notify_all();
+            }
+        }
         loop {
-            if let Some((_, pending)) = state.queue.pop_first() {
-                state.in_flight += 1;
+            if let Some(pending) = state.dispatch(finished) {
                 return Some(pending);
             }
             if !state.accepting {
@@ -1135,6 +1216,92 @@ mod tests {
                 "{door}: counters diverged"
             );
         }
+    }
+
+    /// Queues one job of `scenario` at `priority` under the next sequence
+    /// number.
+    fn queue_job(state: &mut QueueState<'_>, priority: Priority, scenario: usize) {
+        let seq = state.next_seq();
+        let job = JobSpec {
+            scenario,
+            label: format!("job {seq}"),
+            config: thermsched::SchedulerConfig::new(165.0, 40.0).unwrap(),
+            trace: None,
+            warm_start: None,
+        };
+        state.push(priority, seq, Cow::Owned(job), None);
+    }
+
+    /// A queue holding one job per `(priority, scenario)` entry, in order.
+    fn queued(mode: Mode, jobs: &[(Priority, usize)]) -> QueueState<'static> {
+        let mut state = QueueState::new(mode);
+        for &(priority, scenario) in jobs {
+            queue_job(&mut state, priority, scenario);
+        }
+        state
+    }
+
+    fn dispatched(state: &mut QueueState<'_>, last: Option<usize>) -> Option<u64> {
+        state.dispatch(last).map(|pending| pending.seq)
+    }
+
+    #[test]
+    fn batch_dispatch_takes_own_scenario_then_an_unheld_scenario_then_the_head() {
+        let normal = Priority::Normal;
+        // Jobs 0..4 of scenarios 0, 2, 0, 2: siblings sit apart.
+        let mut state = queued(Mode::Batch, &[0, 2, 0, 2].map(|s| (normal, s)));
+        // Workers A and B start: A takes the head, B the first job of a
+        // scenario A is not running.
+        assert_eq!(dispatched(&mut state, None), Some(0));
+        assert_eq!(dispatched(&mut state, None), Some(1));
+        // Jobs 4 and 5 of scenario 1 arrive, which nobody runs and which
+        // sorts first among the free scenarios; B still stays on its own.
+        queue_job(&mut state, normal, 1);
+        queue_job(&mut state, normal, 1);
+        state.retire(2);
+        assert_eq!(dispatched(&mut state, Some(2)), Some(3));
+        state.retire(0);
+        assert_eq!(dispatched(&mut state, Some(0)), Some(2));
+        // B's scenario is done: B moves to scenario 1, which nobody runs.
+        state.retire(2);
+        assert_eq!(dispatched(&mut state, Some(2)), Some(4));
+        // A's scenario is done and every queued scenario is held: A takes
+        // the head rather than idle.
+        state.retire(0);
+        assert_eq!(dispatched(&mut state, Some(0)), Some(5));
+        assert_eq!(state.in_flight(), 2);
+        state.retire(1);
+        state.retire(1);
+        assert_eq!(dispatched(&mut state, Some(1)), None);
+        assert_eq!(state.in_flight(), 0);
+
+        // A one-scenario batch still feeds every worker.
+        let mut state = queued(Mode::Batch, &[(normal, 0), (normal, 0), (normal, 0)]);
+        assert_eq!(dispatched(&mut state, None), Some(0));
+        assert_eq!(dispatched(&mut state, None), Some(1));
+        assert_eq!(dispatched(&mut state, None), Some(2));
+    }
+
+    #[test]
+    fn stream_dispatch_is_strict_priority_and_fifo_within_a_class() {
+        use Priority::{High, Low, Normal};
+        let mut state = queued(
+            Mode::Stream,
+            &[
+                (Low, 0),
+                (Normal, 1),
+                (High, 2),
+                (Normal, 0),
+                (High, 1),
+                (Low, 0),
+            ],
+        );
+        // The finished job's scenario never reorders a stream.
+        let order: Vec<Option<u64>> = [Some(0), Some(1), Some(0), Some(0), None, Some(0)]
+            .into_iter()
+            .map(|last| dispatched(&mut state, last))
+            .collect();
+        assert_eq!(order, [2, 4, 1, 3, 0, 5].map(Some));
     }
 
     #[test]

@@ -494,7 +494,7 @@ impl Frontend {
             && state
                 .queue
                 .last_key_value()
-                .is_some_and(|(&(rank, _), _)| rank > submission.priority.rank())
+                .is_some_and(|(&(rank, _, _), _)| rank > submission.priority.rank())
         {
             let (_, victim) = state
                 .queue
@@ -571,7 +571,7 @@ impl Frontend {
             ));
             shed_at_drain += 1;
         }
-        let cancelled_in_flight = state.in_flight;
+        let cancelled_in_flight = state.in_flight();
         drop(state);
         if cancelled_in_flight > 0 {
             executor.cancel_in_flight();
@@ -763,7 +763,11 @@ mod tests {
         let _high = frontend.submit(submission(&corpus, 0).with_priority(Priority::High));
         {
             let state = frontend.executor.lock_queue();
-            let keys: Vec<(u8, u64)> = state.queue.keys().copied().collect();
+            let keys: Vec<(u8, u64)> = state
+                .queue
+                .keys()
+                .map(|&(rank, _, seq)| (rank, seq))
+                .collect();
             assert_eq!(keys, vec![(0, 2), (1, 1), (2, 0)], "high first, low last");
         }
         frontend.drain(Duration::ZERO);

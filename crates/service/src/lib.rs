@@ -12,10 +12,12 @@
 //!    `TL × STCL` points and configuration variants. Fully deterministic:
 //!    the corpus is a pure function of the spec.
 //! 2. **A concurrent job runner** ([`ServiceRunner`]): every job is queued
-//!    and worker threads drain the queue, each worker reuses one
-//!    [`thermsched::Engine`] per scenario, per-job errors and panics are
-//!    isolated into the job's [`JobOutcome`], and all jobs of a scenario
-//!    share one N-way [`thermsched::ShardedSessionCache`] ([`StoreKind`]).
+//!    and worker threads drain the queue scenario by scenario (a freed
+//!    worker prefers the next job of the scenario it just ran), each
+//!    worker reuses one [`thermsched::Engine`] per scenario, per-job errors
+//!    and panics are isolated into the job's [`JobOutcome`], and all jobs
+//!    of a scenario share one N-way [`thermsched::ShardedSessionCache`]
+//!    ([`StoreKind`]).
 //! 3. **An aggregated report** ([`ServiceReport`]): deterministic per-job
 //!    results (identical at any worker count) plus run statistics —
 //!    throughput, cache hit rates, shard contention, latency percentiles

@@ -267,8 +267,14 @@ impl ServiceConfig {
 /// corpus is queued in corpus order, the queue is closed, and the worker
 /// threads drain it. Execution model:
 ///
-/// * Workers take the next queued job as they free up, so they stay busy
-///   regardless of how job costs vary across scenarios.
+/// * Workers take a queued job whenever they free up, so they stay busy
+///   however job costs vary across scenarios.
+/// * Dispatch is scenario-affine: a freed worker takes the next queued job
+///   of the scenario it just ran, else the first job of a scenario no other
+///   worker is running, else the first queued job. A scenario's jobs then
+///   run one after another on one worker, each finding what the one before
+///   published in the scenario's store, instead of side by side on two
+///   workers that both miss it and simulate the same sessions twice.
 /// * Each worker reuses one [`thermsched::Engine`] per scenario it touches
 ///   (the engine prebuilds the guidance model; rebuilding it per job would
 ///   dominate small runs), and every engine of a scenario shares that

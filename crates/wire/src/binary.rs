@@ -20,7 +20,7 @@
 //! non-finite floats are typed errors, never panics.
 
 use crate::json::{JsonValue, Number};
-use crate::{Result, WireError};
+use crate::{Result, WireError, MAX_NESTING_DEPTH};
 
 const TAG_NULL: u8 = 0x00;
 const TAG_FALSE: u8 = 0x01;
@@ -109,10 +109,12 @@ fn encode_into(value: &JsonValue, out: &mut Vec<u8>) -> Result<()> {
 /// # Errors
 ///
 /// [`WireError::Truncated`], [`WireError::BadTag`], [`WireError::Invalid`]
-/// (trailing bytes, invalid UTF-8) or [`WireError::NonFinite`].
+/// (trailing bytes, invalid UTF-8), [`WireError::NonFinite`] or
+/// [`WireError::TooDeep`] (arrays and objects nested deeper than
+/// [`crate::MAX_NESTING_DEPTH`]).
 pub fn decode_value(bytes: &[u8]) -> Result<JsonValue> {
     let mut reader = Reader { bytes, pos: 0 };
-    let value = reader.value()?;
+    let value = reader.value(0)?;
     if reader.pos != bytes.len() {
         return Err(WireError::Invalid {
             type_name: "binary value",
@@ -160,8 +162,14 @@ impl Reader<'_> {
         })
     }
 
-    fn value(&mut self) -> Result<JsonValue> {
+    /// Decodes one value inside `depth` enclosing arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<JsonValue> {
         let tag = self.take(1, "value tag")?[0];
+        if matches!(tag, TAG_ARRAY | TAG_OBJECT) && depth == MAX_NESTING_DEPTH {
+            return Err(WireError::TooDeep {
+                limit: MAX_NESTING_DEPTH,
+            });
+        }
         Ok(match tag {
             TAG_NULL => JsonValue::Null,
             TAG_FALSE => JsonValue::Bool(false),
@@ -189,7 +197,7 @@ impl Reader<'_> {
                 let count = self.u32_len("array length")?;
                 let mut items = Vec::new();
                 for _ in 0..count {
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                 }
                 JsonValue::Array(items)
             }
@@ -198,7 +206,7 @@ impl Reader<'_> {
                 let mut entries = Vec::new();
                 for _ in 0..count {
                     let key = self.string()?;
-                    let value = self.value()?;
+                    let value = self.value(depth + 1)?;
                     entries.push((key, value));
                 }
                 JsonValue::Object(entries)
@@ -301,6 +309,39 @@ mod tests {
             decode_value(&[TAG_NULL, TAG_NULL]),
             Err(WireError::Invalid { .. })
         ));
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_typed_error_not_a_stack_overflow() {
+        // `levels` one-element arrays (or one-field objects) around a null,
+        // written header by header: a value that deep could not even be
+        // dropped without overflowing the stack.
+        let nested = |levels: usize, tag: u8| {
+            let mut bytes = Vec::new();
+            for _ in 0..levels {
+                bytes.push(tag);
+                bytes.extend_from_slice(&1u32.to_le_bytes());
+                if tag == TAG_OBJECT {
+                    bytes.extend_from_slice(&1u32.to_le_bytes());
+                    bytes.push(b'a');
+                }
+            }
+            bytes.push(TAG_NULL);
+            bytes
+        };
+        let too_deep = Err(WireError::TooDeep {
+            limit: MAX_NESTING_DEPTH,
+        });
+        for tag in [TAG_ARRAY, TAG_OBJECT] {
+            let deepest = decode_value(&nested(MAX_NESTING_DEPTH, tag)).unwrap();
+            assert_eq!(
+                encode_value(&deepest).unwrap(),
+                nested(MAX_NESTING_DEPTH, tag)
+            );
+            for levels in [MAX_NESTING_DEPTH + 1, 200_000] {
+                assert_eq!(decode_value(&nested(levels, tag)), too_deep);
+            }
+        }
     }
 
     #[test]

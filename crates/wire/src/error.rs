@@ -84,6 +84,12 @@ pub enum WireError {
         /// Maximum the transport accepts.
         limit: u64,
     },
+    /// JSON text or a binary value nests arrays and objects deeper than
+    /// the decoders accept ([`crate::MAX_NESTING_DEPTH`]).
+    TooDeep {
+        /// Deepest nesting accepted.
+        limit: usize,
+    },
     /// A document envelope carries an unexpected `type` tag.
     WrongDocumentType {
         /// The tag the caller asked for.
@@ -146,6 +152,9 @@ impl fmt::Display for WireError {
                     f,
                     "frame payload of {declared} bytes exceeds the {limit}-byte limit"
                 )
+            }
+            WireError::TooDeep { limit } => {
+                write!(f, "arrays and objects nest deeper than {limit} levels")
             }
             WireError::WrongDocumentType { expected, found } => {
                 write!(f, "expected a `{expected}` document, found `{found}`")
@@ -226,6 +235,7 @@ mod tests {
                 },
                 "exceeds",
             ),
+            (WireError::TooDeep { limit: 128 }, "deeper than 128 levels"),
             (
                 WireError::WrongDocumentType {
                     expected: "corpus",

@@ -18,7 +18,7 @@
 
 use std::fmt::Write as _;
 
-use crate::{Result, WireError};
+use crate::{Result, WireError, MAX_NESTING_DEPTH};
 
 /// A JSON number, kept exact.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -379,14 +379,16 @@ impl JsonValue {
     ///
     /// # Errors
     ///
-    /// [`WireError::Parse`] with a 1-based line/column position.
+    /// [`WireError::Parse`] with a 1-based line/column position, or
+    /// [`WireError::TooDeep`] if arrays and objects nest deeper than
+    /// [`crate::MAX_NESTING_DEPTH`].
     pub fn parse(text: &str) -> Result<JsonValue> {
         let mut parser = Parser {
             bytes: text.as_bytes(),
             pos: 0,
         };
         parser.skip_ws();
-        let value = parser.value()?;
+        let value = parser.value(0)?;
         parser.skip_ws();
         if parser.pos != parser.bytes.len() {
             return Err(parser.error("trailing characters after the JSON value"));
@@ -578,10 +580,14 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue> {
+    /// Parses one value inside `depth` enclosing arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<JsonValue> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_NESTING_DEPTH => Err(WireError::TooDeep {
+                limit: MAX_NESTING_DEPTH,
+            }),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -601,7 +607,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue> {
+    fn object(&mut self, depth: usize) -> Result<JsonValue> {
         self.expect(b'{')?;
         let mut entries: Vec<(String, JsonValue)> = Vec::new();
         self.skip_ws();
@@ -623,7 +629,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             entries.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -637,7 +643,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue> {
+    fn array(&mut self, depth: usize) -> Result<JsonValue> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -647,7 +653,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -974,6 +980,25 @@ mod tests {
                 Err(WireError::Parse { .. }) => {}
                 other => panic!("{bad:?} should be a parse error, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_typed_error_not_a_stack_overflow() {
+        let nested = |levels: usize, open: &str, close: &str| {
+            format!("{}1{}", open.repeat(levels), close.repeat(levels))
+        };
+        let too_deep = Err(WireError::TooDeep {
+            limit: MAX_NESTING_DEPTH,
+        });
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let deepest = nested(MAX_NESTING_DEPTH, open, close);
+            roundtrip(&JsonValue::parse(&deepest).unwrap());
+            for levels in [MAX_NESTING_DEPTH + 1, 200_000] {
+                assert_eq!(JsonValue::parse(&nested(levels, open, close)), too_deep);
+            }
+            // Unclosed: the limit trips before the missing brackets do.
+            assert_eq!(JsonValue::parse(&open.repeat(200_000)), too_deep);
         }
     }
 

@@ -40,6 +40,12 @@ pub const FORMAT_NAME: &str = "thermsched-wire";
 /// Version written into every document envelope.
 pub const FORMAT_VERSION: u64 = 1;
 
+/// Deepest array/object nesting either decoder accepts. Both decoders
+/// recurse once per level, so without a bound a hostile document of a few
+/// hundred kilobytes overflows the stack; the documents the workspace writes
+/// nest a handful of levels deep.
+pub const MAX_NESTING_DEPTH: usize = 128;
+
 /// A type that can cross the wire.
 ///
 /// Implementors provide the [`JsonValue`] mapping; the trait derives both

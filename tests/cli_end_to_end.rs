@@ -204,3 +204,20 @@ fn usage_errors_exit_two_with_help_and_runtime_errors_exit_one() {
     assert!(help.status.success());
     assert!(String::from_utf8_lossy(&help.stdout).contains("commands:"));
 }
+
+#[test]
+fn deeply_nested_documents_are_refused_with_a_clean_error_exit() {
+    let dir = std::env::temp_dir().join("thermsched-cli-deep");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let levels = 200_000;
+    for (name, open, close) in [("arrays", "[", "]"), ("objects", "{\"a\":", "}")] {
+        let path = dir.join(format!("{name}.json"));
+        let text = format!("{}1{}", open.repeat(levels), close.repeat(levels));
+        std::fs::write(&path, text).expect("document written");
+        let output = thermsched(&["run", path.to_str().expect("utf-8 temp path")]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains("deeper than"), "{name}: {stderr}");
+        std::fs::remove_file(&path).ok();
+    }
+}

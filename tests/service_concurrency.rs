@@ -2,6 +2,9 @@
 //!
 //! * the same seeded corpus must produce byte-identical per-job results at
 //!   1, 4 and 8 workers, with one shard or eight backing the scenarios;
+//! * so must a corpus whose sibling jobs are scattered across the queue,
+//!   at 1, 2, 4 and 8 workers, however scenario-affine dispatch gathers
+//!   them;
 //! * the 8-way `ShardedSessionCache` must behave exactly like the one-shard
 //!   store, where every key sits behind one lock, under a multi-threaded
 //!   hammer (same final contents, first write wins per key), without locks
@@ -9,9 +12,11 @@
 
 use thermsched::ShardedSessionCache;
 use thermsched_service::{
-    BackendKind, JobOutcome, ScenarioSpec, ServiceConfig, ServiceReport, ServiceRunner, StoreKind,
+    BackendKind, Corpus, JobOutcome, ScenarioSpec, ServiceConfig, ServiceReport, ServiceRunner,
+    StoreKind,
 };
 use thermsched_thermal::{SessionThermalResult, Temperatures};
+use thermsched_wire::{obj, Wire};
 
 fn corpus_spec() -> ScenarioSpec {
     ScenarioSpec {
@@ -60,6 +65,79 @@ fn per_job_results_are_byte_identical_across_worker_counts_and_stores() {
             assert_eq!(report.render_jobs(), reference_table);
             assert_eq!(report.stats().workers, workers);
         }
+    }
+}
+
+#[test]
+fn scattered_sibling_jobs_give_the_same_results_at_every_worker_count() {
+    // Jobs reordered STCL-major through the corpus's wire form: each
+    // scenario's jobs sit a whole STCL sweep apart in the queue, so the
+    // batch dispatcher has to gather them from across it.
+    let stc_limits = vec![30.0, 45.0, 60.0, 80.0];
+    let scenario_major = ScenarioSpec {
+        seed: 4242,
+        scenarios: 6,
+        stc_limits: stc_limits.clone(),
+        ..ScenarioSpec::default()
+    }
+    .build()
+    .expect("spec is valid");
+    let wire = scenario_major.to_wire();
+    let jobs = wire.field_array("corpus", "jobs").expect("jobs array");
+    let scenarios = scenario_major.scenarios().len();
+    let sweep = stc_limits.len();
+    let order: Vec<usize> = (0..sweep)
+        .flat_map(|k| (0..scenarios).map(move |s| s * sweep + k))
+        .collect();
+    let scattered = Corpus::from_wire(
+        &obj()
+            .field(
+                "scenarios",
+                wire.field("corpus", "scenarios").unwrap().clone(),
+            )
+            .field(
+                "jobs",
+                order.iter().map(|&i| jobs[i].clone()).collect::<Vec<_>>(),
+            )
+            .build(),
+    )
+    .expect("reordered corpus decodes");
+    assert_eq!(scattered.jobs()[1].scenario, 1, "siblings are scattered");
+
+    let run = |workers: usize| {
+        ServiceRunner::new(ServiceConfig {
+            workers,
+            ..ServiceConfig::default()
+        })
+        .expect("config is valid")
+        .run(&scattered)
+        .expect("batch runs")
+    };
+    let reference = run(1);
+    assert_eq!(reference.stats().completed, scattered.jobs().len());
+    // Reordering changes no job's outcome.
+    let original = ServiceRunner::new(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("config is valid")
+    .run(&scenario_major)
+    .expect("batch runs");
+    for (position, &index) in order.iter().enumerate() {
+        assert_eq!(
+            reference.jobs()[position].outcome,
+            original.jobs()[index].outcome,
+            "job {index} moved to {position}"
+        );
+    }
+    for workers in [2, 4, 8] {
+        let report = run(workers);
+        assert_eq!(
+            report.jobs(),
+            reference.jobs(),
+            "{workers} workers changed a job result"
+        );
+        assert_eq!(report.render_jobs(), reference.render_jobs());
     }
 }
 
