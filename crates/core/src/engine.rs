@@ -1,18 +1,15 @@
 //! The `Engine` facade: one owner for the backend, configuration and
 //! long-lived session cache behind the whole scheduling stack.
 //!
-//! Before the facade every experiment driver re-plumbed the same three
-//! ingredients by hand — build a simulator, build a config, build a
-//! scheduler, run — and the [`crate::SessionCache`] died with each
-//! `schedule()` call. The engine fixes both: it is constructed once per
-//! (system under test, backend) pair through a builder, holds a
-//! [`SessionCacheHandle`] that stays warm across every run it executes, and
-//! exposes the operations the drivers need ([`Engine::schedule`],
-//! [`Engine::evaluate`], [`Engine::sweep`]). The backend is stored as a
-//! `&dyn ThermalBackend` (or owned `Box`), so the facade works identically
-//! for the RC-compact and grid simulators — and, because the fast transient
-//! path is the library default, `Engine::builder()` with default settings
-//! schedules through the precomputed-operator path automatically.
+//! The engine is constructed once per (system under test, backend) pair
+//! through a builder, holds a [`SessionCacheHandle`] that stays warm across
+//! every run it executes, and exposes the operations the drivers need
+//! ([`Engine::schedule`], [`Engine::evaluate`], [`Engine::sweep`]). The
+//! backend is stored as a `&dyn ThermalBackend` (or owned `Box`), so the
+//! facade works identically for the RC-compact and grid simulators — and,
+//! because the fast transient path is the library default,
+//! `Engine::builder()` with default settings schedules through the
+//! precomputed-operator path automatically.
 
 use std::fmt;
 

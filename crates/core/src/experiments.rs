@@ -135,7 +135,7 @@ pub struct SweepPoint {
     pub discarded_sessions: usize,
     /// Hottest simulated temperature over the committed schedule (°C).
     pub max_temperature: f64,
-    /// Label of the [`SweepVariant`] that produced the point (`"default"`
+    /// Label of the [`SweepVariant`](crate::SweepVariant) that produced the point (`"default"`
     /// for plain grid sweeps).
     pub label: String,
     /// Candidate validations served from any session cache during this run

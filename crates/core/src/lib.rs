@@ -83,7 +83,7 @@
 //!
 //! # Observability
 //!
-//! [`Engine`] (via `Engine::set_tracer` / `EngineBuilder::with_tracer`)
+//! [`Engine`] (via [`Engine::set_tracer`] / [`EngineBuilder::tracer`])
 //! and [`ThermalAwareScheduler`] emit `thermsched_obs` spans around
 //! scheduling (`engine.schedule`, `scheduler.phase1`, `scheduler.phase2`)
 //! and store traffic (`store.probe`, `store.publish`); an engine built
@@ -102,9 +102,8 @@
 //! `Copy`. An empty context is normalised away, so
 //! `schedule_online(&OnlineContext::new())` equals `schedule()`. Online
 //! results are cached under [`SessionCache::online_key`] (sorted cores, a
-//! sentinel and the context hash), and [`OperatorKey`] carries an optional
-//! context discriminator, so traced or warm-started entries never alias the
-//! constant-power entries offline runs share.
+//! sentinel and the context hash), so traced or warm-started entries never
+//! alias the constant-power entries offline runs share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -47,12 +47,6 @@ pub struct OperatorKey {
     columns: usize,
     rows: usize,
     detail: String,
-    /// Online-context discriminator ([`crate::OnlineContext::context_hash`]);
-    /// `0` for classic offline construction. Backends themselves do not
-    /// depend on the context — the factorisations are power-independent —
-    /// but services that key *sessions-per-backend* bookkeeping off this
-    /// type need traced runs to never alias constant-power ones.
-    context: u64,
 }
 
 impl OperatorKey {
@@ -63,7 +57,6 @@ impl OperatorKey {
             columns,
             rows,
             detail: String::new(),
-            context: 0,
         }
     }
 
@@ -75,23 +68,9 @@ impl OperatorKey {
         self
     }
 
-    /// Attaches an online-context hash (see
-    /// [`crate::OnlineContext::context_hash`]); `0` (the default) means
-    /// offline.
-    #[must_use]
-    pub fn with_context(mut self, context: u64) -> Self {
-        self.context = context;
-        self
-    }
-
     /// The grid shape this key describes.
     pub fn shape(&self) -> (usize, usize) {
         (self.columns, self.rows)
-    }
-
-    /// The online-context hash (`0` for offline keys).
-    pub fn context(&self) -> u64 {
-        self.context
     }
 }
 
@@ -100,9 +79,6 @@ impl fmt::Display for OperatorKey {
         write!(f, "{}:{}x{}", self.backend, self.columns, self.rows)?;
         if !self.detail.is_empty() {
             write!(f, ":{}", self.detail)?;
-        }
-        if self.context != 0 {
-            write!(f, "@{:016x}", self.context)?;
         }
         Ok(())
     }
@@ -286,16 +262,6 @@ mod tests {
         );
         assert_eq!(base.to_string(), "grid-transient:4x3:core=4");
         assert_eq!(OperatorKey::new("rc", 1, 1).to_string(), "rc:1x1");
-        // The online-context discriminator separates traced keys from the
-        // (context-free, unchanged) offline ones.
-        let traced = base.clone().with_context(0xABC);
-        assert_ne!(base, traced);
-        assert_eq!(base.context(), 0);
-        assert_eq!(traced.context(), 0xABC);
-        assert_eq!(
-            traced.to_string(),
-            "grid-transient:4x3:core=4@0000000000000abc"
-        );
     }
 
     #[test]

@@ -28,9 +28,9 @@ use crate::{Result, ScheduleError};
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TestSession {
-    cores: BTreeSet<BlockId>,
-    duration: f64,
-    total_power: f64,
+    pub(crate) cores: BTreeSet<BlockId>,
+    pub(crate) duration: f64,
+    pub(crate) total_power: f64,
 }
 
 impl TestSession {
@@ -50,22 +50,6 @@ impl TestSession {
             .map(|&c| sut.test_time(c))
             .fold(0.0_f64, f64::max);
         let total_power = cores.iter().map(|&c| sut.test_power(c)).sum();
-        TestSession {
-            cores,
-            duration,
-            total_power,
-        }
-    }
-
-    /// Reassembles a session from its stored parts (wire decode only):
-    /// duration and power were derived from the system under test when the
-    /// session was built, so the codec carries them instead of requiring
-    /// the SUT at decode time.
-    pub(crate) fn from_raw_parts(
-        cores: BTreeSet<BlockId>,
-        duration: f64,
-        total_power: f64,
-    ) -> Self {
         TestSession {
             cores,
             duration,
@@ -151,7 +135,7 @@ impl fmt::Display for TestSession {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TestSchedule {
-    sessions: Vec<TestSession>,
+    pub(crate) sessions: Vec<TestSession>,
 }
 
 impl TestSchedule {

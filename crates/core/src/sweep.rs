@@ -223,8 +223,7 @@ impl SweepReport {
         &self.points
     }
 
-    /// Consumes the report into its points (what the deprecated free-function
-    /// sweep drivers return).
+    /// Consumes the report into its points.
     pub fn into_points(self) -> Vec<SweepPoint> {
         self.points
     }

@@ -6,253 +6,65 @@
 //! session was built; decode therefore needs no SUT, which is what lets a
 //! schedule live in a golden file on its own.
 
-use std::collections::BTreeSet;
-
-use thermsched_wire::{obj, JsonValue, Result, Wire, WireError};
+use thermsched_wire::{
+    obj, wire_struct, wire_tagged_enum, wire_unit_enum, JsonValue, Result, Wire, WireError,
+};
 
 use crate::{
     CoreOrdering, CoreViolationPolicy, OperatorCacheStats, SchedulerConfig, SessionModelOptions,
     StoreStats, TestSchedule, TestSession, TraceProfile, TraceSegment,
 };
 
-impl Wire for CoreOrdering {
-    const WIRE_TYPE: &'static str = "core_ordering";
-
-    fn to_wire(&self) -> JsonValue {
-        JsonValue::from(match self {
-            CoreOrdering::AsGiven => "as_given",
-            CoreOrdering::DescendingPower => "descending_power",
-            CoreOrdering::DescendingCharacteristic => "descending_characteristic",
-            CoreOrdering::AscendingCharacteristic => "ascending_characteristic",
-        })
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        Ok(match value.as_str()? {
-            "as_given" => CoreOrdering::AsGiven,
-            "descending_power" => CoreOrdering::DescendingPower,
-            "descending_characteristic" => CoreOrdering::DescendingCharacteristic,
-            "ascending_characteristic" => CoreOrdering::AscendingCharacteristic,
-            other => {
-                return Err(WireError::UnknownVariant {
-                    type_name: "core_ordering",
-                    variant: other.to_owned(),
-                })
-            }
-        })
+wire_unit_enum! {
+    "core_ordering" => CoreOrdering {
+        "as_given" => AsGiven,
+        "descending_power" => DescendingPower,
+        "descending_characteristic" => DescendingCharacteristic,
+        "ascending_characteristic" => AscendingCharacteristic,
     }
 }
 
-impl Wire for CoreViolationPolicy {
-    const WIRE_TYPE: &'static str = "core_violation_policy";
-
-    fn to_wire(&self) -> JsonValue {
-        match self {
-            CoreViolationPolicy::Fail => obj().field("kind", "fail").build(),
-            CoreViolationPolicy::RaiseLimit { margin } => obj()
-                .field("kind", "raise_limit")
-                .field("margin", *margin)
-                .build(),
-        }
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        match value.field_str("core_violation_policy", "kind")? {
-            "fail" => Ok(CoreViolationPolicy::Fail),
-            "raise_limit" => Ok(CoreViolationPolicy::RaiseLimit {
-                margin: value.field_f64("core_violation_policy", "margin")?,
-            }),
-            other => Err(WireError::UnknownVariant {
-                type_name: "core_violation_policy",
-                variant: other.to_owned(),
-            }),
-        }
+wire_tagged_enum! {
+    "core_violation_policy" => CoreViolationPolicy {
+        "fail" => Fail,
+        "raise_limit" => RaiseLimit { margin },
     }
 }
 
-impl Wire for SessionModelOptions {
-    const WIRE_TYPE: &'static str = "session_model_options";
-
-    fn to_wire(&self) -> JsonValue {
-        obj()
-            .field("keep_active_active_paths", self.keep_active_active_paths)
-            .field("include_vertical_path", self.include_vertical_path)
-            .field("stc_scale", self.stc_scale)
-            .build()
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        const T: &str = "session_model_options";
-        Ok(SessionModelOptions {
-            keep_active_active_paths: value.field_bool(T, "keep_active_active_paths")?,
-            include_vertical_path: value.field_bool(T, "include_vertical_path")?,
-            stc_scale: value.field_f64(T, "stc_scale")?,
-        })
-    }
+wire_struct! {
+    "session_model_options" => SessionModelOptions {
+        keep_active_active_paths,
+        include_vertical_path,
+        stc_scale,
+    };
+    "scheduler_config" => SchedulerConfig {
+        temperature_limit,
+        stc_limit,
+        weight_factor,
+        ordering,
+        core_violation_policy,
+        session_model,
+        max_iterations,
+    } validate SchedulerConfig::validate;
+    "test_session" => TestSession { cores, duration, total_power };
+    "test_schedule" => TestSchedule { sessions };
+    "trace_segment" => TraceSegment { scale, fraction };
+    "store_stats" => StoreStats { lookups, hits, insertions, contended_locks };
+    "operator_cache_stats" => OperatorCacheStats { hits, misses };
 }
 
-impl Wire for SchedulerConfig {
-    const WIRE_TYPE: &'static str = "scheduler_config";
-
-    fn to_wire(&self) -> JsonValue {
-        obj()
-            .field("temperature_limit", self.temperature_limit)
-            .field("stc_limit", self.stc_limit)
-            .field("weight_factor", self.weight_factor)
-            .field("ordering", self.ordering.to_wire())
-            .field(
-                "core_violation_policy",
-                self.core_violation_policy.to_wire(),
-            )
-            .field("session_model", self.session_model.to_wire())
-            .field("max_iterations", self.max_iterations)
-            .build()
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        const T: &str = "scheduler_config";
-        let config = SchedulerConfig {
-            temperature_limit: value.field_f64(T, "temperature_limit")?,
-            stc_limit: value.field_f64(T, "stc_limit")?,
-            weight_factor: value.field_f64(T, "weight_factor")?,
-            ordering: CoreOrdering::from_wire(value.field(T, "ordering")?)?,
-            core_violation_policy: CoreViolationPolicy::from_wire(
-                value.field(T, "core_violation_policy")?,
-            )?,
-            session_model: SessionModelOptions::from_wire(value.field(T, "session_model")?)?,
-            max_iterations: value.field_usize(T, "max_iterations")?,
-        };
-        config.validate().map_err(|e| WireError::Invalid {
-            type_name: T,
-            message: e.to_string(),
-        })?;
-        Ok(config)
-    }
-}
-
-impl Wire for TestSession {
-    const WIRE_TYPE: &'static str = "test_session";
-
-    fn to_wire(&self) -> JsonValue {
-        let cores: Vec<JsonValue> = self.cores().map(JsonValue::from).collect();
-        obj()
-            .field("cores", cores)
-            .field("duration", self.duration())
-            .field("total_power", self.total_power())
-            .build()
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        let cores = value
-            .field_array("test_session", "cores")?
-            .iter()
-            .map(JsonValue::as_usize)
-            .collect::<Result<BTreeSet<_>>>()?;
-        Ok(TestSession::from_raw_parts(
-            cores,
-            value.field_f64("test_session", "duration")?,
-            value.field_f64("test_session", "total_power")?,
-        ))
-    }
-}
-
-impl Wire for TestSchedule {
-    const WIRE_TYPE: &'static str = "test_schedule";
-
-    fn to_wire(&self) -> JsonValue {
-        let sessions: Vec<JsonValue> = self.sessions().iter().map(Wire::to_wire).collect();
-        obj().field("sessions", sessions).build()
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        value
-            .field_array("test_schedule", "sessions")?
-            .iter()
-            .map(TestSession::from_wire)
-            .collect()
-    }
-}
-
-impl Wire for TraceSegment {
-    const WIRE_TYPE: &'static str = "trace_segment";
-
-    fn to_wire(&self) -> JsonValue {
-        obj()
-            .field("scale", self.scale)
-            .field("fraction", self.fraction)
-            .build()
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        const T: &str = "trace_segment";
-        Ok(TraceSegment::new(
-            value.field_f64(T, "scale")?,
-            value.field_f64(T, "fraction")?,
-        ))
-    }
-}
-
+/// Decodes through the validating [`TraceProfile::new`].
 impl Wire for TraceProfile {
     const WIRE_TYPE: &'static str = "trace_profile";
 
     fn to_wire(&self) -> JsonValue {
-        let segments: Vec<JsonValue> = self.segments().iter().map(Wire::to_wire).collect();
-        obj().field("segments", segments).build()
+        let segments = self.segments().iter().map(Wire::to_wire).collect();
+        obj().field("segments", JsonValue::Array(segments)).build()
     }
 
     fn from_wire(value: &JsonValue) -> Result<Self> {
-        const T: &str = "trace_profile";
-        let segments = value
-            .field_array(T, "segments")?
-            .iter()
-            .map(TraceSegment::from_wire)
-            .collect::<Result<Vec<_>>>()?;
-        TraceProfile::new(segments).map_err(|e| WireError::Invalid {
-            type_name: T,
-            message: e.to_string(),
-        })
-    }
-}
-
-impl Wire for StoreStats {
-    const WIRE_TYPE: &'static str = "store_stats";
-
-    fn to_wire(&self) -> JsonValue {
-        obj()
-            .field("lookups", self.lookups)
-            .field("hits", self.hits)
-            .field("insertions", self.insertions)
-            .field("contended_locks", self.contended_locks)
-            .build()
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        const T: &str = "store_stats";
-        Ok(StoreStats {
-            lookups: value.field_u64(T, "lookups")?,
-            hits: value.field_u64(T, "hits")?,
-            insertions: value.field_u64(T, "insertions")?,
-            contended_locks: value.field_u64(T, "contended_locks")?,
-        })
-    }
-}
-
-impl Wire for OperatorCacheStats {
-    const WIRE_TYPE: &'static str = "operator_cache_stats";
-
-    fn to_wire(&self) -> JsonValue {
-        obj()
-            .field("hits", self.hits)
-            .field("misses", self.misses)
-            .build()
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        const T: &str = "operator_cache_stats";
-        Ok(OperatorCacheStats {
-            hits: value.field_u64(T, "hits")?,
-            misses: value.field_u64(T, "misses")?,
-        })
+        TraceProfile::new(value.decode(Self::WIRE_TYPE, "segments")?)
+            .map_err(WireError::invalid(Self::WIRE_TYPE))
     }
 }
 

@@ -18,8 +18,8 @@ use crate::Rect;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Block {
-    name: String,
-    rect: Rect,
+    pub(crate) name: String,
+    pub(crate) rect: Rect,
 }
 
 impl Block {

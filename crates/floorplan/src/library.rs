@@ -15,11 +15,6 @@
 use crate::{Block, Floorplan};
 
 /// Minimum and maximum of a value set, or `None` when it is empty.
-///
-/// The library's spread checks (block areas, power densities) used to fold
-/// with `f64::INFINITY` / `0.0` seeds, which silently produce an
-/// infinite-ratio "spread" for an empty slice; this helper makes the empty
-/// case unrepresentable instead of sentinel-valued.
 pub fn value_spread(values: impl IntoIterator<Item = f64>) -> Option<(f64, f64)> {
     values.into_iter().fold(None, |acc, v| match acc {
         None => Some((v, v)),

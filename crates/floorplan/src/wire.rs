@@ -6,67 +6,26 @@
 //! duplicate names, an empty list — is rejected with a typed error instead
 //! of producing an inconsistent value.
 
-use thermsched_wire::{obj, JsonValue, Result, Wire, WireError};
+use thermsched_wire::{obj, wire_struct, JsonValue, Result, Wire, WireError};
 
 use crate::{Block, Floorplan, Rect};
 
-impl Wire for Rect {
-    const WIRE_TYPE: &'static str = "rect";
-
-    fn to_wire(&self) -> JsonValue {
-        obj()
-            .field("x", self.x)
-            .field("y", self.y)
-            .field("width", self.width)
-            .field("height", self.height)
-            .build()
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        Ok(Rect::new(
-            value.field_f64("rect", "x")?,
-            value.field_f64("rect", "y")?,
-            value.field_f64("rect", "width")?,
-            value.field_f64("rect", "height")?,
-        ))
-    }
-}
-
-impl Wire for Block {
-    const WIRE_TYPE: &'static str = "block";
-
-    fn to_wire(&self) -> JsonValue {
-        obj()
-            .field("name", self.name())
-            .field("rect", self.rect().to_wire())
-            .build()
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        let name = value.field_str("block", "name")?;
-        let rect = Rect::from_wire(value.field("block", "rect")?)?;
-        Ok(Block::from_rect(name, rect))
-    }
+wire_struct! {
+    "rect" => Rect { x, y, width, height };
+    "block" => Block { name, rect };
 }
 
 impl Wire for Floorplan {
     const WIRE_TYPE: &'static str = "floorplan";
 
     fn to_wire(&self) -> JsonValue {
-        let blocks: Vec<JsonValue> = self.blocks().iter().map(Wire::to_wire).collect();
-        obj().field("blocks", blocks).build()
+        let blocks = self.blocks().iter().map(Wire::to_wire).collect();
+        obj().field("blocks", JsonValue::Array(blocks)).build()
     }
 
     fn from_wire(value: &JsonValue) -> Result<Self> {
-        let blocks = value
-            .field_array("floorplan", "blocks")?
-            .iter()
-            .map(Block::from_wire)
-            .collect::<Result<Vec<_>>>()?;
-        Floorplan::new(blocks).map_err(|e| WireError::Invalid {
-            type_name: "floorplan",
-            message: e.to_string(),
-        })
+        Floorplan::new(value.decode(Self::WIRE_TYPE, "blocks")?)
+            .map_err(WireError::invalid(Self::WIRE_TYPE))
     }
 }
 

@@ -643,7 +643,7 @@ impl ImplicitStepOperator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ConjugateGradient, Triplet};
+    use crate::{CholeskyDecomposition, ConjugateGradient, Triplet};
 
     /// 2D 5-point Laplacian-like SPD grid matrix with a leak to ground.
     fn grid_matrix(nx: usize, ny: usize) -> CsrMatrix {
@@ -697,6 +697,18 @@ mod tests {
         let r = a.mul_vec(&direct).unwrap();
         for (ri, bi) in r.iter().zip(&b) {
             assert!((ri - bi).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn banded_solve_matches_dense_cholesky() {
+        let a = grid_matrix(6, 5);
+        let banded = BandedCholesky::new(&a).unwrap();
+        let dense = CholeskyDecomposition::new(&a.to_dense()).unwrap();
+        let b: Vec<f64> = (0..30).map(|i| (i as f64 * 0.7).sin() + 1.5).collect();
+        let x = banded.solve(&b).unwrap();
+        for (x, y) in x.iter().zip(&dense.solve(&b).unwrap()) {
+            assert!((x - y).abs() < 1e-10, "{x} vs {y}");
         }
     }
 

@@ -3,8 +3,8 @@
 //! scheduler integration layer.
 
 use thermsched_linalg::{
-    CholeskyDecomposition, ConjugateGradient, CsrMatrix, DenseMatrix, GaussSeidel, LuDecomposition,
-    Triplet,
+    BandedCholesky, CholeskyDecomposition, ConjugateGradient, CsrMatrix, DenseMatrix, GaussSeidel,
+    LuDecomposition, Triplet,
 };
 
 const TOL: f64 = 1e-8;
@@ -107,6 +107,12 @@ fn direct_solvers_match_poisson_closed_form() {
 
     let chol = CholeskyDecomposition::new(&a).unwrap().solve(&b).unwrap();
     assert_close(&chol, &expected, 1e-10, "cholesky poisson");
+
+    let banded = BandedCholesky::new(&poisson_csr(n))
+        .unwrap()
+        .solve(&b)
+        .unwrap();
+    assert_close(&banded, &expected, 1e-10, "banded cholesky poisson");
 }
 
 #[test]
@@ -169,8 +175,10 @@ fn all_four_solvers_agree_on_an_spd_conductance_like_system() {
         .solve(&sparse, &b)
         .unwrap()
         .x;
+    let x_banded = BandedCholesky::new(&sparse).unwrap().solve(&b).unwrap();
 
     assert_close(&x_chol, &x_lu, 1e-10, "cholesky vs lu");
+    assert_close(&x_banded, &x_lu, 1e-10, "banded cholesky vs lu");
     assert_close(&x_cg, &x_lu, TOL, "cg vs lu");
     assert_close(&x_gs, &x_lu, 1e-7, "gauss-seidel vs lu");
 
@@ -215,4 +223,5 @@ fn solvers_reject_dimension_mismatches() {
     let s = poisson_csr(3);
     assert!(ConjugateGradient::new().solve(&s, &[1.0]).is_err());
     assert!(GaussSeidel::new().solve(&s, &[1.0, 2.0, 3.0, 4.0]).is_err());
+    assert!(BandedCholesky::new(&s).unwrap().solve(&[1.0]).is_err());
 }

@@ -1,7 +1,7 @@
 //! The exportable run trace: [`TraceDocument`] and its deterministic
 //! structural slice.
 
-use thermsched_wire::{obj, JsonValue};
+use thermsched_wire::{obj, JsonValue, Wire};
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::tracer::{ObsClock, SpanRecord, Tracer};
@@ -59,7 +59,7 @@ impl TraceDocument {
             .map(|span| {
                 let attrs = JsonValue::Object(
                     span.structural_attrs()
-                        .map(|a| (a.key.clone(), crate::wire::attr_value_to_wire(&a.value)))
+                        .map(|a| (a.key.clone(), a.value.to_wire()))
                         .collect(),
                 );
                 obj()

@@ -188,7 +188,7 @@ struct JobScope {
 
 /// A cheap-to-clone tracing handle.
 ///
-/// A tracer is either *enabled* (clones share one bounded [`Sink`]) or
+/// A tracer is either *enabled* (clones share one bounded span sink) or
 /// *disabled* (every operation is a branch-and-return no-op — no
 /// allocation, no lock). [`Tracer::for_job`] derives a job-scoped handle
 /// whose spans carry the job id and a fresh per-job sequence counter.

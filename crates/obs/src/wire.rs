@@ -1,234 +1,113 @@
 //! `Wire` impls for the trace types: clock, attributes, spans, metric
 //! snapshots and the versioned [`TraceDocument`].
 
-use thermsched_wire::{obj, JsonValue, Number, Wire, WireError};
+use thermsched_wire::{
+    obj, wire_struct, wire_unit_enum, JsonValue, Number, Result, Wire, WireError,
+};
 
 use crate::document::{TraceDocument, TRACE_VERSION};
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 use crate::tracer::{Attr, AttrValue, ObsClock, SpanRecord};
 
-impl Wire for ObsClock {
-    const WIRE_TYPE: &'static str = "obs_clock";
+wire_unit_enum! {
+    "obs_clock" => ObsClock { "wall" => Wall, "virtual" => Virtual }
+}
+
+/// A value travels in whichever scalar lane it was recorded in.
+impl Wire for AttrValue {
+    const WIRE_TYPE: &'static str = "attr_value";
 
     fn to_wire(&self) -> JsonValue {
         match self {
-            ObsClock::Wall => "wall".into(),
-            ObsClock::Virtual => "virtual".into(),
+            AttrValue::Bool(v) => (*v).into(),
+            AttrValue::Unsigned(v) => (*v).into(),
+            AttrValue::Signed(v) => (*v).into(),
+            AttrValue::Float(v) => (*v).into(),
+            AttrValue::Text(v) => v.as_str().into(),
         }
     }
 
-    fn from_wire(value: &JsonValue) -> thermsched_wire::Result<Self> {
-        match value.as_str()? {
-            "wall" => Ok(ObsClock::Wall),
-            "virtual" => Ok(ObsClock::Virtual),
-            other => Err(WireError::UnknownVariant {
+    fn from_wire(value: &JsonValue) -> Result<Self> {
+        match value {
+            JsonValue::Bool(v) => Ok(AttrValue::Bool(*v)),
+            JsonValue::Number(Number::Unsigned(v)) => Ok(AttrValue::Unsigned(*v)),
+            JsonValue::Number(Number::Signed(v)) => Ok(AttrValue::Signed(*v)),
+            JsonValue::Number(Number::Float(v)) => Ok(AttrValue::Float(*v)),
+            JsonValue::String(v) => Ok(AttrValue::Text(v.clone())),
+            other => Err(WireError::Invalid {
                 type_name: Self::WIRE_TYPE,
-                variant: other.to_owned(),
+                message: format!(
+                    "expected bool, number or string, found {}",
+                    other.type_name()
+                ),
             }),
         }
     }
 }
 
-/// Maps a typed attribute value onto the matching `JsonValue` lane.
-pub(crate) fn attr_value_to_wire(value: &AttrValue) -> JsonValue {
-    match value {
-        AttrValue::Bool(v) => (*v).into(),
-        AttrValue::Unsigned(v) => (*v).into(),
-        AttrValue::Signed(v) => (*v).into(),
-        AttrValue::Float(v) => (*v).into(),
-        AttrValue::Text(v) => v.as_str().into(),
-    }
-}
-
-fn attr_value_from_wire(value: &JsonValue) -> thermsched_wire::Result<AttrValue> {
-    match value {
-        JsonValue::Bool(v) => Ok(AttrValue::Bool(*v)),
-        JsonValue::Number(Number::Unsigned(v)) => Ok(AttrValue::Unsigned(*v)),
-        JsonValue::Number(Number::Signed(v)) => Ok(AttrValue::Signed(*v)),
-        JsonValue::Number(Number::Float(v)) => Ok(AttrValue::Float(*v)),
-        JsonValue::String(v) => Ok(AttrValue::Text(v.clone())),
-        other => Err(WireError::Invalid {
-            type_name: "attr_value",
-            message: format!(
-                "expected bool, number or string, found {}",
-                other.type_name()
-            ),
-        }),
-    }
-}
-
-impl Wire for Attr {
-    const WIRE_TYPE: &'static str = "attr";
-
-    fn to_wire(&self) -> JsonValue {
-        obj()
-            .field("key", self.key.as_str())
-            .field("value", attr_value_to_wire(&self.value))
-            .field("structural", self.structural)
-            .build()
-    }
-
-    fn from_wire(value: &JsonValue) -> thermsched_wire::Result<Self> {
-        Ok(Attr {
-            key: value.field_str(Self::WIRE_TYPE, "key")?.to_owned(),
-            value: attr_value_from_wire(value.field(Self::WIRE_TYPE, "value")?)?,
-            structural: value.field_bool(Self::WIRE_TYPE, "structural")?,
-        })
-    }
-}
-
-fn optional_u64(
-    value: &JsonValue,
-    type_name: &'static str,
-    name: &'static str,
-) -> thermsched_wire::Result<Option<u64>> {
-    match value.field(type_name, name)? {
-        JsonValue::Null => Ok(None),
-        other => Ok(Some(other.as_u64()?)),
-    }
-}
-
-impl Wire for SpanRecord {
-    const WIRE_TYPE: &'static str = "span";
-
-    fn to_wire(&self) -> JsonValue {
-        obj()
-            .field("name", self.name.as_str())
-            .field("job", self.job)
-            .field("seq", self.seq)
-            .field("parent", self.parent)
-            .field("start_seconds", self.start_seconds)
-            .field("duration_seconds", self.duration_seconds)
-            .field(
-                "attrs",
-                JsonValue::Array(self.attrs.iter().map(Wire::to_wire).collect()),
-            )
-            .build()
-    }
-
-    fn from_wire(value: &JsonValue) -> thermsched_wire::Result<Self> {
-        Ok(SpanRecord {
-            name: value.field_str(Self::WIRE_TYPE, "name")?.to_owned(),
-            job: optional_u64(value, Self::WIRE_TYPE, "job")?,
-            seq: value.field_u64(Self::WIRE_TYPE, "seq")?,
-            parent: optional_u64(value, Self::WIRE_TYPE, "parent")?,
-            start_seconds: value.field_f64(Self::WIRE_TYPE, "start_seconds")?,
-            duration_seconds: value.field_f64(Self::WIRE_TYPE, "duration_seconds")?,
-            attrs: value
-                .field_array(Self::WIRE_TYPE, "attrs")?
-                .iter()
-                .map(Attr::from_wire)
-                .collect::<thermsched_wire::Result<_>>()?,
-        })
-    }
-}
-
-impl Wire for HistogramSnapshot {
-    const WIRE_TYPE: &'static str = "histogram";
-
-    fn to_wire(&self) -> JsonValue {
-        obj()
-            .field("name", self.name.as_str())
-            .field(
-                "bounds",
-                JsonValue::Array(self.bounds.iter().map(|&b| b.into()).collect()),
-            )
-            .field(
-                "counts",
-                JsonValue::Array(self.counts.iter().map(|&c| c.into()).collect()),
-            )
-            .field("sum", self.sum)
-            .field("count", self.count)
-            .build()
-    }
-
-    fn from_wire(value: &JsonValue) -> thermsched_wire::Result<Self> {
-        let snapshot = HistogramSnapshot {
-            name: value.field_str(Self::WIRE_TYPE, "name")?.to_owned(),
-            bounds: value
-                .field_array(Self::WIRE_TYPE, "bounds")?
-                .iter()
-                .map(JsonValue::as_f64)
-                .collect::<thermsched_wire::Result<_>>()?,
-            counts: value
-                .field_array(Self::WIRE_TYPE, "counts")?
-                .iter()
-                .map(JsonValue::as_u64)
-                .collect::<thermsched_wire::Result<_>>()?,
-            sum: value.field_f64(Self::WIRE_TYPE, "sum")?,
-            count: value.field_u64(Self::WIRE_TYPE, "count")?,
+wire_struct! {
+    "attr" => Attr { key, value, structural };
+    "span" => SpanRecord {
+        name,
+        job,
+        seq,
+        parent,
+        start_seconds,
+        duration_seconds,
+        attrs,
+    };
+    "histogram" => HistogramSnapshot { name, bounds, counts, sum, count }
+        validate |h: &HistogramSnapshot| match h.bounds.len() + 1 {
+            n if n == h.counts.len() => Ok(()),
+            n => Err(format!(
+                "expected {n} counts for {} bounds, found {}",
+                h.bounds.len(),
+                h.counts.len()
+            )),
         };
-        if snapshot.counts.len() != snapshot.bounds.len() + 1 {
-            return Err(WireError::Invalid {
-                type_name: Self::WIRE_TYPE,
-                message: format!(
-                    "expected {} counts for {} bounds, found {}",
-                    snapshot.bounds.len() + 1,
-                    snapshot.bounds.len(),
-                    snapshot.counts.len()
-                ),
-            });
-        }
-        Ok(snapshot)
-    }
 }
 
+/// Encodes `(name, value)` pairs as an object keyed by name.
+fn named_to_wire<T: Wire>(pairs: &[(String, T)]) -> JsonValue {
+    JsonValue::Object(
+        pairs
+            .iter()
+            .map(|(name, v)| (name.clone(), v.to_wire()))
+            .collect(),
+    )
+}
+
+/// Decodes an object keyed by name into `(name, value)` pairs.
+fn named_from_wire<T: Wire>(value: &JsonValue) -> Result<Vec<(String, T)>> {
+    value
+        .entries()?
+        .iter()
+        .map(|(name, v)| Ok((name.clone(), T::from_wire(v)?)))
+        .collect()
+}
+
+/// Counters and gauges are objects keyed by metric name.
 impl Wire for MetricsSnapshot {
     const WIRE_TYPE: &'static str = "metrics_snapshot";
 
     fn to_wire(&self) -> JsonValue {
         obj()
-            .field(
-                "counters",
-                JsonValue::Object(
-                    self.counters
-                        .iter()
-                        .map(|(name, v)| (name.clone(), (*v).into()))
-                        .collect(),
-                ),
-            )
-            .field(
-                "gauges",
-                JsonValue::Object(
-                    self.gauges
-                        .iter()
-                        .map(|(name, v)| (name.clone(), (*v).into()))
-                        .collect(),
-                ),
-            )
-            .field(
-                "histograms",
-                JsonValue::Array(self.histograms.iter().map(Wire::to_wire).collect()),
-            )
+            .field("counters", named_to_wire(&self.counters))
+            .field("gauges", named_to_wire(&self.gauges))
+            .field("histograms", self.histograms.to_wire())
             .build()
     }
 
-    fn from_wire(value: &JsonValue) -> thermsched_wire::Result<Self> {
-        let counters = value
-            .field(Self::WIRE_TYPE, "counters")?
-            .entries()?
-            .iter()
-            .map(|(name, v)| Ok((name.clone(), v.as_u64()?)))
-            .collect::<thermsched_wire::Result<_>>()?;
-        let gauges = value
-            .field(Self::WIRE_TYPE, "gauges")?
-            .entries()?
-            .iter()
-            .map(|(name, v)| Ok((name.clone(), v.as_f64()?)))
-            .collect::<thermsched_wire::Result<_>>()?;
-        let histograms = value
-            .field_array(Self::WIRE_TYPE, "histograms")?
-            .iter()
-            .map(HistogramSnapshot::from_wire)
-            .collect::<thermsched_wire::Result<_>>()?;
+    fn from_wire(value: &JsonValue) -> Result<Self> {
         Ok(MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
+            counters: named_from_wire(value.field(Self::WIRE_TYPE, "counters")?)?,
+            gauges: named_from_wire(value.field(Self::WIRE_TYPE, "gauges")?)?,
+            histograms: value.decode(Self::WIRE_TYPE, "histograms")?,
         })
     }
 }
 
+/// The version is checked before anything else is decoded.
 impl Wire for TraceDocument {
     const WIRE_TYPE: &'static str = "trace_document";
 
@@ -237,16 +116,14 @@ impl Wire for TraceDocument {
             .field("version", self.version)
             .field("clock", self.clock.to_wire())
             .field("dropped_spans", self.dropped_spans)
-            .field(
-                "spans",
-                JsonValue::Array(self.spans.iter().map(Wire::to_wire).collect()),
-            )
+            .field("spans", self.spans.to_wire())
             .field("metrics", self.metrics.to_wire())
             .build()
     }
 
-    fn from_wire(value: &JsonValue) -> thermsched_wire::Result<Self> {
-        let version = value.field_u64(Self::WIRE_TYPE, "version")?;
+    fn from_wire(value: &JsonValue) -> Result<Self> {
+        const T: &str = "trace_document";
+        let version = value.decode(T, "version")?;
         if version != TRACE_VERSION {
             return Err(WireError::UnsupportedVersion {
                 found: version,
@@ -255,14 +132,10 @@ impl Wire for TraceDocument {
         }
         Ok(TraceDocument {
             version,
-            clock: ObsClock::from_wire(value.field(Self::WIRE_TYPE, "clock")?)?,
-            dropped_spans: value.field_u64(Self::WIRE_TYPE, "dropped_spans")?,
-            spans: value
-                .field_array(Self::WIRE_TYPE, "spans")?
-                .iter()
-                .map(SpanRecord::from_wire)
-                .collect::<thermsched_wire::Result<_>>()?,
-            metrics: MetricsSnapshot::from_wire(value.field(Self::WIRE_TYPE, "metrics")?)?,
+            clock: value.decode(T, "clock")?,
+            dropped_spans: value.decode(T, "dropped_spans")?,
+            spans: value.decode(T, "spans")?,
+            metrics: value.decode(T, "metrics")?,
         })
     }
 }

@@ -359,7 +359,7 @@ pub struct DrainReport {
     pub cancelled_in_flight: usize,
 }
 
-/// The streaming front-end. See the [module docs](self) for the model.
+/// The streaming front-end described in the [crate docs](crate).
 ///
 /// # Example
 ///

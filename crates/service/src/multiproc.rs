@@ -88,8 +88,8 @@ pub struct MultiprocConfig {
 
 /// Spawns worker processes and shards a corpus over them.
 ///
-/// See the [module docs](self) for the protocol and the determinism
-/// contract.
+/// Per-job results are byte-identical to an in-process run at any process
+/// count; the workers speak the protocol of [`worker_serve`].
 #[derive(Debug, Clone)]
 pub struct MultiprocCoordinator {
     config: MultiprocConfig,
@@ -181,19 +181,22 @@ impl MultiprocCoordinator {
             ));
         }
         let processes = self.config.processes.min(jobs.len());
-        let config_wire = self.config.service.to_wire();
-        let corpus_wire = corpus.to_wire();
+        let mut hello = obj()
+            .field("protocol", PROTOCOL_VERSION)
+            .field("worker", 0usize)
+            .field("config", self.config.service.to_wire())
+            .field("corpus", corpus.to_wire())
+            .field("trace", tracer.is_enabled())
+            .build();
+        // The HELLO frames differ only in the worker index (field 1), so one
+        // value is re-stamped per worker instead of copying the corpus into
+        // each.
         let hellos: Vec<Vec<u8>> = (0..processes)
             .map(|worker| {
-                encode_value(
-                    &obj()
-                        .field("protocol", PROTOCOL_VERSION)
-                        .field("worker", worker)
-                        .field("config", config_wire.clone())
-                        .field("corpus", corpus_wire.clone())
-                        .field("trace", tracer.is_enabled())
-                        .build(),
-                )
+                if let JsonValue::Object(fields) = &mut hello {
+                    fields[1].1 = JsonValue::from(worker);
+                }
+                encode_value(&hello)
             })
             .collect::<std::result::Result<_, WireError>>()?;
 
@@ -477,55 +480,45 @@ fn worker_reader(worker: usize, stdout: impl Read, events: &mpsc::Sender<Event>)
 fn decode_event(worker: usize, frame: &Frame) -> Option<Event> {
     let payload = decode_value(&frame.payload).ok()?;
     match frame.kind {
-        FRAME_RESULT => Some(Event::Result {
-            worker,
-            index: payload.field_usize("result_frame", "index").ok()?,
-            result: JobResult::from_wire(payload.field("result_frame", "result").ok()?).ok()?,
-            accounting: JobAccounting {
-                warm_cache_hits: payload
-                    .field_usize("result_frame", "warm_cache_hits")
-                    .ok()?,
-                cached_validations: payload
-                    .field_usize("result_frame", "cached_validations")
-                    .ok()?,
-                injected_faults: payload
-                    .field_usize("result_frame", "injected_faults")
-                    .ok()?,
-                retried_attempts: payload
-                    .field_usize("result_frame", "retried_attempts")
-                    .ok()?,
-                latency_seconds: payload.field_f64("result_frame", "latency_seconds").ok()?,
-            },
-        }),
-        FRAME_FIN => Some(Event::Fin {
-            worker,
-            store: StoreStats::from_wire(payload.field("fin_frame", "store").ok()?).ok()?,
-            operator_cache: OperatorCacheStats::from_wire(
-                payload.field("fin_frame", "operator_cache").ok()?,
-            )
-            .ok()?,
-            prewarmed_sessions: payload
-                .field_usize("fin_frame", "prewarmed_sessions")
-                .ok()?,
-            // The trace fields are optional (absent from untraced or older
-            // workers), so decode failures degrade to "no trace data"
-            // instead of killing the worker.
-            metrics: payload
-                .field("fin_frame", "metrics")
-                .ok()
-                .and_then(|v| MetricsSnapshot::from_wire(v).ok())
-                .unwrap_or_default(),
-            spans: payload
-                .field_array("fin_frame", "spans")
-                .map(|items| {
-                    items
-                        .iter()
-                        .filter_map(|item| SpanRecord::from_wire(item).ok())
-                        .collect()
-                })
-                .unwrap_or_default(),
-            dropped_spans: payload.field_u64("fin_frame", "dropped_spans").unwrap_or(0),
-        }),
+        FRAME_RESULT => {
+            const T: &str = "result_frame";
+            Some(Event::Result {
+                worker,
+                index: payload.decode(T, "index").ok()?,
+                result: payload.decode(T, "result").ok()?,
+                accounting: JobAccounting {
+                    warm_cache_hits: payload.decode(T, "warm_cache_hits").ok()?,
+                    cached_validations: payload.decode(T, "cached_validations").ok()?,
+                    injected_faults: payload.decode(T, "injected_faults").ok()?,
+                    retried_attempts: payload.decode(T, "retried_attempts").ok()?,
+                    latency_seconds: payload.decode(T, "latency_seconds").ok()?,
+                },
+            })
+        }
+        FRAME_FIN => {
+            const T: &str = "fin_frame";
+            Some(Event::Fin {
+                worker,
+                store: payload.decode(T, "store").ok()?,
+                operator_cache: payload.decode(T, "operator_cache").ok()?,
+                prewarmed_sessions: payload.decode(T, "prewarmed_sessions").ok()?,
+                // The trace fields are optional (absent from untraced or older
+                // workers), so decode failures degrade to "no trace data"
+                // instead of killing the worker.
+                metrics: payload.decode(T, "metrics").unwrap_or_default(),
+                spans: payload
+                    .field(T, "spans")
+                    .and_then(JsonValue::as_array)
+                    .map(|items| {
+                        items
+                            .iter()
+                            .filter_map(|item| SpanRecord::from_wire(item).ok())
+                            .collect()
+                    })
+                    .unwrap_or_default(),
+                dropped_spans: payload.decode(T, "dropped_spans").unwrap_or(0),
+            })
+        }
         _ => None,
     }
 }
@@ -544,8 +537,9 @@ pub struct CrashPlan {
     pub only_worker: Option<usize>,
 }
 
-/// Serves one worker process: speaks the [module](self) protocol over
-/// `input`/`output` until `SHUTDOWN` (clean exit) or EOF (coordinator
+/// Serves one worker process over `input`/`output`: a `HELLO` frame with
+/// the config and corpus, then `JOB` frames each answered by a `RESULT`,
+/// until `SHUTDOWN` (answered by `FIN`, clean exit) or EOF (coordinator
 /// gone).
 ///
 /// `crash` is the deliberate-failure hook used by the robustness tests;
@@ -571,21 +565,22 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
         )));
     }
     let hello = decode_value(&hello.payload)?;
-    let protocol = hello.field_u64("hello_frame", "protocol")?;
+    const T: &str = "hello_frame";
+    let protocol: u64 = hello.decode(T, "protocol")?;
     if protocol != PROTOCOL_VERSION {
         return Err(multiproc_error(format!(
             "protocol version {protocol} (this worker speaks {PROTOCOL_VERSION})"
         )));
     }
-    let me = hello.field_usize("hello_frame", "worker")?;
+    let me: usize = hello.decode(T, "worker")?;
     let crash = crash.filter(|plan| plan.only_worker.is_none() || plan.only_worker == Some(me));
-    let config = ServiceConfig::from_wire(hello.field("hello_frame", "config")?)?;
-    let corpus = Corpus::from_wire(hello.field("hello_frame", "corpus")?)?;
+    let config: ServiceConfig = hello.decode(T, "config")?;
+    let corpus: Corpus = hello.decode(T, "corpus")?;
     // The trace flag is optional in HELLO (older coordinators omit it);
     // absent means "not tracing" and the worker pays zero observability
     // cost. The worker's span clock follows the service clock so Virtual
     // runs produce deterministic structural traces across process counts.
-    let trace = hello.field_bool("hello_frame", "trace").unwrap_or(false);
+    let trace = hello.decode(T, "trace").unwrap_or(false);
     let tracer = if trace {
         Tracer::new(TracerConfig {
             clock: if config.clock == ClockKind::Virtual {
@@ -616,8 +611,8 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
                     return Ok(());
                 }
                 let payload = decode_value(&frame.payload)?;
-                let index = payload.field_usize("job_frame", "index")?;
-                let job = JobSpec::from_wire(payload.field("job_frame", "job")?)?;
+                let index: usize = payload.decode("job_frame", "index")?;
+                let job: JobSpec = payload.decode("job_frame", "job")?;
                 let scenario_count = executor.scenarios().len();
                 if job.scenario >= scenario_count {
                     return Err(multiproc_error(format!(
@@ -739,7 +734,7 @@ mod tests {
         assert_eq!(replies[0].kind, FRAME_RESULT);
         assert_eq!(replies[1].kind, FRAME_FIN);
         let payload = decode_value(&replies[0].payload).unwrap();
-        assert_eq!(payload.field_usize("f", "index").unwrap(), 0);
+        assert_eq!(payload.decode::<usize>("f", "index").unwrap(), 0);
         let job_result = JobResult::from_wire(payload.field("f", "result").unwrap()).unwrap();
         assert!(matches!(job_result.outcome, JobOutcome::Completed(_)));
     }

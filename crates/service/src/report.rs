@@ -270,8 +270,8 @@ pub struct ServiceStats {
 /// deterministic corpus order, plus run statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceReport {
-    jobs: Vec<JobResult>,
-    stats: ServiceStats,
+    pub(crate) jobs: Vec<JobResult>,
+    pub(crate) stats: ServiceStats,
 }
 
 impl ServiceReport {
@@ -291,9 +291,7 @@ impl ServiceReport {
     }
 
     /// Hottest committed temperature over all completed jobs (°C), or
-    /// `None` when no job completed. (This used to return the
-    /// `f64::NEG_INFINITY` fold sentinel for an empty report, which leaked
-    /// into renderings as `-inf C`.)
+    /// `None` when no job completed.
     pub fn max_temperature(&self) -> Option<f64> {
         self.jobs
             .iter()

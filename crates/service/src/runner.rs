@@ -195,7 +195,8 @@ pub struct ServiceConfig {
     pub clock: ClockKind,
     /// Default per-job effort budget in *simulated* seconds, enforced at
     /// the scheduler's cooperative checkpoints: a job whose spent thermal
-    /// effort exceeds the budget ends as [`JobOutcome::DeadlineExceeded`].
+    /// effort exceeds the budget ends as
+    /// [`JobOutcome::DeadlineExceeded`](crate::JobOutcome::DeadlineExceeded).
     /// Effort is a pure function of the corpus, so deadline outcomes are as
     /// deterministic as completed ones. `None` (the default) disables
     /// deadlines; [`crate::Submission::deadline_effort`] overrides per job.
@@ -285,8 +286,9 @@ impl ServiceConfig {
 ///   [`crate::JobOutcome::Panicked`] and the batch continues (the shared
 ///   stores recover from lock poisoning).
 /// * Results are reported in corpus job order whatever the interleaving,
-///   and every per-job metric is a pure function of the corpus — see
-///   [`crate::report`] for the determinism boundary.
+///   and every per-job metric is a pure function of the corpus: the
+///   [`crate::JobResult`]s are the deterministic part of a report, the
+///   [`crate::ServiceStats`] the timing-dependent part.
 ///
 /// # Example
 ///

@@ -12,78 +12,34 @@
 //!   [`ShedCause`]) as plain strings. Unknown tags are typed
 //!   [`WireError::UnknownVariant`] errors, never panics.
 
-use thermsched_wire::{obj, JsonValue, Result, Wire, WireError};
+use thermsched_wire::{
+    obj, wire_struct, wire_tagged_enum, wire_unit_enum, JsonValue, Result, Wire, WireError,
+};
 
 use crate::{
     BackendKind, ClockKind, Corpus, FaultPlan, JobMetrics, JobOutcome, JobResult, JobSpec,
     LatencyStats, Rejected, RetryPolicy, Scenario, ScenarioSpec, ServiceConfig, ServiceReport,
     ServiceStats, ShedCause, StoreKind, TraceFamily,
 };
-use thermsched::{CoreOrdering, OperatorCacheStats, SchedulerConfig, StoreStats, TraceProfile};
-use thermsched_soc::SystemUnderTest;
 
-/// Decodes an optional finite f64 stored as `null` or a number.
-fn optional_f64(
-    value: &JsonValue,
-    type_name: &'static str,
-    name: &'static str,
-) -> Result<Option<f64>> {
-    match value.field(type_name, name)? {
-        JsonValue::Null => Ok(None),
-        other => other.as_f64().map(Some),
-    }
+/// Encodes a pair as a two-element array.
+fn pair<T: Wire>((a, b): &(T, T)) -> JsonValue {
+    JsonValue::Array(vec![a.to_wire(), b.to_wire()])
 }
 
-/// Encodes a `(usize, usize)` pair as a two-element array.
-fn pair_usize(pair: (usize, usize)) -> JsonValue {
-    JsonValue::from(vec![JsonValue::from(pair.0), JsonValue::from(pair.1)])
-}
-
-/// Decodes a two-element array back into a `(usize, usize)` pair.
-fn decode_pair_usize(value: &JsonValue, type_name: &'static str) -> Result<(usize, usize)> {
-    let items = value.as_array()?;
-    if items.len() != 2 {
-        return Err(WireError::Invalid {
+/// Decodes a two-element array back into a pair; `names` names its two
+/// elements in the length error.
+fn decode_pair<T: Wire>(value: &JsonValue, type_name: &'static str, names: &str) -> Result<(T, T)> {
+    match value.as_array()? {
+        [a, b] => Ok((T::from_wire(a)?, T::from_wire(b)?)),
+        items => Err(WireError::Invalid {
             type_name,
-            message: format!(
-                "expected a [columns, rows] pair, got {} elements",
-                items.len()
-            ),
-        });
+            message: format!("expected a [{names}] pair, got {} elements", items.len()),
+        }),
     }
-    Ok((items[0].as_usize()?, items[1].as_usize()?))
 }
 
-/// Encodes an `(f64, f64)` range as a two-element array.
-fn pair_f64(pair: (f64, f64)) -> JsonValue {
-    JsonValue::from(vec![JsonValue::from(pair.0), JsonValue::from(pair.1)])
-}
-
-/// Decodes a two-element array back into an `(f64, f64)` range.
-fn decode_pair_f64(value: &JsonValue, type_name: &'static str) -> Result<(f64, f64)> {
-    let items = value.as_array()?;
-    if items.len() != 2 {
-        return Err(WireError::Invalid {
-            type_name,
-            message: format!("expected a [low, high] pair, got {} elements", items.len()),
-        });
-    }
-    Ok((items[0].as_f64()?, items[1].as_f64()?))
-}
-
-fn f64_array(values: &[f64]) -> JsonValue {
-    JsonValue::from(
-        values
-            .iter()
-            .map(|&v| JsonValue::from(v))
-            .collect::<Vec<_>>(),
-    )
-}
-
-fn decode_f64_array(value: &JsonValue) -> Result<Vec<f64>> {
-    value.as_array()?.iter().map(JsonValue::as_f64).collect()
-}
-
+/// The labels are [`TraceFamily::label`]'s, which the CLI parses too.
 impl Wire for TraceFamily {
     const WIRE_TYPE: &'static str = "trace_family";
 
@@ -94,7 +50,7 @@ impl Wire for TraceFamily {
     fn from_wire(value: &JsonValue) -> Result<Self> {
         let name = value.as_str()?;
         TraceFamily::parse(name).ok_or_else(|| WireError::UnknownVariant {
-            type_name: "trace_family",
+            type_name: Self::WIRE_TYPE,
             variant: name.to_owned(),
         })
     }
@@ -104,28 +60,26 @@ impl Wire for ScenarioSpec {
     const WIRE_TYPE: &'static str = "scenario_spec";
 
     fn to_wire(&self) -> JsonValue {
-        let grid_shapes: Vec<JsonValue> = self.grid_shapes.iter().map(|&s| pair_usize(s)).collect();
-        let orderings: Vec<JsonValue> = self.orderings.iter().map(Wire::to_wire).collect();
+        let grid_shapes: Vec<JsonValue> = self.grid_shapes.iter().map(pair).collect();
         let mut spec = obj()
             .field("seed", self.seed)
             .field("scenarios", self.scenarios)
             .field("grid_shapes", grid_shapes)
             .field("core_size_mm", self.core_size_mm)
-            .field("power_density", pair_f64(self.power_density))
-            .field("test_time", pair_f64(self.test_time))
-            .field("temperature_limits", f64_array(&self.temperature_limits))
-            .field("stc_limits", f64_array(&self.stc_limits))
-            .field("weight_factors", f64_array(&self.weight_factors))
-            .field("orderings", orderings)
+            .field("power_density", pair(&self.power_density))
+            .field("test_time", pair(&self.test_time))
+            .field("temperature_limits", self.temperature_limits.to_wire())
+            .field("stc_limits", self.stc_limits.to_wire())
+            .field("weight_factors", self.weight_factors.to_wire())
+            .field("orderings", self.orderings.to_wire())
             .field("raise_limit_margin", self.raise_limit_margin);
         // The online fields are omitted entirely when inactive so documents
         // (and golden bytes) from offline-only versions stay unchanged.
         if !self.trace_families.is_empty() {
-            let families: Vec<JsonValue> = self.trace_families.iter().map(Wire::to_wire).collect();
-            spec = spec.field("trace_families", families);
+            spec = spec.field("trace_families", self.trace_families.to_wire());
         }
         if let Some(range) = self.warm_start_range {
-            spec = spec.field("warm_start_range", pair_f64(range));
+            spec = spec.field("warm_start_range", pair(&range));
         }
         spec.build()
     }
@@ -134,40 +88,34 @@ impl Wire for ScenarioSpec {
         const T: &str = "scenario_spec";
         Ok(ScenarioSpec {
             trace_families: match value.get("trace_families") {
-                Some(families) => families
-                    .as_array()?
-                    .iter()
-                    .map(TraceFamily::from_wire)
-                    .collect::<Result<Vec<_>>>()?,
+                Some(families) => Wire::from_wire(families)?,
                 None => vec![],
             },
-            warm_start_range: match value.get("warm_start_range") {
-                Some(range) => Some(decode_pair_f64(range, T)?),
-                None => None,
-            },
-            seed: value.field_u64(T, "seed")?,
-            scenarios: value.field_usize(T, "scenarios")?,
+            warm_start_range: value
+                .get("warm_start_range")
+                .map(|range| decode_pair(range, T, "low, high"))
+                .transpose()?,
+            seed: value.decode(T, "seed")?,
+            scenarios: value.decode(T, "scenarios")?,
             grid_shapes: value
-                .field_array(T, "grid_shapes")?
+                .field(T, "grid_shapes")?
+                .as_array()?
                 .iter()
-                .map(|shape| decode_pair_usize(shape, T))
+                .map(|shape| decode_pair(shape, T, "columns, rows"))
                 .collect::<Result<Vec<_>>>()?,
-            core_size_mm: value.field_f64(T, "core_size_mm")?,
-            power_density: decode_pair_f64(value.field(T, "power_density")?, T)?,
-            test_time: decode_pair_f64(value.field(T, "test_time")?, T)?,
-            temperature_limits: decode_f64_array(value.field(T, "temperature_limits")?)?,
-            stc_limits: decode_f64_array(value.field(T, "stc_limits")?)?,
-            weight_factors: decode_f64_array(value.field(T, "weight_factors")?)?,
-            orderings: value
-                .field_array(T, "orderings")?
-                .iter()
-                .map(CoreOrdering::from_wire)
-                .collect::<Result<Vec<_>>>()?,
-            raise_limit_margin: optional_f64(value, T, "raise_limit_margin")?,
+            core_size_mm: value.decode(T, "core_size_mm")?,
+            power_density: decode_pair(value.field(T, "power_density")?, T, "low, high")?,
+            test_time: decode_pair(value.field(T, "test_time")?, T, "low, high")?,
+            temperature_limits: value.decode(T, "temperature_limits")?,
+            stc_limits: value.decode(T, "stc_limits")?,
+            weight_factors: value.decode(T, "weight_factors")?,
+            orderings: value.decode(T, "orderings")?,
+            raise_limit_margin: value.decode(T, "raise_limit_margin")?,
         })
     }
 }
 
+/// `grid` is a `[columns, rows]` pair whose length error names this type.
 impl Wire for Scenario {
     const WIRE_TYPE: &'static str = "scenario";
 
@@ -175,7 +123,7 @@ impl Wire for Scenario {
         obj()
             .field("name", self.name.as_str())
             .field("seed", self.seed)
-            .field("grid", pair_usize(self.grid))
+            .field("grid", pair(&self.grid))
             .field("core_size_mm", self.core_size_mm)
             .field("sut", self.sut.to_wire())
             .build()
@@ -184,11 +132,11 @@ impl Wire for Scenario {
     fn from_wire(value: &JsonValue) -> Result<Self> {
         const T: &str = "scenario";
         Ok(Scenario {
-            name: value.field_str(T, "name")?.to_owned(),
-            seed: value.field_u64(T, "seed")?,
-            grid: decode_pair_usize(value.field(T, "grid")?, T)?,
-            core_size_mm: value.field_f64(T, "core_size_mm")?,
-            sut: SystemUnderTest::from_wire(value.field(T, "sut")?)?,
+            name: value.decode(T, "name")?,
+            seed: value.decode(T, "seed")?,
+            grid: decode_pair(value.field(T, "grid")?, T, "columns, rows")?,
+            core_size_mm: value.decode(T, "core_size_mm")?,
+            sut: value.decode(T, "sut")?,
         })
     }
 }
@@ -206,7 +154,7 @@ impl Wire for JobSpec {
             spec = spec.field("trace", trace.to_wire());
         }
         if let Some(warm) = &self.warm_start {
-            spec = spec.field("warm_start", f64_array(warm));
+            spec = spec.field("warm_start", warm.to_wire());
         }
         spec.build()
     }
@@ -214,90 +162,61 @@ impl Wire for JobSpec {
     fn from_wire(value: &JsonValue) -> Result<Self> {
         const T: &str = "job_spec";
         Ok(JobSpec {
-            scenario: value.field_usize(T, "scenario")?,
-            label: value.field_str(T, "label")?.to_owned(),
-            config: SchedulerConfig::from_wire(value.field(T, "config")?)?,
-            trace: match value.get("trace") {
-                Some(trace) => Some(TraceProfile::from_wire(trace)?),
-                None => None,
-            },
-            warm_start: match value.get("warm_start") {
-                Some(warm) => Some(decode_f64_array(warm)?),
-                None => None,
-            },
+            scenario: value.decode(T, "scenario")?,
+            label: value.decode(T, "label")?,
+            config: value.decode(T, "config")?,
+            trace: value.get("trace").map(Wire::from_wire).transpose()?,
+            warm_start: value.get("warm_start").map(Wire::from_wire).transpose()?,
         })
     }
 }
 
+/// Decodes through `Corpus::from_parts`, which checks that every job
+/// names a scenario of the corpus.
 impl Wire for Corpus {
     const WIRE_TYPE: &'static str = "corpus";
 
     fn to_wire(&self) -> JsonValue {
-        let scenarios: Vec<JsonValue> = self.scenarios().iter().map(Wire::to_wire).collect();
-        let jobs: Vec<JsonValue> = self.jobs().iter().map(Wire::to_wire).collect();
+        let scenarios = self.scenarios().iter().map(Wire::to_wire).collect();
+        let jobs = self.jobs().iter().map(Wire::to_wire).collect();
         obj()
-            .field("scenarios", scenarios)
-            .field("jobs", jobs)
+            .field("scenarios", JsonValue::Array(scenarios))
+            .field("jobs", JsonValue::Array(jobs))
             .build()
     }
 
     fn from_wire(value: &JsonValue) -> Result<Self> {
         const T: &str = "corpus";
-        let scenarios = value
-            .field_array(T, "scenarios")?
-            .iter()
-            .map(Scenario::from_wire)
-            .collect::<Result<Vec<_>>>()?;
-        let jobs = value
-            .field_array(T, "jobs")?
-            .iter()
-            .map(JobSpec::from_wire)
-            .collect::<Result<Vec<_>>>()?;
-        Corpus::from_parts(scenarios, jobs).map_err(|e| WireError::Invalid {
-            type_name: T,
-            message: e.to_string(),
-        })
+        Corpus::from_parts(value.decode(T, "scenarios")?, value.decode(T, "jobs")?)
+            .map_err(WireError::invalid(T))
     }
 }
 
-impl Wire for BackendKind {
-    const WIRE_TYPE: &'static str = "backend_kind";
-
-    fn to_wire(&self) -> JsonValue {
-        match self {
-            BackendKind::RcCompact => obj().field("kind", "rc_compact").build(),
-            BackendKind::GridTransient { cells_per_core } => obj()
-                .field("kind", "grid_transient")
-                .field("cells_per_core", *cells_per_core)
-                .build(),
-            BackendKind::GridAdi {
-                cells_per_core,
-                time_step,
-            } => obj()
-                .field("kind", "grid_adi")
-                .field("cells_per_core", *cells_per_core)
-                .field("time_step", *time_step)
-                .build(),
-        }
+wire_tagged_enum! {
+    "backend_kind" => BackendKind {
+        "rc_compact" => RcCompact,
+        "grid_transient" => GridTransient { cells_per_core },
+        "grid_adi" => GridAdi { cells_per_core, time_step },
     }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        const T: &str = "backend_kind";
-        match value.field_str(T, "kind")? {
-            "rc_compact" => Ok(BackendKind::RcCompact),
-            "grid_transient" => Ok(BackendKind::GridTransient {
-                cells_per_core: value.field_usize(T, "cells_per_core")?,
-            }),
-            "grid_adi" => Ok(BackendKind::GridAdi {
-                cells_per_core: value.field_usize(T, "cells_per_core")?,
-                time_step: value.field_f64(T, "time_step")?,
-            }),
-            other => Err(WireError::UnknownVariant {
-                type_name: T,
-                variant: other.to_owned(),
-            }),
-        }
+    "rejected" => Rejected {
+        "queue_full" => QueueFull { capacity },
+        "draining" => Draining,
+        "unknown_scenario" => UnknownScenario { scenario, scenario_count },
+        "invalid_deadline" => InvalidDeadline,
     }
+    "job_outcome" => JobOutcome {
+        "completed" => Completed(metrics),
+        "failed" => Failed { error, retryable, attempts },
+        "panicked" => Panicked { message, attempts },
+        "deadline_exceeded" => DeadlineExceeded { spent_effort, budget, attempts },
+        "shed" => Shed(cause),
+        "rejected" => Rejected(rejection),
+    }
+}
+
+wire_unit_enum! {
+    "clock_kind" => ClockKind { "wall" => Wall, "virtual" => Virtual }
+    "shed_cause" => ShedCause { "displaced" => Displaced, "drained" => Drained }
 }
 
 impl Wire for StoreKind {
@@ -317,7 +236,7 @@ impl Wire for StoreKind {
         match value.field_str(T, "kind")? {
             "mutex" => Ok(StoreKind::Sharded { shards: 1 }),
             "sharded" => Ok(StoreKind::Sharded {
-                shards: value.field_usize(T, "shards")?,
+                shards: value.decode(T, "shards")?,
             }),
             other => Err(WireError::UnknownVariant {
                 type_name: T,
@@ -327,88 +246,35 @@ impl Wire for StoreKind {
     }
 }
 
-impl Wire for ClockKind {
-    const WIRE_TYPE: &'static str = "clock_kind";
-
-    fn to_wire(&self) -> JsonValue {
-        JsonValue::from(match self {
-            ClockKind::Wall => "wall",
-            ClockKind::Virtual => "virtual",
-        })
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        match value.as_str()? {
-            "wall" => Ok(ClockKind::Wall),
-            "virtual" => Ok(ClockKind::Virtual),
-            other => Err(WireError::UnknownVariant {
-                type_name: "clock_kind",
-                variant: other.to_owned(),
-            }),
-        }
-    }
-}
-
-impl Wire for FaultPlan {
-    const WIRE_TYPE: &'static str = "fault_plan";
-
-    fn to_wire(&self) -> JsonValue {
-        obj()
-            .field("seed", self.seed)
-            .field("panic_rate", self.panic_rate)
-            .field("error_rate", self.error_rate)
-            .field("delay_rate", self.delay_rate)
-            .field("delay_seconds", self.delay_seconds)
-            .field("poison_rate", self.poison_rate)
-            .build()
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        const T: &str = "fault_plan";
-        let plan = FaultPlan {
-            seed: value.field_u64(T, "seed")?,
-            panic_rate: value.field_f64(T, "panic_rate")?,
-            error_rate: value.field_f64(T, "error_rate")?,
-            delay_rate: value.field_f64(T, "delay_rate")?,
-            delay_seconds: value.field_f64(T, "delay_seconds")?,
-            poison_rate: value.field_f64(T, "poison_rate")?,
-        };
-        plan.validate().map_err(|e| WireError::Invalid {
-            type_name: T,
-            message: e.to_string(),
-        })?;
-        Ok(plan)
-    }
-}
-
-impl Wire for RetryPolicy {
-    const WIRE_TYPE: &'static str = "retry_policy";
-
-    fn to_wire(&self) -> JsonValue {
-        obj()
-            .field("max_attempts", self.max_attempts)
-            .field("backoff_base_seconds", self.backoff_base_seconds)
-            .field("backoff_multiplier", self.backoff_multiplier)
-            .field("backoff_jitter", self.backoff_jitter)
-            .field("seed", self.seed)
-            .build()
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        const T: &str = "retry_policy";
-        let policy = RetryPolicy {
-            max_attempts: value.field_u32(T, "max_attempts")?,
-            backoff_base_seconds: value.field_f64(T, "backoff_base_seconds")?,
-            backoff_multiplier: value.field_f64(T, "backoff_multiplier")?,
-            backoff_jitter: value.field_f64(T, "backoff_jitter")?,
-            seed: value.field_u64(T, "seed")?,
-        };
-        policy.validate().map_err(|e| WireError::Invalid {
-            type_name: T,
-            message: e.to_string(),
-        })?;
-        Ok(policy)
-    }
+wire_struct! {
+    "fault_plan" => FaultPlan {
+        seed,
+        panic_rate,
+        error_rate,
+        delay_rate,
+        delay_seconds,
+        poison_rate,
+    } validate FaultPlan::validate;
+    "retry_policy" => RetryPolicy {
+        max_attempts,
+        backoff_base_seconds,
+        backoff_multiplier,
+        backoff_jitter,
+        seed,
+    } validate RetryPolicy::validate;
+    "job_metrics" => JobMetrics {
+        schedule_length,
+        session_count,
+        simulation_effort,
+        characterization_effort,
+        discarded_sessions,
+        max_temperature,
+        effective_temperature_limit,
+        attempts,
+    };
+    "latency_stats" => LatencyStats { samples, p50_seconds, p99_seconds, max_seconds };
+    "job_result" => JobResult { index, scenario, scenario_name, label, outcome };
+    "service_report" => ServiceReport { jobs, stats };
 }
 
 impl Wire for ServiceConfig {
@@ -434,245 +300,17 @@ impl Wire for ServiceConfig {
     fn from_wire(value: &JsonValue) -> Result<Self> {
         const T: &str = "service_config";
         let config = ServiceConfig {
-            workers: value.field_usize(T, "workers")?,
-            store: StoreKind::from_wire(value.field(T, "store")?)?,
-            backend: BackendKind::from_wire(value.field(T, "backend")?)?,
-            batch_same_shape: value.field_bool(T, "batch_same_shape")?,
-            faults: FaultPlan::from_wire(value.field(T, "faults")?)?,
-            retry: RetryPolicy::from_wire(value.field(T, "retry")?)?,
-            clock: ClockKind::from_wire(value.field(T, "clock")?)?,
-            deadline_effort: optional_f64(value, T, "deadline_effort")?,
+            workers: value.decode(T, "workers")?,
+            store: value.decode(T, "store")?,
+            backend: value.decode(T, "backend")?,
+            batch_same_shape: value.decode(T, "batch_same_shape")?,
+            faults: value.decode(T, "faults")?,
+            retry: value.decode(T, "retry")?,
+            clock: value.decode(T, "clock")?,
+            deadline_effort: value.decode(T, "deadline_effort")?,
         };
-        config.validate().map_err(|e| WireError::Invalid {
-            type_name: T,
-            message: e.to_string(),
-        })?;
+        config.validate().map_err(WireError::invalid(T))?;
         Ok(config)
-    }
-}
-
-impl Wire for JobMetrics {
-    const WIRE_TYPE: &'static str = "job_metrics";
-
-    fn to_wire(&self) -> JsonValue {
-        obj()
-            .field("schedule_length", self.schedule_length)
-            .field("session_count", self.session_count)
-            .field("simulation_effort", self.simulation_effort)
-            .field("characterization_effort", self.characterization_effort)
-            .field("discarded_sessions", self.discarded_sessions)
-            .field("max_temperature", self.max_temperature)
-            .field(
-                "effective_temperature_limit",
-                self.effective_temperature_limit,
-            )
-            .field("attempts", self.attempts)
-            .build()
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        const T: &str = "job_metrics";
-        Ok(JobMetrics {
-            schedule_length: value.field_f64(T, "schedule_length")?,
-            session_count: value.field_usize(T, "session_count")?,
-            simulation_effort: value.field_f64(T, "simulation_effort")?,
-            characterization_effort: value.field_f64(T, "characterization_effort")?,
-            discarded_sessions: value.field_usize(T, "discarded_sessions")?,
-            max_temperature: value.field_f64(T, "max_temperature")?,
-            effective_temperature_limit: value.field_f64(T, "effective_temperature_limit")?,
-            attempts: value.field_u32(T, "attempts")?,
-        })
-    }
-}
-
-impl Wire for LatencyStats {
-    const WIRE_TYPE: &'static str = "latency_stats";
-
-    fn to_wire(&self) -> JsonValue {
-        obj()
-            .field("samples", self.samples)
-            .field("p50_seconds", self.p50_seconds)
-            .field("p99_seconds", self.p99_seconds)
-            .field("max_seconds", self.max_seconds)
-            .build()
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        const T: &str = "latency_stats";
-        Ok(LatencyStats {
-            samples: value.field_usize(T, "samples")?,
-            p50_seconds: value.field_f64(T, "p50_seconds")?,
-            p99_seconds: value.field_f64(T, "p99_seconds")?,
-            max_seconds: value.field_f64(T, "max_seconds")?,
-        })
-    }
-}
-
-impl Wire for Rejected {
-    const WIRE_TYPE: &'static str = "rejected";
-
-    fn to_wire(&self) -> JsonValue {
-        match self {
-            Rejected::QueueFull { capacity } => obj()
-                .field("kind", "queue_full")
-                .field("capacity", *capacity)
-                .build(),
-            Rejected::Draining => obj().field("kind", "draining").build(),
-            Rejected::UnknownScenario {
-                scenario,
-                scenario_count,
-            } => obj()
-                .field("kind", "unknown_scenario")
-                .field("scenario", *scenario)
-                .field("scenario_count", *scenario_count)
-                .build(),
-            Rejected::InvalidDeadline => obj().field("kind", "invalid_deadline").build(),
-        }
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        const T: &str = "rejected";
-        match value.field_str(T, "kind")? {
-            "queue_full" => Ok(Rejected::QueueFull {
-                capacity: value.field_usize(T, "capacity")?,
-            }),
-            "draining" => Ok(Rejected::Draining),
-            "unknown_scenario" => Ok(Rejected::UnknownScenario {
-                scenario: value.field_usize(T, "scenario")?,
-                scenario_count: value.field_usize(T, "scenario_count")?,
-            }),
-            "invalid_deadline" => Ok(Rejected::InvalidDeadline),
-            other => Err(WireError::UnknownVariant {
-                type_name: T,
-                variant: other.to_owned(),
-            }),
-        }
-    }
-}
-
-impl Wire for ShedCause {
-    const WIRE_TYPE: &'static str = "shed_cause";
-
-    fn to_wire(&self) -> JsonValue {
-        JsonValue::from(match self {
-            ShedCause::Displaced => "displaced",
-            ShedCause::Drained => "drained",
-        })
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        match value.as_str()? {
-            "displaced" => Ok(ShedCause::Displaced),
-            "drained" => Ok(ShedCause::Drained),
-            other => Err(WireError::UnknownVariant {
-                type_name: "shed_cause",
-                variant: other.to_owned(),
-            }),
-        }
-    }
-}
-
-impl Wire for JobOutcome {
-    const WIRE_TYPE: &'static str = "job_outcome";
-
-    fn to_wire(&self) -> JsonValue {
-        match self {
-            JobOutcome::Completed(metrics) => obj()
-                .field("kind", "completed")
-                .field("metrics", metrics.to_wire())
-                .build(),
-            JobOutcome::Failed {
-                error,
-                retryable,
-                attempts,
-            } => obj()
-                .field("kind", "failed")
-                .field("error", error.as_str())
-                .field("retryable", *retryable)
-                .field("attempts", *attempts)
-                .build(),
-            JobOutcome::Panicked { message, attempts } => obj()
-                .field("kind", "panicked")
-                .field("message", message.as_str())
-                .field("attempts", *attempts)
-                .build(),
-            JobOutcome::DeadlineExceeded {
-                spent_effort,
-                budget,
-                attempts,
-            } => obj()
-                .field("kind", "deadline_exceeded")
-                .field("spent_effort", *spent_effort)
-                .field("budget", *budget)
-                .field("attempts", *attempts)
-                .build(),
-            JobOutcome::Shed(cause) => obj()
-                .field("kind", "shed")
-                .field("cause", cause.to_wire())
-                .build(),
-            JobOutcome::Rejected(rejection) => obj()
-                .field("kind", "rejected")
-                .field("rejection", rejection.to_wire())
-                .build(),
-        }
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        const T: &str = "job_outcome";
-        match value.field_str(T, "kind")? {
-            "completed" => Ok(JobOutcome::Completed(JobMetrics::from_wire(
-                value.field(T, "metrics")?,
-            )?)),
-            "failed" => Ok(JobOutcome::Failed {
-                error: value.field_str(T, "error")?.to_owned(),
-                retryable: value.field_bool(T, "retryable")?,
-                attempts: value.field_u32(T, "attempts")?,
-            }),
-            "panicked" => Ok(JobOutcome::Panicked {
-                message: value.field_str(T, "message")?.to_owned(),
-                attempts: value.field_u32(T, "attempts")?,
-            }),
-            "deadline_exceeded" => Ok(JobOutcome::DeadlineExceeded {
-                spent_effort: value.field_f64(T, "spent_effort")?,
-                budget: value.field_f64(T, "budget")?,
-                attempts: value.field_u32(T, "attempts")?,
-            }),
-            "shed" => Ok(JobOutcome::Shed(ShedCause::from_wire(
-                value.field(T, "cause")?,
-            )?)),
-            "rejected" => Ok(JobOutcome::Rejected(Rejected::from_wire(
-                value.field(T, "rejection")?,
-            )?)),
-            other => Err(WireError::UnknownVariant {
-                type_name: T,
-                variant: other.to_owned(),
-            }),
-        }
-    }
-}
-
-impl Wire for JobResult {
-    const WIRE_TYPE: &'static str = "job_result";
-
-    fn to_wire(&self) -> JsonValue {
-        obj()
-            .field("index", self.index)
-            .field("scenario", self.scenario)
-            .field("scenario_name", self.scenario_name.as_str())
-            .field("label", self.label.as_str())
-            .field("outcome", self.outcome.to_wire())
-            .build()
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        const T: &str = "job_result";
-        Ok(JobResult {
-            index: value.field_usize(T, "index")?,
-            scenario: value.field_usize(T, "scenario")?,
-            scenario_name: value.field_str(T, "scenario_name")?.to_owned(),
-            label: value.field_str(T, "label")?.to_owned(),
-            outcome: JobOutcome::from_wire(value.field(T, "outcome")?)?,
-        })
     }
 }
 
@@ -713,53 +351,30 @@ impl Wire for ServiceStats {
     fn from_wire(value: &JsonValue) -> Result<Self> {
         const T: &str = "service_stats";
         Ok(ServiceStats {
-            workers: value.field_usize(T, "workers")?,
-            store_name: value.field_str(T, "store_name")?.to_owned(),
-            shard_count: value.field_usize(T, "shard_count")?,
-            backend_name: value.field_str(T, "backend_name")?.to_owned(),
-            operator_cache: OperatorCacheStats::from_wire(value.field(T, "operator_cache")?)?,
-            scenario_count: value.field_usize(T, "scenario_count")?,
-            job_count: value.field_usize(T, "job_count")?,
-            completed: value.field_usize(T, "completed")?,
-            failed: value.field_usize(T, "failed")?,
-            panicked: value.field_usize(T, "panicked")?,
-            deadline_exceeded: value.field_usize(T, "deadline_exceeded")?,
-            shed: value.field_usize(T, "shed")?,
-            rejected: value.field_usize(T, "rejected")?,
-            retried_attempts: value.field_usize(T, "retried_attempts")?,
-            injected_faults: value.field_usize(T, "injected_faults")?,
-            worker_crashes: value.field_usize(T, "worker_crashes")?,
-            latency: LatencyStats::from_wire(value.field(T, "latency")?)?,
-            wall_seconds: value.field_f64(T, "wall_seconds")?,
-            jobs_per_second: value.field_f64(T, "jobs_per_second")?,
-            cached_validations: value.field_usize(T, "cached_validations")?,
-            warm_cache_hits: value.field_usize(T, "warm_cache_hits")?,
-            prewarmed_sessions: value.field_usize(T, "prewarmed_sessions")?,
-            store: StoreStats::from_wire(value.field(T, "store")?)?,
+            workers: value.decode(T, "workers")?,
+            store_name: value.decode(T, "store_name")?,
+            shard_count: value.decode(T, "shard_count")?,
+            backend_name: value.decode(T, "backend_name")?,
+            operator_cache: value.decode(T, "operator_cache")?,
+            scenario_count: value.decode(T, "scenario_count")?,
+            job_count: value.decode(T, "job_count")?,
+            completed: value.decode(T, "completed")?,
+            failed: value.decode(T, "failed")?,
+            panicked: value.decode(T, "panicked")?,
+            deadline_exceeded: value.decode(T, "deadline_exceeded")?,
+            shed: value.decode(T, "shed")?,
+            rejected: value.decode(T, "rejected")?,
+            retried_attempts: value.decode(T, "retried_attempts")?,
+            injected_faults: value.decode(T, "injected_faults")?,
+            worker_crashes: value.decode(T, "worker_crashes")?,
+            latency: value.decode(T, "latency")?,
+            wall_seconds: value.decode(T, "wall_seconds")?,
+            jobs_per_second: value.decode(T, "jobs_per_second")?,
+            cached_validations: value.decode(T, "cached_validations")?,
+            warm_cache_hits: value.decode(T, "warm_cache_hits")?,
+            prewarmed_sessions: value.decode(T, "prewarmed_sessions")?,
+            store: value.decode(T, "store")?,
         })
-    }
-}
-
-impl Wire for ServiceReport {
-    const WIRE_TYPE: &'static str = "service_report";
-
-    fn to_wire(&self) -> JsonValue {
-        let jobs: Vec<JsonValue> = self.jobs().iter().map(Wire::to_wire).collect();
-        obj()
-            .field("jobs", jobs)
-            .field("stats", self.stats().to_wire())
-            .build()
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        const T: &str = "service_report";
-        let jobs = value
-            .field_array(T, "jobs")?
-            .iter()
-            .map(JobResult::from_wire)
-            .collect::<Result<Vec<_>>>()?;
-        let stats = ServiceStats::from_wire(value.field(T, "stats")?)?;
-        Ok(ServiceReport::new(jobs, stats))
     }
 }
 

@@ -6,8 +6,6 @@
 
 use thermsched_wire::{obj, JsonValue, Result, Wire, WireError};
 
-use thermsched_floorplan::Floorplan;
-
 use crate::{SystemUnderTest, TestSpec};
 
 impl Wire for TestSpec {
@@ -23,23 +21,19 @@ impl Wire for TestSpec {
     }
 
     fn from_wire(value: &JsonValue) -> Result<Self> {
-        let invalid = |e: crate::SocError| WireError::Invalid {
-            type_name: "test_spec",
-            message: e.to_string(),
-        };
-        let mut spec = TestSpec::new(
-            value.field_str("test_spec", "core_name")?,
-            value.field_f64("test_spec", "test_power")?,
-            value.field_f64("test_spec", "test_time")?,
+        const T: &str = "test_spec";
+        let spec = TestSpec::new(
+            value.field_str(T, "core_name")?,
+            value.decode(T, "test_power")?,
+            value.decode(T, "test_time")?,
         )
-        .map_err(invalid)?;
-        let functional = value.field("test_spec", "functional_power")?;
-        if !matches!(functional, JsonValue::Null) {
-            spec = spec
-                .with_functional_power(functional.as_f64()?)
-                .map_err(invalid)?;
+        .map_err(WireError::invalid(T))?;
+        match value.decode(T, "functional_power")? {
+            Some(power) => spec
+                .with_functional_power(power)
+                .map_err(WireError::invalid(T)),
+            None => Ok(spec),
         }
-        Ok(spec)
     }
 }
 
@@ -47,24 +41,20 @@ impl Wire for SystemUnderTest {
     const WIRE_TYPE: &'static str = "system_under_test";
 
     fn to_wire(&self) -> JsonValue {
-        let specs: Vec<JsonValue> = self.test_specs().iter().map(Wire::to_wire).collect();
+        let specs = self.test_specs().iter().map(Wire::to_wire).collect();
         obj()
             .field("floorplan", self.floorplan().to_wire())
-            .field("test_specs", specs)
+            .field("test_specs", JsonValue::Array(specs))
             .build()
     }
 
     fn from_wire(value: &JsonValue) -> Result<Self> {
-        let floorplan = Floorplan::from_wire(value.field("system_under_test", "floorplan")?)?;
-        let specs = value
-            .field_array("system_under_test", "test_specs")?
-            .iter()
-            .map(TestSpec::from_wire)
-            .collect::<Result<Vec<_>>>()?;
-        SystemUnderTest::new(floorplan, specs).map_err(|e| WireError::Invalid {
-            type_name: "system_under_test",
-            message: e.to_string(),
-        })
+        const T: &str = "system_under_test";
+        SystemUnderTest::new(
+            value.decode(T, "floorplan")?,
+            value.decode(T, "test_specs")?,
+        )
+        .map_err(WireError::invalid(T))
     }
 }
 

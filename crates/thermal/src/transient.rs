@@ -9,9 +9,6 @@ use crate::{PowerMap, PowerTrace, Result, Temperatures, ThermalError, ThermalNet
 
 /// Which transient solution path the solver uses for from-ambient
 /// constant-power simulations.
-///
-/// The opt-in-era `PrecomputedOperator` variant (behaviourally identical to
-/// [`TransientMethod::Auto`]) has been folded into `Auto` and removed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransientMethod {
     /// Pick the fastest path that is exact for each request: from-ambient

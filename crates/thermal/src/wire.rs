@@ -1,103 +1,49 @@
 //! [`Wire`] codecs for the thermal-model configuration types.
 
-use thermsched_wire::{obj, JsonValue, Result, Wire, WireError};
+use thermsched_wire::{obj, wire_struct, JsonValue, Result, Wire, WireError};
 
 use crate::{Material, PackageConfig, PowerMap, PowerTrace};
 
-fn invalid(e: crate::ThermalError, type_name: &'static str) -> WireError {
-    WireError::Invalid {
-        type_name,
-        message: e.to_string(),
-    }
-}
-
-impl Wire for Material {
-    const WIRE_TYPE: &'static str = "material";
-
-    fn to_wire(&self) -> JsonValue {
-        obj()
-            .field("conductivity", self.conductivity)
-            .field("volumetric_heat_capacity", self.volumetric_heat_capacity)
-            .build()
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        Material::new(
-            value.field_f64("material", "conductivity")?,
-            value.field_f64("material", "volumetric_heat_capacity")?,
-        )
-        .map_err(|e| invalid(e, "material"))
-    }
-}
-
-impl Wire for PackageConfig {
-    const WIRE_TYPE: &'static str = "package_config";
-
-    fn to_wire(&self) -> JsonValue {
-        obj()
-            .field("die_material", self.die_material.to_wire())
-            .field("die_thickness", self.die_thickness)
-            .field("interface_material", self.interface_material.to_wire())
-            .field("interface_thickness", self.interface_thickness)
-            .field("spreader_material", self.spreader_material.to_wire())
-            .field("spreader_thickness", self.spreader_thickness)
-            .field("spreader_side", self.spreader_side)
-            .field("sink_thickness", self.sink_thickness)
-            .field("sink_side", self.sink_side)
-            .field("sink_material", self.sink_material.to_wire())
-            .field("convection_resistance", self.convection_resistance)
-            .field("edge_resistance_per_meter", self.edge_resistance_per_meter)
-            .field("ambient", self.ambient)
-            .build()
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        const T: &str = "package_config";
-        let config = PackageConfig {
-            die_material: Material::from_wire(value.field(T, "die_material")?)?,
-            die_thickness: value.field_f64(T, "die_thickness")?,
-            interface_material: Material::from_wire(value.field(T, "interface_material")?)?,
-            interface_thickness: value.field_f64(T, "interface_thickness")?,
-            spreader_material: Material::from_wire(value.field(T, "spreader_material")?)?,
-            spreader_thickness: value.field_f64(T, "spreader_thickness")?,
-            spreader_side: value.field_f64(T, "spreader_side")?,
-            sink_thickness: value.field_f64(T, "sink_thickness")?,
-            sink_side: value.field_f64(T, "sink_side")?,
-            sink_material: Material::from_wire(value.field(T, "sink_material")?)?,
-            convection_resistance: value.field_f64(T, "convection_resistance")?,
-            edge_resistance_per_meter: value.field_f64(T, "edge_resistance_per_meter")?,
-            ambient: value.field_f64(T, "ambient")?,
-        };
-        config.validate().map_err(|e| invalid(e, T))?;
-        Ok(config)
-    }
+wire_struct! {
+    "material" => Material { conductivity, volumetric_heat_capacity }
+        validate |m: &Material| Material::new(m.conductivity, m.volumetric_heat_capacity);
+    "package_config" => PackageConfig {
+        die_material,
+        die_thickness,
+        interface_material,
+        interface_thickness,
+        spreader_material,
+        spreader_thickness,
+        spreader_side,
+        sink_thickness,
+        sink_side,
+        sink_material,
+        convection_resistance,
+        edge_resistance_per_meter,
+        ambient,
+    } validate PackageConfig::validate;
 }
 
 impl Wire for PowerMap {
     const WIRE_TYPE: &'static str = "power_map";
 
     fn to_wire(&self) -> JsonValue {
-        let powers: Vec<JsonValue> = (0..self.block_count())
-            .map(|id| JsonValue::from(self.power(id)))
-            .collect();
-        obj().field("powers", powers).build()
+        let powers = self.as_slice().iter().map(Wire::to_wire).collect();
+        obj().field("powers", JsonValue::Array(powers)).build()
     }
 
     fn from_wire(value: &JsonValue) -> Result<Self> {
-        let powers = value
-            .field_array("power_map", "powers")?
-            .iter()
-            .map(JsonValue::as_f64)
-            .collect::<Result<Vec<_>>>()?;
-        PowerMap::from_vec(powers).map_err(|e| invalid(e, "power_map"))
+        PowerMap::from_vec(value.decode(Self::WIRE_TYPE, "powers")?)
+            .map_err(WireError::invalid(Self::WIRE_TYPE))
     }
 }
 
+/// Each phase is a `{"power", "duration"}` object.
 impl Wire for PowerTrace {
     const WIRE_TYPE: &'static str = "power_trace";
 
     fn to_wire(&self) -> JsonValue {
-        let phases: Vec<JsonValue> = self
+        let phases = self
             .phases()
             .iter()
             .map(|(power, duration)| {
@@ -107,22 +53,18 @@ impl Wire for PowerTrace {
                     .build()
             })
             .collect();
-        obj().field("phases", phases).build()
+        obj().field("phases", JsonValue::Array(phases)).build()
     }
 
     fn from_wire(value: &JsonValue) -> Result<Self> {
         const T: &str = "power_trace";
         let phases = value
-            .field_array(T, "phases")?
+            .field(T, "phases")?
+            .as_array()?
             .iter()
-            .map(|phase| {
-                Ok((
-                    PowerMap::from_wire(phase.field(T, "power")?)?,
-                    phase.field_f64(T, "duration")?,
-                ))
-            })
+            .map(|phase| Ok((phase.decode(T, "power")?, phase.decode(T, "duration")?)))
             .collect::<Result<Vec<_>>>()?;
-        PowerTrace::new(phases).map_err(|e| invalid(e, T))
+        PowerTrace::new(phases).map_err(WireError::invalid(T))
     }
 }
 

@@ -166,6 +166,17 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl WireError {
+    /// Maps a domain error onto [`WireError::Invalid`] for `type_name`: how
+    /// `validate` hooks and validating constructors report a rejected value.
+    pub fn invalid<E: fmt::Display>(type_name: &'static str) -> impl Fn(E) -> WireError {
+        move |e| WireError::Invalid {
+            type_name,
+            message: e.to_string(),
+        }
+    }
+}
+
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {
         WireError::Io {

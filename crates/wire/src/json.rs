@@ -18,7 +18,7 @@
 
 use std::fmt::Write as _;
 
-use crate::{Result, WireError, MAX_NESTING_DEPTH};
+use crate::{Result, Wire, WireError, MAX_NESTING_DEPTH};
 
 /// A JSON number, kept exact.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -311,51 +311,6 @@ impl JsonValue {
         })
     }
 
-    /// A required `f64` field.
-    ///
-    /// # Errors
-    ///
-    /// As [`JsonValue::field`] plus [`WireError::WrongType`].
-    pub fn field_f64(&self, type_name: &'static str, name: &'static str) -> Result<f64> {
-        self.field(type_name, name)?.as_f64()
-    }
-
-    /// A required `u64` field.
-    ///
-    /// # Errors
-    ///
-    /// As [`JsonValue::field`] plus [`WireError::WrongType`].
-    pub fn field_u64(&self, type_name: &'static str, name: &'static str) -> Result<u64> {
-        self.field(type_name, name)?.as_u64()
-    }
-
-    /// A required `usize` field.
-    ///
-    /// # Errors
-    ///
-    /// As [`JsonValue::field`] plus [`WireError::WrongType`].
-    pub fn field_usize(&self, type_name: &'static str, name: &'static str) -> Result<usize> {
-        self.field(type_name, name)?.as_usize()
-    }
-
-    /// A required `u32` field.
-    ///
-    /// # Errors
-    ///
-    /// As [`JsonValue::field`] plus [`WireError::WrongType`].
-    pub fn field_u32(&self, type_name: &'static str, name: &'static str) -> Result<u32> {
-        self.field(type_name, name)?.as_u32()
-    }
-
-    /// A required bool field.
-    ///
-    /// # Errors
-    ///
-    /// As [`JsonValue::field`] plus [`WireError::WrongType`].
-    pub fn field_bool(&self, type_name: &'static str, name: &'static str) -> Result<bool> {
-        self.field(type_name, name)?.as_bool()
-    }
-
     /// A required string field.
     ///
     /// # Errors
@@ -365,13 +320,14 @@ impl JsonValue {
         self.field(type_name, name)?.as_str()
     }
 
-    /// A required array field.
+    /// A required field decoded as `T` — how declared and hand-written
+    /// codecs read their fields.
     ///
     /// # Errors
     ///
-    /// As [`JsonValue::field`] plus [`WireError::WrongType`].
-    pub fn field_array(&self, type_name: &'static str, name: &'static str) -> Result<&[JsonValue]> {
-        self.field(type_name, name)?.as_array()
+    /// As [`JsonValue::field`], plus whatever `T::from_wire` reports.
+    pub fn decode<T: Wire>(&self, type_name: &'static str, name: &'static str) -> Result<T> {
+        T::from_wire(self.field(type_name, name)?)
     }
 
     /// Parses strict JSON text into a value. The whole input must be one
@@ -1035,12 +991,12 @@ mod tests {
     #[test]
     fn accessors_enforce_types() {
         let value = obj().field("n", 1.5).field("u", 7u64).build();
-        assert!(value.field_f64("t", "n").is_ok());
+        assert!(value.decode::<f64>("t", "n").is_ok());
         // Integer tokens are accepted as f64 (hand-written JSON)...
-        assert_eq!(value.field_f64("t", "u").unwrap(), 7.0);
+        assert_eq!(value.decode::<f64>("t", "u").unwrap(), 7.0);
         // ...but floats never pass as integers.
         assert!(matches!(
-            value.field_u64("t", "n"),
+            value.decode::<u64>("t", "n"),
             Err(WireError::WrongType { .. })
         ));
         assert!(matches!(

@@ -13,6 +13,17 @@
 //! dependencies), which is what lets `floorplan`, `soc`, `thermal`, `core`
 //! and `service` all depend on it without cycles.
 //!
+//! Each type states its wire shape once. A struct that crosses the wire as
+//! an object of its fields is declared with [`wire_struct!`] (plus an
+//! optional `validate` hook), a fieldless enum with [`wire_unit_enum!`], and
+//! a `{"kind": ...}`-tagged enum with [`wire_tagged_enum!`]. The leaf and
+//! container impls give every field its codec: `f64`, `u64`, `u32`, `usize`,
+//! `bool`, `String`, `Vec<T>`, `BTreeSet<T>`, and `Option<T>` as a required
+//! field that is `null` for `None`. Types whose wire form is more than their
+//! fields (validating constructors, fields omitted when absent, legacy
+//! constant fields) keep a hand-written impl that reads each field through
+//! [`JsonValue::decode`].
+//!
 //! Finite `f64` values round-trip bit-exactly through *both* encodings:
 //! the JSON writer prints shortest-round-trip decimals (see [`json`]) and
 //! the binary encoding ships raw bit patterns. NaN and infinities are
@@ -22,6 +33,7 @@
 #![warn(missing_docs)]
 
 mod binary;
+mod declare;
 mod error;
 pub mod json;
 
@@ -135,7 +147,7 @@ pub fn from_document<T: Wire>(document: &JsonValue) -> Result<T> {
             variant: format.to_owned(),
         });
     }
-    let version = document.field_u64("document", "version")?;
+    let version: u64 = document.decode("document", "version")?;
     if version != FORMAT_VERSION {
         return Err(WireError::UnsupportedVersion {
             found: version,
@@ -179,22 +191,8 @@ mod tests {
         gain: f64,
     }
 
-    impl Wire for Sample {
-        const WIRE_TYPE: &'static str = "sample";
-
-        fn to_wire(&self) -> JsonValue {
-            obj()
-                .field("name", self.name.as_str())
-                .field("gain", self.gain)
-                .build()
-        }
-
-        fn from_wire(value: &JsonValue) -> Result<Self> {
-            Ok(Sample {
-                name: value.field_str("sample", "name")?.to_owned(),
-                gain: value.field_f64("sample", "gain")?,
-            })
-        }
+    wire_struct! {
+        "sample" => Sample { name, gain };
     }
 
     #[test]

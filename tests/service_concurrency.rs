@@ -83,7 +83,10 @@ fn scattered_sibling_jobs_give_the_same_results_at_every_worker_count() {
     .build()
     .expect("spec is valid");
     let wire = scenario_major.to_wire();
-    let jobs = wire.field_array("corpus", "jobs").expect("jobs array");
+    let jobs = wire
+        .field("corpus", "jobs")
+        .and_then(|jobs| jobs.as_array())
+        .expect("jobs array");
     let scenarios = scenario_major.scenarios().len();
     let sweep = stc_limits.len();
     let order: Vec<usize> = (0..sweep)

@@ -15,13 +15,15 @@
 use proptest::prelude::*;
 
 use thermsched::{
-    CoreOrdering, CoreViolationPolicy, OperatorCacheStats, SchedulerConfig, StoreStats,
-    TestSchedule, TestSession,
+    CoreOrdering, CoreViolationPolicy, OperatorCacheStats, SchedulerConfig, SessionModelOptions,
+    StoreStats, TestSchedule, TestSession, TraceSegment,
 };
-use thermsched_floorplan::{Block, Floorplan};
+use thermsched_floorplan::{Block, Floorplan, Rect};
+use thermsched_obs::{Attr, AttrValue, HistogramSnapshot, ObsClock, SpanRecord};
 use thermsched_service::{
     BackendKind, ClockKind, FaultPlan, JobMetrics, JobOutcome, JobResult, LatencyStats, Rejected,
-    RetryPolicy, ScenarioSpec, ServiceConfig, ServiceRunner, ShedCause, StoreKind,
+    RetryPolicy, ScenarioSpec, ServiceConfig, ServiceReport, ServiceRunner, ServiceStats,
+    ShedCause, StoreKind,
 };
 use thermsched_soc::{library as soc_library, GeneratorConfig, SocGenerator, SystemUnderTest};
 use thermsched_thermal::{Material, PackageConfig, PowerMap};
@@ -158,10 +160,10 @@ proptest! {
         if f.is_finite() {
             let text = value.render_pretty().unwrap();
             let parsed = JsonValue::parse(&text).unwrap();
-            prop_assert_eq!(parsed.field_f64("t", "x").unwrap().to_bits(), bits);
+            prop_assert_eq!(parsed.decode::<f64>("t", "x").unwrap().to_bits(), bits);
             let binary = encode_value(&value).unwrap();
             let decoded = decode_value(&binary).unwrap();
-            prop_assert_eq!(decoded.field_f64("t", "x").unwrap().to_bits(), bits);
+            prop_assert_eq!(decoded.decode::<f64>("t", "x").unwrap().to_bits(), bits);
         } else {
             prop_assert!(matches!(value.render_pretty(), Err(WireError::NonFinite { .. })));
             prop_assert!(matches!(encode_value(&value), Err(WireError::NonFinite { .. })));
@@ -554,4 +556,214 @@ fn empty_structures_have_defined_wire_behaviour() {
         TestSchedule::from_json(&empty_schedule.to_json().unwrap()).unwrap(),
         empty_schedule
     );
+}
+
+/// A value of another JSON type than `value`, which no decoder of that
+/// slot accepts (scalars become strings or booleans, containers strings).
+fn wrong_typed(value: &JsonValue) -> JsonValue {
+    match value {
+        JsonValue::String(_) | JsonValue::Array(_) => JsonValue::Bool(true),
+        _ => JsonValue::from("wrong"),
+    }
+}
+
+/// Every field of an object-shaped type is required and typed: dropping
+/// one reports `MissingField` with the type's tag and the field's name,
+/// and a wrong-typed value reports `WrongType`. `untyped` names fields
+/// that accept any scalar, which skip the wrong-type probe.
+fn check_fields<T: Wire>(value: &T, untyped: &[&str]) {
+    let JsonValue::Object(entries) = value.to_wire() else {
+        panic!("{} encodes as an object", T::WIRE_TYPE);
+    };
+    for (i, (name, field)) in entries.iter().enumerate() {
+        let mut without = entries.clone();
+        without.remove(i);
+        match T::from_wire(&JsonValue::Object(without)).err() {
+            Some(WireError::MissingField {
+                type_name,
+                field: missing,
+            }) => assert_eq!((type_name, missing), (T::WIRE_TYPE, name.as_str())),
+            other => panic!("{}: dropping `{name}` gave {other:?}", T::WIRE_TYPE),
+        }
+        if untyped.contains(&name.as_str()) {
+            continue;
+        }
+        let mut wrong = entries.clone();
+        wrong[i].1 = wrong_typed(field);
+        let error = T::from_wire(&JsonValue::Object(wrong)).err();
+        assert!(
+            matches!(error, Some(WireError::WrongType { .. })),
+            "{}: a wrong-typed `{name}` gave {error:?}",
+            T::WIRE_TYPE
+        );
+    }
+}
+
+/// An enum label no variant carries reports `UnknownVariant` with the
+/// enum's tag — as the whole value of a string enum, or as the `kind` of a
+/// tagged one.
+fn check_unknown_label<T: Wire>(value: &T) {
+    let unknown = match value.to_wire() {
+        JsonValue::String(_) => JsonValue::from("no_such_variant"),
+        JsonValue::Object(mut entries) => {
+            for (key, slot) in entries.iter_mut() {
+                if key == "kind" {
+                    *slot = JsonValue::from("no_such_variant");
+                }
+            }
+            JsonValue::Object(entries)
+        }
+        other => panic!("{}: unexpected enum encoding {other:?}", T::WIRE_TYPE),
+    };
+    let error = T::from_wire(&unknown).err();
+    assert!(
+        matches!(error, Some(WireError::UnknownVariant { type_name, .. }) if type_name == T::WIRE_TYPE),
+        "{}: an unknown label gave {error:?}",
+        T::WIRE_TYPE
+    );
+}
+
+/// The error surface of every type whose wire form is declared as a list
+/// of fields or labels: missing and wrong-typed fields, unknown labels.
+#[test]
+fn declared_types_report_missing_fields_wrong_types_and_unknown_labels() {
+    let sut = soc_library::alpha21364_sut();
+    let session = TestSession::new(0..3, &sut);
+    check_fields(&SessionModelOptions::default(), &[]);
+    check_fields(&SchedulerConfig::new(165.0, 50.0).unwrap(), &[]);
+    check_fields(&session, &[]);
+    check_fields(&std::iter::once(session).collect::<TestSchedule>(), &[]);
+    check_fields(&TraceSegment::new(0.5, 1.0), &[]);
+    check_fields(
+        &StoreStats {
+            lookups: 4,
+            hits: 3,
+            insertions: 1,
+            contended_locks: 0,
+        },
+        &[],
+    );
+    check_fields(&OperatorCacheStats { hits: 2, misses: 1 }, &[]);
+    check_fields(&Rect::new(0.0, 0.0, 1e-3, 2e-3), &[]);
+    check_fields(&Block::from_mm("core", 1.0, 2.0, 0.0, 0.0), &[]);
+    check_fields(&PackageConfig::default(), &[]);
+    let attr = Attr {
+        key: "index".to_owned(),
+        value: AttrValue::Unsigned(7),
+        structural: true,
+    };
+    check_fields(&attr, &["value"]);
+    check_fields(
+        &SpanRecord {
+            name: "job".to_owned(),
+            job: Some(7),
+            seq: 0,
+            parent: None,
+            start_seconds: 0.5,
+            duration_seconds: 0.25,
+            attrs: vec![attr],
+        },
+        &[],
+    );
+    check_fields(
+        &HistogramSnapshot {
+            name: "job.latency_seconds".to_owned(),
+            bounds: vec![0.1, 1.0],
+            counts: vec![0, 1, 0],
+            sum: 0.4,
+            count: 1,
+        },
+        &[],
+    );
+    check_fields(&FaultPlan::none(), &[]);
+    check_fields(&RetryPolicy::retries(3), &[]);
+    let metrics = JobMetrics {
+        schedule_length: 6.25,
+        session_count: 4,
+        simulation_effort: 9.0,
+        characterization_effort: 12.0,
+        discarded_sessions: 1,
+        max_temperature: 151.125,
+        effective_temperature_limit: 165.0,
+        attempts: 1,
+    };
+    check_fields(&metrics, &[]);
+    check_fields(
+        &LatencyStats {
+            samples: 3,
+            p50_seconds: 0.5,
+            p99_seconds: 0.75,
+            max_seconds: 1.0,
+        },
+        &[],
+    );
+    let result = JobResult {
+        index: 0,
+        scenario: 0,
+        scenario_name: "s0".to_owned(),
+        label: "tl165".to_owned(),
+        outcome: JobOutcome::Completed(metrics.clone()),
+    };
+    check_fields(&result, &[]);
+    let report = ServiceReport::from_wire(
+        &obj()
+            .field("jobs", vec![result.to_wire()])
+            .field("stats", ServiceStats::default().to_wire())
+            .build(),
+    )
+    .unwrap();
+    check_fields(&report, &[]);
+
+    for policy in [
+        CoreViolationPolicy::Fail,
+        CoreViolationPolicy::RaiseLimit { margin: 5.0 },
+    ] {
+        check_fields(&policy, &[]);
+        check_unknown_label(&policy);
+    }
+    for sel in 0..3 {
+        let backend = backend_kind(sel, 4, 1e-3);
+        check_fields(&backend, &[]);
+        check_unknown_label(&backend);
+    }
+    for rejected in [
+        Rejected::QueueFull { capacity: 4 },
+        Rejected::Draining,
+        Rejected::UnknownScenario {
+            scenario: 9,
+            scenario_count: 2,
+        },
+        Rejected::InvalidDeadline,
+    ] {
+        check_fields(&rejected, &[]);
+        check_unknown_label(&rejected);
+    }
+    for outcome in [
+        JobOutcome::Completed(metrics),
+        JobOutcome::Failed {
+            error: "budget".to_owned(),
+            retryable: true,
+            attempts: 1,
+        },
+        JobOutcome::Panicked {
+            message: "boom".to_owned(),
+            attempts: 2,
+        },
+        JobOutcome::DeadlineExceeded {
+            spent_effort: 3.5,
+            budget: 2.0,
+            attempts: 1,
+        },
+        JobOutcome::Shed(ShedCause::Drained),
+        JobOutcome::Rejected(Rejected::Draining),
+    ] {
+        check_fields(&outcome, &[]);
+        check_unknown_label(&outcome);
+    }
+    for ordering in ORDERINGS {
+        check_unknown_label(&ordering);
+    }
+    check_unknown_label(&ClockKind::Virtual);
+    check_unknown_label(&ShedCause::Displaced);
+    check_unknown_label(&ObsClock::Virtual);
 }
