@@ -174,10 +174,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Generates a schedule under an [`OnlineContext`] (power-trace shape
-    /// and/or warm start) with the engine's base configuration. Online
-    /// results live under their own cache keys
-    /// ([`crate::SessionCache::online_key`]), so they never alias — and are
-    /// never served from — the constant-power entries offline runs share.
+    /// and/or warm start) with the engine's base configuration. An online
+    /// run reuses its own validations only: it neither reads nor writes the
+    /// engine's cache, which holds the constant-power results offline runs
+    /// share.
     ///
     /// # Errors
     ///

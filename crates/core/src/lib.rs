@@ -74,12 +74,11 @@
 //! For many scheduling runs over many systems, the `thermsched_service`
 //! crate layers a batch service on top of the engine: a seeded scenario
 //! corpus generator, one job executor with per-worker engine reuse, and
-//! shared session stores: an N-way [`ShardedSessionCache`] per scenario,
-//! held through [`SessionCacheHandle::sharded`] (one shard by default).
-//! Every public type here implements the `thermsched_wire` crate's `Wire`
-//! trait, which is how the service crate's `MultiprocCoordinator` ships
-//! work to worker processes, with per-job results byte-identical at any
-//! process count.
+//! one session store per scenario, held through a [`SessionCacheHandle`]
+//! that all of the scenario's constant-power jobs share. Every public type
+//! here implements the `thermsched_wire` crate's `Wire` trait, which is how
+//! the service crate's `MultiprocCoordinator` ships work to worker
+//! processes, with per-job results byte-identical at any process count.
 //!
 //! # Observability
 //!
@@ -100,10 +99,10 @@
 //! [`Engine::schedule_online`], [`Engine::schedule_online_with`] or
 //! [`Engine::schedule_online_with_checkpoint`]; [`SchedulerConfig`] stays
 //! `Copy`. An empty context is normalised away, so
-//! `schedule_online(&OnlineContext::new())` equals `schedule()`. Online
-//! results are cached under [`SessionCache::online_key`] (sorted cores, a
-//! sentinel and the context hash), so traced or warm-started entries never
-//! alias the constant-power entries offline runs share.
+//! `schedule_online(&OnlineContext::new())` equals `schedule()`. An online
+//! run reuses its own validations but leaves the engine's shared store
+//! alone: its results depend on the context, and the store only holds the
+//! constant-power, from-ambient results offline runs share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -120,7 +119,6 @@ mod parallel;
 pub mod report;
 mod schedule;
 mod scheduler;
-mod session_cache;
 mod session_model;
 mod session_store;
 mod sweep;
@@ -139,9 +137,8 @@ pub use operator_cache::{OperatorCacheHandle, OperatorCacheStats, OperatorKey};
 pub use parallel::NestedParallelismGuard;
 pub use schedule::{TestSchedule, TestSession};
 pub use scheduler::{ScheduleOutcome, SessionRecord, ThermalAwareScheduler};
-pub use session_cache::SessionCache;
 pub use session_model::{SessionModelOptions, SessionThermalModel, DEFAULT_STC_SCALE};
-pub use session_store::{SessionCacheHandle, ShardedSessionCache, StoreStats};
+pub use session_store::{SessionCacheHandle, StoreStats};
 pub use sweep::{SweepReport, SweepRunner, SweepSpec, SweepVariant};
 pub use validator::{ScheduleEvaluation, ScheduleValidator, SessionEvaluation};
 pub use weights::CoreWeights;

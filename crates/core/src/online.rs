@@ -13,32 +13,12 @@
 //!   candidate core set (the scheduler materialises it against each
 //!   candidate's [`PowerMap`] via [`TraceProfile::materialise`]);
 //! * [`OnlineContext`] — an optional profile plus an optional warm-start
-//!   temperature vector, with a deterministic [`OnlineContext::context_hash`]
-//!   that keeps traced/warm-started cache entries from ever aliasing
-//!   constant-power ones (see [`crate::SessionCache::online_key`]).
+//!   temperature vector. A run under a non-empty context keeps its results
+//!   to itself: shared session stores hold constant-power results only.
 
 use thermsched_thermal::{PowerMap, PowerTrace, Temperatures};
 
 use crate::{Result, ScheduleError};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over raw bytes. Hand-rolled because cache identities must be
-/// stable across processes; `std`'s `DefaultHasher` is randomly seeded per
-/// process, which would break the multi-process coordinator's byte-identity
-/// guarantee.
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-fn fnv1a_u64(hash: u64, value: u64) -> u64 {
-    fnv1a(hash, &value.to_le_bytes())
-}
 
 /// One segment of a [`TraceProfile`]: the session power is scaled by
 /// `scale` for `fraction` of the session duration.
@@ -159,17 +139,6 @@ impl TraceProfile {
             .collect::<Result<Vec<_>>>()?;
         Ok(PowerTrace::new(phases)?)
     }
-
-    /// Folds this profile into an FNV-1a hash state (exact bit patterns, so
-    /// two profiles hash equal iff they materialise identical traces).
-    fn fold_hash(&self, mut hash: u64) -> u64 {
-        hash = fnv1a_u64(hash, self.segments.len() as u64);
-        for segment in &self.segments {
-            hash = fnv1a_u64(hash, segment.scale.to_bits());
-            hash = fnv1a_u64(hash, segment.fraction.to_bits());
-        }
-        hash
-    }
 }
 
 /// Everything an online (re-)scheduling run carries beyond its
@@ -237,31 +206,6 @@ impl OnlineContext {
     /// `true` when the context adds nothing over an offline run.
     pub fn is_empty(&self) -> bool {
         self.trace.is_none() && self.warm_start.is_none()
-    }
-
-    /// Deterministic identity of this context for cache keying: `0` for the
-    /// empty context, otherwise an FNV-1a hash over the exact bit patterns
-    /// of every segment and warm-start temperature. Stable across processes
-    /// (no randomly seeded hasher), so the multi-process coordinator's
-    /// byte-identity guarantee extends to online runs.
-    pub fn context_hash(&self) -> u64 {
-        if self.is_empty() {
-            return 0;
-        }
-        let mut hash = FNV_OFFSET;
-        if let Some(trace) = &self.trace {
-            hash = fnv1a(hash, b"trace");
-            hash = trace.fold_hash(hash);
-        }
-        if let Some(warm) = &self.warm_start {
-            hash = fnv1a(hash, b"warm");
-            hash = fnv1a_u64(hash, warm.len() as u64);
-            for &t in warm {
-                hash = fnv1a_u64(hash, t.to_bits());
-            }
-        }
-        // `0` is reserved for the empty context.
-        hash.max(1)
     }
 
     /// Materialises the trace a candidate session must be validated
@@ -345,45 +289,6 @@ mod tests {
         assert_eq!(trace.phases()[1].0.power(0), 4.0);
         assert_eq!(trace.phases()[1].1, 1.5);
         assert!((trace.total_duration() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_context_hashes_to_zero_and_nonempty_discriminates() {
-        assert_eq!(OnlineContext::new().context_hash(), 0);
-        assert!(OnlineContext::new().is_empty());
-
-        let traced = OnlineContext::new().with_trace(
-            TraceProfile::new(vec![
-                TraceSegment::new(1.0, 0.5),
-                TraceSegment::new(0.0, 0.5),
-            ])
-            .unwrap(),
-        );
-        let warmed = OnlineContext::new()
-            .with_warm_start(vec![80.0, 90.0])
-            .unwrap();
-        let both = traced.clone().with_warm_start(vec![80.0, 90.0]).unwrap();
-        assert!(!traced.is_empty());
-        let hashes = [
-            traced.context_hash(),
-            warmed.context_hash(),
-            both.context_hash(),
-        ];
-        assert!(hashes.iter().all(|&h| h != 0));
-        assert_ne!(hashes[0], hashes[1]);
-        assert_ne!(hashes[0], hashes[2]);
-        assert_ne!(hashes[1], hashes[2]);
-        // Deterministic: same inputs, same hash, every time.
-        assert_eq!(both.context_hash(), both.clone().context_hash());
-        // Numerically-equal-but-bitwise-distinct inputs hash apart: the
-        // hash is an identity over exact bit patterns.
-        let negzero = OnlineContext::new()
-            .with_warm_start(vec![-0.0, 90.0])
-            .unwrap();
-        let poszero = OnlineContext::new()
-            .with_warm_start(vec![0.0, 90.0])
-            .unwrap();
-        assert_ne!(negzero.context_hash(), poszero.context_hash());
     }
 
     #[test]

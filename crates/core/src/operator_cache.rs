@@ -11,9 +11,8 @@
 //! an earlier one and would rebuild an identical operator from scratch.
 //! [`OperatorCacheHandle`] closes that gap with the same pattern as
 //! [`crate::SessionCacheHandle`]: a cloneable handle to a shared map, here
-//! from [`OperatorKey`] (backend kind + grid shape + a free-form
-//! discriminator) to `Arc<dyn ThermalBackend>`, with hit/miss counters and
-//! poison recovery.
+//! from [`OperatorKey`] (backend kind + the exact construction inputs) to
+//! `Arc<dyn ThermalBackend>`, with hit/miss counters and poison recovery.
 //!
 //! Sharing an `Arc` of the backend (rather than cloning factorisations out)
 //! also keeps results byte-identical at any worker count: every job over a
@@ -26,59 +25,46 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use thermsched_thermal::ThermalBackend;
 
-/// Identity of a cached operator: everything the backend construction
-/// depends on must be captured here — the backend kind, the grid shape, and
-/// any further discriminating detail (core size, resolution, time step).
-/// Two keys comparing equal assert "an identical backend would be built".
+/// Identity of a cached operator: a backend-kind label plus every input
+/// the backend construction reads, as 64-bit words (floating-point inputs
+/// as their exact bit patterns). Two keys compare equal exactly when their
+/// labels and words do, which asserts "an identical backend would be
+/// built".
 ///
 /// # Example
 ///
 /// ```
 /// use thermsched::OperatorKey;
 ///
-/// let a = OperatorKey::new("grid-transient", 4, 3).with_detail("core=4mm res=12x9");
-/// let b = OperatorKey::new("grid-transient", 4, 3).with_detail("core=4mm res=12x9");
+/// let a = OperatorKey::new("rc-compact", [0.004f64.to_bits(), 0.008f64.to_bits()]);
+/// let b = OperatorKey::new("rc-compact", [0.004f64.to_bits(), 0.008f64.to_bits()]);
 /// assert_eq!(a, b);
-/// assert_ne!(a, OperatorKey::new("grid-transient", 3, 3));
+/// assert_ne!(a, OperatorKey::new("rc-compact", [0.004f64.to_bits()]));
+/// assert_eq!(OperatorKey::new("rc", [10, 255]).to_string(), "rc:a:ff");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OperatorKey {
     backend: String,
-    columns: usize,
-    rows: usize,
-    detail: String,
+    words: Vec<u64>,
 }
 
 impl OperatorKey {
-    /// Creates a key for a backend kind over a `columns × rows` grid shape.
-    pub fn new(backend: impl Into<String>, columns: usize, rows: usize) -> Self {
+    /// Creates a key for a backend kind from the words its construction
+    /// depends on.
+    pub fn new(backend: impl Into<String>, words: impl IntoIterator<Item = u64>) -> Self {
         OperatorKey {
             backend: backend.into(),
-            columns,
-            rows,
-            detail: String::new(),
+            words: words.into_iter().collect(),
         }
-    }
-
-    /// Attaches a further discriminator (core size, resolution, time step —
-    /// anything else the backend construction depends on).
-    #[must_use]
-    pub fn with_detail(mut self, detail: impl Into<String>) -> Self {
-        self.detail = detail.into();
-        self
-    }
-
-    /// The grid shape this key describes.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.columns, self.rows)
     }
 }
 
+/// The label, then every word in hex, `:`-separated.
 impl fmt::Display for OperatorKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}x{}", self.backend, self.columns, self.rows)?;
-        if !self.detail.is_empty() {
-            write!(f, ":{}", self.detail)?;
+        f.write_str(&self.backend)?;
+        for word in &self.words {
+            write!(f, ":{word:x}")?;
         }
         Ok(())
     }
@@ -141,7 +127,7 @@ fn lock_entries(
 ///
 /// # fn main() -> Result<(), thermsched::ScheduleError> {
 /// let cache = OperatorCacheHandle::new();
-/// let key = OperatorKey::new("rc-compact", 0, 0).with_detail("alpha21364");
+/// let key = OperatorKey::new("rc-compact", [21364]);
 /// let build = || -> Result<Arc<dyn ThermalBackend>, thermsched::ScheduleError> {
 ///     Ok(Arc::new(RcThermalSimulator::from_floorplan(&library::alpha21364())?))
 /// };
@@ -240,28 +226,29 @@ mod tests {
     }
 
     fn key(shape: (usize, usize)) -> OperatorKey {
-        OperatorKey::new("rc-compact", shape.0, shape.1).with_detail("test")
+        OperatorKey::new("rc-compact", [shape.0 as u64, shape.1 as u64])
     }
 
     #[test]
     fn keys_discriminate_on_every_field() {
-        let base = OperatorKey::new("grid-transient", 4, 3).with_detail("core=4");
+        let base = OperatorKey::new("grid-transient", [4, 3, 1.5f64.to_bits()]);
         assert_eq!(base, base.clone());
-        assert_eq!(base.shape(), (4, 3));
         assert_ne!(
             base,
-            OperatorKey::new("grid-steady", 4, 3).with_detail("core=4")
+            OperatorKey::new("grid-steady", [4, 3, 1.5f64.to_bits()])
         );
         assert_ne!(
             base,
-            OperatorKey::new("grid-transient", 3, 4).with_detail("core=4")
+            OperatorKey::new("grid-transient", [3, 4, 1.5f64.to_bits()])
         );
+        assert_ne!(base, OperatorKey::new("grid-transient", [4, 3]));
+        // Exact bits: values equal as numbers but not as bits stay apart.
         assert_ne!(
-            base,
-            OperatorKey::new("grid-transient", 4, 3).with_detail("core=2")
+            OperatorKey::new("rc", [0.0f64.to_bits()]),
+            OperatorKey::new("rc", [(-0.0f64).to_bits()])
         );
-        assert_eq!(base.to_string(), "grid-transient:4x3:core=4");
-        assert_eq!(OperatorKey::new("rc", 1, 1).to_string(), "rc:1x1");
+        assert_eq!(base.to_string(), "grid-transient:4:3:3ff8000000000000");
+        assert_eq!(OperatorKey::new("rc", []).to_string(), "rc");
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The thermal-aware test-schedule generator (Algorithm 1 of the paper).
 
+use std::collections::HashMap;
+
 use thermsched_obs::Tracer;
 use thermsched_soc::SystemUnderTest;
 use thermsched_thermal::{
@@ -9,9 +11,16 @@ use thermsched_thermal::{
 use crate::session_model::SessionFill;
 use crate::{
     CoreOrdering, CoreViolationPolicy, CoreWeights, OnlineContext, Result, ScheduleCheckpoint,
-    ScheduleError, ScheduleProgress, SchedulerConfig, SessionCache, SessionCacheHandle,
-    SessionThermalModel, TestSchedule, TestSession,
+    ScheduleError, ScheduleProgress, SchedulerConfig, SessionCacheHandle, SessionThermalModel,
+    TestSchedule, TestSession,
 };
+
+/// Cache key of a core set: its core ids in ascending order.
+fn session_key<I: IntoIterator<Item = usize>>(cores: I) -> Vec<usize> {
+    let mut key: Vec<usize> = cores.into_iter().collect();
+    key.sort_unstable();
+    key
+}
 
 /// Validates one candidate session: the classic constant-power simulation
 /// offline, or a trace simulation (materialised shape, optional warm start)
@@ -79,7 +88,7 @@ pub struct ScheduleOutcome {
     /// phase-1 characterisations plus phase-2 candidate validations first
     /// attempted by another sweep point. Always zero for
     /// [`ThermalAwareScheduler::schedule`], whose cache lives and dies with
-    /// the call.
+    /// the call, and for online runs, which never consult a shared store.
     pub warm_cache_hits: usize,
     /// Hottest temperature reached by any committed session (°C).
     pub max_temperature: f64,
@@ -260,10 +269,10 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
 
     /// Attaches an [`OnlineContext`]: every candidate validation then runs
     /// the context's materialised power trace (warm-started when the
-    /// context carries a temperature vector), and every cache key — per-run
-    /// and shared-store — switches to [`SessionCache::online_key`] so the
-    /// results can never alias offline constant-power entries. An empty
-    /// context is normalised away and behaves exactly like
+    /// context carries a temperature vector). Its results depend on the
+    /// context, so the run reuses them within itself only and leaves any
+    /// shared store untouched, which holds constant-power results alone. An
+    /// empty context is normalised away and behaves exactly like
     /// [`ThermalAwareScheduler::schedule`].
     ///
     /// # Errors
@@ -308,16 +317,6 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
 }
 
 impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
-    /// Cache key for a core set under this scheduler's validation context:
-    /// the plain sorted-cores key offline, the sentinel-extended
-    /// [`SessionCache::online_key`] when an online context is active.
-    fn cache_key<I: IntoIterator<Item = usize>>(&self, cores: I) -> Vec<usize> {
-        match &self.online {
-            None => SessionCache::key(cores),
-            Some(context) => SessionCache::online_key(cores, context.context_hash()),
-        }
-    }
-
     /// Phase 1 (lines 1–7): per-core characterisation, fanned out across the
     /// machine with scoped threads. Every single-core validation is
     /// independent, so the pass parallelises embarrassingly; results come
@@ -336,7 +335,7 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
         // round trips would dominate the engine's overhead on small systems.
         match shared {
             Some(shared) => {
-                let keys: Vec<Vec<usize>> = (0..n).map(|core| self.cache_key([core])).collect();
+                let keys: Vec<Vec<usize>> = (0..n).map(|core| vec![core]).collect();
                 let mut probe = self.tracer.span("store.probe");
                 probe.attr("keys", n);
                 for (core, slot) in shared.lookup_batch(&keys).into_iter().enumerate() {
@@ -378,7 +377,7 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
                     .iter()
                     .map(|&core| {
                         let result = results[core].as_ref().expect("miss was simulated");
-                        (self.cache_key([core]), result.clone())
+                        (vec![core], result.clone())
                     })
                     .collect(),
             );
@@ -418,7 +417,8 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
     /// The cache must only ever be shared between runs that use the same
     /// backend and system under test (cache keys are core sets); the
     /// [`crate::Engine`] facade enforces this by owning one handle per
-    /// backend.
+    /// backend. A run with an online context ignores `shared` (see
+    /// [`ThermalAwareScheduler::with_online`]).
     ///
     /// # Errors
     ///
@@ -466,11 +466,14 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
     ) -> Result<ScheduleOutcome> {
         let n = self.sut.core_count();
         let mut warm_cache_hits = 0usize;
+        // The shared store holds constant-power, from-ambient results only.
+        let shared = shared.filter(|_| self.online.is_none());
 
         // ---- Phase 1 (lines 1-7): per-core characterisation. ----
         let mut phase1_span = self.tracer.span("scheduler.phase1");
         phase1_span.attr("cores", n);
-        let mut cache = SessionCache::new();
+        // The per-run memo: every validation this run made, by core set.
+        let mut cache: HashMap<Vec<usize>, SessionThermalResult> = HashMap::new();
         let mut bcmt = vec![0.0; n];
         let mut characterization_effort = 0.0;
         for (core, result) in self
@@ -483,7 +486,7 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
             // Seed the session cache: phase 2 falls back to single-core
             // sessions when no pair fits under the STC limit, and those are
             // exactly the simulations this pass has already run.
-            cache.insert(self.cache_key([core]), result);
+            cache.insert(vec![core], result);
         }
         phase1_span.attr("characterization_effort", characterization_effort);
         drop(phase1_span);
@@ -526,8 +529,7 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
         // ever making progress. With the paper's factor of 1.1 the weights
         // change after every discard, so this guard never fires and the
         // algorithm behaves exactly as published.
-        let mut discarded_violators: std::collections::HashMap<Vec<usize>, usize> =
-            std::collections::HashMap::new();
+        let mut discarded_violators: HashMap<Vec<usize>, usize> = HashMap::new();
         // Fresh phase-2 simulations destined for the shared store. They are
         // published in ONE batched store operation after the loop instead of
         // one lock round trip per candidate, which is what a cold run would
@@ -597,7 +599,7 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
                 // because singletons never violate (their BCMT passed phase 1).
                 if self.config.weight_factor == 1.0 {
                     while active.len() > 1 {
-                        let key = self.cache_key(active.iter().copied());
+                        let key = session_key(active.iter().copied());
                         match discarded_violators.get(&key) {
                             Some(&violator) => active.retain(|&c| c != violator),
                             None => break,
@@ -612,8 +614,8 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
                 // accrues the full session duration of simulation effort, so
                 // the paper's cost metric is unaffected.
                 let session = TestSession::new(active.iter().copied(), self.sut);
-                let key = self.cache_key(session.cores());
-                if cache.contains(&key) {
+                let key = session_key(session.cores());
+                if cache.contains_key(&key) {
                     cached_validations += 1;
                 } else if let Some(result) = shared.and_then(|s| s.lookup(&key)) {
                     cached_validations += 1;
@@ -658,7 +660,7 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
                     // Lines 24-27: commit the session. A committed core set can
                     // never recur, so the result is taken out of the cache and
                     // its buffers move straight into the record — no clones.
-                    let result = cache.take(&key).expect("candidate was just validated");
+                    let result = cache.remove(&key).expect("candidate was just validated");
                     max_temperature = max_temperature.max(session_max);
                     available.retain(|c| !active.contains(c));
                     final_temperatures = Some(result.final_temperatures);
@@ -1002,11 +1004,12 @@ mod tests {
             .unwrap()
             .schedule_with_cache(&cache)
             .unwrap();
+        let offline_stats = cache.stats();
         let offline_entries = cache.len();
 
         // A constant trace shape is the same physics, so every result is
-        // bit-identical — but it is keyed as an online run, so it shares
-        // nothing with the offline entries.
+        // bit-identical — but it is an online run, so it neither reads nor
+        // writes the shared store.
         let online = OnlineContext::new().with_trace(TraceProfile::constant());
         let traced = ThermalAwareScheduler::new(&sut, &sim, config)
             .unwrap()
@@ -1019,20 +1022,20 @@ mod tests {
         assert_eq!(traced.final_temperatures, offline.final_temperatures);
         assert_eq!(
             traced.warm_cache_hits, 0,
-            "online keys must not alias the warm offline entries"
+            "an online run must not be served the warm offline entries"
         );
-        assert!(cache.len() > offline_entries);
+        assert_eq!(cache.stats(), offline_stats, "the store saw no traffic");
+        assert_eq!(cache.len(), offline_entries);
 
-        // Re-running the same online context is fully warm and identical.
-        let warm = ThermalAwareScheduler::new(&sut, &sim, config)
+        // Re-running the same online context is identical, and still cold.
+        let again = ThermalAwareScheduler::new(&sut, &sim, config)
             .unwrap()
             .with_online(online)
             .unwrap()
             .schedule_with_cache(&cache)
             .unwrap();
-        assert!(warm.warm_cache_hits >= sut.core_count());
-        assert_eq!(warm.schedule, traced.schedule);
-        assert_eq!(warm.session_records, traced.session_records);
+        assert_eq!(again, traced);
+        assert_eq!(cache.stats(), offline_stats);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! dominant thermal-conductance matrix (steady state), and to repeatedly
 //! solving slightly perturbed systems during transient integration. The
 //! matrices involved are small (tens to a few hundred nodes), so simple dense
-//! factorisations and classic iterative methods are more than adequate; this
-//! crate provides them without pulling a large external dependency into the
-//! workspace.
+//! factorisations are more than adequate, and the grid models' larger
+//! systems are banded; this crate provides the direct solvers for both
+//! without pulling a large external dependency into the workspace.
 //!
 //! # Contents
 //!
@@ -24,7 +24,6 @@
 //! * [`AdiStepOperator`] — Peaceman–Rachford alternating-direction stepping
 //!   that exploits the grid's Kronecker structure: `O(n)` per step instead
 //!   of `O(n · b)`, for high-resolution dies.
-//! * [`ConjugateGradient`] and [`GaussSeidel`] — iterative solvers.
 //!
 //! The factorisations additionally expose allocation-free `solve_into`
 //! variants for hot loops that solve against the same matrix thousands of
@@ -54,11 +53,9 @@
 
 mod adi;
 mod banded;
-mod cg;
 mod cholesky;
 mod dense;
 mod error;
-mod gauss_seidel;
 mod lu;
 mod sparse;
 mod step_operator;
@@ -66,15 +63,13 @@ mod vector;
 
 pub use adi::AdiStepOperator;
 pub use banded::{BandedCholesky, ImplicitStepOperator};
-pub use cg::{ConjugateGradient, IterativeSolution};
 pub use cholesky::CholeskyDecomposition;
 pub use dense::DenseMatrix;
 pub use error::LinalgError;
-pub use gauss_seidel::GaussSeidel;
 pub use lu::LuDecomposition;
 pub use sparse::{CsrMatrix, Triplet};
 pub use step_operator::AffineStepOperator;
-pub use vector::{axpy, dot, norm2, norm_inf, scale, sub};
+pub use vector::{axpy, dot, scale, sub};
 
 /// Convenience result alias used throughout this crate.
 pub type Result<T, E = LinalgError> = std::result::Result<T, E>;

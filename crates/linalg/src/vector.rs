@@ -32,29 +32,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> Result<f64> {
     Ok(a.iter().zip(b).map(|(x, y)| x * y).sum())
 }
 
-/// Euclidean (L2) norm of a vector.
-///
-/// # Example
-///
-/// ```
-/// assert_eq!(thermsched_linalg::norm2(&[3.0, 4.0]), 5.0);
-/// ```
-pub fn norm2(a: &[f64]) -> f64 {
-    a.iter().map(|x| x * x).sum::<f64>().sqrt()
-}
-
-/// Maximum-magnitude (infinity) norm of a vector. Returns `0.0` for an empty
-/// slice.
-///
-/// # Example
-///
-/// ```
-/// assert_eq!(thermsched_linalg::norm_inf(&[1.0, -7.0, 3.0]), 7.0);
-/// ```
-pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().fold(0.0_f64, |m, x| m.max(x.abs()))
-}
-
 /// In-place `y += alpha * x`.
 ///
 /// # Errors
@@ -117,14 +94,6 @@ mod tests {
     fn dot_product_rejects_mismatched_lengths() {
         let err = dot(&[1.0], &[1.0, 2.0]).unwrap_err();
         assert!(matches!(err, LinalgError::DimensionMismatch { .. }));
-    }
-
-    #[test]
-    fn norms() {
-        assert_eq!(norm2(&[3.0, 4.0]), 5.0);
-        assert_eq!(norm_inf(&[-1.0, 0.5]), 1.0);
-        assert_eq!(norm_inf(&[]), 0.0);
-        assert_eq!(norm2(&[]), 0.0);
     }
 
     #[test]

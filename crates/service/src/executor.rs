@@ -3,11 +3,12 @@
 //!
 //! An [`Executor`] prepares a corpus once — one thermal backend per
 //! scenario (same-shape scenarios share one through the operator cache),
-//! one session store per scenario, and the optional same-shape prewarm —
-//! and then runs jobs through one attempt loop ([`Worker::run`]: fault
-//! injection, deadline checkpoints, seeded retries, panic isolation),
-//! counting each job in one [`Tally`] from which [`ServiceStats`] is
-//! derived. The three front doors differ only in how jobs arrive:
+//! one session store per scenario, and the same-shape prewarm for backends
+//! that batch — and then runs jobs through one attempt loop
+//! ([`Worker::run`]: fault injection, deadline checkpoints, seeded retries,
+//! panic isolation), counting each job in one [`Tally`] from which
+//! [`ServiceStats`] is derived. The three front doors differ only in how
+//! jobs arrive:
 //!
 //! * a batch run queues every corpus job, closes the queue and drains it on
 //!   a pool of worker threads ([`Executor::submit_batch`],
@@ -36,8 +37,8 @@ use std::time::Instant;
 
 use thermsched::{
     Engine, InterruptReason, NestedParallelismGuard, OperatorCacheHandle, OperatorCacheStats,
-    ScheduleCheckpoint, ScheduleError, ScheduleOutcome, ScheduleProgress, SessionCacheHandle,
-    StoreStats, TestSession,
+    OperatorKey, ScheduleCheckpoint, ScheduleError, ScheduleOutcome, ScheduleProgress,
+    SessionCacheHandle, StoreStats, TestSession,
 };
 use thermsched_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, Tracer};
 use thermsched_thermal::{PowerMap, SessionThermalResult, ThermalBackend};
@@ -252,19 +253,17 @@ impl<'a> Executor<'a> {
         let caches: Vec<SessionCacheHandle> = corpus
             .scenarios()
             .iter()
-            .map(|_| config.store.handle())
+            .map(|_| SessionCacheHandle::new())
             .collect();
         // Same-shape batching: advance all phase-1 characterisation
         // sessions of one operator key as a single multi-RHS pass and
         // publish them before the first job runs. Bit-identical to the
         // per-job path, so only throughput changes.
-        let prewarmed_sessions = if config.batch_same_shape {
+        let prewarmed_sessions = {
             let mut span = tracer.span("prewarm");
             let prewarmed = prewarm_same_shape(&config, &corpus, &backends, &caches);
             span.attr("sessions", prewarmed);
             prewarmed
-        } else {
-            0
         };
         Ok(Executor {
             config,
@@ -558,9 +557,9 @@ impl<'e> Worker<'e, '_> {
         job_span.attr("label", job.label.as_str());
         job_span.attr_observed("queue_seconds", queue_seconds);
         let mut accounting = JobAccounting::default();
-        if let Some(shard) = faults.poison_target(seq) {
+        if faults.poisons_store(seq) {
             accounting.injected_faults += 1;
-            executor.caches[job.scenario].poison_shard(shard);
+            executor.caches[job.scenario].poison();
         }
         let mut attempt = 0u32;
         let (outcome, cache) = loop {
@@ -889,11 +888,9 @@ fn build_backends(
 /// phase 1 themselves and surface the error through the normal per-job
 /// path.
 ///
-/// Prewarmed lanes are constant-power, from-ambient characterisations
-/// published under the plain cache keys. Online jobs (traces / warm
-/// starts) look up sentinel keys ([`thermsched::SessionCache::online_key`])
-/// instead, so they recompute their own phase 1 and never alias these
-/// entries.
+/// Prewarmed lanes are constant-power, from-ambient characterisations.
+/// Online jobs (traces / warm starts) never read the stores, so they
+/// compute their own phase 1.
 fn prewarm_same_shape(
     config: &ServiceConfig,
     corpus: &Corpus,
@@ -907,10 +904,10 @@ fn prewarm_same_shape(
     // a key share one bit-identical backend, and only equal-duration
     // sessions can share a multi-RHS advance (the step count is a
     // function of the duration).
-    type PrewarmGroups = BTreeMap<(String, u64), Vec<(usize, usize, f64)>>;
+    type PrewarmGroups = BTreeMap<(OperatorKey, u64), Vec<(usize, usize, f64)>>;
     let mut groups = PrewarmGroups::new();
     for (index, scenario) in corpus.scenarios().iter().enumerate() {
-        let key = config.backend.key(scenario).to_string();
+        let key = config.backend.key(scenario);
         for core in 0..scenario.sut.core_count() {
             let session = TestSession::new([core], &scenario.sut);
             let duration = session.duration();

@@ -4,7 +4,7 @@
 //! poisoned stores") is only testable if the faults themselves are
 //! reproducible. Everything here is therefore *seeded and counter-driven*:
 //! whether attempt `a` of job `j` panics, errors, stalls or poisons a store
-//! shard is a pure function of `(plan seed, j, a)` — never of wall-clock
+//! is a pure function of `(plan seed, j, a)` — never of wall-clock
 //! time, thread identity or interleaving. The same holds for the retry
 //! policy's backoff (seeded jitter) and, under [`ClockKind::Virtual`], for
 //! the latency those delays accrue. A fault-injection test is consequently
@@ -26,8 +26,8 @@ pub enum FaultKind {
     /// [`ClockKind::Wall`], accrued as virtual latency under
     /// [`ClockKind::Virtual`]).
     Delay,
-    /// One shard lock of the job's session store is poisoned before the
-    /// job's first attempt, exercising the stores' poison recovery.
+    /// The lock of the job's session store is poisoned before the job's
+    /// first attempt, exercising the stores' poison recovery.
     PoisonStore,
 }
 
@@ -66,8 +66,8 @@ pub struct FaultPlan {
     /// Length of an injected delay in seconds (virtual or wall, per
     /// [`ClockKind`]).
     pub delay_seconds: f64,
-    /// Probability a *job* poisons one shard of its scenario's session
-    /// store before its first attempt.
+    /// Probability a *job* poisons its scenario's session store before its
+    /// first attempt.
     pub poison_rate: f64,
 }
 
@@ -125,7 +125,7 @@ impl FaultPlan {
     /// The fault, if any, this plan injects into `attempt` (1-based) of job
     /// `job`. Deterministic: a pure function of `(seed, job, attempt)`.
     /// Never returns [`FaultKind::PoisonStore`] — poisoning is a per-job
-    /// decision, see [`FaultPlan::poison_target`].
+    /// decision, see [`FaultPlan::poisons_store`].
     pub fn fault_for(&self, job: u64, attempt: u32) -> Option<FaultKind> {
         if !self.is_active() {
             return None;
@@ -142,24 +142,13 @@ impl FaultPlan {
         }
     }
 
-    /// The session-store shard job `job` poisons before its first attempt,
-    /// or `None`. Drawn independently of [`FaultPlan::fault_for`] (stream
+    /// Whether job `job` poisons its session store before its first
+    /// attempt. Drawn independently of [`FaultPlan::fault_for`] (stream
     /// index 0 is reserved for poisoning; attempts are 1-based), so a job
     /// can poison its store *and* still run, which is exactly the recovery
-    /// path worth proving. The returned shard index is unbounded — callers
-    /// reduce it modulo their store's shard count (the stores wrap too).
-    pub fn poison_target(&self, job: u64) -> Option<usize> {
-        if self.poison_rate <= 0.0 {
-            return None;
-        }
-        let r = unit(mix3(self.seed, job, 0));
-        if r < self.poison_rate {
-            // An independent draw picks the shard, so poisoning spreads
-            // over the store instead of always hitting shard 0.
-            Some(mix3(self.seed ^ 0x706f_6973_6f6e, job, 0) as usize)
-        } else {
-            None
-        }
+    /// path worth proving.
+    pub fn poisons_store(&self, job: u64) -> bool {
+        self.poison_rate > 0.0 && unit(mix3(self.seed, job, 0)) < self.poison_rate
     }
 }
 
@@ -302,7 +291,7 @@ mod tests {
             for attempt in 1..=4 {
                 assert_eq!(plan.fault_for(job, attempt), None);
             }
-            assert_eq!(plan.poison_target(job), None);
+            assert!(!plan.poisons_store(job));
         }
     }
 
@@ -321,7 +310,7 @@ mod tests {
         for job in 0..256 {
             let first = plan.fault_for(job, 1);
             assert_eq!(first, plan.fault_for(job, 1), "same inputs, same fault");
-            assert_eq!(plan.poison_target(job), plan.poison_target(job));
+            assert_eq!(plan.poisons_store(job), plan.poisons_store(job));
             if first != plan.fault_for(job, 2) {
                 differing_attempts += 1;
             }
@@ -352,10 +341,7 @@ mod tests {
             poison_rate: 1.0,
             ..FaultPlan::none()
         };
-        let shards: std::collections::HashSet<usize> = (0..32)
-            .map(|job| poison_everything.poison_target(job).expect("rate 1.0") % 8)
-            .collect();
-        assert!(shards.len() > 1, "poison targets must spread over shards");
+        assert!((0..32).all(|job| poison_everything.poisons_store(job)));
     }
 
     #[test]

@@ -213,7 +213,7 @@ impl Submission {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrontendConfig {
     /// The execution configuration shared with the batch runner — workers,
-    /// store, backend, fault plan, retries, clock, default deadline.
+    /// backend, fault plan, retries, clock, default deadline.
     ///
     /// Unlike [`crate::ServiceRunner`], `workers == 0` is allowed here: an
     /// admission-only front-end that queues but never executes, which is

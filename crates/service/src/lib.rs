@@ -16,11 +16,16 @@
 //!    worker prefers the next job of the scenario it just ran), each
 //!    worker reuses one [`thermsched::Engine`] per scenario, per-job errors
 //!    and panics are isolated into the job's [`JobOutcome`], and all jobs
-//!    of a scenario share one N-way [`thermsched::ShardedSessionCache`]
-//!    ([`StoreKind`]).
+//!    of a scenario share one session store
+//!    ([`thermsched::SessionCacheHandle`]). Constant-power jobs read and
+//!    publish phase-1 characterisations and validated sessions there;
+//!    online jobs (a trace or a warm start) keep their results to
+//!    themselves. For a [`BackendKind`] that batches, the runner first
+//!    prewarms every store with its scenario's single-core sessions,
+//!    advanced per operator key in one multi-RHS pass.
 //! 3. **An aggregated report** ([`ServiceReport`]): deterministic per-job
 //!    results (identical at any worker count) plus run statistics —
-//!    throughput, cache hit rates, shard contention, latency percentiles
+//!    throughput, cache hit rates, lock contention, latency percentiles
 //!    ([`ServiceStats`]).
 //! 4. **A streaming front-end with first-class failure handling**
 //!    ([`Frontend`]): a long-lived submission API over the same execution
@@ -58,7 +63,7 @@
 //! # Example
 //!
 //! ```
-//! use thermsched_service::{ScenarioSpec, ServiceConfig, ServiceRunner, StoreKind};
+//! use thermsched_service::{ScenarioSpec, ServiceConfig, ServiceRunner};
 //!
 //! # fn main() -> Result<(), thermsched_service::ServiceError> {
 //! // Four 9..20-core systems, each scheduled at two STCL points.
@@ -73,7 +78,6 @@
 //! // one scenario may race on a cold store and both miss the warm cache.
 //! let runner = ServiceRunner::new(ServiceConfig {
 //!     workers: 1,
-//!     store: StoreKind::Sharded { shards: 8 },
 //!     ..ServiceConfig::default()
 //! })?;
 //! let report = runner.run(&corpus)?;
@@ -109,7 +113,7 @@ pub use multiproc::{
     worker_serve, CrashPlan, MultiprocConfig, MultiprocCoordinator, PROTOCOL_VERSION,
 };
 pub use report::{JobMetrics, JobOutcome, JobResult, LatencyStats, ServiceReport, ServiceStats};
-pub use runner::{BackendKind, ServiceConfig, ServiceRunner, StoreKind};
+pub use runner::{BackendKind, ServiceConfig, ServiceRunner};
 pub use scenario::{Corpus, JobSpec, Scenario, ScenarioSpec, TraceFamily};
 
 /// Convenience result alias used throughout this crate.

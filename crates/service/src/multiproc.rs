@@ -19,15 +19,22 @@
 //!
 //! | kind | direction | payload |
 //! |---|---|---|
-//! | `HELLO` (1) | → worker | `{protocol, config, corpus, trace?}` |
+//! | `HELLO` (1) | → worker | `{protocol, worker, config, corpus, trace?}` |
 //! | `JOB` (2) | → worker | `{index, job}` (global corpus index) |
 //! | `RESULT` (3) | ← worker | `{index, result, accounting...}` |
 //! | `SHUTDOWN` (4) | → worker | `{}` |
 //! | `FIN` (5) | ← worker | worker-local stats (store, caches, prewarm), plus `metrics`/`spans`/`dropped_spans` when tracing |
 //!
-//! The `trace` flag and the FIN trace fields are optional on both sides
-//! (absent means "not tracing"), so mixed-version coordinator/worker pairs
-//! keep interoperating and `PROTOCOL_VERSION` stays at 1.
+//! `config` is a [`ServiceConfig`] document: `{workers, backend, faults,
+//! retry, clock, deadline_effort}`. Version 1 also wrote `store`,
+//! `operator_cache` and `batch_same_shape`; a worker still accepts them
+//! and ignores them. The `trace` flag and the FIN trace fields are optional
+//! on both sides (absent means "not tracing").
+//!
+//! `PROTOCOL_VERSION` is 2. A worker refuses a HELLO of any other version
+//! with [`ServiceError::Multiproc`], so a version-1 worker, whose config
+//! decoder requires the fields version 2 no longer writes, refuses a
+//! version-2 HELLO by its version.
 //!
 //! The job index crosses the boundary because fault injection and retry
 //! jitter are keyed by the *global* corpus index — a worker that hashed its
@@ -54,7 +61,7 @@ use crate::{
 };
 
 /// Version of the coordinator↔worker protocol, checked in `HELLO`.
-pub const PROTOCOL_VERSION: u64 = 1;
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Frame kinds of the coordinator↔worker protocol.
 const FRAME_HELLO: u8 = 1;
@@ -847,9 +854,8 @@ mod tests {
         decode_event(0, fin).expect("FIN decodes")
     }
 
-    /// A HELLO without the `trace` field (an older coordinator) must
-    /// produce a FIN that decodes with empty trace fields — the tolerant
-    /// path that keeps `PROTOCOL_VERSION` at 1.
+    /// A HELLO without the `trace` field must produce a FIN that decodes
+    /// with empty trace fields.
     #[test]
     fn untraced_fin_decodes_with_empty_trace_fields() {
         let corpus = tiny_corpus();
@@ -950,14 +956,13 @@ mod tests {
         }
         .build()
         .unwrap();
-        // Prewarm off: each worker would prewarm the full corpus, which
-        // legitimately multiplies prewarm insertions by the process count.
+        // rc-compact never prewarms (a prewarming worker would prewarm the
+        // full corpus, multiplying prewarm insertions by the process count).
         // Split by scenario so each scenario's store lives wholly in one
         // worker — cross-worker splits of one scenario lose the store hits
         // the other worker's published sessions would have provided.
         let config = ServiceConfig {
             workers: 1,
-            batch_same_shape: false,
             clock: ClockKind::Virtual,
             ..ServiceConfig::default()
         };

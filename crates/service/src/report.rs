@@ -12,7 +12,7 @@
 //! * [`ServiceStats`] holds everything that legitimately depends on timing
 //!   and interleaving: wall clock, throughput, cache hit counts (whichever
 //!   of two jobs sharing a core-set key runs first pays the simulation) and
-//!   shard contention.
+//!   store lock contention.
 
 use std::fmt::Write as _;
 
@@ -204,19 +204,14 @@ impl JobResult {
 pub struct ServiceStats {
     /// Worker threads the batch ran with.
     pub workers: usize,
-    /// Name of the shared session store backing each scenario
-    /// (`"sharded(8)"`, ...).
-    pub store_name: String,
-    /// Shards per scenario store.
-    pub shard_count: usize,
     /// Label of the thermal backend kind validating every job
     /// (`"rc-compact"`, `"grid-transient(4)"`).
     pub backend_name: String,
     /// Operator-cache counters of the run's backend-construction pass.
     /// Backends are built sequentially before the workers start, so unlike
     /// the session-store counters these are a deterministic function of the
-    /// corpus: `misses` counts distinct (backend, shape, core-size) keys
-    /// and `hits` the scenarios that reused one.
+    /// corpus: `misses` counts distinct [`crate::BackendKind::key`]s and
+    /// `hits` the scenarios that reused one.
     pub operator_cache: OperatorCacheStats,
     /// Scenarios in the corpus.
     pub scenario_count: usize,
@@ -259,8 +254,7 @@ pub struct ServiceStats {
     /// result to the scenario's shared store, summed over jobs.
     pub warm_cache_hits: usize,
     /// Characterisation sessions published by the same-shape batcher before
-    /// the workers started (0 when batching is disabled or the backend kind
-    /// does not batch).
+    /// the workers started (0 when the backend kind does not batch).
     pub prewarmed_sessions: usize,
     /// Usage counters summed over every scenario's shared store.
     pub store: StoreStats,
@@ -468,8 +462,6 @@ impl ServiceStats {
         let gauge = |name: &str| metrics.gauge(name).unwrap_or(0.0);
         ServiceStats {
             workers,
-            store_name: config.store.name(),
-            shard_count: config.store.shard_count(),
             backend_name: config.backend.label(),
             operator_cache: OperatorCacheStats {
                 hits: count("operator_cache.hits"),
@@ -506,8 +498,8 @@ impl ServiceStats {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "service report: {} jobs over {} scenarios, {} workers, {} store, {} backend",
-            s.job_count, s.scenario_count, s.workers, s.store_name, s.backend_name
+            "service report: {} jobs over {} scenarios, {} workers, {} backend",
+            s.job_count, s.scenario_count, s.workers, s.backend_name
         );
         let _ = writeln!(
             out,
@@ -617,8 +609,6 @@ mod tests {
         ];
         let stats = ServiceStats {
             workers: 4,
-            store_name: "sharded(8)".to_owned(),
-            shard_count: 8,
             backend_name: "rc-compact".to_owned(),
             operator_cache: OperatorCacheStats { hits: 1, misses: 1 },
             scenario_count: 2,
@@ -664,8 +654,7 @@ mod tests {
     fn summary_reports_throughput_and_cache_behaviour() {
         let r = report();
         let summary = r.render_summary();
-        assert!(summary
-            .contains("2 jobs over 2 scenarios, 4 workers, sharded(8) store, rc-compact backend"));
+        assert!(summary.contains("2 jobs over 2 scenarios, 4 workers, rc-compact backend"));
         assert!(summary.contains("operator cache: 1 backends built, 1 scenarios reusing one"));
         assert!(summary.contains("completed 1, failed 1, panicked 0"));
         assert!(summary.contains("4.0 jobs/s"));
@@ -675,7 +664,6 @@ mod tests {
         assert!(summary.contains("prewarmed sessions 5"));
         assert_eq!(r.max_temperature(), Some(151.25));
         assert_eq!(r.jobs().len(), 2);
-        assert_eq!(r.stats().shard_count, 8);
     }
 
     #[test]
@@ -826,10 +814,7 @@ mod tests {
     fn stats_derive_back_from_their_metrics_view() {
         let stats = report().stats().clone();
         let config = ServiceConfig::default();
-        assert_eq!(
-            (config.store.name(), config.backend.label()),
-            (stats.store_name.clone(), stats.backend_name.clone())
-        );
+        assert_eq!(config.backend.label(), stats.backend_name);
         let derived = ServiceStats::from_metrics(
             &config,
             stats.workers,

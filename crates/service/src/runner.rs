@@ -5,7 +5,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
-use thermsched::{OperatorKey, SessionCacheHandle};
+use thermsched::OperatorKey;
 use thermsched_obs::{MetricsRegistry, Tracer};
 use thermsched_thermal::{
     GridResolution, GridThermalSimulator, PackageConfig, RcThermalSimulator, ThermalBackend,
@@ -80,43 +80,52 @@ impl BackendKind {
         }
     }
 
-    /// The operator-cache identity of this kind over one scenario: backend
-    /// kind, grid shape, core size, and the transient configuration (time
-    /// step and method) — everything backend construction depends on. The
-    /// time step enters as its exact bit pattern, so two backends sharing a
-    /// floorplan shape but differing in Δt (or method, or `cells_per_core`,
-    /// which the label carries) can never alias one cache entry. Public so
-    /// external measurement and tooling share the runner's exact key instead
-    /// of reimplementing it.
+    /// The cell resolution of this kind's grid over one scenario, or `None`
+    /// for the block-level RC model.
+    fn resolution(self, scenario: &Scenario) -> Option<(usize, usize)> {
+        match self {
+            BackendKind::RcCompact => None,
+            BackendKind::GridTransient { cells_per_core }
+            | BackendKind::GridAdi { cells_per_core, .. } => Some((
+                scenario.grid.0 * cells_per_core,
+                scenario.grid.1 * cells_per_core,
+            )),
+        }
+    }
+
+    /// The operator-cache identity of this kind over one scenario: exactly
+    /// what the backend is built from. That is the kind label and transient
+    /// method, the cell resolution (grid kinds), the time step's bits, and
+    /// every block rect of the floorplan as f64 bits in block order — not
+    /// the scenario's grid label or core size, which a decoded corpus does
+    /// not tie to its floorplan. Public so external measurement and tooling
+    /// share the runner's exact key instead of reimplementing it.
     pub fn key(self, scenario: &Scenario) -> OperatorKey {
         let transient = self.transient_config();
-        OperatorKey::new(self.label(), scenario.grid.0, scenario.grid.1).with_detail(format!(
-            "core={:.6}mm;dt=0x{:016x};method={:?}",
-            scenario.core_size_mm,
-            transient.time_step.to_bits(),
-            transient.method,
-        ))
+        let (columns, rows) = self.resolution(scenario).unwrap_or_default();
+        let rects = scenario.sut.floorplan().blocks().iter().flat_map(|block| {
+            let rect = block.rect();
+            [rect.x, rect.y, rect.width, rect.height].map(f64::to_bits)
+        });
+        OperatorKey::new(
+            format!("{}:{:?}", self.label(), transient.method),
+            [columns as u64, rows as u64, transient.time_step.to_bits()]
+                .into_iter()
+                .chain(rects),
+        )
     }
 
     /// Builds the backend for one scenario.
     pub(crate) fn build(self, scenario: &Scenario) -> Result<Arc<dyn ThermalBackend>> {
-        match self {
-            BackendKind::RcCompact => Ok(Arc::new(RcThermalSimulator::from_floorplan(
-                scenario.sut.floorplan(),
+        let floorplan = scenario.sut.floorplan();
+        match self.resolution(scenario) {
+            None => Ok(Arc::new(RcThermalSimulator::from_floorplan(floorplan)?)),
+            Some((columns, rows)) => Ok(Arc::new(GridThermalSimulator::with_config(
+                floorplan,
+                &PackageConfig::default(),
+                GridResolution::new(columns, rows)?,
+                self.transient_config(),
             )?)),
-            BackendKind::GridTransient { cells_per_core }
-            | BackendKind::GridAdi { cells_per_core, .. } => {
-                let resolution = GridResolution::new(
-                    scenario.grid.0 * cells_per_core,
-                    scenario.grid.1 * cells_per_core,
-                )?;
-                Ok(Arc::new(GridThermalSimulator::with_config(
-                    scenario.sut.floorplan(),
-                    &PackageConfig::default(),
-                    resolution,
-                    self.transient_config(),
-                )?))
-            }
         }
     }
 
@@ -131,56 +140,19 @@ impl BackendKind {
     }
 }
 
-/// The session store backing each scenario's session cache: an N-way
-/// [`thermsched::ShardedSessionCache`], so wide worker pools do not
-/// serialise on one lock. One shard is a single lock around one map; the
-/// wire name `"mutex"` of the former single-lock store decodes to exactly
-/// that.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreKind {
-    /// An N-way sharded store.
-    Sharded {
-        /// Number of independently-locked shards.
-        shards: usize,
-    },
-}
-
-impl StoreKind {
-    pub(crate) fn handle(self) -> SessionCacheHandle {
-        SessionCacheHandle::sharded(self.shard_count())
-    }
-
-    /// Short name matching `ShardedSessionCache::name` of the store this
-    /// kind builds (`"sharded(8)"`).
-    pub fn name(self) -> String {
-        format!("sharded({})", self.shard_count())
-    }
-
-    /// Shards of the store this kind builds.
-    pub fn shard_count(self) -> usize {
-        let StoreKind::Sharded { shards } = self;
-        shards.max(1)
-    }
-}
-
 /// Configuration of a [`ServiceRunner`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceConfig {
     /// Worker threads draining the job queue.
     pub workers: usize,
-    /// Shared session store every scenario's jobs publish to and read from.
-    pub store: StoreKind,
-    /// Thermal backend validating every job.
+    /// Thermal backend validating every job. For a kind that batches
+    /// ([`BackendKind::GridTransient`]) the runner prewarms each scenario's
+    /// session store before the first job: every scenario's single-core
+    /// characterisation sessions are grouped by [`BackendKind::key`] and
+    /// duration, and each group advances through the backend's multi-RHS
+    /// solve in one pass. The multi-RHS kernels are bit-identical per lane
+    /// to the single solves, so per-job results do not change.
     pub backend: BackendKind,
-    /// Whether the runner prewarms the session stores by batching same-shape
-    /// phase-1 work: queued jobs are grouped by [`BackendKind::key`], their
-    /// single-core characterisation sessions collected into one column-blocked
-    /// right-hand-side matrix per (key, duration) group, and advanced through
-    /// the backend's multi-RHS solve in one matrix-matrix pass. Exact — the
-    /// multi-RHS kernels are bit-identical per lane to the single solves, so
-    /// per-job results do not change — and on by default. Only engaged for
-    /// backends that actually batch ([`BackendKind::GridTransient`]).
-    pub batch_same_shape: bool,
     /// Deterministic fault-injection plan (inert by default): seeded per
     /// (job, attempt) panics, retryable errors, delays and store poisoning.
     pub faults: FaultPlan,
@@ -207,9 +179,7 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            store: StoreKind::Sharded { shards: 8 },
             backend: BackendKind::default(),
-            batch_same_shape: true,
             faults: FaultPlan::none(),
             retry: RetryPolicy::disabled(),
             clock: ClockKind::Wall,
@@ -222,12 +192,6 @@ impl ServiceConfig {
     /// Validates every field; shared by [`ServiceRunner::new`] and the
     /// streaming [`crate::Frontend`].
     pub(crate) fn validate(&self) -> Result<()> {
-        if let StoreKind::Sharded { shards: 0 } = self.store {
-            return Err(ServiceError::InvalidSpec {
-                field: "shards",
-                problem: "must be at least 1",
-            });
-        }
         match self.backend {
             BackendKind::GridTransient { cells_per_core: 0 }
             | BackendKind::GridAdi {
@@ -293,7 +257,7 @@ impl ServiceConfig {
 /// # Example
 ///
 /// ```
-/// use thermsched_service::{ScenarioSpec, ServiceConfig, ServiceRunner, StoreKind};
+/// use thermsched_service::{ScenarioSpec, ServiceConfig, ServiceRunner};
 ///
 /// # fn main() -> Result<(), thermsched_service::ServiceError> {
 /// let corpus = ScenarioSpec {
@@ -303,7 +267,6 @@ impl ServiceConfig {
 /// .build()?;
 /// let runner = ServiceRunner::new(ServiceConfig {
 ///     workers: 2,
-///     store: StoreKind::Sharded { shards: 4 },
 ///     ..ServiceConfig::default()
 /// })?;
 /// let report = runner.run(&corpus)?;
@@ -322,8 +285,8 @@ impl ServiceRunner {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::InvalidSpec`] for zero workers or zero shards, and
-    /// for out-of-range fault, retry or deadline parameters.
+    /// [`ServiceError::InvalidSpec`] for zero workers, and for out-of-range
+    /// backend, fault, retry or deadline parameters.
     pub fn new(config: ServiceConfig) -> Result<Self> {
         if config.workers == 0 {
             return Err(ServiceError::InvalidSpec {
@@ -387,8 +350,8 @@ impl ServiceRunner {
 mod tests {
     use super::*;
     use crate::executor::{isolate, panic_message};
-    use crate::{FaultKind, JobOutcome, JobSpec, ScenarioSpec};
-    use thermsched::InterruptReason;
+    use crate::{FaultKind, JobMetrics, JobOutcome, JobSpec, ScenarioSpec};
+    use thermsched::{Engine, InterruptReason};
 
     fn small_spec() -> ScenarioSpec {
         ScenarioSpec {
@@ -398,37 +361,47 @@ mod tests {
         }
     }
 
+    /// Every job of `corpus` scheduled alone through a fresh [`Engine`] on
+    /// a backend built for its scenario alone: no operator cache, no shared
+    /// store, no prewarm.
+    fn scheduled_alone(corpus: &Corpus, backend: BackendKind) -> Vec<JobOutcome> {
+        corpus
+            .jobs()
+            .iter()
+            .map(|job| {
+                let scenario = &corpus.scenarios()[job.scenario];
+                let built = backend.build(scenario).unwrap();
+                let engine = Engine::builder()
+                    .sut(&scenario.sut)
+                    .dyn_backend(built.as_ref())
+                    .build()
+                    .unwrap();
+                let outcome = match job.online_context().unwrap() {
+                    Some(online) => engine.schedule_online_with(job.config, &online),
+                    None => engine.schedule_with(job.config),
+                };
+                JobOutcome::Completed(JobMetrics::from(&outcome.unwrap()))
+            })
+            .collect()
+    }
+
     #[test]
     fn worker_count_and_store_do_not_change_job_results() {
         let corpus = small_spec().build().unwrap();
-        let reference = ServiceRunner::new(ServiceConfig {
-            workers: 1,
-            store: StoreKind::Sharded { shards: 1 },
-            ..ServiceConfig::default()
-        })
-        .unwrap()
-        .run(&corpus)
-        .unwrap();
-        assert_eq!(reference.stats().completed, corpus.jobs().len());
-        for (workers, store) in [
-            (3, StoreKind::Sharded { shards: 1 }),
-            (1, StoreKind::Sharded { shards: 4 }),
-            (3, StoreKind::Sharded { shards: 4 }),
-        ] {
+        let alone = scheduled_alone(&corpus, BackendKind::RcCompact);
+        for workers in [1, 3] {
             let report = ServiceRunner::new(ServiceConfig {
                 workers,
-                store,
                 ..ServiceConfig::default()
             })
             .unwrap()
             .run(&corpus)
             .unwrap();
-            assert_eq!(
-                report.jobs(),
-                reference.jobs(),
-                "{workers} workers, {store:?}"
+            assert_eq!(report.stats().completed, corpus.jobs().len());
+            assert!(
+                report.jobs().iter().map(|job| &job.outcome).eq(&alone),
+                "{workers} workers"
             );
-            assert_eq!(report.render_jobs(), reference.render_jobs());
         }
     }
 
@@ -457,7 +430,6 @@ mod tests {
         assert_eq!(reference.stats().completed, corpus.jobs().len());
         let parallel = ServiceRunner::new(ServiceConfig {
             workers: 3,
-            store: StoreKind::Sharded { shards: 4 },
             ..ServiceConfig::default()
         })
         .unwrap()
@@ -497,7 +469,6 @@ mod tests {
         let corpus = small_spec().build().unwrap();
         let report = ServiceRunner::new(ServiceConfig {
             workers: 1,
-            store: StoreKind::Sharded { shards: 8 },
             ..ServiceConfig::default()
         })
         .unwrap()
@@ -510,8 +481,6 @@ mod tests {
             corpus.total_cores()
         );
         assert!(report.stats().store.hits >= report.stats().warm_cache_hits as u64);
-        assert_eq!(report.stats().shard_count, 8);
-        assert_eq!(report.stats().store_name, "sharded(8)");
         assert!(report.stats().jobs_per_second > 0.0);
     }
 
@@ -529,7 +498,6 @@ mod tests {
         .unwrap();
         let report = ServiceRunner::new(ServiceConfig {
             workers: 2,
-            store: StoreKind::Sharded { shards: 2 },
             ..ServiceConfig::default()
         })
         .unwrap()
@@ -820,50 +788,30 @@ mod tests {
         }
         .build()
         .unwrap();
+        let backend = BackendKind::GridTransient { cells_per_core: 3 };
         let batched = ServiceRunner::new(ServiceConfig {
             workers: 2,
-            backend: BackendKind::GridTransient { cells_per_core: 3 },
-            batch_same_shape: true,
-            ..ServiceConfig::default()
-        })
-        .unwrap()
-        .run(&corpus)
-        .unwrap();
-        let sequential = ServiceRunner::new(ServiceConfig {
-            workers: 2,
-            backend: BackendKind::GridTransient { cells_per_core: 3 },
-            batch_same_shape: false,
+            backend,
             ..ServiceConfig::default()
         })
         .unwrap()
         .run(&corpus)
         .unwrap();
         // Multi-RHS prewarming is a throughput change only: the per-job
-        // results are bit-identical to the unbatched run.
-        assert_eq!(batched.jobs(), sequential.jobs());
-        assert_eq!(batched.render_jobs(), sequential.render_jobs());
+        // results are bit-identical to each job scheduled on its own.
+        assert!(batched
+            .jobs()
+            .iter()
+            .map(|job| &job.outcome)
+            .eq(&scheduled_alone(&corpus, backend)));
         assert_eq!(
             batched.stats().prewarmed_sessions,
             corpus.total_cores(),
             "every per-core characterisation session should be prewarmed"
         );
-        assert_eq!(sequential.stats().prewarmed_sessions, 0);
         // Prewarmed singleton sessions turn every phase-1 probe into a
         // warm hit.
-        assert!(batched.stats().warm_cache_hits >= sequential.stats().warm_cache_hits);
-    }
-
-    #[test]
-    fn store_kind_names_match_their_handles() {
-        // A zero request is promoted to one shard on both sides.
-        for kind in [
-            StoreKind::Sharded { shards: 0 },
-            StoreKind::Sharded { shards: 1 },
-            StoreKind::Sharded { shards: 8 },
-        ] {
-            assert_eq!(kind.name(), kind.handle().name());
-            assert_eq!(kind.shard_count(), kind.handle().shard_count());
-        }
+        assert!(batched.stats().warm_cache_hits >= corpus.total_cores());
     }
 
     #[test]
@@ -875,17 +823,6 @@ mod tests {
             }),
             Err(ServiceError::InvalidSpec {
                 field: "workers",
-                ..
-            })
-        ));
-        assert!(matches!(
-            ServiceRunner::new(ServiceConfig {
-                workers: 1,
-                store: StoreKind::Sharded { shards: 0 },
-                ..ServiceConfig::default()
-            }),
-            Err(ServiceError::InvalidSpec {
-                field: "shards",
                 ..
             })
         ));
@@ -1106,7 +1043,7 @@ mod tests {
         .unwrap()
         .run(&corpus)
         .unwrap();
-        // Every job poisons a store shard before running; the stores
+        // Every job poisons its scenario's store before running; the stores
         // recover the lock and the deterministic results are unaffected.
         assert_eq!(clean.jobs(), poisoned.jobs());
         assert_eq!(

@@ -321,10 +321,11 @@ pub struct Scenario {
     pub name: String,
     /// The derived generator seed that produced this scenario.
     pub seed: u64,
-    /// Grid shape `(columns, rows)` of the generated floorplan. Scenarios
-    /// sharing a shape (and core size) share an *identical* floorplan —
-    /// only power assignments differ — which is what makes the service's
-    /// cross-scenario operator cache exact.
+    /// Grid shape `(columns, rows)` of the generated floorplan. Generated
+    /// scenarios sharing a shape (and core size) share an *identical*
+    /// floorplan — only power assignments differ — so they share one
+    /// backend through the operator cache. A decoded corpus does not tie
+    /// this label to the floorplan; the operator key reads the rects.
     pub grid: (usize, usize),
     /// Core edge length in millimetres.
     pub core_size_mm: f64,

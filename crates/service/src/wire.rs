@@ -19,7 +19,7 @@ use thermsched_wire::{
 use crate::{
     BackendKind, ClockKind, Corpus, FaultPlan, JobMetrics, JobOutcome, JobResult, JobSpec,
     LatencyStats, Rejected, RetryPolicy, Scenario, ScenarioSpec, ServiceConfig, ServiceReport,
-    ServiceStats, ShedCause, StoreKind, TraceFamily,
+    ServiceStats, ShedCause, TraceFamily,
 };
 
 /// Encodes a pair as a two-element array.
@@ -219,33 +219,6 @@ wire_unit_enum! {
     "shed_cause" => ShedCause { "displaced" => Displaced, "drained" => Drained }
 }
 
-impl Wire for StoreKind {
-    const WIRE_TYPE: &'static str = "store_kind";
-
-    fn to_wire(&self) -> JsonValue {
-        let StoreKind::Sharded { shards } = self;
-        obj()
-            .field("kind", "sharded")
-            .field("shards", *shards)
-            .build()
-    }
-
-    /// `"mutex"`, the former single-lock store, decodes to one shard.
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        const T: &str = "store_kind";
-        match value.field_str(T, "kind")? {
-            "mutex" => Ok(StoreKind::Sharded { shards: 1 }),
-            "sharded" => Ok(StoreKind::Sharded {
-                shards: value.decode(T, "shards")?,
-            }),
-            other => Err(WireError::UnknownVariant {
-                type_name: T,
-                variant: other.to_owned(),
-            }),
-        }
-    }
-}
-
 wire_struct! {
     "fault_plan" => FaultPlan {
         seed,
@@ -275,107 +248,37 @@ wire_struct! {
     "latency_stats" => LatencyStats { samples, p50_seconds, p99_seconds, max_seconds };
     "job_result" => JobResult { index, scenario, scenario_name, label, outcome };
     "service_report" => ServiceReport { jobs, stats };
-}
-
-impl Wire for ServiceConfig {
-    const WIRE_TYPE: &'static str = "service_config";
-
-    fn to_wire(&self) -> JsonValue {
-        obj()
-            .field("workers", self.workers)
-            .field("store", self.store.to_wire())
-            .field("backend", self.backend.to_wire())
-            .field("operator_cache", true)
-            .field("batch_same_shape", self.batch_same_shape)
-            .field("faults", self.faults.to_wire())
-            .field("retry", self.retry.to_wire())
-            .field("clock", self.clock.to_wire())
-            .field("deadline_effort", self.deadline_effort)
-            .build()
-    }
-
-    /// The operator cache is exact and always on, so the document's
-    /// `operator_cache` field is written as `true` (readers that still
-    /// require it keep decoding) and ignored on decode.
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        const T: &str = "service_config";
-        let config = ServiceConfig {
-            workers: value.decode(T, "workers")?,
-            store: value.decode(T, "store")?,
-            backend: value.decode(T, "backend")?,
-            batch_same_shape: value.decode(T, "batch_same_shape")?,
-            faults: value.decode(T, "faults")?,
-            retry: value.decode(T, "retry")?,
-            clock: value.decode(T, "clock")?,
-            deadline_effort: value.decode(T, "deadline_effort")?,
-        };
-        config.validate().map_err(WireError::invalid(T))?;
-        Ok(config)
-    }
-}
-
-impl Wire for ServiceStats {
-    const WIRE_TYPE: &'static str = "service_stats";
-
-    fn to_wire(&self) -> JsonValue {
-        obj()
-            .field("workers", self.workers)
-            .field("store_name", self.store_name.as_str())
-            .field("shard_count", self.shard_count)
-            .field("backend_name", self.backend_name.as_str())
-            .field("operator_cache_enabled", true)
-            .field("operator_cache", self.operator_cache.to_wire())
-            .field("scenario_count", self.scenario_count)
-            .field("job_count", self.job_count)
-            .field("completed", self.completed)
-            .field("failed", self.failed)
-            .field("panicked", self.panicked)
-            .field("deadline_exceeded", self.deadline_exceeded)
-            .field("shed", self.shed)
-            .field("rejected", self.rejected)
-            .field("retried_attempts", self.retried_attempts)
-            .field("injected_faults", self.injected_faults)
-            .field("worker_crashes", self.worker_crashes)
-            .field("latency", self.latency.to_wire())
-            .field("wall_seconds", self.wall_seconds)
-            .field("jobs_per_second", self.jobs_per_second)
-            .field("cached_validations", self.cached_validations)
-            .field("warm_cache_hits", self.warm_cache_hits)
-            .field("prewarmed_sessions", self.prewarmed_sessions)
-            .field("store", self.store.to_wire())
-            .build()
-    }
-
-    /// `operator_cache_enabled` is written as `true` and ignored on decode,
-    /// as for [`ServiceConfig`].
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        const T: &str = "service_stats";
-        Ok(ServiceStats {
-            workers: value.decode(T, "workers")?,
-            store_name: value.decode(T, "store_name")?,
-            shard_count: value.decode(T, "shard_count")?,
-            backend_name: value.decode(T, "backend_name")?,
-            operator_cache: value.decode(T, "operator_cache")?,
-            scenario_count: value.decode(T, "scenario_count")?,
-            job_count: value.decode(T, "job_count")?,
-            completed: value.decode(T, "completed")?,
-            failed: value.decode(T, "failed")?,
-            panicked: value.decode(T, "panicked")?,
-            deadline_exceeded: value.decode(T, "deadline_exceeded")?,
-            shed: value.decode(T, "shed")?,
-            rejected: value.decode(T, "rejected")?,
-            retried_attempts: value.decode(T, "retried_attempts")?,
-            injected_faults: value.decode(T, "injected_faults")?,
-            worker_crashes: value.decode(T, "worker_crashes")?,
-            latency: value.decode(T, "latency")?,
-            wall_seconds: value.decode(T, "wall_seconds")?,
-            jobs_per_second: value.decode(T, "jobs_per_second")?,
-            cached_validations: value.decode(T, "cached_validations")?,
-            warm_cache_hits: value.decode(T, "warm_cache_hits")?,
-            prewarmed_sessions: value.decode(T, "prewarmed_sessions")?,
-            store: value.decode(T, "store")?,
-        })
-    }
+    "service_config" => ServiceConfig {
+        workers,
+        backend,
+        faults,
+        retry,
+        clock,
+        deadline_effort,
+    } validate ServiceConfig::validate;
+    "service_stats" => ServiceStats {
+        workers,
+        backend_name,
+        operator_cache,
+        scenario_count,
+        job_count,
+        completed,
+        failed,
+        panicked,
+        deadline_exceeded,
+        shed,
+        rejected,
+        retried_attempts,
+        injected_faults,
+        worker_crashes,
+        latency,
+        wall_seconds,
+        jobs_per_second,
+        cached_validations,
+        warm_cache_hits,
+        prewarmed_sessions,
+        store,
+    };
 }
 
 #[cfg(test)]
@@ -540,17 +443,9 @@ mod tests {
                 time_step: 1e-3,
             },
         ] {
-            for (store, clock, deadline) in [
-                (StoreKind::Sharded { shards: 1 }, ClockKind::Wall, None),
-                (
-                    StoreKind::Sharded { shards: 8 },
-                    ClockKind::Virtual,
-                    Some(12.5),
-                ),
-            ] {
+            for (clock, deadline) in [(ClockKind::Wall, None), (ClockKind::Virtual, Some(12.5))] {
                 let config = ServiceConfig {
                     workers: 3,
-                    store,
                     backend,
                     faults: FaultPlan {
                         seed: 9,
@@ -560,7 +455,6 @@ mod tests {
                     retry: RetryPolicy::retries(3),
                     clock,
                     deadline_effort: deadline,
-                    ..ServiceConfig::default()
                 };
                 let json = config.to_json().unwrap();
                 assert_eq!(ServiceConfig::from_json(&json).unwrap(), config);
@@ -572,51 +466,61 @@ mod tests {
 
     #[test]
     fn documents_with_the_mutex_store_or_the_operator_cache_switch_still_decode() {
-        // Documents keep the switch fields, so readers that require them
-        // still decode what this version writes.
+        // The removed switches and store names are no longer written...
         let config = ServiceConfig {
             workers: 2,
-            store: StoreKind::Sharded { shards: 1 },
             ..ServiceConfig::default()
         };
-        assert!(config
-            .to_json()
-            .unwrap()
-            .contains("\"operator_cache\": true"));
         let stats = ServiceStats::default();
-        assert!(stats
-            .to_json()
-            .unwrap()
-            .contains("\"operator_cache_enabled\": true"));
+        let written = [config.to_json().unwrap(), stats.to_json().unwrap()];
+        for (document, legacy) in [
+            (0, "\"store\""),
+            (0, "batch_same_shape"),
+            (0, "operator_cache"),
+            (1, "store_name"),
+            (1, "shard_count"),
+            (1, "operator_cache_enabled"),
+        ] {
+            assert!(
+                !written[document].contains(legacy),
+                "{legacy} is still written"
+            );
+        }
 
-        // What earlier versions could write: the single-lock store and the
-        // switches off.
-        let JsonValue::Object(mut entries) = config.to_wire() else {
-            panic!("a config encodes as an object");
+        // ...but documents that still carry them decode to the same values.
+        let with = |value: JsonValue, fields: Vec<(&str, JsonValue)>| {
+            let JsonValue::Object(mut entries) = value else {
+                panic!("encodes as an object");
+            };
+            entries.extend(fields.into_iter().map(|(k, v)| (k.to_owned(), v)));
+            JsonValue::Object(entries)
         };
-        for (key, value) in entries.iter_mut() {
-            match key.as_str() {
-                "store" => *value = obj().field("kind", "mutex").build(),
-                "operator_cache" => *value = JsonValue::from(false),
-                _ => {}
-            }
+        for store in [
+            obj().field("kind", "mutex").build(),
+            obj()
+                .field("kind", "sharded")
+                .field("shards", 8usize)
+                .build(),
+        ] {
+            let legacy = with(
+                config.to_wire(),
+                vec![
+                    ("store", store),
+                    ("operator_cache", JsonValue::from(false)),
+                    ("batch_same_shape", JsonValue::from(false)),
+                ],
+            );
+            assert_eq!(ServiceConfig::from_wire(&legacy).unwrap(), config);
         }
-        assert_eq!(
-            ServiceConfig::from_wire(&JsonValue::Object(entries)).unwrap(),
-            config
+        let legacy = with(
+            stats.to_wire(),
+            vec![
+                ("store_name", JsonValue::from("sharded(8)")),
+                ("shard_count", JsonValue::from(8usize)),
+                ("operator_cache_enabled", JsonValue::from(true)),
+            ],
         );
-        let JsonValue::Object(mut entries) = stats.to_wire() else {
-            panic!("stats encode as an object");
-        };
-        for (key, value) in entries.iter_mut() {
-            if key == "operator_cache_enabled" {
-                *value = JsonValue::from(false);
-            }
-        }
-        assert_eq!(
-            ServiceStats::from_wire(&JsonValue::Object(entries)).unwrap(),
-            stats
-        );
+        assert_eq!(ServiceStats::from_wire(&legacy).unwrap(), stats);
     }
 
     #[test]
@@ -701,11 +605,10 @@ mod tests {
 
     #[test]
     fn a_real_report_roundtrips_bit_exactly() {
-        use crate::{ServiceRunner, StoreKind};
+        use crate::ServiceRunner;
         let corpus = spec().build().unwrap();
         let report = ServiceRunner::new(ServiceConfig {
             workers: 2,
-            store: StoreKind::Sharded { shards: 4 },
             ..ServiceConfig::default()
         })
         .unwrap()

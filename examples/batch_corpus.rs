@@ -7,7 +7,7 @@
 //! cargo run --release --example batch_corpus
 //! ```
 
-use thermsched_service::{ScenarioSpec, ServiceConfig, ServiceRunner, StoreKind};
+use thermsched_service::{ScenarioSpec, ServiceConfig, ServiceRunner};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 32 generated systems (9..20 cores, cycling grid shapes), each
@@ -27,7 +27,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let runner = ServiceRunner::new(ServiceConfig {
         workers: 4,
-        store: StoreKind::Sharded { shards: 8 },
         ..ServiceConfig::default()
     })?;
     let report = runner.run(&corpus)?;

@@ -29,7 +29,7 @@
 //!    alias one operator-cache entry.
 
 use thermsched::{ScheduleValidator, SequentialScheduler, TestSchedule};
-use thermsched_service::{BackendKind, ScenarioSpec, ServiceConfig, ServiceRunner, StoreKind};
+use thermsched_service::{BackendKind, ScenarioSpec, ServiceConfig, ServiceRunner};
 use thermsched_soc::{library, SystemUnderTest};
 use thermsched_thermal::{
     GridResolution, GridThermalSimulator, PackageConfig, RcThermalSimulator, SimulationFidelity,
@@ -332,9 +332,7 @@ fn operator_cache_results_are_worker_count_invariant() {
         let run = |workers: usize| {
             ServiceRunner::new(ServiceConfig {
                 workers,
-                store: StoreKind::Sharded { shards: 4 },
                 backend,
-                batch_same_shape: true,
                 ..ServiceConfig::default()
             })
             .unwrap()

@@ -5,8 +5,8 @@
 //!   [`JobResult`]s are byte-identical at 1, 4 and 8 workers and across
 //!   repeated runs — faults, retries and deadlines live inside the
 //!   determinism boundary;
-//! * poisoning session-store shards mid-batch (while the PR-6 same-shape
-//!   prewarmer is publishing through them) never changes a job result:
+//! * poisoning session stores mid-batch (after the same-shape prewarmer
+//!   has published through them) never changes a job result:
 //!   the batch completes and matches a fault-free reference bit for bit;
 //! * effort-budget deadlines produce deterministic `DeadlineExceeded`
 //!   outcomes, not timing-dependent ones;
@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use thermsched_service::{
     BackendKind, ClockKind, FaultPlan, Frontend, FrontendConfig, JobOutcome, Priority, Rejected,
-    RetryPolicy, ScenarioSpec, ServiceConfig, ServiceReport, ServiceRunner, StoreKind, Submission,
+    RetryPolicy, ScenarioSpec, ServiceConfig, ServiceReport, ServiceRunner, Submission,
 };
 
 fn run(spec: &ScenarioSpec, config: ServiceConfig) -> ServiceReport {
@@ -38,7 +38,6 @@ fn faulted_batches_are_byte_identical_across_worker_counts_and_runs() {
     };
     let config = |workers: usize| ServiceConfig {
         workers,
-        store: StoreKind::Sharded { shards: 8 },
         faults: FaultPlan {
             seed: 2026,
             panic_rate: 0.1,
@@ -87,10 +86,9 @@ fn faulted_batches_are_byte_identical_across_worker_counts_and_runs() {
 
 #[test]
 fn poisoned_shards_mid_batch_do_not_change_results_under_the_prewarmer() {
-    // Store poisoning under the same-shape batcher: every job poisons one shard
-    // of its scenario's sharded session store before phase 1, while the
-    // same-shape prewarmer has already published multi-RHS results through
-    // the same store. The batch must complete and match a fault-free
+    // Store poisoning under the same-shape batcher: every job poisons its
+    // scenario's session store before phase 1, after the same-shape
+    // prewarmer has published multi-RHS results through the same store. The batch must complete and match a fault-free
     // reference byte for byte at every worker count.
     let spec = ScenarioSpec {
         seed: 777,
@@ -101,9 +99,7 @@ fn poisoned_shards_mid_batch_do_not_change_results_under_the_prewarmer() {
     };
     let config = |workers: usize, poison: bool| ServiceConfig {
         workers,
-        store: StoreKind::Sharded { shards: 8 },
         backend: BackendKind::GridTransient { cells_per_core: 3 },
-        batch_same_shape: true,
         faults: FaultPlan {
             seed: 5,
             poison_rate: if poison { 1.0 } else { 0.0 },
@@ -125,18 +121,18 @@ fn poisoned_shards_mid_batch_do_not_change_results_under_the_prewarmer() {
         assert_eq!(
             poisoned.stats().injected_faults,
             poisoned.stats().job_count,
-            "every job must have poisoned a shard"
+            "every job must have poisoned its store"
         );
         assert_eq!(
             poisoned.stats().completed,
             poisoned.stats().job_count,
-            "poisoned shards must be survived, not fatal:\n{}",
+            "poisoned stores must be survived, not fatal:\n{}",
             poisoned.render_jobs()
         );
         assert_eq!(
             poisoned.jobs(),
             clean.jobs(),
-            "{workers} workers: shard poisoning changed a job result"
+            "{workers} workers: store poisoning changed a job result"
         );
         assert_eq!(
             poisoned.stats().prewarmed_sessions,

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use thermsched::{Engine, SchedulerConfig, SessionCache, TestSession, ThermalAwareScheduler};
+use thermsched::{Engine, SchedulerConfig, SessionCacheHandle, TestSession, ThermalAwareScheduler};
 use thermsched_floorplan::{library as fp_library, Floorplan};
 use thermsched_soc::library;
 use thermsched_thermal::{
@@ -183,13 +183,11 @@ proptest! {
         let power = session.power_map(&sut).unwrap();
         let first = sim.simulate_session(&power, session.duration()).unwrap();
 
-        let mut cache = SessionCache::new();
-        cache.insert(SessionCache::key(session.cores()), first);
+        let cache = SessionCacheHandle::new();
+        cache.store(session.cores().collect(), first);
         let fresh = sim.simulate_session(&power, session.duration()).unwrap();
-        prop_assert_eq!(
-            cache.get(&SessionCache::key(cores.iter().copied())),
-            Some(&fresh)
-        );
+        let key: Vec<usize> = cores.iter().copied().collect();
+        prop_assert_eq!(cache.lookup(&key), Some(fresh));
     }
 }
 

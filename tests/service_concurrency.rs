@@ -1,21 +1,25 @@
 //! Concurrency and determinism contract of the batch-scheduling service:
 //!
 //! * the same seeded corpus must produce byte-identical per-job results at
-//!   1, 4 and 8 workers, with one shard or eight backing the scenarios;
+//!   1, 4 and 8 workers;
 //! * so must a corpus whose sibling jobs are scattered across the queue,
 //!   at 1, 2, 4 and 8 workers, however scenario-affine dispatch gathers
 //!   them;
-//! * the 8-way `ShardedSessionCache` must behave exactly like the one-shard
-//!   store, where every key sits behind one lock, under a multi-threaded
-//!   hammer (same final contents, first write wins per key), without locks
-//!   poisoning out from under surviving threads.
+//! * with the same-shape prewarm active, every job must give what it gives
+//!   when scheduled alone, at any worker count;
+//! * the session store must keep exactly the first write per key under a
+//!   multi-threaded hammer, without its lock poisoning out from under
+//!   surviving threads.
 
-use thermsched::ShardedSessionCache;
+use thermsched::{Engine, SessionCacheHandle};
 use thermsched_service::{
-    BackendKind, Corpus, JobOutcome, ScenarioSpec, ServiceConfig, ServiceReport, ServiceRunner,
-    StoreKind,
+    BackendKind, Corpus, JobMetrics, JobOutcome, ScenarioSpec, ServiceConfig, ServiceReport,
+    ServiceRunner,
 };
-use thermsched_thermal::{SessionThermalResult, Temperatures};
+use thermsched_thermal::{
+    GridResolution, GridThermalSimulator, PackageConfig, SessionThermalResult, Temperatures,
+    TransientConfig,
+};
 use thermsched_wire::{obj, Wire};
 
 fn corpus_spec() -> ScenarioSpec {
@@ -27,11 +31,10 @@ fn corpus_spec() -> ScenarioSpec {
     }
 }
 
-fn run(workers: usize, store: StoreKind) -> ServiceReport {
+fn run(workers: usize) -> ServiceReport {
     let corpus = corpus_spec().build().expect("spec is valid");
     ServiceRunner::new(ServiceConfig {
         workers,
-        store,
         ..ServiceConfig::default()
     })
     .expect("config is valid")
@@ -41,7 +44,7 @@ fn run(workers: usize, store: StoreKind) -> ServiceReport {
 
 #[test]
 fn per_job_results_are_byte_identical_across_worker_counts_and_stores() {
-    let reference = run(1, StoreKind::Sharded { shards: 1 });
+    let reference = run(1);
     assert_eq!(
         reference.stats().completed,
         reference.stats().job_count,
@@ -52,19 +55,14 @@ fn per_job_results_are_byte_identical_across_worker_counts_and_stores() {
     assert!(!reference_table.is_empty());
 
     for workers in [4, 8] {
-        for store in [
-            StoreKind::Sharded { shards: 1 },
-            StoreKind::Sharded { shards: 8 },
-        ] {
-            let report = run(workers, store);
-            assert_eq!(
-                report.jobs(),
-                reference.jobs(),
-                "{workers} workers over {store:?} changed a job result"
-            );
-            assert_eq!(report.render_jobs(), reference_table);
-            assert_eq!(report.stats().workers, workers);
-        }
+        let report = run(workers);
+        assert_eq!(
+            report.jobs(),
+            reference.jobs(),
+            "{workers} workers changed a job result"
+        );
+        assert_eq!(report.render_jobs(), reference_table);
+        assert_eq!(report.stats().workers, workers);
     }
 }
 
@@ -145,11 +143,11 @@ fn scattered_sibling_jobs_give_the_same_results_at_every_worker_count() {
 }
 
 #[test]
-fn shard_count_is_invariant_with_the_same_shape_batcher_active() {
+fn worker_count_is_invariant_with_the_same_shape_batcher_active() {
     // The prewarmer publishes multi-RHS results through the same
-    // `store_batch` contract the workers use, so the shard layout of the
-    // `ShardedSessionCache` must stay irrelevant to job results while
-    // batching is on — and turning batching off must not matter either.
+    // `store_batch` contract the workers use, so at every worker count each
+    // job must give exactly what it gives scheduled alone: its own backend,
+    // no prewarm, no shared store.
     let corpus = ScenarioSpec {
         seed: 777,
         scenarios: 3,
@@ -159,42 +157,54 @@ fn shard_count_is_invariant_with_the_same_shape_batcher_active() {
     }
     .build()
     .expect("spec is valid");
-    let run = |shards: usize, batch: bool| {
-        ServiceRunner::new(ServiceConfig {
-            workers: 4,
-            store: StoreKind::Sharded { shards },
-            backend: BackendKind::GridTransient { cells_per_core: 3 },
-            batch_same_shape: batch,
+    let cells = 3;
+    let alone: Vec<JobOutcome> = corpus
+        .jobs()
+        .iter()
+        .map(|job| {
+            let scenario = &corpus.scenarios()[job.scenario];
+            let (columns, rows) = scenario.grid;
+            let backend = GridThermalSimulator::with_config(
+                scenario.sut.floorplan(),
+                &PackageConfig::default(),
+                GridResolution::new(columns * cells, rows * cells).unwrap(),
+                TransientConfig::default(),
+            )
+            .unwrap();
+            let engine = Engine::builder()
+                .sut(&scenario.sut)
+                .backend(&backend)
+                .build()
+                .unwrap();
+            JobOutcome::Completed(JobMetrics::from(&engine.schedule_with(job.config).unwrap()))
+        })
+        .collect();
+    for workers in [1, 2, 4, 8] {
+        let report = ServiceRunner::new(ServiceConfig {
+            workers,
+            backend: BackendKind::GridTransient {
+                cells_per_core: cells,
+            },
             ..ServiceConfig::default()
         })
         .expect("config is valid")
         .run(&corpus)
-        .expect("batch runs")
-    };
-    let reference = run(1, true);
-    assert_eq!(reference.stats().completed, reference.stats().job_count);
-    assert_eq!(
-        reference.stats().prewarmed_sessions,
-        corpus.total_cores(),
-        "the batcher must prewarm every per-core characterisation"
-    );
-    for shards in [1, 2, 8, 32] {
-        let batched = run(shards, true);
+        .expect("batch runs");
         assert_eq!(
-            batched.jobs(),
-            reference.jobs(),
-            "{shards} shards changed a job result with batching on"
+            report.stats().prewarmed_sessions,
+            corpus.total_cores(),
+            "the batcher must prewarm every per-core characterisation"
         );
-        assert_eq!(batched.stats().prewarmed_sessions, corpus.total_cores());
-        let unbatched = run(shards, false);
-        assert_eq!(unbatched.jobs(), reference.jobs());
-        assert_eq!(unbatched.stats().prewarmed_sessions, 0);
+        assert!(
+            report.jobs().iter().map(|job| &job.outcome).eq(&alone),
+            "{workers} workers changed a job result with batching on"
+        );
     }
 }
 
 #[test]
 fn completed_jobs_respect_their_effective_temperature_limits() {
-    let report = run(4, StoreKind::Sharded { shards: 8 });
+    let report = run(4);
     for job in report.jobs() {
         match &job.outcome {
             JobOutcome::Completed(metrics) => {
@@ -239,64 +249,58 @@ fn stress_keys() -> Vec<Vec<usize>> {
 }
 
 #[test]
-fn sharded_store_matches_the_one_shard_store_under_a_scoped_thread_hammer() {
-    let sharded = ShardedSessionCache::new(8);
-    let single = ShardedSessionCache::new(1);
+fn store_keeps_first_writes_under_a_scoped_thread_hammer() {
+    let store = SessionCacheHandle::new();
     let keys = stress_keys();
     let threads = 8;
     let rounds = 30;
 
-    for store in [&sharded, &single] {
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let keys = &keys;
-                scope.spawn(move || {
-                    for round in 0..rounds {
-                        // Each thread walks the key space at its own stride,
-                        // mixing single ops with batched ones.
-                        for (i, key) in keys.iter().enumerate() {
-                            let slot = (i + t * 7 + round * 13) % 4;
-                            match slot {
-                                0 => store.store(key.clone(), result_for_key(key)),
-                                1 => {
-                                    if let Some(found) = store.lookup(key) {
-                                        assert_eq!(found, result_for_key(key));
-                                    }
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let keys = &keys;
+            let store = &store;
+            scope.spawn(move || {
+                for round in 0..rounds {
+                    // Each thread walks the key space at its own stride,
+                    // mixing single ops with batched ones.
+                    for (i, key) in keys.iter().enumerate() {
+                        let slot = (i + t * 7 + round * 13) % 4;
+                        match slot {
+                            0 => store.store(key.clone(), result_for_key(key)),
+                            1 => {
+                                if let Some(found) = store.lookup(key) {
+                                    assert_eq!(found, result_for_key(key));
                                 }
-                                2 => {
-                                    let batch: Vec<_> = keys[i..(i + 5).min(keys.len())]
-                                        .iter()
-                                        .map(|k| (k.clone(), result_for_key(k)))
-                                        .collect();
-                                    store.store_batch(batch);
-                                }
-                                _ => {
-                                    let probe: Vec<Vec<usize>> =
-                                        keys[i..(i + 5).min(keys.len())].to_vec();
-                                    for (k, found) in probe.iter().zip(store.lookup_batch(&probe)) {
-                                        if let Some(found) = found {
-                                            assert_eq!(found, result_for_key(k));
-                                        }
+                            }
+                            2 => {
+                                let batch: Vec<_> = keys[i..(i + 5).min(keys.len())]
+                                    .iter()
+                                    .map(|k| (k.clone(), result_for_key(k)))
+                                    .collect();
+                                store.store_batch(batch);
+                            }
+                            _ => {
+                                let probe: Vec<Vec<usize>> =
+                                    keys[i..(i + 5).min(keys.len())].to_vec();
+                                for (k, found) in probe.iter().zip(store.lookup_batch(&probe)) {
+                                    if let Some(found) = found {
+                                        assert_eq!(found, result_for_key(k));
                                     }
                                 }
                             }
                         }
                     }
-                });
-            }
-        });
-    }
+                }
+            });
+        }
+    });
 
-    // Every key was stored at least once on every store; the two stores must
-    // agree entry for entry with the deterministic expectation.
-    assert_eq!(sharded.len(), keys.len());
-    assert_eq!(single.len(), keys.len());
+    // Every key was stored at least once; the store must agree entry for
+    // entry with the deterministic expectation.
+    assert_eq!(store.len(), keys.len());
     for key in &keys {
-        let expected = result_for_key(key);
-        assert_eq!(sharded.lookup(key), Some(expected.clone()), "key {key:?}");
-        assert_eq!(single.lookup(key), Some(expected), "key {key:?}");
+        assert_eq!(store.lookup(key), Some(result_for_key(key)), "key {key:?}");
     }
-    // Insertions are first-write-wins exact on both stores.
-    assert_eq!(sharded.stats().insertions, keys.len() as u64);
-    assert_eq!(single.stats().insertions, keys.len() as u64);
+    // Insertions are first-write-wins exact.
+    assert_eq!(store.stats().insertions, keys.len() as u64);
 }

@@ -4,11 +4,13 @@
 //! offline run, and byte-identity of traced/warm-started per-job results
 //! across worker counts and across the process boundary.
 
+use std::time::Duration;
 use thermsched::TraceProfile;
 use thermsched_floorplan::library as fp_library;
+
 use thermsched_service::{
-    Corpus, MultiprocConfig, MultiprocCoordinator, ScenarioSpec, ServiceConfig, ServiceRunner,
-    StoreKind, TraceFamily,
+    Corpus, Frontend, FrontendConfig, MultiprocConfig, MultiprocCoordinator, ScenarioSpec,
+    ServiceConfig, ServiceRunner, Submission, TraceFamily,
 };
 use thermsched_thermal::{
     GridResolution, GridThermalSimulator, PackageConfig, PowerMap, PowerTrace, RcThermalSimulator,
@@ -159,9 +161,48 @@ fn jobs_bytes(config: ServiceConfig, corpus: &Corpus) -> String {
     format!("{}\n", jobs.render_pretty().expect("jobs render"))
 }
 
+/// Online jobs keep their results to themselves: the pinned online corpus
+/// (the one `golden_snapshots` pins the results of) runs through the batch
+/// runner and the streaming front-end without a single store lookup or
+/// insertion.
+#[test]
+fn online_jobs_leave_the_scenario_stores_untouched() {
+    let corpus = online_corpus();
+    let config = ServiceConfig {
+        workers: 2,
+        ..ServiceConfig::default()
+    };
+    let batch = ServiceRunner::new(config)
+        .expect("valid config")
+        .run(&corpus)
+        .expect("online corpus runs");
+    let frontend = Frontend::start(
+        FrontendConfig {
+            service: config,
+            ..FrontendConfig::default()
+        },
+        corpus.clone(),
+    )
+    .expect("frontend starts");
+    let handles: Vec<_> = corpus
+        .jobs()
+        .iter()
+        .map(|job| frontend.submit(Submission::from_job(job)))
+        .collect();
+    let drained = frontend.drain(Duration::from_secs(120));
+    for (via, stats) in [("runner", batch.stats()), ("frontend", &drained.stats)] {
+        assert_eq!(stats.completed, corpus.jobs().len(), "{via}");
+        assert_eq!(stats.store.lookups, 0, "{via} looked up");
+        assert_eq!(stats.store.insertions, 0, "{via} inserted");
+    }
+    for (handle, job) in handles.iter().zip(batch.jobs()) {
+        assert_eq!(handle.wait().outcome, job.outcome);
+    }
+}
+
 /// The service's byte-identity contract extends to online corpora: traced
 /// and warm-started per-job results are byte-identical at 1, 4 and 8
-/// workers, across store kinds.
+/// workers.
 #[test]
 fn online_per_job_results_are_byte_identical_across_worker_counts() {
     let corpus = online_corpus();
@@ -177,7 +218,6 @@ fn online_per_job_results_are_byte_identical_across_worker_counts() {
         let bytes = jobs_bytes(
             ServiceConfig {
                 workers,
-                store: StoreKind::Sharded { shards: 4 },
                 ..ServiceConfig::default()
             },
             &corpus,

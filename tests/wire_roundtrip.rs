@@ -21,12 +21,13 @@ use thermsched::{
 use thermsched_floorplan::{Block, Floorplan, Rect};
 use thermsched_obs::{Attr, AttrValue, HistogramSnapshot, ObsClock, SpanRecord};
 use thermsched_service::{
-    BackendKind, ClockKind, FaultPlan, JobMetrics, JobOutcome, JobResult, LatencyStats, Rejected,
-    RetryPolicy, ScenarioSpec, ServiceConfig, ServiceReport, ServiceRunner, ServiceStats,
-    ShedCause, StoreKind,
+    worker_serve, BackendKind, ClockKind, FaultPlan, JobMetrics, JobOutcome, JobResult,
+    LatencyStats, Rejected, RetryPolicy, ScenarioSpec, ServiceConfig, ServiceError, ServiceReport,
+    ServiceRunner, ServiceStats, ShedCause, PROTOCOL_VERSION,
 };
 use thermsched_soc::{library as soc_library, GeneratorConfig, SocGenerator, SystemUnderTest};
 use thermsched_thermal::{Material, PackageConfig, PowerMap};
+use thermsched_wire::frame::write_frame;
 use thermsched_wire::{
     decode_value, encode_value, from_document, obj, to_document, JsonValue, Wire, WireError,
 };
@@ -304,7 +305,6 @@ proptest! {
     #[test]
     fn service_configs_roundtrip(
         workers in 1usize..9,
-        shard_count in 1usize..33,
         backend_sel in 0u64..=u64::MAX,
         cells in 1usize..5,
         dt in 0.001f64..0.1,
@@ -332,9 +332,7 @@ proptest! {
         };
         let config = ServiceConfig {
             workers,
-            store: StoreKind::Sharded { shards: shard_count },
             backend: backend_kind(backend_sel, cells, dt),
-            batch_same_shape: seed % 3 == 0,
             faults,
             retry,
             clock: if seed % 2 == 0 { ClockKind::Wall } else { ClockKind::Virtual },
@@ -343,7 +341,6 @@ proptest! {
         roundtrip_eq(&faults)?;
         roundtrip_eq(&retry)?;
         roundtrip_eq(&config.backend)?;
-        roundtrip_eq(&config.store)?;
         roundtrip_eq(&config.clock)?;
         roundtrip_eq(&config)?;
     }
@@ -766,4 +763,104 @@ fn declared_types_report_missing_fields_wrong_types_and_unknown_labels() {
     check_unknown_label(&ClockKind::Virtual);
     check_unknown_label(&ShedCause::Displaced);
     check_unknown_label(&ObsClock::Virtual);
+}
+
+/// An encoded object with `extra` fields spliced in after the field named
+/// `after`.
+fn with_fields(value: JsonValue, after: &str, extra: Vec<(&str, JsonValue)>) -> JsonValue {
+    let JsonValue::Object(mut entries) = value else {
+        panic!("encodes as an object");
+    };
+    let at = entries.iter().position(|(k, _)| k == after).expect("field") + 1;
+    let extra = extra.into_iter().map(|(k, v)| (k.to_owned(), v));
+    entries.splice(at..at, extra);
+    JsonValue::Object(entries)
+}
+
+/// Documents written before the session store had one form keep decoding,
+/// and a worker refuses a HELLO of the protocol version that wrote them.
+#[test]
+fn legacy_service_documents_decode_and_version_1_hellos_are_refused() {
+    let config = ServiceConfig {
+        workers: 2,
+        ..ServiceConfig::default()
+    };
+    // A version-1 config, as it was written: a store kind and two switches.
+    let legacy_config = |store: JsonValue| {
+        let with_store = with_fields(config.to_wire(), "workers", vec![("store", store)]);
+        with_fields(
+            with_store,
+            "backend",
+            vec![
+                ("operator_cache", JsonValue::from(true)),
+                ("batch_same_shape", JsonValue::from(true)),
+            ],
+        )
+    };
+    for store in [
+        obj()
+            .field("kind", "sharded")
+            .field("shards", 8usize)
+            .build(),
+        obj().field("kind", "mutex").build(),
+    ] {
+        let legacy = legacy_config(store);
+        assert_eq!(ServiceConfig::from_wire(&legacy).unwrap(), config);
+        let binary = encode_value(&legacy).unwrap();
+        assert_eq!(
+            ServiceConfig::from_wire(&decode_value(&binary).unwrap()).unwrap(),
+            config
+        );
+    }
+    let stats = ServiceStats {
+        workers: 2,
+        backend_name: "rc-compact".to_owned(),
+        ..ServiceStats::default()
+    };
+    let legacy_stats = with_fields(
+        with_fields(
+            stats.to_wire(),
+            "workers",
+            vec![
+                ("store_name", JsonValue::from("sharded(8)")),
+                ("shard_count", JsonValue::from(8usize)),
+            ],
+        ),
+        "backend_name",
+        vec![("operator_cache_enabled", JsonValue::from(true))],
+    );
+    assert_eq!(ServiceStats::from_wire(&legacy_stats).unwrap(), stats);
+
+    // A version-1 coordinator's HELLO: refused by version, with a typed
+    // error and no reply.
+    let corpus = ScenarioSpec {
+        scenarios: 1,
+        seed: 3,
+        ..ScenarioSpec::default()
+    }
+    .build()
+    .unwrap();
+    assert_eq!(PROTOCOL_VERSION, 2);
+    let hello = encode_value(
+        &obj()
+            .field("protocol", 1u64)
+            .field("worker", 0usize)
+            .field(
+                "config",
+                legacy_config(obj().field("kind", "mutex").build()),
+            )
+            .field("corpus", corpus.to_wire())
+            .build(),
+    )
+    .unwrap();
+    let mut input = Vec::new();
+    write_frame(&mut input, 1, &hello).unwrap();
+    let mut output = Vec::new();
+    match worker_serve(input.as_slice(), &mut output, None) {
+        Err(ServiceError::Multiproc { message }) => {
+            assert!(message.contains("protocol version 1"), "{message}");
+        }
+        other => panic!("a version-1 HELLO must be refused, got {other:?}"),
+    }
+    assert!(output.is_empty(), "a refused worker replies nothing");
 }
