@@ -1,7 +1,7 @@
 //! The one job executor behind [`crate::ServiceRunner`], [`crate::Frontend`]
 //! and the multi-process worker ([`crate::worker_serve`]).
 //!
-//! An [`Executor`] prepares a corpus once — one thermal backend per
+//! An [`Executor`] prepares scenarios once — one thermal backend per
 //! scenario (same-shape scenarios share one through the operator cache),
 //! one session store per scenario, and the same-shape prewarm for backends
 //! that batch — and then runs jobs through one attempt loop
@@ -20,7 +20,8 @@
 //!   queue and drains it on request ([`Executor::close_and_wait_idle`]) in
 //!   strict priority order, FIFO within a class;
 //! * a worker process runs each `JOB` frame on its own thread as it arrives
-//!   ([`Worker::run`]).
+//!   ([`Worker::run`]), holding only the scenarios its `SCENARIOS` frames
+//!   brought ([`Executor::add_scenarios`]).
 //!
 //! Every per-job span is created inside that loop, which is what makes the
 //! structural span slice identical across all three. Dispatch order changes
@@ -45,8 +46,8 @@ use thermsched_thermal::{PowerMap, SessionThermalResult, ThermalBackend};
 
 use crate::report::LatencyStats;
 use crate::{
-    ClockKind, Corpus, FaultKind, JobHandle, JobOutcome, JobResult, JobSpec, Priority, Result,
-    Scenario, ServiceConfig, ServiceError, ServiceStats,
+    ClockKind, FaultKind, JobHandle, JobOutcome, JobResult, JobSpec, Priority, Result, Scenario,
+    ServiceConfig, ServiceError, ServiceStats,
 };
 
 /// Latency histogram bucket bounds (seconds), fixed so snapshots from
@@ -201,14 +202,22 @@ impl<'a> QueueState<'a> {
     }
 }
 
-/// A prepared corpus plus the queue its jobs run from. See the
+/// One scenario ready to run jobs: its system under test, the backend built
+/// for it and its session store.
+struct Prepared<'a> {
+    scenario: Cow<'a, Scenario>,
+    backend: Arc<dyn ThermalBackend>,
+    cache: SessionCacheHandle,
+}
+
+/// Prepared scenarios plus the queue their jobs run from. See the
 /// [module docs](self).
 pub(crate) struct Executor<'a> {
     config: ServiceConfig,
     mode: Mode,
-    corpus: Cow<'a, Corpus>,
-    backends: Vec<Arc<dyn ThermalBackend>>,
-    caches: Vec<SessionCacheHandle>,
+    /// Prepared scenarios by corpus index: every scenario in-process, only
+    /// the ones a worker process was sent.
+    scenarios: BTreeMap<usize, Prepared<'a>>,
     operator_cache: OperatorCacheHandle,
     prewarmed_sessions: usize,
     /// Run-level tracer every job derives its job-scoped handle from.
@@ -225,9 +234,9 @@ pub(crate) struct Executor<'a> {
 }
 
 impl<'a> Executor<'a> {
-    /// Prepares `corpus` for `config`: backends built once per scenario,
-    /// run-level `backend.build` and `prewarm` spans recorded into
-    /// `tracer`. The configuration is validated by the caller.
+    /// An executor for `config` holding `scenarios`, each under its corpus
+    /// index, prepared as [`Self::add_scenarios`] does. The configuration
+    /// is validated by the caller.
     ///
     /// # Errors
     ///
@@ -235,56 +244,97 @@ impl<'a> Executor<'a> {
     pub(crate) fn new(
         config: ServiceConfig,
         mode: Mode,
-        corpus: Cow<'a, Corpus>,
+        scenarios: impl IntoIterator<Item = (usize, Cow<'a, Scenario>)>,
         tracer: &Tracer,
     ) -> Result<Self> {
-        // Backends are built up front, once per scenario: every worker
-        // borrows them, and construction (a factorisation each) is not
-        // worth paying per worker. The build loop is sequential, so the
-        // operator-cache counters are a deterministic function of the
-        // corpus.
-        let operator_cache = OperatorCacheHandle::new();
-        let backends = {
-            let mut span = tracer.span("backend.build");
-            span.attr("scenarios", corpus.scenarios().len());
-            span.attr("backend", config.backend.label());
-            build_backends(&config, &corpus, &operator_cache)?
-        };
-        let caches: Vec<SessionCacheHandle> = corpus
-            .scenarios()
-            .iter()
-            .map(|_| SessionCacheHandle::new())
-            .collect();
-        // Same-shape batching: advance all phase-1 characterisation
-        // sessions of one operator key as a single multi-RHS pass and
-        // publish them before the first job runs. Bit-identical to the
-        // per-job path, so only throughput changes.
-        let prewarmed_sessions = {
-            let mut span = tracer.span("prewarm");
-            let prewarmed = prewarm_same_shape(&config, &corpus, &backends, &caches);
-            span.attr("sessions", prewarmed);
-            prewarmed
-        };
-        Ok(Executor {
+        let mut executor = Executor {
             config,
             mode,
-            corpus,
-            backends,
-            caches,
-            operator_cache,
-            prewarmed_sessions,
+            scenarios: BTreeMap::new(),
+            operator_cache: OperatorCacheHandle::new(),
+            prewarmed_sessions: 0,
             tracer: tracer.clone(),
             tally: Tally::new(),
             queue: Mutex::new(QueueState::new(mode)),
             work_ready: Condvar::new(),
             idle: Condvar::new(),
             cancel: AtomicBool::new(false),
-        })
+        };
+        executor.add_scenarios(scenarios)?;
+        Ok(executor)
     }
 
-    /// The corpus scenarios jobs index into.
-    pub(crate) fn scenarios(&self) -> &[Scenario] {
-        self.corpus.scenarios()
+    /// Prepares `scenarios`, each under a corpus index this executor does
+    /// not hold yet: a backend each through the operator cache, a session
+    /// store each, and the same-shape prewarm of just these scenarios,
+    /// recorded as run-level `backend.build` and `prewarm` spans. Adding
+    /// nothing records nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::Schedule`] if a scenario's backend cannot be built;
+    /// the executor then holds none of `scenarios`.
+    pub(crate) fn add_scenarios(
+        &mut self,
+        scenarios: impl IntoIterator<Item = (usize, Cow<'a, Scenario>)>,
+    ) -> Result<()> {
+        let mut scenarios = scenarios.into_iter().peekable();
+        if scenarios.peek().is_none() {
+            return Ok(());
+        }
+        let config = &self.config;
+        // Backends are built up front, once per scenario: every worker
+        // borrows them, and construction (a factorisation each) is not
+        // worth paying per worker. The build loop is sequential, so the
+        // operator-cache counters are a deterministic function of the
+        // scenarios.
+        let mut added = {
+            let mut span = self.tracer.span("backend.build");
+            span.attr("backend", config.backend.label());
+            let added = scenarios
+                .map(|(index, scenario)| {
+                    let backend = self
+                        .operator_cache
+                        .get_or_try_build(config.backend.key(&scenario), || {
+                            config.backend.build(&scenario)
+                        })?;
+                    let cache = SessionCacheHandle::new();
+                    Ok((
+                        index,
+                        Prepared {
+                            scenario,
+                            backend,
+                            cache,
+                        },
+                    ))
+                })
+                .collect::<Result<BTreeMap<_, _>>>()?;
+            span.attr("scenarios", added.len());
+            added
+        };
+        // Same-shape batching: advance all phase-1 characterisation
+        // sessions of one operator key as a single multi-RHS pass and
+        // publish them before the first job runs. Bit-identical to the
+        // per-job path, so only throughput changes.
+        let mut span = self.tracer.span("prewarm");
+        let prewarmed = prewarm_same_shape(config, &added);
+        span.attr("sessions", prewarmed);
+        drop(span);
+        self.prewarmed_sessions += prewarmed;
+        // `append` rebuilds the map from both sorted sides with full nodes;
+        // inserting one by one would leave them half empty.
+        self.scenarios.append(&mut added);
+        Ok(())
+    }
+
+    /// How many scenarios this executor holds.
+    pub(crate) fn scenario_count(&self) -> usize {
+        self.scenarios.len()
+    }
+
+    /// Whether this executor holds the scenario of corpus index `index`.
+    pub(crate) fn holds(&self, index: usize) -> bool {
+        self.scenarios.contains_key(&index)
     }
 
     pub(crate) fn lock_queue(&self) -> MutexGuard<'_, QueueState<'a>> {
@@ -408,9 +458,9 @@ impl<'a> Executor<'a> {
     ) -> JobResult {
         self.tally.record(&outcome, None);
         let scenario_name = self
-            .scenarios()
-            .get(scenario)
-            .map_or("unknown", |s| s.name.as_str());
+            .scenarios
+            .get(&scenario)
+            .map_or("unknown", |prepared| prepared.scenario.name.as_str());
         JobResult {
             index: seq as usize,
             scenario,
@@ -427,9 +477,9 @@ impl<'a> Executor<'a> {
 
     /// Usage counters summed over every scenario's session store.
     pub(crate) fn store_stats(&self) -> StoreStats {
-        self.caches
-            .iter()
-            .map(|cache| cache.stats())
+        self.scenarios
+            .values()
+            .map(|prepared| prepared.cache.stats())
             .fold(StoreStats::default(), |sum, s| StoreStats {
                 lookups: sum.lookups + s.lookups,
                 hits: sum.hits + s.hits,
@@ -466,7 +516,7 @@ impl<'a> Executor<'a> {
         let stats = self.tally.stats(
             &self.config,
             self.config.workers,
-            self.scenarios().len(),
+            self.scenario_count(),
             wall_seconds,
         );
         registry.absorb(&self.tally.snapshot());
@@ -489,7 +539,7 @@ pub(crate) struct Worker<'e, 'a> {
 impl<'e> Worker<'e, '_> {
     /// Runs job `seq` (queued at `queued_at`), counts it in the executor's
     /// tally, and returns its result with the accounting that was counted.
-    /// The job's scenario must exist in the corpus.
+    /// The executor must hold the job's scenario.
     pub(crate) fn run(
         &mut self,
         seq: u64,
@@ -505,7 +555,12 @@ impl<'e> Worker<'e, '_> {
             ClockKind::Virtual => 0.0,
         };
         let deadline_effort = deadline_effort.or(config.deadline_effort);
-        let (outcome, mut accounting) = self.execute(seq, job, deadline_effort, queue_seconds);
+        let prepared = executor
+            .scenarios
+            .get(&job.scenario)
+            .expect("callers run only jobs of scenarios the executor holds");
+        let (outcome, mut accounting) =
+            self.execute(seq, job, prepared, deadline_effort, queue_seconds);
         if config.clock == ClockKind::Wall {
             let since = match executor.mode {
                 Mode::Batch => dispatched,
@@ -514,8 +569,7 @@ impl<'e> Worker<'e, '_> {
             accounting.latency_seconds = since.elapsed().as_secs_f64();
         }
         executor.tally.record(&outcome, Some(&accounting));
-        let scenario = &executor.scenarios()[job.scenario];
-        let result = JobResult::new(seq as usize, job, &scenario.name, outcome);
+        let result = JobResult::new(seq as usize, job, &prepared.scenario.name, outcome);
         (result, accounting)
     }
 
@@ -540,6 +594,7 @@ impl<'e> Worker<'e, '_> {
         &mut self,
         seq: u64,
         job: &JobSpec,
+        prepared: &'e Prepared<'_>,
         deadline_effort: Option<f64>,
         queue_seconds: f64,
     ) -> (JobOutcome, JobAccounting) {
@@ -553,13 +608,13 @@ impl<'e> Worker<'e, '_> {
         let tracer = executor.tracer.for_job(seq);
         let mut job_span = tracer.span("job");
         job_span.attr("index", seq);
-        job_span.attr("scenario", executor.scenarios()[job.scenario].name.as_str());
+        job_span.attr("scenario", prepared.scenario.name.as_str());
         job_span.attr("label", job.label.as_str());
         job_span.attr_observed("queue_seconds", queue_seconds);
         let mut accounting = JobAccounting::default();
         if faults.poisons_store(seq) {
             accounting.injected_faults += 1;
-            executor.caches[job.scenario].poison();
+            prepared.cache.poison();
         }
         let mut attempt = 0u32;
         let (outcome, cache) = loop {
@@ -596,9 +651,11 @@ impl<'e> Worker<'e, '_> {
                 }
                 Some(FaultKind::Delay) => {
                     advance_clock(clock, faults.delay_seconds, &mut accounting.latency_seconds);
-                    self.attempt(job, deadline_effort, &tracer)
+                    self.attempt(job, prepared, deadline_effort, &tracer)
                 }
-                Some(FaultKind::PoisonStore) | None => self.attempt(job, deadline_effort, &tracer),
+                Some(FaultKind::PoisonStore) | None => {
+                    self.attempt(job, prepared, deadline_effort, &tracer)
+                }
             };
             // Injected panics are the one retryable panic shape: we know this
             // attempt's panic was ours. Real panics stay terminal.
@@ -633,10 +690,11 @@ impl<'e> Worker<'e, '_> {
     fn attempt(
         &mut self,
         job: &JobSpec,
+        prepared: &'e Prepared<'_>,
         deadline_effort: Option<f64>,
         tracer: &Tracer,
     ) -> (JobOutcome, CacheAccounting) {
-        let executor: &'e Executor<'_> = self.executor;
+        let executor = self.executor;
         let failed = |error: String| {
             (
                 JobOutcome::Failed {
@@ -651,9 +709,9 @@ impl<'e> Worker<'e, '_> {
             Entry::Occupied(entry) => entry.into_mut(),
             Entry::Vacant(entry) => {
                 let built = Engine::builder()
-                    .sut(&executor.scenarios()[job.scenario].sut)
-                    .dyn_backend(executor.backends[job.scenario].as_ref())
-                    .cache(executor.caches[job.scenario].clone())
+                    .sut(&prepared.scenario.sut)
+                    .dyn_backend(prepared.backend.as_ref())
+                    .cache(prepared.cache.clone())
                     .build();
                 match built {
                     Ok(engine) => entry.insert(engine),
@@ -854,29 +912,8 @@ impl Tally {
     }
 }
 
-/// Builds one thermal backend per scenario, sequentially (so the operator
-/// cache's hit/miss counters stay a deterministic function of the corpus),
-/// collapsing same-key scenarios onto shared instances. Exact: same-key
-/// scenarios have identical floorplans, so the shared backend is bit for bit
-/// the one a private build would produce.
-fn build_backends(
-    config: &ServiceConfig,
-    corpus: &Corpus,
-    operator_cache: &OperatorCacheHandle,
-) -> Result<Vec<Arc<dyn ThermalBackend>>> {
-    corpus
-        .scenarios()
-        .iter()
-        .map(|scenario| {
-            operator_cache.get_or_try_build(config.backend.key(scenario), || {
-                config.backend.build(scenario)
-            })
-        })
-        .collect()
-}
-
-/// Groups the corpus's phase-1 characterisation lanes — one (scenario,
-/// core) single-core session each — by operator key and session
+/// Groups the phase-1 characterisation lanes of `scenarios` — one
+/// (scenario, core) single-core session each — by operator key and session
 /// duration, advances each group through the shared backend's multi-RHS
 /// batch, and publishes the results to the scenarios' session stores.
 /// Returns the number of prewarmed lanes.
@@ -891,12 +928,7 @@ fn build_backends(
 /// Prewarmed lanes are constant-power, from-ambient characterisations.
 /// Online jobs (traces / warm starts) never read the stores, so they
 /// compute their own phase 1.
-fn prewarm_same_shape(
-    config: &ServiceConfig,
-    corpus: &Corpus,
-    backends: &[Arc<dyn ThermalBackend>],
-    caches: &[SessionCacheHandle],
-) -> usize {
+fn prewarm_same_shape(config: &ServiceConfig, scenarios: &BTreeMap<usize, Prepared<'_>>) -> usize {
     if !config.backend.batches_sessions() {
         return 0;
     }
@@ -906,11 +938,11 @@ fn prewarm_same_shape(
     // function of the duration).
     type PrewarmGroups = BTreeMap<(OperatorKey, u64), Vec<(usize, usize, f64)>>;
     let mut groups = PrewarmGroups::new();
-    for (index, scenario) in corpus.scenarios().iter().enumerate() {
-        let key = config.backend.key(scenario);
-        for core in 0..scenario.sut.core_count() {
-            let session = TestSession::new([core], &scenario.sut);
-            let duration = session.duration();
+    for (&index, prepared) in scenarios {
+        let sut = &prepared.scenario.sut;
+        let key = config.backend.key(&prepared.scenario);
+        for core in 0..sut.core_count() {
+            let duration = TestSession::new([core], sut).duration();
             groups
                 .entry((key.clone(), duration.to_bits()))
                 .or_default()
@@ -923,14 +955,14 @@ fn prewarm_same_shape(
         let powers: std::result::Result<Vec<PowerMap>, _> = lanes
             .iter()
             .map(|&(scenario, core, _)| {
-                TestSession::new([core], &corpus.scenarios()[scenario].sut)
-                    .power_map(&corpus.scenarios()[scenario].sut)
+                let sut = &scenarios[&scenario].scenario.sut;
+                TestSession::new([core], sut).power_map(sut)
             })
             .collect();
         let Ok(powers) = powers else { continue };
         // The operator cache gives all scenarios of a key group one
         // shared backend, so the group's first backend serves every lane.
-        let backend = backends[lanes[0].0].as_ref();
+        let backend = scenarios[&lanes[0].0].backend.as_ref();
         let Ok(results) = backend.simulate_sessions(&powers, duration) else {
             continue;
         };
@@ -944,7 +976,7 @@ fn prewarm_same_shape(
         }
         prewarmed += lanes.len();
         for (scenario, batch) in per_scenario {
-            caches[scenario].store_batch(batch);
+            scenarios[&scenario].cache.store_batch(batch);
         }
     }
     prewarmed
@@ -1123,7 +1155,8 @@ mod tests {
 
     use super::*;
     use crate::{
-        Frontend, FrontendConfig, ScenarioSpec, ServiceReport, ServiceRunner, ShedCause, Submission,
+        Corpus, Frontend, FrontendConfig, ScenarioSpec, ServiceReport, ServiceRunner, ShedCause,
+        Submission,
     };
 
     fn corpus() -> Corpus {
@@ -1172,7 +1205,7 @@ mod tests {
         let executor = Executor::new(
             config(),
             Mode::Batch,
-            Cow::Borrowed(corpus),
+            corpus.scenarios().iter().map(Cow::Borrowed).enumerate(),
             &Tracer::disabled(),
         )
         .unwrap();

@@ -446,10 +446,11 @@ impl Frontend {
                 problem: "must be at least 1",
             });
         }
+        let scenarios = corpus.into_scenarios().into_iter().map(Cow::Owned);
         let executor = Arc::new(Executor::new(
             config.service,
             Mode::Stream,
-            Cow::Owned(corpus),
+            scenarios.enumerate(),
             tracer,
         )?);
         let workers = (0..config.service.workers)
@@ -475,7 +476,7 @@ impl Frontend {
         let executor = &self.executor;
         let mut state = executor.lock_queue();
         let seq = state.next_seq();
-        let scenario_count = executor.scenarios().len();
+        let scenario_count = executor.scenario_count();
         let rejection = if !state.accepting {
             Some(Rejected::Draining)
         } else if submission.scenario >= scenario_count {

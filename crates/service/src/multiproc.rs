@@ -19,7 +19,8 @@
 //!
 //! | kind | direction | payload |
 //! |---|---|---|
-//! | `HELLO` (1) | → worker | `{protocol, worker, config, corpus, trace?}` |
+//! | `HELLO` (1) | → worker | `{protocol, worker, config, trace?}` |
+//! | `SCENARIOS` (6) | → worker | `[{index, scenario}, ...]` (global corpus indices) |
 //! | `JOB` (2) | → worker | `{index, job}` (global corpus index) |
 //! | `RESULT` (3) | ← worker | `{index, result, accounting...}` |
 //! | `SHUTDOWN` (4) | → worker | `{}` |
@@ -31,17 +32,34 @@
 //! and ignores them. The `trace` flag and the FIN trace fields are optional
 //! on both sides (absent means "not tracing").
 //!
-//! `PROTOCOL_VERSION` is 2. A worker refuses a HELLO of any other version
-//! with [`ServiceError::Multiproc`], so a version-1 worker, whose config
-//! decoder requires the fields version 2 no longer writes, refuses a
-//! version-2 HELLO by its version.
+//! `PROTOCOL_VERSION` is 3. A worker refuses a HELLO of any other version
+//! with [`ServiceError::Multiproc`]: version 2 shipped the whole corpus in
+//! HELLO and knew no `SCENARIOS` frame, so neither side can serve the
+//! other.
 //!
-//! The job index crosses the boundary because fault injection and retry
-//! jitter are keyed by the *global* corpus index — a worker that hashed its
-//! local receive order instead would break the byte-identity contract.
+//! # Dealing
+//!
+//! Every job of a scenario runs on one worker, so the scenario's session
+//! store lives in one process and its jobs reuse each other's sessions as
+//! they do in-process. The coordinator deals whole scenarios in corpus
+//! order, each to the worker with the fewest jobs so far (ties go to the
+//! lowest index), and spawns at most one worker per scenario that has
+//! jobs. A worker is sent only the scenarios its jobs use, in a
+//! `SCENARIOS` frame ahead of its first `JOB`; it builds backends, stores
+//! and the same-shape prewarm for just those. When a worker dies, all of
+//! its unresolved jobs move to the first live worker, preceded by a
+//! `SCENARIOS` frame with the scenarios that worker lacks: the initial
+//! deal and crash recovery take the same path. A `RESULT` counts only for
+//! a job currently dealt to the worker that sent it; any other index marks
+//! that worker dead, like a malformed frame.
+//!
+//! Jobs and scenarios keep their *global* corpus indices across the
+//! boundary: fault injection and retry jitter are keyed by the job index,
+//! and results name the corpus scenario, so a worker that used its local
+//! receive order instead would break the byte-identity contract.
 
 use std::borrow::Cow;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
@@ -52,16 +70,16 @@ use thermsched_obs::{
     MetricsRegistry, MetricsSnapshot, ObsClock, SpanRecord, Tracer, TracerConfig,
 };
 use thermsched_wire::frame::{read_frame, write_frame, Frame};
-use thermsched_wire::{decode_value, encode_value, obj, JsonValue, Wire, WireError};
+use thermsched_wire::{decode_value, encode_array, encode_value, obj, JsonValue, Wire, WireError};
 
 use crate::executor::{Executor, JobAccounting, Mode, Tally};
 use crate::{
-    ClockKind, Corpus, JobResult, JobSpec, Result, ServiceConfig, ServiceError, ServiceReport,
-    ServiceStats,
+    ClockKind, Corpus, JobResult, JobSpec, Result, Scenario, ServiceConfig, ServiceError,
+    ServiceReport, ServiceStats,
 };
 
 /// Version of the coordinator↔worker protocol, checked in `HELLO`.
-pub const PROTOCOL_VERSION: u64 = 2;
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// Frame kinds of the coordinator↔worker protocol.
 const FRAME_HELLO: u8 = 1;
@@ -69,6 +87,7 @@ const FRAME_JOB: u8 = 2;
 const FRAME_RESULT: u8 = 3;
 const FRAME_SHUTDOWN: u8 = 4;
 const FRAME_FIN: u8 = 5;
+const FRAME_SCENARIOS: u8 = 6;
 
 fn multiproc_error(message: impl Into<String>) -> ServiceError {
     ServiceError::Multiproc {
@@ -79,8 +98,10 @@ fn multiproc_error(message: impl Into<String>) -> ServiceError {
 /// Configuration of a [`MultiprocCoordinator`].
 #[derive(Debug, Clone)]
 pub struct MultiprocConfig {
-    /// Worker processes to spawn. Jobs are sharded round-robin: job `i`
-    /// starts on worker `i % processes`.
+    /// Worker processes to spawn, at most one per scenario that has jobs.
+    /// Jobs are dealt by whole scenario, in corpus order, each scenario to
+    /// the worker with the fewest jobs so far: every job of a scenario
+    /// starts on one worker.
     pub processes: usize,
     /// Program to spawn as the worker (typically the `thermsched` binary).
     pub program: std::path::PathBuf,
@@ -130,6 +151,8 @@ enum Event {
 
 /// What the coordinator hands a worker's writer thread.
 enum WriterMsg {
+    /// An encoded `SCENARIOS` payload.
+    Scenarios(Vec<u8>),
     Job(usize),
     Shutdown,
 }
@@ -159,7 +182,7 @@ impl MultiprocCoordinator {
     ///
     /// [`ServiceError::Multiproc`] if a worker cannot be spawned or every
     /// worker dies with jobs still unresolved; [`ServiceError::Wire`] if
-    /// the corpus cannot be encoded.
+    /// a frame cannot be encoded.
     pub fn run(&self, corpus: &Corpus) -> Result<ServiceReport> {
         self.run_traced(corpus, &Tracer::disabled(), &MetricsRegistry::new())
     }
@@ -168,7 +191,9 @@ impl MultiprocCoordinator {
     /// (the `trace` HELLO flag), their FIN frames carry back a metrics
     /// snapshot plus their span records, and the coordinator absorbs both
     /// into `tracer`/`registry` — yielding one cross-process trace whose
-    /// per-job structural slice is identical to an in-process run's.
+    /// per-job structural slice is identical to an in-process run's. The
+    /// coordinator also counts, as `multiproc.hello_bytes`, the payload
+    /// bytes of every `HELLO` and `SCENARIOS` frame it sends.
     ///
     /// # Errors
     ///
@@ -187,30 +212,27 @@ impl MultiprocCoordinator {
                 self.stats(corpus, &Tally::new(), started),
             ));
         }
-        let processes = self.config.processes.min(jobs.len());
-        let mut hello = obj()
-            .field("protocol", PROTOCOL_VERSION)
-            .field("worker", 0usize)
-            .field("config", self.config.service.to_wire())
-            .field("corpus", corpus.to_wire())
-            .field("trace", tracer.is_enabled())
-            .build();
-        // The HELLO frames differ only in the worker index (field 1), so one
-        // value is re-stamped per worker instead of copying the corpus into
-        // each.
-        let hellos: Vec<Vec<u8>> = (0..processes)
+        let dealt = deal(corpus, self.config.processes);
+        let hellos: Vec<Vec<u8>> = (0..dealt.len())
             .map(|worker| {
-                if let JsonValue::Object(fields) = &mut hello {
-                    fields[1].1 = JsonValue::from(worker);
-                }
-                encode_value(&hello)
+                encode_value(
+                    &obj()
+                        .field("protocol", PROTOCOL_VERSION)
+                        .field("worker", worker)
+                        .field("config", self.config.service.to_wire())
+                        .field("trace", tracer.is_enabled())
+                        .build(),
+                )
             })
             .collect::<std::result::Result<_, WireError>>()?;
+        registry
+            .counter("multiproc.hello_bytes")
+            .add(hellos.iter().map(|hello| hello.len() as u64).sum());
 
-        let mut children: Vec<Child> = Vec::with_capacity(processes);
-        let mut stdins = Vec::with_capacity(processes);
-        let mut stdouts = Vec::with_capacity(processes);
-        for worker in 0..processes {
+        let mut children: Vec<Child> = Vec::with_capacity(dealt.len());
+        let mut stdins = Vec::with_capacity(dealt.len());
+        let mut stdouts = Vec::with_capacity(dealt.len());
+        for worker in 0..dealt.len() {
             let mut child = Command::new(&self.config.program)
                 .args(&self.config.args)
                 .stdin(Stdio::piped())
@@ -252,7 +274,7 @@ impl MultiprocCoordinator {
             drop(event_tx);
             let result = self.coordinate(
                 corpus,
-                processes,
+                &dealt,
                 &mut writer_txs,
                 &event_rx,
                 started,
@@ -260,9 +282,10 @@ impl MultiprocCoordinator {
                 registry,
             );
             // Readers block on the children's stdout; make sure every child
-            // is gone (errors included) before the scope tries to join them.
-            if result.is_err() {
-                for child in &mut children {
+            // that failed the run or was declared dead (its writer dropped)
+            // is gone before the scope tries to join them.
+            for (child, writer) in children.iter_mut().zip(&writer_txs) {
+                if result.is_err() || writer.is_none() {
                     let _ = child.kill();
                 }
             }
@@ -275,10 +298,13 @@ impl MultiprocCoordinator {
         outcome
     }
 
-    /// The coordinator event loop: collect results, reassign the jobs of
-    /// dead workers, then shut the survivors down and merge their stats.
+    /// The coordinator event loop: deal the jobs, collect results, reassign
+    /// the jobs of dead workers, then shut the survivors down and merge
+    /// their stats.
     ///
-    /// Each result is counted once, with the accounting its worker shipped,
+    /// `dealt` holds each worker's jobs and `writer_txs` each worker's writer
+    /// thread; a worker's writer is dropped when it is declared dead. Each
+    /// result is counted once, with the accounting its worker shipped,
     /// into the same [`Tally`] an in-process run counts into; each `FIN`
     /// adds its worker's run-level counters. Worker FIN frames also carry
     /// each worker's metrics snapshot and span records when tracing; the
@@ -289,7 +315,7 @@ impl MultiprocCoordinator {
     fn coordinate(
         &self,
         corpus: &Corpus,
-        processes: usize,
+        dealt: &[Vec<usize>],
         writer_txs: &mut [Option<mpsc::Sender<WriterMsg>>],
         events: &mpsc::Receiver<Event>,
         started: Instant,
@@ -297,12 +323,31 @@ impl MultiprocCoordinator {
         registry: &MetricsRegistry,
     ) -> Result<ServiceReport> {
         let jobs = corpus.jobs();
-        let mut assigned: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); processes];
-        for index in 0..jobs.len() {
-            let worker = index % processes;
-            assigned[worker].insert(index);
-            if let Some(tx) = &writer_txs[worker] {
-                let _ = tx.send(WriterMsg::Job(index));
+        let processes = writer_txs.len();
+        let hello_bytes = registry.counter("multiproc.hello_bytes");
+        let mut ledger = Ledger::new(processes);
+        // Deals jobs `indices` to a live worker: first a SCENARIOS frame
+        // with the scenarios among them it lacks, encoded here one
+        // scenario at a time, then the jobs.
+        let send = |ledger: &mut Ledger,
+                    writer: &mpsc::Sender<WriterMsg>,
+                    worker: usize,
+                    indices: &[usize]|
+         -> Result<()> {
+            let missing = ledger.hand(worker, indices, jobs);
+            if !missing.is_empty() {
+                let payload = scenarios_payload(corpus, &missing)?;
+                hello_bytes.add(payload.len() as u64);
+                let _ = writer.send(WriterMsg::Scenarios(payload));
+            }
+            for &index in indices {
+                let _ = writer.send(WriterMsg::Job(index));
+            }
+            Ok(())
+        };
+        for (worker, indices) in dealt.iter().enumerate() {
+            if let Some(writer) = &writer_txs[worker] {
+                send(&mut ledger, writer, worker, indices)?;
             }
         }
 
@@ -311,75 +356,54 @@ impl MultiprocCoordinator {
         let mut dead = vec![false; processes];
         let mut finished = vec![false; processes];
         let tally = Tally::new();
-        let fin = |finished: &mut [bool], event: Event| {
-            if let Event::Fin {
-                worker,
-                store,
-                operator_cache,
-                prewarmed_sessions,
-                metrics,
-                spans,
-                dropped_spans,
-            } = event
-            {
-                finished[worker] = true;
-                tally.add_run(store, operator_cache, prewarmed_sessions);
-                registry.absorb(&metrics);
-                tracer.absorb(spans);
-                tracer.add_dropped(dropped_spans);
-            }
-        };
-
         while resolved < jobs.len() {
             let event = events
                 .recv()
                 .map_err(|_| multiproc_error("every worker pipe closed with jobs unresolved"))?;
-            match event {
+            let worker = match event {
                 Event::Result {
                     worker,
                     index,
                     result,
                     accounting,
                 } => {
-                    assigned[worker].remove(&index);
-                    if results[index].is_none() {
+                    if !dead[worker] && ledger.resolve(worker, index) {
                         resolved += 1;
                         tally.record(&result.outcome, Some(&accounting));
                         results[index] = Some(result);
-                    }
-                }
-                Event::Fin { .. } => fin(&mut finished, event),
-                Event::Dead { worker } => {
-                    if dead[worker] || finished[worker] {
                         continue;
                     }
-                    dead[worker] = true;
-                    tally.worker_crashed();
-                    writer_txs[worker] = None;
-                    let orphans = std::mem::take(&mut assigned[worker]);
-                    if orphans.is_empty() {
-                        continue;
-                    }
-                    let Some(survivor) = (0..processes).find(|&w| !dead[w]) else {
-                        return Err(multiproc_error(format!(
-                            "all {processes} workers died with {} jobs unresolved",
-                            jobs.len() - resolved
-                        )));
-                    };
-                    for index in orphans {
-                        assigned[survivor].insert(index);
-                        if let Some(tx) = &writer_txs[survivor] {
-                            let _ = tx.send(WriterMsg::Job(index));
-                        }
-                    }
+                    worker
                 }
+                // No worker is asked for its FIN before every job is
+                // resolved, so one sent now breaks the protocol.
+                Event::Fin { worker, .. } | Event::Dead { worker } => worker,
+            };
+            if dead[worker] {
+                continue;
+            }
+            dead[worker] = true;
+            tally.worker_crashed();
+            writer_txs[worker] = None;
+            let orphans = ledger.orphans(worker);
+            if orphans.is_empty() {
+                continue;
+            }
+            let Some(survivor) = (0..processes).find(|&w| !dead[w]) else {
+                return Err(multiproc_error(format!(
+                    "all {processes} workers died with {} jobs unresolved",
+                    jobs.len() - resolved
+                )));
+            };
+            if let Some(writer) = &writer_txs[survivor] {
+                send(&mut ledger, writer, survivor, &orphans)?;
             }
         }
 
         // Every job is resolved; ask the survivors for their FIN stats.
         let mut awaiting = 0usize;
         for worker in 0..processes {
-            if !dead[worker] && !finished[worker] {
+            if !dead[worker] {
                 if let Some(tx) = &writer_txs[worker] {
                     let _ = tx.send(WriterMsg::Shutdown);
                     awaiting += 1;
@@ -388,9 +412,21 @@ impl MultiprocCoordinator {
         }
         while awaiting > 0 {
             match events.recv() {
-                Ok(event @ Event::Fin { worker, .. }) => {
-                    if !finished[worker] {
-                        fin(&mut finished, event);
+                Ok(Event::Fin {
+                    worker,
+                    store,
+                    operator_cache,
+                    prewarmed_sessions,
+                    metrics,
+                    spans,
+                    dropped_spans,
+                }) => {
+                    if !dead[worker] && !finished[worker] {
+                        finished[worker] = true;
+                        tally.add_run(store, operator_cache, prewarmed_sessions);
+                        registry.absorb(&metrics);
+                        tracer.absorb(spans);
+                        tracer.add_dropped(dropped_spans);
                         awaiting -= 1;
                     }
                 }
@@ -429,12 +465,98 @@ impl MultiprocCoordinator {
     }
 }
 
-/// Writer thread of one worker: `HELLO`, then jobs as the coordinator
-/// assigns them, then `SHUTDOWN`. Write errors end the thread quietly — the
-/// worker's reader will observe the death and the coordinator reassigns.
+/// Encodes the `SCENARIOS` payload of the corpus scenarios `indices`, one
+/// scenario at a time.
+fn scenarios_payload(corpus: &Corpus, indices: &BTreeSet<usize>) -> Result<Vec<u8>> {
+    let entries = indices.iter().map(|&index| {
+        obj()
+            .field("index", index)
+            .field("scenario", corpus.scenarios()[index].to_wire())
+            .build()
+    });
+    encode_array(entries).map_err(ServiceError::Wire)
+}
+
+/// Deals whole scenarios over at most `processes` workers: in corpus
+/// order, each scenario that has jobs goes to the worker with the fewest
+/// jobs so far, ties to the lowest index. Returns each worker's jobs in
+/// ascending order, one list per worker to spawn — never more workers than
+/// scenarios with jobs.
+fn deal(corpus: &Corpus, processes: usize) -> Vec<Vec<usize>> {
+    let mut by_scenario = vec![Vec::new(); corpus.scenarios().len()];
+    for (index, job) in corpus.jobs().iter().enumerate() {
+        by_scenario[job.scenario].push(index);
+    }
+    by_scenario.retain(|jobs| !jobs.is_empty());
+    let mut dealt: Vec<Vec<usize>> = vec![Vec::new(); processes.min(by_scenario.len())];
+    for jobs in by_scenario {
+        // `min_by_key` returns the first of equal minima: the lowest index.
+        dealt
+            .iter_mut()
+            .min_by_key(|dealt| dealt.len())
+            .expect("a scenario with jobs gets at least one worker")
+            .extend(jobs);
+    }
+    for jobs in &mut dealt {
+        jobs.sort_unstable();
+    }
+    dealt
+}
+
+/// Which jobs and scenarios each worker holds: the coordinator's record of
+/// its deal, which decides what a worker must be sent and which results it
+/// may report.
+struct Ledger {
+    /// Jobs dealt to each worker and not resolved yet.
+    pending: Vec<BTreeSet<usize>>,
+    /// Scenarios each worker has been sent.
+    sent: Vec<BTreeSet<usize>>,
+}
+
+impl Ledger {
+    fn new(workers: usize) -> Self {
+        Ledger {
+            pending: vec![BTreeSet::new(); workers],
+            sent: vec![BTreeSet::new(); workers],
+        }
+    }
+
+    /// Records jobs `indices` (into `jobs`) as dealt to `worker`. Returns
+    /// the scenarios among them it has not been sent yet, ascending, and
+    /// counts them as sent.
+    fn hand(&mut self, worker: usize, indices: &[usize], jobs: &[JobSpec]) -> BTreeSet<usize> {
+        self.pending[worker].extend(indices);
+        let missing: BTreeSet<usize> = indices
+            .iter()
+            .map(|&index| jobs[index].scenario)
+            .filter(|scenario| !self.sent[worker].contains(scenario))
+            .collect();
+        self.sent[worker].extend(&missing);
+        missing
+    }
+
+    /// Resolves job `index` for `worker` if it is dealt to that worker and
+    /// unresolved; otherwise returns `false` and changes nothing — the
+    /// worker reported a job that is not its own.
+    fn resolve(&mut self, worker: usize, index: usize) -> bool {
+        self.pending[worker].remove(&index)
+    }
+
+    /// Takes a dead worker's unresolved jobs, ascending.
+    fn orphans(&mut self, worker: usize) -> Vec<usize> {
+        std::mem::take(&mut self.pending[worker])
+            .into_iter()
+            .collect()
+    }
+}
+
+/// Writer thread of one worker: `HELLO`, then scenarios and jobs as the
+/// coordinator deals them, then `SHUTDOWN`. Write errors end the thread
+/// quietly — the worker's reader will observe the death and the
+/// coordinator reassigns.
 fn worker_writer(
     stdin: impl Write,
-    jobs: mpsc::Receiver<WriterMsg>,
+    messages: mpsc::Receiver<WriterMsg>,
     hello: &[u8],
     jobs_wire: &[Vec<u8>],
 ) {
@@ -442,8 +564,9 @@ fn worker_writer(
     if write_frame(&mut stdin, FRAME_HELLO, hello).is_err() {
         return;
     }
-    while let Ok(msg) = jobs.recv() {
+    while let Ok(msg) = messages.recv() {
         let result = match msg {
+            WriterMsg::Scenarios(payload) => write_frame(&mut stdin, FRAME_SCENARIOS, &payload),
             WriterMsg::Job(index) => write_frame(&mut stdin, FRAME_JOB, &jobs_wire[index]),
             WriterMsg::Shutdown => {
                 let _ = write_frame(&mut stdin, FRAME_SHUTDOWN, &[]);
@@ -545,9 +668,9 @@ pub struct CrashPlan {
 }
 
 /// Serves one worker process over `input`/`output`: a `HELLO` frame with
-/// the config and corpus, then `JOB` frames each answered by a `RESULT`,
-/// until `SHUTDOWN` (answered by `FIN`, clean exit) or EOF (coordinator
-/// gone).
+/// the config, then `SCENARIOS` frames adding the scenarios its jobs use
+/// and `JOB` frames each answered by a `RESULT`, until `SHUTDOWN`
+/// (answered by `FIN`, clean exit) or EOF (coordinator gone).
 ///
 /// `crash` is the deliberate-failure hook used by the robustness tests;
 /// see [`CrashPlan`].
@@ -556,8 +679,8 @@ pub struct CrashPlan {
 ///
 /// [`ServiceError::Wire`] on a malformed frame from the coordinator,
 /// [`ServiceError::Multiproc`] on a protocol violation (bad version, a
-/// frame before `HELLO`), and construction errors from building the
-/// scenario backends.
+/// frame before `HELLO`, a scenario sent twice, a job for a scenario never
+/// sent), and construction errors from building the scenario backends.
 pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPlan>) -> Result<()> {
     let mut input = BufReader::new(input);
     let mut output = BufWriter::new(output);
@@ -582,11 +705,10 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
     let me: usize = hello.decode(T, "worker")?;
     let crash = crash.filter(|plan| plan.only_worker.is_none() || plan.only_worker == Some(me));
     let config: ServiceConfig = hello.decode(T, "config")?;
-    let corpus: Corpus = hello.decode(T, "corpus")?;
-    // The trace flag is optional in HELLO (older coordinators omit it);
-    // absent means "not tracing" and the worker pays zero observability
-    // cost. The worker's span clock follows the service clock so Virtual
-    // runs produce deterministic structural traces across process counts.
+    // The trace flag is optional in HELLO; absent means "not tracing" and
+    // the worker pays zero observability cost. The worker's span clock
+    // follows the service clock so Virtual runs produce deterministic
+    // structural traces across process counts.
     let trace = hello.decode(T, "trace").unwrap_or(false);
     let tracer = if trace {
         Tracer::new(TracerConfig {
@@ -601,74 +723,106 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
         Tracer::disabled()
     };
 
-    // The same executor as the in-process runner, fed from frames: jobs run
-    // one at a time on this thread — the processes are the parallelism.
-    let executor = Executor::new(config, Mode::Batch, Cow::Owned(corpus), &tracer)?;
-    let mut worker = executor.worker();
+    // The same executor as the in-process runner, holding only the
+    // scenarios SCENARIOS frames bring: jobs run one at a time on this
+    // thread — the processes are the parallelism.
+    let mut executor = Executor::new(config, Mode::Batch, Vec::new(), &tracer)?;
     let mut resolved = 0usize;
     loop {
-        let Some(frame) = read_frame(&mut input).map_err(ServiceError::Wire)? else {
-            return Ok(()); // Coordinator closed the pipe; exit quietly.
-        };
-        match frame.kind {
-            FRAME_JOB => {
-                if crash.is_some_and(|plan| resolved >= plan.after_jobs) {
-                    // Crash-test hook: swallow the job and die with it
-                    // unacknowledged, like a worker that crashed mid-job.
+        // Adding scenarios needs the executor to itself, so the job runner
+        // (and the engines it keeps per scenario) starts afresh after each
+        // SCENARIOS frame.
+        let mut worker = executor.worker();
+        loop {
+            let Some(frame) = read_frame(&mut input).map_err(ServiceError::Wire)? else {
+                return Ok(()); // Coordinator closed the pipe; exit quietly.
+            };
+            match frame.kind {
+                FRAME_SCENARIOS => {
+                    let scenarios = decode_scenarios(&frame.payload, &executor)?;
+                    drop(worker);
+                    executor.add_scenarios(
+                        scenarios
+                            .into_iter()
+                            .map(|(index, scenario)| (index, Cow::Owned(scenario))),
+                    )?;
+                    break;
+                }
+                FRAME_JOB => {
+                    if crash.is_some_and(|plan| resolved >= plan.after_jobs) {
+                        // Crash-test hook: swallow the job and die with it
+                        // unacknowledged, like a worker that crashed mid-job.
+                        return Ok(());
+                    }
+                    let payload = decode_value(&frame.payload)?;
+                    let index: usize = payload.decode("job_frame", "index")?;
+                    let job: JobSpec = payload.decode("job_frame", "job")?;
+                    if !executor.holds(job.scenario) {
+                        return Err(multiproc_error(format!(
+                            "job {index} references scenario {}, which this worker was never sent",
+                            job.scenario
+                        )));
+                    }
+                    let (result, accounting) = worker.run(index as u64, &job, None, Instant::now());
+                    let reply = encode_value(
+                        &obj()
+                            .field("index", index)
+                            .field("result", result.to_wire())
+                            .field("warm_cache_hits", accounting.warm_cache_hits)
+                            .field("cached_validations", accounting.cached_validations)
+                            .field("injected_faults", accounting.injected_faults)
+                            .field("retried_attempts", accounting.retried_attempts)
+                            .field("latency_seconds", accounting.latency_seconds)
+                            .build(),
+                    )?;
+                    write_frame(&mut output, FRAME_RESULT, &reply).map_err(ServiceError::Wire)?;
+                    resolved += 1;
+                }
+                FRAME_SHUTDOWN => {
+                    let mut fin = obj()
+                        .field("store", executor.store_stats().to_wire())
+                        .field("operator_cache", executor.operator_cache_stats().to_wire())
+                        .field("prewarmed_sessions", executor.prewarmed_sessions());
+                    if trace {
+                        // The worker's tally carries the same counters,
+                        // under the same names, as an in-process run's
+                        // registry; ship it with the worker's spans for
+                        // the merged trace.
+                        executor.add_run_counters();
+                        let spans: Vec<JsonValue> =
+                            tracer.drain().iter().map(Wire::to_wire).collect();
+                        fin = fin
+                            .field("metrics", executor.tally().snapshot().to_wire())
+                            .field("spans", JsonValue::Array(spans))
+                            .field("dropped_spans", tracer.dropped_spans());
+                    }
+                    let fin = encode_value(&fin.build())?;
+                    write_frame(&mut output, FRAME_FIN, &fin).map_err(ServiceError::Wire)?;
                     return Ok(());
                 }
-                let payload = decode_value(&frame.payload)?;
-                let index: usize = payload.decode("job_frame", "index")?;
-                let job: JobSpec = payload.decode("job_frame", "job")?;
-                let scenario_count = executor.scenarios().len();
-                if job.scenario >= scenario_count {
+                other => {
                     return Err(multiproc_error(format!(
-                        "job {index} references scenario {} of {scenario_count}",
-                        job.scenario
+                        "unexpected frame kind {other} after HELLO"
                     )));
                 }
-                let (result, accounting) = worker.run(index as u64, &job, None, Instant::now());
-                let reply = encode_value(
-                    &obj()
-                        .field("index", index)
-                        .field("result", result.to_wire())
-                        .field("warm_cache_hits", accounting.warm_cache_hits)
-                        .field("cached_validations", accounting.cached_validations)
-                        .field("injected_faults", accounting.injected_faults)
-                        .field("retried_attempts", accounting.retried_attempts)
-                        .field("latency_seconds", accounting.latency_seconds)
-                        .build(),
-                )?;
-                write_frame(&mut output, FRAME_RESULT, &reply).map_err(ServiceError::Wire)?;
-                resolved += 1;
-            }
-            FRAME_SHUTDOWN => {
-                let mut fin = obj()
-                    .field("store", executor.store_stats().to_wire())
-                    .field("operator_cache", executor.operator_cache_stats().to_wire())
-                    .field("prewarmed_sessions", executor.prewarmed_sessions());
-                if trace {
-                    // The worker's tally carries the same counters, under
-                    // the same names, as an in-process run's registry; ship
-                    // it with the worker's spans for the merged trace.
-                    executor.add_run_counters();
-                    let spans: Vec<JsonValue> = tracer.drain().iter().map(Wire::to_wire).collect();
-                    fin = fin
-                        .field("metrics", executor.tally().snapshot().to_wire())
-                        .field("spans", JsonValue::Array(spans))
-                        .field("dropped_spans", tracer.dropped_spans());
-                }
-                let fin = encode_value(&fin.build())?;
-                write_frame(&mut output, FRAME_FIN, &fin).map_err(ServiceError::Wire)?;
-                return Ok(());
-            }
-            other => {
-                return Err(multiproc_error(format!(
-                    "unexpected frame kind {other} after HELLO"
-                )));
             }
         }
     }
+}
+
+/// Decodes a `SCENARIOS` payload into its scenarios by corpus index,
+/// refusing any index sent twice.
+fn decode_scenarios(payload: &[u8], executor: &Executor<'_>) -> Result<BTreeMap<usize, Scenario>> {
+    const T: &str = "scenarios_frame";
+    let mut scenarios = BTreeMap::new();
+    for entry in decode_value(payload)?.as_array()? {
+        let index: usize = entry.decode(T, "index")?;
+        let scenario: Scenario = entry.decode(T, "scenario")?;
+        if executor.holds(index) || scenarios.insert(index, scenario).is_some() {
+            return Err(multiproc_error(format!("scenario {index} was sent twice")));
+        }
+    }
+    Ok(scenarios)
 }
 
 #[cfg(test)]
@@ -695,16 +849,26 @@ mod tests {
         (result, replies)
     }
 
-    fn hello_payload(corpus: &Corpus) -> Vec<u8> {
+    /// A HELLO without the optional `trace` field.
+    fn hello_payload() -> Vec<u8> {
         encode_value(
             &obj()
                 .field("protocol", PROTOCOL_VERSION)
                 .field("worker", 0usize)
                 .field("config", ServiceConfig::default().to_wire())
-                .field("corpus", corpus.to_wire())
                 .build(),
         )
         .unwrap()
+    }
+
+    /// The SCENARIOS frame the coordinator would send for `scenarios`
+    /// (duplicates collapse).
+    fn scenarios_frame(corpus: &Corpus, scenarios: &[usize]) -> (u8, Vec<u8>) {
+        let indices = scenarios.iter().copied().collect();
+        (
+            FRAME_SCENARIOS,
+            scenarios_payload(corpus, &indices).unwrap(),
+        )
     }
 
     /// One scenario, two jobs (the default TL × STCL grid).
@@ -730,7 +894,8 @@ mod tests {
         .unwrap();
         let (result, replies) = serve(
             &[
-                (FRAME_HELLO, hello_payload(&corpus)),
+                (FRAME_HELLO, hello_payload()),
+                scenarios_frame(&corpus, &[0]),
                 (FRAME_JOB, job),
                 (FRAME_SHUTDOWN, Vec::new()),
             ],
@@ -757,7 +922,6 @@ mod tests {
             &obj()
                 .field("protocol", 99u64)
                 .field("config", ServiceConfig::default().to_wire())
-                .field("corpus", corpus.to_wire())
                 .build(),
         )
         .unwrap();
@@ -766,6 +930,25 @@ mod tests {
         // A garbage payload is a wire error, not a panic.
         let (result, _) = serve(&[(FRAME_HELLO, vec![0xff, 0xff])], None);
         assert!(matches!(result, Err(ServiceError::Wire(_))));
+        // A scenario sent twice, in one frame or in two.
+        let twice = encode_array([0usize, 0].map(|index| {
+            obj()
+                .field("index", index)
+                .field("scenario", corpus.scenarios()[0].to_wire())
+                .build()
+        }))
+        .unwrap();
+        for frames in [
+            vec![(FRAME_HELLO, hello_payload()), (FRAME_SCENARIOS, twice)],
+            vec![
+                (FRAME_HELLO, hello_payload()),
+                scenarios_frame(&corpus, &[0]),
+                scenarios_frame(&corpus, &[0]),
+            ],
+        ] {
+            let (result, _) = serve(&frames, None);
+            assert!(matches!(result, Err(ServiceError::Multiproc { .. })));
+        }
         // EOF before HELLO is a clean no-op exit.
         let (result, replies) = serve(&[], None);
         result.unwrap();
@@ -785,7 +968,8 @@ mod tests {
             .unwrap()
         };
         let frames = [
-            (FRAME_HELLO, hello_payload(&corpus)),
+            (FRAME_HELLO, hello_payload()),
+            scenarios_frame(&corpus, &[0]),
             (FRAME_JOB, job(0)),
             (FRAME_JOB, job(1)),
             (FRAME_SHUTDOWN, Vec::new()),
@@ -816,13 +1000,12 @@ mod tests {
         assert_eq!(replies[2].kind, FRAME_FIN);
     }
 
-    fn hello_traced(corpus: &Corpus, config: &ServiceConfig) -> Vec<u8> {
+    fn hello_traced(config: &ServiceConfig) -> Vec<u8> {
         encode_value(
             &obj()
                 .field("protocol", PROTOCOL_VERSION)
                 .field("worker", 0usize)
                 .field("config", config.to_wire())
-                .field("corpus", corpus.to_wire())
                 .field("trace", true)
                 .build(),
         )
@@ -839,10 +1022,14 @@ mod tests {
         .unwrap()
     }
 
-    /// Runs the given job indices through one loopback worker and returns
-    /// the decoded FIN event.
+    /// Runs the given job indices through one loopback worker, sent just
+    /// their scenarios, and returns the decoded FIN event.
     fn serve_traced(corpus: &Corpus, config: &ServiceConfig, indices: &[usize]) -> Event {
-        let mut frames = vec![(FRAME_HELLO, hello_traced(corpus, config))];
+        let scenarios: Vec<usize> = indices.iter().map(|&i| corpus.jobs()[i].scenario).collect();
+        let mut frames = vec![
+            (FRAME_HELLO, hello_traced(config)),
+            scenarios_frame(corpus, &scenarios),
+        ];
         for &index in indices {
             frames.push((FRAME_JOB, job_frame(corpus, index)));
         }
@@ -861,7 +1048,8 @@ mod tests {
         let corpus = tiny_corpus();
         let (result, replies) = serve(
             &[
-                (FRAME_HELLO, hello_payload(&corpus)),
+                (FRAME_HELLO, hello_payload()),
+                scenarios_frame(&corpus, &[0]),
                 (FRAME_JOB, job_frame(&corpus, 0)),
                 (FRAME_SHUTDOWN, Vec::new()),
             ],
@@ -956,11 +1144,8 @@ mod tests {
         }
         .build()
         .unwrap();
-        // rc-compact never prewarms (a prewarming worker would prewarm the
-        // full corpus, multiplying prewarm insertions by the process count).
-        // Split by scenario so each scenario's store lives wholly in one
-        // worker — cross-worker splits of one scenario lose the store hits
-        // the other worker's published sessions would have provided.
+        // Split by scenario, as the coordinator deals: each scenario's store
+        // lives wholly in one worker.
         let config = ServiceConfig {
             workers: 1,
             clock: ClockKind::Virtual,
@@ -1065,5 +1250,205 @@ mod tests {
             coordinator.run(&corpus),
             Err(ServiceError::Multiproc { .. })
         ));
+    }
+
+    /// A two-scenario corpus: jobs 0 and 1 run scenario 0, jobs 2 and 3
+    /// scenario 1.
+    fn two_scenario_corpus() -> Corpus {
+        ScenarioSpec {
+            scenarios: 2,
+            seed: 3,
+            ..ScenarioSpec::default()
+        }
+        .build()
+        .unwrap()
+    }
+
+    #[test]
+    fn a_job_runs_only_after_its_scenario_was_sent() {
+        let corpus = two_scenario_corpus();
+        assert_eq!(corpus.jobs()[2].scenario, 1);
+        // Never sent any scenario, or only another one: a typed refusal.
+        for sent in [vec![], vec![scenarios_frame(&corpus, &[0])]] {
+            let mut frames = vec![(FRAME_HELLO, hello_payload())];
+            frames.extend(sent);
+            frames.push((FRAME_JOB, job_frame(&corpus, 2)));
+            let (result, replies) = serve(&frames, None);
+            assert!(matches!(result, Err(ServiceError::Multiproc { .. })));
+            assert!(replies.is_empty());
+        }
+        // Sent just scenario 1, the job completes under its global indices,
+        // exactly as in-process.
+        let (result, replies) = serve(
+            &[
+                (FRAME_HELLO, hello_payload()),
+                scenarios_frame(&corpus, &[1]),
+                (FRAME_JOB, job_frame(&corpus, 2)),
+                (FRAME_SHUTDOWN, Vec::new()),
+            ],
+            None,
+        );
+        result.unwrap();
+        assert_eq!(replies[0].kind, FRAME_RESULT);
+        let payload = decode_value(&replies[0].payload).unwrap();
+        assert_eq!(payload.decode::<usize>("f", "index").unwrap(), 2);
+        let job_result = JobResult::from_wire(payload.field("f", "result").unwrap()).unwrap();
+        assert_eq!(job_result.scenario, 1);
+        let in_process = crate::ServiceRunner::new(ServiceConfig::default())
+            .unwrap()
+            .run(&corpus)
+            .unwrap();
+        assert_eq!(job_result, in_process.jobs()[2]);
+    }
+
+    #[test]
+    fn deal_gives_each_scenario_whole_to_the_least_loaded_worker() {
+        // Generated corpora give every scenario the same job count, so the
+        // scenarios alternate between workers.
+        let corpus = ScenarioSpec {
+            scenarios: 5,
+            seed: 3,
+            ..ScenarioSpec::default()
+        }
+        .build()
+        .unwrap();
+        assert_eq!(deal(&corpus, 2), [vec![0, 1, 4, 5, 8, 9], vec![2, 3, 6, 7]]);
+        assert_eq!(deal(&corpus, 8).len(), 5, "one worker per scenario at most");
+
+        // Uneven and interleaved: scenario 0 has jobs {1, 3, 5}, scenario 1
+        // {0}, scenario 2 {4}, scenario 3 none and scenario 4 {2, 6}.
+        let jobs = [1, 0, 4, 0, 2, 0, 4].map(|scenario| JobSpec {
+            scenario,
+            ..corpus.jobs()[0].clone()
+        });
+        let uneven = Corpus::from_parts(corpus.scenarios().to_vec(), jobs.to_vec()).unwrap();
+        assert_eq!(deal(&uneven, 2), [vec![1, 3, 5], vec![0, 2, 4, 6]]);
+        assert_eq!(
+            deal(&uneven, 8),
+            [vec![1, 3, 5], vec![0], vec![4], vec![2, 6]]
+        );
+    }
+
+    fn result_event(worker: usize, index: usize) -> Event {
+        Event::Result {
+            worker,
+            index,
+            result: JobResult {
+                index,
+                scenario: 0,
+                scenario_name: String::new(),
+                label: String::new(),
+                outcome: JobOutcome::Failed {
+                    error: "scripted".to_owned(),
+                    retryable: false,
+                    attempts: 1,
+                },
+            },
+            accounting: JobAccounting::default(),
+        }
+    }
+
+    fn fin_event(worker: usize) -> Event {
+        Event::Fin {
+            worker,
+            store: StoreStats::default(),
+            operator_cache: OperatorCacheStats::default(),
+            prewarmed_sessions: 0,
+            metrics: MetricsSnapshot::default(),
+            spans: Vec::new(),
+            dropped_spans: 0,
+        }
+    }
+
+    /// Runs the coordinator loop of a two-worker run of `corpus` on
+    /// scripted worker events. Returns its outcome and what each worker's
+    /// writer thread was handed.
+    fn coordinate_scripted(
+        corpus: &Corpus,
+        events: Vec<Event>,
+    ) -> (Result<ServiceReport>, Vec<Vec<String>>) {
+        let coordinator = MultiprocCoordinator::new(MultiprocConfig {
+            processes: 2,
+            program: "unused".into(),
+            args: Vec::new(),
+            service: ServiceConfig::default(),
+        })
+        .unwrap();
+        let (event_tx, event_rx) = mpsc::channel();
+        for event in events {
+            event_tx.send(event).unwrap();
+        }
+        drop(event_tx);
+        let dealt = deal(corpus, 2);
+        let (mut writer_txs, receivers): (Vec<_>, Vec<_>) = dealt
+            .iter()
+            .map(|_| {
+                let (tx, rx) = mpsc::channel();
+                (Some(tx), rx)
+            })
+            .unzip();
+        let outcome = coordinator.coordinate(
+            corpus,
+            &dealt,
+            &mut writer_txs,
+            &event_rx,
+            Instant::now(),
+            &Tracer::disabled(),
+            &MetricsRegistry::new(),
+        );
+        drop(writer_txs);
+        let handed = receivers
+            .iter()
+            .map(|rx| {
+                rx.try_iter()
+                    .map(|msg| match msg {
+                        WriterMsg::Scenarios(payload) => {
+                            let entries = decode_value(&payload).unwrap();
+                            let indices: Vec<usize> = entries
+                                .as_array()
+                                .unwrap()
+                                .iter()
+                                .map(|entry| entry.decode("entry", "index").unwrap())
+                                .collect();
+                            format!("scenarios {indices:?}")
+                        }
+                        WriterMsg::Job(index) => format!("job {index}"),
+                        WriterMsg::Shutdown => "shutdown".to_owned(),
+                    })
+                    .collect()
+            })
+            .collect();
+        (outcome, handed)
+    }
+
+    #[test]
+    fn a_worker_reporting_a_job_it_does_not_hold_is_dead_and_its_jobs_move() {
+        let corpus = two_scenario_corpus();
+        // Worker 1 holds jobs 2 and 3. It reports a job index past the
+        // corpus, one dealt to worker 0, or a FIN nobody asked for.
+        for violation in [result_event(1, 99), result_event(1, 0), fin_event(1)] {
+            let mut events = vec![violation, result_event(1, 2)];
+            events.extend([0, 1, 2, 3].map(|index| result_event(0, index)));
+            events.push(fin_event(0));
+            let (outcome, handed) = coordinate_scripted(&corpus, events);
+            let report = outcome.unwrap();
+            assert_eq!(report.stats().worker_crashes, 1);
+            let indices: Vec<usize> = report.jobs().iter().map(|job| job.index).collect();
+            assert_eq!(indices, [0, 1, 2, 3]);
+            // Its jobs moved to worker 0, after the scenario worker 0 lacked.
+            assert_eq!(
+                handed[0],
+                [
+                    "scenarios [0]",
+                    "job 0",
+                    "job 1",
+                    "scenarios [1]",
+                    "job 2",
+                    "job 3",
+                    "shutdown"
+                ]
+            );
+            assert_eq!(handed[1], ["scenarios [1]", "job 2", "job 3"]);
+        }
     }
 }

@@ -332,7 +332,8 @@ impl ServiceRunner {
         tracer: &Tracer,
         registry: &MetricsRegistry,
     ) -> Result<ServiceReport> {
-        let executor = Executor::new(self.config, Mode::Batch, Cow::Borrowed(corpus), tracer)?;
+        let scenarios = corpus.scenarios().iter().map(Cow::Borrowed).enumerate();
+        let executor = Executor::new(self.config, Mode::Batch, scenarios, tracer)?;
         let started = Instant::now();
         let handles = executor.submit_batch(corpus.jobs());
         std::thread::scope(|scope| {

@@ -412,6 +412,11 @@ impl Corpus {
         &self.jobs
     }
 
+    /// The scenarios, dropping the jobs.
+    pub(crate) fn into_scenarios(self) -> Vec<Scenario> {
+        self.scenarios
+    }
+
     /// Total core count over all scenarios (a proxy for corpus size).
     pub fn total_cores(&self) -> usize {
         self.scenarios.iter().map(|s| s.sut.core_count()).sum()

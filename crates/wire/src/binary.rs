@@ -44,6 +44,29 @@ pub fn encode_value(value: &JsonValue) -> Result<Vec<u8>> {
     Ok(out)
 }
 
+/// Encodes an array item by item, appending each item's bytes as it comes,
+/// so the array is never built as one [`JsonValue`] and each item can be
+/// dropped before the next is made. The bytes are those of [`encode_value`]
+/// on the collected array.
+///
+/// # Errors
+///
+/// As [`encode_value`].
+pub fn encode_array(items: impl IntoIterator<Item = JsonValue>) -> Result<Vec<u8>> {
+    // The count is known only once the items are consumed: its four bytes
+    // are reserved here and written at the end.
+    let mut out = vec![TAG_ARRAY, 0, 0, 0, 0];
+    let mut count = 0;
+    for item in items {
+        encode_into(&item, &mut out)?;
+        count += 1;
+    }
+    let mut prefix = Vec::with_capacity(4);
+    encode_len(count, "array", &mut prefix)?;
+    out[1..5].copy_from_slice(&prefix);
+    Ok(out)
+}
+
 fn encode_len(len: usize, what: &'static str, out: &mut Vec<u8>) -> Result<()> {
     let len = u32::try_from(len).map_err(|_| WireError::Invalid {
         type_name: "binary value",
@@ -244,6 +267,28 @@ mod tests {
                 .field("flag", false)
                 .build(),
         );
+    }
+
+    #[test]
+    fn encode_array_matches_encoding_the_collected_array() {
+        let items = [
+            obj()
+                .field("index", 3usize)
+                .field("nested", vec![JsonValue::from(1.25), JsonValue::Null])
+                .build(),
+            JsonValue::from("text"),
+            JsonValue::Array(vec![]),
+        ];
+        for n in 0..=items.len() {
+            assert_eq!(
+                encode_array(items[..n].iter().cloned()).unwrap(),
+                encode_value(&JsonValue::Array(items[..n].to_vec())).unwrap()
+            );
+        }
+        assert!(matches!(
+            encode_array([JsonValue::Null, JsonValue::from(f64::NAN)]),
+            Err(WireError::NonFinite { .. })
+        ));
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod json;
 
 pub mod frame;
 
-pub use binary::{decode_value, encode_value};
+pub use binary::{decode_value, encode_array, encode_value};
 pub use error::WireError;
 pub use json::{obj, JsonValue, Number, ObjectBuilder};
 

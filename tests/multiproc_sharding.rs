@@ -8,11 +8,12 @@
 
 use std::path::PathBuf;
 
+use thermsched_obs::{MetricsRegistry, Tracer};
 use thermsched_service::{
-    Corpus, JobResult, MultiprocConfig, MultiprocCoordinator, ScenarioSpec, ServiceConfig,
-    ServiceReport, ServiceRunner,
+    BackendKind, Corpus, JobResult, MultiprocConfig, MultiprocCoordinator, ScenarioSpec,
+    ServiceConfig, ServiceReport, ServiceRunner,
 };
-use thermsched_wire::{JsonValue, Wire};
+use thermsched_wire::{encode_value, JsonValue, Wire};
 
 fn worker_binary() -> PathBuf {
     env!("CARGO_BIN_EXE_thermsched").into()
@@ -87,11 +88,12 @@ fn a_worker_killed_mid_run_is_detected_and_its_jobs_reassigned() {
     let corpus = corpus();
     let baseline = run_inprocess(&corpus);
 
-    // Round-robin over 2 workers: worker 1 owns jobs {1, 3}. The crash
-    // plan arms only on worker 1 and fires after it has resolved one job,
-    // so it answers job 1 and silently dies when job 3 arrives. The
-    // coordinator must notice the dead pipe, count the crash, and finish
-    // job 3 on worker 0 — with results still byte-identical.
+    // Dealt by scenario over 2 workers: worker 1 owns scenario 1, jobs
+    // {2, 3}. The crash plan arms only on worker 1 and fires after it has
+    // resolved one job, so it answers job 2 and silently dies when job 3
+    // arrives. The coordinator must notice the dead pipe, count the crash,
+    // send worker 0 scenario 1 (which it was never sent) and finish job 3
+    // there — with results still byte-identical.
     let report = run_multiproc(
         &corpus,
         2,
@@ -127,4 +129,100 @@ fn every_worker_dying_is_a_typed_error_not_a_hang() {
         result,
         Err(thermsched_service::ServiceError::Multiproc { .. })
     ));
+}
+
+/// Every job of a scenario runs in one worker, and each worker prepares
+/// only the scenarios its jobs use, so the store and cache counters merged
+/// from the workers' FIN frames equal a one-worker in-process run's — on
+/// the prewarming grid backend as on rc-compact.
+#[test]
+fn fin_merged_counters_equal_a_one_worker_in_process_run() {
+    for (backend, scenarios) in [
+        (BackendKind::RcCompact, 6),
+        (BackendKind::GridTransient { cells_per_core: 2 }, 4),
+    ] {
+        let corpus = ScenarioSpec {
+            scenarios,
+            seed: 97,
+            ..ScenarioSpec::default()
+        }
+        .build()
+        .expect("test corpus builds");
+        let service = ServiceConfig {
+            workers: 1,
+            backend,
+            ..ServiceConfig::default()
+        };
+        let reference = ServiceRunner::new(service)
+            .expect("valid config")
+            .run(&corpus)
+            .expect("in-process run succeeds");
+        let counters = |report: &ServiceReport| {
+            let metrics = report.stats().metrics();
+            [
+                "store.lookups",
+                "store.hits",
+                "store.insertions",
+                "service.warm_cache_hits",
+                "service.cached_validations",
+                "service.prewarmed_sessions",
+            ]
+            .map(|name| (name, metrics.counter(name)))
+        };
+        for processes in [2usize, 3] {
+            let report = MultiprocCoordinator::new(MultiprocConfig {
+                processes,
+                program: worker_binary(),
+                args: vec!["worker".to_owned()],
+                service,
+            })
+            .expect("valid config")
+            .run(&corpus)
+            .expect("multiproc run succeeds");
+            assert_eq!(report.jobs(), reference.jobs());
+            assert_eq!(
+                counters(&report),
+                counters(&reference),
+                "{} at {processes} processes",
+                backend.label()
+            );
+        }
+    }
+}
+
+/// HELLO no longer carries the corpus, and each worker is sent only its
+/// own scenarios: across 2 processes the coordinator ships about one
+/// corpus, not one per worker.
+#[test]
+fn workers_are_sent_only_their_own_scenarios() {
+    let corpus = ScenarioSpec {
+        scenarios: 40,
+        seed: 97,
+        ..ScenarioSpec::default()
+    }
+    .build()
+    .expect("test corpus builds");
+    let registry = MetricsRegistry::new();
+    let report = MultiprocCoordinator::new(MultiprocConfig {
+        processes: 2,
+        program: worker_binary(),
+        args: vec!["worker".to_owned()],
+        service: ServiceConfig::default(),
+    })
+    .expect("valid config")
+    .run_traced(&corpus, &Tracer::disabled(), &registry)
+    .expect("multiproc run succeeds");
+    assert_eq!(report.jobs(), run_inprocess(&corpus).jobs());
+
+    let sent = registry
+        .snapshot()
+        .counter("multiproc.hello_bytes")
+        .expect("the coordinator counts what it sends");
+    let whole_corpus = encode_value(&corpus.to_wire())
+        .expect("corpus encodes")
+        .len() as u64;
+    assert!(
+        sent as f64 <= 0.55 * (2 * whole_corpus) as f64,
+        "{sent} bytes sent against {whole_corpus} per corpus"
+    );
 }

@@ -778,7 +778,8 @@ fn with_fields(value: JsonValue, after: &str, extra: Vec<(&str, JsonValue)>) -> 
 }
 
 /// Documents written before the session store had one form keep decoding,
-/// and a worker refuses a HELLO of the protocol version that wrote them.
+/// and a worker refuses a HELLO of the protocol version that wrote them, as
+/// it refuses a version-2 HELLO carrying the whole corpus.
 #[test]
 fn legacy_service_documents_decode_and_version_1_hellos_are_refused() {
     let config = ServiceConfig {
@@ -840,27 +841,32 @@ fn legacy_service_documents_decode_and_version_1_hellos_are_refused() {
     }
     .build()
     .unwrap();
-    assert_eq!(PROTOCOL_VERSION, 2);
-    let hello = encode_value(
-        &obj()
-            .field("protocol", 1u64)
-            .field("worker", 0usize)
-            .field(
-                "config",
-                legacy_config(obj().field("kind", "mutex").build()),
-            )
-            .field("corpus", corpus.to_wire())
-            .build(),
-    )
-    .unwrap();
-    let mut input = Vec::new();
-    write_frame(&mut input, 1, &hello).unwrap();
-    let mut output = Vec::new();
-    match worker_serve(input.as_slice(), &mut output, None) {
-        Err(ServiceError::Multiproc { message }) => {
-            assert!(message.contains("protocol version 1"), "{message}");
+    assert_eq!(PROTOCOL_VERSION, 3);
+    // Version 1 wrote the legacy config; version 2 the current one. Both
+    // carried the corpus.
+    for (version, config) in [
+        (1u64, legacy_config(obj().field("kind", "mutex").build())),
+        (2, config.to_wire()),
+    ] {
+        let hello = encode_value(
+            &obj()
+                .field("protocol", version)
+                .field("worker", 0usize)
+                .field("config", config)
+                .field("corpus", corpus.to_wire())
+                .build(),
+        )
+        .unwrap();
+        let mut input = Vec::new();
+        write_frame(&mut input, 1, &hello).unwrap();
+        let mut output = Vec::new();
+        match worker_serve(input.as_slice(), &mut output, None) {
+            Err(ServiceError::Multiproc { message }) => {
+                let expected = format!("protocol version {version}");
+                assert!(message.contains(&expected), "{message}");
+            }
+            other => panic!("a version-{version} HELLO must be refused, got {other:?}"),
         }
-        other => panic!("a version-1 HELLO must be refused, got {other:?}"),
+        assert!(output.is_empty(), "a refused worker replies nothing");
     }
-    assert!(output.is_empty(), "a refused worker replies nothing");
 }
