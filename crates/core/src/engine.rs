@@ -363,13 +363,6 @@ impl<'a> EngineBuilder<'a> {
         self
     }
 
-    /// Hands the engine ownership of a backend.
-    #[must_use]
-    pub fn owned_backend(mut self, backend: Box<dyn ThermalBackend>) -> Self {
-        self.backend = Some(BackendHandle::Owned(backend));
-        self
-    }
-
     /// The package description used when the builder constructs the default
     /// backend and when it builds guidance models (defaults to
     /// [`PackageConfig::default`]).

@@ -244,9 +244,9 @@ impl MetricsRegistry {
     }
 }
 
-/// A point-in-time, mergeable view of a [`MetricsRegistry`] — what a
-/// worker ships in its FIN frame and what a [`crate::TraceDocument`]
-/// embeds.
+/// A point-in-time view of a [`MetricsRegistry`] — what a
+/// [`crate::TraceDocument`] embeds, and what [`MetricsRegistry::absorb`]
+/// merges into another registry.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// `(name, value)` pairs, sorted by name.
@@ -274,45 +274,6 @@ impl MetricsSnapshot {
     /// The value of the named gauge, if present.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    }
-
-    /// Merges `other` into `self` with the same rules as
-    /// [`MetricsRegistry::absorb`]: counters add, gauges keep the max,
-    /// histograms add bucket-wise (bounds must match; mismatches are
-    /// skipped).
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        let mut counters: BTreeMap<String, u64> = self.counters.drain(..).collect();
-        for (name, value) in &other.counters {
-            *counters.entry(name.clone()).or_insert(0) += value;
-        }
-        self.counters = counters.into_iter().collect();
-
-        let mut gauges: BTreeMap<String, f64> = self.gauges.drain(..).collect();
-        for (name, value) in &other.gauges {
-            let slot = gauges.entry(name.clone()).or_insert(*value);
-            if *value > *slot {
-                *slot = *value;
-            }
-        }
-        self.gauges = gauges.into_iter().collect();
-
-        for theirs in &other.histograms {
-            match self.histograms.iter_mut().find(|h| h.name == theirs.name) {
-                None => {
-                    let at = self.histograms.partition_point(|h| h.name < theirs.name);
-                    self.histograms.insert(at, theirs.clone());
-                }
-                Some(ours) => {
-                    if ours.bounds == theirs.bounds && ours.counts.len() == theirs.counts.len() {
-                        for (slot, add) in ours.counts.iter_mut().zip(&theirs.counts) {
-                            *slot += add;
-                        }
-                        ours.sum += theirs.sum;
-                        ours.count += theirs.count;
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -355,17 +316,13 @@ mod tests {
         right.gauge("peak").set(7.0);
         right.histogram("lat", &[1.0]).observe(2.0);
 
-        let mut merged = left.snapshot();
-        merged.merge(&right.snapshot());
+        left.absorb(&right.snapshot());
+        let merged = left.snapshot();
         assert_eq!(merged.counter("jobs"), Some(7));
         assert_eq!(merged.counter("only.right"), Some(1));
         assert_eq!(merged.gauges, vec![("peak".to_owned(), 7.0)]);
         assert_eq!(merged.histograms[0].counts, vec![1, 1]);
         assert_eq!(merged.histograms[0].count, 2);
-
-        // absorb() into a registry agrees with snapshot merge.
-        left.absorb(&right.snapshot());
-        assert_eq!(left.snapshot(), merged);
     }
 
     #[test]

@@ -470,11 +470,6 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// The counters of this executor's jobs.
-    pub(crate) fn tally(&self) -> &Tally {
-        &self.tally
-    }
-
     /// Usage counters summed over every scenario's session store.
     pub(crate) fn store_stats(&self) -> StoreStats {
         self.scenarios
@@ -498,21 +493,16 @@ impl<'a> Executor<'a> {
         self.prewarmed_sessions
     }
 
-    /// Counts the run-level work (store traffic, backend builds, prewarm)
-    /// into the tally. Call once, after the last job.
-    pub(crate) fn add_run_counters(&self) {
+    /// Closes the books after the last job: counts the run-level work (store
+    /// traffic, backend builds, prewarm), derives the stats of
+    /// `wall_seconds` of job execution, and absorbs the run's metrics into
+    /// `registry`. Call once.
+    pub(crate) fn finish(&self, wall_seconds: f64, registry: &MetricsRegistry) -> ServiceStats {
         self.tally.add_run(
             self.store_stats(),
             self.operator_cache_stats(),
             self.prewarmed_sessions,
         );
-    }
-
-    /// Closes the books after the last job: counts the run-level work,
-    /// derives the stats of `wall_seconds` of job execution, and absorbs the
-    /// run's metrics into `registry`. Call once.
-    pub(crate) fn finish(&self, wall_seconds: f64, registry: &MetricsRegistry) -> ServiceStats {
-        self.add_run_counters();
         let stats = self.tally.stats(
             &self.config,
             self.config.workers,
@@ -797,8 +787,8 @@ pub(crate) fn outcome_kind(outcome: &JobOutcome) -> &'static str {
 /// held as handles, so counting a job is a few relaxed atomic adds plus
 /// one latency sample; [`ServiceStats`] is derived from the registry's
 /// snapshot. The in-process executor, each worker process and the
-/// multi-process coordinator all count through this type, and a worker's
-/// snapshot merges into the coordinator's by plain counter addition.
+/// multi-process coordinator all count through this type; the coordinator
+/// counts its workers' results and FIN stats into its own.
 pub(crate) struct Tally {
     registry: MetricsRegistry,
     jobs: Counter,

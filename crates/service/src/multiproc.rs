@@ -24,13 +24,15 @@
 //! | `JOB` (2) | → worker | `{index, job}` (global corpus index) |
 //! | `RESULT` (3) | ← worker | `{index, result, accounting...}` |
 //! | `SHUTDOWN` (4) | → worker | `{}` |
-//! | `FIN` (5) | ← worker | worker-local stats (store, caches, prewarm), plus `metrics`/`spans`/`dropped_spans` when tracing |
+//! | `FIN` (5) | ← worker | worker-local stats (store, caches, prewarm), plus `spans`/`dropped_spans` when tracing |
 //!
 //! `config` is a [`ServiceConfig`] document: `{workers, backend, faults,
 //! retry, clock, deadline_effort}`. Version 1 also wrote `store`,
 //! `operator_cache` and `batch_same_shape`; a worker still accepts them
 //! and ignores them. The `trace` flag and the FIN trace fields are optional
-//! on both sides (absent means "not tracing").
+//! on both sides (absent means "not tracing"). FIN carries no metrics: the
+//! coordinator counts every result and every FIN's stats itself, so its
+//! registry holds each counter once, crashed workers' jobs included.
 //!
 //! `PROTOCOL_VERSION` is 3. A worker refuses a HELLO of any other version
 //! with [`ServiceError::Multiproc`]: version 2 shipped the whole corpus in
@@ -66,9 +68,7 @@ use std::sync::mpsc;
 use std::time::Instant;
 
 use thermsched::{OperatorCacheStats, StoreStats};
-use thermsched_obs::{
-    MetricsRegistry, MetricsSnapshot, ObsClock, SpanRecord, Tracer, TracerConfig,
-};
+use thermsched_obs::{MetricsRegistry, ObsClock, SpanRecord, Tracer, TracerConfig};
 use thermsched_wire::frame::{read_frame, write_frame, Frame};
 use thermsched_wire::{decode_value, encode_array, encode_value, obj, JsonValue, Wire, WireError};
 
@@ -138,8 +138,6 @@ enum Event {
         store: StoreStats,
         operator_cache: OperatorCacheStats,
         prewarmed_sessions: usize,
-        /// Worker-local metrics snapshot (empty from untraced workers).
-        metrics: MetricsSnapshot,
         /// Worker-local span records (empty from untraced workers).
         spans: Vec<SpanRecord>,
         /// Spans the worker's bounded sink dropped.
@@ -188,12 +186,13 @@ impl MultiprocCoordinator {
     }
 
     /// [`Self::run`] with observability attached: workers are told to trace
-    /// (the `trace` HELLO flag), their FIN frames carry back a metrics
-    /// snapshot plus their span records, and the coordinator absorbs both
-    /// into `tracer`/`registry` — yielding one cross-process trace whose
-    /// per-job structural slice is identical to an in-process run's. The
-    /// coordinator also counts, as `multiproc.hello_bytes`, the payload
-    /// bytes of every `HELLO` and `SCENARIOS` frame it sends.
+    /// (the `trace` HELLO flag), their FIN frames carry back their span
+    /// records, and the coordinator absorbs them into `tracer` — yielding
+    /// one cross-process trace whose per-job structural slice is identical
+    /// to an in-process run's. The run's metrics go into `registry` from
+    /// the coordinator's own count, under the names an in-process run
+    /// uses, plus `multiproc.hello_bytes`: the payload bytes of every
+    /// `HELLO` and `SCENARIOS` frame it sends.
     ///
     /// # Errors
     ///
@@ -209,7 +208,7 @@ impl MultiprocCoordinator {
         if jobs.is_empty() {
             return Ok(ServiceReport::new(
                 Vec::new(),
-                self.stats(corpus, &Tally::new(), started),
+                self.finish(corpus, &Tally::new(), started, registry),
             ));
         }
         let dealt = deal(corpus, self.config.processes);
@@ -306,11 +305,8 @@ impl MultiprocCoordinator {
     /// thread; a worker's writer is dropped when it is declared dead. Each
     /// result is counted once, with the accounting its worker shipped,
     /// into the same [`Tally`] an in-process run counts into; each `FIN`
-    /// adds its worker's run-level counters. Worker FIN frames also carry
-    /// each worker's metrics snapshot and span records when tracing; the
-    /// coordinator folds those straight into `tracer`/`registry` (it
-    /// deliberately does *not* absorb its own tally — the workers already
-    /// reported those counts).
+    /// adds its worker's run-level counters and, when tracing, its span
+    /// records to `tracer`. The tally goes into `registry` at the end.
     #[allow(clippy::too_many_arguments)]
     fn coordinate(
         &self,
@@ -417,14 +413,12 @@ impl MultiprocCoordinator {
                     store,
                     operator_cache,
                     prewarmed_sessions,
-                    metrics,
                     spans,
                     dropped_spans,
                 }) => {
                     if !dead[worker] && !finished[worker] {
                         finished[worker] = true;
                         tally.add_run(store, operator_cache, prewarmed_sessions);
-                        registry.absorb(&metrics);
                         tracer.absorb(spans);
                         tracer.add_dropped(dropped_spans);
                         awaiting -= 1;
@@ -450,18 +444,28 @@ impl MultiprocCoordinator {
             .collect();
         Ok(ServiceReport::new(
             jobs_done,
-            self.stats(corpus, &tally, started),
+            self.finish(corpus, &tally, started, registry),
         ))
     }
 
-    /// The merged stats of a run that started at `started`.
-    fn stats(&self, corpus: &Corpus, tally: &Tally, started: Instant) -> ServiceStats {
-        tally.stats(
+    /// Closes the books of a run that started at `started`: derives the
+    /// merged stats and absorbs the run's metrics into `registry`, as
+    /// [`Executor::finish`] does in-process.
+    fn finish(
+        &self,
+        corpus: &Corpus,
+        tally: &Tally,
+        started: Instant,
+        registry: &MetricsRegistry,
+    ) -> ServiceStats {
+        let stats = tally.stats(
             &self.config.service,
             self.config.processes,
             corpus.scenarios().len(),
             started.elapsed().as_secs_f64(),
-        )
+        );
+        registry.absorb(&tally.snapshot());
+        stats
     }
 }
 
@@ -635,7 +639,6 @@ fn decode_event(worker: usize, frame: &Frame) -> Option<Event> {
                 // The trace fields are optional (absent from untraced or older
                 // workers), so decode failures degrade to "no trace data"
                 // instead of killing the worker.
-                metrics: payload.decode(T, "metrics").unwrap_or_default(),
                 spans: payload
                     .field(T, "spans")
                     .and_then(JsonValue::as_array)
@@ -784,15 +787,9 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
                         .field("operator_cache", executor.operator_cache_stats().to_wire())
                         .field("prewarmed_sessions", executor.prewarmed_sessions());
                     if trace {
-                        // The worker's tally carries the same counters,
-                        // under the same names, as an in-process run's
-                        // registry; ship it with the worker's spans for
-                        // the merged trace.
-                        executor.add_run_counters();
                         let spans: Vec<JsonValue> =
                             tracer.drain().iter().map(Wire::to_wire).collect();
                         fin = fin
-                            .field("metrics", executor.tally().snapshot().to_wire())
                             .field("spans", JsonValue::Array(spans))
                             .field("dropped_spans", tracer.dropped_spans());
                     }
@@ -829,6 +826,7 @@ fn decode_scenarios(payload: &[u8], executor: &Executor<'_>) -> Result<BTreeMap<
 mod tests {
     use super::*;
     use crate::{JobOutcome, ScenarioSpec};
+    use thermsched_obs::MetricsSnapshot;
 
     /// In-memory worker loopback: runs `worker_serve` against buffered
     /// pipes, returning the frames it produced. The process-boundary tests
@@ -1023,8 +1021,14 @@ mod tests {
     }
 
     /// Runs the given job indices through one loopback worker, sent just
-    /// their scenarios, and returns the decoded FIN event.
-    fn serve_traced(corpus: &Corpus, config: &ServiceConfig, indices: &[usize]) -> Event {
+    /// their scenarios, and returns its RESULT and FIN frames decoded as
+    /// coordinator events of worker `worker`.
+    fn serve_traced(
+        corpus: &Corpus,
+        config: &ServiceConfig,
+        worker: usize,
+        indices: &[usize],
+    ) -> Vec<Event> {
         let scenarios: Vec<usize> = indices.iter().map(|&i| corpus.jobs()[i].scenario).collect();
         let mut frames = vec![
             (FRAME_HELLO, hello_traced(config)),
@@ -1036,9 +1040,11 @@ mod tests {
         frames.push((FRAME_SHUTDOWN, Vec::new()));
         let (result, replies) = serve(&frames, None);
         result.unwrap();
-        let fin = replies.last().expect("worker sent frames");
-        assert_eq!(fin.kind, FRAME_FIN);
-        decode_event(0, fin).expect("FIN decodes")
+        assert_eq!(replies.last().expect("worker sent frames").kind, FRAME_FIN);
+        replies
+            .iter()
+            .map(|frame| decode_event(worker, frame).expect("frame decodes"))
+            .collect()
     }
 
     /// A HELLO without the `trace` field must produce a FIN that decodes
@@ -1056,8 +1062,10 @@ mod tests {
             None,
         );
         result.unwrap();
+        // No FIN carries metrics: the coordinator counts them itself.
+        let fin = decode_value(&replies[1].payload).unwrap();
+        assert!(fin.field("fin_frame", "metrics").is_err());
         let Some(Event::Fin {
-            metrics,
             spans,
             dropped_spans,
             ..
@@ -1065,15 +1073,14 @@ mod tests {
         else {
             panic!("expected a FIN event");
         };
-        assert!(metrics.is_empty());
         assert!(spans.is_empty());
         assert_eq!(dropped_spans, 0);
     }
 
-    /// Satellite: one traced worker running the whole corpus reports FIN
-    /// metrics equal to the in-process runner's `ServiceStats::metrics`
-    /// view on the same corpus — the per-worker counters really are the
-    /// same counts, just shipped over the pipe.
+    /// One traced worker running the whole corpus: the coordinator's
+    /// registry, counted from that worker's RESULT and FIN frames, equals
+    /// the in-process runner's `ServiceStats::metrics` view on the same
+    /// corpus.
     #[test]
     fn traced_fin_metrics_match_in_process_totals() {
         let corpus = tiny_corpus();
@@ -1083,17 +1090,21 @@ mod tests {
             ..ServiceConfig::default()
         };
         let indices: Vec<usize> = (0..corpus.jobs().len()).collect();
-        let Event::Fin {
+        let events = serve_traced(&corpus, &config, 0, &indices);
+        let Some(Event::Fin {
             store,
             operator_cache,
-            metrics,
             spans,
             dropped_spans,
             ..
-        } = serve_traced(&corpus, &config, &indices)
+        }) = events.last()
         else {
             panic!("expected a FIN event");
         };
+        let (store, operator_cache, dropped_spans) = (*store, *operator_cache, *dropped_spans);
+        let job_spans = spans.iter().filter(|s| s.name == "job").count();
+        let (outcome, _, metrics) = coordinate_scripted(&corpus, events);
+        outcome.unwrap();
 
         let report = crate::ServiceRunner::new(config)
             .unwrap()
@@ -1115,26 +1126,23 @@ mod tests {
             assert_eq!(
                 metrics.counter(name),
                 local.counter(name),
-                "counter {name} diverged between FIN and in-process"
+                "counter {name} diverged between the coordinator and in-process"
             );
         }
-        // The FIN's structured stats agree with its own metrics view.
+        // The FIN's structured stats are what the coordinator counted.
         assert_eq!(metrics.counter("store.lookups"), Some(store.lookups));
         assert_eq!(
             metrics.counter("operator_cache.misses"),
             Some(operator_cache.misses)
         );
         // Spans came along: one "job" root per corpus job, nothing dropped.
-        assert_eq!(
-            spans.iter().filter(|s| s.name == "job").count(),
-            corpus.jobs().len()
-        );
+        assert_eq!(job_spans, corpus.jobs().len());
         assert_eq!(dropped_spans, 0);
     }
 
-    /// Satellite: two workers splitting the corpus along scenario lines
-    /// produce FIN store counters that *sum* to the in-process totals, and
-    /// absorbing both snapshots into one registry performs that sum.
+    /// Two workers splitting the corpus along scenario lines produce FIN
+    /// store counters that *sum* to the in-process totals, and the
+    /// coordinator counting both workers' frames performs that sum.
     #[test]
     fn two_worker_fin_counters_sum_to_in_process_totals() {
         let corpus = ScenarioSpec {
@@ -1160,25 +1168,26 @@ mod tests {
                 .map(|(index, _)| index)
                 .collect()
         };
-        let fins = [
-            serve_traced(&corpus, &config, &by_scenario(0)),
-            serve_traced(&corpus, &config, &by_scenario(1)),
-        ];
-
-        let registry = MetricsRegistry::new();
+        let mut events = serve_traced(&corpus, &config, 0, &by_scenario(0));
+        events.extend(serve_traced(&corpus, &config, 1, &by_scenario(1)));
+        // Every RESULT reaches the coordinator before any FIN, as in a run.
+        let (fins, mut events): (Vec<Event>, Vec<Event>) = events
+            .into_iter()
+            .partition(|event| matches!(event, Event::Fin { .. }));
         let mut store_sum = StoreStats::default();
-        let mut retried_sum = 0u64;
         for fin in &fins {
-            let Event::Fin { store, metrics, .. } = fin else {
+            let Event::Fin { store, .. } = fin else {
                 panic!("expected FIN events");
             };
-            registry.absorb(metrics);
             store_sum.lookups += store.lookups;
             store_sum.hits += store.hits;
             store_sum.insertions += store.insertions;
             store_sum.contended_locks += store.contended_locks;
-            retried_sum += metrics.counter("service.retried_attempts").unwrap_or(0);
         }
+        events.extend(fins);
+        let (outcome, _, merged) = coordinate_scripted(&corpus, events);
+        outcome.unwrap();
+        let retried_sum = merged.counter("service.retried_attempts").unwrap_or(0);
 
         let report = crate::ServiceRunner::new(config)
             .unwrap()
@@ -1190,7 +1199,6 @@ mod tests {
         assert_eq!(store_sum.insertions, stats.store.insertions);
         assert_eq!(retried_sum, stats.retried_attempts as u64);
 
-        let merged = registry.snapshot();
         assert_eq!(
             merged.counter("service.jobs"),
             Some(corpus.jobs().len() as u64)
@@ -1354,19 +1362,18 @@ mod tests {
             store: StoreStats::default(),
             operator_cache: OperatorCacheStats::default(),
             prewarmed_sessions: 0,
-            metrics: MetricsSnapshot::default(),
             spans: Vec::new(),
             dropped_spans: 0,
         }
     }
 
     /// Runs the coordinator loop of a two-worker run of `corpus` on
-    /// scripted worker events. Returns its outcome and what each worker's
-    /// writer thread was handed.
+    /// scripted worker events. Returns its outcome, what each worker's
+    /// writer thread was handed, and the metrics it counted.
     fn coordinate_scripted(
         corpus: &Corpus,
         events: Vec<Event>,
-    ) -> (Result<ServiceReport>, Vec<Vec<String>>) {
+    ) -> (Result<ServiceReport>, Vec<Vec<String>>, MetricsSnapshot) {
         let coordinator = MultiprocCoordinator::new(MultiprocConfig {
             processes: 2,
             program: "unused".into(),
@@ -1379,6 +1386,7 @@ mod tests {
             event_tx.send(event).unwrap();
         }
         drop(event_tx);
+        let registry = MetricsRegistry::new();
         let dealt = deal(corpus, 2);
         let (mut writer_txs, receivers): (Vec<_>, Vec<_>) = dealt
             .iter()
@@ -1394,7 +1402,7 @@ mod tests {
             &event_rx,
             Instant::now(),
             &Tracer::disabled(),
-            &MetricsRegistry::new(),
+            &registry,
         );
         drop(writer_txs);
         let handed = receivers
@@ -1418,7 +1426,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        (outcome, handed)
+        (outcome, handed, registry.snapshot())
     }
 
     #[test]
@@ -1430,7 +1438,7 @@ mod tests {
             let mut events = vec![violation, result_event(1, 2)];
             events.extend([0, 1, 2, 3].map(|index| result_event(0, index)));
             events.push(fin_event(0));
-            let (outcome, handed) = coordinate_scripted(&corpus, events);
+            let (outcome, handed, _) = coordinate_scripted(&corpus, events);
             let report = outcome.unwrap();
             assert_eq!(report.stats().worker_crashes, 1);
             let indices: Vec<usize> = report.jobs().iter().map(|job| job.index).collect();

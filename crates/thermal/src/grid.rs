@@ -24,10 +24,11 @@ use thermsched_linalg::{
     AdiStepOperator, BandedCholesky, CsrMatrix, ImplicitStepOperator, Triplet,
 };
 
+use crate::simulator::steady_bound;
+use crate::transient::{raise_max, step_count};
 use crate::{
     PackageConfig, PowerMap, PowerTrace, Result, SessionThermalResult, SimulationFidelity,
     Temperatures, ThermalError, ThermalSimulator, TransientConfig, TransientMethod,
-    TransientResult,
 };
 
 /// Resolution of the thermal grid.
@@ -146,6 +147,43 @@ pub struct GridThermalSimulator {
 enum GridStepper {
     Banded(ImplicitStepOperator),
     Adi(AdiStepOperator),
+}
+
+impl GridStepper {
+    /// One implicit step from `state` under cell powers `power`.
+    fn step_into(
+        &self,
+        state: &[f64],
+        power: &[f64],
+        next: &mut [f64],
+        scratch: &mut [f64],
+    ) -> Result<()> {
+        match self {
+            GridStepper::Banded(op) => op.step_into(state, power, next, scratch)?,
+            GridStepper::Adi(op) => op.step_into(state, power, next, scratch)?,
+        }
+        Ok(())
+    }
+
+    /// `steps` implicit steps from rest; the final rise lands in `state`.
+    fn advance_from_rest_into(
+        &self,
+        power: &[f64],
+        steps: usize,
+        state: &mut Vec<f64>,
+        next: &mut Vec<f64>,
+        scratch: &mut [f64],
+    ) -> Result<()> {
+        match self {
+            GridStepper::Banded(op) => {
+                op.advance_from_rest_into(power, steps, state, next, scratch)?
+            }
+            GridStepper::Adi(op) => {
+                op.advance_from_rest_into(power, steps, state, next, scratch)?
+            }
+        }
+        Ok(())
+    }
 }
 
 impl GridThermalSimulator {
@@ -396,109 +434,57 @@ impl GridThermalSimulator {
     }
 
     /// Cell temperatures (°C) after integrating `duration` seconds of
-    /// constant power from a uniformly ambient die with implicit Euler.
+    /// constant power from a uniformly ambient die with implicit Euler: the
+    /// stepper's from-rest advance, with no per-step maximum tracking.
     ///
     /// # Errors
     ///
     /// * [`ThermalError::PowerLengthMismatch`] if the power map does not
     ///   cover the floorplan's blocks.
-    /// * [`ThermalError::InvalidDuration`] if `duration` is non-positive or
-    ///   non-finite.
+    /// * [`ThermalError::InvalidDuration`] if `duration` is non-positive,
+    ///   non-finite, or needs more steps than the step rule allows.
     pub fn transient_cell_temperatures(&self, power: &PowerMap, duration: f64) -> Result<Vec<f64>> {
-        let (cells, _, _) = self.integrate_from_ambient(power, duration, false)?;
-        Ok(cells)
-    }
-
-    /// Integrates `duration` seconds of constant power from a uniformly
-    /// ambient die and reduces the cell response to per-block results, the
-    /// grid counterpart of [`crate::TransientSolver::simulate_from_ambient`].
-    ///
-    /// With [`TransientMethod::Auto`] the per-step maximum tracking is
-    /// skipped: from rest under constant non-negative power the
-    /// implicit-Euler iterates rise monotonically (the stepping matrix
-    /// `C/Δt + G` is an M-matrix, so its inverse is element-wise
-    /// non-negative), hence the interval maximum of every cell equals its
-    /// final value exactly. [`TransientMethod::ImplicitEuler`] tracks the
-    /// running maximum every step — the reference the fast path is
-    /// validated against.
-    ///
-    /// # Errors
-    ///
-    /// See [`GridThermalSimulator::transient_cell_temperatures`].
-    pub fn transient(&self, power: &PowerMap, duration: f64) -> Result<TransientResult> {
-        let track_maxima = !self.method.uses_fast_path();
-        let (final_cells, max_cells, steps) =
-            self.integrate_from_ambient(power, duration, track_maxima)?;
-        let means: Vec<f64> = self
-            .block_cells
-            .iter()
-            .map(|ids| ids.iter().map(|&c| final_cells[c]).sum::<f64>() / ids.len() as f64)
-            .collect();
-        Ok(TransientResult {
-            // On the fast path max == final by the monotone-rise argument.
-            max_block_temperatures: self.block_maxima(max_cells.as_deref().unwrap_or(&final_cells)),
-            final_temperatures: Temperatures::new(means, self.block_count),
-            steps,
-            duration,
-        })
-    }
-
-    /// The implicit-Euler integration loop shared by the transient entry
-    /// points. Returns the final absolute cell temperatures, the per-cell
-    /// running maxima (when `track_maxima` is set), and the step count.
-    #[allow(clippy::type_complexity)]
-    fn integrate_from_ambient(
-        &self,
-        power: &PowerMap,
-        duration: f64,
-        track_maxima: bool,
-    ) -> Result<(Vec<f64>, Option<Vec<f64>>, usize)> {
-        if !(duration > 0.0 && duration.is_finite()) {
-            return Err(ThermalError::InvalidDuration { value: duration });
-        }
+        let steps = step_count(duration, self.time_step)?;
         let p = self.cell_power_vector(power)?;
         let n = self.cell_count();
-        let steps = (duration / self.time_step).ceil().max(1.0) as usize;
-
-        // State is the temperature rise over ambient; buffers are allocated
-        // once here and the step loop itself is allocation-free.
         let mut rise = vec![0.0; n];
         let mut next = vec![0.0; n];
         let mut scratch = vec![0.0; n];
-        if !track_maxima {
-            // Fast path: no per-step maxima are needed — the whole run is
-            // the stepper's canned from-rest advance. (For the banded
-            // stepper this is justified by the monotone-rise argument; ADI
-            // reaches here only from entry points that want final values.)
-            match &self.stepper {
-                GridStepper::Banded(op) => {
-                    op.advance_from_rest_into(&p, steps, &mut rise, &mut next, &mut scratch)?;
-                }
-                GridStepper::Adi(op) => {
-                    op.advance_from_rest_into(&p, steps, &mut rise, &mut next, &mut scratch)?;
-                }
-            }
-            let final_cells: Vec<f64> = rise.iter().map(|r| r + self.ambient).collect();
-            return Ok((final_cells, None, steps));
-        }
-        // Reference path: track the per-cell running maximum every step.
-        let mut max_rise = vec![0.0; n];
-        for _ in 0..steps {
-            match &self.stepper {
-                GridStepper::Banded(op) => op.step_into(&rise, &p, &mut next, &mut scratch)?,
-                GridStepper::Adi(op) => op.step_into(&rise, &p, &mut next, &mut scratch)?,
-            }
-            std::mem::swap(&mut rise, &mut next);
-            for (m, &r) in max_rise.iter_mut().zip(&rise) {
-                if r > *m {
-                    *m = r;
-                }
-            }
-        }
+        self.stepper
+            .advance_from_rest_into(&p, steps, &mut rise, &mut next, &mut scratch)?;
+        Ok(rise.iter().map(|r| r + self.ambient).collect())
+    }
 
+    /// Steps constant-power `phases` from the cell temperature rise `rise`
+    /// one implicit step at a time, tracking the per-cell running maximum
+    /// at every step: the reference and ADI from-ambient sessions (one
+    /// phase) and every trace, where no monotone-rise argument holds.
+    fn step_tracked<'p>(
+        &self,
+        phases: impl IntoIterator<Item = (&'p PowerMap, f64)>,
+        mut rise: Vec<f64>,
+        duration: f64,
+    ) -> Result<SessionThermalResult> {
+        let n = self.cell_count();
+        let mut max_rise = rise.clone();
+        let mut next = vec![0.0; n];
+        let mut scratch = vec![0.0; n];
+        for (power, phase_duration) in phases {
+            let steps = step_count(phase_duration, self.time_step)?;
+            let p = self.cell_power_vector(power)?;
+            for _ in 0..steps {
+                self.stepper.step_into(&rise, &p, &mut next, &mut scratch)?;
+                std::mem::swap(&mut rise, &mut next);
+                raise_max(&mut max_rise, &rise);
+            }
+        }
         let final_cells: Vec<f64> = rise.iter().map(|r| r + self.ambient).collect();
         let max_cells: Vec<f64> = max_rise.iter().map(|r| r + self.ambient).collect();
-        Ok((final_cells, Some(max_cells), steps))
+        Ok(SessionThermalResult {
+            max_block_temperatures: self.block_maxima(&max_cells),
+            final_temperatures: Temperatures::new(self.block_means(&final_cells), self.block_count),
+            duration,
+        })
     }
 
     /// Expands a warm-start state to a per-cell temperature-rise vector:
@@ -570,87 +556,17 @@ impl GridThermalSimulator {
             .collect()
     }
 
-    /// Builds a session result from the final absolute cell temperatures of
-    /// a fast-path run — the same reductions, in the same order, as the
-    /// single-session path, so batched lanes stay bit-identical to it.
+    /// The session result of absolute cell temperatures that are both the
+    /// interval maximum and the final state — a from-rest fast-path run
+    /// (single or batched lane alike, so batched lanes stay bit-identical)
+    /// or a steady solution: per-block maxima, and per-block means as the
+    /// final state.
     fn session_from_final_cells(&self, final_cells: &[f64], duration: f64) -> SessionThermalResult {
-        let means: Vec<f64> = self
-            .block_cells
-            .iter()
-            .map(|ids| ids.iter().map(|&c| final_cells[c]).sum::<f64>() / ids.len() as f64)
-            .collect();
         SessionThermalResult {
             max_block_temperatures: self.block_maxima(final_cells),
-            final_temperatures: Temperatures::new(means, self.block_count),
+            final_temperatures: Temperatures::new(self.block_means(final_cells), self.block_count),
             duration,
         }
-    }
-
-    /// Simulates many same-duration sessions in one multi-RHS pass over the
-    /// banded factorisation: the per-lane power vectors become the columns
-    /// of one `n × k` right-hand-side matrix and the whole batch advances
-    /// through [`ImplicitStepOperator::advance_many_from_rest_into`] — one
-    /// traversal of the factor per step instead of `k`.
-    ///
-    /// Only the banded fast path batches (from-ambient constant-power
-    /// transients with no per-step maximum tracking); every other
-    /// configuration — steady-state fidelity, the implicit-Euler reference,
-    /// ADI — falls back to sequential [`ThermalSimulator::simulate_session`]
-    /// calls. Because the multi-RHS kernels are bit-identical per column to
-    /// the single-RHS solve, each lane's result is **bit-identical** to its
-    /// standalone simulation either way; batching is purely a throughput
-    /// knob.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ThermalSimulator::simulate_session`] on any
-    /// lane.
-    pub fn simulate_sessions_batched(
-        &self,
-        powers: &[PowerMap],
-        duration: f64,
-    ) -> Result<Vec<SessionThermalResult>> {
-        let k = powers.len();
-        let op = match &self.stepper {
-            GridStepper::Banded(op)
-                if k > 1
-                    && self.fidelity == SimulationFidelity::Transient
-                    && self.method.uses_fast_path() =>
-            {
-                op
-            }
-            _ => {
-                return powers
-                    .iter()
-                    .map(|p| self.simulate_session(p, duration))
-                    .collect();
-            }
-        };
-        if !(duration > 0.0 && duration.is_finite()) {
-            return Err(ThermalError::InvalidDuration { value: duration });
-        }
-        let n = self.cell_count();
-        let steps = (duration / self.time_step).ceil().max(1.0) as usize;
-        let mut p_mat = vec![0.0; n * k];
-        for (c, power) in powers.iter().enumerate() {
-            let p = self.cell_power_vector(power)?;
-            for (i, v) in p.into_iter().enumerate() {
-                p_mat[i * k + c] = v;
-            }
-        }
-        let mut state = vec![0.0; n * k];
-        let mut next = vec![0.0; n * k];
-        let mut scratch = vec![0.0; n * k];
-        op.advance_many_from_rest_into(&p_mat, steps, &mut state, &mut next, &mut scratch, k)?;
-        let mut lane = vec![0.0; n];
-        let mut out = Vec::with_capacity(k);
-        for c in 0..k {
-            for (i, cell) in lane.iter_mut().enumerate() {
-                *cell = state[i * k + c] + self.ambient;
-            }
-            out.push(self.session_from_final_cells(&lane, duration));
-        }
-        Ok(out)
     }
 }
 
@@ -674,12 +590,55 @@ impl crate::ThermalBackend for GridThermalSimulator {
         }
     }
 
+    /// Simulates many same-duration sessions in one multi-RHS pass over the
+    /// banded factorisation: the per-lane power vectors become the columns
+    /// of one `n × k` right-hand-side matrix and the whole batch advances
+    /// through [`ImplicitStepOperator::advance_many_from_rest_into`] — one
+    /// traversal of the factor per step instead of `k`.
+    ///
+    /// Only the banded fast path batches; every other configuration —
+    /// steady-state fidelity, the implicit-Euler reference, ADI — runs
+    /// [`ThermalSimulator::simulate_session`] per lane. The multi-RHS
+    /// kernels are bit-identical per column to the single-RHS solve, so
+    /// each lane's result is **bit-identical** to its standalone simulation
+    /// either way.
     fn simulate_sessions(
         &self,
         powers: &[PowerMap],
         duration: f64,
     ) -> Result<Vec<SessionThermalResult>> {
-        self.simulate_sessions_batched(powers, duration)
+        let k = powers.len();
+        let op = match &self.stepper {
+            GridStepper::Banded(op) if k > 1 && self.supports_fast_path() => op,
+            _ => {
+                return powers
+                    .iter()
+                    .map(|p| self.simulate_session(p, duration))
+                    .collect();
+            }
+        };
+        let steps = step_count(duration, self.time_step)?;
+        let n = self.cell_count();
+        let mut p_mat = vec![0.0; n * k];
+        for (c, power) in powers.iter().enumerate() {
+            let p = self.cell_power_vector(power)?;
+            for (i, v) in p.into_iter().enumerate() {
+                p_mat[i * k + c] = v;
+            }
+        }
+        let mut state = vec![0.0; n * k];
+        let mut next = vec![0.0; n * k];
+        let mut scratch = vec![0.0; n * k];
+        op.advance_many_from_rest_into(&p_mat, steps, &mut state, &mut next, &mut scratch, k)?;
+        let mut lane = vec![0.0; n];
+        let mut out = Vec::with_capacity(k);
+        for c in 0..k {
+            for (i, cell) in lane.iter_mut().enumerate() {
+                *cell = state[i * k + c] + self.ambient;
+            }
+            out.push(self.session_from_final_cells(&lane, duration));
+        }
+        Ok(out)
     }
 }
 
@@ -694,33 +653,18 @@ impl ThermalSimulator for GridThermalSimulator {
 
     fn simulate_session(&self, power: &PowerMap, duration: f64) -> Result<SessionThermalResult> {
         match self.fidelity {
+            // From rest the iterates rise monotonically (see the type docs),
+            // so the final cells are the maxima and no step is tracked.
+            SimulationFidelity::Transient if self.method.uses_fast_path() => {
+                let final_cells = self.transient_cell_temperatures(power, duration)?;
+                Ok(self.session_from_final_cells(&final_cells, duration))
+            }
             SimulationFidelity::Transient => {
-                let r = self.transient(power, duration)?;
-                Ok(SessionThermalResult {
-                    max_block_temperatures: r.max_block_temperatures,
-                    final_temperatures: r.final_temperatures,
-                    duration,
-                })
+                self.step_tracked([(power, duration)], vec![0.0; self.cell_count()], duration)
             }
-            SimulationFidelity::SteadyState => {
-                if !(duration > 0.0 && duration.is_finite()) {
-                    return Err(ThermalError::InvalidDuration { value: duration });
-                }
-                let cells = self.cell_temperatures(power)?;
-                let max_block_temperatures = self.block_maxima(&cells);
-                // Report per-block mean temperature as the "final" value;
-                // the maxima already capture the hot spots.
-                let means: Vec<f64> = self
-                    .block_cells
-                    .iter()
-                    .map(|ids| ids.iter().map(|&c| cells[c]).sum::<f64>() / ids.len() as f64)
-                    .collect();
-                Ok(SessionThermalResult {
-                    max_block_temperatures,
-                    final_temperatures: Temperatures::new(means, self.block_count),
-                    duration,
-                })
-            }
+            SimulationFidelity::SteadyState => steady_bound([power], duration, |p, d| {
+                Ok(self.session_from_final_cells(&self.cell_temperatures(p)?, d))
+            }),
         }
     }
 
@@ -744,72 +688,21 @@ impl ThermalSimulator for GridThermalSimulator {
                     let (power, duration) = &canon.phases()[0];
                     return self.simulate_session(power, *duration);
                 }
-                // Phase-by-phase stepping on the factorisation built at
-                // construction. Off-ambient there is no monotone-rise
-                // argument for either stepper, so the per-cell maximum is
-                // tracked at every step.
-                let n = self.cell_count();
-                let mut rise = match initial {
+                let rise = match initial {
                     Some(t) => self.initial_cell_rise(t)?,
-                    None => vec![0.0; n],
+                    None => vec![0.0; self.cell_count()],
                 };
-                let mut max_rise = rise.clone();
-                let mut next = vec![0.0; n];
-                let mut scratch = vec![0.0; n];
-                for (power, duration) in canon.phases() {
-                    let p = self.cell_power_vector(power)?;
-                    let steps = (duration / self.time_step).ceil().max(1.0) as usize;
-                    for _ in 0..steps {
-                        match &self.stepper {
-                            GridStepper::Banded(op) => {
-                                op.step_into(&rise, &p, &mut next, &mut scratch)?
-                            }
-                            GridStepper::Adi(op) => {
-                                op.step_into(&rise, &p, &mut next, &mut scratch)?
-                            }
-                        }
-                        std::mem::swap(&mut rise, &mut next);
-                        for (m, &r) in max_rise.iter_mut().zip(&rise) {
-                            if r > *m {
-                                *m = r;
-                            }
-                        }
-                    }
-                }
-                let final_cells: Vec<f64> = rise.iter().map(|r| r + self.ambient).collect();
-                let max_cells: Vec<f64> = max_rise.iter().map(|r| r + self.ambient).collect();
-                Ok(SessionThermalResult {
-                    max_block_temperatures: self.block_maxima(&max_cells),
-                    final_temperatures: Temperatures::new(
-                        self.block_means(&final_cells),
-                        self.block_count,
-                    ),
-                    duration: canon.total_duration(),
-                })
+                self.step_tracked(
+                    canon.phases().iter().map(|(power, d)| (power, *d)),
+                    rise,
+                    canon.total_duration(),
+                )
             }
-            SimulationFidelity::SteadyState => {
-                // Stateless per-phase upper bound, like the RC simulator.
-                let mut max_block = vec![f64::NEG_INFINITY; self.block_count];
-                let mut last = None;
-                for (power, _) in canon.phases() {
-                    let cells = self.cell_temperatures(power)?;
-                    for (m, v) in max_block.iter_mut().zip(self.block_maxima(&cells)) {
-                        if v > *m {
-                            *m = v;
-                        }
-                    }
-                    last = Some(cells);
-                }
-                let last = last.expect("traces are validated non-empty");
-                Ok(SessionThermalResult {
-                    max_block_temperatures: max_block,
-                    final_temperatures: Temperatures::new(
-                        self.block_means(&last),
-                        self.block_count,
-                    ),
-                    duration: canon.total_duration(),
-                })
-            }
+            SimulationFidelity::SteadyState => steady_bound(
+                canon.phases().iter().map(|(power, _)| power),
+                canon.total_duration(),
+                |p, d| Ok(self.session_from_final_cells(&self.cell_temperatures(p)?, d)),
+            ),
         }
     }
 
@@ -1013,9 +906,8 @@ mod tests {
         p.set(fp.index_of("FPMul").unwrap(), 14.0).unwrap();
         p.set(fp.index_of("Bpred").unwrap(), 6.0).unwrap();
         for duration in [0.003, 0.04, 0.3] {
-            let f = fast.transient(&p, duration).unwrap();
-            let r = reference.transient(&p, duration).unwrap();
-            assert_eq!(f.steps, r.steps);
+            let f = fast.simulate_session(&p, duration).unwrap();
+            let r = reference.simulate_session(&p, duration).unwrap();
             // From ambient the monotone-rise argument makes the two paths
             // bit-identical: skipping max tracking loses nothing.
             assert_eq!(f.max_block_temperatures, r.max_block_temperatures);
@@ -1077,9 +969,9 @@ mod tests {
     fn transient_entry_points_validate_inputs() {
         let (sim, fp) = grid_sim(16);
         let p = PowerMap::zeros(fp.block_count());
-        assert!(sim.transient(&p, 0.0).is_err());
-        assert!(sim.transient(&p, f64::NAN).is_err());
-        assert!(sim.transient(&PowerMap::zeros(3), 1.0).is_err());
+        assert!(sim.simulate_session(&p, 0.0).is_err());
+        assert!(sim.simulate_session(&p, f64::NAN).is_err());
+        assert!(sim.simulate_session(&PowerMap::zeros(3), 1.0).is_err());
         assert!(sim.transient_cell_temperatures(&p, -1.0).is_err());
         let bad = crate::TransientConfig {
             time_step: 0.0,
@@ -1096,6 +988,7 @@ mod tests {
 
     #[test]
     fn batched_sessions_are_bit_identical_to_sequential_sessions() {
+        use crate::ThermalBackend;
         let (sim, fp) = grid_sim(16);
         // Lane counts straddling the 4-lane unroll boundary.
         for lanes in [2usize, 5, 9] {
@@ -1108,7 +1001,7 @@ mod tests {
                     p
                 })
                 .collect();
-            let batched = sim.simulate_sessions_batched(&powers, 0.08).unwrap();
+            let batched = sim.simulate_sessions(&powers, 0.08).unwrap();
             assert_eq!(batched.len(), lanes);
             for (power, batch) in powers.iter().zip(&batched) {
                 assert_eq!(batch, &sim.simulate_session(power, 0.08).unwrap());
@@ -1130,7 +1023,7 @@ mod tests {
                 p
             })
             .collect();
-        let batched = reference.simulate_sessions_batched(&powers, 0.05).unwrap();
+        let batched = reference.simulate_sessions(&powers, 0.05).unwrap();
         for (power, batch) in powers.iter().zip(&batched) {
             assert_eq!(batch, &reference.simulate_session(power, 0.05).unwrap());
         }

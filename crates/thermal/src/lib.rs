@@ -46,6 +46,13 @@
 //!   temperatures. Both paths agree to well within 1e-6 °C; a property
 //!   suite in the workspace root enforces this.
 //!
+//! Every path of both backends returns a [`SessionThermalResult`] and
+//! counts its steps by one rule: an interval of `d` seconds at time step
+//! `Δt` takes `ceil(d / Δt)` steps, at least one. A non-positive or
+//! non-finite `d`, or one needing more than `u32::MAX` steps, is
+//! [`ThermalError::InvalidDuration`] — never a saturated count that the
+//! fast path would square its way to or the grid would step for ever.
+//!
 //! # Example
 //!
 //! ```
@@ -93,7 +100,7 @@ pub use simulator::{
 pub use steady_state::SteadyStateSolver;
 pub use temperatures::Temperatures;
 pub use trace::PowerTrace;
-pub use transient::{TransientConfig, TransientMethod, TransientResult, TransientSolver};
+pub use transient::{TransientConfig, TransientMethod, TransientSolver};
 
 /// Convenience result alias used throughout this crate.
 pub type Result<T, E = ThermalError> = std::result::Result<T, E>;

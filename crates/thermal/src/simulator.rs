@@ -2,6 +2,7 @@
 
 use thermsched_floorplan::{BlockId, Floorplan};
 
+use crate::transient::raise_max;
 use crate::{
     PackageConfig, PowerMap, PowerTrace, Result, SteadyStateSolver, Temperatures, ThermalError,
     ThermalNetwork, TransientConfig, TransientSolver,
@@ -45,6 +46,39 @@ impl SessionThermalResult {
             .map(|(i, _)| i)
             .collect()
     }
+}
+
+/// The steady-state upper bound of a session or trace, shared by both
+/// backends: each constant-power phase is bounded by its own steady
+/// solution `phase(power, duration)`, so the per-block maximum is the
+/// element-wise maximum over the phases and the final state is the last
+/// phase's. A warm start has no influence (it decays under any constant
+/// bound), and a session is the one-phase case.
+///
+/// # Errors
+///
+/// [`ThermalError::InvalidDuration`] if `duration` is non-positive or
+/// non-finite, and whatever `phase` returns.
+pub(crate) fn steady_bound<'p>(
+    powers: impl IntoIterator<Item = &'p PowerMap>,
+    duration: f64,
+    phase: impl Fn(&PowerMap, f64) -> Result<SessionThermalResult>,
+) -> Result<SessionThermalResult> {
+    if !(duration > 0.0 && duration.is_finite()) {
+        return Err(ThermalError::InvalidDuration { value: duration });
+    }
+    let mut powers = powers.into_iter();
+    let first = powers.next().expect("sessions and traces have a phase");
+    let mut bound = phase(first, duration)?;
+    for power in powers {
+        let next = phase(power, duration)?;
+        raise_max(
+            &mut bound.max_block_temperatures,
+            &next.max_block_temperatures,
+        );
+        bound.final_temperatures = next.final_temperatures;
+    }
+    Ok(bound)
 }
 
 /// How session maximum temperatures are evaluated.
@@ -249,6 +283,17 @@ impl RcThermalSimulator {
             found: values.len(),
         })
     }
+
+    /// One phase of the steady-state bound: the steady solution is both the
+    /// maximum and the final state.
+    fn steady_phase(&self, power: &PowerMap, duration: f64) -> Result<SessionThermalResult> {
+        let t = self.steady.solve(power)?;
+        Ok(SessionThermalResult {
+            max_block_temperatures: t.block_temperatures().to_vec(),
+            final_temperatures: t,
+            duration,
+        })
+    }
 }
 
 impl crate::ThermalBackend for RcThermalSimulator {
@@ -276,24 +321,9 @@ impl ThermalSimulator for RcThermalSimulator {
 
     fn simulate_session(&self, power: &PowerMap, duration: f64) -> Result<SessionThermalResult> {
         match self.fidelity {
-            SimulationFidelity::Transient => {
-                let r = self.transient.simulate_from_ambient(power, duration)?;
-                Ok(SessionThermalResult {
-                    max_block_temperatures: r.max_block_temperatures,
-                    final_temperatures: r.final_temperatures,
-                    duration,
-                })
-            }
+            SimulationFidelity::Transient => self.transient.simulate_from_ambient(power, duration),
             SimulationFidelity::SteadyState => {
-                if !(duration > 0.0 && duration.is_finite()) {
-                    return Err(crate::ThermalError::InvalidDuration { value: duration });
-                }
-                let t = self.steady.solve(power)?;
-                Ok(SessionThermalResult {
-                    max_block_temperatures: t.block_temperatures().to_vec(),
-                    final_temperatures: t,
-                    duration,
-                })
+                steady_bound([power], duration, |p, d| self.steady_phase(p, d))
             }
         }
     }
@@ -306,37 +336,16 @@ impl ThermalSimulator for RcThermalSimulator {
         match self.fidelity {
             SimulationFidelity::Transient => {
                 let initial_nodes = initial.map(|t| self.initial_nodes(t)).transpose()?;
-                let r = self
-                    .transient
-                    .simulate_trace(trace, initial_nodes.as_deref())?;
-                Ok(SessionThermalResult {
-                    max_block_temperatures: r.max_block_temperatures,
-                    final_temperatures: r.final_temperatures,
-                    duration: r.duration,
-                })
+                self.transient
+                    .simulate_trace(trace, initial_nodes.as_deref())
             }
             SimulationFidelity::SteadyState => {
-                // The steady-state upper bound is stateless: each phase is
-                // bounded by its own steady solution, the trace maximum is
-                // the element-wise maximum over phases, and the warm start
-                // has no influence (it decays under any constant bound).
                 let canon = trace.canonical();
-                let mut max_block = vec![f64::NEG_INFINITY; self.block_count()];
-                let mut last = None;
-                for (power, _) in canon.phases() {
-                    let t = self.steady.solve(power)?;
-                    for (m, &v) in max_block.iter_mut().zip(t.block_temperatures()) {
-                        if v > *m {
-                            *m = v;
-                        }
-                    }
-                    last = Some(t);
-                }
-                Ok(SessionThermalResult {
-                    max_block_temperatures: max_block,
-                    final_temperatures: last.expect("traces are validated non-empty"),
-                    duration: canon.total_duration(),
-                })
+                steady_bound(
+                    canon.phases().iter().map(|(power, _)| power),
+                    canon.total_duration(),
+                    |p, d| self.steady_phase(p, d),
+                )
             }
         }
     }

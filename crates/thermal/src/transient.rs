@@ -5,7 +5,38 @@ use std::sync::Mutex;
 
 use thermsched_linalg::{AffineStepOperator, DenseMatrix, LuDecomposition};
 
-use crate::{PowerMap, PowerTrace, Result, Temperatures, ThermalError, ThermalNetwork};
+use crate::{
+    PowerMap, PowerTrace, Result, SessionThermalResult, Temperatures, ThermalError, ThermalNetwork,
+};
+
+/// The most steps one constant-power interval may take: a longer interval
+/// is refused instead of stepped (or squared) for ever.
+const MAX_STEPS: usize = u32::MAX as usize;
+
+/// The step rule of both backends: the number of time steps that cover
+/// `duration`, at least one.
+///
+/// # Errors
+///
+/// [`ThermalError::InvalidDuration`] if `duration` is non-positive or
+/// non-finite, or needs more than `u32::MAX` steps.
+pub(crate) fn step_count(duration: f64, time_step: f64) -> Result<usize> {
+    let steps = (duration / time_step).ceil().max(1.0);
+    if duration > 0.0 && duration.is_finite() && steps <= MAX_STEPS as f64 {
+        Ok(steps as usize)
+    } else {
+        Err(ThermalError::InvalidDuration { value: duration })
+    }
+}
+
+/// Raises each running maximum to its value, where the value is larger.
+pub(crate) fn raise_max(max: &mut [f64], values: &[f64]) {
+    for (m, &v) in max.iter_mut().zip(values) {
+        if v > *m {
+            *m = v;
+        }
+    }
+}
 
 /// Which transient solution path the solver uses for from-ambient
 /// constant-power simulations.
@@ -88,29 +119,6 @@ impl TransientConfig {
     pub fn with_method(mut self, method: TransientMethod) -> Self {
         self.method = method;
         self
-    }
-}
-
-/// Result of simulating one interval with constant per-block power.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TransientResult {
-    /// Maximum temperature reached by each block over the interval (°C).
-    pub max_block_temperatures: Vec<f64>,
-    /// Node temperatures at the end of the interval (°C).
-    pub final_temperatures: Temperatures,
-    /// Number of integration steps taken.
-    pub steps: usize,
-    /// Simulated duration in seconds.
-    pub duration: f64,
-}
-
-impl TransientResult {
-    /// Hottest block temperature observed anywhere in the interval.
-    pub fn max_temperature(&self) -> f64 {
-        self.max_block_temperatures
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
     }
 }
 
@@ -234,54 +242,65 @@ impl TransientSolver {
         &self,
         power: &PowerMap,
         duration: f64,
-    ) -> Result<TransientResult> {
-        if self.method.uses_fast_path() {
-            return self.simulate_with_operator(power, duration);
+    ) -> Result<SessionThermalResult> {
+        if !self.method.uses_fast_path() {
+            let initial = vec![self.ambient; self.node_count];
+            return self.simulate(power, duration, &initial);
         }
-        let initial = vec![self.ambient; self.node_count];
-        self.simulate(power, duration, &initial)
-    }
-
-    /// The fast path: validates inputs, then computes the final rise
-    /// `S_k · b` through the cached `k`-step operator.
-    fn simulate_with_operator(&self, power: &PowerMap, duration: f64) -> Result<TransientResult> {
-        self.validate_inputs(power, duration)?;
-        let steps = (duration / self.time_step).ceil().max(1.0) as usize;
+        // The fast path: the final rise `S_k · b` through the cached
+        // `k`-step operator.
+        self.check_power(power)?;
+        let steps = step_count(duration, self.time_step)?;
         let mut p = vec![0.0; self.node_count];
         p[..self.block_count].copy_from_slice(power.as_slice());
         let b = self.factorisation.solve(&p)?;
+        let rise = self.with_powered(steps, |op| Ok(op.apply_from_rest(&b)?))?;
+        Ok(self.result_from_rise(&rise, &rise, duration))
+    }
 
+    /// Applies the cached `steps`-step operator `(Aᵏ, S_k)`, building it
+    /// first if this is the first request for that step count.
+    fn with_powered<T>(
+        &self,
+        steps: usize,
+        apply: impl FnOnce(&AffineStepOperator) -> Result<T>,
+    ) -> Result<T> {
+        if let Some(op) = self
+            .powered
+            .lock()
+            .expect("operator cache lock")
+            .get(&steps)
+        {
+            return apply(op);
+        }
+        // Build the operator outside the lock so concurrent callers (the
+        // scheduler's phase-1 threads) don't serialise on the O(n³·log k)
+        // squaring; a racing duplicate is dropped by or_insert and both
+        // race outcomes are deterministic.
         let step_matrix = self
             .step_matrix
             .as_ref()
             .expect("fast path implies a precomputed step matrix");
-        let cached = {
-            let powered = self.powered.lock().expect("operator cache lock");
-            powered
-                .get(&steps)
-                .map(|op| op.apply_from_rest(&b))
-                .transpose()?
-        };
-        let rise = match cached {
-            Some(rise) => rise,
-            None => {
-                // Build the operator outside the lock so concurrent callers
-                // (the scheduler's phase-1 threads) don't serialise on the
-                // O(n³·log k) squaring; a racing duplicate is dropped by
-                // or_insert and both race outcomes are deterministic.
-                let op = AffineStepOperator::single(step_matrix)?.pow(steps)?;
-                let rise = op.apply_from_rest(&b)?;
-                self.powered
-                    .lock()
-                    .expect("operator cache lock")
-                    .entry(steps)
-                    .or_insert(op);
-                rise
-            }
-        };
+        let op = AffineStepOperator::single(step_matrix)?.pow(steps)?;
+        let out = apply(&op)?;
+        self.powered
+            .lock()
+            .expect("operator cache lock")
+            .entry(steps)
+            .or_insert(op);
+        Ok(out)
+    }
 
-        Ok(TransientResult {
-            max_block_temperatures: rise[..self.block_count]
+    /// The result of an interval that ended at temperature rise `rise` with
+    /// per-block maximum rise `max_rise` (both over ambient).
+    fn result_from_rise(
+        &self,
+        max_rise: &[f64],
+        rise: &[f64],
+        duration: f64,
+    ) -> SessionThermalResult {
+        SessionThermalResult {
+            max_block_temperatures: max_rise[..self.block_count]
                 .iter()
                 .map(|r| r + self.ambient)
                 .collect(),
@@ -289,20 +308,17 @@ impl TransientSolver {
                 rise.iter().map(|r| r + self.ambient).collect(),
                 self.block_count,
             ),
-            steps,
             duration,
-        })
+        }
     }
 
-    fn validate_inputs(&self, power: &PowerMap, duration: f64) -> Result<()> {
+    /// Refuses a power map that does not cover exactly the model's blocks.
+    fn check_power(&self, power: &PowerMap) -> Result<()> {
         if power.block_count() != self.block_count {
             return Err(ThermalError::PowerLengthMismatch {
                 expected: self.block_count,
                 found: power.block_count(),
             });
-        }
-        if !(duration > 0.0 && duration.is_finite()) {
-            return Err(ThermalError::InvalidDuration { value: duration });
         }
         Ok(())
     }
@@ -328,12 +344,14 @@ impl TransientSolver {
     ///
     /// * [`ThermalError::PowerLengthMismatch`] if the trace's block count or
     ///   the initial vector's length does not match the model.
+    /// * [`ThermalError::InvalidDuration`] if a phase needs more steps than
+    ///   the step rule allows.
     /// * [`ThermalError::Solver`] if a linear solve fails.
     pub fn simulate_trace(
         &self,
         trace: &PowerTrace,
         initial_node_temperatures: Option<&[f64]>,
-    ) -> Result<TransientResult> {
+    ) -> Result<SessionThermalResult> {
         if trace.block_count() != self.block_count {
             return Err(ThermalError::PowerLengthMismatch {
                 expected: self.block_count,
@@ -366,32 +384,23 @@ impl TransientSolver {
         &self,
         trace: &PowerTrace,
         initial_node_temperatures: Option<&[f64]>,
-    ) -> Result<TransientResult> {
+    ) -> Result<SessionThermalResult> {
         let mut state: Vec<f64> = match initial_node_temperatures {
             Some(t) => t.to_vec(),
             None => vec![self.ambient; self.node_count],
         };
         let mut max_block = vec![f64::NEG_INFINITY; self.block_count];
-        let mut steps = 0;
-        let mut duration = 0.0;
         let mut last = None;
         for (power, phase_duration) in trace.phases() {
             let r = self.simulate(power, *phase_duration, &state)?;
-            steps += r.steps;
-            duration += r.duration;
-            for (m, &t) in max_block.iter_mut().zip(&r.max_block_temperatures) {
-                if t > *m {
-                    *m = t;
-                }
-            }
+            raise_max(&mut max_block, &r.max_block_temperatures);
             state.copy_from_slice(r.final_temperatures.node_temperatures());
             last = Some(r.final_temperatures);
         }
-        Ok(TransientResult {
+        Ok(SessionThermalResult {
             max_block_temperatures: max_block,
             final_temperatures: last.expect("traces are validated non-empty"),
-            steps,
-            duration,
+            duration: trace.total_duration(),
         })
     }
 
@@ -401,7 +410,7 @@ impl TransientSolver {
         &self,
         trace: &PowerTrace,
         initial_node_temperatures: Option<&[f64]>,
-    ) -> Result<TransientResult> {
+    ) -> Result<SessionThermalResult> {
         let step_matrix = self
             .step_matrix
             .as_ref()
@@ -412,92 +421,52 @@ impl TransientSolver {
             None => vec![0.0; self.node_count],
         };
         let mut max_rise: Vec<f64> = rise[..self.block_count].to_vec();
-        let mut total_steps = 0;
         let mut p = vec![0.0; self.node_count];
         let mut next = vec![0.0; self.node_count];
         let mut out = vec![0.0; self.node_count];
         let mut scratch = vec![0.0; self.node_count];
+        // One implicit-Euler step `next = A·rise + b`.
+        let step = |rise: &[f64], b: &[f64], next: &mut [f64]| -> Result<()> {
+            step_matrix.mul_vec_into(rise, next)?;
+            for (n, &bi) in next.iter_mut().zip(b) {
+                *n += bi;
+            }
+            Ok(())
+        };
         for (power, duration) in trace.phases() {
-            let steps = (duration / self.time_step).ceil().max(1.0) as usize;
-            total_steps += steps;
+            let steps = step_count(*duration, self.time_step)?;
             p[..self.block_count].copy_from_slice(power.as_slice());
             let b = self.factorisation.solve(&p)?;
 
             // One-step probe `x₁ = A·x₀ + b` decides the phase direction.
-            step_matrix.mul_vec_into(&rise, &mut next)?;
-            for (n, &bi) in next.iter_mut().zip(&b) {
-                *n += bi;
-            }
+            step(&rise, &b, &mut next)?;
             let rising = next.iter().zip(&rise).all(|(n, c)| n >= c);
             let falling = next.iter().zip(&rise).all(|(n, c)| n <= c);
 
-            if rising || falling {
+            if (rising || falling) && steps > 1 {
                 // Monotone phase: the per-block extreme sits at an endpoint
                 // (the start is already in `max_rise`, the end is recorded
                 // below), so the whole phase advances in one operator
                 // application.
-                if steps == 1 {
-                    std::mem::swap(&mut rise, &mut next);
-                } else {
-                    let applied = {
-                        let powered = self.powered.lock().expect("operator cache lock");
-                        if let Some(op) = powered.get(&steps) {
-                            op.apply_into(&rise, &b, &mut out, &mut scratch)?;
-                            true
-                        } else {
-                            false
-                        }
-                    };
-                    if !applied {
-                        // Built outside the lock, same as the session path.
-                        let op = AffineStepOperator::single(step_matrix)?.pow(steps)?;
-                        op.apply_into(&rise, &b, &mut out, &mut scratch)?;
-                        self.powered
-                            .lock()
-                            .expect("operator cache lock")
-                            .entry(steps)
-                            .or_insert(op);
-                    }
-                    std::mem::swap(&mut rise, &mut out);
-                }
-                for i in 0..self.block_count {
-                    if rise[i] > max_rise[i] {
-                        max_rise[i] = rise[i];
-                    }
-                }
+                self.with_powered(steps, |op| {
+                    Ok(op.apply_into(&rise, &b, &mut out, &mut scratch)?)
+                })?;
+                std::mem::swap(&mut rise, &mut out);
+                raise_max(&mut max_rise, &rise);
             } else {
-                // Mixed directions (possible only off-ambient): no endpoint
-                // argument holds, so track the maximum at every step. The
-                // probe above already computed the first step.
+                // A one-step phase, or mixed directions (possible only
+                // off-ambient): no endpoint argument holds, so track the
+                // maximum at every step. The probe was the first step.
                 std::mem::swap(&mut rise, &mut next);
-                for i in 0..self.block_count {
-                    if rise[i] > max_rise[i] {
-                        max_rise[i] = rise[i];
-                    }
-                }
+                raise_max(&mut max_rise, &rise);
                 for _ in 1..steps {
-                    step_matrix.mul_vec_into(&rise, &mut next)?;
-                    for (n, &bi) in next.iter_mut().zip(&b) {
-                        *n += bi;
-                    }
+                    step(&rise, &b, &mut next)?;
                     std::mem::swap(&mut rise, &mut next);
-                    for i in 0..self.block_count {
-                        if rise[i] > max_rise[i] {
-                            max_rise[i] = rise[i];
-                        }
-                    }
+                    raise_max(&mut max_rise, &rise);
                 }
             }
         }
-        Ok(TransientResult {
-            max_block_temperatures: max_rise.iter().map(|r| r + self.ambient).collect(),
-            final_temperatures: Temperatures::new(
-                rise.iter().map(|r| r + self.ambient).collect(),
-                self.block_count,
-            ),
-            steps: total_steps,
-            duration: trace.total_duration(),
-        })
+        Ok(self.result_from_rise(&max_rise, &rise, trace.total_duration()))
     }
 
     /// Simulates `duration` seconds of constant power starting from the given
@@ -507,16 +476,17 @@ impl TransientSolver {
     ///
     /// * [`ThermalError::PowerLengthMismatch`] if the power map or the initial
     ///   temperature vector has the wrong length.
-    /// * [`ThermalError::InvalidDuration`] if `duration` is non-positive or
-    ///   non-finite.
+    /// * [`ThermalError::InvalidDuration`] if `duration` is non-positive,
+    ///   non-finite, or needs more steps than the step rule allows.
     /// * [`ThermalError::Solver`] if a step's linear solve fails.
     pub fn simulate(
         &self,
         power: &PowerMap,
         duration: f64,
         initial_node_temperatures: &[f64],
-    ) -> Result<TransientResult> {
-        self.validate_inputs(power, duration)?;
+    ) -> Result<SessionThermalResult> {
+        self.check_power(power)?;
+        let steps = step_count(duration, self.time_step)?;
         if initial_node_temperatures.len() != self.node_count {
             return Err(ThermalError::PowerLengthMismatch {
                 expected: self.node_count,
@@ -524,7 +494,6 @@ impl TransientSolver {
             });
         }
 
-        let steps = (duration / self.time_step).ceil().max(1.0) as usize;
         let mut p = vec![0.0; self.node_count];
         p[..self.block_count].copy_from_slice(power.as_slice());
 
@@ -546,20 +515,9 @@ impl TransientSolver {
             self.factorisation
                 .solve_into(&rhs, &mut next, &mut scratch)?;
             std::mem::swap(&mut rise, &mut next);
-            for i in 0..self.block_count {
-                if rise[i] > max_rise[i] {
-                    max_rise[i] = rise[i];
-                }
-            }
+            raise_max(&mut max_rise, &rise);
         }
-
-        let final_abs: Vec<f64> = rise.iter().map(|r| r + self.ambient).collect();
-        Ok(TransientResult {
-            max_block_temperatures: max_rise.iter().map(|r| r + self.ambient).collect(),
-            final_temperatures: Temperatures::new(final_abs, self.block_count),
-            steps,
-            duration,
-        })
+        Ok(self.result_from_rise(&max_rise, &rise, duration))
     }
 }
 
@@ -681,7 +639,6 @@ mod tests {
         for duration in [0.001, 0.017, 0.25, 1.0] {
             let r = reference.simulate_from_ambient(&p, duration).unwrap();
             let f = fast.simulate_from_ambient(&p, duration).unwrap();
-            assert_eq!(r.steps, f.steps);
             for (a, b) in r
                 .max_block_temperatures
                 .iter()
@@ -786,7 +743,6 @@ mod tests {
         .unwrap();
         let r = reference.simulate_trace(&trace, None).unwrap();
         let f = fast.simulate_trace(&trace, None).unwrap();
-        assert_eq!(r.steps, f.steps);
         assert!((r.duration - f.duration).abs() < 1e-12);
         for (a, b) in r
             .max_block_temperatures
@@ -899,9 +855,28 @@ mod tests {
         let r = solver
             .simulate_from_ambient(&PowerMap::zeros(fp.block_count()), 0.1)
             .unwrap();
-        assert_eq!(r.steps, 10);
         assert_eq!(r.duration, 0.1);
+        assert_eq!(step_count(r.duration, solver.time_step()), Ok(10));
         assert_eq!(solver.time_step(), 0.01);
         assert_eq!(solver.block_count(), fp.block_count());
+    }
+
+    #[test]
+    fn step_rule_takes_at_least_one_step_and_at_most_the_limit() {
+        assert_eq!(step_count(0.1, 0.01), Ok(10));
+        assert_eq!(step_count(1e-9, 1.0), Ok(1));
+        // At a 1 s step the counts are exact, so the limit is sharp.
+        let limit = MAX_STEPS as f64;
+        assert_eq!(step_count(limit, 1.0), Ok(MAX_STEPS));
+        assert_eq!(
+            step_count(limit + 1.0, 1.0),
+            Err(ThermalError::InvalidDuration { value: limit + 1.0 })
+        );
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, 1e300] {
+            assert!(matches!(
+                step_count(bad, 1.0),
+                Err(ThermalError::InvalidDuration { .. })
+            ));
+        }
     }
 }

@@ -10,9 +10,12 @@
 //!   the batch completes and matches a fault-free reference bit for bit;
 //! * effort-budget deadlines produce deterministic `DeadlineExceeded`
 //!   outcomes, not timing-dependent ones;
+//! * a test time too long to step is a prompt, typed job failure on every
+//!   backend family, never a saturated step count or a hang;
 //! * the streaming front-end never loses a submission: every handle
 //!   resolves to exactly one outcome, and the outcome counters add up.
 
+use std::sync::mpsc;
 use std::time::Duration;
 
 use thermsched_service::{
@@ -178,6 +181,54 @@ fn deadline_budgets_yield_deterministic_deadline_outcomes() {
     }
     let parallel = run(&spec, config(4));
     assert_eq!(parallel.jobs(), reference.jobs());
+}
+
+/// A 1e300 s test time needs more steps than the step rule allows, on the
+/// RC fast path (which would square its way there) as on the grid (which
+/// would step for ever): every job must fail naming the duration, and each
+/// run must return within 5 s.
+#[test]
+fn unsteppable_test_times_fail_every_job_promptly() {
+    let spec = ScenarioSpec {
+        seed: 3,
+        scenarios: 1,
+        test_time: (1e300, 1e300),
+        ..ScenarioSpec::default()
+    };
+    for backend in [
+        BackendKind::RcCompact,
+        BackendKind::GridTransient { cells_per_core: 1 },
+    ] {
+        // The run gets its own thread so that a hang fails the test
+        // instead of stalling the suite.
+        let (done_tx, done_rx) = mpsc::channel();
+        let spec = spec.clone();
+        let runner = std::thread::spawn(move || {
+            let config = ServiceConfig {
+                backend,
+                ..ServiceConfig::default()
+            };
+            let _ = done_tx.send(run(&spec, config));
+        });
+        let report = done_rx.recv_timeout(Duration::from_secs(5));
+        assert!(
+            !matches!(report, Err(mpsc::RecvTimeoutError::Timeout)),
+            "{} ran past 5 s",
+            backend.label()
+        );
+        runner.join().expect("the run does not panic");
+        let report = report.expect("the run sent its report");
+        assert!(!report.jobs().is_empty());
+        let named = format!("invalid duration or time step {} s", 1e300);
+        for job in report.jobs() {
+            match &job.outcome {
+                JobOutcome::Failed { error, .. } => {
+                    assert!(error.contains(&named), "{}: {error}", job.label)
+                }
+                other => panic!("{} on {}: {other:?}", job.label, backend.label()),
+            }
+        }
+    }
 }
 
 #[test]

@@ -8,7 +8,7 @@
 
 use std::path::PathBuf;
 
-use thermsched_obs::{MetricsRegistry, Tracer};
+use thermsched_obs::{MetricsRegistry, Tracer, TracerConfig};
 use thermsched_service::{
     BackendKind, Corpus, JobResult, MultiprocConfig, MultiprocCoordinator, ScenarioSpec,
     ServiceConfig, ServiceReport, ServiceRunner,
@@ -129,6 +129,43 @@ fn every_worker_dying_is_a_typed_error_not_a_hang() {
         result,
         Err(thermsched_service::ServiceError::Multiproc { .. })
     ));
+}
+
+/// A traced run's registry agrees with its own report, counter for
+/// counter, even when a worker dies mid-run: the coordinator counts every
+/// result and FIN itself, so the dead worker's job is not lost with its
+/// snapshot, and the wall-clock gauges an in-process run sets are there.
+#[test]
+fn a_traced_crash_run_registers_the_counts_of_its_report() {
+    let corpus = corpus();
+    let registry = MetricsRegistry::new();
+    let report = MultiprocCoordinator::new(MultiprocConfig {
+        processes: 2,
+        program: worker_binary(),
+        args: ["worker", "--exit-after", "1", "--exit-worker", "1"]
+            .map(str::to_owned)
+            .to_vec(),
+        service: ServiceConfig::default(),
+    })
+    .expect("valid config")
+    .run_traced(&corpus, &Tracer::new(TracerConfig::default()), &registry)
+    .expect("multiproc run succeeds");
+    let stats = report.stats();
+    assert_eq!((stats.job_count, stats.worker_crashes), (4, 1));
+
+    let metrics = registry.snapshot();
+    for (name, value) in stats.metrics().counters {
+        assert_eq!(metrics.counter(&name), Some(value), "counter {name}");
+    }
+    let latency = metrics
+        .histograms
+        .iter()
+        .find(|histogram| histogram.name == "job.latency_seconds")
+        .expect("the latency histogram is registered");
+    assert_eq!(latency.count, stats.latency.samples as u64);
+    for gauge in ["service.wall_seconds", "service.jobs_per_second"] {
+        assert!(metrics.gauge(gauge).is_some(), "gauge {gauge} is missing");
+    }
 }
 
 /// Every job of a scenario runs in one worker, and each worker prepares

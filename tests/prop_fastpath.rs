@@ -101,7 +101,6 @@ proptest! {
         let power = PowerMap::from_vec(levels[..fp.block_count()].to_vec()).unwrap();
         let r = reference.simulate_from_ambient(&power, 0.9).unwrap();
         let f = fast.simulate_from_ambient(&power, 0.9).unwrap();
-        prop_assert_eq!(r.steps, f.steps);
         for (a, b) in r
             .max_block_temperatures
             .iter()
