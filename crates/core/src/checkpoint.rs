@@ -113,6 +113,7 @@ where
 
 /// A ready-made checkpoint that interrupts once total simulated effort
 /// exceeds a budget. Purely simulated-domain, hence fully deterministic.
+/// It is the one budget rule: the service's job deadlines check through it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EffortBudget {
     budget: f64,

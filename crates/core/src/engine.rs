@@ -4,13 +4,15 @@
 //! The engine is constructed once per (system under test, backend) pair
 //! through a builder, holds a [`SessionCacheHandle`] that stays warm across
 //! every run it executes, and exposes the operations the drivers need
-//! ([`Engine::schedule`], [`Engine::evaluate`], [`Engine::sweep`]). The
+//! ([`Engine::run`] and its `schedule*` forwards, [`Engine::evaluate`],
+//! [`Engine::sweep`]). The
 //! backend is stored as a `&dyn ThermalBackend` (or owned `Box`), so the
 //! facade works identically for the RC-compact and grid simulators — and,
 //! because the fast transient path is the library default,
 //! `Engine::builder()` with default settings schedules through the
 //! precomputed-operator path automatically.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use thermsched_obs::Tracer;
@@ -111,7 +113,7 @@ impl<'a> Engine<'a> {
         &self.cache
     }
 
-    /// Installs a span recorder for subsequent runs: `schedule*` and
+    /// Installs a span recorder for subsequent runs: `run`, `schedule*` and
     /// `evaluate` record spans into it, and hand it down to the scheduler's
     /// phase-1/phase-2 instrumentation. Services swap in a job-scoped
     /// handle per dispatched job; the default is the free disabled tracer.
@@ -130,9 +132,9 @@ impl<'a> Engine<'a> {
     ///
     /// # Errors
     ///
-    /// See [`ThermalAwareScheduler::schedule`].
+    /// See [`Engine::run`].
     pub fn schedule(&self) -> Result<ScheduleOutcome> {
-        self.schedule_with(self.config)
+        self.run(self.config, None, None)
     }
 
     /// Generates a schedule with an explicit configuration (the engine's
@@ -142,154 +144,102 @@ impl<'a> Engine<'a> {
     ///
     /// # Errors
     ///
-    /// See [`ThermalAwareScheduler::schedule`].
+    /// See [`Engine::run`].
     pub fn schedule_with(&self, config: SchedulerConfig) -> Result<ScheduleOutcome> {
-        let mut span = self.tracer.span("engine.schedule");
-        let outcome = self.scheduler_for(config)?.schedule_with_cache(&self.cache);
-        Self::stamp_schedule_span(&mut span, &config, &outcome);
-        outcome
-    }
-
-    /// Like [`Engine::schedule_with`], but consulting a cooperative
-    /// [`ScheduleCheckpoint`] at every scheduling checkpoint — the hook a
-    /// service uses to enforce deadline budgets and cancellation on runs it
-    /// dispatched. An interrupted run returns
-    /// [`ScheduleError::Interrupted`] after publishing everything it
-    /// simulated to the engine's cache.
-    ///
-    /// # Errors
-    ///
-    /// See [`ThermalAwareScheduler::schedule_with_cache_and_checkpoint`].
-    pub fn schedule_with_checkpoint(
-        &self,
-        config: SchedulerConfig,
-        checkpoint: &dyn ScheduleCheckpoint,
-    ) -> Result<ScheduleOutcome> {
-        let mut span = self.tracer.span("engine.schedule");
-        let outcome = self
-            .scheduler_for(config)?
-            .schedule_with_cache_and_checkpoint(&self.cache, checkpoint);
-        Self::stamp_schedule_span(&mut span, &config, &outcome);
-        outcome
+        self.run(config, None, None)
     }
 
     /// Generates a schedule under an [`OnlineContext`] (power-trace shape
-    /// and/or warm start) with the engine's base configuration. An online
-    /// run reuses its own validations only: it neither reads nor writes the
-    /// engine's cache, which holds the constant-power results offline runs
-    /// share.
+    /// and/or warm start) with an explicit configuration.
     ///
     /// # Errors
     ///
-    /// See [`ThermalAwareScheduler::with_online`] and
-    /// [`ThermalAwareScheduler::schedule`].
-    pub fn schedule_online(&self, online: &OnlineContext) -> Result<ScheduleOutcome> {
-        self.schedule_online_with(self.config, online)
-    }
-
-    /// Like [`Engine::schedule_online`], but with an explicit configuration
-    /// for this run.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::schedule_online`].
+    /// See [`Engine::run`].
     pub fn schedule_online_with(
         &self,
         config: SchedulerConfig,
         online: &OnlineContext,
     ) -> Result<ScheduleOutcome> {
-        let mut span = self.tracer.span("engine.schedule");
-        Self::stamp_online_span(&mut span, online);
-        let outcome = self
-            .scheduler_for(config)
-            .and_then(|s| s.with_online(online.clone()))
-            .and_then(|s| s.schedule_with_cache(&self.cache));
-        Self::stamp_schedule_span(&mut span, &config, &outcome);
-        outcome
+        self.run(config, Some(online), None)
     }
 
-    /// Like [`Engine::schedule_online_with`], but consulting a cooperative
-    /// [`ScheduleCheckpoint`] — the entry point a service uses to dispatch
-    /// online jobs under deadline budgets.
+    /// Runs Algorithm 1 with `config`, optionally under an [`OnlineContext`]
+    /// and a cooperative [`ScheduleCheckpoint`]: the one entry point every
+    /// `schedule*` method and the service forward to.
+    ///
+    /// An offline run shares the engine's session cache. An online run
+    /// reuses its own validations only: it neither reads nor writes the
+    /// cache, which holds the constant-power results offline runs share.
+    /// The checkpoint is how a service enforces deadline budgets and
+    /// cancellation; an interrupted run publishes everything it simulated
+    /// before returning [`ScheduleError::Interrupted`].
+    ///
+    /// Every call records one `engine.schedule` span whose attributes are
+    /// pure functions of the inputs, in this order: `trace_segments` and
+    /// `warm_start` (online runs only), `tl` and `stcl`, then either
+    /// `sessions`, `schedule_length` and `max_temperature` or the `error`
+    /// kind — also when the scheduler fails to build.
     ///
     /// # Errors
     ///
-    /// See [`Engine::schedule_online`], plus
-    /// [`ScheduleError::Interrupted`] when the checkpoint fires.
-    pub fn schedule_online_with_checkpoint(
+    /// * [`ScheduleError::InvalidConfig`] for an invalid configuration or a
+    ///   warm start of the wrong length.
+    /// * [`ScheduleError::Interrupted`] when the checkpoint fires.
+    /// * The run errors of [`ThermalAwareScheduler::schedule`].
+    pub fn run(
         &self,
         config: SchedulerConfig,
-        online: &OnlineContext,
-        checkpoint: &dyn ScheduleCheckpoint,
+        online: Option<&OnlineContext>,
+        checkpoint: Option<&dyn ScheduleCheckpoint>,
     ) -> Result<ScheduleOutcome> {
         let mut span = self.tracer.span("engine.schedule");
-        Self::stamp_online_span(&mut span, online);
         let outcome = self
-            .scheduler_for(config)
-            .and_then(|s| s.with_online(online.clone()))
-            .and_then(|s| s.schedule_with_cache_and_checkpoint(&self.cache, checkpoint));
-        Self::stamp_schedule_span(&mut span, &config, &outcome);
+            .scheduler_for(config, online)
+            .and_then(|scheduler| scheduler.run(Some(&self.cache), checkpoint));
+        if span.is_recording() {
+            if let Some(online) = online {
+                let segments = online.trace().map_or(0, |t| t.segment_count());
+                span.attr("trace_segments", segments);
+                span.attr("warm_start", online.warm_start().is_some());
+            }
+            span.attr("tl", config.temperature_limit);
+            span.attr("stcl", config.stc_limit);
+            match &outcome {
+                Ok(outcome) => {
+                    span.attr("sessions", outcome.session_count());
+                    span.attr("schedule_length", outcome.schedule_length());
+                    span.attr("max_temperature", outcome.max_temperature);
+                }
+                Err(err) => span.attr("error", err.kind_name()),
+            }
+        }
         outcome
     }
 
-    /// Stamps the online-context attributes onto an `engine.schedule` span:
-    /// the trace's segment count and whether the run was warm-started. Both
-    /// are part of the job's identity — pure functions of its inputs — so
-    /// they belong to the structural slice.
-    fn stamp_online_span(span: &mut thermsched_obs::Span, online: &OnlineContext) {
-        if !span.is_recording() {
-            return;
-        }
-        span.attr(
-            "trace_segments",
-            online.trace().map_or(0, |t| t.segment_count()),
-        );
-        span.attr("warm_start", online.warm_start().is_some());
-    }
-
-    /// Stamps the outcome-level structural attributes onto an
-    /// `engine.schedule` span — every value is a pure function of the
-    /// configuration and corpus (the deterministic simulators guarantee
-    /// it), so they belong to the structural slice.
-    fn stamp_schedule_span(
-        span: &mut thermsched_obs::Span,
-        config: &SchedulerConfig,
-        outcome: &Result<ScheduleOutcome>,
-    ) {
-        if !span.is_recording() {
-            return;
-        }
-        span.attr("tl", config.temperature_limit);
-        span.attr("stcl", config.stc_limit);
-        match outcome {
-            Ok(outcome) => {
-                span.attr("sessions", outcome.session_count());
-                span.attr("schedule_length", outcome.schedule_length());
-                span.attr("max_temperature", outcome.max_temperature);
-            }
-            Err(err) => span.attr("error", err.kind_name()),
-        }
-    }
-
-    fn scheduler_for<'s>(
-        &'s self,
+    fn scheduler_for(
+        &self,
         config: SchedulerConfig,
-    ) -> Result<ThermalAwareScheduler<'s, dyn ThermalBackend + 's>> {
+        online: Option<&OnlineContext>,
+    ) -> Result<ThermalAwareScheduler<'_, dyn ThermalBackend + '_>> {
         // The guidance model depends only on the session-model options (and
         // the floorplan/package, which are fixed per engine); lend the
         // prebuilt model unless a run overrides those options.
-        let scheduler = if config.session_model == self.config.session_model {
-            ThermalAwareScheduler::with_model_ref(
-                self.sut,
-                self.backend.as_dyn(),
-                config,
-                &self.model,
-            )
+        let model = if config.session_model == self.config.session_model {
+            Cow::Borrowed(&self.model)
         } else {
-            let model = SessionThermalModel::new(self.sut, &self.package, config.session_model)?;
-            ThermalAwareScheduler::with_model(self.sut, self.backend.as_dyn(), config, model)
+            Cow::Owned(SessionThermalModel::new(
+                self.sut,
+                &self.package,
+                config.session_model,
+            )?)
         };
-        scheduler.map(|s| s.with_tracer(self.tracer.clone()))
+        let scheduler =
+            ThermalAwareScheduler::with_model(self.sut, self.backend.as_dyn(), config, model)?
+                .with_tracer(self.tracer.clone());
+        match online {
+            Some(online) => scheduler.with_online(online.clone()),
+            None => Ok(scheduler),
+        }
     }
 
     /// Thermally evaluates an arbitrary schedule (e.g. a baseline
@@ -574,7 +524,7 @@ mod tests {
         // Phase 1 alone costs 15 simulated seconds here, so a 1 s budget
         // interrupts before any phase-2 simulation runs.
         let err = engine
-            .schedule_with_checkpoint(config, &EffortBudget::new(1.0))
+            .run(config, None, Some(&EffortBudget::new(1.0)))
             .unwrap_err();
         assert!(matches!(
             err,
@@ -587,7 +537,7 @@ mod tests {
         assert!(!engine.cache().is_empty());
         // A generous budget reproduces the unconstrained schedule.
         let constrained = engine
-            .schedule_with_checkpoint(config, &EffortBudget::new(1e9))
+            .run(config, None, Some(&EffortBudget::new(1e9)))
             .unwrap();
         assert_eq!(constrained.schedule, engine.schedule().unwrap().schedule);
     }
@@ -645,7 +595,10 @@ mod tests {
         ])
         .unwrap();
         let first = engine
-            .schedule_online(&OnlineContext::new().with_trace(profile.clone()))
+            .schedule_online_with(
+                engine.config(),
+                &OnlineContext::new().with_trace(profile.clone()),
+            )
             .unwrap();
         let finals = first.final_temperatures.clone().unwrap();
 
@@ -654,7 +607,9 @@ mod tests {
             .with_trace(profile)
             .with_warm_start(finals.block_temperatures().to_vec())
             .unwrap();
-        let second = engine.schedule_online(&chained).unwrap();
+        let second = engine
+            .schedule_online_with(engine.config(), &chained)
+            .unwrap();
         assert!(second.schedule.covers_exactly_once(sut.core_count()));
 
         let spans = tracer.drain();
@@ -676,9 +631,13 @@ mod tests {
             assert_eq!(warm_attr.value, AttrValue::Bool(warm));
         }
 
-        // The checkpoint variant with a generous budget agrees exactly.
+        // A run with a generous checkpoint budget agrees exactly.
         let again = engine
-            .schedule_online_with_checkpoint(engine.config(), &chained, &EffortBudget::new(1e9))
+            .run(
+                engine.config(),
+                Some(&chained),
+                Some(&EffortBudget::new(1e9)),
+            )
             .unwrap();
         assert_eq!(again.schedule, second.schedule);
         assert_eq!(again.session_records, second.session_records);
@@ -696,5 +655,47 @@ mod tests {
             .unwrap();
         assert!(tight.schedule_length() >= loose.schedule_length());
         assert_eq!(engine.config().stc_limit, 50.0, "base config unchanged");
+    }
+
+    #[test]
+    fn a_scheduler_that_fails_to_build_records_why_on_both_paths() {
+        use crate::OnlineContext;
+        use thermsched_obs::{ObsClock, TracerConfig};
+
+        let sut = library::alpha21364_sut();
+        let tracer = Tracer::new(TracerConfig {
+            clock: ObsClock::Virtual,
+            ..TracerConfig::default()
+        });
+        let engine = Engine::builder()
+            .sut(&sut)
+            .tracer(tracer.for_job(2))
+            .build()
+            .unwrap();
+        let invalid = SchedulerConfig {
+            stc_limit: -1.0,
+            ..engine.config()
+        };
+        let empty = OnlineContext::new();
+        for online in [None, Some(&empty)] {
+            let err = engine.run(invalid, online, None).unwrap_err();
+            assert!(
+                matches!(err, ScheduleError::InvalidConfig { .. }),
+                "{err:?}"
+            );
+            let spans = tracer.drain();
+            assert_eq!(spans.len(), 1, "the build fails before any phase span");
+            assert_eq!(spans[0].name, "engine.schedule");
+            let keys: Vec<&str> = spans[0]
+                .structural_attrs()
+                .map(|a| a.key.as_str())
+                .collect();
+            assert!(
+                keys.ends_with(&["tl", "stcl", "error"]),
+                "online {}: {keys:?}",
+                online.is_some()
+            );
+            assert_eq!(keys.len(), if online.is_some() { 5 } else { 3 });
+        }
     }
 }

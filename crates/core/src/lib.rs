@@ -96,13 +96,13 @@
 //! materialised per candidate into a `thermsched_thermal::PowerTrace`) and
 //! may be re-planned from a caller-supplied temperature state instead of an
 //! ambient die. The online inputs travel in an [`OnlineContext`] passed to
-//! [`Engine::schedule_online`], [`Engine::schedule_online_with`] or
-//! [`Engine::schedule_online_with_checkpoint`]; [`SchedulerConfig`] stays
-//! `Copy`. An empty context is normalised away, so
-//! `schedule_online(&OnlineContext::new())` equals `schedule()`. An online
-//! run reuses its own validations but leaves the engine's shared store
-//! alone: its results depend on the context, and the store only holds the
-//! constant-power, from-ambient results offline runs share.
+//! [`Engine::schedule_online_with`], or to [`Engine::run`] together with a
+//! checkpoint; [`SchedulerConfig`] stays `Copy`. An empty context is
+//! normalised away, so `schedule_online_with(config, &OnlineContext::new())`
+//! returns what `schedule_with(config)` does. An online run reuses its own
+//! validations but leaves the engine's shared store alone: its results
+//! depend on the context, and the store only holds the constant-power,
+//! from-ambient results offline runs share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

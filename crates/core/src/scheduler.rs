@@ -1,5 +1,6 @@
 //! The thermal-aware test-schedule generator (Algorithm 1 of the paper).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use thermsched_obs::Tracer;
@@ -82,13 +83,13 @@ pub struct ScheduleOutcome {
     /// attempts, not wall-clock — but cost no simulation time.
     pub cached_validations: usize,
     /// Number of simulations avoided because a *shared* session cache (see
-    /// [`crate::SessionCacheHandle`] and
-    /// [`ThermalAwareScheduler::schedule_with_cache`]) already held the
-    /// result from an earlier run against the same backend: cross-point
-    /// phase-1 characterisations plus phase-2 candidate validations first
-    /// attempted by another sweep point. Always zero for
-    /// [`ThermalAwareScheduler::schedule`], whose cache lives and dies with
-    /// the call, and for online runs, which never consult a shared store.
+    /// [`crate::SessionCacheHandle`] and [`ThermalAwareScheduler::run`])
+    /// already held the result from an earlier run against the same
+    /// backend: cross-point phase-1 characterisations plus phase-2
+    /// candidate validations first attempted by another sweep point.
+    /// Always zero for [`ThermalAwareScheduler::schedule`], whose cache
+    /// lives and dies with the call, and for online runs, which never
+    /// consult a shared store.
     pub warm_cache_hits: usize,
     /// Hottest temperature reached by any committed session (°C).
     pub max_temperature: f64,
@@ -180,10 +181,10 @@ impl ScheduleOutcome {
 pub struct ThermalAwareScheduler<'a, S: ThermalBackend + ?Sized> {
     sut: &'a SystemUnderTest,
     simulator: &'a S,
-    /// Owned for the classic constructors, borrowed when the
-    /// [`crate::Engine`] lends its prebuilt model — the facade must not pay
-    /// a model clone per run.
-    model: std::borrow::Cow<'a, SessionThermalModel>,
+    /// Owned when [`ThermalAwareScheduler::new`] builds it, borrowed when
+    /// the [`crate::Engine`] lends its prebuilt model — the facade must not
+    /// pay a model clone per run.
+    model: Cow<'a, SessionThermalModel>,
     config: SchedulerConfig,
     /// Online context (power-trace shape and/or warm start); `None` for the
     /// classic offline run. Kept out of [`SchedulerConfig`] so the config
@@ -209,12 +210,13 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
         config: SchedulerConfig,
     ) -> Result<Self> {
         let model = SessionThermalModel::new(sut, &PackageConfig::default(), config.session_model)?;
-        Self::with_model(sut, simulator, config, model)
+        Self::with_model(sut, simulator, config, Cow::Owned(model))
     }
 
     /// Creates a scheduler with an explicitly-built guidance model (use this
     /// when the simulator was built with a non-default package so that model
-    /// and validator stay consistent).
+    /// and validator stay consistent). The model is owned or borrowed: the
+    /// [`crate::Engine`] lends its prebuilt model, so a run pays no clone.
     ///
     /// # Errors
     ///
@@ -223,32 +225,7 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
         sut: &'a SystemUnderTest,
         simulator: &'a S,
         config: SchedulerConfig,
-        model: SessionThermalModel,
-    ) -> Result<Self> {
-        Self::build(sut, simulator, config, std::borrow::Cow::Owned(model))
-    }
-
-    /// Like [`ThermalAwareScheduler::with_model`], but borrowing the model —
-    /// the zero-copy path the [`crate::Engine`] uses to hand its prebuilt
-    /// model to every run.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ThermalAwareScheduler::new`].
-    pub fn with_model_ref(
-        sut: &'a SystemUnderTest,
-        simulator: &'a S,
-        config: SchedulerConfig,
-        model: &'a SessionThermalModel,
-    ) -> Result<Self> {
-        Self::build(sut, simulator, config, std::borrow::Cow::Borrowed(model))
-    }
-
-    fn build(
-        sut: &'a SystemUnderTest,
-        simulator: &'a S,
-        config: SchedulerConfig,
-        model: std::borrow::Cow<'a, SessionThermalModel>,
+        model: Cow<'a, SessionThermalModel>,
     ) -> Result<Self> {
         config.validate()?;
         if simulator.block_count() != sut.core_count() {
@@ -402,64 +379,35 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
         self.run(None, None)
     }
 
-    /// Like [`ThermalAwareScheduler::schedule`], but backed by a shared
-    /// session cache that outlives this run: results already cached by
-    /// earlier runs against the same backend are reused (counted in
+    /// Runs Algorithm 1 with an optional shared session store and an
+    /// optional cooperative checkpoint: the one run path behind
+    /// [`ThermalAwareScheduler::schedule`] and every [`crate::Engine`] run.
+    ///
+    /// With `shared`, results already cached by earlier runs against the
+    /// same backend are reused (counted in
     /// [`ScheduleOutcome::warm_cache_hits`]), and every fresh simulation is
     /// published back for later runs — phase-1 characterisations right after
     /// the pass, phase-2 candidates in one batched store operation at
     /// end-of-run (so a cold run pays `O(1)` lock round trips, not one per
-    /// candidate). The schedule produced is identical to
-    /// an uncached run — the simulators are deterministic — only the
-    /// wall-clock cost changes; the paper's `simulation_effort` metric
-    /// counts attempts either way.
+    /// candidate). The schedule is identical to an uncached run — the
+    /// simulators are deterministic — and the paper's `simulation_effort`
+    /// metric counts attempts either way. The store must only be shared
+    /// between runs that use the same backend and system under test (keys
+    /// are core sets); the [`crate::Engine`] facade enforces this by owning
+    /// one handle per backend. A run with an online context ignores
+    /// `shared` (see [`ThermalAwareScheduler::with_online`]).
     ///
-    /// The cache must only ever be shared between runs that use the same
-    /// backend and system under test (cache keys are core sets); the
-    /// [`crate::Engine`] facade enforces this by owning one handle per
-    /// backend. A run with an online context ignores `shared` (see
-    /// [`ThermalAwareScheduler::with_online`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`ThermalAwareScheduler::schedule`].
-    pub fn schedule_with_cache(&self, shared: &SessionCacheHandle) -> Result<ScheduleOutcome> {
-        self.run(Some(shared), None)
-    }
-
-    /// Like [`ThermalAwareScheduler::schedule_with_cache`], but consulting a
-    /// cooperative [`ScheduleCheckpoint`] after phase-1 characterisation and
-    /// before every phase-2 iteration. When the checkpoint breaks, the run
-    /// stops before its next simulation and returns
+    /// With `checkpoint`, the run consults it after phase-1
+    /// characterisation and before every phase-2 iteration. When it breaks,
+    /// the run stops before its next simulation and returns
     /// [`ScheduleError::Interrupted`] — *after* flushing everything it
-    /// already simulated to the shared store, exactly like a failing run.
+    /// already simulated to `shared`, exactly like a failing run.
     ///
     /// # Errors
     ///
     /// See [`ThermalAwareScheduler::schedule`], plus
     /// [`ScheduleError::Interrupted`] when the checkpoint fires.
-    pub fn schedule_with_cache_and_checkpoint(
-        &self,
-        shared: &SessionCacheHandle,
-        checkpoint: &dyn ScheduleCheckpoint,
-    ) -> Result<ScheduleOutcome> {
-        self.run(Some(shared), Some(checkpoint))
-    }
-
-    /// Like [`ThermalAwareScheduler::schedule`], but consulting a
-    /// cooperative [`ScheduleCheckpoint`] (no shared cache).
-    ///
-    /// # Errors
-    ///
-    /// See [`ThermalAwareScheduler::schedule_with_cache_and_checkpoint`].
-    pub fn schedule_with_checkpoint(
-        &self,
-        checkpoint: &dyn ScheduleCheckpoint,
-    ) -> Result<ScheduleOutcome> {
-        self.run(None, Some(checkpoint))
-    }
-
-    fn run(
+    pub fn run(
         &self,
         shared: Option<&SessionCacheHandle>,
         checkpoint: Option<&dyn ScheduleCheckpoint>,
@@ -948,14 +896,14 @@ mod tests {
         assert_eq!(cold.warm_cache_hits, 0, "per-call cache is always cold");
 
         let cache = SessionCacheHandle::new();
-        let first = scheduler.schedule_with_cache(&cache).unwrap();
+        let first = scheduler.run(Some(&cache), None).unwrap();
         assert_eq!(first.warm_cache_hits, 0, "first run populates the cache");
         assert!(
             cache.len() >= sut.core_count(),
             "phase-1 singletons and every validated candidate are published"
         );
 
-        let second = scheduler.schedule_with_cache(&cache).unwrap();
+        let second = scheduler.run(Some(&cache), None).unwrap();
         assert!(
             second.warm_cache_hits >= sut.core_count(),
             "re-running warm serves at least every phase-1 characterisation \
@@ -1002,7 +950,7 @@ mod tests {
 
         let offline = ThermalAwareScheduler::new(&sut, &sim, config)
             .unwrap()
-            .schedule_with_cache(&cache)
+            .run(Some(&cache), None)
             .unwrap();
         let offline_stats = cache.stats();
         let offline_entries = cache.len();
@@ -1015,7 +963,7 @@ mod tests {
             .unwrap()
             .with_online(online.clone())
             .unwrap()
-            .schedule_with_cache(&cache)
+            .run(Some(&cache), None)
             .unwrap();
         assert_eq!(traced.schedule, offline.schedule);
         assert_eq!(traced.session_records, offline.session_records);
@@ -1032,7 +980,7 @@ mod tests {
             .unwrap()
             .with_online(online)
             .unwrap()
-            .schedule_with_cache(&cache)
+            .run(Some(&cache), None)
             .unwrap();
         assert_eq!(again, traced);
         assert_eq!(cache.stats(), offline_stats);
@@ -1141,7 +1089,7 @@ mod tests {
             .with_max_iterations(1);
         let scheduler = ThermalAwareScheduler::new(&sut, &sim, config).unwrap();
         let cache = SessionCacheHandle::new();
-        let err = scheduler.schedule_with_cache(&cache).unwrap_err();
+        let err = scheduler.run(Some(&cache), None).unwrap_err();
         assert!(matches!(
             err,
             ScheduleError::IterationBudgetExhausted { .. }
@@ -1170,7 +1118,7 @@ mod tests {
         // nothing about the outcome.
         let cache = SessionCacheHandle::new();
         let outcome = scheduler
-            .schedule_with_cache_and_checkpoint(&cache, &EffortBudget::new(total + 1.0))
+            .run(Some(&cache), Some(&EffortBudget::new(total + 1.0)))
             .unwrap();
         assert_eq!(outcome.schedule, full.schedule);
         assert_eq!(outcome.simulation_effort, full.simulation_effort);
@@ -1179,7 +1127,7 @@ mod tests {
         // simulation; the spent effort is exactly the characterisation pass
         // (15 cores × 1 s), deterministically.
         let err = scheduler
-            .schedule_with_checkpoint(&EffortBudget::new(1.0))
+            .run(None, Some(&EffortBudget::new(1.0)))
             .unwrap_err();
         match err {
             ScheduleError::Interrupted {
@@ -1210,7 +1158,7 @@ mod tests {
             }
         };
         let err = scheduler
-            .schedule_with_cache_and_checkpoint(&cache, &after_one_iteration)
+            .run(Some(&cache), Some(&after_one_iteration))
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1242,7 +1190,7 @@ mod tests {
             .unwrap()
             .with_tracer(tracer.for_job(0));
         let cache = SessionCacheHandle::new();
-        let outcome = scheduler.schedule_with_cache(&cache).unwrap();
+        let outcome = scheduler.run(Some(&cache), None).unwrap();
 
         let mut spans = tracer.drain();
         spans.sort_by_key(|s| s.seq);

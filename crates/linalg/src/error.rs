@@ -35,15 +35,6 @@ pub enum LinalgError {
         /// Row/column index where a non-positive pivot was found.
         index: usize,
     },
-    /// An iterative solver did not reach the requested tolerance.
-    DidNotConverge {
-        /// Number of iterations performed before giving up.
-        iterations: usize,
-        /// Residual norm at the last iteration.
-        residual: f64,
-        /// Tolerance that was requested.
-        tolerance: f64,
-    },
     /// A matrix was constructed from rows of unequal length.
     RaggedRows {
         /// Length of the first row.
@@ -85,15 +76,6 @@ impl fmt::Display for LinalgError {
             LinalgError::NotPositiveDefinite { index } => {
                 write!(f, "matrix is not positive definite (at index {index})")
             }
-            LinalgError::DidNotConverge {
-                iterations,
-                residual,
-                tolerance,
-            } => write!(
-                f,
-                "iterative solver did not converge after {iterations} iterations \
-                 (residual {residual:.3e}, tolerance {tolerance:.3e})"
-            ),
             LinalgError::RaggedRows { first, row, len } => write!(
                 f,
                 "ragged rows: row 0 has length {first} but row {row} has length {len}"
@@ -129,17 +111,5 @@ mod tests {
     fn error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<LinalgError>();
-    }
-
-    #[test]
-    fn convergence_error_reports_numbers() {
-        let e = LinalgError::DidNotConverge {
-            iterations: 100,
-            residual: 1e-3,
-            tolerance: 1e-9,
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("100"));
-        assert!(msg.contains("1.000e-3"));
     }
 }

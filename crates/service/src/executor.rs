@@ -37,17 +37,17 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use thermsched::{
-    Engine, InterruptReason, NestedParallelismGuard, OperatorCacheHandle, OperatorCacheStats,
-    OperatorKey, ScheduleCheckpoint, ScheduleError, ScheduleOutcome, ScheduleProgress,
-    SessionCacheHandle, StoreStats, TestSession,
+    EffortBudget, Engine, InterruptReason, NestedParallelismGuard, OperatorCacheHandle,
+    OperatorCacheStats, OperatorKey, ScheduleCheckpoint, ScheduleError, ScheduleOutcome,
+    ScheduleProgress, SessionCacheHandle, StoreStats, TestSession,
 };
 use thermsched_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, Tracer};
 use thermsched_thermal::{PowerMap, SessionThermalResult, ThermalBackend};
 
 use crate::report::LatencyStats;
 use crate::{
-    ClockKind, FaultKind, JobHandle, JobOutcome, JobResult, JobSpec, Priority, Result, Scenario,
-    ServiceConfig, ServiceError, ServiceStats,
+    ClockKind, FaultKind, JobHandle, JobMetrics, JobOutcome, JobResult, JobSpec, Priority, Result,
+    Scenario, ServiceConfig, ServiceError, ServiceStats,
 };
 
 /// Latency histogram bucket bounds (seconds), fixed so snapshots from
@@ -574,8 +574,8 @@ impl<'e> Worker<'e, '_> {
     /// before the first attempt. Retries are granted only to outcomes that
     /// are retryable under [`ServiceError::is_retryable`] — injected faults
     /// — because real scheduler errors, panics and deadline interrupts are
-    /// deterministic functions of the corpus and would only reproduce. The
-    /// attempt count is stamped into the final outcome.
+    /// deterministic functions of the corpus and would only reproduce. Each
+    /// attempt's outcome carries its own attempt number.
     ///
     /// The returned latency is the virtual time the job accrued (injected
     /// delays and retry backoffs) under [`ClockKind::Virtual`], and 0 under
@@ -607,7 +607,7 @@ impl<'e> Worker<'e, '_> {
             prepared.cache.poison();
         }
         let mut attempt = 0u32;
-        let (outcome, cache) = loop {
+        let (outcome, ran) = loop {
             attempt += 1;
             let fault = faults.fault_for(seq, attempt);
             let mut attempt_span = tracer.span("attempt");
@@ -623,10 +623,10 @@ impl<'e> Worker<'e, '_> {
                 job: seq,
                 attempt,
             };
-            let (outcome, cache) = match fault {
+            let (outcome, ran) = match fault {
                 Some(FaultKind::Panic) => {
                     let message = injected(FaultKind::Panic).to_string();
-                    isolate(move || -> thermsched::Result<ScheduleOutcome> { panic!("{message}") })
+                    isolate(attempt, move || panic!("{message}"))
                 }
                 Some(FaultKind::Error) => {
                     let error = injected(FaultKind::Error);
@@ -636,15 +636,15 @@ impl<'e> Worker<'e, '_> {
                             retryable: error.is_retryable(),
                             attempts: attempt,
                         },
-                        CacheAccounting::default(),
+                        JobAccounting::default(),
                     )
                 }
                 Some(FaultKind::Delay) => {
                     advance_clock(clock, faults.delay_seconds, &mut accounting.latency_seconds);
-                    self.attempt(job, prepared, deadline_effort, &tracer)
+                    self.attempt(attempt, job, prepared, deadline_effort, &tracer)
                 }
                 Some(FaultKind::PoisonStore) | None => {
-                    self.attempt(job, prepared, deadline_effort, &tracer)
+                    self.attempt(attempt, job, prepared, deadline_effort, &tracer)
                 }
             };
             // Injected panics are the one retryable panic shape: we know this
@@ -663,36 +663,40 @@ impl<'e> Worker<'e, '_> {
                 );
                 continue;
             }
-            break (outcome, cache);
+            break (outcome, ran);
         };
         job_span.attr("attempts", attempt);
         job_span.attr("outcome", outcome_kind(&outcome));
-        accounting.warm_cache_hits = cache.warm_cache_hits;
-        accounting.cached_validations = cache.cached_validations;
+        accounting.warm_cache_hits = ran.warm_cache_hits;
+        accounting.cached_validations = ran.cached_validations;
         accounting.retried_attempts = attempt as usize - 1;
-        (stamp_attempts(outcome, attempt), accounting)
+        (outcome, accounting)
     }
 
-    /// Runs one attempt: reuses (or builds) this worker's engine for the
-    /// job's scenario and schedules under panic isolation, with a
-    /// checkpoint installed when the job has a deadline or can be
-    /// cancelled.
+    /// Runs attempt number `attempt`: reuses (or builds) this worker's
+    /// engine for the job's scenario and schedules under panic isolation,
+    /// with a checkpoint installed when the job has a deadline or can be
+    /// cancelled. The budget is compared against *simulated* effort, so
+    /// deadline interrupts are deterministic; cancellation is the one
+    /// deliberately non-deterministic interrupt (it answers to a drain
+    /// deadline, and is reported as such).
     fn attempt(
         &mut self,
+        attempt: u32,
         job: &JobSpec,
         prepared: &'e Prepared<'_>,
         deadline_effort: Option<f64>,
         tracer: &Tracer,
-    ) -> (JobOutcome, CacheAccounting) {
+    ) -> (JobOutcome, JobAccounting) {
         let executor = self.executor;
         let failed = |error: String| {
             (
                 JobOutcome::Failed {
                     error,
                     retryable: false,
-                    attempts: 1,
+                    attempts: attempt,
                 },
-                CacheAccounting::default(),
+                JobAccounting::default(),
             )
         };
         let engine = match self.engines.entry(job.scenario) {
@@ -720,23 +724,18 @@ impl<'e> Worker<'e, '_> {
             Err(error) => return failed(error.to_string()),
         };
         let cancel = (executor.mode == Mode::Stream).then_some(&executor.cancel);
-        if deadline_effort.is_some() || cancel.is_some() {
-            let checkpoint = JobCheckpoint {
-                budget: deadline_effort,
-                cancel,
-            };
-            match &online {
-                Some(online) => isolate(|| {
-                    engine.schedule_online_with_checkpoint(job.config, online, &checkpoint)
-                }),
-                None => isolate(|| engine.schedule_with_checkpoint(job.config, &checkpoint)),
+        let budget = deadline_effort.map(EffortBudget::new);
+        let check = |progress: &ScheduleProgress| {
+            if cancel.is_some_and(|cancel| cancel.load(Ordering::Relaxed)) {
+                return ControlFlow::Break(InterruptReason::Cancelled);
             }
-        } else {
-            match &online {
-                Some(online) => isolate(|| engine.schedule_online_with(job.config, online)),
-                None => isolate(|| engine.schedule_with(job.config)),
-            }
-        }
+            budget.map_or(ControlFlow::Continue(()), |budget| budget.check(progress))
+        };
+        let checkpoint =
+            (budget.is_some() || cancel.is_some()).then_some(&check as &dyn ScheduleCheckpoint);
+        isolate(attempt, || {
+            engine.run(job.config, online.as_ref(), checkpoint)
+        })
     }
 }
 
@@ -972,42 +971,6 @@ fn prewarm_same_shape(config: &ServiceConfig, scenarios: &BTreeMap<usize, Prepar
     prewarmed
 }
 
-/// Order-dependent cache accounting of one attempt: a job served from a
-/// store warmed by whichever job happened to run first reports hits the
-/// first runner does not, so these never enter the deterministic per-job
-/// results.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct CacheAccounting {
-    pub(crate) warm_cache_hits: usize,
-    pub(crate) cached_validations: usize,
-}
-
-/// Checkpoint installed into the scheduler for jobs with a deadline or a
-/// drain-cancellation flag. The budget is compared against *simulated*
-/// effort, so deadline interrupts are deterministic; cancellation is the one
-/// deliberately non-deterministic interrupt (it answers to a drain deadline,
-/// and is reported as such).
-struct JobCheckpoint<'c> {
-    budget: Option<f64>,
-    cancel: Option<&'c AtomicBool>,
-}
-
-impl ScheduleCheckpoint for JobCheckpoint<'_> {
-    fn check(&self, progress: &ScheduleProgress) -> ControlFlow<InterruptReason> {
-        if let Some(cancel) = self.cancel {
-            if cancel.load(Ordering::Relaxed) {
-                return ControlFlow::Break(InterruptReason::Cancelled);
-            }
-        }
-        if let Some(budget) = self.budget {
-            if progress.spent_effort() > budget {
-                return ControlFlow::Break(InterruptReason::DeadlineExceeded { budget });
-            }
-        }
-        ControlFlow::Continue(())
-    }
-}
-
 /// Advances the configured clock by `seconds`: sleeps under the wall clock,
 /// accrues deterministic virtual time otherwise.
 fn advance_clock(clock: ClockKind, seconds: f64, virtual_seconds: &mut f64) {
@@ -1021,84 +984,52 @@ fn advance_clock(clock: ClockKind, seconds: f64, virtual_seconds: &mut f64) {
     }
 }
 
-/// Stamps the attempt count into a final outcome (shed/rejected outcomes
-/// never pass through here — they never ran).
-fn stamp_attempts(outcome: JobOutcome, attempts: u32) -> JobOutcome {
-    match outcome {
-        JobOutcome::Completed(mut metrics) => {
-            metrics.attempts = attempts;
-            JobOutcome::Completed(metrics)
-        }
-        JobOutcome::Failed {
-            error, retryable, ..
-        } => JobOutcome::Failed {
-            error,
-            retryable,
-            attempts,
-        },
-        JobOutcome::Panicked { message, .. } => JobOutcome::Panicked { message, attempts },
-        JobOutcome::DeadlineExceeded {
-            spent_effort,
-            budget,
-            ..
-        } => JobOutcome::DeadlineExceeded {
-            spent_effort,
-            budget,
-            attempts,
-        },
-        other => other,
-    }
-}
-
-/// Runs a scheduling closure with panic isolation, mapping the ways it can
-/// end onto [`JobOutcome`] and splitting off the order-dependent cache
-/// accounting. Checkpoint interrupts become
+/// Runs a scheduling closure as attempt number `attempts`, with panic
+/// isolation, and maps the ways it can end onto a [`JobOutcome`] carrying
+/// that attempt count. Checkpoint interrupts become
 /// [`JobOutcome::DeadlineExceeded`]; a drain cancellation is reported as a
-/// zero budget.
+/// zero budget. A completed run also returns its cache accounting, which
+/// depends on which job warmed the store first and so never enters the
+/// deterministic per-job results.
 pub(crate) fn isolate(
+    attempts: u32,
     run: impl FnOnce() -> thermsched::Result<ScheduleOutcome>,
-) -> (JobOutcome, CacheAccounting) {
-    match std::panic::catch_unwind(AssertUnwindSafe(run)) {
-        Ok(Ok(outcome)) => (
-            JobOutcome::Completed((&outcome).into()),
-            CacheAccounting {
+) -> (JobOutcome, JobAccounting) {
+    let outcome = match std::panic::catch_unwind(AssertUnwindSafe(run)) {
+        Ok(Ok(outcome)) => {
+            let metrics = JobMetrics {
+                attempts,
+                ..JobMetrics::from(&outcome)
+            };
+            let ran = JobAccounting {
                 warm_cache_hits: outcome.warm_cache_hits,
                 cached_validations: outcome.cached_validations,
-            },
-        ),
+                ..JobAccounting::default()
+            };
+            return (JobOutcome::Completed(metrics), ran);
+        }
         Ok(Err(ScheduleError::Interrupted {
             reason,
             spent_effort,
-        })) => {
-            let budget = match reason {
+        })) => JobOutcome::DeadlineExceeded {
+            spent_effort,
+            budget: match reason {
                 InterruptReason::DeadlineExceeded { budget } => budget,
                 InterruptReason::Cancelled => 0.0,
-            };
-            (
-                JobOutcome::DeadlineExceeded {
-                    spent_effort,
-                    budget,
-                    attempts: 1,
-                },
-                CacheAccounting::default(),
-            )
-        }
-        Ok(Err(error)) => (
-            JobOutcome::Failed {
-                error: error.to_string(),
-                retryable: false,
-                attempts: 1,
             },
-            CacheAccounting::default(),
-        ),
-        Err(payload) => (
-            JobOutcome::Panicked {
-                message: panic_message(payload.as_ref()),
-                attempts: 1,
-            },
-            CacheAccounting::default(),
-        ),
-    }
+            attempts,
+        },
+        Ok(Err(error)) => JobOutcome::Failed {
+            error: error.to_string(),
+            retryable: false,
+            attempts,
+        },
+        Err(payload) => JobOutcome::Panicked {
+            message: panic_message(payload.as_ref()),
+            attempts,
+        },
+    };
+    (outcome, JobAccounting::default())
 }
 
 /// Renders a caught panic payload.

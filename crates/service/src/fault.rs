@@ -261,10 +261,10 @@ pub enum ClockKind {
 }
 
 /// SplitMix64-style counter hash of (seed, job, stream index): the one
-/// source of randomness behind fault decisions and backoff jitter. Same
-/// structure as the corpus generator's seed derivation — statistically
+/// source of randomness in this crate, behind fault decisions, backoff
+/// jitter and the corpus generator's seeds and variates — statistically
 /// unrelated outputs for neighbouring counters, bit-reproducible everywhere.
-fn mix3(seed: u64, job: u64, index: u64) -> u64 {
+pub(crate) fn mix3(seed: u64, job: u64, index: u64) -> u64 {
     let mut z = seed
         .wrapping_add(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(job.wrapping_mul(0xbf58_476d_1ce4_e5b9))
@@ -275,7 +275,7 @@ fn mix3(seed: u64, job: u64, index: u64) -> u64 {
 }
 
 /// Maps a hash to a uniform variate in `[0, 1)` (53 mantissa bits).
-fn unit(hash: u64) -> f64 {
+pub(crate) fn unit(hash: u64) -> f64 {
     (hash >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 

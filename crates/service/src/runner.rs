@@ -97,9 +97,10 @@ impl BackendKind {
     /// what the backend is built from. That is the kind label and transient
     /// method, the cell resolution (grid kinds), the time step's bits, and
     /// every block rect of the floorplan as f64 bits in block order — not
-    /// the scenario's grid label or core size, which a decoded corpus does
-    /// not tie to its floorplan. Public so external measurement and tooling
-    /// share the runner's exact key instead of reimplementing it.
+    /// the scenario's core size, nor its grid label beyond the resolution:
+    /// decoding ties the label to the core count only, not to the rects.
+    /// Public so external measurement and tooling share the runner's exact
+    /// key instead of reimplementing it.
     pub fn key(self, scenario: &Scenario) -> OperatorKey {
         let transient = self.transient_config();
         let (columns, rows) = self.resolution(scenario).unwrap_or_default();
@@ -519,7 +520,7 @@ mod tests {
 
     #[test]
     fn isolate_catches_panics_and_maps_errors() {
-        let (outcome, accounting) = isolate(|| panic!("boom"));
+        let (outcome, accounting) = isolate(1, || panic!("boom"));
         assert_eq!(
             outcome,
             JobOutcome::Panicked {
@@ -530,7 +531,7 @@ mod tests {
         assert_eq!(accounting.warm_cache_hits, 0);
 
         let label = "label".to_owned();
-        let (outcome, _) = isolate(move || panic!("formatted {label}"));
+        let (outcome, _) = isolate(1, move || panic!("formatted {label}"));
         assert_eq!(
             outcome,
             JobOutcome::Panicked {
@@ -539,7 +540,7 @@ mod tests {
             }
         );
 
-        let (outcome, _) = isolate(|| {
+        let (outcome, _) = isolate(1, || {
             Err(thermsched::ScheduleError::MissingComponent {
                 component: "backend",
             })
@@ -554,7 +555,7 @@ mod tests {
 
         // A checkpoint interrupt maps onto the deadline outcome, with a
         // cancellation reported as a zero budget.
-        let (outcome, _) = isolate(|| {
+        let (outcome, _) = isolate(1, || {
             Err(thermsched::ScheduleError::Interrupted {
                 reason: InterruptReason::DeadlineExceeded { budget: 4.0 },
                 spent_effort: 5.5,
@@ -568,7 +569,7 @@ mod tests {
                 attempts: 1,
             }
         );
-        let (outcome, _) = isolate(|| {
+        let (outcome, _) = isolate(1, || {
             Err(thermsched::ScheduleError::Interrupted {
                 reason: InterruptReason::Cancelled,
                 spent_effort: 2.0,
@@ -625,7 +626,7 @@ mod tests {
         assert!(message.starts_with("non-string panic payload (type id"));
 
         // End to end: a panic_any payload travels through isolate.
-        let (outcome, _) = isolate(|| std::panic::panic_any(42i32));
+        let (outcome, _) = isolate(1, || std::panic::panic_any(42i32));
         assert_eq!(
             outcome,
             JobOutcome::Panicked {

@@ -17,6 +17,7 @@ use thermsched::{
 };
 use thermsched_soc::{GeneratorConfig, SocGenerator, SystemUnderTest};
 
+use crate::fault::{mix3, unit};
 use crate::{Result, ServiceError};
 
 /// Seeded family of time-varying power shapes a spec can stamp onto its
@@ -295,23 +296,15 @@ const WARM_STREAM: u64 = 0x5741_524d_5354_524d;
 
 /// One SplitMix64 step of `state`, folded to a uniform value in `[0, 1)`.
 fn unit_f64(state: &mut u64) -> f64 {
+    let value = unit(mix3(*state, 0, 0));
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
+    value
 }
 
 /// SplitMix64 mix of the master seed and a scenario index, so neighbouring
 /// scenarios get statistically unrelated generator streams.
 fn derive_seed(seed: u64, index: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(index.wrapping_mul(0xbf58_476d_1ce4_e5b9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix3(seed, index, 0)
 }
 
 /// One generated system under test of a corpus.
@@ -324,8 +317,9 @@ pub struct Scenario {
     /// Grid shape `(columns, rows)` of the generated floorplan. Generated
     /// scenarios sharing a shape (and core size) share an *identical*
     /// floorplan — only power assignments differ — so they share one
-    /// backend through the operator cache. A decoded corpus does not tie
-    /// this label to the floorplan; the operator key reads the rects.
+    /// backend through the operator cache. Decoding checks only that
+    /// `columns × rows` is the core count, which bounds the cell grid the
+    /// grid backends size from it; the operator key reads the rects.
     pub grid: (usize, usize),
     /// Core edge length in millimetres.
     pub core_size_mm: f64,

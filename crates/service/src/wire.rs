@@ -115,7 +115,8 @@ impl Wire for ScenarioSpec {
     }
 }
 
-/// `grid` is a `[columns, rows]` pair whose length error names this type.
+/// `grid` is a `[columns, rows]` pair whose length error names this type;
+/// its product must be the system's core count.
 impl Wire for Scenario {
     const WIRE_TYPE: &'static str = "scenario";
 
@@ -131,13 +132,26 @@ impl Wire for Scenario {
 
     fn from_wire(value: &JsonValue) -> Result<Self> {
         const T: &str = "scenario";
-        Ok(Scenario {
+        let scenario = Scenario {
             name: value.decode(T, "name")?,
             seed: value.decode(T, "seed")?,
             grid: decode_pair(value.field(T, "grid")?, T, "columns, rows")?,
             core_size_mm: value.decode(T, "core_size_mm")?,
             sut: value.decode(T, "sut")?,
-        })
+        };
+        // The grid backends size their cell grid from this label, so it
+        // must cover exactly the floorplan's cores.
+        let (columns, rows) = scenario.grid;
+        if columns.checked_mul(rows) != Some(scenario.sut.core_count()) {
+            return Err(WireError::Invalid {
+                type_name: T,
+                message: format!(
+                    "grid {columns}x{rows} does not hold the {} cores of the system under test",
+                    scenario.sut.core_count()
+                ),
+            });
+        }
+        Ok(scenario)
     }
 }
 

@@ -1,6 +1,8 @@
 //! Cross-crate integration tests: the thermal-aware scheduler driving the RC
 //! thermal simulator over the library systems.
 
+use std::borrow::Cow;
+
 use thermsched::{
     CoreOrdering, ScheduleError, SchedulerConfig, SessionModelOptions, SessionThermalModel,
     ThermalAwareScheduler,
@@ -102,7 +104,7 @@ fn scheduler_works_with_a_custom_package_and_explicit_model() {
     let options = SessionModelOptions::paper();
     let model = SessionThermalModel::new(&sut, &package, options).unwrap();
     let config = SchedulerConfig::new(150.0, 50.0).unwrap();
-    let outcome = ThermalAwareScheduler::with_model(&sut, &sim, config, model)
+    let outcome = ThermalAwareScheduler::with_model(&sut, &sim, config, Cow::Owned(model))
         .unwrap()
         .schedule()
         .unwrap();

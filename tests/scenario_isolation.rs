@@ -12,10 +12,10 @@
 use std::path::PathBuf;
 
 use thermsched_service::{
-    BackendKind, Corpus, JobSpec, MultiprocConfig, MultiprocCoordinator, ScenarioSpec,
+    BackendKind, Corpus, JobSpec, MultiprocConfig, MultiprocCoordinator, Scenario, ScenarioSpec,
     ServiceConfig, ServiceReport, ServiceRunner,
 };
-use thermsched_wire::{obj, JsonValue, Wire};
+use thermsched_wire::{obj, JsonValue, Wire, WireError};
 
 /// Doubles every number inside every `rect` object below `value`.
 fn double_rects(value: &mut JsonValue) {
@@ -165,4 +165,42 @@ fn a_mutated_scenario_is_prewarmed_on_its_own_grid_backend() {
     .expect("corpus runs");
     assert_eq!(report.stats().operator_cache.misses, 2);
     assert_eq!(report.stats().prewarmed_sessions, corpus.total_cores());
+}
+
+#[test]
+fn a_grid_label_that_does_not_hold_the_cores_is_refused_at_decode() {
+    // The grid backends size their cell grid from the label, so a label
+    // of [400, 400] on a 9-core system would ask for a 160 000-cell grid
+    // per cell of `cells_per_core`, and [usize::MAX, 2] overflows.
+    let corpus = ScenarioSpec {
+        scenarios: 1,
+        grid_shapes: vec![(3, 3)],
+        ..ScenarioSpec::default()
+    }
+    .build()
+    .expect("spec is valid");
+    let scenario = &corpus.scenarios()[0];
+    assert_eq!(scenario.sut.core_count(), 9);
+    let relabelled = |columns: usize, rows: usize| {
+        let mut wire = scenario.to_wire();
+        let JsonValue::Object(fields) = &mut wire else {
+            panic!("a scenario encodes as an object");
+        };
+        let grid = fields
+            .iter_mut()
+            .find(|(key, _)| key == "grid")
+            .expect("a scenario has a grid field");
+        grid.1 = JsonValue::Array(vec![columns.into(), rows.into()]);
+        Scenario::from_wire(&wire)
+    };
+    assert_eq!(
+        relabelled(3, 3).expect("its own label decodes").grid,
+        (3, 3)
+    );
+    for (columns, rows) in [(400, 400), (usize::MAX, 2), (1, 8)] {
+        match relabelled(columns, rows) {
+            Err(WireError::Invalid { type_name, .. }) => assert_eq!(type_name, "scenario"),
+            other => panic!("[{columns}, {rows}] on 9 cores: expected Invalid, got {other:?}"),
+        }
+    }
 }
