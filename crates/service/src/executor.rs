@@ -4,7 +4,8 @@
 //! An [`Executor`] prepares scenarios once — one thermal backend per
 //! scenario (same-shape scenarios share one through the operator cache),
 //! one session store per scenario, and the same-shape prewarm for backends
-//! that batch — and then runs jobs through one attempt loop
+//! that batch, each group's lanes split over the configured worker threads
+//! — and then runs jobs through one attempt loop
 //! ([`Worker::run`]: fault injection, deadline checkpoints, seeded retries,
 //! panic isolation), counting each job in one [`Tally`] from which
 //! [`ServiceStats`] is derived. The three front doors differ only in how
@@ -313,12 +314,13 @@ impl<'a> Executor<'a> {
             added
         };
         // Same-shape batching: advance all phase-1 characterisation
-        // sessions of one operator key as a single multi-RHS pass and
-        // publish them before the first job runs. Bit-identical to the
-        // per-job path, so only throughput changes.
+        // sessions of one operator key as multi-RHS passes split over the
+        // workers and publish them before the first job runs.
+        // Bit-identical to the per-job path, so only throughput changes.
         let mut span = self.tracer.span("prewarm");
-        let prewarmed = prewarm_same_shape(config, &added);
+        let (prewarmed, threads) = prewarm_same_shape(config, &added);
         span.attr("sessions", prewarmed);
+        span.attr_observed("threads", threads);
         drop(span);
         self.prewarmed_sessions += prewarmed;
         // `append` rebuilds the map from both sorted sides with full nodes;
@@ -904,22 +906,27 @@ impl Tally {
 /// Groups the phase-1 characterisation lanes of `scenarios` — one
 /// (scenario, core) single-core session each — by operator key and session
 /// duration, advances each group through the shared backend's multi-RHS
-/// batch, and publishes the results to the scenarios' session stores.
-/// Returns the number of prewarmed lanes.
+/// batch, split over up to [`ServiceConfig::workers`] threads (at least
+/// one) by [`simulate_split`], and publishes the results to the
+/// scenarios' session stores. Returns the number of prewarmed lanes and
+/// the most threads any group ran on (0 when nothing batched).
 ///
 /// The grouping and iteration order are deterministic (sorted by key,
 /// then corpus order within a group), the per-lane results are
-/// bit-identical to what the scheduler's own phase 1 would compute, and
-/// a group that fails to simulate is simply skipped — its jobs compute
-/// phase 1 themselves and surface the error through the normal per-job
-/// path.
+/// bit-identical to what the scheduler's own phase 1 would compute in any
+/// split, and a group that fails to simulate is simply skipped — its jobs
+/// compute phase 1 themselves and surface the error through the normal
+/// per-job path.
 ///
 /// Prewarmed lanes are constant-power, from-ambient characterisations.
 /// Online jobs (traces / warm starts) never read the stores, so they
 /// compute their own phase 1.
-fn prewarm_same_shape(config: &ServiceConfig, scenarios: &BTreeMap<usize, Prepared<'_>>) -> usize {
+fn prewarm_same_shape(
+    config: &ServiceConfig,
+    scenarios: &BTreeMap<usize, Prepared<'_>>,
+) -> (usize, usize) {
     if !config.backend.batches_sessions() {
-        return 0;
+        return (0, 0);
     }
     // Lanes grouped by (operator key, duration bits): scenarios sharing
     // a key share one bit-identical backend, and only equal-duration
@@ -938,7 +945,7 @@ fn prewarm_same_shape(config: &ServiceConfig, scenarios: &BTreeMap<usize, Prepar
                 .push((index, core, duration));
         }
     }
-    let mut prewarmed = 0;
+    let (mut prewarmed, mut threads) = (0, 0);
     for lanes in groups.into_values() {
         let duration = lanes[0].2;
         let powers: std::result::Result<Vec<PowerMap>, _> = lanes
@@ -952,7 +959,11 @@ fn prewarm_same_shape(config: &ServiceConfig, scenarios: &BTreeMap<usize, Prepar
         // The operator cache gives all scenarios of a key group one
         // shared backend, so the group's first backend serves every lane.
         let backend = scenarios[&lanes[0].0].backend.as_ref();
-        let Ok(results) = backend.simulate_sessions(&powers, duration) else {
+        // `workers` threads at most, one lane each at least; a front-end
+        // with no workers prewarms on its starting thread.
+        let chunk = lanes.len().div_ceil(config.workers.clamp(1, lanes.len()));
+        threads = threads.max(lanes.len().div_ceil(chunk));
+        let Ok(results) = simulate_split(backend, &powers, duration, chunk) else {
             continue;
         };
         let mut per_scenario: BTreeMap<usize, Vec<(Vec<usize>, SessionThermalResult)>> =
@@ -968,7 +979,47 @@ fn prewarm_same_shape(config: &ServiceConfig, scenarios: &BTreeMap<usize, Prepar
             scenarios[&scenario].cache.store_batch(batch);
         }
     }
-    prewarmed
+    (prewarmed, threads)
+}
+
+/// Advances one prewarm group through `backend`'s multi-RHS batch in
+/// contiguous chunks of `chunk` lanes, each on its own scoped thread (the
+/// first on the calling thread), and returns the results in lane order.
+/// Multi-RHS columns are bit-identical to their single solves, so the
+/// split never changes a lane's result. Any chunk's error fails the whole
+/// group (step count and power length are the same for every lane), and a
+/// chunk's panic resumes on the calling thread.
+fn simulate_split(
+    backend: &dyn ThermalBackend,
+    powers: &[PowerMap],
+    duration: f64,
+    chunk: usize,
+) -> thermsched_thermal::Result<Vec<SessionThermalResult>> {
+    let mut chunks = powers.chunks(chunk);
+    let first = chunks
+        .next()
+        .expect("a prewarm group has at least one lane");
+    std::thread::scope(|scope| {
+        let rest: Vec<_> = chunks
+            .map(|chunk| scope.spawn(move || backend.simulate_sessions(chunk, duration)))
+            .collect();
+        let first = backend.simulate_sessions(first, duration);
+        // Join every thread before looking at any result: a chunk's panic
+        // then resumes with its own payload even when another chunk failed.
+        let rest: Vec<_> = rest
+            .into_iter()
+            .map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect();
+        let mut results = Vec::with_capacity(powers.len());
+        for chunk in std::iter::once(first).chain(rest) {
+            results.extend(chunk?);
+        }
+        Ok(results)
+    })
 }
 
 /// Advances the configured clock by `seconds`: sleeps under the wall clock,
@@ -1305,5 +1356,86 @@ mod tests {
         assert_eq!(snapshot.histograms.len(), 1);
         assert_eq!(snapshot.histograms[0].name, "job.latency_seconds");
         assert_eq!(snapshot.histograms[0].count, 1);
+    }
+
+    /// Delegates to a grid backend but panics on a lane with no power.
+    struct PanicsOnIdle(Arc<dyn ThermalBackend>);
+
+    impl thermsched_thermal::ThermalSimulator for PanicsOnIdle {
+        fn block_count(&self) -> usize {
+            self.0.block_count()
+        }
+        fn ambient(&self) -> f64 {
+            self.0.ambient()
+        }
+        fn simulate_session(
+            &self,
+            power: &PowerMap,
+            duration: f64,
+        ) -> thermsched_thermal::Result<SessionThermalResult> {
+            assert!(power.total() > 0.0, "idle lane");
+            self.0.simulate_session(power, duration)
+        }
+        fn steady_state(
+            &self,
+            power: &PowerMap,
+        ) -> thermsched_thermal::Result<thermsched_thermal::Temperatures> {
+            self.0.steady_state(power)
+        }
+    }
+
+    impl ThermalBackend for PanicsOnIdle {
+        fn fidelity(&self) -> thermsched_thermal::SimulationFidelity {
+            self.0.fidelity()
+        }
+        fn supports_fast_path(&self) -> bool {
+            self.0.supports_fast_path()
+        }
+        fn backend_name(&self) -> &'static str {
+            "panics-on-idle"
+        }
+    }
+
+    #[test]
+    fn a_split_prewarm_group_matches_one_batch_and_fails_or_panics_whole() {
+        let corpus = ScenarioSpec {
+            scenarios: 1,
+            grid_shapes: vec![(3, 3)],
+            ..ScenarioSpec::default()
+        }
+        .build()
+        .unwrap();
+        let scenario = &corpus.scenarios()[0];
+        let sut = &scenario.sut;
+        let backend = crate::BackendKind::GridTransient { cells_per_core: 1 }
+            .build(scenario)
+            .unwrap();
+        let mut powers: Vec<PowerMap> = (0..sut.core_count())
+            .map(|core| TestSession::new([core], sut).power_map(sut).unwrap())
+            .collect();
+        let lanes = powers.len();
+        // Every split, down to one-lane chunks on the single-session path,
+        // gives the one multi-RHS batch's results bit for bit.
+        let whole = backend.simulate_sessions(&powers, 1.0).unwrap();
+        for chunk in 1..=lanes {
+            let split = simulate_split(backend.as_ref(), &powers, 1.0, chunk).unwrap();
+            assert_eq!(split, whole, "chunks of {chunk}");
+        }
+        // A bad lane fails the group whether it lands on the calling
+        // thread's chunk or on a spawned one.
+        powers.push(PowerMap::zeros(1));
+        for chunk in [1, lanes + 1] {
+            assert!(simulate_split(backend.as_ref(), &powers, 1.0, chunk).is_err());
+        }
+        // A panic on a spawned chunk resumes on the calling thread with
+        // its own payload.
+        powers.pop();
+        powers.push(PowerMap::zeros(sut.floorplan().blocks().len()));
+        let panicky = PanicsOnIdle(backend);
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            simulate_split(&panicky, &powers, 1.0, 2)
+        }))
+        .unwrap_err();
+        assert_eq!(panic_message(payload.as_ref()), "idle lane");
     }
 }

@@ -218,7 +218,8 @@ pub struct FrontendConfig {
     /// Unlike [`crate::ServiceRunner`], `workers == 0` is allowed here: an
     /// admission-only front-end that queues but never executes, which is
     /// what deterministic admission-control tests run against (jobs then
-    /// resolve as shed at drain).
+    /// resolve as shed at drain). Such a front-end still prewarms, on the
+    /// thread that starts it.
     pub service: ServiceConfig,
     /// Capacity of the bounded ingress queue (admitted-but-not-dispatched
     /// jobs). Must be at least 1.
@@ -808,6 +809,25 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn an_admission_only_grid_frontend_prewarms_on_its_starting_thread() {
+        let corpus = tiny_corpus(2);
+        let frontend = Frontend::start(
+            FrontendConfig {
+                service: ServiceConfig {
+                    workers: 0,
+                    backend: crate::BackendKind::GridTransient { cells_per_core: 1 },
+                    ..ServiceConfig::default()
+                },
+                ..FrontendConfig::default()
+            },
+            corpus.clone(),
+        )
+        .unwrap();
+        let report = frontend.drain(Duration::ZERO);
+        assert_eq!(report.stats.prewarmed_sessions, corpus.total_cores());
     }
 
     #[test]

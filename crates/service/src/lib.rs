@@ -22,7 +22,8 @@
 //!    online jobs (a trace or a warm start) keep their results to
 //!    themselves. For a [`BackendKind`] that batches, the runner first
 //!    prewarms every store with its scenario's single-core sessions,
-//!    advanced per operator key in one multi-RHS pass.
+//!    advanced per operator key in multi-RHS passes split over the worker
+//!    threads.
 //! 3. **An aggregated report** ([`ServiceReport`]): deterministic per-job
 //!    results (identical at any worker count) plus run statistics —
 //!    throughput, cache hit rates, lock contention, latency percentiles

@@ -109,8 +109,9 @@ pub struct MultiprocConfig {
     /// (typically `["worker"]`; tests append `--exit-after N`).
     pub args: Vec<String>,
     /// The service configuration every worker runs jobs under. The
-    /// `workers` field is ignored inside a worker process (each child
-    /// executes its jobs sequentially — the processes are the parallelism).
+    /// `workers` field is ignored inside a worker process: each child runs
+    /// its jobs and its same-shape prewarm on one thread — the processes
+    /// are the parallelism.
     pub service: ServiceConfig,
 }
 
@@ -727,9 +728,17 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
     };
 
     // The same executor as the in-process runner, holding only the
-    // scenarios SCENARIOS frames bring: jobs run one at a time on this
-    // thread — the processes are the parallelism.
-    let mut executor = Executor::new(config, Mode::Batch, Vec::new(), &tracer)?;
+    // scenarios SCENARIOS frames bring: jobs and the prewarm run on this
+    // thread alone — the processes are the parallelism.
+    let mut executor = Executor::new(
+        ServiceConfig {
+            workers: 1,
+            ..config
+        },
+        Mode::Batch,
+        Vec::new(),
+        &tracer,
+    )?;
     let mut resolved = 0usize;
     loop {
         // Adding scenarios needs the executor to itself, so the job runner
@@ -1138,6 +1147,48 @@ mod tests {
         // Spans came along: one "job" root per corpus job, nothing dropped.
         assert_eq!(job_spans, corpus.jobs().len());
         assert_eq!(dropped_spans, 0);
+    }
+
+    /// A worker told `workers: 0` still prewarms (on its one thread) and
+    /// answers every job as the in-process runner does.
+    #[test]
+    fn a_zero_worker_grid_hello_prewarms_and_matches_in_process() {
+        let corpus = ScenarioSpec {
+            scenarios: 2,
+            seed: 3,
+            grid_shapes: vec![(3, 3)],
+            ..ScenarioSpec::default()
+        }
+        .build()
+        .unwrap();
+        let config = ServiceConfig {
+            workers: 0,
+            backend: crate::BackendKind::GridTransient { cells_per_core: 1 },
+            ..ServiceConfig::default()
+        };
+        let indices: Vec<usize> = (0..corpus.jobs().len()).collect();
+        let events = serve_traced(&corpus, &config, 0, &indices);
+        let report = crate::ServiceRunner::new(ServiceConfig {
+            workers: 2,
+            ..config
+        })
+        .unwrap()
+        .run(&corpus)
+        .unwrap();
+        let mut results = 0;
+        for event in &events {
+            match event {
+                Event::Result { index, result, .. } => {
+                    assert_eq!(result, &report.jobs()[*index]);
+                    results += 1;
+                }
+                Event::Fin {
+                    prewarmed_sessions, ..
+                } => assert_eq!(*prewarmed_sessions, corpus.total_cores()),
+                Event::Dead { .. } => panic!("the worker died"),
+            }
+        }
+        assert_eq!(results, corpus.jobs().len());
     }
 
     /// Two workers splitting the corpus along scenario lines produce FIN

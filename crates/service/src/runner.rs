@@ -132,10 +132,10 @@ impl BackendKind {
 
     /// Whether this kind's backend batches same-duration sessions through
     /// the multi-RHS banded fast path — the gate for the runner's
-    /// same-shape prewarmer. Kinds whose batched path would just be a
-    /// sequential loop (rc-compact's precomputed operator, ADI's tracked
-    /// stepping) opt out: prewarming them would serialise work the worker
-    /// pool otherwise spreads.
+    /// same-shape prewarmer. Kinds whose batched path is just a loop of
+    /// single sessions (rc-compact's precomputed operator, ADI's tracked
+    /// stepping) opt out: with no shared multi-RHS advance, a prewarm
+    /// would only move job-loop work into set-up.
     pub(crate) fn batches_sessions(self) -> bool {
         matches!(self, BackendKind::GridTransient { .. })
     }
@@ -144,15 +144,19 @@ impl BackendKind {
 /// Configuration of a [`ServiceRunner`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceConfig {
-    /// Worker threads draining the job queue.
+    /// Worker threads draining the job queue. The same-shape prewarm (see
+    /// [`Self::backend`]) splits each group over at most this many threads
+    /// (at least one) before the first job runs.
     pub workers: usize,
     /// Thermal backend validating every job. For a kind that batches
     /// ([`BackendKind::GridTransient`]) the runner prewarms each scenario's
     /// session store before the first job: every scenario's single-core
     /// characterisation sessions are grouped by [`BackendKind::key`] and
-    /// duration, and each group advances through the backend's multi-RHS
-    /// solve in one pass. The multi-RHS kernels are bit-identical per lane
-    /// to the single solves, so per-job results do not change.
+    /// duration, and each group's lanes are split into contiguous chunks
+    /// over up to [`Self::workers`] threads (at least one), each advancing
+    /// through the backend's multi-RHS solve in one pass. The multi-RHS
+    /// kernels are bit-identical per lane to the single solves in any
+    /// split, so per-job results do not change.
     pub backend: BackendKind,
     /// Deterministic fault-injection plan (inert by default): seeded per
     /// (job, attempt) panics, retryable errors, delays and store poisoning.
@@ -814,6 +818,47 @@ mod tests {
         // Prewarmed singleton sessions turn every phase-1 probe into a
         // warm hit.
         assert!(batched.stats().warm_cache_hits >= corpus.total_cores());
+    }
+
+    #[test]
+    fn the_prewarm_span_records_how_many_threads_it_ran_on() {
+        use thermsched_obs::{AttrValue, TracerConfig};
+        let corpus = ScenarioSpec {
+            scenarios: 2,
+            grid_shapes: vec![(3, 3)],
+            stc_limits: vec![40.0],
+            ..small_spec()
+        }
+        .build()
+        .unwrap();
+        let grid = BackendKind::GridTransient { cells_per_core: 2 };
+        for (backend, workers, threads) in [
+            (grid, 2, 2u64),
+            (grid, 1, 1),
+            (BackendKind::RcCompact, 2, 0),
+        ] {
+            let tracer = Tracer::new(TracerConfig::default());
+            ServiceRunner::new(ServiceConfig {
+                workers,
+                backend,
+                ..ServiceConfig::default()
+            })
+            .unwrap()
+            .run_traced(&corpus, &tracer, &MetricsRegistry::new())
+            .unwrap();
+            let spans = tracer.drain();
+            let prewarm = spans.iter().find(|s| s.name == "prewarm").unwrap();
+            let attr = prewarm.attrs.iter().find(|a| a.key == "threads").unwrap();
+            // Observed, so the structural slice stays the same at any
+            // worker count.
+            assert!(!attr.structural);
+            assert_eq!(
+                attr.value,
+                AttrValue::Unsigned(threads),
+                "{} at {workers} workers",
+                backend.label()
+            );
+        }
     }
 
     #[test]

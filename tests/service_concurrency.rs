@@ -179,7 +179,9 @@ fn worker_count_is_invariant_with_the_same_shape_batcher_active() {
             JobOutcome::Completed(JobMetrics::from(&engine.schedule_with(job.config).unwrap()))
         })
         .collect();
-    for workers in [1, 2, 4, 8] {
+    // The prewarm splits its one group of 27 lanes (3 scenarios × 9 cores)
+    // over the workers: 32 workers give 27 one-lane chunks.
+    for workers in [1, 2, 4, 8, 32] {
         let report = ServiceRunner::new(ServiceConfig {
             workers,
             backend: BackendKind::GridTransient {
