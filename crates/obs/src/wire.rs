@@ -2,7 +2,7 @@
 //! snapshots and the versioned [`TraceDocument`].
 
 use thermsched_wire::{
-    obj, wire_struct, wire_unit_enum, JsonValue, Number, Result, Wire, WireError,
+    obj, wire_struct, wire_unit_enum, JsonValue, Key, Number, Result, Wire, WireError,
 };
 
 use crate::document::{TraceDocument, TRACE_VERSION};
@@ -72,7 +72,7 @@ fn named_to_wire<T: Wire>(pairs: &[(String, T)]) -> JsonValue {
     JsonValue::Object(
         pairs
             .iter()
-            .map(|(name, v)| (name.clone(), v.to_wire()))
+            .map(|(name, v)| (Key::from(name.as_str()), v.to_wire()))
             .collect(),
     )
 }
@@ -82,7 +82,7 @@ fn named_from_wire<T: Wire>(value: &JsonValue) -> Result<Vec<(String, T)>> {
     value
         .entries()?
         .iter()
-        .map(|(name, v)| Ok((name.clone(), T::from_wire(v)?)))
+        .map(|(name, v)| Ok((name.as_str().to_owned(), T::from_wire(v)?)))
         .collect()
 }
 

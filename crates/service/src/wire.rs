@@ -506,7 +506,7 @@ mod tests {
             let JsonValue::Object(mut entries) = value else {
                 panic!("encodes as an object");
             };
-            entries.extend(fields.into_iter().map(|(k, v)| (k.to_owned(), v)));
+            entries.extend(fields.into_iter().map(|(k, v)| (k.into(), v)));
             JsonValue::Object(entries)
         };
         for store in [

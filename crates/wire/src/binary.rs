@@ -16,11 +16,12 @@
 //! | `0x08` | object: u32 LE count + (string key, value) pairs   |
 //!
 //! Floats travel as raw bit patterns, so the binary path is trivially
-//! bit-exact. Decoding is strict: unknown tags, truncated bodies and
-//! non-finite floats are typed errors, never panics.
+//! bit-exact. Decoding is strict: unknown tags, truncated bodies,
+//! non-finite floats and duplicate object keys are typed errors, never
+//! panics.
 
 use crate::json::{JsonValue, Number};
-use crate::{Result, WireError, MAX_NESTING_DEPTH};
+use crate::{Key, Result, WireError, MAX_NESTING_DEPTH};
 
 const TAG_NULL: u8 = 0x00;
 const TAG_FALSE: u8 = 0x01;
@@ -132,7 +133,8 @@ fn encode_into(value: &JsonValue, out: &mut Vec<u8>) -> Result<()> {
 /// # Errors
 ///
 /// [`WireError::Truncated`], [`WireError::BadTag`], [`WireError::Invalid`]
-/// (trailing bytes, invalid UTF-8), [`WireError::NonFinite`] or
+/// (trailing bytes, invalid UTF-8, a duplicate object key),
+/// [`WireError::NonFinite`] or
 /// [`WireError::TooDeep`] (arrays and objects nested deeper than
 /// [`crate::MAX_NESTING_DEPTH`]).
 pub fn decode_value(bytes: &[u8]) -> Result<JsonValue> {
@@ -176,10 +178,11 @@ impl Reader<'_> {
         Ok(self.take(8, context)?.try_into().expect("8 bytes"))
     }
 
-    fn string(&mut self) -> Result<String> {
+    /// The text of a string body, borrowed from the input.
+    fn str(&mut self) -> Result<&str> {
         let len = self.u32_len("string length")?;
         let raw = self.take(len, "string bytes")?;
-        String::from_utf8(raw.to_vec()).map_err(|e| WireError::Invalid {
+        std::str::from_utf8(raw).map_err(|e| WireError::Invalid {
             type_name: "binary value",
             message: format!("string is not valid UTF-8: {e}"),
         })
@@ -215,7 +218,7 @@ impl Reader<'_> {
                 }
                 JsonValue::Number(Number::Float(f))
             }
-            TAG_STRING => JsonValue::String(self.string()?),
+            TAG_STRING => JsonValue::String(self.str()?.to_owned()),
             TAG_ARRAY => {
                 let count = self.u32_len("array length")?;
                 let mut items = Vec::new();
@@ -226,9 +229,15 @@ impl Reader<'_> {
             }
             TAG_OBJECT => {
                 let count = self.u32_len("object length")?;
-                let mut entries = Vec::new();
+                let mut entries: Vec<(Key, JsonValue)> = Vec::new();
                 for _ in 0..count {
-                    let key = self.string()?;
+                    let key = Key::from(self.str()?);
+                    if entries.iter().any(|(seen, _)| *seen == key) {
+                        return Err(WireError::Invalid {
+                            type_name: "binary value",
+                            message: format!("duplicate object key `{key}`"),
+                        });
+                    }
                     let value = self.value(depth + 1)?;
                     entries.push((key, value));
                 }
@@ -354,6 +363,16 @@ mod tests {
             decode_value(&[TAG_NULL, TAG_NULL]),
             Err(WireError::Invalid { .. })
         ));
+        // A key twice in one object, which the JSON parser refuses too.
+        assert_eq!(
+            decode_value(&[
+                TAG_OBJECT, 2, 0, 0, 0, 1, 0, 0, 0, b'a', TAG_NULL, 1, 0, 0, 0, b'a', TAG_TRUE
+            ]),
+            Err(WireError::Invalid {
+                type_name: "binary value",
+                message: "duplicate object key `a`".to_owned(),
+            })
+        );
     }
 
     #[test]

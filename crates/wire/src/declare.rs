@@ -132,7 +132,7 @@ macro_rules! wire_struct {
 
             fn to_wire(&self) -> $crate::JsonValue {
                 $crate::JsonValue::Object(vec![
-                    $((stringify!($field).to_owned(), $crate::Wire::to_wire(&self.$field)),)+
+                    $(($crate::Key::from(stringify!($field)), $crate::Wire::to_wire(&self.$field)),)+
                 ])
             }
 
@@ -241,9 +241,9 @@ macro_rules! wire_tagged_enum {
             fn to_wire(&self) -> $crate::JsonValue {
                 match self {
                     $(Self::$variant $({ $($field),* })? $(($inner))? => $crate::JsonValue::Object(vec![
-                        ("kind".to_owned(), $crate::JsonValue::from($label)),
-                        $($((stringify!($field).to_owned(), $crate::Wire::to_wire($field)),)*)?
-                        $((stringify!($inner).to_owned(), $crate::Wire::to_wire($inner)),)?
+                        ($crate::Key::from("kind"), $crate::JsonValue::from($label)),
+                        $($(($crate::Key::from(stringify!($field)), $crate::Wire::to_wire($field)),)*)?
+                        $(($crate::Key::from(stringify!($inner)), $crate::Wire::to_wire($inner)),)?
                     ]),)+
                 }
             }

@@ -18,7 +18,7 @@
 
 use std::fmt::Write as _;
 
-use crate::{Result, Wire, WireError, MAX_NESTING_DEPTH};
+use crate::{Key, Result, Wire, WireError, MAX_NESTING_DEPTH};
 
 /// A JSON number, kept exact.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,9 +69,11 @@ pub enum JsonValue {
     String(String),
     /// An ordered array.
     Array(Vec<JsonValue>),
-    /// An ordered list of `(key, value)` pairs. Keys are unique (the parser
-    /// rejects duplicates; the builder is trusted).
-    Object(Vec<(String, JsonValue)>),
+    /// An ordered list of `(key, value)` pairs. Keys are unique (both
+    /// decoders reject duplicates; the builder is trusted). A [`Key`] of up
+    /// to 22 bytes is stored inline, so an object costs one allocation for
+    /// its entries, not one more per field name.
+    Object(Vec<(Key, JsonValue)>),
 }
 
 impl From<bool> for JsonValue {
@@ -140,14 +142,15 @@ impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
 /// Incremental builder for object values, preserving field order.
 #[derive(Debug, Default)]
 pub struct ObjectBuilder {
-    fields: Vec<(String, JsonValue)>,
+    fields: Vec<(Key, JsonValue)>,
 }
 
 impl ObjectBuilder {
-    /// Appends a field.
+    /// Appends a field. Its name becomes a [`Key`], which allocates only
+    /// for names longer than 22 bytes.
     #[must_use]
     pub fn field(mut self, name: &str, value: impl Into<JsonValue>) -> Self {
-        self.fields.push((name.to_owned(), value.into()));
+        self.fields.push((Key::from(name), value.into()));
         self
     }
 
@@ -279,7 +282,7 @@ impl JsonValue {
     /// # Errors
     ///
     /// [`WireError::WrongType`] for any other JSON type.
-    pub fn entries(&self) -> Result<&[(String, JsonValue)]> {
+    pub fn entries(&self) -> Result<&[(Key, JsonValue)]> {
         match self {
             JsonValue::Object(entries) => Ok(entries),
             other => Err(wrong_type("object", other)),
@@ -342,6 +345,8 @@ impl JsonValue {
         let mut parser = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            items: Vec::new(),
+            entries: Vec::new(),
         };
         parser.skip_ws();
         let value = parser.value(0)?;
@@ -500,6 +505,12 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// The items of every array still open, innermost last. A closing `]`
+    /// moves its items into a `Vec` of their exact length, so each array
+    /// allocates once.
+    items: Vec<JsonValue>,
+    /// The same stack for the entries of every open object.
+    entries: Vec<(Key, JsonValue)>,
 }
 
 impl Parser<'_> {
@@ -564,12 +575,22 @@ impl Parser<'_> {
     }
 
     fn object(&mut self, depth: usize) -> Result<JsonValue> {
+        let start = self.entries.len();
+        if let Err(e) = self.object_entries(depth, start) {
+            self.entries.truncate(start);
+            return Err(e);
+        }
+        Ok(JsonValue::Object(self.entries.drain(start..).collect()))
+    }
+
+    /// Pushes the entries of the object opening at `self.pos` onto
+    /// `self.entries`, above `start`, and consumes its closing `}`.
+    fn object_entries(&mut self, depth: usize, start: usize) -> Result<()> {
         self.expect(b'{')?;
-        let mut entries: Vec<(String, JsonValue)> = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(JsonValue::Object(entries));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -577,8 +598,8 @@ impl Parser<'_> {
             if self.peek() != Some(b'"') {
                 return Err(self.error("expected a string key"));
             }
-            let key = self.string()?;
-            if entries.iter().any(|(existing, _)| *existing == key) {
+            let key = self.key()?;
+            if self.entries[start..].iter().any(|(seen, _)| *seen == key) {
                 self.pos = key_pos;
                 return Err(self.error(format!("duplicate object key `{key}`")));
             }
@@ -586,13 +607,13 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value(depth)?;
-            entries.push((key, value));
+            self.entries.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Object(entries));
+                    return Ok(());
                 }
                 _ => return Err(self.error("expected `,` or `}`")),
             }
@@ -600,25 +621,56 @@ impl Parser<'_> {
     }
 
     fn array(&mut self, depth: usize) -> Result<JsonValue> {
+        let start = self.items.len();
+        if let Err(e) = self.array_items(depth) {
+            self.items.truncate(start);
+            return Err(e);
+        }
+        Ok(JsonValue::Array(self.items.drain(start..).collect()))
+    }
+
+    /// Pushes the items of the array opening at `self.pos` onto
+    /// `self.items` and consumes its closing `]`.
+    fn array_items(&mut self, depth: usize) -> Result<()> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(JsonValue::Array(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth)?);
+            let item = self.value(depth)?;
+            self.items.push(item);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Array(items));
+                    return Ok(());
                 }
                 _ => return Err(self.error("expected `,` or `]`")),
             }
+        }
+    }
+
+    /// An object key, built straight from the input when it is a plain
+    /// run of bytes; a key with an escape or a defect goes through
+    /// [`Parser::string`], which decodes it or reports the error.
+    fn key(&mut self) -> Result<Key> {
+        let start = self.pos + 1;
+        let len = self.bytes[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20);
+        match len {
+            Some(len) if self.bytes[start + len] == b'"' => {
+                self.pos = start + len + 1;
+                Ok(Key::from(
+                    std::str::from_utf8(&self.bytes[start..start + len])
+                        .expect("plain byte runs of a str are valid UTF-8"),
+                ))
+            }
+            _ => self.string().map(Key::from),
         }
     }
 
@@ -962,6 +1014,16 @@ mod tests {
     fn duplicate_keys_name_the_key() {
         let err = JsonValue::parse("{\"x\": 1, \"x\": 2}").unwrap_err();
         assert!(err.to_string().contains("duplicate object key `x`"));
+        // An escaped spelling of a key already present is the same key.
+        let err = JsonValue::parse("{\"ab\": 1, \"a\\u0062\": 2}").unwrap_err();
+        assert_eq!(
+            err,
+            WireError::Parse {
+                line: 1,
+                column: 11,
+                message: "duplicate object key `ab`".to_owned(),
+            }
+        );
     }
 
     #[test]

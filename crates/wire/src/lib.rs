@@ -8,6 +8,11 @@
 //! * **compact framed binary** — length-prefixed frames of tagged values,
 //!   used on the coordinator↔worker pipes.
 //!
+//! An object is one `Vec` of `(`[`Key`]`, JsonValue)` entries. A key of up
+//! to 22 bytes is stored inline, so the JSON parser, the binary decoder and
+//! the builders make no allocation per field name; the parser also sizes
+//! each array and object exactly, once.
+//!
 //! Domain crates implement the [`Wire`] trait for their public types; this
 //! crate deliberately knows nothing about them (it is a leaf with zero
 //! dependencies), which is what lets `floorplan`, `soc`, `thermal`, `core`
@@ -36,12 +41,14 @@ mod binary;
 mod declare;
 mod error;
 pub mod json;
+mod key;
 
 pub mod frame;
 
 pub use binary::{decode_value, encode_array, encode_value};
 pub use error::WireError;
 pub use json::{obj, JsonValue, Number, ObjectBuilder};
+pub use key::Key;
 
 /// Shorthand for results carrying a [`WireError`].
 pub type Result<T> = std::result::Result<T, WireError>;

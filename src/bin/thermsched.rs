@@ -180,17 +180,19 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         return Err(CliError::usage("run: --json and --jobs-only are exclusive"));
     }
 
-    let corpus = load_corpus(&path)?;
-    let mut service = ServiceConfig::default();
-    if let Some(workers) = workers {
-        service.workers = workers;
-    }
+    // The tracer exists before the corpus is loaded and is captured after
+    // the report is rendered, so the trace holds the codec's spans too.
     let tracer = if trace_out.is_some() {
         Tracer::new(TracerConfig::default())
     } else {
         Tracer::disabled()
     };
     let registry = MetricsRegistry::new();
+    let corpus = load_corpus(&path, &tracer)?;
+    let mut service = ServiceConfig::default();
+    if let Some(workers) = workers {
+        service.workers = workers;
+    }
     let report = if processes > 0 {
         let program = std::env::current_exe()?;
         MultiprocCoordinator::new(MultiprocConfig {
@@ -203,20 +205,23 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     } else {
         ServiceRunner::new(service)?.run_traced(&corpus, &tracer, &registry)?
     };
+
+    let text = {
+        let _span = tracer.span("wire.render");
+        if jobs_only {
+            render_jobs_only(&report)?
+        } else if json {
+            render_document(&to_document(&report))?
+        } else {
+            format!("{}{}", report.render_jobs(), report.render_summary())
+        }
+    };
     if let Some(trace_path) = &trace_out {
         let doc = TraceDocument::capture(&tracer, &registry);
-        let text = render_document(&to_document(&doc))?;
-        fs::write(trace_path, &text)
+        let trace_text = render_document(&to_document(&doc))?;
+        fs::write(trace_path, &trace_text)
             .map_err(|e| CliError::runtime(format!("writing {trace_path}: {e}")))?;
     }
-
-    let text = if jobs_only {
-        render_jobs_only(&report)?
-    } else if json {
-        render_document(&to_document(&report))?
-    } else {
-        format!("{}{}", report.render_jobs(), report.render_summary())
-    };
     emit(&text, out.as_deref())
 }
 
@@ -298,17 +303,35 @@ fn parse_warm_start(value: &str) -> Result<(f64, f64), CliError> {
 
 /// Reads a corpus from a wire document, expanding `scenario_spec` documents
 /// into their (deterministic) corpus first.
-fn load_corpus(path: &str) -> Result<Corpus, CliError> {
-    let text =
-        fs::read_to_string(path).map_err(|e| CliError::runtime(format!("reading {path}: {e}")))?;
-    let document = JsonValue::parse(&text)?;
-    match document_type(&document)? {
-        "corpus" => Ok(from_document::<Corpus>(&document)?),
-        "scenario_spec" => Ok(from_document::<ScenarioSpec>(&document)?.build()?),
-        other => Err(CliError::runtime(format!(
-            "{path}: cannot run a `{other}` document (expected `corpus` or `scenario_spec`)"
-        ))),
-    }
+///
+/// Records the run-level spans `wire.read`, `wire.parse` and `wire.decode`
+/// with the benchmark's boundaries: `wire.decode` includes freeing the text
+/// and the parsed document. A spec expands after `wire.decode` ends.
+fn load_corpus(path: &str, tracer: &Tracer) -> Result<Corpus, CliError> {
+    let text = {
+        let _span = tracer.span("wire.read");
+        fs::read_to_string(path).map_err(|e| CliError::runtime(format!("reading {path}: {e}")))?
+    };
+    let document = {
+        let _span = tracer.span("wire.parse");
+        JsonValue::parse(&text)?
+    };
+    let decode = tracer.span("wire.decode");
+    let spec = match document_type(&document)? {
+        "corpus" => {
+            let corpus = from_document::<Corpus>(&document)?;
+            drop((document, text, decode));
+            return Ok(corpus);
+        }
+        "scenario_spec" => from_document::<ScenarioSpec>(&document)?,
+        other => {
+            return Err(CliError::runtime(format!(
+                "{path}: cannot run a `{other}` document (expected `corpus` or `scenario_spec`)"
+            )))
+        }
+    };
+    drop((document, text, decode));
+    Ok(spec.build()?)
 }
 
 /// The deterministic slice of a report: the per-job results alone, as a

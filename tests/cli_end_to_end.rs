@@ -100,6 +100,17 @@ fn gen_then_run_is_deterministic_across_process_counts() {
 
 #[test]
 fn run_trace_round_trips_through_the_trace_subcommand() {
+    // Each codec step of a run is one run-level span: `(spans, jobless
+    // spans)` per name must be `(1, 1)`.
+    let codec_spans = |trace: &TraceDocument| {
+        ["wire.read", "wire.parse", "wire.decode", "wire.render"].map(|name| {
+            let named = trace.spans.iter().filter(|s| s.name == name);
+            (
+                named.clone().count(),
+                named.filter(|s| s.job.is_none()).count(),
+            )
+        })
+    };
     let dir = std::env::temp_dir().join("thermsched-cli-trace");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let corpus_path = dir.join("corpus.json");
@@ -150,6 +161,7 @@ fn run_trace_round_trips_through_the_trace_subcommand() {
         trace.metrics.counter("service.jobs"),
         Some(corpus.jobs().len() as u64)
     );
+    assert_eq!(codec_spans(&trace), [(1, 1); 4]);
 
     // `thermsched trace` renders the recorded document as a waterfall.
     let rendered = run_ok(&["trace", trace_arg]);
@@ -175,6 +187,7 @@ fn run_trace_round_trips_through_the_trace_subcommand() {
         sharded.spans.iter().filter(|s| s.name == "job").count(),
         corpus.jobs().len()
     );
+    assert_eq!(codec_spans(&sharded), [(1, 1); 4]);
 
     std::fs::remove_file(&corpus_path).ok();
     std::fs::remove_file(&trace_path).ok();

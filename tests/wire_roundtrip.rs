@@ -120,7 +120,7 @@ fn arbitrary_json(state: &mut u64, depth: usize) -> JsonValue {
             let n = (mix(state) % 4) as usize;
             JsonValue::Object(
                 (0..n)
-                    .map(|i| (format!("k{i}"), arbitrary_json(state, depth - 1)))
+                    .map(|i| (format!("k{i}").into(), arbitrary_json(state, depth - 1)))
                     .collect(),
             )
         }
@@ -772,7 +772,7 @@ fn with_fields(value: JsonValue, after: &str, extra: Vec<(&str, JsonValue)>) -> 
         panic!("encodes as an object");
     };
     let at = entries.iter().position(|(k, _)| k == after).expect("field") + 1;
-    let extra = extra.into_iter().map(|(k, v)| (k.to_owned(), v));
+    let extra = extra.into_iter().map(|(k, v)| (k.into(), v));
     entries.splice(at..at, extra);
     JsonValue::Object(entries)
 }
