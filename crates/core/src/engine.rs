@@ -1,23 +1,21 @@
 //! The `Engine` facade: one owner for the backend, configuration and
 //! long-lived session cache behind the whole scheduling stack.
 //!
-//! The engine is constructed once per (system under test, backend) pair
-//! through a builder, holds a [`SessionCacheHandle`] that stays warm across
-//! every run it executes, and exposes the operations the drivers need
-//! ([`Engine::run`] and its `schedule*` forwards, [`Engine::evaluate`],
-//! [`Engine::sweep`]). The
-//! backend is stored as a `&dyn ThermalBackend` (or owned `Box`), so the
-//! facade works identically for the RC-compact and grid simulators — and,
-//! because the fast transient path is the library default,
-//! `Engine::builder()` with default settings schedules through the
-//! precomputed-operator path automatically.
+//! A builder puts an engine together from a system under test, a thermal
+//! backend, a base configuration, a guidance model and a
+//! [`SessionCacheHandle`] that stays warm across runs. The engine then
+//! exposes [`Engine::run`] and its `schedule*` forwards, [`Engine::evaluate`]
+//! and [`Engine::sweep`], and never changes. The backend and the model may
+//! be borrowed, so an engine over borrowed parts and a cloned cache handle
+//! is cheap to build per run. With default settings, `Engine::builder()`
+//! schedules on the RC-compact backend's fast precomputed-operator path.
 
 use std::borrow::Cow;
 use std::fmt;
 
 use thermsched_obs::Tracer;
 use thermsched_soc::SystemUnderTest;
-use thermsched_thermal::{PackageConfig, RcThermalSimulator, ThermalBackend, TransientConfig};
+use thermsched_thermal::{PackageConfig, RcThermalSimulator, ThermalBackend};
 
 use crate::{
     OnlineContext, Result, ScheduleCheckpoint, ScheduleError, ScheduleEvaluation, ScheduleOutcome,
@@ -64,9 +62,8 @@ impl BackendHandle<'_> {
 pub struct Engine<'a> {
     sut: &'a SystemUnderTest,
     backend: BackendHandle<'a>,
-    package: PackageConfig,
     config: SchedulerConfig,
-    model: SessionThermalModel,
+    model: Cow<'a, SessionThermalModel>,
     cache: SessionCacheHandle,
     tracer: Tracer,
 }
@@ -111,19 +108,6 @@ impl<'a> Engine<'a> {
     /// results.
     pub fn cache(&self) -> &SessionCacheHandle {
         &self.cache
-    }
-
-    /// Installs a span recorder for subsequent runs: `run`, `schedule*` and
-    /// `evaluate` record spans into it, and hand it down to the scheduler's
-    /// phase-1/phase-2 instrumentation. Services swap in a job-scoped
-    /// handle per dispatched job; the default is the free disabled tracer.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// The currently installed span recorder.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Generates a schedule with the engine's base configuration, serving
@@ -221,15 +205,15 @@ impl<'a> Engine<'a> {
         config: SchedulerConfig,
         online: Option<&OnlineContext>,
     ) -> Result<ThermalAwareScheduler<'_, dyn ThermalBackend + '_>> {
-        // The guidance model depends only on the session-model options (and
-        // the floorplan/package, which are fixed per engine); lend the
-        // prebuilt model unless a run overrides those options.
-        let model = if config.session_model == self.config.session_model {
-            Cow::Borrowed(&self.model)
+        // The guidance model depends only on the session-model options, the
+        // engine's floorplan and the package; lend the engine's model unless
+        // a run asks for other options.
+        let model = if config.session_model == self.model.options() {
+            Cow::Borrowed(self.model.as_ref())
         } else {
             Cow::Owned(SessionThermalModel::new(
                 self.sut,
-                &self.package,
+                &PackageConfig::default(),
                 config.session_model,
             )?)
         };
@@ -270,8 +254,8 @@ impl<'a> Engine<'a> {
 pub struct EngineBuilder<'a> {
     sut: Option<&'a SystemUnderTest>,
     backend: Option<BackendHandle<'a>>,
-    package: Option<PackageConfig>,
     config: Option<SchedulerConfig>,
+    model: Option<&'a SessionThermalModel>,
     cache: Option<SessionCacheHandle>,
     tracer: Option<Tracer>,
 }
@@ -313,20 +297,20 @@ impl<'a> EngineBuilder<'a> {
         self
     }
 
-    /// The package description used when the builder constructs the default
-    /// backend and when it builds guidance models (defaults to
-    /// [`PackageConfig::default`]).
-    #[must_use]
-    pub fn package(mut self, package: PackageConfig) -> Self {
-        self.package = Some(package);
-        self
-    }
-
     /// The base scheduler configuration (defaults to the paper's mid-range
     /// operating point, `TL` = 165 °C and `STCL` = 50).
     #[must_use]
     pub fn config(mut self, config: SchedulerConfig) -> Self {
         self.config = Some(config);
+        self
+    }
+
+    /// Lends the guidance model, built for this system: runs with its
+    /// session-model options use it, others build their own. Defaults to one
+    /// built for the base configuration with the default package.
+    #[must_use]
+    pub fn model(mut self, model: &'a SessionThermalModel) -> Self {
+        self.model = Some(model);
         self
     }
 
@@ -339,9 +323,9 @@ impl<'a> EngineBuilder<'a> {
         self
     }
 
-    /// Installs a span recorder from the start (equivalent to
-    /// [`Engine::set_tracer`] right after `build`). Defaults to the free
-    /// disabled tracer.
+    /// The span recorder `run`, `schedule*` and `evaluate` record into and
+    /// hand down to the scheduler's phases (services pass a job-scoped
+    /// handle). Defaults to the free disabled tracer.
     #[must_use]
     pub fn tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = Some(tracer);
@@ -356,13 +340,13 @@ impl<'a> EngineBuilder<'a> {
     ///   supplied.
     /// * [`ScheduleError::CoreCountMismatch`] if the backend models a
     ///   different number of blocks than the system has cores.
-    /// * [`ScheduleError::InvalidConfig`] for invalid configurations, and
-    ///   propagated model/simulator construction errors.
+    /// * [`ScheduleError::InvalidConfig`] for invalid configurations or a
+    ///   lent guidance model of another core count, and propagated
+    ///   model/simulator construction errors.
     pub fn build(self) -> Result<Engine<'a>> {
         let sut = self.sut.ok_or(ScheduleError::MissingComponent {
             component: "system under test (EngineBuilder::sut)",
         })?;
-        let package = self.package.unwrap_or_default();
         let config = match self.config {
             Some(config) => {
                 config.validate()?;
@@ -372,10 +356,8 @@ impl<'a> EngineBuilder<'a> {
         };
         let backend = match self.backend {
             Some(backend) => backend,
-            None => BackendHandle::Owned(Box::new(RcThermalSimulator::new(
+            None => BackendHandle::Owned(Box::new(RcThermalSimulator::from_floorplan(
                 sut.floorplan(),
-                &package,
-                TransientConfig::default(),
             )?)),
         };
         if backend.as_dyn().block_count() != sut.core_count() {
@@ -384,11 +366,23 @@ impl<'a> EngineBuilder<'a> {
                 simulator: backend.as_dyn().block_count(),
             });
         }
-        let model = SessionThermalModel::new(sut, &package, config.session_model)?;
+        let model = match self.model {
+            Some(model) if model.core_count() != sut.core_count() => {
+                return Err(ScheduleError::InvalidConfig {
+                    name: "guidance model core count",
+                    value: model.core_count() as f64,
+                })
+            }
+            Some(model) => Cow::Borrowed(model),
+            None => Cow::Owned(SessionThermalModel::new(
+                sut,
+                &PackageConfig::default(),
+                config.session_model,
+            )?),
+        };
         Ok(Engine {
             sut,
             backend,
-            package,
             config,
             model,
             cache: self.cache.unwrap_or_default(),
@@ -496,6 +490,58 @@ mod tests {
     }
 
     #[test]
+    fn a_lent_model_schedules_like_the_engines_own() {
+        use crate::SessionModelOptions;
+
+        let sut = library::alpha21364_sut();
+        let model = SessionThermalModel::new(
+            &sut,
+            &PackageConfig::default(),
+            SessionModelOptions::default(),
+        )
+        .unwrap();
+        let own = Engine::builder().sut(&sut).build().unwrap();
+        let lent = Engine::builder().sut(&sut).model(&model).build().unwrap();
+        assert_eq!(lent.schedule().unwrap(), own.schedule().unwrap());
+        // A run with other session-model options builds its own model.
+        let vertical = SchedulerConfig {
+            session_model: SessionModelOptions {
+                include_vertical_path: true,
+                ..SessionModelOptions::default()
+            },
+            ..own.config()
+        };
+        assert_ne!(vertical.session_model, model.options());
+        assert_eq!(
+            lent.schedule_with(vertical).unwrap(),
+            own.schedule_with(vertical).unwrap()
+        );
+        // A model of another system is refused.
+        let other = library::figure1_sut();
+        let foreign = SessionThermalModel::new(
+            &other,
+            &PackageConfig::default(),
+            SessionModelOptions::default(),
+        )
+        .unwrap();
+        let err = Engine::builder()
+            .sut(&sut)
+            .model(&foreign)
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ScheduleError::InvalidConfig {
+                    name: "guidance model core count",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn shared_cache_handles_connect_engines() {
         let sut = library::alpha21364_sut();
         let sim = RcThermalSimulator::from_floorplan(sut.floorplan()).unwrap();
@@ -551,9 +597,11 @@ mod tests {
             clock: ObsClock::Virtual,
             ..TracerConfig::default()
         });
-        let mut engine = Engine::builder().sut(&sut).build().unwrap();
-        engine.set_tracer(tracer.for_job(5));
-        assert!(engine.tracer().is_enabled());
+        let engine = Engine::builder()
+            .sut(&sut)
+            .tracer(tracer.for_job(5))
+            .build()
+            .unwrap();
         engine.schedule().unwrap();
 
         let mut spans = tracer.drain();
@@ -570,9 +618,9 @@ mod tests {
         assert!(names.contains(&"scheduler.phase1"));
         assert!(names.contains(&"scheduler.phase2"));
 
-        // Swapping back to a disabled tracer stops recording.
-        engine.set_tracer(Tracer::disabled());
-        engine.schedule().unwrap();
+        // An engine built without a tracer records nothing.
+        let untraced = Engine::builder().sut(&sut).build().unwrap();
+        untraced.schedule().unwrap();
         assert!(tracer.drain().is_empty());
     }
 
@@ -586,8 +634,11 @@ mod tests {
             clock: ObsClock::Virtual,
             ..TracerConfig::default()
         });
-        let mut engine = Engine::builder().sut(&sut).build().unwrap();
-        engine.set_tracer(tracer.for_job(1));
+        let engine = Engine::builder()
+            .sut(&sut)
+            .tracer(tracer.for_job(1))
+            .build()
+            .unwrap();
 
         let profile = TraceProfile::new(vec![
             TraceSegment::new(1.0, 0.75),

@@ -73,16 +73,17 @@
 //!
 //! For many scheduling runs over many systems, the `thermsched_service`
 //! crate layers a batch service on top of the engine: a seeded scenario
-//! corpus generator, one job executor with per-worker engine reuse, and
-//! one session store per scenario, held through a [`SessionCacheHandle`]
-//! that all of the scenario's constant-power jobs share. Every public type
+//! corpus generator, one job executor, and one backend, guidance model and
+//! session store per scenario, the store held through a
+//! [`SessionCacheHandle`] that all of the scenario's constant-power jobs
+//! share. Every public type
 //! here implements the `thermsched_wire` crate's `Wire` trait, which is how
 //! the service crate's `MultiprocCoordinator` ships work to worker
 //! processes, with per-job results byte-identical at any process count.
 //!
 //! # Observability
 //!
-//! [`Engine`] (via [`Engine::set_tracer`] / [`EngineBuilder::tracer`])
+//! [`Engine`] (via [`EngineBuilder::tracer`])
 //! and [`ThermalAwareScheduler`] emit `thermsched_obs` spans around
 //! scheduling (`engine.schedule`, `scheduler.phase1`, `scheduler.phase2`)
 //! and store traffic (`store.probe`, `store.publish`); an engine built

@@ -6,10 +6,12 @@
 //! one session store per scenario, and the same-shape prewarm for backends
 //! that batch, each group's lanes split over the configured worker threads
 //! — and then runs jobs through one attempt loop
-//! ([`Worker::run`]: fault injection, deadline checkpoints, seeded retries,
-//! panic isolation), counting each job in one [`Tally`] from which
-//! [`ServiceStats`] is derived. The three front doors differ only in how
-//! jobs arrive:
+//! ([`Executor::run`]: fault injection, deadline checkpoints, seeded
+//! retries, panic isolation), counting each job in one [`Tally`] from which
+//! [`ServiceStats`] is derived. A scenario's guidance model is built on its
+//! first job and kept beside its backend and store ([`Prepared`]); every
+//! attempt borrows an [`Engine`] over the three. The three front doors
+//! differ only in how jobs arrive:
 //!
 //! * a batch run queues every corpus job, closes the queue and drains it on
 //!   a pool of worker threads ([`Executor::submit_batch`],
@@ -20,30 +22,30 @@
 //! * the streaming front-end admits submissions one at a time into the same
 //!   queue and drains it on request ([`Executor::close_and_wait_idle`]) in
 //!   strict priority order, FIFO within a class;
-//! * a worker process runs each `JOB` frame on its own thread as it arrives
-//!   ([`Worker::run`]), holding only the scenarios its `SCENARIOS` frames
-//!   brought ([`Executor::add_scenarios`]).
+//! * a worker process runs each `JOB` frame as it arrives, on its one
+//!   thread ([`Executor::run`]), holding only the scenarios its `SCENARIOS`
+//!   frames brought ([`Executor::add_scenarios`]).
 //!
 //! Every per-job span is created inside that loop, which is what makes the
 //! structural span slice identical across all three. Dispatch order changes
 //! only which job warms a store first, never a job's result.
 
 use std::borrow::Cow;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use thermsched::{
     EffortBudget, Engine, InterruptReason, NestedParallelismGuard, OperatorCacheHandle,
     OperatorCacheStats, OperatorKey, ScheduleCheckpoint, ScheduleError, ScheduleOutcome,
-    ScheduleProgress, SessionCacheHandle, StoreStats, TestSession,
+    ScheduleProgress, SessionCacheHandle, SessionModelOptions, SessionThermalModel, StoreStats,
+    TestSession,
 };
 use thermsched_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, Tracer};
-use thermsched_thermal::{PowerMap, SessionThermalResult, ThermalBackend};
+use thermsched_thermal::{PackageConfig, PowerMap, SessionThermalResult, ThermalBackend};
 
 use crate::report::LatencyStats;
 use crate::{
@@ -204,11 +206,31 @@ impl<'a> QueueState<'a> {
 }
 
 /// One scenario ready to run jobs: its system under test, the backend built
-/// for it and its session store.
+/// for it, its session store and its guidance model — everything an
+/// [`Engine`] over the scenario borrows, held once for every thread.
 struct Prepared<'a> {
     scenario: Cow<'a, Scenario>,
     backend: Arc<dyn ThermalBackend>,
     cache: SessionCacheHandle,
+    model: OnceLock<thermsched::Result<SessionThermalModel>>,
+}
+
+impl Prepared<'_> {
+    /// The scenario's guidance model, built on its first job with the
+    /// default package and session-model options — what an engine built
+    /// without a model builds — so its cost stays in the job loop.
+    fn model(&self) -> thermsched::Result<&SessionThermalModel> {
+        self.model
+            .get_or_init(|| {
+                SessionThermalModel::new(
+                    &self.scenario.sut,
+                    &PackageConfig::default(),
+                    SessionModelOptions::default(),
+                )
+            })
+            .as_ref()
+            .map_err(Clone::clone)
+    }
 }
 
 /// Prepared scenarios plus the queue their jobs run from. See the
@@ -299,13 +321,13 @@ impl<'a> Executor<'a> {
                         .get_or_try_build(config.backend.key(&scenario), || {
                             config.backend.build(&scenario)
                         })?;
-                    let cache = SessionCacheHandle::new();
                     Ok((
                         index,
                         Prepared {
                             scenario,
                             backend,
-                            cache,
+                            cache: SessionCacheHandle::new(),
+                            model: OnceLock::new(),
                         },
                     ))
                 })
@@ -398,12 +420,14 @@ impl<'a> Executor<'a> {
 
     /// The worker-thread loop: runs queued jobs in dispatch order (see
     /// [`QueueState::dispatch`]) and resolves their handles until the queue
-    /// is closed and empty.
+    /// is closed and empty. Nested phase-1 fan-outs stay sequential on this
+    /// thread: the workers are the parallelism, and W workers × P phase-1
+    /// threads would oversubscribe the machine.
     pub(crate) fn work(&self) {
-        let mut worker = self.worker();
+        let _sequential = NestedParallelismGuard::enter();
         let mut finished = None;
         while let Some(pending) = self.next(finished) {
-            let (result, _) = worker.run(
+            let (result, _) = self.run(
                 pending.seq,
                 &pending.job,
                 pending.deadline_effort,
@@ -436,16 +460,6 @@ impl<'a> Executor<'a> {
                 .work_ready
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// This thread's worker: jobs run inline through it on the caller's
-    /// thread.
-    pub(crate) fn worker(&self) -> Worker<'_, 'a> {
-        Worker {
-            executor: self,
-            engines: HashMap::new(),
-            _sequential: NestedParallelismGuard::enter(),
         }
     }
 
@@ -514,53 +528,38 @@ impl<'a> Executor<'a> {
         registry.absorb(&self.tally.snapshot());
         stats
     }
-}
 
-/// One thread's view of an [`Executor`]: the engines it reuses per
-/// scenario (an engine prebuilds the guidance model, and rebuilding it per
-/// job would dominate small runs; every engine of a scenario shares that
-/// scenario's store), and the guard that keeps nested phase-1 fan-outs
-/// sequential — the workers are the parallelism, and W workers × P phase-1
-/// threads would oversubscribe the machine.
-pub(crate) struct Worker<'e, 'a> {
-    executor: &'e Executor<'a>,
-    engines: HashMap<usize, Engine<'e>>,
-    _sequential: NestedParallelismGuard,
-}
-
-impl<'e> Worker<'e, '_> {
     /// Runs job `seq` (queued at `queued_at`), counts it in the executor's
     /// tally, and returns its result with the accounting that was counted.
     /// The executor must hold the job's scenario.
     pub(crate) fn run(
-        &mut self,
+        &self,
         seq: u64,
         job: &JobSpec,
         deadline_effort: Option<f64>,
         queued_at: Instant,
     ) -> (JobResult, JobAccounting) {
-        let executor = self.executor;
-        let config = &executor.config;
+        let config = &self.config;
         let dispatched = Instant::now();
         let queue_seconds = match config.clock {
             ClockKind::Wall => dispatched.duration_since(queued_at).as_secs_f64(),
             ClockKind::Virtual => 0.0,
         };
         let deadline_effort = deadline_effort.or(config.deadline_effort);
-        let prepared = executor
+        let prepared = self
             .scenarios
             .get(&job.scenario)
             .expect("callers run only jobs of scenarios the executor holds");
         let (outcome, mut accounting) =
             self.execute(seq, job, prepared, deadline_effort, queue_seconds);
         if config.clock == ClockKind::Wall {
-            let since = match executor.mode {
+            let since = match self.mode {
                 Mode::Batch => dispatched,
                 Mode::Stream => queued_at,
             };
             accounting.latency_seconds = since.elapsed().as_secs_f64();
         }
-        executor.tally.record(&outcome, Some(&accounting));
+        self.tally.record(&outcome, Some(&accounting));
         let result = JobResult::new(seq as usize, job, &prepared.scenario.name, outcome);
         (result, accounting)
     }
@@ -583,21 +582,20 @@ impl<'e> Worker<'e, '_> {
     /// delays and retry backoffs) under [`ClockKind::Virtual`], and 0 under
     /// the wall clock, which sleeps instead.
     fn execute(
-        &mut self,
+        &self,
         seq: u64,
         job: &JobSpec,
-        prepared: &'e Prepared<'_>,
+        prepared: &Prepared<'_>,
         deadline_effort: Option<f64>,
         queue_seconds: f64,
     ) -> (JobOutcome, JobAccounting) {
-        let executor = self.executor;
         let ServiceConfig {
             faults,
             retry,
             clock,
             ..
-        } = executor.config;
-        let tracer = executor.tracer.for_job(seq);
+        } = self.config;
+        let tracer = self.tracer.for_job(seq);
         let mut job_span = tracer.span("job");
         job_span.attr("index", seq);
         job_span.attr("scenario", prepared.scenario.name.as_str());
@@ -675,57 +673,24 @@ impl<'e> Worker<'e, '_> {
         (outcome, accounting)
     }
 
-    /// Runs attempt number `attempt`: reuses (or builds) this worker's
-    /// engine for the job's scenario and schedules under panic isolation,
-    /// with a checkpoint installed when the job has a deadline or can be
-    /// cancelled. The budget is compared against *simulated* effort, so
-    /// deadline interrupts are deterministic; cancellation is the one
-    /// deliberately non-deterministic interrupt (it answers to a drain
-    /// deadline, and is reported as such).
+    /// Runs attempt number `attempt`: builds an engine over the job's
+    /// prepared scenario and schedules under panic isolation, with a
+    /// checkpoint installed when the job has a deadline or can be
+    /// cancelled. An engine that cannot be built, or a malformed online
+    /// context, ends the attempt as a non-retryable failure: both are
+    /// deterministic functions of the job. The budget is compared against
+    /// *simulated* effort, so deadline interrupts are deterministic;
+    /// cancellation is the one deliberately non-deterministic interrupt (it
+    /// answers to a drain deadline, and is reported as such).
     fn attempt(
-        &mut self,
+        &self,
         attempt: u32,
         job: &JobSpec,
-        prepared: &'e Prepared<'_>,
+        prepared: &Prepared<'_>,
         deadline_effort: Option<f64>,
         tracer: &Tracer,
     ) -> (JobOutcome, JobAccounting) {
-        let executor = self.executor;
-        let failed = |error: String| {
-            (
-                JobOutcome::Failed {
-                    error,
-                    retryable: false,
-                    attempts: attempt,
-                },
-                JobAccounting::default(),
-            )
-        };
-        let engine = match self.engines.entry(job.scenario) {
-            Entry::Occupied(entry) => entry.into_mut(),
-            Entry::Vacant(entry) => {
-                let built = Engine::builder()
-                    .sut(&prepared.scenario.sut)
-                    .dyn_backend(prepared.backend.as_ref())
-                    .cache(prepared.cache.clone())
-                    .build();
-                match built {
-                    Ok(engine) => entry.insert(engine),
-                    Err(error) => return failed(error.to_string()),
-                }
-            }
-        };
-        // Engines are reused across jobs; point this one at the current
-        // job's scope so its schedule/phase spans land under the open
-        // attempt span.
-        engine.set_tracer(tracer.clone());
-        // Online state (trace / warm start) is part of the job's identity,
-        // so a malformed context is a deterministic, non-retryable failure.
-        let online = match job.online_context() {
-            Ok(online) => online,
-            Err(error) => return failed(error.to_string()),
-        };
-        let cancel = (executor.mode == Mode::Stream).then_some(&executor.cancel);
+        let cancel = (self.mode == Mode::Stream).then_some(&self.cancel);
         let budget = deadline_effort.map(EffortBudget::new);
         let check = |progress: &ScheduleProgress| {
             if cancel.is_some_and(|cancel| cancel.load(Ordering::Relaxed)) {
@@ -736,7 +701,14 @@ impl<'e> Worker<'e, '_> {
         let checkpoint =
             (budget.is_some() || cancel.is_some()).then_some(&check as &dyn ScheduleCheckpoint);
         isolate(attempt, || {
-            engine.run(job.config, online.as_ref(), checkpoint)
+            let engine = Engine::builder()
+                .sut(&prepared.scenario.sut)
+                .dyn_backend(prepared.backend.as_ref())
+                .model(prepared.model()?)
+                .cache(prepared.cache.clone())
+                .tracer(tracer.clone())
+                .build()?;
+            engine.run(job.config, job.online_context()?.as_ref(), checkpoint)
         })
     }
 }
@@ -1181,14 +1153,12 @@ mod tests {
             &Tracer::disabled(),
         )
         .unwrap();
-        let mut worker = executor.worker();
         let jobs = corpus
             .jobs()
             .iter()
             .enumerate()
-            .map(|(index, job)| worker.run(index as u64, job, None, Instant::now()).0)
+            .map(|(index, job)| executor.run(index as u64, job, None, Instant::now()).0)
             .collect();
-        drop(worker);
         (jobs, executor.finish(0.0, &MetricsRegistry::new()))
     }
 

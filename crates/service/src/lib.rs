@@ -13,14 +13,14 @@
 //!    the corpus is a pure function of the spec.
 //! 2. **A concurrent job runner** ([`ServiceRunner`]): every job is queued
 //!    and worker threads drain the queue scenario by scenario (a freed
-//!    worker prefers the next job of the scenario it just ran), each
-//!    worker reuses one [`thermsched::Engine`] per scenario, per-job errors
-//!    and panics are isolated into the job's [`JobOutcome`], and all jobs
-//!    of a scenario share one session store
-//!    ([`thermsched::SessionCacheHandle`]). Constant-power jobs read and
-//!    publish phase-1 characterisations and validated sessions there;
-//!    online jobs (a trace or a warm start) keep their results to
-//!    themselves. For a [`BackendKind`] that batches, the runner first
+//!    worker prefers the next job of the scenario it just ran), per-job
+//!    errors and panics are isolated into the job's [`JobOutcome`], and
+//!    every job schedules through a [`thermsched::Engine`] borrowing its
+//!    scenario's backend, guidance model and session store
+//!    ([`thermsched::SessionCacheHandle`]), each built once per scenario.
+//!    Constant-power jobs read and publish phase-1 characterisations and
+//!    validated sessions in the store; online jobs (a trace or a warm
+//!    start) keep their results to themselves. For a [`BackendKind`] that batches, the runner first
 //!    prewarms every store with its scenario's single-core sessions,
 //!    advanced per operator key in multi-RHS passes split over the worker
 //!    threads.
@@ -36,12 +36,12 @@
 //!    effort-budget deadlines enforced at the scheduler's cooperative
 //!    checkpoints, and graceful drain ([`Frontend::drain`]).
 //! 5. **A multi-process sharding coordinator** ([`MultiprocCoordinator`]):
-//!    shards a corpus round-robin across real worker processes (the
-//!    `thermsched worker` binary, or anything speaking the same framed
-//!    protocol via [`worker_serve`]) over stdin/stdout pipes, merges the
-//!    results and per-worker stats into one [`ServiceReport`], and survives
-//!    workers dying mid-run by reassigning their unfinished jobs
-//!    ([`ServiceStats::worker_crashes`]). Per-job results remain
+//!    deals whole scenarios, each to the least-loaded of several real
+//!    worker processes (the `thermsched worker` binary, or anything
+//!    speaking the same framed protocol via [`worker_serve`]), over
+//!    stdin/stdout pipes, merges the results and per-worker stats into one
+//!    [`ServiceReport`], and survives workers dying mid-run by reassigning
+//!    their unfinished jobs ([`ServiceStats::worker_crashes`]). Per-job results remain
 //!    byte-identical at any process count.
 //!
 //! The runner, the front-end and each worker process run their jobs on one

@@ -67,7 +67,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::Instant;
 
-use thermsched::{OperatorCacheStats, StoreStats};
+use thermsched::{NestedParallelismGuard, OperatorCacheStats, StoreStats};
 use thermsched_obs::{MetricsRegistry, ObsClock, SpanRecord, Tracer, TracerConfig};
 use thermsched_wire::frame::{read_frame, write_frame, Frame};
 use thermsched_wire::{decode_value, encode_array, encode_value, obj, JsonValue, Wire, WireError};
@@ -730,6 +730,7 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
     // The same executor as the in-process runner, holding only the
     // scenarios SCENARIOS frames bring: jobs and the prewarm run on this
     // thread alone — the processes are the parallelism.
+    let _sequential = NestedParallelismGuard::enter();
     let mut executor = Executor::new(
         ServiceConfig {
             workers: 1,
@@ -741,76 +742,67 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
     )?;
     let mut resolved = 0usize;
     loop {
-        // Adding scenarios needs the executor to itself, so the job runner
-        // (and the engines it keeps per scenario) starts afresh after each
-        // SCENARIOS frame.
-        let mut worker = executor.worker();
-        loop {
-            let Some(frame) = read_frame(&mut input).map_err(ServiceError::Wire)? else {
-                return Ok(()); // Coordinator closed the pipe; exit quietly.
-            };
-            match frame.kind {
-                FRAME_SCENARIOS => {
-                    let scenarios = decode_scenarios(&frame.payload, &executor)?;
-                    drop(worker);
-                    executor.add_scenarios(
-                        scenarios
-                            .into_iter()
-                            .map(|(index, scenario)| (index, Cow::Owned(scenario))),
-                    )?;
-                    break;
-                }
-                FRAME_JOB => {
-                    if crash.is_some_and(|plan| resolved >= plan.after_jobs) {
-                        // Crash-test hook: swallow the job and die with it
-                        // unacknowledged, like a worker that crashed mid-job.
-                        return Ok(());
-                    }
-                    let payload = decode_value(&frame.payload)?;
-                    let index: usize = payload.decode("job_frame", "index")?;
-                    let job: JobSpec = payload.decode("job_frame", "job")?;
-                    if !executor.holds(job.scenario) {
-                        return Err(multiproc_error(format!(
-                            "job {index} references scenario {}, which this worker was never sent",
-                            job.scenario
-                        )));
-                    }
-                    let (result, accounting) = worker.run(index as u64, &job, None, Instant::now());
-                    let reply = encode_value(
-                        &obj()
-                            .field("index", index)
-                            .field("result", result.to_wire())
-                            .field("warm_cache_hits", accounting.warm_cache_hits)
-                            .field("cached_validations", accounting.cached_validations)
-                            .field("injected_faults", accounting.injected_faults)
-                            .field("retried_attempts", accounting.retried_attempts)
-                            .field("latency_seconds", accounting.latency_seconds)
-                            .build(),
-                    )?;
-                    write_frame(&mut output, FRAME_RESULT, &reply).map_err(ServiceError::Wire)?;
-                    resolved += 1;
-                }
-                FRAME_SHUTDOWN => {
-                    let mut fin = obj()
-                        .field("store", executor.store_stats().to_wire())
-                        .field("operator_cache", executor.operator_cache_stats().to_wire())
-                        .field("prewarmed_sessions", executor.prewarmed_sessions());
-                    if trace {
-                        let spans: Vec<JsonValue> =
-                            tracer.drain().iter().map(Wire::to_wire).collect();
-                        fin = fin
-                            .field("spans", JsonValue::Array(spans))
-                            .field("dropped_spans", tracer.dropped_spans());
-                    }
-                    let fin = encode_value(&fin.build())?;
-                    write_frame(&mut output, FRAME_FIN, &fin).map_err(ServiceError::Wire)?;
+        let Some(frame) = read_frame(&mut input).map_err(ServiceError::Wire)? else {
+            return Ok(()); // Coordinator closed the pipe; exit quietly.
+        };
+        match frame.kind {
+            FRAME_SCENARIOS => {
+                let scenarios = decode_scenarios(&frame.payload, &executor)?;
+                executor.add_scenarios(
+                    scenarios
+                        .into_iter()
+                        .map(|(index, scenario)| (index, Cow::Owned(scenario))),
+                )?;
+            }
+            FRAME_JOB => {
+                if crash.is_some_and(|plan| resolved >= plan.after_jobs) {
+                    // Crash-test hook: swallow the job and die with it
+                    // unacknowledged, like a worker that crashed mid-job.
                     return Ok(());
                 }
-                other => {
+                let payload = decode_value(&frame.payload)?;
+                let index: usize = payload.decode("job_frame", "index")?;
+                let job: JobSpec = payload.decode("job_frame", "job")?;
+                if !executor.holds(job.scenario) {
                     return Err(multiproc_error(format!(
-                        "unexpected frame kind {other} after HELLO"
+                        "job {index} references scenario {}, which this worker was never sent",
+                        job.scenario
                     )));
                 }
+                let (result, accounting) = executor.run(index as u64, &job, None, Instant::now());
+                let reply = encode_value(
+                    &obj()
+                        .field("index", index)
+                        .field("result", result.to_wire())
+                        .field("warm_cache_hits", accounting.warm_cache_hits)
+                        .field("cached_validations", accounting.cached_validations)
+                        .field("injected_faults", accounting.injected_faults)
+                        .field("retried_attempts", accounting.retried_attempts)
+                        .field("latency_seconds", accounting.latency_seconds)
+                        .build(),
+                )?;
+                write_frame(&mut output, FRAME_RESULT, &reply).map_err(ServiceError::Wire)?;
+                resolved += 1;
+            }
+            FRAME_SHUTDOWN => {
+                let mut fin = obj()
+                    .field("store", executor.store_stats().to_wire())
+                    .field("operator_cache", executor.operator_cache_stats().to_wire())
+                    .field("prewarmed_sessions", executor.prewarmed_sessions());
+                if trace {
+                    let spans: Vec<JsonValue> = tracer.drain().iter().map(Wire::to_wire).collect();
+                    fin = fin
+                        .field("spans", JsonValue::Array(spans))
+                        .field("dropped_spans", tracer.dropped_spans());
+                }
+                let fin = encode_value(&fin.build())?;
+                write_frame(&mut output, FRAME_FIN, &fin).map_err(ServiceError::Wire)?;
+                return Ok(());
+            }
+            other => {
+                return Err(multiproc_error(format!(
+                    "unexpected frame kind {other} after HELLO"
+                )));
             }
         }
     }
@@ -1358,6 +1350,52 @@ mod tests {
             .run(&corpus)
             .unwrap();
         assert_eq!(job_result, in_process.jobs()[2]);
+    }
+
+    #[test]
+    fn a_scenarios_frame_between_jobs_keeps_every_earlier_store_warm() {
+        let corpus = two_scenario_corpus();
+        let mut frames = vec![
+            (FRAME_HELLO, hello_payload()),
+            scenarios_frame(&corpus, &[0]),
+            (FRAME_JOB, job_frame(&corpus, 0)),
+            scenarios_frame(&corpus, &[1]),
+        ];
+        for index in [2, 1, 3] {
+            frames.push((FRAME_JOB, job_frame(&corpus, index)));
+        }
+        frames.push((FRAME_SHUTDOWN, Vec::new()));
+        let (result, replies) = serve(&frames, None);
+        result.unwrap();
+        let in_process = crate::ServiceRunner::new(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .unwrap()
+        .run(&corpus)
+        .unwrap();
+        let mut order = Vec::new();
+        for frame in &replies[..replies.len() - 1] {
+            let Some(Event::Result {
+                index,
+                result,
+                accounting,
+                ..
+            }) = decode_event(0, frame)
+            else {
+                panic!("expected a RESULT frame");
+            };
+            assert_eq!(result, in_process.jobs()[index], "job {index}");
+            // The second job of each scenario finds the first one's
+            // phase-1 sessions, across the SCENARIOS frame in between.
+            if index % 2 == 1 {
+                let cores = corpus.scenarios()[result.scenario].sut.core_count();
+                assert!(accounting.warm_cache_hits >= cores, "job {index}");
+            }
+            order.push(index);
+        }
+        assert_eq!(order, [0, 2, 1, 3]);
+        assert_eq!(replies.last().unwrap().kind, FRAME_FIN);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The concurrent batch runner: a job queue drained by a pool of scoped
-//! worker threads with per-worker engine reuse and per-job panic isolation.
+//! worker threads with per-job panic isolation.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -245,11 +245,11 @@ impl ServiceConfig {
 ///   run one after another on one worker, each finding what the one before
 ///   published in the scenario's store, instead of side by side on two
 ///   workers that both miss it and simulate the same sessions twice.
-/// * Each worker reuses one [`thermsched::Engine`] per scenario it touches
-///   (the engine prebuilds the guidance model; rebuilding it per job would
-///   dominate small runs), and every engine of a scenario shares that
-///   scenario's session store — cross-job cache hits on identical core-set
-///   keys are the service's main leverage.
+/// * Each scenario's backend, guidance model and session store are built
+///   once and shared by every worker: a job schedules through an
+///   [`thermsched::Engine`] that borrows them. Cross-job cache hits on
+///   identical core-set keys in the shared store are the service's main
+///   leverage.
 /// * A job that returns an error or panics is isolated: the outcome is
 ///   recorded as [`crate::JobOutcome::Failed`] /
 ///   [`crate::JobOutcome::Panicked`] and the batch continues (the shared

@@ -21,6 +21,7 @@
 //! panics.
 
 use crate::json::{JsonValue, Number};
+use crate::key::SeenKeys;
 use crate::{Key, Result, WireError, MAX_NESTING_DEPTH};
 
 const TAG_NULL: u8 = 0x00;
@@ -230,9 +231,10 @@ impl Reader<'_> {
             TAG_OBJECT => {
                 let count = self.u32_len("object length")?;
                 let mut entries: Vec<(Key, JsonValue)> = Vec::new();
+                let mut seen = SeenKeys::default();
                 for _ in 0..count {
                     let key = Key::from(self.str()?);
-                    if entries.iter().any(|(seen, _)| *seen == key) {
+                    if seen.repeats(&entries, &key) {
                         return Err(WireError::Invalid {
                             type_name: "binary value",
                             message: format!("duplicate object key `{key}`"),

@@ -18,6 +18,7 @@
 
 use std::fmt::Write as _;
 
+use crate::key::SeenKeys;
 use crate::{Key, Result, Wire, WireError, MAX_NESTING_DEPTH};
 
 /// A JSON number, kept exact.
@@ -592,6 +593,7 @@ impl Parser<'_> {
             self.pos += 1;
             return Ok(());
         }
+        let mut seen = SeenKeys::default();
         loop {
             self.skip_ws();
             let key_pos = self.pos;
@@ -599,7 +601,7 @@ impl Parser<'_> {
                 return Err(self.error("expected a string key"));
             }
             let key = self.key()?;
-            if self.entries[start..].iter().any(|(seen, _)| *seen == key) {
+            if seen.repeats(&self.entries[start..], &key) {
                 self.pos = key_pos;
                 return Err(self.error(format!("duplicate object key `{key}`")));
             }
