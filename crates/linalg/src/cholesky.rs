@@ -155,16 +155,6 @@ impl CholeskyDecomposition {
         }
         Ok(())
     }
-
-    /// Determinant of the factorised matrix (product of squared pivots).
-    pub fn determinant(&self) -> f64 {
-        let mut det = 1.0;
-        for i in 0..self.dim() {
-            let d = self.l.get(i, i);
-            det *= d * d;
-        }
-        det
-    }
 }
 
 #[cfg(test)]
@@ -222,13 +212,6 @@ mod tests {
         let mut nan = DenseMatrix::identity(2);
         nan.set(1, 1, f64::INFINITY);
         assert!(CholeskyDecomposition::new(&nan).is_err());
-    }
-
-    #[test]
-    fn determinant_matches_lu() {
-        let a = DenseMatrix::from_rows(&[vec![4.0, 2.0], vec![2.0, 3.0]]).unwrap();
-        let chol = CholeskyDecomposition::new(&a).unwrap();
-        assert!((chol.determinant() - 8.0).abs() < 1e-12);
     }
 
     #[test]

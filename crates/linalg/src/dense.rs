@@ -158,13 +158,6 @@ impl DenseMatrix {
         &self.data
     }
 
-    /// Returns the main diagonal as a vector (length `min(rows, cols)`).
-    pub fn diagonal(&self) -> Vec<f64> {
-        (0..self.rows.min(self.cols))
-            .map(|i| self.get(i, i))
-            .collect()
-    }
-
     /// Matrix–vector product `A · x`.
     ///
     /// # Errors
@@ -432,7 +425,6 @@ mod tests {
 
         let i = DenseMatrix::identity(3);
         assert!(i.is_square());
-        assert_eq!(i.diagonal(), vec![1.0, 1.0, 1.0]);
         assert_eq!(i.get(0, 1), 0.0);
     }
 

@@ -59,7 +59,6 @@ mod error;
 mod lu;
 mod sparse;
 mod step_operator;
-mod vector;
 
 pub use adi::AdiStepOperator;
 pub use banded::{BandedCholesky, ImplicitStepOperator};
@@ -69,7 +68,6 @@ pub use error::LinalgError;
 pub use lu::LuDecomposition;
 pub use sparse::{CsrMatrix, Triplet};
 pub use step_operator::AffineStepOperator;
-pub use vector::{axpy, dot, scale, sub};
 
 /// Convenience result alias used throughout this crate.
 pub type Result<T, E = LinalgError> = std::result::Result<T, E>;

@@ -35,8 +35,6 @@ pub struct LuDecomposition {
     /// Row permutation applied during pivoting: `perm[i]` is the original row
     /// now living at position `i`.
     perm: Vec<usize>,
-    /// Sign of the permutation, used by [`LuDecomposition::determinant`].
-    perm_sign: f64,
 }
 
 /// Pivots smaller than this are treated as exact zeros (singular matrix).
@@ -73,7 +71,6 @@ impl LuDecomposition {
 
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
         let scale = a.max_abs().max(1.0);
 
         for k in 0..n {
@@ -93,7 +90,6 @@ impl LuDecomposition {
             if pivot_row != k {
                 swap_rows(&mut lu, k, pivot_row);
                 perm.swap(k, pivot_row);
-                perm_sign = -perm_sign;
             }
             let pivot = lu.get(k, k);
             for i in (k + 1)..n {
@@ -106,11 +102,7 @@ impl LuDecomposition {
             }
         }
 
-        Ok(LuDecomposition {
-            lu,
-            perm,
-            perm_sign,
-        })
+        Ok(LuDecomposition { lu, perm })
     }
 
     /// Dimension of the factorised matrix.
@@ -210,24 +202,6 @@ impl LuDecomposition {
         }
         Ok(out)
     }
-
-    /// Computes the inverse of the factorised matrix.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`LuDecomposition::solve_matrix`].
-    pub fn inverse(&self) -> Result<DenseMatrix> {
-        self.solve_matrix(&DenseMatrix::identity(self.dim()))
-    }
-
-    /// Determinant of the factorised matrix.
-    pub fn determinant(&self) -> f64 {
-        let mut det = self.perm_sign;
-        for i in 0..self.dim() {
-            det *= self.lu.get(i, i);
-        }
-        det
-    }
 }
 
 fn swap_rows(m: &mut DenseMatrix, a: usize, b: usize) {
@@ -303,21 +277,6 @@ mod tests {
             LuDecomposition::new(&nan),
             Err(LinalgError::NonFinite { .. })
         ));
-    }
-
-    #[test]
-    fn determinant_and_inverse() {
-        let a = DenseMatrix::from_rows(&[vec![4.0, 7.0], vec![2.0, 6.0]]).unwrap();
-        let lu = LuDecomposition::new(&a).unwrap();
-        assert!((lu.determinant() - 10.0).abs() < 1e-12);
-        let inv = lu.inverse().unwrap();
-        let prod = a.mul_mat(&inv).unwrap();
-        for i in 0..2 {
-            for j in 0..2 {
-                let expected = if i == j { 1.0 } else { 0.0 };
-                assert!((prod.get(i, j) - expected).abs() < 1e-12);
-            }
-        }
     }
 
     #[test]

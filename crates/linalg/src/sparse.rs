@@ -164,13 +164,6 @@ impl CsrMatrix {
         Ok(y)
     }
 
-    /// Returns the main diagonal (missing entries are zero).
-    pub fn diagonal(&self) -> Vec<f64> {
-        (0..self.rows.min(self.cols))
-            .map(|i| self.get(i, i))
-            .collect()
-    }
-
     /// Returns `true` if the sparsity pattern and values are symmetric within
     /// `tol`. Only meaningful for square matrices.
     pub fn is_symmetric(&self, tol: f64) -> bool {
@@ -244,7 +237,6 @@ mod tests {
         assert_eq!(m.nnz(), 7);
         assert_eq!(m.get(0, 0), 4.0);
         assert_eq!(m.get(0, 2), 0.0);
-        assert_eq!(m.diagonal(), vec![4.0, 4.0, 4.0]);
     }
 
     #[test]

@@ -55,7 +55,6 @@ fn lu_solves_2x2_with_known_solution() {
     let lu = LuDecomposition::new(&a).unwrap();
     let x = lu.solve(&[1.0, 2.0]).unwrap();
     assert_close(&x, &[1.0 / 11.0, 7.0 / 11.0], 1e-12, "lu 2x2");
-    assert!((lu.determinant() - 11.0).abs() < 1e-12);
 }
 
 #[test]
@@ -64,7 +63,6 @@ fn cholesky_solves_2x2_with_known_solution() {
     let chol = CholeskyDecomposition::new(&a).unwrap();
     let x = chol.solve(&[1.0, 2.0]).unwrap();
     assert_close(&x, &[1.0 / 11.0, 7.0 / 11.0], 1e-12, "cholesky 2x2");
-    assert!((chol.determinant() - 11.0).abs() < 1e-12);
 }
 
 #[test]
@@ -81,15 +79,6 @@ fn lu_solves_hilbert_3x3_exactly() {
     let lu = LuDecomposition::new(&h).unwrap();
     let x = lu.solve(&[1.0, 0.0, 0.0]).unwrap();
     assert_close(&x, &[9.0, -36.0, 30.0], 1e-9, "lu hilbert3");
-
-    let inv = lu.inverse().unwrap();
-    let id = h.mul_mat(&inv).unwrap();
-    for i in 0..3 {
-        for j in 0..3 {
-            let expected = if i == j { 1.0 } else { 0.0 };
-            assert!((id.get(i, j) - expected).abs() < 1e-9, "H * H^-1 != I");
-        }
-    }
 }
 
 #[test]

@@ -22,8 +22,8 @@
 //! * the streaming front-end admits submissions one at a time into the same
 //!   queue and drains it on request ([`Executor::close_and_wait_idle`]) in
 //!   strict priority order, FIFO within a class;
-//! * a worker process runs each `JOB` frame as it arrives, on its one
-//!   thread ([`Executor::run`]), holding only the scenarios its `SCENARIOS`
+//! * a worker process runs the jobs of each `WORK` frame in frame order, on
+//!   its one thread ([`Executor::run`]), holding only the scenarios its `WORK`
 //!   frames brought ([`Executor::add_scenarios`]).
 //!
 //! Every per-job span is created inside that loop, which is what makes the

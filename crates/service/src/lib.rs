@@ -48,7 +48,7 @@
 //! executor: one preparation step (backends, stores, prewarm), one attempt
 //! loop (faults, deadlines, retries, panic isolation) and one set of
 //! counters. They differ only in how jobs arrive — a closed batch, a stream
-//! of submissions, or `JOB` frames.
+//! of submissions, or `WORK` frames that carry each scenario with its jobs.
 //!
 //! Every execution path is instrumented with [`thermsched_obs`]: pass a
 //! [`thermsched_obs::Tracer`] and [`thermsched_obs::MetricsRegistry`] to

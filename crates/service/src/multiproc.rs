@@ -19,25 +19,23 @@
 //!
 //! | kind | direction | payload |
 //! |---|---|---|
-//! | `HELLO` (1) | → worker | `{protocol, worker, config, trace?}` |
-//! | `SCENARIOS` (6) | → worker | `[{index, scenario}, ...]` (global corpus indices) |
-//! | `JOB` (2) | → worker | `{index, job}` (global corpus index) |
-//! | `RESULT` (3) | ← worker | `{index, result, accounting...}` |
+//! | `HELLO` (1) | → worker | `{protocol, worker, config, trace}` |
+//! | `WORK` (2) | → worker | `[{index, scenario, jobs: [{index, job}, ...]}, ...]` (global corpus indices) |
+//! | `RESULT` (3) | ← worker | `{index, result, accounting}` |
 //! | `SHUTDOWN` (4) | → worker | `{}` |
-//! | `FIN` (5) | ← worker | worker-local stats (store, caches, prewarm), plus `spans`/`dropped_spans` when tracing |
+//! | `FIN` (5) | ← worker | `{store, operator_cache, prewarmed_sessions, spans, dropped_spans}` |
 //!
-//! `config` is a [`ServiceConfig`] document: `{workers, backend, faults,
-//! retry, clock, deadline_effort}`. Version 1 also wrote `store`,
-//! `operator_cache` and `batch_same_shape`; a worker still accepts them
-//! and ignores them. The `trace` flag and the FIN trace fields are optional
-//! on both sides (absent means "not tracing"). FIN carries no metrics: the
-//! coordinator counts every result and every FIN's stats itself, so its
-//! registry holds each counter once, crashed workers' jobs included.
+//! `config` is a [`ServiceConfig`] document. Every payload field is
+//! required: an untraced worker's FIN carries `spans: []` and
+//! `dropped_spans: 0`. FIN carries no metrics: the coordinator counts every
+//! result and every FIN's stats itself, so its registry holds each counter
+//! once, crashed workers' jobs included.
 //!
-//! `PROTOCOL_VERSION` is 3. A worker refuses a HELLO of any other version
-//! with [`ServiceError::Multiproc`]: version 2 shipped the whole corpus in
-//! HELLO and knew no `SCENARIOS` frame, so neither side can serve the
-//! other.
+//! `PROTOCOL_VERSION` is 4. A worker reads a HELLO's `protocol` before any
+//! other field and refuses any other version with
+//! [`ServiceError::Multiproc`]: version 3 sent scenarios and jobs in
+//! separate frames and version 2 shipped the whole corpus in HELLO, so
+//! neither side can serve the other.
 //!
 //! # Dealing
 //!
@@ -46,14 +44,18 @@
 //! they do in-process. The coordinator deals whole scenarios in corpus
 //! order, each to the worker with the fewest jobs so far (ties go to the
 //! lowest index), and spawns at most one worker per scenario that has
-//! jobs. A worker is sent only the scenarios its jobs use, in a
-//! `SCENARIOS` frame ahead of its first `JOB`; it builds backends, stores
-//! and the same-shape prewarm for just those. When a worker dies, all of
-//! its unresolved jobs move to the first live worker, preceded by a
-//! `SCENARIOS` frame with the scenarios that worker lacks: the initial
-//! deal and crash recovery take the same path. A `RESULT` counts only for
-//! a job currently dealt to the worker that sent it; any other index marks
-//! that worker dead, like a malformed frame.
+//! jobs. A worker is sent one `WORK` frame holding each of its scenarios
+//! with that scenario's jobs; it builds backends, stores and the
+//! same-shape prewarm for just those, then runs the jobs in frame order.
+//! When a worker dies, all of its unresolved jobs move to the first live
+//! worker in one more `WORK` frame: the initial deal and crash recovery
+//! take the same path. Because deals hand out whole scenarios and a
+//! reassignment moves all of a dead worker's unresolved jobs to one
+//! survivor, a scenario's unresolved jobs always sit with one live worker,
+//! the only live one holding that scenario: no worker is sent a scenario
+//! it already holds. A `RESULT` counts only for a job currently dealt to
+//! the worker that sent it; any other index marks that worker dead, like a
+//! malformed frame.
 //!
 //! Jobs and scenarios keep their *global* corpus indices across the
 //! boundary: fault injection and retry jitter are keyed by the job index,
@@ -70,7 +72,7 @@ use std::time::Instant;
 use thermsched::{NestedParallelismGuard, OperatorCacheStats, StoreStats};
 use thermsched_obs::{MetricsRegistry, ObsClock, SpanRecord, Tracer, TracerConfig};
 use thermsched_wire::frame::{read_frame, write_frame, Frame};
-use thermsched_wire::{decode_value, encode_array, encode_value, obj, JsonValue, Wire, WireError};
+use thermsched_wire::{decode_value, encode_array, obj, wire_struct, JsonValue, Wire, WireError};
 
 use crate::executor::{Executor, JobAccounting, Mode, Tally};
 use crate::{
@@ -79,15 +81,53 @@ use crate::{
 };
 
 /// Version of the coordinator↔worker protocol, checked in `HELLO`.
-pub const PROTOCOL_VERSION: u64 = 3;
+pub const PROTOCOL_VERSION: u64 = 4;
 
 /// Frame kinds of the coordinator↔worker protocol.
 const FRAME_HELLO: u8 = 1;
-const FRAME_JOB: u8 = 2;
+const FRAME_WORK: u8 = 2;
 const FRAME_RESULT: u8 = 3;
 const FRAME_SHUTDOWN: u8 = 4;
 const FRAME_FIN: u8 = 5;
-const FRAME_SCENARIOS: u8 = 6;
+
+/// The `HELLO` payload.
+struct Hello {
+    protocol: u64,
+    worker: usize,
+    config: ServiceConfig,
+    trace: bool,
+}
+
+/// A `RESULT` payload: one job's result and what it added to the run's
+/// counters.
+struct Answer {
+    index: usize,
+    result: JobResult,
+    accounting: JobAccounting,
+}
+
+/// The `FIN` payload: a worker's run-level stats and its span records.
+struct Fin {
+    store: StoreStats,
+    operator_cache: OperatorCacheStats,
+    prewarmed_sessions: usize,
+    spans: Vec<SpanRecord>,
+    /// Spans the worker's bounded sink dropped.
+    dropped_spans: u64,
+}
+
+wire_struct! {
+    "hello_frame" => Hello { protocol, worker, config, trace };
+    "result_frame" => Answer { index, result, accounting };
+    "fin_frame" => Fin { store, operator_cache, prewarmed_sessions, spans, dropped_spans };
+    "job_accounting" => JobAccounting {
+        warm_cache_hits,
+        cached_validations,
+        injected_faults,
+        retried_attempts,
+        latency_seconds,
+    };
+}
 
 fn multiproc_error(message: impl Into<String>) -> ServiceError {
     ServiceError::Multiproc {
@@ -127,32 +167,17 @@ pub struct MultiprocCoordinator {
 /// What one worker's reader thread forwards to the coordinator loop.
 enum Event {
     /// A job result, with its timing-side accounting.
-    Result {
-        worker: usize,
-        index: usize,
-        result: JobResult,
-        accounting: JobAccounting,
-    },
+    Result { worker: usize, answer: Answer },
     /// The worker's final stats after `SHUTDOWN`.
-    Fin {
-        worker: usize,
-        store: StoreStats,
-        operator_cache: OperatorCacheStats,
-        prewarmed_sessions: usize,
-        /// Worker-local span records (empty from untraced workers).
-        spans: Vec<SpanRecord>,
-        /// Spans the worker's bounded sink dropped.
-        dropped_spans: u64,
-    },
+    Fin { worker: usize, fin: Fin },
     /// The worker's pipe closed (or produced garbage) — it is dead.
     Dead { worker: usize },
 }
 
 /// What the coordinator hands a worker's writer thread.
 enum WriterMsg {
-    /// An encoded `SCENARIOS` payload.
-    Scenarios(Vec<u8>),
-    Job(usize),
+    /// An encoded `WORK` payload.
+    Work(Vec<u8>),
     Shutdown,
 }
 
@@ -192,8 +217,8 @@ impl MultiprocCoordinator {
     /// one cross-process trace whose per-job structural slice is identical
     /// to an in-process run's. The run's metrics go into `registry` from
     /// the coordinator's own count, under the names an in-process run
-    /// uses, plus `multiproc.hello_bytes`: the payload bytes of every
-    /// `HELLO` and `SCENARIOS` frame it sends.
+    /// uses, plus `multiproc.hello_bytes`: the payload bytes of the whole
+    /// deal, every `HELLO` and `WORK` frame it sends.
     ///
     /// # Errors
     ///
@@ -204,9 +229,8 @@ impl MultiprocCoordinator {
         tracer: &Tracer,
         registry: &MetricsRegistry,
     ) -> Result<ServiceReport> {
-        let jobs = corpus.jobs();
         let started = Instant::now();
-        if jobs.is_empty() {
+        if corpus.jobs().is_empty() {
             return Ok(ServiceReport::new(
                 Vec::new(),
                 self.finish(corpus, &Tally::new(), started, registry),
@@ -215,14 +239,13 @@ impl MultiprocCoordinator {
         let dealt = deal(corpus, self.config.processes);
         let hellos: Vec<Vec<u8>> = (0..dealt.len())
             .map(|worker| {
-                encode_value(
-                    &obj()
-                        .field("protocol", PROTOCOL_VERSION)
-                        .field("worker", worker)
-                        .field("config", self.config.service.to_wire())
-                        .field("trace", tracer.is_enabled())
-                        .build(),
-                )
+                Hello {
+                    protocol: PROTOCOL_VERSION,
+                    worker,
+                    config: self.config.service,
+                    trace: tracer.is_enabled(),
+                }
+                .to_binary()
             })
             .collect::<std::result::Result<_, WireError>>()?;
         registry
@@ -245,27 +268,13 @@ impl MultiprocCoordinator {
             children.push(child);
         }
 
-        let jobs_wire: Vec<Vec<u8>> = jobs
-            .iter()
-            .enumerate()
-            .map(|(index, job)| {
-                encode_value(
-                    &obj()
-                        .field("index", index)
-                        .field("job", job.to_wire())
-                        .build(),
-                )
-            })
-            .collect::<std::result::Result<_, WireError>>()?;
-
         let (event_tx, event_rx) = mpsc::channel::<Event>();
         let outcome = std::thread::scope(|scope| {
             let mut writer_txs: Vec<Option<mpsc::Sender<WriterMsg>>> = Vec::new();
             for (worker, stdin) in stdins.into_iter().enumerate() {
                 let (tx, rx) = mpsc::channel::<WriterMsg>();
                 let hello = &hellos[worker];
-                let jobs_wire = &jobs_wire;
-                scope.spawn(move || worker_writer(stdin, rx, hello, jobs_wire));
+                scope.spawn(move || worker_writer(stdin, rx, hello));
                 writer_txs.push(Some(tx));
                 let tx = event_tx.clone();
                 let stdout = stdouts.remove(0);
@@ -322,29 +331,25 @@ impl MultiprocCoordinator {
         let jobs = corpus.jobs();
         let processes = writer_txs.len();
         let hello_bytes = registry.counter("multiproc.hello_bytes");
-        let mut ledger = Ledger::new(processes);
-        // Deals jobs `indices` to a live worker: first a SCENARIOS frame
-        // with the scenarios among them it lacks, encoded here one
-        // scenario at a time, then the jobs.
-        let send = |ledger: &mut Ledger,
+        // Jobs dealt to each worker and not resolved yet: what a worker's
+        // RESULT may name, and what moves when it dies.
+        let mut pending = vec![BTreeSet::new(); processes];
+        // Deals jobs `indices` (ascending) to a live worker in one WORK
+        // frame, encoded here.
+        let send = |pending: &mut [BTreeSet<usize>],
                     writer: &mpsc::Sender<WriterMsg>,
                     worker: usize,
                     indices: &[usize]|
          -> Result<()> {
-            let missing = ledger.hand(worker, indices, jobs);
-            if !missing.is_empty() {
-                let payload = scenarios_payload(corpus, &missing)?;
-                hello_bytes.add(payload.len() as u64);
-                let _ = writer.send(WriterMsg::Scenarios(payload));
-            }
-            for &index in indices {
-                let _ = writer.send(WriterMsg::Job(index));
-            }
+            pending[worker].extend(indices);
+            let payload = work_payload(corpus, indices)?;
+            hello_bytes.add(payload.len() as u64);
+            let _ = writer.send(WriterMsg::Work(payload));
             Ok(())
         };
         for (worker, indices) in dealt.iter().enumerate() {
             if let Some(writer) = &writer_txs[worker] {
-                send(&mut ledger, writer, worker, indices)?;
+                send(&mut pending, writer, worker, indices)?;
             }
         }
 
@@ -358,16 +363,11 @@ impl MultiprocCoordinator {
                 .recv()
                 .map_err(|_| multiproc_error("every worker pipe closed with jobs unresolved"))?;
             let worker = match event {
-                Event::Result {
-                    worker,
-                    index,
-                    result,
-                    accounting,
-                } => {
-                    if !dead[worker] && ledger.resolve(worker, index) {
+                Event::Result { worker, answer } => {
+                    if !dead[worker] && pending[worker].remove(&answer.index) {
                         resolved += 1;
-                        tally.record(&result.outcome, Some(&accounting));
-                        results[index] = Some(result);
+                        tally.record(&answer.result.outcome, Some(&answer.accounting));
+                        results[answer.index] = Some(answer.result);
                         continue;
                     }
                     worker
@@ -382,7 +382,7 @@ impl MultiprocCoordinator {
             dead[worker] = true;
             tally.worker_crashed();
             writer_txs[worker] = None;
-            let orphans = ledger.orphans(worker);
+            let orphans: Vec<usize> = std::mem::take(&mut pending[worker]).into_iter().collect();
             if orphans.is_empty() {
                 continue;
             }
@@ -393,7 +393,7 @@ impl MultiprocCoordinator {
                 )));
             };
             if let Some(writer) = &writer_txs[survivor] {
-                send(&mut ledger, writer, survivor, &orphans)?;
+                send(&mut pending, writer, survivor, &orphans)?;
             }
         }
 
@@ -409,19 +409,12 @@ impl MultiprocCoordinator {
         }
         while awaiting > 0 {
             match events.recv() {
-                Ok(Event::Fin {
-                    worker,
-                    store,
-                    operator_cache,
-                    prewarmed_sessions,
-                    spans,
-                    dropped_spans,
-                }) => {
+                Ok(Event::Fin { worker, fin }) => {
                     if !dead[worker] && !finished[worker] {
                         finished[worker] = true;
-                        tally.add_run(store, operator_cache, prewarmed_sessions);
-                        tracer.absorb(spans);
-                        tracer.add_dropped(dropped_spans);
+                        tally.add_run(fin.store, fin.operator_cache, fin.prewarmed_sessions);
+                        tracer.absorb(fin.spans);
+                        tracer.add_dropped(fin.dropped_spans);
                         awaiting -= 1;
                     }
                 }
@@ -470,16 +463,40 @@ impl MultiprocCoordinator {
     }
 }
 
-/// Encodes the `SCENARIOS` payload of the corpus scenarios `indices`, one
-/// scenario at a time.
-fn scenarios_payload(corpus: &Corpus, indices: &BTreeSet<usize>) -> Result<Vec<u8>> {
-    let entries = indices.iter().map(|&index| {
-        obj()
-            .field("index", index)
-            .field("scenario", corpus.scenarios()[index].to_wire())
-            .build()
-    });
+/// Encodes the `WORK` payload dealing jobs `indices` (ascending): one
+/// entry per scenario they use, in ascending order, each with its jobs.
+/// The entries are encoded one scenario at a time, so the frame is never
+/// one value tree.
+fn work_payload(corpus: &Corpus, indices: &[usize]) -> Result<Vec<u8>> {
+    let mut by_scenario: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for &index in indices {
+        by_scenario
+            .entry(corpus.jobs()[index].scenario)
+            .or_default()
+            .push(index);
+    }
+    let entries = by_scenario
+        .iter()
+        .map(|(&scenario, jobs)| work_entry(corpus, scenario, jobs));
     encode_array(entries).map_err(ServiceError::Wire)
+}
+
+/// One `WORK` entry: the corpus scenario `scenario` with the jobs `jobs`.
+fn work_entry(corpus: &Corpus, scenario: usize, jobs: &[usize]) -> JsonValue {
+    let jobs: Vec<JsonValue> = jobs
+        .iter()
+        .map(|&index| {
+            obj()
+                .field("index", index)
+                .field("job", corpus.jobs()[index].to_wire())
+                .build()
+        })
+        .collect();
+    obj()
+        .field("index", scenario)
+        .field("scenario", corpus.scenarios()[scenario].to_wire())
+        .field("jobs", jobs)
+        .build()
 }
 
 /// Deals whole scenarios over at most `processes` workers: in corpus
@@ -508,71 +525,18 @@ fn deal(corpus: &Corpus, processes: usize) -> Vec<Vec<usize>> {
     dealt
 }
 
-/// Which jobs and scenarios each worker holds: the coordinator's record of
-/// its deal, which decides what a worker must be sent and which results it
-/// may report.
-struct Ledger {
-    /// Jobs dealt to each worker and not resolved yet.
-    pending: Vec<BTreeSet<usize>>,
-    /// Scenarios each worker has been sent.
-    sent: Vec<BTreeSet<usize>>,
-}
-
-impl Ledger {
-    fn new(workers: usize) -> Self {
-        Ledger {
-            pending: vec![BTreeSet::new(); workers],
-            sent: vec![BTreeSet::new(); workers],
-        }
-    }
-
-    /// Records jobs `indices` (into `jobs`) as dealt to `worker`. Returns
-    /// the scenarios among them it has not been sent yet, ascending, and
-    /// counts them as sent.
-    fn hand(&mut self, worker: usize, indices: &[usize], jobs: &[JobSpec]) -> BTreeSet<usize> {
-        self.pending[worker].extend(indices);
-        let missing: BTreeSet<usize> = indices
-            .iter()
-            .map(|&index| jobs[index].scenario)
-            .filter(|scenario| !self.sent[worker].contains(scenario))
-            .collect();
-        self.sent[worker].extend(&missing);
-        missing
-    }
-
-    /// Resolves job `index` for `worker` if it is dealt to that worker and
-    /// unresolved; otherwise returns `false` and changes nothing — the
-    /// worker reported a job that is not its own.
-    fn resolve(&mut self, worker: usize, index: usize) -> bool {
-        self.pending[worker].remove(&index)
-    }
-
-    /// Takes a dead worker's unresolved jobs, ascending.
-    fn orphans(&mut self, worker: usize) -> Vec<usize> {
-        std::mem::take(&mut self.pending[worker])
-            .into_iter()
-            .collect()
-    }
-}
-
-/// Writer thread of one worker: `HELLO`, then scenarios and jobs as the
-/// coordinator deals them, then `SHUTDOWN`. Write errors end the thread
-/// quietly — the worker's reader will observe the death and the
-/// coordinator reassigns.
-fn worker_writer(
-    stdin: impl Write,
-    messages: mpsc::Receiver<WriterMsg>,
-    hello: &[u8],
-    jobs_wire: &[Vec<u8>],
-) {
+/// Writer thread of one worker: `HELLO`, then `WORK` frames as the
+/// coordinator deals, then `SHUTDOWN`. Write errors end the thread quietly
+/// — the worker's reader will observe the death and the coordinator
+/// reassigns.
+fn worker_writer(stdin: impl Write, messages: mpsc::Receiver<WriterMsg>, hello: &[u8]) {
     let mut stdin = BufWriter::new(stdin);
     if write_frame(&mut stdin, FRAME_HELLO, hello).is_err() {
         return;
     }
     while let Ok(msg) = messages.recv() {
         let result = match msg {
-            WriterMsg::Scenarios(payload) => write_frame(&mut stdin, FRAME_SCENARIOS, &payload),
-            WriterMsg::Job(index) => write_frame(&mut stdin, FRAME_JOB, &jobs_wire[index]),
+            WriterMsg::Work(payload) => write_frame(&mut stdin, FRAME_WORK, &payload),
             WriterMsg::Shutdown => {
                 let _ = write_frame(&mut stdin, FRAME_SHUTDOWN, &[]);
                 return;
@@ -613,56 +577,25 @@ fn worker_reader(worker: usize, stdout: impl Read, events: &mpsc::Sender<Event>)
 /// Decodes one worker frame into an [`Event`], or `None` if it is
 /// malformed (which the caller treats as a dead worker).
 fn decode_event(worker: usize, frame: &Frame) -> Option<Event> {
-    let payload = decode_value(&frame.payload).ok()?;
     match frame.kind {
-        FRAME_RESULT => {
-            const T: &str = "result_frame";
-            Some(Event::Result {
-                worker,
-                index: payload.decode(T, "index").ok()?,
-                result: payload.decode(T, "result").ok()?,
-                accounting: JobAccounting {
-                    warm_cache_hits: payload.decode(T, "warm_cache_hits").ok()?,
-                    cached_validations: payload.decode(T, "cached_validations").ok()?,
-                    injected_faults: payload.decode(T, "injected_faults").ok()?,
-                    retried_attempts: payload.decode(T, "retried_attempts").ok()?,
-                    latency_seconds: payload.decode(T, "latency_seconds").ok()?,
-                },
-            })
-        }
-        FRAME_FIN => {
-            const T: &str = "fin_frame";
-            Some(Event::Fin {
-                worker,
-                store: payload.decode(T, "store").ok()?,
-                operator_cache: payload.decode(T, "operator_cache").ok()?,
-                prewarmed_sessions: payload.decode(T, "prewarmed_sessions").ok()?,
-                // The trace fields are optional (absent from untraced or older
-                // workers), so decode failures degrade to "no trace data"
-                // instead of killing the worker.
-                spans: payload
-                    .field(T, "spans")
-                    .and_then(JsonValue::as_array)
-                    .map(|items| {
-                        items
-                            .iter()
-                            .filter_map(|item| SpanRecord::from_wire(item).ok())
-                            .collect()
-                    })
-                    .unwrap_or_default(),
-                dropped_spans: payload.decode(T, "dropped_spans").unwrap_or(0),
-            })
-        }
+        FRAME_RESULT => Some(Event::Result {
+            worker,
+            answer: Answer::from_binary(&frame.payload).ok()?,
+        }),
+        FRAME_FIN => Some(Event::Fin {
+            worker,
+            fin: Fin::from_binary(&frame.payload).ok()?,
+        }),
         _ => None,
     }
 }
 
 /// Crash-test hook for [`worker_serve`]: after resolving `after_jobs`
-/// jobs the worker silently returns — closing its pipes mid-batch exactly
-/// like a crashed process would — instead of answering the next `JOB`
-/// frame. With `only_worker` set, the plan only arms on the process the
-/// coordinator greeted with that worker index, so a fleet sharing one
-/// command line can lose exactly one member.
+/// jobs the worker silently returns before running the next one — closing
+/// its pipes mid-batch exactly like a crashed process would. With
+/// `only_worker` set, the plan only arms on the process the coordinator
+/// greeted with that worker index, so a fleet sharing one command line can
+/// lose exactly one member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashPlan {
     /// Jobs to resolve before dying.
@@ -672,8 +605,8 @@ pub struct CrashPlan {
 }
 
 /// Serves one worker process over `input`/`output`: a `HELLO` frame with
-/// the config, then `SCENARIOS` frames adding the scenarios its jobs use
-/// and `JOB` frames each answered by a `RESULT`, until `SHUTDOWN`
+/// the config, then `WORK` frames, each adding its scenarios and running
+/// their jobs in frame order with one `RESULT` per job, until `SHUTDOWN`
 /// (answered by `FIN`, clean exit) or EOF (coordinator gone).
 ///
 /// `crash` is the deliberate-failure hook used by the robustness tests;
@@ -683,8 +616,9 @@ pub struct CrashPlan {
 ///
 /// [`ServiceError::Wire`] on a malformed frame from the coordinator,
 /// [`ServiceError::Multiproc`] on a protocol violation (bad version, a
-/// frame before `HELLO`, a scenario sent twice, a job for a scenario never
-/// sent), and construction errors from building the scenario backends.
+/// frame before `HELLO`, a scenario sent twice, a job travelling with
+/// another scenario), and construction errors from building the scenario
+/// backends.
 pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPlan>) -> Result<()> {
     let mut input = BufReader::new(input);
     let mut output = BufWriter::new(output);
@@ -698,22 +632,25 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
             hello.kind
         )));
     }
+    // The version comes first: another version's HELLO need not have this
+    // one's fields.
     let hello = decode_value(&hello.payload)?;
-    const T: &str = "hello_frame";
-    let protocol: u64 = hello.decode(T, "protocol")?;
+    let protocol: u64 = hello.decode(Hello::WIRE_TYPE, "protocol")?;
     if protocol != PROTOCOL_VERSION {
         return Err(multiproc_error(format!(
             "protocol version {protocol} (this worker speaks {PROTOCOL_VERSION})"
         )));
     }
-    let me: usize = hello.decode(T, "worker")?;
+    let Hello {
+        worker: me,
+        config,
+        trace,
+        ..
+    } = Hello::from_wire(&hello)?;
     let crash = crash.filter(|plan| plan.only_worker.is_none() || plan.only_worker == Some(me));
-    let config: ServiceConfig = hello.decode(T, "config")?;
-    // The trace flag is optional in HELLO; absent means "not tracing" and
-    // the worker pays zero observability cost. The worker's span clock
-    // follows the service clock so Virtual runs produce deterministic
+    // An untraced worker pays zero observability cost. The worker's span
+    // clock follows the service clock so Virtual runs produce deterministic
     // structural traces across process counts.
-    let trace = hello.decode(T, "trace").unwrap_or(false);
     let tracer = if trace {
         Tracer::new(TracerConfig {
             clock: if config.clock == ClockKind::Virtual {
@@ -728,8 +665,8 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
     };
 
     // The same executor as the in-process runner, holding only the
-    // scenarios SCENARIOS frames bring: jobs and the prewarm run on this
-    // thread alone — the processes are the parallelism.
+    // scenarios WORK frames bring: jobs and the prewarm run on this thread
+    // alone — the processes are the parallelism.
     let _sequential = NestedParallelismGuard::enter();
     let mut executor = Executor::new(
         ServiceConfig {
@@ -746,56 +683,60 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
             return Ok(()); // Coordinator closed the pipe; exit quietly.
         };
         match frame.kind {
-            FRAME_SCENARIOS => {
-                let scenarios = decode_scenarios(&frame.payload, &executor)?;
+            FRAME_WORK => {
+                const T: &str = "work_frame";
+                let mut scenarios = BTreeMap::new();
+                let mut jobs = Vec::new();
+                for entry in decode_value(&frame.payload)?.as_array()? {
+                    let index: usize = entry.decode(T, "index")?;
+                    let scenario: Scenario = entry.decode(T, "scenario")?;
+                    if executor.holds(index) || scenarios.insert(index, scenario).is_some() {
+                        return Err(multiproc_error(format!("scenario {index} was sent twice")));
+                    }
+                    for dealt in entry.field(T, "jobs")?.as_array()? {
+                        let job_index: usize = dealt.decode(T, "index")?;
+                        let job: JobSpec = dealt.decode(T, "job")?;
+                        if job.scenario != index {
+                            return Err(multiproc_error(format!(
+                                "job {job_index} runs scenario {} but was sent with scenario {index}",
+                                job.scenario
+                            )));
+                        }
+                        jobs.push((job_index, job));
+                    }
+                }
                 executor.add_scenarios(
                     scenarios
                         .into_iter()
                         .map(|(index, scenario)| (index, Cow::Owned(scenario))),
                 )?;
-            }
-            FRAME_JOB => {
-                if crash.is_some_and(|plan| resolved >= plan.after_jobs) {
-                    // Crash-test hook: swallow the job and die with it
-                    // unacknowledged, like a worker that crashed mid-job.
-                    return Ok(());
+                for (index, job) in jobs {
+                    if crash.is_some_and(|plan| resolved >= plan.after_jobs) {
+                        // Crash-test hook: die with the job unacknowledged,
+                        // like a worker that crashed mid-job.
+                        return Ok(());
+                    }
+                    let (result, accounting) =
+                        executor.run(index as u64, &job, None, Instant::now());
+                    let answer = Answer {
+                        index,
+                        result,
+                        accounting,
+                    }
+                    .to_binary()?;
+                    write_frame(&mut output, FRAME_RESULT, &answer).map_err(ServiceError::Wire)?;
+                    resolved += 1;
                 }
-                let payload = decode_value(&frame.payload)?;
-                let index: usize = payload.decode("job_frame", "index")?;
-                let job: JobSpec = payload.decode("job_frame", "job")?;
-                if !executor.holds(job.scenario) {
-                    return Err(multiproc_error(format!(
-                        "job {index} references scenario {}, which this worker was never sent",
-                        job.scenario
-                    )));
-                }
-                let (result, accounting) = executor.run(index as u64, &job, None, Instant::now());
-                let reply = encode_value(
-                    &obj()
-                        .field("index", index)
-                        .field("result", result.to_wire())
-                        .field("warm_cache_hits", accounting.warm_cache_hits)
-                        .field("cached_validations", accounting.cached_validations)
-                        .field("injected_faults", accounting.injected_faults)
-                        .field("retried_attempts", accounting.retried_attempts)
-                        .field("latency_seconds", accounting.latency_seconds)
-                        .build(),
-                )?;
-                write_frame(&mut output, FRAME_RESULT, &reply).map_err(ServiceError::Wire)?;
-                resolved += 1;
             }
             FRAME_SHUTDOWN => {
-                let mut fin = obj()
-                    .field("store", executor.store_stats().to_wire())
-                    .field("operator_cache", executor.operator_cache_stats().to_wire())
-                    .field("prewarmed_sessions", executor.prewarmed_sessions());
-                if trace {
-                    let spans: Vec<JsonValue> = tracer.drain().iter().map(Wire::to_wire).collect();
-                    fin = fin
-                        .field("spans", JsonValue::Array(spans))
-                        .field("dropped_spans", tracer.dropped_spans());
+                let fin = Fin {
+                    store: executor.store_stats(),
+                    operator_cache: executor.operator_cache_stats(),
+                    prewarmed_sessions: executor.prewarmed_sessions(),
+                    spans: tracer.drain(),
+                    dropped_spans: tracer.dropped_spans(),
                 }
-                let fin = encode_value(&fin.build())?;
+                .to_binary()?;
                 write_frame(&mut output, FRAME_FIN, &fin).map_err(ServiceError::Wire)?;
                 return Ok(());
             }
@@ -808,26 +749,12 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
     }
 }
 
-/// Decodes a `SCENARIOS` payload into its scenarios by corpus index,
-/// refusing any index sent twice.
-fn decode_scenarios(payload: &[u8], executor: &Executor<'_>) -> Result<BTreeMap<usize, Scenario>> {
-    const T: &str = "scenarios_frame";
-    let mut scenarios = BTreeMap::new();
-    for entry in decode_value(payload)?.as_array()? {
-        let index: usize = entry.decode(T, "index")?;
-        let scenario: Scenario = entry.decode(T, "scenario")?;
-        if executor.holds(index) || scenarios.insert(index, scenario).is_some() {
-            return Err(multiproc_error(format!("scenario {index} was sent twice")));
-        }
-    }
-    Ok(scenarios)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{JobOutcome, ScenarioSpec};
     use thermsched_obs::MetricsSnapshot;
+    use thermsched_wire::encode_value;
 
     /// In-memory worker loopback: runs `worker_serve` against buffered
     /// pipes, returning the frames it produced. The process-boundary tests
@@ -848,26 +775,21 @@ mod tests {
         (result, replies)
     }
 
-    /// A HELLO without the optional `trace` field.
-    fn hello_payload() -> Vec<u8> {
-        encode_value(
-            &obj()
-                .field("protocol", PROTOCOL_VERSION)
-                .field("worker", 0usize)
-                .field("config", ServiceConfig::default().to_wire())
-                .build(),
-        )
-        .unwrap()
+    /// The HELLO greeting worker 0.
+    fn hello(config: &ServiceConfig, trace: bool) -> (u8, Vec<u8>) {
+        let hello = Hello {
+            protocol: PROTOCOL_VERSION,
+            worker: 0,
+            config: *config,
+            trace,
+        };
+        (FRAME_HELLO, hello.to_binary().unwrap())
     }
 
-    /// The SCENARIOS frame the coordinator would send for `scenarios`
-    /// (duplicates collapse).
-    fn scenarios_frame(corpus: &Corpus, scenarios: &[usize]) -> (u8, Vec<u8>) {
-        let indices = scenarios.iter().copied().collect();
-        (
-            FRAME_SCENARIOS,
-            scenarios_payload(corpus, &indices).unwrap(),
-        )
+    /// The WORK frame the coordinator would send to deal `jobs`
+    /// (ascending).
+    fn work_frame(corpus: &Corpus, jobs: &[usize]) -> (u8, Vec<u8>) {
+        (FRAME_WORK, work_payload(corpus, jobs).unwrap())
     }
 
     /// One scenario, two jobs (the default TL × STCL grid).
@@ -884,18 +806,10 @@ mod tests {
     #[test]
     fn worker_answers_jobs_and_fin_in_protocol_order() {
         let corpus = tiny_corpus();
-        let job = encode_value(
-            &obj()
-                .field("index", 0usize)
-                .field("job", corpus.jobs()[0].to_wire())
-                .build(),
-        )
-        .unwrap();
         let (result, replies) = serve(
             &[
-                (FRAME_HELLO, hello_payload()),
-                scenarios_frame(&corpus, &[0]),
-                (FRAME_JOB, job),
+                hello(&ServiceConfig::default(), false),
+                work_frame(&corpus, &[0]),
                 (FRAME_SHUTDOWN, Vec::new()),
             ],
             None,
@@ -914,7 +828,7 @@ mod tests {
     fn worker_rejects_protocol_violations_with_typed_errors() {
         let corpus = tiny_corpus();
         // A frame before HELLO.
-        let (result, _) = serve(&[(FRAME_JOB, Vec::new())], None);
+        let (result, _) = serve(&[(FRAME_WORK, Vec::new())], None);
         assert!(matches!(result, Err(ServiceError::Multiproc { .. })));
         // A bad protocol version.
         let bad_version = encode_value(
@@ -929,21 +843,21 @@ mod tests {
         // A garbage payload is a wire error, not a panic.
         let (result, _) = serve(&[(FRAME_HELLO, vec![0xff, 0xff])], None);
         assert!(matches!(result, Err(ServiceError::Wire(_))));
-        // A scenario sent twice, in one frame or in two.
-        let twice = encode_array([0usize, 0].map(|index| {
-            obj()
-                .field("index", index)
-                .field("scenario", corpus.scenarios()[0].to_wire())
-                .build()
-        }))
-        .unwrap();
+        // A scenario sent twice, in one frame or in two, and a job that
+        // travels with another scenario than its own.
+        let greet = || hello(&ServiceConfig::default(), false);
+        let twice = encode_array([work_entry(&corpus, 0, &[0]), work_entry(&corpus, 0, &[1])]);
+        let two_scenarios = two_scenario_corpus();
+        assert_eq!(two_scenarios.jobs()[2].scenario, 1);
+        let misplaced = encode_array([work_entry(&two_scenarios, 0, &[2])]);
         for frames in [
-            vec![(FRAME_HELLO, hello_payload()), (FRAME_SCENARIOS, twice)],
+            vec![greet(), (FRAME_WORK, twice.unwrap())],
             vec![
-                (FRAME_HELLO, hello_payload()),
-                scenarios_frame(&corpus, &[0]),
-                scenarios_frame(&corpus, &[0]),
+                greet(),
+                work_frame(&corpus, &[0]),
+                work_frame(&corpus, &[1]),
             ],
+            vec![greet(), (FRAME_WORK, misplaced.unwrap())],
         ] {
             let (result, _) = serve(&frames, None);
             assert!(matches!(result, Err(ServiceError::Multiproc { .. })));
@@ -957,20 +871,9 @@ mod tests {
     #[test]
     fn crash_plan_swallows_the_next_job() {
         let corpus = tiny_corpus();
-        let job = |index: usize| {
-            encode_value(
-                &obj()
-                    .field("index", index)
-                    .field("job", corpus.jobs()[index].to_wire())
-                    .build(),
-            )
-            .unwrap()
-        };
         let frames = [
-            (FRAME_HELLO, hello_payload()),
-            scenarios_frame(&corpus, &[0]),
-            (FRAME_JOB, job(0)),
-            (FRAME_JOB, job(1)),
+            hello(&ServiceConfig::default(), false),
+            work_frame(&corpus, &[0, 1]),
             (FRAME_SHUTDOWN, Vec::new()),
         ];
         let (result, replies) = serve(
@@ -999,46 +902,20 @@ mod tests {
         assert_eq!(replies[2].kind, FRAME_FIN);
     }
 
-    fn hello_traced(config: &ServiceConfig) -> Vec<u8> {
-        encode_value(
-            &obj()
-                .field("protocol", PROTOCOL_VERSION)
-                .field("worker", 0usize)
-                .field("config", config.to_wire())
-                .field("trace", true)
-                .build(),
-        )
-        .unwrap()
-    }
-
-    fn job_frame(corpus: &Corpus, index: usize) -> Vec<u8> {
-        encode_value(
-            &obj()
-                .field("index", index)
-                .field("job", corpus.jobs()[index].to_wire())
-                .build(),
-        )
-        .unwrap()
-    }
-
-    /// Runs the given job indices through one loopback worker, sent just
-    /// their scenarios, and returns its RESULT and FIN frames decoded as
-    /// coordinator events of worker `worker`.
+    /// Runs the given job indices (ascending) through one traced loopback
+    /// worker, dealt in one WORK frame, and returns its RESULT and FIN
+    /// frames decoded as coordinator events of worker `worker`.
     fn serve_traced(
         corpus: &Corpus,
         config: &ServiceConfig,
         worker: usize,
         indices: &[usize],
     ) -> Vec<Event> {
-        let scenarios: Vec<usize> = indices.iter().map(|&i| corpus.jobs()[i].scenario).collect();
-        let mut frames = vec![
-            (FRAME_HELLO, hello_traced(config)),
-            scenarios_frame(corpus, &scenarios),
+        let frames = [
+            hello(config, true),
+            work_frame(corpus, indices),
+            (FRAME_SHUTDOWN, Vec::new()),
         ];
-        for &index in indices {
-            frames.push((FRAME_JOB, job_frame(corpus, index)));
-        }
-        frames.push((FRAME_SHUTDOWN, Vec::new()));
         let (result, replies) = serve(&frames, None);
         result.unwrap();
         assert_eq!(replies.last().expect("worker sent frames").kind, FRAME_FIN);
@@ -1048,16 +925,14 @@ mod tests {
             .collect()
     }
 
-    /// A HELLO without the `trace` field must produce a FIN that decodes
-    /// with empty trace fields.
+    /// An untraced worker's FIN carries empty trace fields.
     #[test]
-    fn untraced_fin_decodes_with_empty_trace_fields() {
+    fn untraced_fin_carries_no_spans() {
         let corpus = tiny_corpus();
         let (result, replies) = serve(
             &[
-                (FRAME_HELLO, hello_payload()),
-                scenarios_frame(&corpus, &[0]),
-                (FRAME_JOB, job_frame(&corpus, 0)),
+                hello(&ServiceConfig::default(), false),
+                work_frame(&corpus, &[0]),
                 (FRAME_SHUTDOWN, Vec::new()),
             ],
             None,
@@ -1067,8 +942,12 @@ mod tests {
         let fin = decode_value(&replies[1].payload).unwrap();
         assert!(fin.field("fin_frame", "metrics").is_err());
         let Some(Event::Fin {
-            spans,
-            dropped_spans,
+            fin:
+                Fin {
+                    spans,
+                    dropped_spans,
+                    ..
+                },
             ..
         }) = decode_event(0, &replies[1])
         else {
@@ -1093,10 +972,14 @@ mod tests {
         let indices: Vec<usize> = (0..corpus.jobs().len()).collect();
         let events = serve_traced(&corpus, &config, 0, &indices);
         let Some(Event::Fin {
-            store,
-            operator_cache,
-            spans,
-            dropped_spans,
+            fin:
+                Fin {
+                    store,
+                    operator_cache,
+                    spans,
+                    dropped_spans,
+                    ..
+                },
             ..
         }) = events.last()
         else {
@@ -1104,7 +987,7 @@ mod tests {
         };
         let (store, operator_cache, dropped_spans) = (*store, *operator_cache, *dropped_spans);
         let job_spans = spans.iter().filter(|s| s.name == "job").count();
-        let (outcome, _, metrics) = coordinate_scripted(&corpus, events);
+        let (outcome, _, metrics) = coordinate_scripted(&corpus, 2, events);
         outcome.unwrap();
 
         let report = crate::ServiceRunner::new(config)
@@ -1170,13 +1053,16 @@ mod tests {
         let mut results = 0;
         for event in &events {
             match event {
-                Event::Result { index, result, .. } => {
+                Event::Result {
+                    answer: Answer { index, result, .. },
+                    ..
+                } => {
                     assert_eq!(result, &report.jobs()[*index]);
                     results += 1;
                 }
-                Event::Fin {
-                    prewarmed_sessions, ..
-                } => assert_eq!(*prewarmed_sessions, corpus.total_cores()),
+                Event::Fin { fin, .. } => {
+                    assert_eq!(fin.prewarmed_sessions, corpus.total_cores());
+                }
                 Event::Dead { .. } => panic!("the worker died"),
             }
         }
@@ -1219,7 +1105,11 @@ mod tests {
             .partition(|event| matches!(event, Event::Fin { .. }));
         let mut store_sum = StoreStats::default();
         for fin in &fins {
-            let Event::Fin { store, .. } = fin else {
+            let Event::Fin {
+                fin: Fin { store, .. },
+                ..
+            } = fin
+            else {
                 panic!("expected FIN events");
             };
             store_sum.lookups += store.lookups;
@@ -1228,7 +1118,7 @@ mod tests {
             store_sum.contended_locks += store.contended_locks;
         }
         events.extend(fins);
-        let (outcome, _, merged) = coordinate_scripted(&corpus, events);
+        let (outcome, _, merged) = coordinate_scripted(&corpus, 2, events);
         outcome.unwrap();
         let retried_sum = merged.counter("service.retried_attempts").unwrap_or(0);
 
@@ -1316,25 +1206,15 @@ mod tests {
     }
 
     #[test]
-    fn a_job_runs_only_after_its_scenario_was_sent() {
+    fn a_worker_sent_one_scenario_answers_under_global_indices() {
         let corpus = two_scenario_corpus();
         assert_eq!(corpus.jobs()[2].scenario, 1);
-        // Never sent any scenario, or only another one: a typed refusal.
-        for sent in [vec![], vec![scenarios_frame(&corpus, &[0])]] {
-            let mut frames = vec![(FRAME_HELLO, hello_payload())];
-            frames.extend(sent);
-            frames.push((FRAME_JOB, job_frame(&corpus, 2)));
-            let (result, replies) = serve(&frames, None);
-            assert!(matches!(result, Err(ServiceError::Multiproc { .. })));
-            assert!(replies.is_empty());
-        }
-        // Sent just scenario 1, the job completes under its global indices,
-        // exactly as in-process.
+        // Sent just scenario 1 with job 2, the job completes under its
+        // global indices, exactly as in-process.
         let (result, replies) = serve(
             &[
-                (FRAME_HELLO, hello_payload()),
-                scenarios_frame(&corpus, &[1]),
-                (FRAME_JOB, job_frame(&corpus, 2)),
+                hello(&ServiceConfig::default(), false),
+                work_frame(&corpus, &[2]),
                 (FRAME_SHUTDOWN, Vec::new()),
             ],
             None,
@@ -1353,18 +1233,14 @@ mod tests {
     }
 
     #[test]
-    fn a_scenarios_frame_between_jobs_keeps_every_earlier_store_warm() {
+    fn a_second_work_frame_keeps_every_earlier_store_warm() {
         let corpus = two_scenario_corpus();
-        let mut frames = vec![
-            (FRAME_HELLO, hello_payload()),
-            scenarios_frame(&corpus, &[0]),
-            (FRAME_JOB, job_frame(&corpus, 0)),
-            scenarios_frame(&corpus, &[1]),
+        let frames = [
+            hello(&ServiceConfig::default(), false),
+            work_frame(&corpus, &[0, 1]),
+            work_frame(&corpus, &[2, 3]),
+            (FRAME_SHUTDOWN, Vec::new()),
         ];
-        for index in [2, 1, 3] {
-            frames.push((FRAME_JOB, job_frame(&corpus, index)));
-        }
-        frames.push((FRAME_SHUTDOWN, Vec::new()));
         let (result, replies) = serve(&frames, None);
         result.unwrap();
         let in_process = crate::ServiceRunner::new(ServiceConfig {
@@ -1377,9 +1253,12 @@ mod tests {
         let mut order = Vec::new();
         for frame in &replies[..replies.len() - 1] {
             let Some(Event::Result {
-                index,
-                result,
-                accounting,
+                answer:
+                    Answer {
+                        index,
+                        result,
+                        accounting,
+                    },
                 ..
             }) = decode_event(0, frame)
             else {
@@ -1387,14 +1266,14 @@ mod tests {
             };
             assert_eq!(result, in_process.jobs()[index], "job {index}");
             // The second job of each scenario finds the first one's
-            // phase-1 sessions, across the SCENARIOS frame in between.
+            // phase-1 sessions, in either WORK frame.
             if index % 2 == 1 {
                 let cores = corpus.scenarios()[result.scenario].sut.core_count();
                 assert!(accounting.warm_cache_hits >= cores, "job {index}");
             }
             order.push(index);
         }
-        assert_eq!(order, [0, 2, 1, 3]);
+        assert_eq!(order, [0, 1, 2, 3]);
         assert_eq!(replies.last().unwrap().kind, FRAME_FIN);
     }
 
@@ -1427,8 +1306,7 @@ mod tests {
     }
 
     fn result_event(worker: usize, index: usize) -> Event {
-        Event::Result {
-            worker,
+        let answer = Answer {
             index,
             result: JobResult {
                 index,
@@ -1442,29 +1320,31 @@ mod tests {
                 },
             },
             accounting: JobAccounting::default(),
-        }
+        };
+        Event::Result { worker, answer }
     }
 
     fn fin_event(worker: usize) -> Event {
-        Event::Fin {
-            worker,
+        let fin = Fin {
             store: StoreStats::default(),
             operator_cache: OperatorCacheStats::default(),
             prewarmed_sessions: 0,
             spans: Vec::new(),
             dropped_spans: 0,
-        }
+        };
+        Event::Fin { worker, fin }
     }
 
-    /// Runs the coordinator loop of a two-worker run of `corpus` on
-    /// scripted worker events. Returns its outcome, what each worker's
-    /// writer thread was handed, and the metrics it counted.
+    /// Runs the coordinator loop of a run of `corpus` over `processes`
+    /// workers on scripted worker events. Returns its outcome, what each
+    /// worker's writer thread was handed, and the metrics it counted.
     fn coordinate_scripted(
         corpus: &Corpus,
+        processes: usize,
         events: Vec<Event>,
     ) -> (Result<ServiceReport>, Vec<Vec<String>>, MetricsSnapshot) {
         let coordinator = MultiprocCoordinator::new(MultiprocConfig {
-            processes: 2,
+            processes,
             program: "unused".into(),
             args: Vec::new(),
             service: ServiceConfig::default(),
@@ -1476,7 +1356,7 @@ mod tests {
         }
         drop(event_tx);
         let registry = MetricsRegistry::new();
-        let dealt = deal(corpus, 2);
+        let dealt = deal(corpus, processes);
         let (mut writer_txs, receivers): (Vec<_>, Vec<_>) = dealt
             .iter()
             .map(|_| {
@@ -1499,17 +1379,24 @@ mod tests {
             .map(|rx| {
                 rx.try_iter()
                     .map(|msg| match msg {
-                        WriterMsg::Scenarios(payload) => {
+                        WriterMsg::Work(payload) => {
                             let entries = decode_value(&payload).unwrap();
-                            let indices: Vec<usize> = entries
+                            let dealt: Vec<(usize, Vec<usize>)> = entries
                                 .as_array()
                                 .unwrap()
                                 .iter()
-                                .map(|entry| entry.decode("entry", "index").unwrap())
+                                .map(|entry| {
+                                    let jobs = entry.field("entry", "jobs").unwrap();
+                                    let jobs = jobs.as_array().unwrap().iter();
+                                    (
+                                        entry.decode("entry", "index").unwrap(),
+                                        jobs.map(|job| job.decode("job", "index").unwrap())
+                                            .collect(),
+                                    )
+                                })
                                 .collect();
-                            format!("scenarios {indices:?}")
+                            format!("work {dealt:?}")
                         }
-                        WriterMsg::Job(index) => format!("job {index}"),
                         WriterMsg::Shutdown => "shutdown".to_owned(),
                     })
                     .collect()
@@ -1527,25 +1414,53 @@ mod tests {
             let mut events = vec![violation, result_event(1, 2)];
             events.extend([0, 1, 2, 3].map(|index| result_event(0, index)));
             events.push(fin_event(0));
-            let (outcome, handed, _) = coordinate_scripted(&corpus, events);
+            let (outcome, handed, _) = coordinate_scripted(&corpus, 2, events);
             let report = outcome.unwrap();
             assert_eq!(report.stats().worker_crashes, 1);
             let indices: Vec<usize> = report.jobs().iter().map(|job| job.index).collect();
             assert_eq!(indices, [0, 1, 2, 3]);
-            // Its jobs moved to worker 0, after the scenario worker 0 lacked.
+            // Its jobs moved to worker 0, with the scenario they run.
             assert_eq!(
                 handed[0],
-                [
-                    "scenarios [0]",
-                    "job 0",
-                    "job 1",
-                    "scenarios [1]",
-                    "job 2",
-                    "job 3",
-                    "shutdown"
-                ]
+                ["work [(0, [0, 1])]", "work [(1, [2, 3])]", "shutdown"]
             );
-            assert_eq!(handed[1], ["scenarios [1]", "job 2", "job 3"]);
+            assert_eq!(handed[1], ["work [(1, [2, 3])]"]);
         }
+    }
+
+    /// A job can move twice: each survivor is sent only the scenarios it
+    /// does not hold, each with its unresolved jobs.
+    #[test]
+    fn a_survivor_is_only_ever_sent_scenarios_it_does_not_hold() {
+        let corpus = ScenarioSpec {
+            scenarios: 3,
+            seed: 3,
+            ..ScenarioSpec::default()
+        }
+        .build()
+        .unwrap();
+        assert_eq!(deal(&corpus, 3), [[0, 1], [2, 3], [4, 5]]);
+        // Worker 1 dies; worker 0 inherits jobs 2 and 3, resolves job 0 and
+        // dies; worker 2 inherits jobs 1, 2 and 3 and resolves everything.
+        let mut events = vec![Event::Dead { worker: 1 }, result_event(0, 0)];
+        events.push(Event::Dead { worker: 0 });
+        events.extend((1..6).map(|index| result_event(2, index)));
+        events.push(fin_event(2));
+        let (outcome, handed, metrics) = coordinate_scripted(&corpus, 3, events);
+        let report = outcome.unwrap();
+        assert_eq!(report.stats().worker_crashes, 2);
+        let indices: Vec<usize> = report.jobs().iter().map(|job| job.index).collect();
+        assert_eq!(indices, [0, 1, 2, 3, 4, 5]);
+        assert_eq!(metrics.counter("service.jobs"), Some(6));
+        assert_eq!(handed[0], ["work [(0, [0, 1])]", "work [(1, [2, 3])]"]);
+        assert_eq!(handed[1], ["work [(1, [2, 3])]"]);
+        assert_eq!(
+            handed[2],
+            [
+                "work [(2, [4, 5])]",
+                "work [(0, [1]), (1, [2, 3])]",
+                "shutdown"
+            ]
+        );
     }
 }

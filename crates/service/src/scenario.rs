@@ -185,14 +185,21 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// * [`ServiceError::InvalidSpec`] if a list field is empty or a count is
-    ///   zero.
+    /// * [`ServiceError::InvalidSpec`] if a list field is empty, a count is
+    ///   zero, or the corpus is larger than can be allocated.
     /// * [`ServiceError::Soc`] for generator parameters out of range.
     /// * [`ServiceError::Schedule`] for operating points that do not form a
     ///   valid [`SchedulerConfig`].
     pub fn build(&self) -> Result<Corpus> {
         self.validate()?;
-        let mut scenarios = Vec::with_capacity(self.scenarios);
+        let too_large = |_| ServiceError::InvalidSpec {
+            field: "scenarios",
+            problem: "expands to more than can be allocated",
+        };
+        let mut scenarios = Vec::new();
+        scenarios
+            .try_reserve_exact(self.scenarios)
+            .map_err(too_large)?;
         for index in 0..self.scenarios {
             let (columns, rows) = self.grid_shapes[index % self.grid_shapes.len()];
             let config = GeneratorConfig {
@@ -219,7 +226,9 @@ impl ScenarioSpec {
             Some(margin) => CoreViolationPolicy::RaiseLimit { margin },
             None => CoreViolationPolicy::Fail,
         };
-        let mut jobs = Vec::with_capacity(self.job_count());
+        let mut jobs = Vec::new();
+        jobs.try_reserve_exact(self.job_count())
+            .map_err(too_large)?;
         for (scenario, generated) in scenarios.iter().enumerate() {
             for &tl in &self.temperature_limits {
                 for &stcl in &self.stc_limits {
@@ -276,6 +285,16 @@ impl ScenarioSpec {
                     problem: "must be non-empty",
                 });
             }
+        }
+        let jobs = self
+            .scenarios
+            .checked_mul(self.temperature_limits.len())
+            .and_then(|jobs| jobs.checked_mul(self.stc_limits.len()));
+        if jobs.is_none() {
+            return Err(ServiceError::InvalidSpec {
+                field: "scenarios",
+                problem: "expands to more jobs than can be counted",
+            });
         }
         if let Some((low, high)) = self.warm_start_range {
             if !low.is_finite() || !high.is_finite() || low > high {
@@ -544,6 +563,23 @@ mod tests {
             ..ScenarioSpec::default()
         };
         assert!(matches!(spec.build(), Err(ServiceError::Soc(_))));
+    }
+
+    /// A count read from a document must not reach the allocator unchecked:
+    /// one whose jobs a `usize` cannot count, or whose scenarios no
+    /// allocation can hold, is a typed error, not a panic or an abort.
+    #[test]
+    fn counts_no_allocation_can_hold_are_typed_errors() {
+        for scenarios in [1 << 62, usize::MAX] {
+            let spec = ScenarioSpec {
+                scenarios,
+                ..ScenarioSpec::default()
+            };
+            match spec.build() {
+                Err(ServiceError::InvalidSpec { field, .. }) => assert_eq!(field, "scenarios"),
+                other => panic!("expected InvalidSpec for {scenarios} scenarios, got {other:?}"),
+            }
+        }
     }
 
     #[test]

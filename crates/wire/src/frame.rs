@@ -10,7 +10,7 @@
 //! ```
 //!
 //! `kind` is an application-level discriminator (the multi-process protocol
-//! uses it for HELLO/JOB/RESULT/...); the framing layer carries it opaquely.
+//! uses it for HELLO/WORK/RESULT/...); the framing layer carries it opaquely.
 //! [`read_frame`] distinguishes a clean shutdown (EOF exactly at a frame
 //! boundary → `Ok(None)`) from a truncated stream (EOF inside a frame →
 //! [`WireError::Truncated`]), which is what lets the coordinator tell a

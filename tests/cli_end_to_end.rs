@@ -6,12 +6,14 @@
 //! deterministic output either way. Everything the binary writes must be
 //! readable back through the wire codec.
 
+use std::io::Write;
 use std::path::Path;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use thermsched_obs::TraceDocument;
-use thermsched_service::{Corpus, ServiceReport};
-use thermsched_wire::{document_type, from_document, JsonValue};
+use thermsched_service::{Corpus, ServiceConfig, ServiceReport};
+use thermsched_wire::frame::write_frame;
+use thermsched_wire::{document_type, encode_value, from_document, obj, JsonValue, Wire};
 
 fn thermsched(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_thermsched"))
@@ -233,4 +235,33 @@ fn deeply_nested_documents_are_refused_with_a_clean_error_exit() {
         assert!(stderr.contains("deeper than"), "{name}: {stderr}");
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// A worker refuses a coordinator of an older protocol by its version: it
+/// exits 1 with the version on stderr and replies nothing.
+#[test]
+fn the_worker_binary_refuses_a_version_3_hello() {
+    let hello = obj()
+        .field("protocol", 3u64)
+        .field("worker", 0usize)
+        .field("config", ServiceConfig::default().to_wire())
+        .field("trace", false)
+        .build();
+    let mut input = Vec::new();
+    write_frame(&mut input, 1, &encode_value(&hello).expect("HELLO encodes")).expect("framed");
+    let mut worker = Command::new(env!("CARGO_BIN_EXE_thermsched"))
+        .arg("worker")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    let mut stdin = worker.stdin.take().expect("stdin was piped");
+    stdin.write_all(&input).expect("HELLO written");
+    drop(stdin);
+    let output = worker.wait_with_output().expect("worker exits");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(output.stdout.is_empty(), "a refused worker replies nothing");
+    assert!(stderr.contains("protocol version 3"), "{stderr}");
 }

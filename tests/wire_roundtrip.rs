@@ -779,7 +779,8 @@ fn with_fields(value: JsonValue, after: &str, extra: Vec<(&str, JsonValue)>) -> 
 
 /// Documents written before the session store had one form keep decoding,
 /// and a worker refuses a HELLO of the protocol version that wrote them, as
-/// it refuses a version-2 HELLO carrying the whole corpus.
+/// it refuses a version-2 HELLO carrying the whole corpus and a version-3
+/// HELLO, whose jobs came apart from their scenarios.
 #[test]
 fn legacy_service_documents_decode_and_version_1_hellos_are_refused() {
     let config = ServiceConfig {
@@ -841,22 +842,24 @@ fn legacy_service_documents_decode_and_version_1_hellos_are_refused() {
     }
     .build()
     .unwrap();
-    assert_eq!(PROTOCOL_VERSION, 3);
-    // Version 1 wrote the legacy config; version 2 the current one. Both
-    // carried the corpus.
+    assert_eq!(PROTOCOL_VERSION, 4);
+    // Version 1 wrote the legacy config; versions 2 and 3 the current one.
+    // Versions 1 and 2 carried the corpus, version 3 a trace flag.
     for (version, config) in [
         (1u64, legacy_config(obj().field("kind", "mutex").build())),
         (2, config.to_wire()),
+        (3, config.to_wire()),
     ] {
-        let hello = encode_value(
-            &obj()
-                .field("protocol", version)
-                .field("worker", 0usize)
-                .field("config", config)
-                .field("corpus", corpus.to_wire())
-                .build(),
-        )
-        .unwrap();
+        let hello = obj()
+            .field("protocol", version)
+            .field("worker", 0usize)
+            .field("config", config);
+        let hello = if version < 3 {
+            hello.field("corpus", corpus.to_wire())
+        } else {
+            hello.field("trace", false)
+        };
+        let hello = encode_value(&hello.build()).unwrap();
         let mut input = Vec::new();
         write_frame(&mut input, 1, &hello).unwrap();
         let mut output = Vec::new();
