@@ -3,7 +3,7 @@
 //! restriction, each toggled.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use thermsched::{report, AblationPoint, Engine, SweepSpec};
+use thermsched::{report, Engine, SweepSpec};
 use thermsched_bench::alpha_fixture;
 
 fn bench_model_ablation(c: &mut Criterion) {
@@ -15,16 +15,13 @@ fn bench_model_ablation(c: &mut Criterion) {
         .expect("engine builds");
     let spec = SweepSpec::model_ablation(155.0, 60.0);
 
-    let points: Vec<AblationPoint> = engine
-        .sweep(&spec)
-        .expect("model ablation runs")
-        .into_points()
-        .into_iter()
-        .map(AblationPoint::from)
-        .collect();
+    let sweep = engine.sweep(&spec).expect("model ablation runs");
     println!(
         "\n{}",
-        report::render_ablation("A3 — session-model fidelity (TL=155, STCL=60)", &points)
+        report::render_ablation(
+            "A3 — session-model fidelity (TL=155, STCL=60)",
+            sweep.points()
+        )
     );
 
     c.bench_function("ablation/model_options_sweep", |b| {

@@ -2,7 +2,7 @@
 //! loop (the paper's pseudocode leaves the iteration order unspecified).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use thermsched::{report, AblationPoint, Engine, SweepSpec};
+use thermsched::{report, Engine, SweepSpec};
 use thermsched_bench::alpha_fixture;
 
 fn bench_ordering_ablation(c: &mut Criterion) {
@@ -14,16 +14,13 @@ fn bench_ordering_ablation(c: &mut Criterion) {
         .expect("engine builds");
     let spec = SweepSpec::ordering_ablation(155.0, 60.0);
 
-    let points: Vec<AblationPoint> = engine
-        .sweep(&spec)
-        .expect("ordering ablation runs")
-        .into_points()
-        .into_iter()
-        .map(AblationPoint::from)
-        .collect();
+    let sweep = engine.sweep(&spec).expect("ordering ablation runs");
     println!(
         "\n{}",
-        report::render_ablation("A2 — candidate-core ordering (TL=155, STCL=60)", &points)
+        report::render_ablation(
+            "A2 — candidate-core ordering (TL=155, STCL=60)",
+            sweep.points()
+        )
     );
 
     c.bench_function("ablation/ordering_sweep", |b| {

@@ -2,7 +2,7 @@
 //! (the paper fixes it at 1.1 without exploring alternatives).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use thermsched::{report, AblationPoint, Engine, SweepSpec};
+use thermsched::{report, Engine, SweepSpec};
 use thermsched_bench::alpha_fixture;
 
 fn bench_weight_ablation(c: &mut Criterion) {
@@ -15,16 +15,13 @@ fn bench_weight_ablation(c: &mut Criterion) {
     let factors = [1.0, 1.05, 1.1, 1.25, 1.5, 2.0];
     let spec = SweepSpec::weight_ablation(155.0, 80.0, &factors);
 
-    let points: Vec<AblationPoint> = engine
-        .sweep(&spec)
-        .expect("weight ablation runs")
-        .into_points()
-        .into_iter()
-        .map(AblationPoint::from)
-        .collect();
+    let sweep = engine.sweep(&spec).expect("weight ablation runs");
     println!(
         "\n{}",
-        report::render_ablation("A1 — violation weight factor (TL=155, STCL=80)", &points)
+        report::render_ablation(
+            "A1 — violation weight factor (TL=155, STCL=80)",
+            sweep.points()
+        )
     );
 
     c.bench_function("ablation/weight_factor_sweep", |b| {

@@ -1,6 +1,6 @@
 //! Regenerates Table 1 of the paper: schedule length, simulation effort and
 //! maximum temperature over the full TL × STCL grid, and benchmarks the
-//! complete sweep through the `Engine`/`SweepRunner` facade.
+//! complete sweep through `Engine::sweep`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use thermsched::{experiments, report, Engine, SweepSpec};

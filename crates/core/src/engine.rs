@@ -18,9 +18,10 @@ use thermsched_soc::SystemUnderTest;
 use thermsched_thermal::{PackageConfig, RcThermalSimulator, ThermalBackend};
 
 use crate::{
-    OnlineContext, Result, ScheduleCheckpoint, ScheduleError, ScheduleEvaluation, ScheduleOutcome,
-    ScheduleValidator, SchedulerConfig, SessionCacheHandle, SessionThermalModel, SweepReport,
-    SweepRunner, SweepSpec, TestSchedule, ThermalAwareScheduler,
+    BaselineComparison, OnlineContext, PowerConstrainedScheduler, Result, ScheduleCheckpoint,
+    ScheduleError, ScheduleEvaluation, ScheduleOutcome, ScheduleValidator, SchedulerConfig,
+    SessionCacheHandle, SessionThermalModel, SweepPoint, SweepReport, SweepSpec, SweepVariant,
+    TestSchedule, TestSession, ThermalAwareScheduler,
 };
 
 /// The backend an engine drives: borrowed from the caller or owned by the
@@ -123,8 +124,8 @@ impl<'a> Engine<'a> {
 
     /// Generates a schedule with an explicit configuration (the engine's
     /// base configuration is ignored for this run), still sharing the
-    /// engine's session cache. Used by [`SweepRunner`] for every sweep
-    /// point.
+    /// engine's session cache. [`Engine::sweep`] runs every point through
+    /// it.
     ///
     /// # Errors
     ///
@@ -153,7 +154,8 @@ impl<'a> Engine<'a> {
     ///
     /// An offline run shares the engine's session cache. An online run
     /// reuses its own validations only: it neither reads nor writes the
-    /// cache, which holds the constant-power results offline runs share.
+    /// cache, which holds the constant-power results offline runs share. An
+    /// empty context is an offline run, in its span too.
     /// The checkpoint is how a service enforces deadline budgets and
     /// cancellation; an interrupted run publishes everything it simulated
     /// before returning [`ScheduleError::Interrupted`].
@@ -176,6 +178,7 @@ impl<'a> Engine<'a> {
         online: Option<&OnlineContext>,
         checkpoint: Option<&dyn ScheduleCheckpoint>,
     ) -> Result<ScheduleOutcome> {
+        let online = online.filter(|online| !online.is_empty());
         let mut span = self.tracer.span("engine.schedule");
         let outcome = self
             .scheduler_for(config, online)
@@ -200,11 +203,11 @@ impl<'a> Engine<'a> {
         outcome
     }
 
-    fn scheduler_for(
-        &self,
+    fn scheduler_for<'s>(
+        &'s self,
         config: SchedulerConfig,
-        online: Option<&OnlineContext>,
-    ) -> Result<ThermalAwareScheduler<'_, dyn ThermalBackend + '_>> {
+        online: Option<&'s OnlineContext>,
+    ) -> Result<ThermalAwareScheduler<'s, dyn ThermalBackend + 's>> {
         // The guidance model depends only on the session-model options, the
         // engine's floorplan and the package; lend the engine's model unless
         // a run asks for other options.
@@ -221,7 +224,7 @@ impl<'a> Engine<'a> {
             ThermalAwareScheduler::with_model(self.sut, self.backend.as_dyn(), config, model)?
                 .with_tracer(self.tracer.clone());
         match online {
-            Some(online) => scheduler.with_online(online.clone()),
+            Some(online) => scheduler.with_online(online),
             None => Ok(scheduler),
         }
     }
@@ -238,14 +241,94 @@ impl<'a> Engine<'a> {
         ScheduleValidator::new(self.sut, self.backend.as_dyn())?.evaluate(schedule)
     }
 
-    /// Runs a declarative sweep over this engine — shorthand for
-    /// [`SweepRunner::new`] followed by [`SweepRunner::run`].
+    /// Runs a declarative sweep over this engine. Every grid point is an
+    /// independent scheduling run, so the points fan out across the machine
+    /// with the ordered parallel map phase 1 uses, and the engine's session
+    /// cache turns the overlap between points (identical phase-1 runs,
+    /// recurring candidate sets) into lookups. Points come back in
+    /// variant-major, then row-major `(TL, STCL)` order regardless of which
+    /// thread computed them.
     ///
     /// # Errors
     ///
-    /// See [`SweepRunner::run`].
+    /// Propagates scheduler failures (invalid per-point configurations,
+    /// core-level violations under the failing policy, exhausted iteration
+    /// budgets, simulation errors).
     pub fn sweep(&self, spec: &SweepSpec) -> Result<SweepReport> {
-        SweepRunner::new(self).run(spec)
+        let default_variant = [SweepVariant::default()];
+        let variants: &[SweepVariant] = if spec.variants.is_empty() {
+            &default_variant
+        } else {
+            &spec.variants
+        };
+        let combos: Vec<(&SweepVariant, f64, f64)> = variants
+            .iter()
+            .flat_map(|variant| {
+                spec.temperature_limits.iter().flat_map(move |&tl| {
+                    spec.stc_limits.iter().map(move |&stcl| (variant, tl, stcl))
+                })
+            })
+            .collect();
+        let points = crate::parallel::parallel_map_ordered(
+            &combos,
+            |(variant, tl, stcl)| -> Result<SweepPoint> {
+                let config = variant.apply(SchedulerConfig {
+                    temperature_limit: tl,
+                    stc_limit: stcl,
+                    ..self.config
+                });
+                config.validate()?;
+                let outcome = self.schedule_with(config)?;
+                let baseline = if spec.compare_baseline {
+                    Some(self.baseline_comparison(&outcome, tl)?)
+                } else {
+                    None
+                };
+                Ok(SweepPoint {
+                    temperature_limit: tl,
+                    stc_limit: stcl,
+                    schedule_length: outcome.schedule_length(),
+                    session_count: outcome.session_count(),
+                    simulation_effort: outcome.simulation_effort,
+                    discarded_sessions: outcome.discarded_sessions,
+                    max_temperature: outcome.max_temperature,
+                    label: variant.label.clone(),
+                    cached_validations: outcome.cached_validations,
+                    warm_cache_hits: outcome.warm_cache_hits,
+                    baseline,
+                })
+            },
+        );
+        Ok(SweepReport {
+            points: points.into_iter().collect::<Result<_>>()?,
+        })
+    }
+
+    /// The matched-budget baseline comparison for one already-computed
+    /// thermal-aware outcome: the power-constrained scheduler is given the
+    /// largest committed session power and its schedule is thermally
+    /// evaluated against the engine's backend.
+    fn baseline_comparison(
+        &self,
+        outcome: &ScheduleOutcome,
+        temperature_limit: f64,
+    ) -> Result<BaselineComparison> {
+        let power_budget = outcome
+            .schedule
+            .iter()
+            .map(TestSession::total_power)
+            .fold(0.0_f64, f64::max)
+            .max(1.0);
+        let baseline = PowerConstrainedScheduler::new(power_budget)?.schedule(self.sut)?;
+        let evaluation = self.evaluate(&baseline)?;
+        Ok(BaselineComparison {
+            thermal_aware_length: outcome.schedule_length(),
+            thermal_aware_max_temperature: outcome.max_temperature,
+            power_constrained_length: baseline.total_length(),
+            power_constrained_max_temperature: evaluation.max_temperature(),
+            power_budget,
+            power_constrained_violations: evaluation.violating_sessions(temperature_limit).len(),
+        })
     }
 }
 
@@ -590,11 +673,11 @@ mod tests {
 
     #[test]
     fn engine_spans_parent_the_scheduler_phases() {
-        use thermsched_obs::{ObsClock, TracerConfig};
+        use thermsched_obs::{ClockKind, TracerConfig};
 
         let sut = library::alpha21364_sut();
         let tracer = Tracer::new(TracerConfig {
-            clock: ObsClock::Virtual,
+            clock: ClockKind::Virtual,
             ..TracerConfig::default()
         });
         let engine = Engine::builder()
@@ -627,11 +710,11 @@ mod tests {
     #[test]
     fn online_scheduling_chains_state_and_stamps_span_attrs() {
         use crate::{EffortBudget, OnlineContext, TraceProfile, TraceSegment};
-        use thermsched_obs::{AttrValue, ObsClock, TracerConfig};
+        use thermsched_obs::{AttrValue, ClockKind, TracerConfig};
 
         let sut = library::alpha21364_sut();
         let tracer = Tracer::new(TracerConfig {
-            clock: ObsClock::Virtual,
+            clock: ClockKind::Virtual,
             ..TracerConfig::default()
         });
         let engine = Engine::builder()
@@ -710,12 +793,12 @@ mod tests {
 
     #[test]
     fn a_scheduler_that_fails_to_build_records_why_on_both_paths() {
-        use crate::OnlineContext;
-        use thermsched_obs::{ObsClock, TracerConfig};
+        use crate::{OnlineContext, TraceProfile};
+        use thermsched_obs::{ClockKind, TracerConfig};
 
         let sut = library::alpha21364_sut();
         let tracer = Tracer::new(TracerConfig {
-            clock: ObsClock::Virtual,
+            clock: ClockKind::Virtual,
             ..TracerConfig::default()
         });
         let engine = Engine::builder()
@@ -727,8 +810,10 @@ mod tests {
             stc_limit: -1.0,
             ..engine.config()
         };
+        // An empty context is an offline run, in its span too.
         let empty = OnlineContext::new();
-        for online in [None, Some(&empty)] {
+        let traced = OnlineContext::new().with_trace(TraceProfile::constant());
+        for (online, attrs) in [(None, 3), (Some(&empty), 3), (Some(&traced), 5)] {
             let err = engine.run(invalid, online, None).unwrap_err();
             assert!(
                 matches!(err, ScheduleError::InvalidConfig { .. }),
@@ -741,12 +826,8 @@ mod tests {
                 .structural_attrs()
                 .map(|a| a.key.as_str())
                 .collect();
-            assert!(
-                keys.ends_with(&["tl", "stcl", "error"]),
-                "online {}: {keys:?}",
-                online.is_some()
-            );
-            assert_eq!(keys.len(), if online.is_some() { 5 } else { 3 });
+            assert!(keys.ends_with(&["tl", "stcl", "error"]), "{keys:?}");
+            assert_eq!(keys.len(), attrs, "{keys:?}");
         }
     }
 }

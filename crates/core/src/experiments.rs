@@ -7,8 +7,8 @@
 //!
 //! [`figure1`] (the motivational example) is not a sweep and stays a
 //! first-class driver, as do the grid helpers ([`default_temperature_limits`]
-//! and friends) and the row types ([`SweepPoint`], [`AblationPoint`],
-//! [`BaselineComparison`]) the sweeps report in.
+//! and friends) and the row types ([`SweepPoint`], [`BaselineComparison`])
+//! the sweeps report in.
 
 use thermsched_soc::{library, SystemUnderTest};
 use thermsched_thermal::ThermalBackend;
@@ -149,33 +149,6 @@ pub struct SweepPoint {
     pub baseline: Option<BaselineComparison>,
 }
 
-/// One row of an ablation sweep: a label plus the usual cost metrics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AblationPoint {
-    /// Human-readable description of the configuration variant.
-    pub label: String,
-    /// Generated schedule length in seconds.
-    pub schedule_length: f64,
-    /// Simulation effort in seconds.
-    pub simulation_effort: f64,
-    /// Discarded candidate sessions.
-    pub discarded_sessions: usize,
-    /// Hottest committed-session temperature (°C).
-    pub max_temperature: f64,
-}
-
-impl From<SweepPoint> for AblationPoint {
-    fn from(p: SweepPoint) -> Self {
-        AblationPoint {
-            label: p.label,
-            schedule_length: p.schedule_length,
-            simulation_effort: p.simulation_effort,
-            discarded_sessions: p.discarded_sessions,
-            max_temperature: p.max_temperature,
-        }
-    }
-}
-
 /// Compares the thermal-aware scheduler against the chip-level
 /// power-constrained baseline at a matched concurrency level: the baseline's
 /// power budget is set to the largest committed session power of the
@@ -299,11 +272,7 @@ mod tests {
         assert_eq!(weights.len(), 2);
         assert_eq!(weights.points()[0].label, "weight_factor=1.1");
 
-        let points: Vec<AblationPoint> = weights
-            .into_points()
-            .into_iter()
-            .map(AblationPoint::from)
-            .collect();
+        let points = weights.into_points();
         assert_eq!(points[1].label, "weight_factor=1.5");
         assert!(points[0].schedule_length >= 1.0);
     }

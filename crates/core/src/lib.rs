@@ -96,11 +96,15 @@
 //! Sessions may run under a time-varying power trace ([`TraceProfile`],
 //! materialised per candidate into a `thermsched_thermal::PowerTrace`) and
 //! may be re-planned from a caller-supplied temperature state instead of an
-//! ambient die. The online inputs travel in an [`OnlineContext`] passed to
+//! ambient die. The online inputs travel in an [`OnlineContext`], which is
+//! validated when it is built and keeps the warm start as the block
+//! `Temperatures` every validating simulation starts from. It is passed to
 //! [`Engine::schedule_online_with`], or to [`Engine::run`] together with a
-//! checkpoint; [`SchedulerConfig`] stays `Copy`. An empty context is
-//! normalised away, so `schedule_online_with(config, &OnlineContext::new())`
-//! returns what `schedule_with(config)` does. An online run reuses its own
+//! checkpoint, and the scheduler borrows it: a run copies neither the trace
+//! nor the warm start, and [`SchedulerConfig`] stays `Copy`. An empty
+//! context is normalised away, span attributes included, so
+//! `schedule_online_with(config, &OnlineContext::new())` returns and records
+//! what `schedule_with(config)` does. An online run reuses its own
 //! validations but leaves the engine's shared store alone: its results
 //! depend on the context, and the store only holds the constant-power,
 //! from-ambient results offline runs share.
@@ -132,7 +136,7 @@ pub use checkpoint::{EffortBudget, InterruptReason, ScheduleCheckpoint, Schedule
 pub use config::{CoreOrdering, CoreViolationPolicy, SchedulerConfig};
 pub use engine::{Engine, EngineBuilder};
 pub use error::ScheduleError;
-pub use experiments::{AblationPoint, BaselineComparison, SweepPoint};
+pub use experiments::{BaselineComparison, SweepPoint};
 pub use online::{OnlineContext, TraceProfile, TraceSegment};
 pub use operator_cache::{OperatorCacheHandle, OperatorCacheStats, OperatorKey};
 pub use parallel::NestedParallelismGuard;
@@ -140,7 +144,7 @@ pub use schedule::{TestSchedule, TestSession};
 pub use scheduler::{ScheduleOutcome, SessionRecord, ThermalAwareScheduler};
 pub use session_model::{SessionModelOptions, SessionThermalModel, DEFAULT_STC_SCALE};
 pub use session_store::{SessionCacheHandle, StoreStats};
-pub use sweep::{SweepReport, SweepRunner, SweepSpec, SweepVariant};
+pub use sweep::{SweepReport, SweepSpec, SweepVariant};
 pub use validator::{ScheduleEvaluation, ScheduleValidator, SessionEvaluation};
 pub use weights::CoreWeights;
 

@@ -145,12 +145,14 @@ impl TraceProfile {
 /// [`crate::SchedulerConfig`]: an optional power-trace shape and an optional
 /// warm-start temperature vector (one value per core, °C).
 ///
-/// An empty context is exactly a classic offline run; the scheduler
-/// normalises it away so offline cache entries and goldens are untouched.
+/// An empty context is exactly a classic offline run; the engine and the
+/// scheduler normalise it away so offline cache entries and goldens are
+/// untouched.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OnlineContext {
     trace: Option<TraceProfile>,
-    warm_start: Option<Vec<f64>>,
+    /// Held as the block vector every validating simulation starts from.
+    warm_start: Option<Temperatures>,
 }
 
 impl OnlineContext {
@@ -173,7 +175,8 @@ impl OnlineContext {
     ///
     /// [`ScheduleError::InvalidConfig`] if the vector is empty or holds a
     /// non-finite temperature. The *length* is checked against the system
-    /// under test when the context reaches a scheduler.
+    /// under test by [`OnlineContext::check_core_count`], which a scheduler
+    /// calls when the context reaches it.
     pub fn with_warm_start(mut self, temperatures: Vec<f64>) -> Result<Self> {
         if temperatures.is_empty() {
             return Err(ScheduleError::InvalidConfig {
@@ -189,7 +192,8 @@ impl OnlineContext {
                 });
             }
         }
-        self.warm_start = Some(temperatures);
+        let blocks = temperatures.len();
+        self.warm_start = Some(Temperatures::new(temperatures, blocks));
         Ok(self)
     }
 
@@ -198,9 +202,27 @@ impl OnlineContext {
         self.trace.as_ref()
     }
 
-    /// The attached warm-start temperatures, if any.
-    pub fn warm_start(&self) -> Option<&[f64]> {
-        self.warm_start.as_deref()
+    /// The attached warm-start temperatures, if any: the block-level
+    /// [`Temperatures`] handed to
+    /// [`thermsched_thermal::ThermalSimulator::simulate_trace`].
+    pub fn warm_start(&self) -> Option<&Temperatures> {
+        self.warm_start.as_ref()
+    }
+
+    /// Checks that the warm start, if any, holds one temperature per core
+    /// of a system with `cores` cores.
+    ///
+    /// # Errors
+    ///
+    /// [`ScheduleError::InvalidConfig`] naming the warm start's length.
+    pub fn check_core_count(&self, cores: usize) -> Result<()> {
+        match &self.warm_start {
+            Some(warm) if warm.block_count() != cores => Err(ScheduleError::InvalidConfig {
+                name: "warm start temperature count",
+                value: warm.block_count() as f64,
+            }),
+            _ => Ok(()),
+        }
     }
 
     /// `true` when the context adds nothing over an offline run.
@@ -220,14 +242,6 @@ impl OnlineContext {
             Some(profile) => profile.materialise(power, duration),
             None => Ok(PowerTrace::constant(power.clone(), duration)?),
         }
-    }
-
-    /// The warm start as a block-level [`Temperatures`] vector, ready to
-    /// hand to [`thermsched_thermal::ThermalSimulator::simulate_trace`].
-    pub fn warm_start_temperatures(&self) -> Option<Temperatures> {
-        self.warm_start
-            .as_ref()
-            .map(|values| Temperatures::new(values.clone(), values.len()))
     }
 }
 
@@ -304,10 +318,18 @@ mod tests {
         let ctx = OnlineContext::new()
             .with_warm_start(vec![81.0, 45.0, 60.0])
             .unwrap();
-        let temps = ctx.warm_start_temperatures().unwrap();
+        let temps = ctx.warm_start().unwrap();
         assert_eq!(temps.block_count(), 3);
         assert_eq!(temps.block_temperatures(), &[81.0, 45.0, 60.0]);
-        assert_eq!(ctx.warm_start(), Some(&[81.0, 45.0, 60.0][..]));
+        assert!(ctx.check_core_count(3).is_ok());
+        assert!(matches!(
+            ctx.check_core_count(4),
+            Err(ScheduleError::InvalidConfig {
+                name: "warm start temperature count",
+                ..
+            })
+        ));
+        assert!(OnlineContext::new().check_core_count(4).is_ok());
     }
 
     #[test]

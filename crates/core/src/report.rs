@@ -1,6 +1,6 @@
 //! Plain-text rendering of experiment results in the paper's layout.
 
-use crate::experiments::{AblationPoint, Figure1Report, SweepPoint};
+use crate::experiments::{Figure1Report, SweepPoint};
 
 /// Renders the Figure 1 motivational comparison.
 ///
@@ -78,8 +78,8 @@ pub fn render_figure5(points: &[SweepPoint]) -> String {
     out
 }
 
-/// Renders an ablation sweep as a small table.
-pub fn render_ablation(title: &str, points: &[AblationPoint]) -> String {
+/// Renders an ablation sweep as a small table, one row per variant label.
+pub fn render_ablation(title: &str, points: &[SweepPoint]) -> String {
     let mut out = String::new();
     out.push_str(&format!("{title}\n"));
     out.push_str(
@@ -151,12 +151,9 @@ mod tests {
 
     #[test]
     fn ablation_rendering_includes_labels() {
-        let points = vec![AblationPoint {
+        let points = vec![SweepPoint {
             label: "weight_factor=1.1".into(),
-            schedule_length: 4.0,
-            simulation_effort: 6.0,
-            discarded_sessions: 2,
-            max_temperature: 149.0,
+            ..sample_points().remove(0)
         }];
         let text = render_ablation("A1 weight factor", &points);
         assert!(text.contains("A1 weight factor"));

@@ -37,8 +37,7 @@ fn validate_session<S: ThermalBackend + ?Sized>(
         None => Ok(simulator.simulate_session(power, duration)?),
         Some(context) => {
             let trace = context.session_trace(power, duration)?;
-            let initial = context.warm_start_temperatures();
-            Ok(simulator.simulate_trace(&trace, initial.as_ref())?)
+            Ok(simulator.simulate_trace(&trace, context.warm_start())?)
         }
     }
 }
@@ -186,10 +185,10 @@ pub struct ThermalAwareScheduler<'a, S: ThermalBackend + ?Sized> {
     /// pay a model clone per run.
     model: Cow<'a, SessionThermalModel>,
     config: SchedulerConfig,
-    /// Online context (power-trace shape and/or warm start); `None` for the
-    /// classic offline run. Kept out of [`SchedulerConfig`] so the config
-    /// stays `Copy` and every existing call site is untouched.
-    online: Option<OnlineContext>,
+    /// Online context (power-trace shape and/or warm start), borrowed from
+    /// the caller; `None` for the classic offline run. Kept out of
+    /// [`SchedulerConfig`] so the config stays `Copy`.
+    online: Option<&'a OnlineContext>,
     /// Span recorder for the phase-1/phase-2 seams; disabled (free) unless
     /// [`ThermalAwareScheduler::with_tracer`] installs an enabled handle.
     tracer: Tracer,
@@ -256,20 +255,9 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
     ///
     /// [`ScheduleError::InvalidConfig`] if the warm-start vector's length
     /// differs from the system's core count.
-    pub fn with_online(mut self, online: OnlineContext) -> Result<Self> {
-        if let Some(warm) = online.warm_start() {
-            if warm.len() != self.sut.core_count() {
-                return Err(ScheduleError::InvalidConfig {
-                    name: "warm start temperature count",
-                    value: warm.len() as f64,
-                });
-            }
-        }
-        self.online = if online.is_empty() {
-            None
-        } else {
-            Some(online)
-        };
+    pub fn with_online(mut self, online: &'a OnlineContext) -> Result<Self> {
+        online.check_core_count(self.sut.core_count())?;
+        self.online = (!online.is_empty()).then_some(online);
         Ok(self)
     }
 
@@ -331,7 +319,7 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
         }
         let sut = self.sut;
         let simulator = self.simulator;
-        let online = self.online.as_ref();
+        let online = self.online;
         let fresh = crate::parallel::parallel_map_ordered(
             &misses,
             |core| -> Result<SessionThermalResult> {
@@ -571,12 +559,8 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
                     cache.insert(key.clone(), result);
                 } else {
                     let power = session.power_map(self.sut)?;
-                    let result = validate_session(
-                        self.simulator,
-                        self.online.as_ref(),
-                        &power,
-                        session.duration(),
-                    )?;
+                    let result =
+                        validate_session(self.simulator, self.online, &power, session.duration())?;
                     if shared.is_some() {
                         pending_publish.push((key.clone(), result.clone()));
                     }
@@ -932,7 +916,7 @@ mod tests {
             .unwrap();
         let normalised = ThermalAwareScheduler::new(&sut, &sim, config)
             .unwrap()
-            .with_online(OnlineContext::new())
+            .with_online(&OnlineContext::new())
             .unwrap()
             .schedule()
             .unwrap();
@@ -961,7 +945,7 @@ mod tests {
         let online = OnlineContext::new().with_trace(TraceProfile::constant());
         let traced = ThermalAwareScheduler::new(&sut, &sim, config)
             .unwrap()
-            .with_online(online.clone())
+            .with_online(&online)
             .unwrap()
             .run(Some(&cache), None)
             .unwrap();
@@ -978,7 +962,7 @@ mod tests {
         // Re-running the same online context is identical, and still cold.
         let again = ThermalAwareScheduler::new(&sut, &sim, config)
             .unwrap()
-            .with_online(online)
+            .with_online(&online)
             .unwrap()
             .run(Some(&cache), None)
             .unwrap();
@@ -1007,7 +991,7 @@ mod tests {
         let run = |online: &OnlineContext| {
             ThermalAwareScheduler::new(&sut, &sim, config)
                 .unwrap()
-                .with_online(online.clone())
+                .with_online(online)
                 .unwrap()
                 .schedule()
                 .unwrap()
@@ -1024,7 +1008,7 @@ mod tests {
         let short = OnlineContext::new().with_warm_start(vec![60.0]).unwrap();
         let err = ThermalAwareScheduler::new(&sut, &sim, config)
             .unwrap()
-            .with_online(short)
+            .with_online(&short)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1178,12 +1162,12 @@ mod tests {
 
     #[test]
     fn tracer_records_phase_spans_with_deterministic_structure() {
-        use thermsched_obs::{ObsClock, Tracer, TracerConfig};
+        use thermsched_obs::{ClockKind, Tracer, TracerConfig};
 
         let (sut, sim) = setup();
         let config = SchedulerConfig::new(165.0, 50.0).unwrap();
         let tracer = Tracer::new(TracerConfig {
-            clock: ObsClock::Virtual,
+            clock: ClockKind::Virtual,
             ..TracerConfig::default()
         });
         let scheduler = ThermalAwareScheduler::new(&sut, &sim, config)

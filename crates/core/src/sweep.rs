@@ -4,17 +4,13 @@
 //! ablations, the baseline comparison — is a grid of scheduling runs that
 //! differ only in `TL`, `STCL` and a handful of configuration knobs. This
 //! module turns that shape into data: a [`SweepSpec`] names the grid and the
-//! variants, a [`SweepRunner`] executes it against one [`crate::Engine`]
-//! (fanning the points out across the machine and sharing the engine's warm
-//! session cache between them), and a [`SweepReport`] collects one
-//! [`SweepPoint`] per run, including how many simulations the shared cache
-//! saved.
+//! variants, [`crate::Engine::sweep`] runs it (fanning the points out across
+//! the machine and sharing the engine's warm session cache between them),
+//! and a [`SweepReport`] collects one [`SweepPoint`] per run, including how
+//! many simulations the shared cache saved.
 
-use crate::experiments::{BaselineComparison, SweepPoint};
-use crate::{
-    CoreOrdering, Engine, PowerConstrainedScheduler, Result, ScheduleOutcome, SchedulerConfig,
-    SessionModelOptions, TestSession,
-};
+use crate::experiments::SweepPoint;
+use crate::{CoreOrdering, SchedulerConfig, SessionModelOptions};
 
 /// One configuration variant of a sweep: a label plus optional overrides of
 /// the engine's base configuration. A plain `TL × STCL` sweep uses a single
@@ -69,7 +65,8 @@ impl SweepVariant {
         self
     }
 
-    fn apply(&self, mut config: SchedulerConfig) -> SchedulerConfig {
+    /// `config` with this variant's overrides applied.
+    pub(crate) fn apply(&self, mut config: SchedulerConfig) -> SchedulerConfig {
         if let Some(factor) = self.weight_factor {
             config.weight_factor = factor;
         }
@@ -110,7 +107,7 @@ pub struct SweepSpec {
     /// Configuration variants run at every grid point. Empty means one
     /// default variant (the engine's base configuration).
     pub variants: Vec<SweepVariant>,
-    /// Attach a [`BaselineComparison`] (power-constrained scheduler at the
+    /// Attach a [`crate::BaselineComparison`] (power-constrained scheduler at the
     /// matched budget) to every point.
     pub compare_baseline: bool,
 }
@@ -203,18 +200,13 @@ impl SweepSpec {
         self.compare_baseline = true;
         self
     }
-
-    /// Number of scheduling runs the spec describes.
-    pub fn point_count(&self) -> usize {
-        self.temperature_limits.len() * self.stc_limits.len() * self.variants.len().max(1)
-    }
 }
 
 /// The result of running a [`SweepSpec`]: one [`SweepPoint`] per scheduling
 /// run, in deterministic variant-major, then row-major `(TL, STCL)` order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
-    points: Vec<SweepPoint>,
+    pub(crate) points: Vec<SweepPoint>,
 }
 
 impl SweepReport {
@@ -260,116 +252,10 @@ impl SweepReport {
     }
 }
 
-/// Executes [`SweepSpec`]s against one [`Engine`].
-///
-/// Every grid point is an independent scheduling run, so the runner fans the
-/// grid out across the machine with the same ordered parallel map the
-/// phase-1 characterisation uses; the engine's shared session cache turns
-/// the overlap between points (identical phase-1 runs, recurring candidate
-/// sets) into lookups instead of simulations.
-#[derive(Debug)]
-pub struct SweepRunner<'e, 'a> {
-    engine: &'e Engine<'a>,
-}
-
-impl<'e, 'a> SweepRunner<'e, 'a> {
-    /// Creates a runner over an engine.
-    pub fn new(engine: &'e Engine<'a>) -> Self {
-        SweepRunner { engine }
-    }
-
-    /// Runs the spec and collects the report. Points are produced in
-    /// variant-major, then row-major `(TL, STCL)` order regardless of which
-    /// thread computed them.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduler failures (invalid per-point configurations,
-    /// core-level violations under the failing policy, exhausted iteration
-    /// budgets, simulation errors).
-    pub fn run(&self, spec: &SweepSpec) -> Result<SweepReport> {
-        let default_variant = [SweepVariant::default()];
-        let variants: &[SweepVariant] = if spec.variants.is_empty() {
-            &default_variant
-        } else {
-            &spec.variants
-        };
-        let combos: Vec<(usize, f64, f64)> = variants
-            .iter()
-            .enumerate()
-            .flat_map(|(vi, _)| {
-                spec.temperature_limits
-                    .iter()
-                    .flat_map(move |&tl| spec.stc_limits.iter().map(move |&stcl| (vi, tl, stcl)))
-            })
-            .collect();
-        let engine = self.engine;
-        let compare_baseline = spec.compare_baseline;
-        let points = crate::parallel::parallel_map_ordered(
-            &combos,
-            |(vi, tl, stcl)| -> Result<SweepPoint> {
-                let variant = &variants[vi];
-                let mut config = engine.config();
-                config.temperature_limit = tl;
-                config.stc_limit = stcl;
-                let config = variant.apply(config);
-                config.validate()?;
-                let outcome = engine.schedule_with(config)?;
-                let baseline = if compare_baseline {
-                    Some(baseline_comparison_for(engine, &outcome, tl)?)
-                } else {
-                    None
-                };
-                Ok(SweepPoint {
-                    temperature_limit: tl,
-                    stc_limit: stcl,
-                    schedule_length: outcome.schedule_length(),
-                    session_count: outcome.session_count(),
-                    simulation_effort: outcome.simulation_effort,
-                    discarded_sessions: outcome.discarded_sessions,
-                    max_temperature: outcome.max_temperature,
-                    label: variant.label.clone(),
-                    cached_validations: outcome.cached_validations,
-                    warm_cache_hits: outcome.warm_cache_hits,
-                    baseline,
-                })
-            },
-        );
-        let points = points.into_iter().collect::<Result<Vec<_>>>()?;
-        Ok(SweepReport { points })
-    }
-}
-
-/// The matched-budget baseline comparison for one already-computed
-/// thermal-aware outcome: the power-constrained scheduler is given the
-/// largest committed session power and its schedule is thermally evaluated
-/// against the engine's backend.
-fn baseline_comparison_for(
-    engine: &Engine<'_>,
-    outcome: &ScheduleOutcome,
-    temperature_limit: f64,
-) -> Result<BaselineComparison> {
-    let power_budget = outcome
-        .schedule
-        .iter()
-        .map(TestSession::total_power)
-        .fold(0.0_f64, f64::max)
-        .max(1.0);
-    let baseline = PowerConstrainedScheduler::new(power_budget)?.schedule(engine.sut())?;
-    let evaluation = engine.evaluate(&baseline)?;
-    Ok(BaselineComparison {
-        thermal_aware_length: outcome.schedule_length(),
-        thermal_aware_max_temperature: outcome.max_temperature,
-        power_constrained_length: baseline.total_length(),
-        power_constrained_max_temperature: evaluation.max_temperature(),
-        power_budget,
-        power_constrained_violations: evaluation.violating_sessions(temperature_limit).len(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
     use thermsched_soc::library;
 
     fn engine(sut: &thermsched_soc::SystemUnderTest) -> Engine<'_> {
@@ -415,7 +301,7 @@ mod tests {
         // first pass itself may already have cross-point hits — its points
         // share the cache too — but never a full phase 1 on every point).
         assert!(
-            warm.warm_cache_hits() >= spec.point_count() * sut.core_count(),
+            warm.warm_cache_hits() >= warm.len() * sut.core_count(),
             "second pass must at least reuse every phase-1 characterisation: \
              cold {} vs warm {}",
             cold.warm_cache_hits(),
@@ -443,7 +329,6 @@ mod tests {
                 .map(|&o| SweepVariant::new(format!("{o:?}")).with_ordering(o))
                 .collect(),
         );
-        assert_eq!(spec.point_count(), 4);
         let report = engine.sweep(&spec).unwrap();
         assert_eq!(report.len(), 4);
         assert_eq!(report.points()[0].label, "AsGiven");
@@ -482,8 +367,9 @@ mod tests {
 
     #[test]
     fn spec_constructors_cover_the_paper_grids() {
-        assert_eq!(SweepSpec::table1().point_count(), 81);
-        assert_eq!(SweepSpec::figure5().point_count(), 27);
-        assert_eq!(SweepSpec::point(165.0, 50.0).point_count(), 1);
+        let grid = |spec: SweepSpec| (spec.temperature_limits.len(), spec.stc_limits.len());
+        assert_eq!(grid(SweepSpec::table1()), (9, 9));
+        assert_eq!(grid(SweepSpec::figure5()), (3, 9));
+        assert_eq!(grid(SweepSpec::point(165.0, 50.0)), (1, 1));
     }
 }

@@ -4,7 +4,7 @@
 use thermsched_wire::{obj, JsonValue, Key, Wire};
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::tracer::{ObsClock, SpanRecord, Tracer};
+use crate::tracer::{ClockKind, SpanRecord, Tracer};
 
 /// Version tag carried by every [`TraceDocument`]; decoding rejects
 /// other versions.
@@ -17,7 +17,7 @@ pub struct TraceDocument {
     /// Format version ([`TRACE_VERSION`]).
     pub version: u64,
     /// Which clock stamped the span timings.
-    pub clock: ObsClock,
+    pub clock: ClockKind,
     /// Spans lost to sink capacity. The structural slice is only
     /// guaranteed byte-identical across worker counts when this is 0.
     pub dropped_spans: u64,
@@ -91,7 +91,7 @@ mod tests {
     #[test]
     fn capture_sorts_job_spans_first_and_structural_slice_skips_observed() {
         let tracer = Tracer::new(TracerConfig {
-            clock: ObsClock::Virtual,
+            clock: ClockKind::Virtual,
             ..TracerConfig::default()
         });
         drop(tracer.span("backend.build"));
@@ -106,7 +106,7 @@ mod tests {
 
         let doc = TraceDocument::capture(&tracer, &registry);
         assert_eq!(doc.version, TRACE_VERSION);
-        assert_eq!(doc.clock, ObsClock::Virtual);
+        assert_eq!(doc.clock, ClockKind::Virtual);
         assert_eq!(doc.dropped_spans, 0);
         let order: Vec<Option<u64>> = doc.spans.iter().map(|s| s.job).collect();
         assert_eq!(order, vec![Some(0), Some(1), None]);

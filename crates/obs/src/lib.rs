@@ -20,8 +20,10 @@
 //!
 //! # The determinism boundary
 //!
-//! Following the [`ObsClock`]-style split used across the stack, every
-//! span carries two kinds of time:
+//! Every span carries two kinds of time. Which one a run keeps is its
+//! [`ClockKind`], the one clock setting of the stack: the tracer reads it
+//! from [`TracerConfig::clock`], and the service layer's configuration
+//! holds the same type for its delays, backoffs and latencies.
 //!
 //! * a **virtual clock** — the monotonic per-job sequence number
 //!   ([`SpanRecord::seq`]) and parent link, which are pure functions of
@@ -29,7 +31,7 @@
 //!   process count, and
 //! * **wall-clock timings** (`start_seconds` / `duration_seconds`),
 //!   which live outside the determinism boundary (and are pinned to zero
-//!   under [`ObsClock::Virtual`]).
+//!   under [`ClockKind::Virtual`]).
 //!
 //! Attributes follow the same discipline: [`Span::attr`] records a
 //! *structural* (deterministic) attribute; [`Span::attr_observed`]
@@ -51,4 +53,4 @@ mod wire;
 pub use document::{TraceDocument, TRACE_VERSION};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use render::render_trace;
-pub use tracer::{Attr, AttrValue, ObsClock, Span, SpanRecord, Tracer, TracerConfig};
+pub use tracer::{Attr, AttrValue, ClockKind, Span, SpanRecord, Tracer, TracerConfig};

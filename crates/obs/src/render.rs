@@ -4,7 +4,7 @@
 use std::fmt::Write as _;
 
 use crate::document::TraceDocument;
-use crate::tracer::{AttrValue, ObsClock, SpanRecord};
+use crate::tracer::{AttrValue, ClockKind, SpanRecord};
 
 fn format_attr_value(value: &AttrValue) -> String {
     match value {
@@ -50,8 +50,8 @@ fn depth_of(span: &SpanRecord, job_spans: &[&SpanRecord]) -> usize {
 pub fn render_trace(doc: &TraceDocument, top_k: usize) -> String {
     let mut out = String::new();
     let clock = match doc.clock {
-        ObsClock::Wall => "wall",
-        ObsClock::Virtual => "virtual",
+        ClockKind::Wall => "wall",
+        ClockKind::Virtual => "virtual",
     };
     let _ = writeln!(
         out,
@@ -73,8 +73,8 @@ pub fn render_trace(doc: &TraceDocument, top_k: usize) -> String {
         for span in &job_spans {
             let indent = "  ".repeat(depth_of(span, &job_spans) + 1);
             let timing = match doc.clock {
-                ObsClock::Wall => format!(" {:.3}ms", span.duration_seconds * 1e3),
-                ObsClock::Virtual => String::new(),
+                ClockKind::Wall => format!(" {:.3}ms", span.duration_seconds * 1e3),
+                ClockKind::Virtual => String::new(),
             };
             let _ = writeln!(out, "{indent}{}{timing}{}", span.name, format_attrs(span));
         }
@@ -85,14 +85,14 @@ pub fn render_trace(doc: &TraceDocument, top_k: usize) -> String {
         let _ = writeln!(out, "\nrun-level");
         for span in run_level {
             let timing = match doc.clock {
-                ObsClock::Wall => format!(" {:.3}ms", span.duration_seconds * 1e3),
-                ObsClock::Virtual => String::new(),
+                ClockKind::Wall => format!(" {:.3}ms", span.duration_seconds * 1e3),
+                ClockKind::Virtual => String::new(),
             };
             let _ = writeln!(out, "  {}{timing}{}", span.name, format_attrs(span));
         }
     }
 
-    if top_k > 0 && doc.clock == ObsClock::Wall && !doc.spans.is_empty() {
+    if top_k > 0 && doc.clock == ClockKind::Wall && !doc.spans.is_empty() {
         let mut slowest: Vec<&SpanRecord> = doc.spans.iter().collect();
         slowest.sort_by(|a, b| {
             b.duration_seconds
@@ -173,7 +173,7 @@ mod tests {
     #[test]
     fn virtual_clock_rendering_omits_timings_and_topk() {
         let tracer = Tracer::new(TracerConfig {
-            clock: ObsClock::Virtual,
+            clock: ClockKind::Virtual,
             ..TracerConfig::default()
         });
         let job = tracer.for_job(4);

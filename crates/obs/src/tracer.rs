@@ -5,19 +5,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-/// Which clock stamps span timings.
+/// Which clock a run is timed against: span timings here, and in the
+/// service layer its injected delays, retry backoffs and job latencies.
 ///
-/// Mirrors the service layer's `ClockKind`: `Wall` records real start
-/// offsets and durations (useful traces, timing-dependent bytes), while
-/// `Virtual` pins both to zero so the *entire* trace document — not just
-/// its structural slice — is a pure function of the work done.
+/// `Wall` records real start offsets and durations (useful traces,
+/// timing-dependent bytes), while `Virtual` pins both to zero so the
+/// *entire* trace document — not just its structural slice — is a pure
+/// function of the work done.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ObsClock {
-    /// Real wall-clock start offsets and durations.
+pub enum ClockKind {
+    /// Real time: real span start offsets and durations; injected delays
+    /// and retry backoffs sleep, and job latency is measured wall-clock.
+    /// The production setting.
     #[default]
     Wall,
-    /// Timings pinned to zero; only the sequence-number virtual clock
-    /// orders events.
+    /// Virtual time: span timings are pinned to zero, so only the
+    /// sequence-number virtual clock orders events; delays and backoffs
+    /// accrue deterministic virtual latency seconds without sleeping.
     Virtual,
 }
 
@@ -111,9 +115,9 @@ pub struct SpanRecord {
     /// Sequence number of the enclosing span within the same job.
     pub parent: Option<u64>,
     /// Wall-clock start offset from the tracer's epoch in seconds
-    /// (0.0 under [`ObsClock::Virtual`]).
+    /// (0.0 under [`ClockKind::Virtual`]).
     pub start_seconds: f64,
-    /// Wall-clock duration in seconds (0.0 under [`ObsClock::Virtual`]).
+    /// Wall-clock duration in seconds (0.0 under [`ClockKind::Virtual`]).
     pub duration_seconds: f64,
     /// Attributes in recording order.
     pub attrs: Vec<Attr>,
@@ -130,7 +134,7 @@ impl SpanRecord {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracerConfig {
     /// Which clock stamps span timings.
-    pub clock: ObsClock,
+    pub clock: ClockKind,
     /// Number of independently locked sink shards (at least 1).
     pub shards: usize,
     /// Hard capacity of each shard; a full shard drops new spans and
@@ -141,7 +145,7 @@ pub struct TracerConfig {
 impl Default for TracerConfig {
     fn default() -> Self {
         TracerConfig {
-            clock: ObsClock::Wall,
+            clock: ClockKind::Wall,
             shards: 8,
             capacity_per_shard: 8192,
         }
@@ -151,7 +155,7 @@ impl Default for TracerConfig {
 /// The bounded, lock-sharded span store shared by all tracer clones.
 #[derive(Debug)]
 struct Sink {
-    clock: ObsClock,
+    clock: ClockKind,
     epoch: Instant,
     shards: Vec<Mutex<Vec<SpanRecord>>>,
     capacity_per_shard: usize,
@@ -229,10 +233,10 @@ impl Tracer {
         self.sink.is_some()
     }
 
-    /// The clock stamping span timings ([`ObsClock::Wall`] when
+    /// The clock stamping span timings ([`ClockKind::Wall`] when
     /// disabled).
-    pub fn clock(&self) -> ObsClock {
-        self.sink.as_ref().map_or(ObsClock::Wall, |s| s.clock)
+    pub fn clock(&self) -> ClockKind {
+        self.sink.as_ref().map_or(ClockKind::Wall, |s| s.clock)
     }
 
     /// A handle scoped to `job`: its spans carry the job id, a fresh
@@ -268,8 +272,8 @@ impl Tracer {
         };
         let start = Instant::now();
         let start_seconds = match sink.clock {
-            ObsClock::Wall => start.duration_since(sink.epoch).as_secs_f64(),
-            ObsClock::Virtual => 0.0,
+            ClockKind::Wall => start.duration_since(sink.epoch).as_secs_f64(),
+            ClockKind::Virtual => 0.0,
         };
         Span {
             inner: Some(SpanInner {
@@ -390,8 +394,8 @@ impl Drop for Span {
             scope.parent.store(inner.saved_parent, Ordering::Relaxed);
         }
         let duration_seconds = match inner.sink.clock {
-            ObsClock::Wall => inner.start.elapsed().as_secs_f64(),
-            ObsClock::Virtual => 0.0,
+            ClockKind::Wall => inner.start.elapsed().as_secs_f64(),
+            ClockKind::Virtual => 0.0,
         };
         inner.sink.push(SpanRecord {
             name: inner.name.to_owned(),
@@ -426,7 +430,7 @@ mod tests {
     #[test]
     fn job_spans_get_sequence_numbers_and_parent_links() {
         let tracer = Tracer::new(TracerConfig {
-            clock: ObsClock::Virtual,
+            clock: ClockKind::Virtual,
             ..TracerConfig::default()
         });
         let job = tracer.for_job(3);
@@ -470,7 +474,7 @@ mod tests {
     #[test]
     fn full_shards_drop_spans_and_count_them() {
         let tracer = Tracer::new(TracerConfig {
-            clock: ObsClock::Virtual,
+            clock: ClockKind::Virtual,
             shards: 1,
             capacity_per_shard: 2,
         });
@@ -485,7 +489,7 @@ mod tests {
     #[test]
     fn run_level_spans_have_no_job_and_absorb_respects_capacity() {
         let tracer = Tracer::new(TracerConfig {
-            clock: ObsClock::Virtual,
+            clock: ClockKind::Virtual,
             shards: 1,
             capacity_per_shard: 3,
         });

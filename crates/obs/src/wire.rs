@@ -7,10 +7,10 @@ use thermsched_wire::{
 
 use crate::document::{TraceDocument, TRACE_VERSION};
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
-use crate::tracer::{Attr, AttrValue, ObsClock, SpanRecord};
+use crate::tracer::{Attr, AttrValue, ClockKind, SpanRecord};
 
 wire_unit_enum! {
-    "obs_clock" => ObsClock { "wall" => Wall, "virtual" => Virtual }
+    "clock_kind" => ClockKind { "wall" => Wall, "virtual" => Virtual }
 }
 
 /// A value travels in whichever scalar lane it was recorded in.
@@ -148,7 +148,7 @@ mod tests {
 
     fn sample_document() -> TraceDocument {
         let tracer = Tracer::new(TracerConfig {
-            clock: ObsClock::Virtual,
+            clock: ClockKind::Virtual,
             ..TracerConfig::default()
         });
         let job = tracer.for_job(2);

@@ -465,25 +465,13 @@ impl<'a> Executor<'a> {
 
     /// Counts and builds the result of a job that never ran (rejected at
     /// submission or shed from the queue).
-    pub(crate) fn unrun(
-        &self,
-        seq: u64,
-        label: &str,
-        scenario: usize,
-        outcome: JobOutcome,
-    ) -> JobResult {
+    pub(crate) fn unrun(&self, seq: u64, job: &JobSpec, outcome: JobOutcome) -> JobResult {
         self.tally.record(&outcome, None);
         let scenario_name = self
             .scenarios
-            .get(&scenario)
+            .get(&job.scenario)
             .map_or("unknown", |prepared| prepared.scenario.name.as_str());
-        JobResult {
-            index: seq as usize,
-            scenario,
-            scenario_name: scenario_name.to_owned(),
-            label: label.to_owned(),
-            outcome,
-        }
+        JobResult::new(seq as usize, job, scenario_name, outcome)
     }
 
     /// Usage counters summed over every scenario's session store.
@@ -676,12 +664,13 @@ impl<'a> Executor<'a> {
     /// Runs attempt number `attempt`: builds an engine over the job's
     /// prepared scenario and schedules under panic isolation, with a
     /// checkpoint installed when the job has a deadline or can be
-    /// cancelled. An engine that cannot be built, or a malformed online
-    /// context, ends the attempt as a non-retryable failure: both are
-    /// deterministic functions of the job. The budget is compared against
-    /// *simulated* effort, so deadline interrupts are deterministic;
-    /// cancellation is the one deliberately non-deterministic interrupt (it
-    /// answers to a drain deadline, and is reported as such).
+    /// cancelled. An engine that cannot be built, or an online context the
+    /// scenario cannot take (a warm start of another core count), ends the
+    /// attempt as a non-retryable failure: both are deterministic functions
+    /// of the job. The budget is compared against *simulated* effort, so
+    /// deadline interrupts are deterministic; cancellation is the one
+    /// deliberately non-deterministic interrupt (it answers to a drain
+    /// deadline, and is reported as such).
     fn attempt(
         &self,
         attempt: u32,
@@ -708,7 +697,7 @@ impl<'a> Executor<'a> {
                 .cache(prepared.cache.clone())
                 .tracer(tracer.clone())
                 .build()?;
-            engine.run(job.config, job.online_context()?.as_ref(), checkpoint)
+            engine.run(job.config, Some(&job.online), checkpoint)
         })
     }
 }
@@ -1198,8 +1187,7 @@ mod tests {
             scenario,
             label: format!("job {seq}"),
             config: thermsched::SchedulerConfig::new(165.0, 40.0).unwrap(),
-            trace: None,
-            warm_start: None,
+            online: thermsched::OnlineContext::new(),
         };
         state.push(priority, seq, Cow::Owned(job), None);
     }

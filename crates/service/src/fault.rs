@@ -11,6 +11,8 @@
 //! as deterministic as a fault-free one, which is what lets the service's
 //! byte-identity contract extend to runs under fire.
 
+pub use thermsched_obs::ClockKind;
+
 use crate::{Result, ServiceError};
 
 /// Kind of fault the harness injects into a job attempt.
@@ -244,20 +246,6 @@ impl RetryPolicy {
             ));
         self.backoff_base_seconds * self.backoff_multiplier.powi(exponent as i32) * (1.0 + jitter)
     }
-}
-
-/// Which clock delays, backoffs and latency measurements run against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClockKind {
-    /// Real time: injected delays and retry backoffs sleep, and job latency
-    /// is measured wall-clock. The production setting.
-    #[default]
-    Wall,
-    /// Virtual time: delays and backoffs only accrue simulated latency
-    /// seconds without sleeping, so fault-and-retry tests run instantly and
-    /// reproducibly. Job latency under this clock is the accrued virtual
-    /// time — a deterministic quantity.
-    Virtual,
 }
 
 /// SplitMix64-style counter hash of (seed, job, stream index): the one

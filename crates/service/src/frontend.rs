@@ -36,7 +36,7 @@ use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use thermsched::{SchedulerConfig, TraceProfile};
+use thermsched::{OnlineContext, SchedulerConfig};
 use thermsched_obs::{MetricsRegistry, Tracer};
 
 use crate::executor::{Executor, Mode};
@@ -134,66 +134,49 @@ impl Priority {
     }
 }
 
-/// One unit of work for the front-end: a scenario index into the corpus,
-/// an operating-point configuration, and the robustness knobs the batch
-/// API has no room for (priority, per-job deadline).
+/// One unit of work for the front-end: the job itself, as a corpus holds
+/// it, plus the admission knobs the batch API has no room for (priority,
+/// per-job deadline).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Submission {
-    /// Index into the front-end corpus's scenarios.
-    pub scenario: usize,
-    /// Label carried into the [`JobResult`].
-    pub label: String,
-    /// Scheduler configuration of this job.
-    pub config: SchedulerConfig,
+    /// The job: scenario index into the front-end corpus, label carried
+    /// into the [`JobResult`], scheduler configuration and online state.
+    pub job: JobSpec,
     /// Priority class (default [`Priority::Normal`]).
     pub priority: Priority,
     /// Per-job effort budget in simulated seconds, overriding
     /// [`ServiceConfig::deadline_effort`] when set.
     pub deadline_effort: Option<f64>,
-    /// Time-varying power shape the job's sessions follow, or `None` for a
-    /// constant-power run.
-    pub trace: Option<TraceProfile>,
-    /// Per-core initial temperatures (°C) to re-plan from — the state a
-    /// previous job left behind — or `None` to start from ambient.
-    pub warm_start: Option<Vec<f64>>,
+}
+
+impl From<JobSpec> for Submission {
+    /// A normal-priority submission of `job` with no per-job deadline.
+    fn from(job: JobSpec) -> Self {
+        Submission {
+            job,
+            priority: Priority::Normal,
+            deadline_effort: None,
+        }
+    }
 }
 
 impl Submission {
-    /// A normal-priority submission with no per-job deadline.
+    /// A normal-priority, constant-power submission with no per-job
+    /// deadline.
     pub fn new(scenario: usize, label: impl Into<String>, config: SchedulerConfig) -> Self {
-        Submission {
+        Submission::from(JobSpec {
             scenario,
             label: label.into(),
             config,
-            priority: Priority::Normal,
-            deadline_effort: None,
-            trace: None,
-            warm_start: None,
-        }
+            online: OnlineContext::new(),
+        })
     }
 
     /// Builds a submission from a corpus [`JobSpec`] — the bridge from
     /// batch-generated work to the streaming API. Online state (trace /
     /// warm start) carries over.
     pub fn from_job(job: &JobSpec) -> Self {
-        Submission {
-            trace: job.trace.clone(),
-            warm_start: job.warm_start.clone(),
-            ..Submission::new(job.scenario, job.label.clone(), job.config)
-        }
-    }
-
-    /// Attaches a power-trace shape to the job.
-    pub fn with_trace(mut self, trace: TraceProfile) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// Attaches warm-start temperatures (°C, one per core of the scenario),
-    /// chaining this job's planning off a previous job's final state.
-    pub fn with_warm_start(mut self, temperatures: Vec<f64>) -> Self {
-        self.warm_start = Some(temperatures);
-        self
+        Submission::from(job.clone())
     }
 
     /// Sets the priority class.
@@ -480,9 +463,9 @@ impl Frontend {
         let scenario_count = executor.scenario_count();
         let rejection = if !state.accepting {
             Some(Rejected::Draining)
-        } else if submission.scenario >= scenario_count {
+        } else if submission.job.scenario >= scenario_count {
             Some(Rejected::UnknownScenario {
-                scenario: submission.scenario,
+                scenario: submission.job.scenario,
                 scenario_count,
             })
         } else if submission
@@ -504,8 +487,7 @@ impl Frontend {
                 .expect("non-empty: len >= capacity >= 1");
             victim.handle.resolve(executor.unrun(
                 victim.seq,
-                &victim.job.label,
-                victim.job.scenario,
+                &victim.job,
                 JobOutcome::Shed(ShedCause::Displaced),
             ));
             None
@@ -517,25 +499,13 @@ impl Frontend {
         if let Some(rejection) = rejection {
             drop(state);
             let handle = JobHandle::new();
-            handle.resolve(executor.unrun(
-                seq,
-                &submission.label,
-                submission.scenario,
-                JobOutcome::Rejected(rejection),
-            ));
+            handle.resolve(executor.unrun(seq, &submission.job, JobOutcome::Rejected(rejection)));
             return handle;
         }
-        let job = JobSpec {
-            scenario: submission.scenario,
-            label: submission.label,
-            config: submission.config,
-            trace: submission.trace,
-            warm_start: submission.warm_start,
-        };
         let handle = state.push(
             submission.priority,
             seq,
-            Cow::Owned(job),
+            Cow::Owned(submission.job),
             submission.deadline_effort,
         );
         drop(state);
@@ -567,8 +537,7 @@ impl Frontend {
         while let Some((_, victim)) = state.queue.pop_first() {
             victim.handle.resolve(executor.unrun(
                 victim.seq,
-                &victim.job.label,
-                victim.job.scenario,
+                &victim.job,
                 JobOutcome::Shed(ShedCause::Drained),
             ));
             shed_at_drain += 1;

@@ -10,7 +10,12 @@
 //!    seed-driven family of systems under test (via
 //!    [`thermsched_soc::SocGenerator`]) crossed with an operating grid of
 //!    `TL × STCL` points and configuration variants. Fully deterministic:
-//!    the corpus is a pure function of the spec.
+//!    the corpus is a pure function of the spec. Each job is one
+//!    [`JobSpec`] from generation to attempt: its scenario, label,
+//!    configuration and `online` state (a [`thermsched::OnlineContext`],
+//!    empty for a constant-power job), validated once when the spec is
+//!    built or the document decoded. A decoded corpus refuses an empty
+//!    warm start and one whose length is not its scenario's core count.
 //! 2. **A concurrent job runner** ([`ServiceRunner`]): every job is queued
 //!    and worker threads drain the queue scenario by scenario (a freed
 //!    worker prefers the next job of the scenario it just ran), per-job
@@ -20,7 +25,8 @@
 //!    ([`thermsched::SessionCacheHandle`]), each built once per scenario.
 //!    Constant-power jobs read and publish phase-1 characterisations and
 //!    validated sessions in the store; online jobs (a trace or a warm
-//!    start) keep their results to themselves. For a [`BackendKind`] that batches, the runner first
+//!    start) lend the engine their context and keep their results to
+//!    themselves. For a [`BackendKind`] that batches, the runner first
 //!    prewarms every store with its scenario's single-core sessions,
 //!    advanced per operator key in multi-RHS passes split over the worker
 //!    threads.
@@ -30,11 +36,15 @@
 //!    ([`ServiceStats`]).
 //! 4. **A streaming front-end with first-class failure handling**
 //!    ([`Frontend`]): a long-lived submission API over the same execution
-//!    machinery — bounded ingress queue with priority admission control and
-//!    load shedding, per-submission [`JobHandle`]s, seeded deterministic
-//!    fault injection and retries ([`FaultPlan`], [`RetryPolicy`]),
-//!    effort-budget deadlines enforced at the scheduler's cooperative
-//!    checkpoints, and graceful drain ([`Frontend::drain`]).
+//!    machinery. A [`Submission`] is a [`JobSpec`] plus its admission
+//!    knobs (priority, per-job deadline); the front-end adds a bounded
+//!    ingress queue with priority admission control and load shedding,
+//!    per-submission [`JobHandle`]s, seeded deterministic fault injection
+//!    and retries ([`FaultPlan`], [`RetryPolicy`]), effort-budget deadlines
+//!    enforced at the scheduler's cooperative checkpoints, and graceful
+//!    drain ([`Frontend::drain`]). [`ClockKind`], re-exported from
+//!    `thermsched_obs`, is the one clock setting: it times delays, backoffs
+//!    and latencies here and span timings in a trace.
 //! 5. **A multi-process sharding coordinator** ([`MultiprocCoordinator`]):
 //!    deals whole scenarios, each to the least-loaded of several real
 //!    worker processes (the `thermsched worker` binary, or anything

@@ -70,14 +70,14 @@ use std::sync::mpsc;
 use std::time::Instant;
 
 use thermsched::{NestedParallelismGuard, OperatorCacheStats, StoreStats};
-use thermsched_obs::{MetricsRegistry, ObsClock, SpanRecord, Tracer, TracerConfig};
+use thermsched_obs::{MetricsRegistry, SpanRecord, Tracer, TracerConfig};
 use thermsched_wire::frame::{read_frame, write_frame, Frame};
 use thermsched_wire::{decode_value, encode_array, obj, wire_struct, JsonValue, Wire, WireError};
 
 use crate::executor::{Executor, JobAccounting, Mode, Tally};
 use crate::{
-    ClockKind, Corpus, JobResult, JobSpec, Result, Scenario, ServiceConfig, ServiceError,
-    ServiceReport, ServiceStats,
+    Corpus, JobResult, JobSpec, Result, Scenario, ServiceConfig, ServiceError, ServiceReport,
+    ServiceStats,
 };
 
 /// Version of the coordinator↔worker protocol, checked in `HELLO`.
@@ -653,11 +653,7 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
     // structural traces across process counts.
     let tracer = if trace {
         Tracer::new(TracerConfig {
-            clock: if config.clock == ClockKind::Virtual {
-                ObsClock::Virtual
-            } else {
-                ObsClock::Wall
-            },
+            clock: config.clock,
             ..TracerConfig::default()
         })
     } else {
@@ -752,7 +748,7 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{JobOutcome, ScenarioSpec};
+    use crate::{ClockKind, JobOutcome, ScenarioSpec};
     use thermsched_obs::MetricsSnapshot;
     use thermsched_wire::encode_value;
 

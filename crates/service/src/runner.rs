@@ -382,11 +382,8 @@ mod tests {
                     .dyn_backend(built.as_ref())
                     .build()
                     .unwrap();
-                let outcome = match job.online_context().unwrap() {
-                    Some(online) => engine.schedule_online_with(job.config, &online),
-                    None => engine.schedule_with(job.config),
-                };
-                JobOutcome::Completed(JobMetrics::from(&outcome.unwrap()))
+                let outcome = engine.run(job.config, Some(&job.online), None).unwrap();
+                JobOutcome::Completed(JobMetrics::from(&outcome))
             })
             .collect()
     }
@@ -425,7 +422,7 @@ mod tests {
         }
         .build()
         .unwrap();
-        assert!(corpus.jobs().iter().all(JobSpec::is_online));
+        assert!(corpus.jobs().iter().all(|job| !job.online.is_empty()));
         let reference = ServiceRunner::new(ServiceConfig {
             workers: 1,
             ..ServiceConfig::default()

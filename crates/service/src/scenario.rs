@@ -176,9 +176,12 @@ impl Default for ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// Number of jobs the spec expands to.
-    pub fn job_count(&self) -> usize {
-        self.scenarios * self.temperature_limits.len() * self.stc_limits.len()
+    /// Number of jobs the spec expands to, or `None` when a `usize` cannot
+    /// count them.
+    pub fn job_count(&self) -> Option<usize> {
+        self.scenarios
+            .checked_mul(self.temperature_limits.len())?
+            .checked_mul(self.stc_limits.len())
     }
 
     /// Expands the spec into a concrete, fully deterministic corpus.
@@ -191,7 +194,7 @@ impl ScenarioSpec {
     /// * [`ServiceError::Schedule`] for operating points that do not form a
     ///   valid [`SchedulerConfig`].
     pub fn build(&self) -> Result<Corpus> {
-        self.validate()?;
+        let job_count = self.validate()?;
         let too_large = |_| ServiceError::InvalidSpec {
             field: "scenarios",
             problem: "expands to more than can be allocated",
@@ -227,8 +230,7 @@ impl ScenarioSpec {
             None => CoreViolationPolicy::Fail,
         };
         let mut jobs = Vec::new();
-        jobs.try_reserve_exact(self.job_count())
-            .map_err(too_large)?;
+        jobs.try_reserve_exact(job_count).map_err(too_large)?;
         for (scenario, generated) in scenarios.iter().enumerate() {
             for &tl in &self.temperature_limits {
                 for &stcl in &self.stc_limits {
@@ -240,28 +242,29 @@ impl ScenarioSpec {
                         .with_ordering(ordering)
                         .with_core_violation_policy(policy);
                     let mut label = format!("TL={tl} STCL={stcl} wf={weight_factor} {ordering:?}");
-                    let trace = if self.trace_families.is_empty() {
-                        None
-                    } else {
+                    let mut online = OnlineContext::new();
+                    if !self.trace_families.is_empty() {
                         let family = self.trace_families[index % self.trace_families.len()];
                         label.push_str(" trace=");
                         label.push_str(family.label());
-                        Some(family.profile(derive_seed(self.seed ^ TRACE_STREAM, index as u64)))
-                    };
-                    let warm_start = self.warm_start_range.map(|(low, high)| {
+                        let seed = derive_seed(self.seed ^ TRACE_STREAM, index as u64);
+                        online = online.with_trace(family.profile(seed));
+                    }
+                    if let Some((low, high)) = self.warm_start_range {
                         label.push_str(" warm");
                         let mut state = derive_seed(self.seed ^ WARM_STREAM, index as u64);
                         let blocks = generated.sut.core_count();
-                        (0..blocks)
-                            .map(|_| low + (high - low) * unit_f64(&mut state))
-                            .collect()
-                    });
+                        online = online.with_warm_start(
+                            (0..blocks)
+                                .map(|_| low + (high - low) * unit_f64(&mut state))
+                                .collect(),
+                        )?;
+                    }
                     jobs.push(JobSpec {
                         scenario,
                         label,
                         config,
-                        trace,
-                        warm_start,
+                        online,
                     });
                 }
             }
@@ -269,7 +272,8 @@ impl ScenarioSpec {
         Ok(Corpus { scenarios, jobs })
     }
 
-    fn validate(&self) -> Result<()> {
+    /// Checks the spec and returns its job count.
+    fn validate(&self) -> Result<usize> {
         let non_empty: [(&'static str, bool); 6] = [
             ("scenarios", self.scenarios > 0),
             ("grid_shapes", !self.grid_shapes.is_empty()),
@@ -286,25 +290,20 @@ impl ScenarioSpec {
                 });
             }
         }
-        let jobs = self
-            .scenarios
-            .checked_mul(self.temperature_limits.len())
-            .and_then(|jobs| jobs.checked_mul(self.stc_limits.len()));
-        if jobs.is_none() {
-            return Err(ServiceError::InvalidSpec {
-                field: "scenarios",
-                problem: "expands to more jobs than can be counted",
-            });
-        }
+        let jobs = self.job_count().ok_or(ServiceError::InvalidSpec {
+            field: "scenarios",
+            problem: "expands to more jobs than can be counted",
+        })?;
         if let Some((low, high)) = self.warm_start_range {
-            if !low.is_finite() || !high.is_finite() || low > high {
+            // A finite width keeps every draw `low + width * u` finite.
+            if !(high - low).is_finite() || low > high {
                 return Err(ServiceError::InvalidSpec {
                     field: "warm_start_range",
                     problem: "must be finite with low <= high",
                 });
             }
         }
-        Ok(())
+        Ok(jobs)
     }
 }
 
@@ -356,35 +355,19 @@ pub struct JobSpec {
     pub label: String,
     /// The scheduler configuration of this run.
     pub config: SchedulerConfig,
-    /// Time-varying power shape every session of this job follows, or
-    /// `None` for the classic constant-power run.
-    pub trace: Option<TraceProfile>,
-    /// Per-core initial temperatures (°C) to re-plan from, or `None` to
-    /// start from ambient.
-    pub warm_start: Option<Vec<f64>>,
+    /// The job's online state: the power-trace shape every session follows
+    /// and the per-core temperatures (°C) it re-plans from. Empty for the
+    /// classic constant-power run from ambient. Built and validated once,
+    /// by [`ScenarioSpec::build`] or the decoder; every attempt borrows it.
+    pub online: OnlineContext,
 }
 
 impl JobSpec {
-    /// Whether this job carries any online state (a trace or a warm start).
-    pub fn is_online(&self) -> bool {
-        self.trace.is_some() || self.warm_start.is_some()
-    }
-
-    /// Assembles the job's [`OnlineContext`], or `None` for a plain
-    /// constant-power job. Errors surface scheduler-level validation (e.g.
-    /// non-finite warm-start temperatures).
-    pub fn online_context(&self) -> thermsched::Result<Option<OnlineContext>> {
-        if !self.is_online() {
-            return Ok(None);
-        }
-        let mut online = OnlineContext::new();
-        if let Some(trace) = &self.trace {
-            online = online.with_trace(trace.clone());
-        }
-        if let Some(warm) = &self.warm_start {
-            online = online.with_warm_start(warm.clone())?;
-        }
-        Ok(Some(online))
+    /// `Some(&self.online)`, or `None` for a constant-power job. Kept for
+    /// perfbench's thermal replay; read [`JobSpec::online`] instead.
+    #[doc(hidden)]
+    pub fn online_context(&self) -> thermsched::Result<Option<&OnlineContext>> {
+        Ok((!self.online.is_empty()).then_some(&self.online))
     }
 }
 
@@ -398,19 +381,26 @@ pub struct Corpus {
 
 impl Corpus {
     /// Reassembles a corpus from its parts (wire decode only), checking
-    /// that every job references a scenario the corpus actually has. An
-    /// empty corpus is legal — the runner handles zero jobs.
+    /// that every job references a scenario the corpus actually has and
+    /// that every warm start holds one temperature per core of its
+    /// scenario. An empty corpus is legal — the runner handles zero jobs.
     pub(crate) fn from_parts(
         scenarios: Vec<Scenario>,
         jobs: Vec<JobSpec>,
     ) -> Result<Self, ServiceError> {
         for job in &jobs {
-            if job.scenario >= scenarios.len() {
+            let Some(scenario) = scenarios.get(job.scenario) else {
                 return Err(ServiceError::InvalidSpec {
                     field: "jobs",
                     problem: "job references a scenario index outside the corpus",
                 });
-            }
+            };
+            job.online
+                .check_core_count(scenario.sut.core_count())
+                .map_err(|_| ServiceError::InvalidSpec {
+                    field: "jobs",
+                    problem: "warm start does not hold one temperature per core of its scenario",
+                })?;
         }
         Ok(Corpus { scenarios, jobs })
     }
@@ -446,7 +436,7 @@ mod tests {
         let a = spec.build().unwrap();
         let b = spec.build().unwrap();
         assert_eq!(a.scenarios().len(), 8);
-        assert_eq!(a.jobs().len(), spec.job_count());
+        assert_eq!(Some(a.jobs().len()), spec.job_count());
         assert!(a.total_cores() > 0);
         for (x, y) in a.scenarios().iter().zip(b.scenarios()) {
             assert_eq!(x.name, y.name);
@@ -582,6 +572,23 @@ mod tests {
         }
     }
 
+    /// `job_count` is the one checked product `validate` and `build` use,
+    /// so a count a `usize` cannot hold is `None`, not a wrapped number or
+    /// an overflow panic.
+    #[test]
+    fn job_count_is_none_when_a_usize_cannot_count_the_jobs() {
+        let spec = ScenarioSpec {
+            scenarios: usize::MAX,
+            ..ScenarioSpec::default()
+        };
+        assert_eq!(spec.job_count(), None);
+        let one_stcl = ScenarioSpec {
+            stc_limits: vec![30.0],
+            ..spec
+        };
+        assert_eq!(one_stcl.job_count(), Some(usize::MAX));
+    }
+
     #[test]
     fn single_job_corpus_expands_deterministically() {
         let spec = ScenarioSpec {
@@ -591,7 +598,7 @@ mod tests {
             stc_limits: vec![45.0],
             ..ScenarioSpec::default()
         };
-        assert_eq!(spec.job_count(), 1);
+        assert_eq!(spec.job_count(), Some(1));
         let a = spec.build().unwrap();
         let b = spec.build().unwrap();
         assert_eq!(a.scenarios().len(), 1);
@@ -630,8 +637,7 @@ mod tests {
     fn default_spec_jobs_are_offline() {
         let corpus = ScenarioSpec::default().build().unwrap();
         for job in corpus.jobs() {
-            assert!(!job.is_online());
-            assert!(job.online_context().unwrap().is_none());
+            assert!(job.online.is_empty());
             assert!(!job.label.contains("trace="));
             assert!(!job.label.contains("warm"));
         }
@@ -652,7 +658,7 @@ mod tests {
         let b = spec.build().unwrap();
         assert_eq!(a.jobs(), b.jobs(), "traces are a pure function of the spec");
         assert_eq!(a.jobs().len(), 4);
-        let traces: Vec<_> = a.jobs().iter().map(|j| j.trace.clone().unwrap()).collect();
+        let traces: Vec<_> = a.jobs().iter().map(|j| j.online.trace().unwrap()).collect();
         assert_eq!(traces[0].segment_count(), 4, "ramp");
         assert_eq!(traces[1].segment_count(), 8, "periodic");
         assert_eq!(traces[2].segment_count(), 3, "idle gap");
@@ -676,24 +682,23 @@ mod tests {
         let b = spec.build().unwrap();
         assert_eq!(a.jobs(), b.jobs());
         for job in a.jobs() {
-            let warm = job.warm_start.as_ref().unwrap();
+            let warm = job.online.warm_start().unwrap().block_temperatures();
             assert_eq!(warm.len(), a.scenarios()[job.scenario].sut.core_count());
             assert!(warm.iter().all(|&t| (50.0..=70.0).contains(&t)));
             assert!(job.label.ends_with(" warm"));
-            assert!(job
-                .online_context()
-                .unwrap()
-                .unwrap()
-                .warm_start()
-                .is_some());
         }
         // Different jobs draw different vectors.
-        assert_ne!(a.jobs()[0].warm_start, a.jobs()[1].warm_start);
+        assert_ne!(a.jobs()[0].online, a.jobs()[1].online);
     }
 
     #[test]
     fn invalid_warm_start_ranges_are_rejected_by_name() {
-        for range in [(70.0, 50.0), (f64::NAN, 60.0), (50.0, f64::INFINITY)] {
+        for range in [
+            (70.0, 50.0),
+            (f64::NAN, 60.0),
+            (50.0, f64::INFINITY),
+            (-f64::MAX, f64::MAX),
+        ] {
             let spec = ScenarioSpec {
                 warm_start_range: Some(range),
                 ..ScenarioSpec::default()

@@ -8,18 +8,20 @@
 //!   stability promise) is needed to re-execute it. This is what the
 //!   multi-process coordinator ships to its workers.
 //! * Sum types ([`BackendKind`], [`JobOutcome`], ...) encode as tagged
-//!   objects (`{"kind": "...", ...}`); unit-only enums ([`ClockKind`],
-//!   [`ShedCause`]) as plain strings. Unknown tags are typed
-//!   [`WireError::UnknownVariant`] errors, never panics.
+//!   objects (`{"kind": "...", ...}`); unit-only enums ([`ShedCause`], and
+//!   [`ClockKind`](crate::ClockKind) from `thermsched_obs`) as plain
+//!   strings. Unknown tags are typed [`WireError::UnknownVariant`] errors,
+//!   never panics.
 
+use thermsched::{OnlineContext, TraceProfile};
 use thermsched_wire::{
     obj, wire_struct, wire_tagged_enum, wire_unit_enum, JsonValue, Result, Wire, WireError,
 };
 
 use crate::{
-    BackendKind, ClockKind, Corpus, FaultPlan, JobMetrics, JobOutcome, JobResult, JobSpec,
-    LatencyStats, Rejected, RetryPolicy, Scenario, ScenarioSpec, ServiceConfig, ServiceReport,
-    ServiceStats, ShedCause, TraceFamily,
+    BackendKind, Corpus, FaultPlan, JobMetrics, JobOutcome, JobResult, JobSpec, LatencyStats,
+    Rejected, RetryPolicy, Scenario, ScenarioSpec, ServiceConfig, ServiceReport, ServiceStats,
+    ShedCause, TraceFamily,
 };
 
 /// Encodes a pair as a two-element array.
@@ -155,6 +157,9 @@ impl Wire for Scenario {
     }
 }
 
+/// The online context travels as two optional fields, `trace` and
+/// `warm_start`, and decodes through the validating [`OnlineContext`]
+/// builders, which refuse an empty or non-finite warm start.
 impl Wire for JobSpec {
     const WIRE_TYPE: &'static str = "job_spec";
 
@@ -164,29 +169,46 @@ impl Wire for JobSpec {
             .field("label", self.label.as_str())
             .field("config", self.config.to_wire());
         // Omitted when absent, for byte-compatibility with offline documents.
-        if let Some(trace) = &self.trace {
+        if let Some(trace) = self.online.trace() {
             spec = spec.field("trace", trace.to_wire());
         }
-        if let Some(warm) = &self.warm_start {
-            spec = spec.field("warm_start", warm.to_wire());
+        if let Some(warm) = self.online.warm_start() {
+            let warm: Vec<JsonValue> = warm
+                .block_temperatures()
+                .iter()
+                .map(Wire::to_wire)
+                .collect();
+            spec = spec.field("warm_start", warm);
         }
         spec.build()
     }
 
     fn from_wire(value: &JsonValue) -> Result<Self> {
         const T: &str = "job_spec";
+        let scenario = value.decode(T, "scenario")?;
+        let label = value.decode(T, "label")?;
+        let config = value.decode(T, "config")?;
+        let mut online = OnlineContext::new();
+        if let Some(trace) = value.get("trace") {
+            online = online.with_trace(TraceProfile::from_wire(trace)?);
+        }
+        if let Some(warm) = value.get("warm_start") {
+            online = online
+                .with_warm_start(Wire::from_wire(warm)?)
+                .map_err(WireError::invalid(T))?;
+        }
         Ok(JobSpec {
-            scenario: value.decode(T, "scenario")?,
-            label: value.decode(T, "label")?,
-            config: value.decode(T, "config")?,
-            trace: value.get("trace").map(Wire::from_wire).transpose()?,
-            warm_start: value.get("warm_start").map(Wire::from_wire).transpose()?,
+            scenario,
+            label,
+            config,
+            online,
         })
     }
 }
 
 /// Decodes through `Corpus::from_parts`, which checks that every job
-/// names a scenario of the corpus.
+/// names a scenario of the corpus and that every warm start holds one
+/// temperature per core of its scenario.
 impl Wire for Corpus {
     const WIRE_TYPE: &'static str = "corpus";
 
@@ -229,7 +251,6 @@ wire_tagged_enum! {
 }
 
 wire_unit_enum! {
-    "clock_kind" => ClockKind { "wall" => Wall, "virtual" => Virtual }
     "shed_cause" => ShedCause { "displaced" => Displaced, "drained" => Drained }
 }
 
@@ -298,6 +319,7 @@ wire_struct! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ClockKind;
 
     fn spec() -> ScenarioSpec {
         ScenarioSpec {
@@ -365,7 +387,7 @@ mod tests {
         .build()
         .unwrap();
         let job = corpus.jobs()[0].clone();
-        assert!(job.is_online());
+        assert!(!job.online.is_empty());
         let json = job.to_json().unwrap();
         assert_eq!(JobSpec::from_json(&json).unwrap(), job);
         let binary = job.to_binary().unwrap();
@@ -374,8 +396,7 @@ mod tests {
         // An offline job's wire form has no online keys, and documents
         // without them (pre-online writers) decode to offline jobs.
         let offline = JobSpec {
-            trace: None,
-            warm_start: None,
+            online: OnlineContext::new(),
             ..job.clone()
         };
         let offline_json = offline.to_json().unwrap();
@@ -393,6 +414,59 @@ mod tests {
             JobSpec::from_json(&broken),
             Err(WireError::Invalid {
                 type_name: "trace_profile",
+                ..
+            })
+        ));
+    }
+
+    /// An online state the scheduler would refuse is refused at decode: a
+    /// `job_spec` with an empty warm start, and a `corpus` job whose warm
+    /// start does not hold one temperature per core of its scenario.
+    #[test]
+    fn malformed_warm_starts_are_refused_at_decode() {
+        let corpus = ScenarioSpec {
+            warm_start_range: Some((50.0, 60.0)),
+            ..spec()
+        }
+        .build()
+        .unwrap();
+        let json = corpus.jobs()[0].to_json().unwrap();
+        let at = json
+            .find("\"warm_start\"")
+            .expect("an online job writes its warm start");
+        let empty = format!("{}\"warm_start\": []}}", &json[..at]);
+        assert!(
+            matches!(
+                JobSpec::from_json(&empty),
+                Err(WireError::Invalid {
+                    type_name: "job_spec",
+                    ..
+                })
+            ),
+            "{empty}"
+        );
+
+        // Scenario 0 has 9 cores and scenario 1 has 12: hand job 0, with
+        // its 9 warm-start temperatures, to scenario 1.
+        assert_eq!(corpus.scenarios()[0].sut.core_count(), 9);
+        assert_eq!(corpus.scenarios()[1].sut.core_count(), 12);
+        let mut jobs: Vec<JobSpec> = corpus.jobs().to_vec();
+        jobs[0].scenario = 1;
+        let broken = obj()
+            .field(
+                "scenarios",
+                corpus
+                    .scenarios()
+                    .iter()
+                    .map(Wire::to_wire)
+                    .collect::<Vec<_>>(),
+            )
+            .field("jobs", jobs.iter().map(Wire::to_wire).collect::<Vec<_>>())
+            .build();
+        assert!(matches!(
+            Corpus::from_wire(&broken),
+            Err(WireError::Invalid {
+                type_name: "corpus",
                 ..
             })
         ));

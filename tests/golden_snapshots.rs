@@ -16,7 +16,7 @@
 
 use std::path::PathBuf;
 
-use thermsched_obs::{MetricsRegistry, ObsClock, TraceDocument, Tracer, TracerConfig};
+use thermsched_obs::{MetricsRegistry, TraceDocument, Tracer, TracerConfig};
 use thermsched_service::{
     ClockKind, Corpus, ScenarioSpec, ServiceConfig, ServiceRunner, TraceFamily,
 };
@@ -64,7 +64,7 @@ fn jobs_text(corpus: &Corpus) -> String {
 /// `tests/trace_determinism.rs` for that proof; this file pins the bytes).
 fn trace_text(corpus: &Corpus) -> String {
     let tracer = Tracer::new(TracerConfig {
-        clock: ObsClock::Virtual,
+        clock: ClockKind::Virtual,
         ..TracerConfig::default()
     });
     let registry = MetricsRegistry::new();

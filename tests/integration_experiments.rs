@@ -1,7 +1,6 @@
 //! Integration tests of the experiment drivers: the paper's qualitative
 //! findings must hold on the reproduced system, driven through the
-//! `Engine`/`SweepRunner` facade (with a legacy check that the deprecated
-//! free-function drivers still work).
+//! `Engine` facade and its declarative sweeps.
 
 use thermsched::{experiments, report, Engine, SweepSpec};
 use thermsched_soc::library;
@@ -147,12 +146,7 @@ fn ablations_run_and_stay_thermally_safe() {
         assert!(p.max_temperature < 160.0, "{} violates the limit", p.label);
         assert!(p.schedule_length >= 1.0);
     }
-    let ordering_points: Vec<thermsched::AblationPoint> = ordering
-        .into_points()
-        .into_iter()
-        .map(thermsched::AblationPoint::from)
-        .collect();
-    let text = report::render_ablation("orderings", &ordering_points);
+    let text = report::render_ablation("orderings", ordering.points());
     assert!(text.contains("AsGiven"));
 }
 

@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use thermsched_obs::{MetricsRegistry, Tracer, TracerConfig};
 use thermsched_service::{
     BackendKind, Corpus, JobResult, MultiprocConfig, MultiprocCoordinator, ScenarioSpec,
-    ServiceConfig, ServiceReport, ServiceRunner,
+    ServiceConfig, ServiceReport, ServiceRunner, TraceFamily,
 };
 use thermsched_wire::{encode_value, JsonValue, Wire};
 
@@ -80,6 +80,48 @@ fn per_job_results_are_byte_identical_across_process_counts() {
         assert_eq!(stats.job_count, corpus.jobs().len());
         assert_eq!(stats.completed, baseline.stats().completed);
         assert_eq!(stats.worker_crashes, 0);
+    }
+}
+
+/// Online jobs cross the process boundary inside WORK frames with their
+/// trace and warm start: a corpus with every trace family and a warm start
+/// on every job gives the in-process bytes at 2 and 3 worker processes.
+#[test]
+fn an_online_corpus_is_byte_identical_across_processes() {
+    let corpus = ScenarioSpec {
+        scenarios: 3,
+        seed: 7,
+        trace_families: vec![
+            TraceFamily::Ramp,
+            TraceFamily::Periodic,
+            TraceFamily::IdleGap,
+        ],
+        warm_start_range: Some((48.0, 62.0)),
+        ..ScenarioSpec::default()
+    }
+    .build()
+    .expect("online corpus builds");
+    assert!(corpus
+        .jobs()
+        .iter()
+        .all(|job| job.online.trace().is_some() && job.online.warm_start().is_some()));
+    let baseline = run_inprocess(&corpus);
+    assert_eq!(baseline.stats().completed, corpus.jobs().len());
+    let expected = jobs_bytes(baseline.jobs());
+
+    for processes in [2usize, 3] {
+        let report = run_multiproc(&corpus, processes, &["worker"]);
+        assert_eq!(
+            report.jobs(),
+            baseline.jobs(),
+            "jobs diverged at {processes} processes"
+        );
+        assert_eq!(
+            jobs_bytes(report.jobs()),
+            expected,
+            "wire bytes diverged at {processes} processes"
+        );
+        assert_eq!(report.stats().worker_crashes, 0);
     }
 }
 

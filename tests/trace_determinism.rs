@@ -7,7 +7,7 @@
 //! report layer already guarantees: concurrency may reorder and re-time
 //! the work, but never change its shape.
 
-use thermsched_obs::{MetricsRegistry, ObsClock, TraceDocument, Tracer, TracerConfig};
+use thermsched_obs::{MetricsRegistry, TraceDocument, Tracer, TracerConfig};
 use thermsched_service::{
     ClockKind, Corpus, FaultPlan, MultiprocConfig, MultiprocCoordinator, RetryPolicy, ScenarioSpec,
     ServiceConfig, ServiceRunner,
@@ -43,7 +43,7 @@ fn service_config(workers: usize) -> ServiceConfig {
 
 fn virtual_tracer() -> Tracer {
     Tracer::new(TracerConfig {
-        clock: ObsClock::Virtual,
+        clock: ClockKind::Virtual,
         ..TracerConfig::default()
     })
 }

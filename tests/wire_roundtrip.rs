@@ -19,7 +19,7 @@ use thermsched::{
     StoreStats, TestSchedule, TestSession, TraceSegment,
 };
 use thermsched_floorplan::{Block, Floorplan, Rect};
-use thermsched_obs::{Attr, AttrValue, HistogramSnapshot, ObsClock, SpanRecord};
+use thermsched_obs::{Attr, AttrValue, HistogramSnapshot, SpanRecord};
 use thermsched_service::{
     worker_serve, BackendKind, ClockKind, FaultPlan, JobMetrics, JobOutcome, JobResult,
     LatencyStats, Rejected, RetryPolicy, ScenarioSpec, ServiceConfig, ServiceError, ServiceReport,
@@ -762,7 +762,6 @@ fn declared_types_report_missing_fields_wrong_types_and_unknown_labels() {
     }
     check_unknown_label(&ClockKind::Virtual);
     check_unknown_label(&ShedCause::Displaced);
-    check_unknown_label(&ObsClock::Virtual);
 }
 
 /// An encoded object with `extra` fields spliced in after the field named
