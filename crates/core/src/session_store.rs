@@ -37,6 +37,20 @@ impl StoreStats {
     }
 }
 
+/// Counter by counter: the usage of two stores taken together.
+impl std::ops::Add for StoreStats {
+    type Output = StoreStats;
+
+    fn add(self, other: StoreStats) -> StoreStats {
+        StoreStats {
+            lookups: self.lookups + other.lookups,
+            hits: self.hits + other.hits,
+            insertions: self.insertions + other.insertions,
+            contended_locks: self.contended_locks + other.contended_locks,
+        }
+    }
+}
+
 /// The map behind a handle, plus its usage counters.
 #[derive(Debug, Default)]
 struct Store {
@@ -232,6 +246,14 @@ mod tests {
         assert_eq!(stats.insertions, 2);
         assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(StoreStats::default().hit_rate(), 0.0);
+        // Two stores' usage adds counter by counter.
+        let twice = StoreStats {
+            lookups: 6,
+            hits: 4,
+            insertions: 4,
+            contended_locks: 2 * stats.contended_locks,
+        };
+        assert_eq!(stats + stats, twice);
     }
 
     #[test]

@@ -11,20 +11,31 @@
 //! [`ServiceStats`] is derived. A scenario's guidance model is built on its
 //! first job and kept beside its backend and store ([`Prepared`]); every
 //! attempt borrows an [`Engine`] over the three. The three front doors
-//! differ only in how jobs arrive:
+//! differ only in how jobs arrive and how long a scenario stays prepared:
 //!
 //! * a batch run queues every corpus job, closes the queue and drains it on
 //!   a pool of worker threads ([`Executor::submit_batch`],
 //!   [`Executor::work`]) in scenario-affine order: a freed worker takes the
 //!   next job of the scenario it just ran, else the first job of a scenario
 //!   no other worker is running, else the first queued job
-//!   ([`QueueState::dispatch`]);
+//!   ([`QueueState::dispatch`]). The worker that retires a scenario's last
+//!   job — none of its jobs queued or running, and a closed batch queues no
+//!   more — releases the scenario ([`Executor::release`]) once it has
+//!   resolved that job's handle, outside the queue lock;
 //! * the streaming front-end admits submissions one at a time into the same
 //!   queue and drains it on request ([`Executor::close_and_wait_idle`]) in
-//!   strict priority order, FIFO within a class;
+//!   strict priority order, FIFO within a class. A later submission may
+//!   name any scenario, so a stream releases none;
 //! * a worker process runs the jobs of each `WORK` frame in frame order, on
-//!   its one thread ([`Executor::run`]), holding only the scenarios its `WORK`
-//!   frames brought ([`Executor::add_scenarios`]).
+//!   its one thread ([`Executor::run`]), holding only the scenarios of the
+//!   frame at hand: it prepares them ([`Executor::add_scenarios`]) and
+//!   releases them once the frame's last job has answered.
+//!
+//! Releasing a scenario drops its store entries, its guidance model and
+//! whatever the executor owns of it; its store counters stay in the
+//! executor's totals ([`Executor::store_stats`]). No lookup follows a
+//! scenario's last job, so a release changes no job's result and no
+//! counter.
 //!
 //! Every per-job span is created inside that loop, which is what makes the
 //! structural span slice identical across all three. Dispatch order changes
@@ -194,14 +205,27 @@ impl<'a> QueueState<'a> {
         Some(pending)
     }
 
-    /// Counts one running job of `scenario` as finished.
-    fn retire(&mut self, scenario: usize) {
+    /// Counts one running job of `scenario` as finished, and says whether
+    /// it was the scenario's last: the queue of a closed batch holds none
+    /// of its jobs and no worker runs one.
+    fn retire(&mut self, scenario: usize) -> bool {
         let slot = self
             .running
             .iter()
             .position(|&s| s == scenario)
             .expect("a finished job was running");
         self.running.swap_remove(slot);
+        let queued = |priority: Priority| {
+            let rank = priority.rank();
+            let jobs = (rank, scenario, 0)..=(rank, scenario, u64::MAX);
+            self.queue.range(jobs).next().is_some()
+        };
+        self.mode == Mode::Batch
+            && !self.accepting
+            && !self.running.contains(&scenario)
+            && ![Priority::High, Priority::Normal, Priority::Low]
+                .into_iter()
+                .any(queued)
     }
 }
 
@@ -238,9 +262,15 @@ impl Prepared<'_> {
 pub(crate) struct Executor<'a> {
     config: ServiceConfig,
     mode: Mode,
-    /// Prepared scenarios by corpus index: every scenario in-process, only
-    /// the ones a worker process was sent.
-    scenarios: BTreeMap<usize, Prepared<'a>>,
+    /// Prepared scenarios by corpus index, until they are released. A job
+    /// clones its scenario's reference out of the map, so the lock is held
+    /// for a lookup or a removal only, and whoever drops the last reference
+    /// frees the scenario.
+    scenarios: Mutex<BTreeMap<usize, Arc<Prepared<'a>>>>,
+    /// Scenarios prepared so far, released ones included.
+    prepared_count: usize,
+    /// The summed store counters of every released scenario.
+    released_stores: Mutex<StoreStats>,
     operator_cache: OperatorCacheHandle,
     prewarmed_sessions: usize,
     /// Run-level tracer every job derives its job-scoped handle from.
@@ -273,7 +303,9 @@ impl<'a> Executor<'a> {
         let mut executor = Executor {
             config,
             mode,
-            scenarios: BTreeMap::new(),
+            scenarios: Mutex::new(BTreeMap::new()),
+            prepared_count: 0,
+            released_stores: Mutex::new(StoreStats::default()),
             operator_cache: OperatorCacheHandle::new(),
             prewarmed_sessions: 0,
             tracer: tracer.clone(),
@@ -321,15 +353,13 @@ impl<'a> Executor<'a> {
                         .get_or_try_build(config.backend.key(&scenario), || {
                             config.backend.build(&scenario)
                         })?;
-                    Ok((
-                        index,
-                        Prepared {
-                            scenario,
-                            backend,
-                            cache: SessionCacheHandle::new(),
-                            model: OnceLock::new(),
-                        },
-                    ))
+                    let prepared = Prepared {
+                        scenario,
+                        backend,
+                        cache: SessionCacheHandle::new(),
+                        model: OnceLock::new(),
+                    };
+                    Ok((index, Arc::new(prepared)))
                 })
                 .collect::<Result<BTreeMap<_, _>>>()?;
             span.attr("scenarios", added.len());
@@ -345,20 +375,66 @@ impl<'a> Executor<'a> {
         span.attr_observed("threads", threads);
         drop(span);
         self.prewarmed_sessions += prewarmed;
+        self.prepared_count += added.len();
         // `append` rebuilds the map from both sorted sides with full nodes;
         // inserting one by one would leave them half empty.
-        self.scenarios.append(&mut added);
+        self.scenarios
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .append(&mut added);
         Ok(())
     }
 
-    /// How many scenarios this executor holds.
+    /// How many scenarios this executor has prepared, released ones
+    /// included.
     pub(crate) fn scenario_count(&self) -> usize {
-        self.scenarios.len()
+        self.prepared_count
     }
 
-    /// Whether this executor holds the scenario of corpus index `index`.
-    pub(crate) fn holds(&self, index: usize) -> bool {
-        self.scenarios.contains_key(&index)
+    fn lock_scenarios(&self) -> MutexGuard<'_, BTreeMap<usize, Arc<Prepared<'a>>>> {
+        self.scenarios
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// How many scenarios this executor holds unreleased.
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> usize {
+        self.lock_scenarios().len()
+    }
+
+    /// The prepared scenario of corpus index `index`, unless it was never
+    /// added or is released.
+    fn prepared(&self, index: usize) -> Option<Arc<Prepared<'a>>> {
+        self.lock_scenarios().get(&index).cloned()
+    }
+
+    /// Releases the scenarios of corpus indices `indices`: their store
+    /// entries, guidance models and whatever this executor owns of them
+    /// are dropped on the calling thread, and their store counters are
+    /// added to [`Self::store_stats`]' totals. None of their jobs may run
+    /// afterwards; an index this executor does not hold is skipped.
+    pub(crate) fn release(&self, indices: impl IntoIterator<Item = usize>) {
+        let released: Vec<Arc<Prepared<'a>>> = {
+            let mut scenarios = self.lock_scenarios();
+            indices
+                .into_iter()
+                .filter_map(|index| scenarios.remove(&index))
+                .collect()
+        };
+        let stores = released
+            .iter()
+            .map(|prepared| prepared.cache.stats())
+            .fold(StoreStats::default(), std::ops::Add::add);
+        let mut totals = self
+            .released_stores
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *totals = *totals + stores;
+        drop(totals);
+        // The last references: the scenarios are freed here, outside both
+        // locks.
+        drop(released);
     }
 
     pub(crate) fn lock_queue(&self) -> MutexGuard<'_, QueueState<'a>> {
@@ -420,13 +496,21 @@ impl<'a> Executor<'a> {
 
     /// The worker-thread loop: runs queued jobs in dispatch order (see
     /// [`QueueState::dispatch`]) and resolves their handles until the queue
-    /// is closed and empty. Nested phase-1 fan-outs stay sequential on this
-    /// thread: the workers are the parallelism, and W workers × P phase-1
-    /// threads would oversubscribe the machine.
+    /// is closed and empty, releasing each batch scenario after its last
+    /// job. Nested phase-1 fan-outs stay sequential on this thread: the
+    /// workers are the parallelism, and W workers × P phase-1 threads would
+    /// oversubscribe the machine.
     pub(crate) fn work(&self) {
         let _sequential = NestedParallelismGuard::enter();
         let mut finished = None;
-        while let Some(pending) = self.next(finished) {
+        loop {
+            let (next, last) = self.next(finished);
+            // After the finished job's handle resolved and before the next
+            // job's clock starts: neither latency includes the release.
+            if let Some(scenario) = last {
+                self.release([scenario]);
+            }
+            let Some(pending) = next else { return };
             let (result, _) = self.run(
                 pending.seq,
                 &pending.job,
@@ -440,21 +524,20 @@ impl<'a> Executor<'a> {
 
     /// Retires the job of scenario `finished` this worker just ran, then
     /// blocks for the next job to dispatch; `None` once the queue is closed
-    /// and empty.
-    fn next(&self, finished: Option<usize>) -> Option<Pending<'a>> {
+    /// and empty. Also returns `finished` again if that job was its
+    /// scenario's last ([`QueueState::retire`]).
+    fn next(&self, finished: Option<usize>) -> (Option<Pending<'a>>, Option<usize>) {
         let mut state = self.lock_queue();
-        if let Some(scenario) = finished {
-            state.retire(scenario);
-            if state.queue.is_empty() && state.running.is_empty() {
-                self.idle.notify_all();
-            }
+        let last = finished.filter(|&scenario| state.retire(scenario));
+        if finished.is_some() && state.queue.is_empty() && state.running.is_empty() {
+            self.idle.notify_all();
         }
         loop {
             if let Some(pending) = state.dispatch(finished) {
-                return Some(pending);
+                return (Some(pending), last);
             }
             if !state.accepting {
-                return None;
+                return (None, last);
             }
             state = self
                 .work_ready
@@ -467,24 +550,24 @@ impl<'a> Executor<'a> {
     /// submission or shed from the queue).
     pub(crate) fn unrun(&self, seq: u64, job: &JobSpec, outcome: JobOutcome) -> JobResult {
         self.tally.record(&outcome, None);
-        let scenario_name = self
-            .scenarios
-            .get(&job.scenario)
+        let prepared = self.prepared(job.scenario);
+        let scenario_name = prepared
+            .as_ref()
             .map_or("unknown", |prepared| prepared.scenario.name.as_str());
         JobResult::new(seq as usize, job, scenario_name, outcome)
     }
 
-    /// Usage counters summed over every scenario's session store.
+    /// Usage counters summed over every scenario's session store, released
+    /// ones included.
     pub(crate) fn store_stats(&self) -> StoreStats {
-        self.scenarios
+        let released = *self
+            .released_stores
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        self.lock_scenarios()
             .values()
             .map(|prepared| prepared.cache.stats())
-            .fold(StoreStats::default(), |sum, s| StoreStats {
-                lookups: sum.lookups + s.lookups,
-                hits: sum.hits + s.hits,
-                insertions: sum.insertions + s.insertions,
-                contended_locks: sum.contended_locks + s.contended_locks,
-            })
+            .fold(released, std::ops::Add::add)
     }
 
     /// Operator-cache counters of the backend build.
@@ -519,7 +602,7 @@ impl<'a> Executor<'a> {
 
     /// Runs job `seq` (queued at `queued_at`), counts it in the executor's
     /// tally, and returns its result with the accounting that was counted.
-    /// The executor must hold the job's scenario.
+    /// The executor must hold the job's scenario, unreleased.
     pub(crate) fn run(
         &self,
         seq: u64,
@@ -535,11 +618,10 @@ impl<'a> Executor<'a> {
         };
         let deadline_effort = deadline_effort.or(config.deadline_effort);
         let prepared = self
-            .scenarios
-            .get(&job.scenario)
+            .prepared(job.scenario)
             .expect("callers run only jobs of scenarios the executor holds");
         let (outcome, mut accounting) =
-            self.execute(seq, job, prepared, deadline_effort, queue_seconds);
+            self.execute(seq, job, &prepared, deadline_effort, queue_seconds);
         if config.clock == ClockKind::Wall {
             let since = match self.mode {
                 Mode::Batch => dispatched,
@@ -884,7 +966,7 @@ impl Tally {
 /// compute their own phase 1.
 fn prewarm_same_shape(
     config: &ServiceConfig,
-    scenarios: &BTreeMap<usize, Prepared<'_>>,
+    scenarios: &BTreeMap<usize, Arc<Prepared<'_>>>,
 ) -> (usize, usize) {
     if !config.backend.batches_sessions() {
         return (0, 0);
@@ -1177,6 +1259,81 @@ mod tests {
                 "{door}: counters diverged"
             );
         }
+    }
+
+    /// A batch releases each scenario at its last job, at any worker
+    /// count: once the run is over no prepared scenario survives — store,
+    /// guidance model and all — while the store counters equal the
+    /// one-worker counts of the executor that kept every scenario to the
+    /// end (pinned from it on this corpus).
+    #[test]
+    fn a_finished_batch_holds_no_scenario_and_keeps_every_store_count() {
+        let corpus = corpus();
+        let (reference, _) = stream(&corpus);
+        for workers in [1, 2] {
+            let executor = Executor::new(
+                ServiceConfig {
+                    workers,
+                    ..config()
+                },
+                Mode::Batch,
+                corpus.scenarios().iter().map(Cow::Borrowed).enumerate(),
+                &Tracer::disabled(),
+            )
+            .unwrap();
+            let prepared: Vec<std::sync::Weak<Prepared<'_>>> = executor
+                .lock_scenarios()
+                .values()
+                .map(Arc::downgrade)
+                .collect();
+            assert_eq!(prepared.len(), corpus.scenarios().len());
+            let handles = executor.submit_batch(corpus.jobs());
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(|| executor.work());
+                }
+            });
+            assert_eq!(executor.held(), 0, "{workers} workers");
+            assert!(
+                prepared.iter().all(|weak| weak.upgrade().is_none()),
+                "{workers} workers: a released scenario is still referenced"
+            );
+            assert_eq!(executor.scenario_count(), corpus.scenarios().len());
+            let jobs: Vec<JobResult> = handles.into_iter().map(JobHandle::into_result).collect();
+            assert_eq!(jobs, reference, "{workers} workers");
+            if workers == 1 {
+                let store = executor.store_stats();
+                let pinned = StoreStats {
+                    lookups: 88,
+                    hits: 37,
+                    insertions: 51,
+                    contended_locks: 0,
+                };
+                assert_eq!(store, pinned);
+            }
+        }
+    }
+
+    #[test]
+    fn only_a_closed_batch_retires_a_scenario_for_good() {
+        let normal = Priority::Normal;
+        // A batch still accepting jobs, and a stream, never call a job the
+        // last of its scenario.
+        for mode in [Mode::Batch, Mode::Stream] {
+            let mut state = queued(mode, &[(normal, 0)]);
+            assert_eq!(dispatched(&mut state, None), Some(0));
+            assert!(!state.retire(0), "{mode:?}");
+        }
+        // A closed batch: the last job of a scenario is the one that leaves
+        // none of its siblings queued or running.
+        let mut state = queued(Mode::Batch, &[(normal, 0), (normal, 0), (normal, 1)]);
+        state.accepting = false;
+        assert_eq!(dispatched(&mut state, None), Some(0));
+        assert_eq!(dispatched(&mut state, None), Some(2));
+        assert!(!state.retire(0), "job 1 is still queued");
+        assert_eq!(dispatched(&mut state, Some(0)), Some(1));
+        assert!(state.retire(1));
+        assert!(state.retire(0));
     }
 
     /// Queues one job of `scenario` at `priority` under the next sequence

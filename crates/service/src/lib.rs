@@ -22,7 +22,8 @@
 //!    errors and panics are isolated into the job's [`JobOutcome`], and
 //!    every job schedules through a [`thermsched::Engine`] borrowing its
 //!    scenario's backend, guidance model and session store
-//!    ([`thermsched::SessionCacheHandle`]), each built once per scenario.
+//!    ([`thermsched::SessionCacheHandle`]), each built once per scenario
+//!    and released when the scenario's last job retires.
 //!    Constant-power jobs read and publish phase-1 characterisations and
 //!    validated sessions in the store; online jobs (a trace or a warm
 //!    start) lend the engine their context and keep their results to
@@ -58,7 +59,10 @@
 //! executor: one preparation step (backends, stores, prewarm), one attempt
 //! loop (faults, deadlines, retries, panic isolation) and one set of
 //! counters. They differ only in how jobs arrive — a closed batch, a stream
-//! of submissions, or `WORK` frames that carry each scenario with its jobs.
+//! of submissions, or `WORK` frames of at most [`WORK_FRAME_SCENARIOS`]
+//! scenarios, each with its jobs — and in how long a scenario stays
+//! prepared: until its last job in a batch, until the frame's last job in
+//! a worker process, and for the front-end's whole life in a stream.
 //!
 //! Every execution path is instrumented with [`thermsched_obs`]: pass a
 //! [`thermsched_obs::Tracer`] and [`thermsched_obs::MetricsRegistry`] to
@@ -122,6 +126,7 @@ pub use frontend::{
 };
 pub use multiproc::{
     worker_serve, CrashPlan, MultiprocConfig, MultiprocCoordinator, PROTOCOL_VERSION,
+    WORK_FRAME_SCENARIOS,
 };
 pub use report::{JobMetrics, JobOutcome, JobResult, LatencyStats, ServiceReport, ServiceStats};
 pub use runner::{BackendKind, ServiceConfig, ServiceRunner};

@@ -25,11 +25,14 @@
 //! | `SHUTDOWN` (4) | → worker | `{}` |
 //! | `FIN` (5) | ← worker | `{store, operator_cache, prewarmed_sessions, spans, dropped_spans}` |
 //!
-//! `config` is a [`ServiceConfig`] document. Every payload field is
+//! `config` is a [`ServiceConfig`] document. A worker takes any number of
+//! `WORK` frames; the coordinator writes at most
+//! [`WORK_FRAME_SCENARIOS`] scenarios into each. Every payload field is
 //! required: an untraced worker's FIN carries `spans: []` and
 //! `dropped_spans: 0`. FIN carries no metrics: the coordinator counts every
 //! result and every FIN's stats itself, so its registry holds each counter
-//! once, crashed workers' jobs included.
+//! once, crashed workers' jobs included. FIN's store counters cover every
+//! scenario the worker was sent, released ones included.
 //!
 //! `PROTOCOL_VERSION` is 4. A worker reads a HELLO's `protocol` before any
 //! other field and refuses any other version with
@@ -44,18 +47,28 @@
 //! they do in-process. The coordinator deals whole scenarios in corpus
 //! order, each to the worker with the fewest jobs so far (ties go to the
 //! lowest index), and spawns at most one worker per scenario that has
-//! jobs. A worker is sent one `WORK` frame holding each of its scenarios
-//! with that scenario's jobs; it builds backends, stores and the
-//! same-shape prewarm for just those, then runs the jobs in frame order.
-//! When a worker dies, all of its unresolved jobs move to the first live
-//! worker in one more `WORK` frame: the initial deal and crash recovery
-//! take the same path. Because deals hand out whole scenarios and a
-//! reassignment moves all of a dead worker's unresolved jobs to one
-//! survivor, a scenario's unresolved jobs always sit with one live worker,
-//! the only live one holding that scenario: no worker is sent a scenario
-//! it already holds. A `RESULT` counts only for a job currently dealt to
-//! the worker that sent it; any other index marks that worker dead, like a
-//! malformed frame.
+//! jobs. The coordinator thread hands each worker's writer thread only job
+//! indices. The writer groups them by scenario, ascending, and encodes and
+//! writes them as consecutive `WORK` frames of at most
+//! [`WORK_FRAME_SCENARIOS`] scenarios, each with all of that scenario's
+//! jobs: the worker starts on the first frame while the writer encodes the
+//! next, and the pipe paces the writer. A worker prepares the scenarios of
+//! one frame at a time — backends, stores and the same-shape prewarm — runs
+//! the frame's jobs in frame order, and releases the frame's scenarios
+//! once its last job has answered, so it never holds more than
+//! [`WORK_FRAME_SCENARIOS`] of them.
+//!
+//! When a worker dies, all of its unresolved jobs — frames it never
+//! received included — move to the first live worker through the same
+//! writer path: the initial deal and crash recovery are one mechanism.
+//! Because deals hand out whole scenarios and a reassignment moves all of
+//! a dead worker's unresolved jobs to one survivor, a scenario's unresolved
+//! jobs always sit with one live worker, the only live one holding that
+//! scenario: no worker is sent a scenario it already holds or held, and
+//! so a worker may release a frame's scenarios for good. A worker keeps
+//! the indices of every scenario it was sent and refuses one sent twice. A
+//! `RESULT` counts only for a job currently dealt to the worker that sent
+//! it; any other index marks that worker dead, like a malformed frame.
 //!
 //! Jobs and scenarios keep their *global* corpus indices across the
 //! boundary: fault injection and retry jitter are keyed by the job index,
@@ -70,7 +83,7 @@ use std::sync::mpsc;
 use std::time::Instant;
 
 use thermsched::{NestedParallelismGuard, OperatorCacheStats, StoreStats};
-use thermsched_obs::{MetricsRegistry, SpanRecord, Tracer, TracerConfig};
+use thermsched_obs::{Counter, MetricsRegistry, SpanRecord, Tracer, TracerConfig};
 use thermsched_wire::frame::{read_frame, write_frame, Frame};
 use thermsched_wire::{decode_value, encode_array, obj, wire_struct, JsonValue, Wire, WireError};
 
@@ -82,6 +95,10 @@ use crate::{
 
 /// Version of the coordinator↔worker protocol, checked in `HELLO`.
 pub const PROTOCOL_VERSION: u64 = 4;
+
+/// The most scenarios one `WORK` frame carries, each with its jobs: the
+/// most a worker process holds at once.
+pub const WORK_FRAME_SCENARIOS: usize = 32;
 
 /// Frame kinds of the coordinator↔worker protocol.
 const FRAME_HELLO: u8 = 1;
@@ -172,12 +189,15 @@ enum Event {
     Fin { worker: usize, fin: Fin },
     /// The worker's pipe closed (or produced garbage) — it is dead.
     Dead { worker: usize },
+    /// A writer thread could not encode or frame a `WORK` payload: the
+    /// run fails, since any worker would be sent the same bytes.
+    Unencodable { error: WireError },
 }
 
 /// What the coordinator hands a worker's writer thread.
 enum WriterMsg {
-    /// An encoded `WORK` payload.
-    Work(Vec<u8>),
+    /// Jobs to deal (ascending corpus indices), written as `WORK` frames.
+    Work(Vec<usize>),
     Shutdown,
 }
 
@@ -218,7 +238,8 @@ impl MultiprocCoordinator {
     /// to an in-process run's. The run's metrics go into `registry` from
     /// the coordinator's own count, under the names an in-process run
     /// uses, plus `multiproc.hello_bytes`: the payload bytes of the whole
-    /// deal, every `HELLO` and `WORK` frame it sends.
+    /// deal, every `HELLO` and `WORK` frame, counted as the writer threads
+    /// write them.
     ///
     /// # Errors
     ///
@@ -248,9 +269,7 @@ impl MultiprocCoordinator {
                 .to_binary()
             })
             .collect::<std::result::Result<_, WireError>>()?;
-        registry
-            .counter("multiproc.hello_bytes")
-            .add(hellos.iter().map(|hello| hello.len() as u64).sum());
+        let sent = registry.counter("multiproc.hello_bytes");
 
         let mut children: Vec<Child> = Vec::with_capacity(dealt.len());
         let mut stdins = Vec::with_capacity(dealt.len());
@@ -274,7 +293,8 @@ impl MultiprocCoordinator {
             for (worker, stdin) in stdins.into_iter().enumerate() {
                 let (tx, rx) = mpsc::channel::<WriterMsg>();
                 let hello = &hellos[worker];
-                scope.spawn(move || worker_writer(stdin, rx, hello));
+                let (sent, failed) = (&sent, event_tx.clone());
+                scope.spawn(move || worker_writer(stdin, rx, hello, corpus, sent, &failed));
                 writer_txs.push(Some(tx));
                 let tx = event_tx.clone();
                 let stdout = stdouts.remove(0);
@@ -312,11 +332,13 @@ impl MultiprocCoordinator {
     /// their stats.
     ///
     /// `dealt` holds each worker's jobs and `writer_txs` each worker's writer
-    /// thread; a worker's writer is dropped when it is declared dead. Each
-    /// result is counted once, with the accounting its worker shipped,
-    /// into the same [`Tally`] an in-process run counts into; each `FIN`
-    /// adds its worker's run-level counters and, when tracing, its span
-    /// records to `tracer`. The tally goes into `registry` at the end.
+    /// thread, which is handed job indices only; a worker's writer is
+    /// dropped when it is declared dead. Each result is counted once, with
+    /// the accounting its worker shipped, into the same [`Tally`] an
+    /// in-process run counts into; each `FIN` adds its worker's run-level
+    /// counters and, when tracing, its span records to `tracer`. The tally
+    /// goes into `registry` at the end. A frame a writer could not encode
+    /// fails the run with [`ServiceError::Wire`].
     #[allow(clippy::too_many_arguments)]
     fn coordinate(
         &self,
@@ -330,26 +352,20 @@ impl MultiprocCoordinator {
     ) -> Result<ServiceReport> {
         let jobs = corpus.jobs();
         let processes = writer_txs.len();
-        let hello_bytes = registry.counter("multiproc.hello_bytes");
         // Jobs dealt to each worker and not resolved yet: what a worker's
         // RESULT may name, and what moves when it dies.
         let mut pending = vec![BTreeSet::new(); processes];
-        // Deals jobs `indices` (ascending) to a live worker in one WORK
-        // frame, encoded here.
+        // Deals jobs `indices` (ascending) to a live worker's writer.
         let send = |pending: &mut [BTreeSet<usize>],
                     writer: &mpsc::Sender<WriterMsg>,
                     worker: usize,
-                    indices: &[usize]|
-         -> Result<()> {
-            pending[worker].extend(indices);
-            let payload = work_payload(corpus, indices)?;
-            hello_bytes.add(payload.len() as u64);
-            let _ = writer.send(WriterMsg::Work(payload));
-            Ok(())
+                    indices: Vec<usize>| {
+            pending[worker].extend(&indices);
+            let _ = writer.send(WriterMsg::Work(indices));
         };
         for (worker, indices) in dealt.iter().enumerate() {
             if let Some(writer) = &writer_txs[worker] {
-                send(&mut pending, writer, worker, indices)?;
+                send(&mut pending, writer, worker, indices.clone());
             }
         }
 
@@ -375,6 +391,7 @@ impl MultiprocCoordinator {
                 // No worker is asked for its FIN before every job is
                 // resolved, so one sent now breaks the protocol.
                 Event::Fin { worker, .. } | Event::Dead { worker } => worker,
+                Event::Unencodable { error } => return Err(ServiceError::Wire(error)),
             };
             if dead[worker] {
                 continue;
@@ -393,7 +410,7 @@ impl MultiprocCoordinator {
                 )));
             };
             if let Some(writer) = &writer_txs[survivor] {
-                send(&mut pending, writer, survivor, &orphans)?;
+                send(&mut pending, writer, survivor, orphans);
             }
         }
 
@@ -427,7 +444,7 @@ impl MultiprocCoordinator {
                         awaiting -= 1;
                     }
                 }
-                Ok(Event::Result { .. }) => {}
+                Ok(Event::Result { .. } | Event::Unencodable { .. }) => {}
                 Err(_) => break,
             }
         }
@@ -463,22 +480,31 @@ impl MultiprocCoordinator {
     }
 }
 
-/// Encodes the `WORK` payload dealing jobs `indices` (ascending): one
-/// entry per scenario they use, in ascending order, each with its jobs.
-/// The entries are encoded one scenario at a time, so the frame is never
-/// one value tree.
-fn work_payload(corpus: &Corpus, indices: &[usize]) -> Result<Vec<u8>> {
-    let mut by_scenario: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+/// Jobs `indices` (ascending) grouped by scenario: one entry per scenario
+/// they use, in ascending order, each with its jobs.
+fn by_scenario(corpus: &Corpus, indices: &[usize]) -> Vec<(usize, Vec<usize>)> {
+    let mut grouped: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for &index in indices {
-        by_scenario
+        grouped
             .entry(corpus.jobs()[index].scenario)
             .or_default()
             .push(index);
     }
-    let entries = by_scenario
-        .iter()
-        .map(|(&scenario, jobs)| work_entry(corpus, scenario, jobs));
-    encode_array(entries).map_err(ServiceError::Wire)
+    grouped.into_iter().collect()
+}
+
+/// Encodes one `WORK` payload of `entries`, each a corpus scenario with
+/// its jobs. The entries are encoded one scenario at a time, so the frame
+/// is never one value tree.
+fn work_payload(
+    corpus: &Corpus,
+    entries: &[(usize, Vec<usize>)],
+) -> std::result::Result<Vec<u8>, WireError> {
+    encode_array(
+        entries
+            .iter()
+            .map(|(scenario, jobs)| work_entry(corpus, *scenario, jobs)),
+    )
 }
 
 /// One `WORK` entry: the corpus scenario `scenario` with the jobs `jobs`.
@@ -525,25 +551,54 @@ fn deal(corpus: &Corpus, processes: usize) -> Vec<Vec<usize>> {
     dealt
 }
 
-/// Writer thread of one worker: `HELLO`, then `WORK` frames as the
-/// coordinator deals, then `SHUTDOWN`. Write errors end the thread quietly
-/// — the worker's reader will observe the death and the coordinator
-/// reassigns.
-fn worker_writer(stdin: impl Write, messages: mpsc::Receiver<WriterMsg>, hello: &[u8]) {
+/// Writer thread of one worker: `HELLO`, then each deal of the coordinator
+/// as consecutive `WORK` frames of at most [`WORK_FRAME_SCENARIOS`]
+/// scenarios, then `SHUTDOWN`. Each frame is encoded here once the one
+/// before it is written, so the pipe paces the encoding, and `sent` counts
+/// every payload byte written. A write error ends the thread quietly — the
+/// worker's reader will observe the death and the coordinator reassigns;
+/// a frame that cannot be encoded or framed is reported on `failed`.
+fn worker_writer(
+    stdin: impl Write,
+    messages: mpsc::Receiver<WriterMsg>,
+    hello: &[u8],
+    corpus: &Corpus,
+    sent: &Counter,
+    failed: &mpsc::Sender<Event>,
+) {
     let mut stdin = BufWriter::new(stdin);
-    if write_frame(&mut stdin, FRAME_HELLO, hello).is_err() {
+    // Writes one frame; `false` ends the thread.
+    let mut write = |kind, payload: std::result::Result<Vec<u8>, WireError>| {
+        let written = payload.and_then(|payload| {
+            write_frame(&mut stdin, kind, &payload)?;
+            sent.add(payload.len() as u64);
+            Ok(())
+        });
+        match written {
+            Ok(()) => true,
+            Err(WireError::Io { .. }) => false,
+            Err(error) => {
+                let _ = failed.send(Event::Unencodable { error });
+                false
+            }
+        }
+    };
+    if !write(FRAME_HELLO, Ok(hello.to_vec())) {
         return;
     }
     while let Ok(msg) = messages.recv() {
-        let result = match msg {
-            WriterMsg::Work(payload) => write_frame(&mut stdin, FRAME_WORK, &payload),
+        match msg {
+            WriterMsg::Work(indices) => {
+                for frame in by_scenario(corpus, &indices).chunks(WORK_FRAME_SCENARIOS) {
+                    if !write(FRAME_WORK, work_payload(corpus, frame)) {
+                        return;
+                    }
+                }
+            }
             WriterMsg::Shutdown => {
-                let _ = write_frame(&mut stdin, FRAME_SHUTDOWN, &[]);
+                write(FRAME_SHUTDOWN, Ok(Vec::new()));
                 return;
             }
-        };
-        if result.is_err() {
-            return;
         }
     }
 }
@@ -605,9 +660,13 @@ pub struct CrashPlan {
 }
 
 /// Serves one worker process over `input`/`output`: a `HELLO` frame with
-/// the config, then `WORK` frames, each adding its scenarios and running
-/// their jobs in frame order with one `RESULT` per job, until `SHUTDOWN`
-/// (answered by `FIN`, clean exit) or EOF (coordinator gone).
+/// the config, then `WORK` frames, until `SHUTDOWN` (answered by `FIN`,
+/// clean exit) or EOF (coordinator gone). Each `WORK` frame's scenarios are
+/// prepared, its jobs run in frame order with one `RESULT` each, and once
+/// the last of them has answered the frame's scenarios are released —
+/// scenario, backend handle, store entries and guidance model — so the
+/// worker holds one frame's scenarios at a time. Their store counters stay
+/// in the totals `FIN` reports.
 ///
 /// `crash` is the deliberate-failure hook used by the robustness tests;
 /// see [`CrashPlan`].
@@ -616,9 +675,9 @@ pub struct CrashPlan {
 ///
 /// [`ServiceError::Wire`] on a malformed frame from the coordinator,
 /// [`ServiceError::Multiproc`] on a protocol violation (bad version, a
-/// frame before `HELLO`, a scenario sent twice, a job travelling with
-/// another scenario), and construction errors from building the scenario
-/// backends.
+/// frame before `HELLO`, a scenario sent twice — in one frame or in two,
+/// released or not — a job travelling with another scenario), and
+/// construction errors from building the scenario backends.
 pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPlan>) -> Result<()> {
     let mut input = BufReader::new(input);
     let mut output = BufWriter::new(output);
@@ -661,10 +720,10 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
     };
 
     // The same executor as the in-process runner, holding only the
-    // scenarios WORK frames bring: jobs and the prewarm run on this thread
-    // alone — the processes are the parallelism.
+    // scenarios of the WORK frame at hand: jobs and the prewarm run on this
+    // thread alone — the processes are the parallelism.
     let _sequential = NestedParallelismGuard::enter();
-    let mut executor = Executor::new(
+    let executor = Executor::new(
         ServiceConfig {
             workers: 1,
             ..config
@@ -673,58 +732,24 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
         Vec::new(),
         &tracer,
     )?;
-    let mut resolved = 0usize;
+    let mut worker = Worker {
+        executor,
+        sent: BTreeSet::new(),
+        resolved: 0,
+        crash,
+    };
     loop {
         let Some(frame) = read_frame(&mut input).map_err(ServiceError::Wire)? else {
             return Ok(()); // Coordinator closed the pipe; exit quietly.
         };
         match frame.kind {
             FRAME_WORK => {
-                const T: &str = "work_frame";
-                let mut scenarios = BTreeMap::new();
-                let mut jobs = Vec::new();
-                for entry in decode_value(&frame.payload)?.as_array()? {
-                    let index: usize = entry.decode(T, "index")?;
-                    let scenario: Scenario = entry.decode(T, "scenario")?;
-                    if executor.holds(index) || scenarios.insert(index, scenario).is_some() {
-                        return Err(multiproc_error(format!("scenario {index} was sent twice")));
-                    }
-                    for dealt in entry.field(T, "jobs")?.as_array()? {
-                        let job_index: usize = dealt.decode(T, "index")?;
-                        let job: JobSpec = dealt.decode(T, "job")?;
-                        if job.scenario != index {
-                            return Err(multiproc_error(format!(
-                                "job {job_index} runs scenario {} but was sent with scenario {index}",
-                                job.scenario
-                            )));
-                        }
-                        jobs.push((job_index, job));
-                    }
-                }
-                executor.add_scenarios(
-                    scenarios
-                        .into_iter()
-                        .map(|(index, scenario)| (index, Cow::Owned(scenario))),
-                )?;
-                for (index, job) in jobs {
-                    if crash.is_some_and(|plan| resolved >= plan.after_jobs) {
-                        // Crash-test hook: die with the job unacknowledged,
-                        // like a worker that crashed mid-job.
-                        return Ok(());
-                    }
-                    let (result, accounting) =
-                        executor.run(index as u64, &job, None, Instant::now());
-                    let answer = Answer {
-                        index,
-                        result,
-                        accounting,
-                    }
-                    .to_binary()?;
-                    write_frame(&mut output, FRAME_RESULT, &answer).map_err(ServiceError::Wire)?;
-                    resolved += 1;
+                if !worker.work(&frame.payload, &mut output)? {
+                    return Ok(());
                 }
             }
             FRAME_SHUTDOWN => {
+                let executor = &worker.executor;
                 let fin = Fin {
                     store: executor.store_stats(),
                     operator_cache: executor.operator_cache_stats(),
@@ -742,6 +767,71 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
                 )));
             }
         }
+    }
+}
+
+/// A worker process's state between `WORK` frames.
+struct Worker {
+    executor: Executor<'static>,
+    /// Every scenario index this worker was sent, released ones included.
+    sent: BTreeSet<usize>,
+    /// Jobs answered so far: what a [`CrashPlan`] counts.
+    resolved: usize,
+    crash: Option<CrashPlan>,
+}
+
+impl Worker {
+    /// Serves one `WORK` payload: prepares its scenarios, runs its jobs in
+    /// frame order with one `RESULT` each on `output`, then releases the
+    /// scenarios. Returns `false` if the crash plan fired.
+    fn work(&mut self, payload: &[u8], output: &mut impl Write) -> Result<bool> {
+        const T: &str = "work_frame";
+        let mut scenarios = Vec::new();
+        let mut jobs = Vec::new();
+        for entry in decode_value(payload)?.as_array()? {
+            let index: usize = entry.decode(T, "index")?;
+            if !self.sent.insert(index) {
+                return Err(multiproc_error(format!("scenario {index} was sent twice")));
+            }
+            let scenario: Scenario = entry.decode(T, "scenario")?;
+            scenarios.push((index, Cow::Owned(scenario)));
+            for dealt in entry.field(T, "jobs")?.as_array()? {
+                let job_index: usize = dealt.decode(T, "index")?;
+                let job: JobSpec = dealt.decode(T, "job")?;
+                if job.scenario != index {
+                    return Err(multiproc_error(format!(
+                        "job {job_index} runs scenario {} but was sent with scenario {index}",
+                        job.scenario
+                    )));
+                }
+                jobs.push((job_index, job));
+            }
+        }
+        let held: Vec<usize> = scenarios.iter().map(|&(index, _)| index).collect();
+        self.executor.add_scenarios(scenarios)?;
+        for (index, job) in jobs {
+            if self
+                .crash
+                .is_some_and(|plan| self.resolved >= plan.after_jobs)
+            {
+                // Crash-test hook: die with the job unacknowledged, like a
+                // worker that crashed mid-job.
+                return Ok(false);
+            }
+            let (result, accounting) = self.executor.run(index as u64, &job, None, Instant::now());
+            let answer = Answer {
+                index,
+                result,
+                accounting,
+            }
+            .to_binary()?;
+            write_frame(output, FRAME_RESULT, &answer).map_err(ServiceError::Wire)?;
+            self.resolved += 1;
+        }
+        // Every job of these scenarios has answered, and no later frame
+        // names them (see the module docs' "Dealing").
+        self.executor.release(held);
+        Ok(true)
     }
 }
 
@@ -782,10 +872,11 @@ mod tests {
         (FRAME_HELLO, hello.to_binary().unwrap())
     }
 
-    /// The WORK frame the coordinator would send to deal `jobs`
-    /// (ascending).
+    /// One WORK frame dealing `jobs` (ascending), whatever their number of
+    /// scenarios.
     fn work_frame(corpus: &Corpus, jobs: &[usize]) -> (u8, Vec<u8>) {
-        (FRAME_WORK, work_payload(corpus, jobs).unwrap())
+        let entries = by_scenario(corpus, jobs);
+        (FRAME_WORK, work_payload(corpus, &entries).unwrap())
     }
 
     /// One scenario, two jobs (the default TL × STCL grid).
@@ -1059,7 +1150,7 @@ mod tests {
                 Event::Fin { fin, .. } => {
                     assert_eq!(fin.prewarmed_sessions, corpus.total_cores());
                 }
-                Event::Dead { .. } => panic!("the worker died"),
+                Event::Dead { .. } | Event::Unencodable { .. } => panic!("the worker died"),
             }
         }
         assert_eq!(results, corpus.jobs().len());
@@ -1108,10 +1199,7 @@ mod tests {
             else {
                 panic!("expected FIN events");
             };
-            store_sum.lookups += store.lookups;
-            store_sum.hits += store.hits;
-            store_sum.insertions += store.insertions;
-            store_sum.contended_locks += store.contended_locks;
+            store_sum = store_sum + *store;
         }
         events.extend(fins);
         let (outcome, _, merged) = coordinate_scripted(&corpus, 2, events);
@@ -1229,7 +1317,7 @@ mod tests {
     }
 
     #[test]
-    fn a_second_work_frame_keeps_every_earlier_store_warm() {
+    fn jobs_within_each_work_frame_share_their_scenario_store() {
         let corpus = two_scenario_corpus();
         let frames = [
             hello(&ServiceConfig::default(), false),
@@ -1262,7 +1350,7 @@ mod tests {
             };
             assert_eq!(result, in_process.jobs()[index], "job {index}");
             // The second job of each scenario finds the first one's
-            // phase-1 sessions, in either WORK frame.
+            // phase-1 sessions, within each WORK frame.
             if index % 2 == 1 {
                 let cores = corpus.scenarios()[result.scenario].sut.core_count();
                 assert!(accounting.warm_cache_hits >= cores, "job {index}");
@@ -1271,6 +1359,165 @@ mod tests {
         }
         assert_eq!(order, [0, 1, 2, 3]);
         assert_eq!(replies.last().unwrap().kind, FRAME_FIN);
+    }
+
+    /// Two frames, then FIN: the store counters of both frames' released
+    /// scenarios reach FIN and equal the in-process totals. A later frame
+    /// naming a released scenario again is refused.
+    #[test]
+    fn a_released_scenario_keeps_its_store_counts_and_is_refused_if_sent_again() {
+        let corpus = two_scenario_corpus();
+        let config = ServiceConfig {
+            workers: 1,
+            clock: ClockKind::Virtual,
+            ..ServiceConfig::default()
+        };
+        let greet = || hello(&config, false);
+        let frames = [
+            greet(),
+            work_frame(&corpus, &[0, 1]),
+            work_frame(&corpus, &[2, 3]),
+            (FRAME_SHUTDOWN, Vec::new()),
+        ];
+        let (result, replies) = serve(&frames, None);
+        result.unwrap();
+        let Some(Event::Fin { fin, .. }) = decode_event(0, replies.last().unwrap()) else {
+            panic!("expected a FIN frame");
+        };
+        let in_process = crate::ServiceRunner::new(config)
+            .unwrap()
+            .run(&corpus)
+            .unwrap();
+        assert!(fin.store.insertions > 0);
+        assert_eq!(fin.store, in_process.stats().store);
+
+        let again = [
+            greet(),
+            work_frame(&corpus, &[0, 1]),
+            work_frame(&corpus, &[2, 3]),
+            work_frame(&corpus, &[1]),
+        ];
+        let (result, replies) = serve(&again, None);
+        let Err(ServiceError::Multiproc { message }) = result else {
+            panic!("a released scenario sent again must be refused: {result:?}");
+        };
+        assert!(message.contains("scenario 0 was sent twice"), "{message}");
+        assert_eq!(replies.len(), 4, "the first two frames answered in full");
+    }
+
+    /// Runs one writer thread over an in-memory pipe: `HELLO`, the deal of
+    /// `indices`, `SHUTDOWN`. Returns the frames written, what the writer
+    /// reported and the payload bytes it counted.
+    fn write_deal(corpus: &Corpus, indices: Vec<usize>) -> (Vec<Frame>, Vec<Event>, u64) {
+        let (tx, rx) = mpsc::channel();
+        tx.send(WriterMsg::Work(indices)).unwrap();
+        tx.send(WriterMsg::Shutdown).unwrap();
+        let (failed, reported) = mpsc::channel();
+        let sent = Counter::default();
+        let mut pipe = Vec::new();
+        worker_writer(&mut pipe, rx, b"hello", corpus, &sent, &failed);
+        drop(failed);
+        let mut cursor = pipe.as_slice();
+        let mut frames = Vec::new();
+        while let Some(frame) = read_frame(&mut cursor).unwrap() {
+            frames.push(frame);
+        }
+        (frames, reported.try_iter().collect(), sent.value())
+    }
+
+    /// A deal of 2K + 3 scenarios goes out as WORK frames of K, K and 3
+    /// scenarios, each with all of its jobs. A worker served those frames
+    /// holds no scenario after each of them, so it never holds more than K,
+    /// and answers every job as in-process.
+    #[test]
+    fn a_deal_streams_in_frames_of_at_most_k_scenarios_released_one_by_one() {
+        let corpus = ScenarioSpec {
+            scenarios: 2 * WORK_FRAME_SCENARIOS + 3,
+            seed: 3,
+            grid_shapes: vec![(2, 2)],
+            ..ScenarioSpec::default()
+        }
+        .build()
+        .unwrap();
+        let indices: Vec<usize> = (0..corpus.jobs().len()).collect();
+        let (frames, reported, sent) = write_deal(&corpus, indices);
+        assert!(reported.is_empty());
+        let kinds: Vec<u8> = frames.iter().map(|frame| frame.kind).collect();
+        let work = FRAME_WORK;
+        assert_eq!(kinds, [FRAME_HELLO, work, work, work, FRAME_SHUTDOWN]);
+        let payloads: u64 = frames.iter().map(|frame| frame.payload.len() as u64).sum();
+        assert_eq!(sent, payloads);
+
+        let config = ServiceConfig {
+            workers: 1,
+            clock: ClockKind::Virtual,
+            ..ServiceConfig::default()
+        };
+        let executor = Executor::new(config, Mode::Batch, Vec::new(), &Tracer::disabled()).unwrap();
+        let mut worker = Worker {
+            executor,
+            sent: BTreeSet::new(),
+            resolved: 0,
+            crash: None,
+        };
+        let mut dealt = Vec::new();
+        let mut output = Vec::new();
+        let k = WORK_FRAME_SCENARIOS;
+        for (frame, scenarios) in frames[1..4].iter().zip([k, k, 3]) {
+            let entries = decode_value(&frame.payload).unwrap();
+            let entries = entries.as_array().unwrap();
+            assert_eq!(entries.len(), scenarios);
+            for entry in entries {
+                let jobs = entry.field("entry", "jobs").unwrap().as_array().unwrap();
+                dealt.extend(
+                    jobs.iter()
+                        .map(|job| job.decode::<usize>("job", "index").unwrap()),
+                );
+            }
+            assert!(worker.work(&frame.payload, &mut output).unwrap());
+            assert_eq!(worker.executor.held(), 0);
+        }
+        assert_eq!(dealt, (0..corpus.jobs().len()).collect::<Vec<_>>());
+        assert_eq!(worker.executor.scenario_count(), corpus.scenarios().len());
+
+        let in_process = crate::ServiceRunner::new(config)
+            .unwrap()
+            .run(&corpus)
+            .unwrap();
+        let mut cursor = output.as_slice();
+        let mut answered = 0;
+        while let Some(frame) = read_frame(&mut cursor).unwrap() {
+            let Some(Event::Result { answer, .. }) = decode_event(0, &frame) else {
+                panic!("expected a RESULT frame");
+            };
+            assert_eq!(answer.result, in_process.jobs()[answer.index]);
+            answered += 1;
+        }
+        assert_eq!(answered, corpus.jobs().len());
+        assert_eq!(worker.executor.store_stats(), in_process.stats().store);
+    }
+
+    /// A frame that cannot be encoded is reported by its writer, which
+    /// writes nothing after `HELLO`, and fails the run with a wire error.
+    #[test]
+    fn an_unencodable_frame_fails_the_run_with_a_wire_error() {
+        let corpus = two_scenario_corpus();
+        let mut scenarios = corpus.scenarios().to_vec();
+        scenarios[1].core_size_mm = f64::NAN;
+        let broken = Corpus::from_parts(scenarios, corpus.jobs().to_vec()).unwrap();
+        let (frames, reported, sent) = write_deal(&broken, vec![2, 3]);
+        assert_eq!(frames.len(), 1, "HELLO only");
+        assert_eq!(sent, b"hello".len() as u64);
+        assert!(matches!(
+            reported[..],
+            [Event::Unencodable {
+                error: WireError::NonFinite { .. }
+            }]
+        ));
+        // The coordinator ends the run on the report.
+        let events = vec![result_event(0, 0), reported.into_iter().next().unwrap()];
+        let (outcome, _, _) = coordinate_scripted(&broken, 2, events);
+        assert!(matches!(outcome, Err(ServiceError::Wire(_))));
     }
 
     #[test]
@@ -1375,23 +1622,8 @@ mod tests {
             .map(|rx| {
                 rx.try_iter()
                     .map(|msg| match msg {
-                        WriterMsg::Work(payload) => {
-                            let entries = decode_value(&payload).unwrap();
-                            let dealt: Vec<(usize, Vec<usize>)> = entries
-                                .as_array()
-                                .unwrap()
-                                .iter()
-                                .map(|entry| {
-                                    let jobs = entry.field("entry", "jobs").unwrap();
-                                    let jobs = jobs.as_array().unwrap().iter();
-                                    (
-                                        entry.decode("entry", "index").unwrap(),
-                                        jobs.map(|job| job.decode("job", "index").unwrap())
-                                            .collect(),
-                                    )
-                                })
-                                .collect();
-                            format!("work {dealt:?}")
+                        WriterMsg::Work(indices) => {
+                            format!("work {:?}", by_scenario(corpus, &indices))
                         }
                         WriterMsg::Shutdown => "shutdown".to_owned(),
                     })

@@ -249,7 +249,10 @@ impl ServiceConfig {
 ///   once and shared by every worker: a job schedules through an
 ///   [`thermsched::Engine`] that borrows them. Cross-job cache hits on
 ///   identical core-set keys in the shared store are the service's main
-///   leverage.
+///   leverage. The worker that finishes a scenario's last job releases its
+///   store entries and model, so a run holds the state of the scenarios
+///   still in flight, not of the whole corpus; the store counters stay in
+///   the report.
 /// * A job that returns an error or panics is isolated: the outcome is
 ///   recorded as [`crate::JobOutcome::Failed`] /
 ///   [`crate::JobOutcome::Panicked`] and the batch continues (the shared

@@ -16,6 +16,7 @@ use thermsched::{
     CoreOrdering, CoreViolationPolicy, OnlineContext, SchedulerConfig, TraceProfile, TraceSegment,
 };
 use thermsched_soc::{GeneratorConfig, SocGenerator, SystemUnderTest};
+use thermsched_wire::WireError;
 
 use crate::fault::{mix3, unit};
 use crate::{Result, ServiceError};
@@ -384,23 +385,38 @@ impl Corpus {
     /// that every job references a scenario the corpus actually has and
     /// that every warm start holds one temperature per core of its
     /// scenario. An empty corpus is legal — the runner handles zero jobs.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Invalid`] naming the first job at fault: its index, and
+    /// the corpus's scenario count or its scenario's core count against
+    /// the warm start's length.
     pub(crate) fn from_parts(
         scenarios: Vec<Scenario>,
         jobs: Vec<JobSpec>,
-    ) -> Result<Self, ServiceError> {
-        for job in &jobs {
+    ) -> Result<Self, WireError> {
+        let invalid = |message| WireError::Invalid {
+            type_name: "corpus",
+            message,
+        };
+        for (index, job) in jobs.iter().enumerate() {
             let Some(scenario) = scenarios.get(job.scenario) else {
-                return Err(ServiceError::InvalidSpec {
-                    field: "jobs",
-                    problem: "job references a scenario index outside the corpus",
-                });
+                return Err(invalid(format!(
+                    "job {index} names scenario {}, but the corpus has {} scenarios",
+                    job.scenario,
+                    scenarios.len()
+                )));
             };
-            job.online
-                .check_core_count(scenario.sut.core_count())
-                .map_err(|_| ServiceError::InvalidSpec {
-                    field: "jobs",
-                    problem: "warm start does not hold one temperature per core of its scenario",
-                })?;
+            let cores = scenario.sut.core_count();
+            if let Some(warm) = job.online.warm_start() {
+                if warm.block_count() != cores {
+                    return Err(invalid(format!(
+                        "job {index} has a warm start of {} temperatures, but its scenario {} has {cores} cores",
+                        warm.block_count(),
+                        job.scenario
+                    )));
+                }
+            }
         }
         Ok(Corpus { scenarios, jobs })
     }

@@ -224,7 +224,6 @@ impl Wire for Corpus {
     fn from_wire(value: &JsonValue) -> Result<Self> {
         const T: &str = "corpus";
         Corpus::from_parts(value.decode(T, "scenarios")?, value.decode(T, "jobs")?)
-            .map_err(WireError::invalid(T))
     }
 }
 
@@ -446,12 +445,14 @@ mod tests {
             "{empty}"
         );
 
-        // Scenario 0 has 9 cores and scenario 1 has 12: hand job 0, with
-        // its 9 warm-start temperatures, to scenario 1.
+        // Scenario 0 has 9 cores and scenario 1 has 12: hand job 1, with
+        // its 9 warm-start temperatures, to scenario 1. The error names the
+        // job, its scenario's core count and the length found.
         assert_eq!(corpus.scenarios()[0].sut.core_count(), 9);
         assert_eq!(corpus.scenarios()[1].sut.core_count(), 12);
         let mut jobs: Vec<JobSpec> = corpus.jobs().to_vec();
-        jobs[0].scenario = 1;
+        assert_eq!(jobs[1].scenario, 0);
+        jobs[1].scenario = 1;
         let broken = obj()
             .field(
                 "scenarios",
@@ -463,13 +464,43 @@ mod tests {
             )
             .field("jobs", jobs.iter().map(Wire::to_wire).collect::<Vec<_>>())
             .build();
-        assert!(matches!(
-            Corpus::from_wire(&broken),
-            Err(WireError::Invalid {
-                type_name: "corpus",
-                ..
-            })
-        ));
+        let Err(WireError::Invalid {
+            type_name: "corpus",
+            message,
+        }) = Corpus::from_wire(&broken)
+        else {
+            panic!("a warm start of the wrong length must be refused");
+        };
+        assert_eq!(
+            message,
+            "job 1 has a warm start of 9 temperatures, but its scenario 1 has 12 cores"
+        );
+
+        // A job naming a scenario past the corpus: the error names the job
+        // and the corpus's scenario count.
+        jobs[1].scenario = 0;
+        jobs[2].scenario = 7;
+        let broken = obj()
+            .field(
+                "scenarios",
+                corpus
+                    .scenarios()
+                    .iter()
+                    .map(Wire::to_wire)
+                    .collect::<Vec<_>>(),
+            )
+            .field("jobs", jobs.iter().map(Wire::to_wire).collect::<Vec<_>>())
+            .build();
+        let Err(WireError::Invalid { message, .. }) = Corpus::from_wire(&broken) else {
+            panic!("a dangling scenario index must be refused");
+        };
+        assert_eq!(
+            message,
+            format!(
+                "job 2 names scenario 7, but the corpus has {} scenarios",
+                corpus.scenarios().len()
+            )
+        );
     }
 
     #[test]

@@ -265,3 +265,76 @@ fn the_worker_binary_refuses_a_version_3_hello() {
     assert!(output.stdout.is_empty(), "a refused worker replies nothing");
     assert!(stderr.contains("protocol version 3"), "{stderr}");
 }
+
+/// A refused corpus names the job at fault: a warm start of the wrong
+/// length with the scenario's core count and the length found, a scenario
+/// index outside the corpus with the corpus's scenario count. Both reach
+/// `thermsched run`'s stderr with exit 1.
+#[test]
+fn a_refused_corpus_names_the_job_at_fault() {
+    let dir = std::env::temp_dir().join("thermsched-cli-refused");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let text = run_ok(&[
+        "gen",
+        "--seed",
+        "7",
+        "--scenarios",
+        "2",
+        "--warm-start",
+        "48:62",
+    ]);
+    let document = JsonValue::parse(&text).expect("corpus parses");
+    let corpus = from_document::<Corpus>(&document).expect("corpus decodes");
+    let cores: Vec<usize> = corpus
+        .scenarios()
+        .iter()
+        .map(|scenario| scenario.sut.core_count())
+        .collect();
+    assert_eq!(corpus.jobs()[1].scenario, 0);
+    assert_ne!(
+        cores[0], cores[1],
+        "moving a job must change its core count"
+    );
+    // Job 1 moved to scenario 1 keeps its scenario-0 warm start; job 2
+    // names a scenario the corpus does not have.
+    for (job, scenario, expected) in [
+        (
+            1,
+            1usize,
+            format!(
+                "job 1 has a warm start of {} temperatures, but its scenario 1 has {} cores",
+                cores[0], cores[1]
+            ),
+        ),
+        (
+            2,
+            9,
+            "job 2 names scenario 9, but the corpus has 2 scenarios".to_owned(),
+        ),
+    ] {
+        let mut broken = document.clone();
+        let JsonValue::Array(jobs) = field_mut(field_mut(&mut broken, "body"), "jobs") else {
+            panic!("jobs is an array");
+        };
+        *field_mut(&mut jobs[job], "scenario") = JsonValue::from(scenario as u64);
+        let path = dir.join(format!("job-{job}.json"));
+        std::fs::write(&path, broken.render_pretty().expect("renders")).expect("written");
+        let output = thermsched(&["run", path.to_str().expect("utf-8 temp path")]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains(&expected), "{stderr}");
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// The field `name` of the object `value`.
+fn field_mut<'v>(value: &'v mut JsonValue, name: &str) -> &'v mut JsonValue {
+    let JsonValue::Object(fields) = value else {
+        panic!("expected an object holding `{name}`");
+    };
+    fields
+        .iter_mut()
+        .find(|(key, _)| *key == *name)
+        .map(|(_, value)| value)
+        .unwrap_or_else(|| panic!("no field `{name}`"))
+}

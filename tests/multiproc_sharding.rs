@@ -8,10 +8,10 @@
 
 use std::path::PathBuf;
 
-use thermsched_obs::{MetricsRegistry, Tracer, TracerConfig};
+use thermsched_obs::{AttrValue, MetricsRegistry, Tracer, TracerConfig};
 use thermsched_service::{
     BackendKind, Corpus, JobResult, MultiprocConfig, MultiprocCoordinator, ScenarioSpec,
-    ServiceConfig, ServiceReport, ServiceRunner, TraceFamily,
+    ServiceConfig, ServiceReport, ServiceRunner, TraceFamily, WORK_FRAME_SCENARIOS,
 };
 use thermsched_wire::{encode_value, JsonValue, Wire};
 
@@ -304,4 +304,90 @@ fn workers_are_sent_only_their_own_scenarios() {
         sent as f64 <= 0.55 * (2 * whole_corpus) as f64,
         "{sent} bytes sent against {whole_corpus} per corpus"
     );
+}
+
+/// Nine frames' worth of small scenarios, two jobs each: every worker of a
+/// 2- or 3-process run is sent at least 3 `WORK` frames.
+fn multi_frame_corpus() -> Corpus {
+    ScenarioSpec {
+        scenarios: 9 * WORK_FRAME_SCENARIOS,
+        seed: 97,
+        grid_shapes: vec![(2, 2), (3, 2)],
+        ..ScenarioSpec::default()
+    }
+    .build()
+    .expect("test corpus builds")
+}
+
+/// A deal streamed over many `WORK` frames per worker gives the in-process
+/// bytes at 2 and 3 processes. Each frame's scenarios are prepared in one
+/// `backend.build` span of the worker's trace: at least 3 per worker, none
+/// of more than [`WORK_FRAME_SCENARIOS`] scenarios.
+#[test]
+fn a_deal_of_many_work_frames_is_byte_identical_across_processes() {
+    let corpus = multi_frame_corpus();
+    let baseline = run_inprocess(&corpus);
+    let expected = jobs_bytes(baseline.jobs());
+    for processes in [2usize, 3] {
+        let tracer = Tracer::new(TracerConfig::default());
+        let report = MultiprocCoordinator::new(MultiprocConfig {
+            processes,
+            program: worker_binary(),
+            args: vec!["worker".to_owned()],
+            service: ServiceConfig::default(),
+        })
+        .expect("valid config")
+        .run_traced(&corpus, &tracer, &MetricsRegistry::new())
+        .expect("multiproc run succeeds");
+        assert_eq!(
+            jobs_bytes(report.jobs()),
+            expected,
+            "wire bytes diverged at {processes} processes"
+        );
+        assert_eq!(report.stats().worker_crashes, 0);
+        let frames: Vec<u64> = tracer
+            .drain()
+            .iter()
+            .filter(|span| span.name == "backend.build")
+            .map(|span| {
+                let scenarios = span.attrs.iter().find(|attr| attr.key == "scenarios");
+                match scenarios.map(|attr| &attr.value) {
+                    Some(AttrValue::Unsigned(n)) => *n,
+                    other => panic!("backend.build without a scenario count: {other:?}"),
+                }
+            })
+            .collect();
+        assert!(frames.len() >= 3 * processes, "{processes}: {frames:?}");
+        assert!(
+            frames.iter().all(|&n| n as usize <= WORK_FRAME_SCENARIOS),
+            "{processes}: {frames:?}"
+        );
+        assert_eq!(
+            frames.iter().sum::<u64>() as usize,
+            corpus.scenarios().len()
+        );
+    }
+}
+
+/// Worker 1 dies after its first frame's jobs plus one, so its orphans
+/// include the rest of its second frame and frames it was never sent.
+/// Every job still resolves once, with the in-process bytes.
+#[test]
+fn a_worker_dying_mid_deal_hands_on_frames_it_never_received() {
+    let corpus = multi_frame_corpus();
+    let baseline = run_inprocess(&corpus);
+    let first_frame_jobs = 2 * WORK_FRAME_SCENARIOS;
+    let after = (first_frame_jobs + 1).to_string();
+    let report = run_multiproc(
+        &corpus,
+        2,
+        &["worker", "--exit-after", &after, "--exit-worker", "1"],
+    );
+    let stats = report.stats();
+    assert_eq!(stats.worker_crashes, 1);
+    assert_eq!(stats.job_count, corpus.jobs().len());
+    assert_eq!(stats.completed, baseline.stats().completed);
+    let indices: Vec<usize> = report.jobs().iter().map(|job| job.index).collect();
+    assert_eq!(indices, (0..corpus.jobs().len()).collect::<Vec<_>>());
+    assert_eq!(jobs_bytes(report.jobs()), jobs_bytes(baseline.jobs()));
 }
