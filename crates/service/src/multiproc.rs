@@ -303,7 +303,7 @@ impl MultiprocCoordinator {
             drop(event_tx);
             let result = self.coordinate(
                 corpus,
-                &dealt,
+                dealt,
                 &mut writer_txs,
                 &event_rx,
                 started,
@@ -343,7 +343,7 @@ impl MultiprocCoordinator {
     fn coordinate(
         &self,
         corpus: &Corpus,
-        dealt: &[Vec<usize>],
+        dealt: Vec<Vec<usize>>,
         writer_txs: &mut [Option<mpsc::Sender<WriterMsg>>],
         events: &mpsc::Receiver<Event>,
         started: Instant,
@@ -363,9 +363,9 @@ impl MultiprocCoordinator {
             pending[worker].extend(&indices);
             let _ = writer.send(WriterMsg::Work(indices));
         };
-        for (worker, indices) in dealt.iter().enumerate() {
+        for (worker, indices) in dealt.into_iter().enumerate() {
             if let Some(writer) = &writer_txs[worker] {
-                send(&mut pending, writer, worker, indices.clone());
+                send(&mut pending, writer, worker, indices);
             }
         }
 
@@ -1609,7 +1609,7 @@ mod tests {
             .unzip();
         let outcome = coordinator.coordinate(
             corpus,
-            &dealt,
+            dealt,
             &mut writer_txs,
             &event_rx,
             Instant::now(),
