@@ -1,6 +1,5 @@
 //! The [`Floorplan`] container.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::{AdjacencyGraph, Block, FloorplanError, Rect, Result};
@@ -33,7 +32,9 @@ pub type BlockId = usize;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Floorplan {
     blocks: Vec<Block>,
-    name_index: HashMap<String, BlockId>,
+    /// Every block id, sorted by block name: [`Floorplan::index_of`]
+    /// binary-searches it.
+    by_name: Vec<BlockId>,
     bounds: Rect,
 }
 
@@ -52,7 +53,18 @@ impl Floorplan {
         if blocks.is_empty() {
             return Err(FloorplanError::EmptyFloorplan);
         }
-        let mut name_index = HashMap::with_capacity(blocks.len());
+        // A stable sort keeps equal names in list order, so the later block
+        // of each adjacent equal pair repeats a name, and the smallest such
+        // id is the first repeat in list order.
+        let mut by_name: Vec<BlockId> = (0..blocks.len()).collect();
+        by_name.sort_by(|&a, &b| blocks[a].name().cmp(blocks[b].name()));
+        let first_repeat = by_name
+            .windows(2)
+            .filter(|pair| blocks[pair[0]].name() == blocks[pair[1]].name())
+            .map(|pair| pair[1])
+            .min();
+        // Blocks are checked in list order, each for its dimensions, its
+        // position and then whether it repeats an earlier name.
         for (i, b) in blocks.iter().enumerate() {
             if !(b.width() > 0.0
                 && b.height() > 0.0
@@ -70,7 +82,7 @@ impl Floorplan {
                     block: b.name().to_owned(),
                 });
             }
-            if name_index.insert(b.name().to_owned(), i).is_some() {
+            if first_repeat == Some(i) {
                 return Err(FloorplanError::DuplicateName {
                     name: b.name().to_owned(),
                 });
@@ -97,7 +109,7 @@ impl Floorplan {
             .fold(*blocks[0].rect(), |acc, b| acc.union(b.rect()));
         Ok(Floorplan {
             blocks,
-            name_index,
+            by_name,
             bounds,
         })
     }
@@ -146,7 +158,10 @@ impl Floorplan {
 
     /// Id of the block with the given name, if any.
     pub fn index_of(&self, name: &str) -> Option<BlockId> {
-        self.name_index.get(name).copied()
+        self.by_name
+            .binary_search_by(|&id| self.blocks[id].name().cmp(name))
+            .ok()
+            .map(|at| self.by_name[at])
     }
 
     /// Bounding box of all blocks (the die outline), in metres.
@@ -259,6 +274,96 @@ mod tests {
             Floorplan::new(vec![Block::new("z", 1.0, 1.0, f64::NAN, 0.0)]),
             Err(FloorplanError::InvalidPosition { .. })
         ));
+    }
+
+    /// Blocks named `names`, side by side; a `!` suffix gives that block a
+    /// zero width and a `?` suffix a NaN position.
+    fn row(names: &[&str]) -> Vec<Block> {
+        names
+            .iter()
+            .enumerate()
+            .map(|(i, name)| {
+                let x = 2.0 * i as f64;
+                match (name.strip_suffix('!'), name.strip_suffix('?')) {
+                    (Some(name), _) => Block::from_mm(name, 0.0, 1.0, x, 0.0),
+                    (_, Some(name)) => Block::new(name, 1e-3, 1e-3, f64::NAN, 0.0),
+                    _ => Block::from_mm(*name, 1.0, 1.0, x, 0.0),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_first_defect_in_list_order_is_reported() {
+        let duplicate = |name: &str| {
+            Err(FloorplanError::DuplicateName {
+                name: name.to_owned(),
+            })
+        };
+        let dimensions = |block: &str| {
+            Err(FloorplanError::InvalidDimensions {
+                block: block.to_owned(),
+                width: 0.0,
+                height: 1e-3,
+            })
+        };
+        let position = |block: &str| {
+            Err(FloorplanError::InvalidPosition {
+                block: block.to_owned(),
+            })
+        };
+        for (names, expected) in [
+            // A duplicate name before a bad dimension.
+            (&["a", "b", "a", "c!"][..], duplicate("a")),
+            (&["a", "a", "b?"], duplicate("a")),
+            // A bad dimension or position before a duplicate.
+            (&["a", "c!", "a"], dimensions("c")),
+            (&["a", "p?", "a"], position("p")),
+            // The repeating block's own dimensions are checked first.
+            (&["a", "a!"], dimensions("a")),
+            (&["a", "a?"], position("a")),
+            // Two different repeated names: the first repeat in list
+            // order, whichever name sorts first.
+            (&["a", "b", "b", "a"], duplicate("b")),
+            (&["a", "b", "a", "b"], duplicate("a")),
+            (&["z", "y", "y", "z"], duplicate("y")),
+            (&["b", "a", "c", "a", "b"], duplicate("a")),
+            (&["a", "a", "a"], duplicate("a")),
+        ] {
+            assert_eq!(Floorplan::new(row(names)), expected, "{names:?}");
+        }
+        // Duplicates are found before overlaps.
+        let stacked = vec![
+            Block::from_mm("a", 1.0, 1.0, 0.0, 0.0),
+            Block::from_mm("a", 1.0, 1.0, 0.0, 0.0),
+        ];
+        assert_eq!(Floorplan::new(stacked), duplicate("a"));
+    }
+
+    #[test]
+    fn index_of_agrees_with_a_linear_scan() {
+        let floorplans = [
+            crate::library::alpha21364(),
+            crate::library::figure1_system(),
+            crate::library::uniform_grid(1, 1, 1.0),
+            crate::library::uniform_grid(5, 4, 2.0),
+            crate::library::uniform_grid(12, 11, 0.5),
+            Floorplan::new(row(&["m", "c", "x", "a", "q"])).unwrap(),
+        ];
+        for fp in &floorplans {
+            for (id, block) in fp.iter() {
+                let scanned = fp.blocks().iter().position(|b| b.name() == block.name());
+                assert_eq!(scanned, Some(id));
+                assert_eq!(fp.index_of(block.name()), scanned, "{}", block.name());
+                // A prefix or an extension of a name is another name.
+                let longer = format!("{}_", block.name());
+                assert_eq!(fp.index_of(&longer), None);
+            }
+            for absent in ["", "missing", "\u{0}", "~~~", "b", "C"] {
+                let scanned = fp.blocks().iter().position(|b| b.name() == absent);
+                assert_eq!(fp.index_of(absent), scanned, "{absent:?}");
+            }
+        }
     }
 
     #[test]

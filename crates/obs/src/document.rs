@@ -1,7 +1,7 @@
 //! The exportable run trace: [`TraceDocument`] and its deterministic
 //! structural slice.
 
-use thermsched_wire::{obj, JsonValue, Key, Wire};
+use thermsched_wire::{obj, JsonValue, Wire, WireStr};
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::tracer::{ClockKind, SpanRecord, Tracer};
@@ -59,7 +59,7 @@ impl TraceDocument {
             .map(|span| {
                 let attrs = JsonValue::Object(
                     span.structural_attrs()
-                        .map(|a| (Key::from(a.key.as_str()), a.value.to_wire()))
+                        .map(|a| (WireStr::from(a.key.as_str()), a.value.to_wire()))
                         .collect(),
                 );
                 obj()

@@ -2,7 +2,7 @@
 //! snapshots and the versioned [`TraceDocument`].
 
 use thermsched_wire::{
-    obj, wire_struct, wire_unit_enum, JsonValue, Key, Number, Result, Wire, WireError,
+    obj, wire_struct, wire_unit_enum, JsonValue, Number, Result, Wire, WireError, WireStr,
 };
 
 use crate::document::{TraceDocument, TRACE_VERSION};
@@ -33,7 +33,7 @@ impl Wire for AttrValue {
             JsonValue::Number(Number::Unsigned(v)) => Ok(AttrValue::Unsigned(*v)),
             JsonValue::Number(Number::Signed(v)) => Ok(AttrValue::Signed(*v)),
             JsonValue::Number(Number::Float(v)) => Ok(AttrValue::Float(*v)),
-            JsonValue::String(v) => Ok(AttrValue::Text(v.clone())),
+            JsonValue::String(v) => Ok(AttrValue::Text(v.as_str().to_owned())),
             other => Err(WireError::Invalid {
                 type_name: Self::WIRE_TYPE,
                 message: format!(
@@ -72,7 +72,7 @@ fn named_to_wire<T: Wire>(pairs: &[(String, T)]) -> JsonValue {
     JsonValue::Object(
         pairs
             .iter()
-            .map(|(name, v)| (Key::from(name.as_str()), v.to_wire()))
+            .map(|(name, v)| (WireStr::from(name.as_str()), v.to_wire()))
             .collect(),
     )
 }

@@ -123,13 +123,15 @@ impl Wire for Scenario {
     const WIRE_TYPE: &'static str = "scenario";
 
     fn to_wire(&self) -> JsonValue {
-        obj()
-            .field("name", self.name.as_str())
-            .field("seed", self.seed)
-            .field("grid", pair(&self.grid))
-            .field("core_size_mm", self.core_size_mm)
-            .field("sut", self.sut.to_wire())
-            .build()
+        // Built at its length: the builder would outgrow its first four
+        // entries and allocate twice.
+        JsonValue::Object(vec![
+            ("name".into(), self.name.as_str().into()),
+            ("seed".into(), self.seed.into()),
+            ("grid".into(), pair(&self.grid)),
+            ("core_size_mm".into(), self.core_size_mm.into()),
+            ("sut".into(), self.sut.to_wire()),
+        ])
     }
 
     fn from_wire(value: &JsonValue) -> Result<Self> {

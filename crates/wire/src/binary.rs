@@ -22,7 +22,7 @@
 
 use crate::json::{JsonValue, Number};
 use crate::key::SeenKeys;
-use crate::{Key, Result, WireError, MAX_NESTING_DEPTH};
+use crate::{Result, WireError, WireStr, MAX_NESTING_DEPTH};
 
 const TAG_NULL: u8 = 0x00;
 const TAG_FALSE: u8 = 0x01;
@@ -175,6 +175,13 @@ impl Reader<'_> {
         Ok(u32::from_le_bytes(raw.try_into().expect("4 bytes")) as usize)
     }
 
+    /// The capacity to reserve for a container that declares `count`
+    /// elements, each of which takes at least `min_bytes` of the input: a
+    /// count the bytes left cannot hold reserves no more than they could.
+    fn capacity(&self, count: usize, min_bytes: usize) -> usize {
+        count.min((self.bytes.len() - self.pos) / min_bytes)
+    }
+
     fn eight(&mut self, context: &'static str) -> Result<[u8; 8]> {
         Ok(self.take(8, context)?.try_into().expect("8 bytes"))
     }
@@ -219,10 +226,11 @@ impl Reader<'_> {
                 }
                 JsonValue::Number(Number::Float(f))
             }
-            TAG_STRING => JsonValue::String(self.str()?.to_owned()),
+            TAG_STRING => JsonValue::String(WireStr::from(self.str()?)),
             TAG_ARRAY => {
                 let count = self.u32_len("array length")?;
-                let mut items = Vec::new();
+                // An item is at least its tag byte.
+                let mut items = Vec::with_capacity(self.capacity(count, 1));
                 for _ in 0..count {
                     items.push(self.value(depth + 1)?);
                 }
@@ -230,10 +238,12 @@ impl Reader<'_> {
             }
             TAG_OBJECT => {
                 let count = self.u32_len("object length")?;
-                let mut entries: Vec<(Key, JsonValue)> = Vec::new();
+                // An entry is at least a key's length prefix and a tag byte.
+                let mut entries: Vec<(WireStr, JsonValue)> =
+                    Vec::with_capacity(self.capacity(count, 5));
                 let mut seen = SeenKeys::default();
                 for _ in 0..count {
-                    let key = Key::from(self.str()?);
+                    let key = WireStr::from(self.str()?);
                     if seen.repeats(&entries, &key) {
                         return Err(WireError::Invalid {
                             type_name: "binary value",

@@ -40,7 +40,7 @@ impl Wire for String {
     const WIRE_TYPE: &'static str = "string";
 
     fn to_wire(&self) -> JsonValue {
-        JsonValue::String(self.clone())
+        JsonValue::from(self.as_str())
     }
 
     fn from_wire(value: &JsonValue) -> Result<Self> {
@@ -48,6 +48,8 @@ impl Wire for String {
     }
 }
 
+/// Decodes into a vector allocated once at the array's length; collecting
+/// through `Result` would grow it by doubling.
 impl<T: Wire> Wire for Vec<T> {
     const WIRE_TYPE: &'static str = "array";
 
@@ -56,7 +58,12 @@ impl<T: Wire> Wire for Vec<T> {
     }
 
     fn from_wire(value: &JsonValue) -> Result<Self> {
-        value.as_array()?.iter().map(T::from_wire).collect()
+        let items = value.as_array()?;
+        let mut decoded = Vec::with_capacity(items.len());
+        for item in items {
+            decoded.push(T::from_wire(item)?);
+        }
+        Ok(decoded)
     }
 }
 
@@ -132,7 +139,7 @@ macro_rules! wire_struct {
 
             fn to_wire(&self) -> $crate::JsonValue {
                 $crate::JsonValue::Object(vec![
-                    $(($crate::Key::from(stringify!($field)), $crate::Wire::to_wire(&self.$field)),)+
+                    $(($crate::WireStr::from(stringify!($field)), $crate::Wire::to_wire(&self.$field)),)+
                 ])
             }
 
@@ -241,9 +248,9 @@ macro_rules! wire_tagged_enum {
             fn to_wire(&self) -> $crate::JsonValue {
                 match self {
                     $(Self::$variant $({ $($field),* })? $(($inner))? => $crate::JsonValue::Object(vec![
-                        ($crate::Key::from("kind"), $crate::JsonValue::from($label)),
-                        $($(($crate::Key::from(stringify!($field)), $crate::Wire::to_wire($field)),)*)?
-                        $(($crate::Key::from(stringify!($inner)), $crate::Wire::to_wire($inner)),)?
+                        ($crate::WireStr::from("kind"), $crate::JsonValue::from($label)),
+                        $($(($crate::WireStr::from(stringify!($field)), $crate::Wire::to_wire($field)),)*)?
+                        $(($crate::WireStr::from(stringify!($inner)), $crate::Wire::to_wire($inner)),)?
                     ]),)+
                 }
             }

@@ -10,16 +10,20 @@
 //!
 //! Finite `f64` values round-trip *exactly* through the text form: Rust's
 //! `Display` for `f64` prints the shortest decimal that parses back to the
-//! same bit pattern, and `str::parse::<f64>` is correctly rounded. The
-//! writer appends `.0` to float values whose shortest form looks like an
-//! integer, so the float/integer distinction survives a round trip too.
+//! same bit pattern, and the parser is correctly rounded: it reads a float
+//! of at most 15 significant digits within 10^±22 exactly in one
+//! multiplication or division (Clinger, "How to Read Floating Point Numbers
+//! Accurately", PLDI 1990) and hands every other float to
+//! `str::parse::<f64>`. The writer appends `.0` to float values whose
+//! shortest form looks like an integer, so the float/integer distinction
+//! survives a round trip too.
 //! NaN and infinities are rejected at render time — the wire format carries
 //! finite numbers only.
 
 use std::fmt::Write as _;
 
 use crate::key::SeenKeys;
-use crate::{Key, Result, Wire, WireError, MAX_NESTING_DEPTH};
+use crate::{Result, Wire, WireError, WireStr, MAX_NESTING_DEPTH};
 
 /// A JSON number, kept exact.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,15 +70,16 @@ pub enum JsonValue {
     Bool(bool),
     /// A number (see [`Number`] for the exactness contract).
     Number(Number),
-    /// A string.
-    String(String),
+    /// A string. A [`WireStr`] of up to 22 bytes is stored inline, so a
+    /// short string allocates nothing.
+    String(WireStr),
     /// An ordered array.
     Array(Vec<JsonValue>),
     /// An ordered list of `(key, value)` pairs. Keys are unique (both
-    /// decoders reject duplicates; the builder is trusted). A [`Key`] of up
-    /// to 22 bytes is stored inline, so an object costs one allocation for
-    /// its entries, not one more per field name.
-    Object(Vec<(Key, JsonValue)>),
+    /// decoders reject duplicates; the builder is trusted). A key is a
+    /// [`WireStr`] too, so an object costs one allocation for its entries,
+    /// not one more per field name.
+    Object(Vec<(WireStr, JsonValue)>),
 }
 
 impl From<bool> for JsonValue {
@@ -115,13 +120,13 @@ impl From<i64> for JsonValue {
 
 impl From<&str> for JsonValue {
     fn from(v: &str) -> Self {
-        JsonValue::String(v.to_owned())
+        JsonValue::String(WireStr::from(v))
     }
 }
 
 impl From<String> for JsonValue {
     fn from(v: String) -> Self {
-        JsonValue::String(v)
+        JsonValue::String(WireStr::from(v))
     }
 }
 
@@ -143,15 +148,15 @@ impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
 /// Incremental builder for object values, preserving field order.
 #[derive(Debug, Default)]
 pub struct ObjectBuilder {
-    fields: Vec<(Key, JsonValue)>,
+    fields: Vec<(WireStr, JsonValue)>,
 }
 
 impl ObjectBuilder {
-    /// Appends a field. Its name becomes a [`Key`], which allocates only
-    /// for names longer than 22 bytes.
+    /// Appends a field. Its name becomes a [`WireStr`], which allocates
+    /// only for names longer than 22 bytes.
     #[must_use]
     pub fn field(mut self, name: &str, value: impl Into<JsonValue>) -> Self {
-        self.fields.push((Key::from(name), value.into()));
+        self.fields.push((WireStr::from(name), value.into()));
         self
     }
 
@@ -198,7 +203,7 @@ impl JsonValue {
     /// [`WireError::WrongType`] for any other JSON type.
     pub fn as_str(&self) -> Result<&str> {
         match self {
-            JsonValue::String(s) => Ok(s),
+            JsonValue::String(s) => Ok(s.as_str()),
             other => Err(wrong_type("string", other)),
         }
     }
@@ -283,7 +288,7 @@ impl JsonValue {
     /// # Errors
     ///
     /// [`WireError::WrongType`] for any other JSON type.
-    pub fn entries(&self) -> Result<&[(Key, JsonValue)]> {
+    pub fn entries(&self) -> Result<&[(WireStr, JsonValue)]> {
         match self {
             JsonValue::Object(entries) => Ok(entries),
             other => Err(wrong_type("object", other)),
@@ -344,10 +349,12 @@ impl JsonValue {
     /// [`crate::MAX_NESTING_DEPTH`].
     pub fn parse(text: &str) -> Result<JsonValue> {
         let mut parser = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             items: Vec::new(),
             entries: Vec::new(),
+            scratch: String::new(),
         };
         parser.skip_ws();
         let value = parser.value(0)?;
@@ -503,15 +510,66 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// `10^k` for `k` in `0..=22`: the powers of ten an `f64` holds exactly.
+const POWERS_OF_TEN: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// Most significant digits of a float read on the exact fast path: such a
+/// mantissa is below 2^53, so it converts to `f64` exactly.
+const FAST_PATH_DIGITS: u32 = 15;
+
+/// Where a written exponent stops growing. Any exponent past ±22 takes the
+/// `str::parse` path, so the cap only keeps the arithmetic from overflowing.
+const EXPONENT_CAP: i64 = 1 << 40;
+
+/// The significant digits of a number token, accumulated as they are
+/// scanned.
+#[derive(Default)]
+struct Digits {
+    /// The digits as an integer, valid while `overflowed` is false.
+    value: u64,
+    /// Digits from the first nonzero one on.
+    count: u32,
+    /// Whether the digits ran past `u64::MAX`.
+    overflowed: bool,
+}
+
+impl Digits {
+    fn push(&mut self, digit: u8) {
+        match self
+            .value
+            .checked_mul(10)
+            .and_then(|value| value.checked_add(u64::from(digit)))
+        {
+            // A leading zero is not significant.
+            Some(0) => return,
+            Some(value) => self.value = value,
+            None => self.overflowed = true,
+        }
+        self.count = self.count.saturating_add(1);
+    }
+}
+
 struct Parser<'a> {
+    /// The input. It is sliced only next to ASCII bytes (quotes, escapes,
+    /// number tokens), which are always `char` boundaries, so a slice of it
+    /// needs no UTF-8 check.
+    text: &'a str,
+    /// `text` as bytes, which the scanner reads.
     bytes: &'a [u8],
     pos: usize,
     /// The items of every array still open, innermost last. A closing `]`
-    /// moves its items into a `Vec` of their exact length, so each array
-    /// allocates once.
+    /// moves its items off in one block into a `Vec` of their exact length,
+    /// so each array allocates once.
     items: Vec<JsonValue>,
     /// The same stack for the entries of every open object.
-    entries: Vec<(Key, JsonValue)>,
+    entries: Vec<(WireStr, JsonValue)>,
+    /// The decoded text of a string that holds an escape. It is reused, so
+    /// such a string allocates only if it is longer than a [`WireStr`]
+    /// holds inline.
+    scratch: String,
 }
 
 impl Parser<'_> {
@@ -533,10 +591,26 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
+    /// Skips a run of whitespace. A pretty document's indentation is runs
+    /// of spaces, which are skipped eight bytes at a time.
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
+        const SPACES: u64 = u64::from_le_bytes([b' '; 8]);
+        let bytes = self.bytes;
+        let mut pos = self.pos;
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = bytes.get(pos) {
+            pos += 1;
+            while let Some(chunk) = bytes.get(pos..pos + 8) {
+                // Zero bytes here are spaces; the lowest nonzero byte is
+                // the first that is not.
+                let others = u64::from_le_bytes(chunk.try_into().expect("8 bytes")) ^ SPACES;
+                if others != 0 {
+                    pos += (others.trailing_zeros() / 8) as usize;
+                    break;
+                }
+                pos += 8;
+            }
         }
+        self.pos = pos;
     }
 
     fn expect(&mut self, byte: u8) -> Result<()> {
@@ -581,7 +655,7 @@ impl Parser<'_> {
             self.entries.truncate(start);
             return Err(e);
         }
-        Ok(JsonValue::Object(self.entries.drain(start..).collect()))
+        Ok(JsonValue::Object(self.entries.split_off(start)))
     }
 
     /// Pushes the entries of the object opening at `self.pos` onto
@@ -600,7 +674,7 @@ impl Parser<'_> {
             if self.peek() != Some(b'"') {
                 return Err(self.error("expected a string key"));
             }
-            let key = self.key()?;
+            let key = self.string()?;
             if seen.repeats(&self.entries[start..], &key) {
                 self.pos = key_pos;
                 return Err(self.error(format!("duplicate object key `{key}`")));
@@ -628,7 +702,7 @@ impl Parser<'_> {
             self.items.truncate(start);
             return Err(e);
         }
-        Ok(JsonValue::Array(self.items.drain(start..).collect()))
+        Ok(JsonValue::Array(self.items.split_off(start)))
     }
 
     /// Pushes the items of the array opening at `self.pos` onto
@@ -656,10 +730,11 @@ impl Parser<'_> {
         }
     }
 
-    /// An object key, built straight from the input when it is a plain
-    /// run of bytes; a key with an escape or a defect goes through
-    /// [`Parser::string`], which decodes it or reports the error.
-    fn key(&mut self) -> Result<Key> {
+    /// The string opening at `self.pos`, a key or a value. A plain run of
+    /// bytes up to the closing quote is taken straight from the input; a
+    /// string with an escape or a defect goes through
+    /// [`Parser::escaped_string`], which decodes it or reports the error.
+    fn string(&mut self) -> Result<WireStr> {
         let start = self.pos + 1;
         let len = self.bytes[start..]
             .iter()
@@ -667,42 +742,37 @@ impl Parser<'_> {
         match len {
             Some(len) if self.bytes[start + len] == b'"' => {
                 self.pos = start + len + 1;
-                Ok(Key::from(
-                    std::str::from_utf8(&self.bytes[start..start + len])
-                        .expect("plain byte runs of a str are valid UTF-8"),
-                ))
+                Ok(WireStr::from(&self.text[start..start + len]))
             }
-            _ => self.string().map(Key::from),
+            _ => self.escaped_string(),
         }
     }
 
-    fn string(&mut self) -> Result<String> {
+    fn escaped_string(&mut self) -> Result<WireStr> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        self.scratch.clear();
+        let text = self.text;
         loop {
             let start = self.pos;
-            // Fast path: run of plain bytes up to the next quote or escape.
+            // Run of plain bytes up to the next quote or escape.
             while let Some(b) = self.peek() {
                 if b == b'"' || b == b'\\' || b < 0x20 {
                     break;
                 }
                 self.pos += 1;
             }
-            // The input is a &str, so slicing on these boundaries is valid
-            // UTF-8 (quote/backslash/control bytes never occur inside a
-            // multi-byte sequence).
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .expect("plain byte runs of a str are valid UTF-8"),
-            );
+            // Quote, backslash and control bytes never occur inside a
+            // multi-byte sequence, so the run ends on a `char` boundary.
+            self.scratch.push_str(&text[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(WireStr::from(self.scratch.as_str()));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    out.push(self.escape()?);
+                    let c = self.escape()?;
+                    self.scratch.push(c);
                 }
                 Some(_) => return Err(self.error("raw control character in string")),
                 None => return Err(self.error("unterminated string")),
@@ -772,59 +842,97 @@ impl Parser<'_> {
         Ok(value)
     }
 
-    fn number(&mut self) -> Result<JsonValue> {
+    /// Consumes a run of decimal digits, pushing each onto `digits`, and
+    /// returns how many there were.
+    fn digit_run(&mut self, digits: &mut Digits) -> usize {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        while let Some(b @ b'0'..=b'9') = self.peek() {
+            digits.push(b - b'0');
             self.pos += 1;
         }
+        self.pos - start
+    }
+
+    /// Reads a number token in one pass: its digits build the mantissa and
+    /// the exponent as they are scanned.
+    ///
+    /// An integer token lands in the `u64` lane, or the `i64` lane when
+    /// negative, and in the `f64` lane past either range, as
+    /// `str::parse::<u64>`, `::<i64>` and `::<f64>` would place it; `-0`
+    /// is `Unsigned(0)`. A float of at most 15 significant digits scaled by
+    /// at most 10^±22 is one exact multiplication or division, which IEEE
+    /// arithmetic rounds correctly (Clinger's fast path). Every other float
+    /// goes through `str::parse::<f64>`.
+    fn number(&mut self) -> Result<JsonValue> {
+        let start = self.pos;
+        let negative = self.peek() == Some(b'-');
+        if negative {
+            self.pos += 1;
+        }
+        let mut digits = Digits::default();
         // Integer part: `0` or a nonzero digit followed by digits.
         match self.peek() {
             Some(b'0') => self.pos += 1,
             Some(b'1'..=b'9') => {
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
+                self.digit_run(&mut digits);
             }
             _ => return Err(self.error("expected a digit")),
         }
         let mut integral = true;
+        // The power of ten that scales `digits.value`.
+        let mut exponent: i64 = 0;
         if self.peek() == Some(b'.') {
             integral = false;
             self.pos += 1;
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+            let fraction = self.digit_run(&mut digits);
+            if fraction == 0 {
                 return Err(self.error("expected a digit after `.`"));
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            exponent = i64::try_from(fraction).map_or(-EXPONENT_CAP, |n| -n);
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             integral = false;
             self.pos += 1;
+            let negative_exponent = self.peek() == Some(b'-');
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.error("expected a digit in the exponent"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
+            let exponent_start = self.pos;
+            let mut written: i64 = 0;
+            while let Some(b @ b'0'..=b'9') = self.peek() {
+                written = (written * 10 + i64::from(b - b'0')).min(EXPONENT_CAP);
                 self.pos += 1;
             }
+            if self.pos == exponent_start {
+                return Err(self.error("expected a digit in the exponent"));
+            }
+            exponent = exponent.saturating_add(if negative_exponent { -written } else { written });
         }
-        let token =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number tokens are ASCII");
-        if integral {
-            // Integer token: land in the exact lane when it fits, fall back
-            // to f64 for absurd magnitudes.
-            if token.starts_with('-') {
-                if let Ok(s) = token.parse::<i64>() {
-                    return Ok(JsonValue::Number(Number::from_i64(s)));
-                }
-            } else if let Ok(u) = token.parse::<u64>() {
-                return Ok(JsonValue::Number(Number::Unsigned(u)));
+        if integral && !digits.overflowed {
+            if !negative {
+                return Ok(JsonValue::Number(Number::Unsigned(digits.value)));
+            }
+            if digits.value <= 1 << 63 {
+                let value = 0i64.wrapping_sub_unsigned(digits.value);
+                return Ok(JsonValue::Number(Number::from_i64(value)));
             }
         }
-        let f: f64 = token.parse().map_err(|_| self.error("malformed number"))?;
+        if !integral && digits.count <= FAST_PATH_DIGITS {
+            if let Some(&power) = POWERS_OF_TEN.get(exponent.unsigned_abs() as usize) {
+                // Below 10^15, so the mantissa is an `f64` exactly.
+                let mantissa = digits.value as f64;
+                let magnitude = if exponent < 0 {
+                    mantissa / power
+                } else {
+                    mantissa * power
+                };
+                let value = if negative { -magnitude } else { magnitude };
+                return Ok(JsonValue::Number(Number::Float(value)));
+            }
+        }
+        let f: f64 = self.text[start..self.pos]
+            .parse()
+            .map_err(|_| self.error("malformed number"))?;
         if !f.is_finite() {
             return Err(self.error("number does not fit a finite f64"));
         }

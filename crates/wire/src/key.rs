@@ -1,4 +1,5 @@
-//! Object keys that do not allocate: [`Key`].
+//! The strings of the value tree, object keys and string values alike:
+//! [`WireStr`], which does not allocate for short text.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -6,33 +7,34 @@ use std::ops::Deref;
 
 use crate::JsonValue;
 
-/// Longest key, in UTF-8 bytes, stored inline in a [`Key`].
+/// Longest text, in UTF-8 bytes, stored inline in a [`WireStr`].
 const INLINE_CAP: usize = 22;
 
 /// Object width below which [`SeenKeys`] scans the earlier keys.
 const SCAN_WIDTH: usize = 32;
 
-/// An object key: the text of one field name of a [`JsonValue::Object`].
+/// The text of a string in the value tree: an object key or a
+/// [`JsonValue::String`].
 ///
-/// A key of up to 22 bytes is stored inline, so parsing, decoding or
-/// building it allocates nothing; a longer key lives in a `Box<str>`. The
-/// split is canonical (a key of 22 bytes or fewer is always inline), so
-/// two keys are equal exactly when their bytes are, equal keys hash alike,
-/// and comparing a key with a `&str` compares bytes too. A `Key` is 24
-/// bytes, the size of a `String`.
+/// Text of up to 22 bytes is stored inline, so parsing, decoding or
+/// building it allocates nothing; longer text lives in a `Box<str>`. The
+/// split is canonical (text of 22 bytes or fewer is always inline), so two
+/// `WireStr`s are equal exactly when their bytes are, equal ones hash
+/// alike, and comparing one with a `&str` compares bytes too. A `WireStr`
+/// is 24 bytes, the size of a `String`.
 ///
-/// [`JsonValue::Object`]: crate::JsonValue::Object
+/// [`JsonValue::String`]: crate::JsonValue::String
 ///
 /// ```
-/// use thermsched_wire::Key;
+/// use thermsched_wire::WireStr;
 ///
-/// let key = Key::from("version");
+/// let key = WireStr::from("version");
 /// assert!(&key == "version");
 /// assert_eq!(key.as_str(), "version");
-/// assert_eq!(Key::from(String::from("version")), key);
+/// assert_eq!(WireStr::from(String::from("version")), key);
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Key(Repr);
+pub struct WireStr(Repr);
 
 #[derive(Clone, PartialEq, Eq, Hash)]
 enum Repr {
@@ -44,18 +46,18 @@ enum Repr {
     Heap(Box<str>),
 }
 
-impl Key {
-    /// The key's text.
+impl WireStr {
+    /// The text.
     pub fn as_str(&self) -> &str {
         match &self.0 {
             Repr::Inline { .. } => {
-                std::str::from_utf8(self.as_bytes()).expect("inline keys hold UTF-8")
+                std::str::from_utf8(self.as_bytes()).expect("inline text is UTF-8")
             }
             Repr::Heap(text) => text,
         }
     }
 
-    /// The key's UTF-8 bytes, without the check [`Key::as_str`] makes.
+    /// The text's UTF-8 bytes, without the check [`WireStr::as_str`] makes.
     fn as_bytes(&self) -> &[u8] {
         match &self.0 {
             Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
@@ -64,32 +66,32 @@ impl Key {
     }
 }
 
-impl From<&str> for Key {
+impl From<&str> for WireStr {
     fn from(text: &str) -> Self {
         if text.len() <= INLINE_CAP {
             let mut bytes = [0; INLINE_CAP];
             bytes[..text.len()].copy_from_slice(text.as_bytes());
-            Key(Repr::Inline {
+            WireStr(Repr::Inline {
                 len: text.len() as u8,
                 bytes,
             })
         } else {
-            Key(Repr::Heap(text.into()))
+            WireStr(Repr::Heap(text.into()))
         }
     }
 }
 
-impl From<String> for Key {
+impl From<String> for WireStr {
     fn from(text: String) -> Self {
         if text.len() <= INLINE_CAP {
-            Key::from(text.as_str())
+            WireStr::from(text.as_str())
         } else {
-            Key(Repr::Heap(text.into_boxed_str()))
+            WireStr(Repr::Heap(text.into_boxed_str()))
         }
     }
 }
 
-impl Deref for Key {
+impl Deref for WireStr {
     type Target = str;
 
     fn deref(&self) -> &str {
@@ -97,19 +99,19 @@ impl Deref for Key {
     }
 }
 
-impl PartialEq<str> for Key {
+impl PartialEq<str> for WireStr {
     fn eq(&self, other: &str) -> bool {
         self.as_bytes() == other.as_bytes()
     }
 }
 
-impl fmt::Debug for Key {
+impl fmt::Debug for WireStr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self.as_str(), f)
     }
 }
 
-impl fmt::Display for Key {
+impl fmt::Display for WireStr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
     }
@@ -121,12 +123,12 @@ impl fmt::Display for Key {
 /// from that width on its keys move into a set, so a wide object decodes
 /// in linear time, not quadratic.
 #[derive(Default)]
-pub(crate) struct SeenKeys(Option<HashSet<Key>>);
+pub(crate) struct SeenKeys(Option<HashSet<WireStr>>);
 
 impl SeenKeys {
     /// Whether `key` repeats a key of `earlier`: the object's entries
     /// decoded so far, each of whose keys was checked here first.
-    pub(crate) fn repeats(&mut self, earlier: &[(Key, JsonValue)], key: &Key) -> bool {
+    pub(crate) fn repeats(&mut self, earlier: &[(WireStr, JsonValue)], key: &WireStr) -> bool {
         if earlier.len() < SCAN_WIDTH {
             return earlier.iter().any(|(seen, _)| seen == key);
         }
@@ -144,25 +146,46 @@ mod tests {
 
     #[test]
     fn inline_and_heap_keys_cross_every_codec() {
-        assert_eq!(std::mem::size_of::<Key>(), 24);
+        assert_eq!(std::mem::size_of::<WireStr>(), 24);
         let inline = "k".repeat(INLINE_CAP);
         let spilled = "k".repeat(INLINE_CAP + 1);
         let multibyte = "ü".repeat(INLINE_CAP / 2);
+        // 21 ASCII bytes and a two-byte character: 23 bytes, one past the
+        // inline limit, split by the limit inside the character.
+        let multibyte_spilled = format!("{}é", "m".repeat(INLINE_CAP - 1));
+        // A three-byte character ending exactly at the limit.
+        let multibyte_edge = format!("{}€", "e".repeat(INLINE_CAP - 3));
         let long = "keep_active_active_paths";
         assert_eq!(multibyte.len(), INLINE_CAP);
-        assert!(matches!(Key::from(inline.as_str()).0, Repr::Inline { .. }));
-        assert!(matches!(
-            Key::from(multibyte.as_str()).0,
-            Repr::Inline { .. }
-        ));
-        assert!(matches!(Key::from(spilled.as_str()).0, Repr::Heap(_)));
-        assert!(matches!(Key::from(long.to_owned()).0, Repr::Heap(_)));
+        assert_eq!(multibyte_spilled.len(), INLINE_CAP + 1);
+        assert_eq!(multibyte_edge.len(), INLINE_CAP);
+        for text in [&inline, &multibyte, &multibyte_edge] {
+            assert!(matches!(
+                WireStr::from(text.as_str()).0,
+                Repr::Inline { .. }
+            ));
+            assert!(matches!(WireStr::from(text.clone()).0, Repr::Inline { .. }));
+        }
+        for text in [&spilled, &multibyte_spilled] {
+            assert!(matches!(WireStr::from(text.as_str()).0, Repr::Heap(_)));
+        }
+        assert!(matches!(WireStr::from(long.to_owned()).0, Repr::Heap(_)));
 
-        let names = [inline.as_str(), spilled.as_str(), multibyte.as_str(), long];
+        let names = [
+            inline.as_str(),
+            spilled.as_str(),
+            multibyte.as_str(),
+            multibyte_spilled.as_str(),
+            multibyte_edge.as_str(),
+            long,
+        ];
+        // Each name is both a key and, under the next key, a string value.
         let value = names
             .iter()
             .enumerate()
-            .fold(obj(), |builder, (i, name)| builder.field(name, i))
+            .fold(obj(), |builder, (i, name)| {
+                builder.field(name, names[(i + 1) % names.len()])
+            })
             .build();
         let text = value.render_compact().unwrap();
         for name in names {
@@ -172,11 +195,18 @@ mod tests {
         let decoded = decode_value(&encode_value(&value).unwrap()).unwrap();
         for tree in [&value, &parsed, &decoded] {
             assert_eq!(tree, &value);
-            for (i, ((key, _), name)) in tree.entries().unwrap().iter().zip(names).enumerate() {
+            for (i, ((key, item), name)) in tree.entries().unwrap().iter().zip(names).enumerate() {
                 assert_eq!(key, name);
                 assert_eq!(key.as_str(), name);
                 assert_eq!(format!("{key} {key:?}"), format!("{name} {name:?}"));
-                assert_eq!(tree.get(name), Some(&JsonValue::from(i)));
+                let next = names[(i + 1) % names.len()];
+                assert_eq!(item.as_str().unwrap(), next);
+                assert_eq!(tree.get(name), Some(&JsonValue::from(next)));
+                let JsonValue::String(text) = item else {
+                    panic!("{item:?} is not a string");
+                };
+                let inline = matches!(text.0, Repr::Inline { .. });
+                assert_eq!(inline, next.len() <= INLINE_CAP, "{next}");
             }
         }
     }
@@ -219,7 +249,7 @@ mod tests {
             let repeated = JsonValue::Object(
                 keys.iter()
                     .enumerate()
-                    .map(|(i, key)| (Key::from(key.as_str()), JsonValue::from(i)))
+                    .map(|(i, key)| (WireStr::from(key.as_str()), JsonValue::from(i)))
                     .collect(),
             );
             assert_eq!(

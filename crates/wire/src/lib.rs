@@ -8,10 +8,14 @@
 //! * **compact framed binary** — length-prefixed frames of tagged values,
 //!   used on the coordinator↔worker pipes.
 //!
-//! An object is one `Vec` of `(`[`Key`]`, JsonValue)` entries. A key of up
-//! to 22 bytes is stored inline, so the JSON parser, the binary decoder and
-//! the builders make no allocation per field name; the parser also sizes
-//! each array and object exactly, once.
+//! Object keys and string values are [`WireStr`]s. Text of up to 22 bytes
+//! is stored inline, so the JSON parser, the binary decoder and `to_wire`
+//! make no allocation for a field name or a short string. An object is one
+//! `Vec` of `(WireStr, JsonValue)` entries and an array one `Vec` of
+//! values, each allocated once at its final length: the parser moves a
+//! finished container off its stack in one block, and the binary decoder
+//! reserves one from its declared count, capped by the bytes left. The
+//! parser reads each number token in one pass (see [`json`]).
 //!
 //! Domain crates implement the [`Wire`] trait for their public types; this
 //! crate deliberately knows nothing about them (it is a leaf with zero
@@ -48,7 +52,7 @@ pub mod frame;
 pub use binary::{decode_value, encode_array, encode_value};
 pub use error::WireError;
 pub use json::{obj, JsonValue, Number, ObjectBuilder};
-pub use key::Key;
+pub use key::WireStr;
 
 /// Shorthand for results carrying a [`WireError`].
 pub type Result<T> = std::result::Result<T, WireError>;

@@ -1,46 +1,56 @@
-//! Pins what building a value tree costs in allocations: parsing a corpus
-//! document, decoding its binary encoding and encoding a corpus each make
-//! fewer allocations than the tree has object keys, because a key of up to
-//! 22 bytes is stored inline.
+//! Pins what building and decoding a value tree costs in allocations:
+//! parsing a corpus document, decoding its binary encoding, encoding a
+//! corpus and decoding the typed corpus from its tree. Object keys and
+//! string values of up to 22 bytes are stored inline, and each array and
+//! object is allocated once at its final length, so a tree costs one
+//! allocation per non-empty container plus one per longer string.
 //!
 //! A counting global allocator counts allocations and reallocations made
 //! by the current thread only, so the test harness's other threads do not
-//! disturb the count. This file is its own test binary: the allocator is
-//! process-wide.
+//! disturb the count, and records the largest single request. This file is
+//! its own test binary: the allocator is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use thermsched_service::ScenarioSpec;
-use thermsched_wire::{decode_value, encode_value, to_document, JsonValue, Wire};
+use thermsched_service::{Corpus, ScenarioSpec};
+use thermsched_wire::{
+    decode_value, encode_value, from_document, to_document, JsonValue, Wire, WireError,
+};
+
+/// Longest string a `WireStr` stores inline, in bytes.
+const INLINE: usize = 22;
 
 struct CountingAllocator;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static REALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count(counter: &'static std::thread::LocalKey<Cell<u64>>, size: usize) {
     // `try_with` keeps allocations made while the thread tears down its
     // locals from panicking.
-    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+    let _ = counter.try_with(|count| count.set(count.get() + 1));
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
 }
 
 // SAFETY: every call forwards to the system allocator unchanged; the only
-// addition is a thread-local counter that never allocates.
+// addition is thread-local counters that never allocate.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count(&ALLOCATIONS, layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count(&ALLOCATIONS, layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count(&REALLOCATIONS, new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -52,39 +62,123 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Runs `f` and returns its result with the allocations and reallocations
-/// it made on this thread.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let value = f();
-    (value, ALLOCATIONS.with(Cell::get) - before)
+/// What `f` asked of the allocator on this thread.
+#[derive(Debug, PartialEq)]
+struct Counts {
+    /// Fresh allocations.
+    allocations: u64,
+    /// Reallocations: a container grown (or shrunk) after its first
+    /// allocation.
+    reallocations: u64,
+    /// The largest single request, in bytes.
+    largest: usize,
 }
 
-/// Object keys in the whole tree.
-fn object_keys(value: &JsonValue) -> u64 {
-    match value {
-        JsonValue::Array(items) => items.iter().map(object_keys).sum(),
-        JsonValue::Object(entries) => entries
-            .iter()
-            .map(|(_, value)| 1 + object_keys(value))
-            .sum(),
-        _ => 0,
+impl Counts {
+    fn total(&self) -> u64 {
+        self.allocations + self.reallocations
     }
 }
 
-#[test]
-fn building_a_tree_allocates_less_often_than_it_has_keys() {
-    let corpus = ScenarioSpec {
+/// Runs `f` and returns its result with what it asked of the allocator.
+fn measured<T>(f: impl FnOnce() -> T) -> (T, Counts) {
+    let allocations = ALLOCATIONS.with(Cell::get);
+    let reallocations = REALLOCATIONS.with(Cell::get);
+    LARGEST.with(|largest| largest.set(0));
+    let value = f();
+    let counts = Counts {
+        allocations: ALLOCATIONS.with(Cell::get) - allocations,
+        reallocations: REALLOCATIONS.with(Cell::get) - reallocations,
+        largest: LARGEST.with(Cell::get),
+    };
+    (value, counts)
+}
+
+/// Runs `f` and returns its result with the allocations and reallocations
+/// it made on this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let (value, counts) = measured(f);
+    (value, counts.total())
+}
+
+/// What a tree is made of, for the allocations it should cost.
+#[derive(Debug, Default)]
+struct Shape {
+    /// Object keys.
+    keys: u64,
+    /// Arrays and objects with at least one element; an empty one
+    /// allocates nothing.
+    containers: u64,
+    /// Keys and string values longer than [`INLINE`] bytes.
+    long_strings: u64,
+    /// Values of every kind, the root included.
+    values: u64,
+}
+
+fn shape(value: &JsonValue) -> Shape {
+    fn walk(value: &JsonValue, shape: &mut Shape) {
+        shape.values += 1;
+        match value {
+            JsonValue::String(text) => shape.long_strings += u64::from(text.len() > INLINE),
+            JsonValue::Array(items) => {
+                shape.containers += u64::from(!items.is_empty());
+                items.iter().for_each(|item| walk(item, shape));
+            }
+            JsonValue::Object(entries) => {
+                shape.containers += u64::from(!entries.is_empty());
+                for (key, value) in entries {
+                    shape.keys += 1;
+                    shape.long_strings += u64::from(key.len() > INLINE);
+                    walk(value, shape);
+                }
+            }
+            _ => {}
+        }
+    }
+    let mut shape = Shape::default();
+    walk(value, &mut shape);
+    shape
+}
+
+/// The same tree with every key and string value cut to [`INLINE`] bytes.
+fn shortened(value: &JsonValue) -> JsonValue {
+    let cut = |text: &str| {
+        let mut end = text.len().min(INLINE);
+        while !text.is_char_boundary(end) {
+            end -= 1;
+        }
+        text[..end].to_owned()
+    };
+    match value {
+        JsonValue::String(text) => JsonValue::from(cut(text)),
+        JsonValue::Array(items) => JsonValue::Array(items.iter().map(shortened).collect()),
+        JsonValue::Object(entries) => JsonValue::Object(
+            entries
+                .iter()
+                .map(|(key, value)| (cut(key).into(), shortened(value)))
+                .collect(),
+        ),
+        other => other.clone(),
+    }
+}
+
+fn corpus() -> Corpus {
+    ScenarioSpec {
         scenarios: 16,
         seed: 1,
         ..ScenarioSpec::default()
     }
     .build()
-    .expect("the spec builds");
+    .expect("the spec builds")
+}
+
+#[test]
+fn building_a_tree_allocates_less_often_than_it_has_keys() {
+    let corpus = corpus();
     let text = to_document(&corpus).render_pretty().expect("renders");
 
     let (tree, parse) = counted(|| JsonValue::parse(&text).expect("parses"));
-    let keys = object_keys(&tree);
+    let keys = shape(&tree).keys;
     assert!(keys > 1000, "a 16-scenario corpus has {keys} keys");
     assert!(
         parse < keys,
@@ -100,9 +194,139 @@ fn building_a_tree_allocates_less_often_than_it_has_keys() {
     );
 
     let (body, encode) = counted(|| corpus.to_wire());
-    let body_keys = object_keys(&body);
+    let body_keys = shape(&body).keys;
     assert!(
         encode < body_keys,
         "Corpus::to_wire: {encode} allocations for {body_keys} keys"
     );
+}
+
+/// The JSON parser makes one allocation per non-empty array and object,
+/// plus the first allocation of each of its two stacks (array items and
+/// object entries), which then only grow: at most once per doubling of
+/// their length. The binary decoder has no stacks and reserves each
+/// container from its declared count, so it makes one allocation per
+/// container and never grows one.
+fn assert_one_allocation_per_container(tree: &JsonValue) {
+    let Shape {
+        containers,
+        long_strings,
+        values,
+        ..
+    } = shape(tree);
+    let text = tree.render_pretty().expect("renders");
+    let (parsed, parse) = measured(|| JsonValue::parse(&text).expect("parses"));
+    assert_eq!(&parsed, tree);
+    assert_eq!(
+        parse.allocations,
+        containers + long_strings + 2,
+        "JsonValue::parse: {parse:?} for {containers} containers and {long_strings} long strings"
+    );
+    let doublings = u64::from(values.ilog2() + 1);
+    assert!(
+        parse.reallocations <= 2 * doublings,
+        "JsonValue::parse grew its stacks {} times for {values} values",
+        parse.reallocations
+    );
+
+    let bytes = encode_value(tree).expect("encodes");
+    let (decoded, decode) = measured(|| decode_value(&bytes).expect("decodes"));
+    assert_eq!(&decoded, tree);
+    assert_eq!(
+        (decode.allocations, decode.reallocations),
+        (containers + long_strings, 0),
+        "decode_value: {decode:?} for {containers} containers and {long_strings} long strings"
+    );
+}
+
+#[test]
+fn parse_and_decode_allocate_once_per_container_and_never_for_a_short_string() {
+    let document = to_document(&corpus());
+    let short = shortened(&document);
+    let Shape {
+        containers,
+        long_strings,
+        ..
+    } = shape(&short);
+    assert_eq!(long_strings, 0);
+    assert!(containers > 500, "{containers} containers");
+    assert_one_allocation_per_container(&short);
+    // The corpus itself: its job labels and one session-model key are
+    // longer than 22 bytes, and each costs one allocation more.
+    assert!(shape(&document).long_strings > 0);
+    assert_one_allocation_per_container(&document);
+}
+
+#[test]
+fn encoding_a_corpus_allocates_only_its_containers_and_long_strings() {
+    let corpus = corpus();
+    let (body, encode) = measured(|| corpus.to_wire());
+    let Shape {
+        containers,
+        long_strings,
+        ..
+    } = shape(&body);
+    assert!(long_strings > 0 && containers > 500);
+    assert_eq!(
+        encode.total(),
+        containers + long_strings,
+        "Corpus::to_wire: {encode:?} for {containers} containers and {long_strings} long strings"
+    );
+}
+
+#[test]
+fn decoding_the_typed_corpus_allocates_a_pinned_count() {
+    // The corpus's own strings and vectors, each allocated once. Before
+    // vectors were decoded at their length (collecting through `Result`
+    // grows them by doubling) and floorplans found block names in a sorted
+    // id list (they copied each name into a `HashMap`), this decode made
+    // 891 allocations.
+    const ALLOCATIONS: u64 = 586;
+    let corpus = corpus();
+    let document =
+        JsonValue::parse(&to_document(&corpus).render_pretty().expect("renders")).expect("parses");
+    let (decoded, decode) = counted(|| from_document::<Corpus>(&document).expect("decodes"));
+    assert_eq!(decoded.to_wire(), corpus.to_wire());
+    assert_eq!(decode, ALLOCATIONS, "from_document::<Corpus>");
+}
+
+/// A binary object `{"corpus": <a corpus document>, "tail": <tail>}`: a
+/// payload of a realistic size that ends in `tail`'s bytes.
+fn ending_in(tail: &[u8]) -> Vec<u8> {
+    let field = |bytes: &mut Vec<u8>, name: &str| {
+        bytes.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(name.as_bytes());
+    };
+    let mut bytes = vec![0x08];
+    bytes.extend_from_slice(&2u32.to_le_bytes());
+    field(&mut bytes, "corpus");
+    bytes.extend(encode_value(&to_document(&corpus())).expect("encodes"));
+    field(&mut bytes, "tail");
+    bytes.extend_from_slice(tail);
+    bytes
+}
+
+#[test]
+fn a_hostile_count_is_truncated_without_allocating_for_it() {
+    let hostile = u32::MAX.to_le_bytes();
+    // An array of u32::MAX items with three null items left.
+    let array = [&[0x07][..], &hostile, &[0x00, 0x00, 0x00]].concat();
+    // An object of u32::MAX entries with one entry and two bytes left.
+    let object = [&[0x08][..], &hostile, &[1, 0, 0, 0, b'a', 0x00, 0, 0]].concat();
+    // The same counts nested one level down.
+    let nested = [&[0x07][..], &1u32.to_le_bytes(), &array].concat();
+    for tail in [&array, &object, &nested] {
+        let payload = ending_in(tail);
+        let (decoded, decode) = measured(|| decode_value(&payload));
+        assert!(
+            matches!(decoded, Err(WireError::Truncated { .. })),
+            "{decoded:?}"
+        );
+        assert!(
+            decode.largest <= payload.len(),
+            "the largest request was {} bytes for a {}-byte payload",
+            decode.largest,
+            payload.len()
+        );
+    }
 }
