@@ -291,7 +291,10 @@ fn decoding_the_typed_corpus_allocates_a_pinned_count() {
 }
 
 /// A binary object `{"corpus": <a corpus document>, "tail": <tail>}`: a
-/// payload of a realistic size that ends in `tail`'s bytes.
+/// payload of a realistic size that ends in `tail`'s bytes. On a payload
+/// of a few bytes even an array that holds its items as they come
+/// outgrows the input, so a small one could not tell a reservation made
+/// from the declared count from an honest one.
 fn ending_in(tail: &[u8]) -> Vec<u8> {
     let field = |bytes: &mut Vec<u8>, name: &str| {
         bytes.extend_from_slice(&(name.len() as u32).to_le_bytes());
