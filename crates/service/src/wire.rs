@@ -166,23 +166,28 @@ impl Wire for JobSpec {
     const WIRE_TYPE: &'static str = "job_spec";
 
     fn to_wire(&self) -> JsonValue {
-        let mut spec = obj()
-            .field("scenario", self.scenario)
-            .field("label", self.label.as_str())
-            .field("config", self.config.to_wire());
+        let trace = self.online.trace();
+        let warm = self.online.warm_start();
+        // Built at its length: with both online fields the builder would
+        // outgrow its first four entries and allocate twice.
+        let mut spec =
+            Vec::with_capacity(3 + usize::from(trace.is_some()) + usize::from(warm.is_some()));
+        spec.push(("scenario".into(), self.scenario.into()));
+        spec.push(("label".into(), self.label.as_str().into()));
+        spec.push(("config".into(), self.config.to_wire()));
         // Omitted when absent, for byte-compatibility with offline documents.
-        if let Some(trace) = self.online.trace() {
-            spec = spec.field("trace", trace.to_wire());
+        if let Some(trace) = trace {
+            spec.push(("trace".into(), trace.to_wire()));
         }
-        if let Some(warm) = self.online.warm_start() {
-            let warm: Vec<JsonValue> = warm
+        if let Some(warm) = warm {
+            let warm = warm
                 .block_temperatures()
                 .iter()
                 .map(Wire::to_wire)
                 .collect();
-            spec = spec.field("warm_start", warm);
+            spec.push(("warm_start".into(), JsonValue::Array(warm)));
         }
-        spec.build()
+        JsonValue::Object(spec)
     }
 
     fn from_wire(value: &JsonValue) -> Result<Self> {

@@ -13,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use thermsched_service::{Corpus, ScenarioSpec};
+use thermsched_service::{Corpus, ScenarioSpec, TraceFamily};
 use thermsched_wire::{
     decode_value, encode_value, from_document, to_document, JsonValue, Wire, WireError,
 };
@@ -259,19 +259,30 @@ fn parse_and_decode_allocate_once_per_container_and_never_for_a_short_string() {
 
 #[test]
 fn encoding_a_corpus_allocates_only_its_containers_and_long_strings() {
-    let corpus = corpus();
-    let (body, encode) = measured(|| corpus.to_wire());
-    let Shape {
-        containers,
-        long_strings,
-        ..
-    } = shape(&body);
-    assert!(long_strings > 0 && containers > 500);
-    assert_eq!(
-        encode.total(),
-        containers + long_strings,
-        "Corpus::to_wire: {encode:?} for {containers} containers and {long_strings} long strings"
-    );
+    // Online jobs carry two more fields, a trace and a warm start.
+    let online = ScenarioSpec {
+        scenarios: 4,
+        seed: 7,
+        trace_families: vec![TraceFamily::Ramp, TraceFamily::IdleGap],
+        warm_start_range: Some((48.0, 62.0)),
+        ..ScenarioSpec::default()
+    }
+    .build()
+    .expect("the spec builds");
+    for corpus in [corpus(), online] {
+        let (body, encode) = measured(|| corpus.to_wire());
+        let Shape {
+            containers,
+            long_strings,
+            ..
+        } = shape(&body);
+        assert!(long_strings > 0 && containers > 100);
+        assert_eq!(
+            encode.total(),
+            containers + long_strings,
+            "Corpus::to_wire: {encode:?} for {containers} containers and {long_strings} long strings"
+        );
+    }
 }
 
 #[test]
