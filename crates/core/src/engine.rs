@@ -477,8 +477,10 @@ impl<'a> EngineBuilder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
     use thermsched_soc::library;
     use thermsched_thermal::{GridResolution, GridThermalSimulator, SimulationFidelity};
+    use thermsched_thermal::{PowerMap, SessionThermalResult, Temperatures, ThermalSimulator};
 
     #[test]
     fn builder_requires_a_sut() {
@@ -829,5 +831,101 @@ mod tests {
             assert!(keys.ends_with(&["tl", "stcl", "error"]), "{keys:?}");
             assert_eq!(keys.len(), attrs, "{keys:?}");
         }
+    }
+
+    /// Delegates to an RC backend and counts, per core, the session
+    /// simulations that power that core alone.
+    struct CountsSingleCores {
+        inner: RcThermalSimulator,
+        calls: Vec<AtomicUsize>,
+    }
+
+    impl CountsSingleCores {
+        fn new(sut: &SystemUnderTest) -> Self {
+            CountsSingleCores {
+                inner: RcThermalSimulator::from_floorplan(sut.floorplan()).unwrap(),
+                calls: (0..sut.core_count()).map(|_| Default::default()).collect(),
+            }
+        }
+
+        fn single_core_calls(&self) -> Vec<usize> {
+            self.calls.iter().map(|calls| calls.load(Relaxed)).collect()
+        }
+    }
+
+    impl ThermalSimulator for CountsSingleCores {
+        fn block_count(&self) -> usize {
+            self.inner.block_count()
+        }
+        fn ambient(&self) -> f64 {
+            self.inner.ambient()
+        }
+        fn simulate_session(
+            &self,
+            power: &PowerMap,
+            duration: f64,
+        ) -> thermsched_thermal::Result<SessionThermalResult> {
+            if let [core] = power.active_blocks()[..] {
+                self.calls[core].fetch_add(1, Relaxed);
+            }
+            self.inner.simulate_session(power, duration)
+        }
+        fn steady_state(&self, power: &PowerMap) -> thermsched_thermal::Result<Temperatures> {
+            self.inner.steady_state(power)
+        }
+    }
+
+    impl ThermalBackend for CountsSingleCores {
+        fn fidelity(&self) -> SimulationFidelity {
+            self.inner.fidelity()
+        }
+        fn supports_fast_path(&self) -> bool {
+            self.inner.supports_fast_path()
+        }
+        fn backend_name(&self) -> &'static str {
+            "counts-single-cores"
+        }
+    }
+
+    /// Phase 1 has one path: the first run over a store simulates each core
+    /// alone once and publishes the characterisation; every later run, and
+    /// every single-core candidate of phase 2, reads it.
+    #[test]
+    fn runs_sharing_a_store_simulate_each_core_alone_once_in_total() {
+        let sut = library::alpha21364_sut();
+        let counting = CountsSingleCores::new(&sut);
+        let engine = Engine::builder()
+            .sut(&sut)
+            .backend(&counting)
+            .build()
+            .unwrap();
+        let mut single_core_sessions = 0;
+        // An STC limit of 5 admits no core alone, so that run's every
+        // session is the least-characteristic single-core fallback.
+        for (tl, stcl) in [(165.0, 50.0), (145.0, 20.0), (185.0, 100.0), (150.0, 5.0)] {
+            let outcome = engine
+                .schedule_with(SchedulerConfig::new(tl, stcl).unwrap())
+                .unwrap();
+            single_core_sessions += outcome
+                .schedule
+                .iter()
+                .filter(|session| session.core_count() == 1)
+                .count();
+        }
+        assert!(single_core_sessions >= sut.core_count());
+        assert_eq!(counting.single_core_calls(), vec![1; sut.core_count()]);
+
+        let other = CountsSingleCores::new(&sut);
+        let sharing = Engine::builder()
+            .sut(&sut)
+            .backend(&other)
+            .cache(engine.cache().clone())
+            .build()
+            .unwrap();
+        let warm = sharing
+            .schedule_with(SchedulerConfig::new(150.0, 5.0).unwrap())
+            .unwrap();
+        assert_eq!(warm.warm_cache_hits, sut.core_count());
+        assert_eq!(other.single_core_calls(), vec![0; sut.core_count()]);
     }
 }

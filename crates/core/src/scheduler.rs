@@ -5,9 +5,7 @@ use std::collections::HashMap;
 
 use thermsched_obs::Tracer;
 use thermsched_soc::SystemUnderTest;
-use thermsched_thermal::{
-    PackageConfig, PowerMap, SessionThermalResult, Temperatures, ThermalBackend,
-};
+use thermsched_thermal::{PackageConfig, SessionThermalResult, Temperatures, ThermalBackend};
 
 use crate::session_model::SessionFill;
 use crate::{
@@ -21,25 +19,6 @@ fn session_key<I: IntoIterator<Item = usize>>(cores: I) -> Vec<usize> {
     let mut key: Vec<usize> = cores.into_iter().collect();
     key.sort_unstable();
     key
-}
-
-/// Validates one candidate session: the classic constant-power simulation
-/// offline, or a trace simulation (materialised shape, optional warm start)
-/// when an [`OnlineContext`] is active. Free function so the phase-1
-/// parallel fan-out can call it without capturing the whole scheduler.
-fn validate_session<S: ThermalBackend + ?Sized>(
-    simulator: &S,
-    online: Option<&OnlineContext>,
-    power: &PowerMap,
-    duration: f64,
-) -> Result<SessionThermalResult> {
-    match online {
-        None => Ok(simulator.simulate_session(power, duration)?),
-        Some(context) => {
-            let trace = context.session_trace(power, duration)?;
-            Ok(simulator.simulate_trace(&trace, context.warm_start())?)
-        }
-    }
 }
 
 /// The thermal-validation results that admitted one committed session into
@@ -75,17 +54,19 @@ pub struct ScheduleOutcome {
     pub characterization_effort: f64,
     /// Number of candidate sessions discarded because of thermal violations.
     pub discarded_sessions: usize,
-    /// Number of candidate validations served from the session-result cache
-    /// instead of a fresh simulation (re-attempted discarded candidates and
-    /// single-core sessions already characterised in phase 1). Cached
-    /// attempts still accrue `simulation_effort` — the paper's metric counts
-    /// attempts, not wall-clock — but cost no simulation time.
+    /// Number of candidate validations served without a fresh simulation:
+    /// single-core candidates read from phase 1's characterisation,
+    /// re-attempted candidates from the run's memo, and candidates another
+    /// run published to a shared store. Cached attempts still accrue
+    /// `simulation_effort` — the paper's metric counts attempts, not
+    /// wall-clock — but cost no simulation time.
     pub cached_validations: usize,
     /// Number of simulations avoided because a *shared* session cache (see
     /// [`crate::SessionCacheHandle`] and [`ThermalAwareScheduler::run`])
     /// already held the result from an earlier run against the same
-    /// backend: cross-point phase-1 characterisations plus phase-2
-    /// candidate validations first attempted by another sweep point.
+    /// backend: one per core when another run published the phase-1
+    /// characterisation, plus phase-2 candidate validations another run
+    /// attempted first.
     /// Always zero for [`ThermalAwareScheduler::schedule`], whose cache
     /// lives and dies with the call, and for online runs, which never
     /// consult a shared store.
@@ -282,75 +263,61 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
 }
 
 impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
-    /// Phase 1 (lines 1–7): per-core characterisation, fanned out across the
-    /// machine with scoped threads. Every single-core validation is
-    /// independent, so the pass parallelises embarrassingly; results come
-    /// back in core order, keeping the outcome deterministic. With a shared
-    /// cache, cores already characterised by an earlier run against the same
-    /// backend are served from it and only the misses are simulated.
-    fn characterise_cores(
-        &self,
-        shared: Option<&SessionCacheHandle>,
-        warm_cache_hits: &mut usize,
-    ) -> Result<Vec<SessionThermalResult>> {
-        let n = self.sut.core_count();
-        let mut results: Vec<Option<SessionThermalResult>> = vec![None; n];
-        let mut misses: Vec<usize> = Vec::new();
-        // Probe all singletons in one batched store operation; per-core lock
-        // round trips would dominate the engine's overhead on small systems.
-        match shared {
-            Some(shared) => {
-                let keys: Vec<Vec<usize>> = (0..n).map(|core| vec![core]).collect();
-                let mut probe = self.tracer.span("store.probe");
-                probe.attr("keys", n);
-                for (core, slot) in shared.lookup_batch(&keys).into_iter().enumerate() {
-                    match slot {
-                        Some(result) => {
-                            results[core] = Some(result);
-                            *warm_cache_hits += 1;
-                        }
-                        None => misses.push(core),
-                    }
-                }
-                // Warmth depends on what earlier runs published — observed.
-                probe.attr_observed("hits", n - misses.len());
+    /// Validates one candidate session: the classic constant-power
+    /// simulation offline, or a trace simulation (materialised shape,
+    /// optional warm start) when an [`OnlineContext`] is active.
+    fn validate(&self, session: &TestSession) -> Result<SessionThermalResult> {
+        let (power, duration) = (session.power_map(self.sut)?, session.duration());
+        Ok(match self.online {
+            None => self.simulator.simulate_session(&power, duration)?,
+            Some(context) => {
+                let trace = context.session_trace(&power, duration)?;
+                self.simulator
+                    .simulate_trace(&trace, context.warm_start())?
             }
-            None => misses.extend(0..n),
-        }
-        let sut = self.sut;
-        let simulator = self.simulator;
-        let online = self.online;
-        let fresh = crate::parallel::parallel_map_ordered(
-            &misses,
-            |core| -> Result<SessionThermalResult> {
-                let session = TestSession::new([core], sut);
-                let power = session.power_map(sut)?;
-                validate_session(simulator, online, &power, session.duration())
-            },
-        );
-        for (&core, result) in misses.iter().zip(fresh) {
-            results[core] = Some(result?);
-        }
+        })
+    }
+
+    /// Phase 1 (lines 1–7): every core tested alone, in core order. With a
+    /// shared store, a characterisation an earlier run published is read
+    /// as it stands (counted as one warm hit per core); otherwise every
+    /// core is simulated, fanned out across the machine with scoped
+    /// threads, and a shared store keeps the first one published.
+    fn characterise_cores<'s>(
+        &self,
+        shared: Option<&'s SessionCacheHandle>,
+        warm_cache_hits: &mut usize,
+    ) -> Result<Cow<'s, [SessionThermalResult]>> {
+        let n = self.sut.core_count();
         if let Some(shared) = shared {
-            // Publish every fresh characterisation in one batched store
-            // operation (first write wins; a racing run's duplicate is
-            // identical anyway).
-            let mut publish = self.tracer.span("store.publish");
-            publish.attr_observed("entries", misses.len());
-            shared.store_batch(
-                misses
-                    .iter()
-                    .map(|&core| {
-                        let result = results[core].as_ref().expect("miss was simulated");
-                        (vec![core], result.clone())
-                    })
-                    .collect(),
-            );
+            let mut probe = self.tracer.span("store.probe");
+            probe.attr("keys", n);
+            let held = shared.characterisation(n);
+            // Warmth depends on what earlier runs published — observed.
+            probe.attr_observed("hits", held.map_or(0, <[_]>::len));
+            drop(probe);
+            if let Some(held) = held {
+                *warm_cache_hits += n;
+                self.tracer
+                    .span("store.publish")
+                    .attr_observed("entries", 0usize);
+                return Ok(Cow::Borrowed(held));
+            }
         }
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("every core is characterised exactly once"))
-            .collect())
+        let cores: Vec<usize> = (0..n).collect();
+        let results = crate::parallel::parallel_map_ordered(&cores, |core| {
+            self.validate(&TestSession::new([core], self.sut))
+        })
+        .into_iter()
+        .collect::<Result<Vec<SessionThermalResult>>>()?;
+        Ok(match shared {
+            Some(shared) => {
+                let mut publish = self.tracer.span("store.publish");
+                publish.attr_observed("entries", n);
+                Cow::Borrowed(shared.characterise(results))
+            }
+            None => Cow::Owned(results),
+        })
     }
 
     /// Runs Algorithm 1 and returns the generated schedule together with its
@@ -374,10 +341,12 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
     /// With `shared`, results already cached by earlier runs against the
     /// same backend are reused (counted in
     /// [`ScheduleOutcome::warm_cache_hits`]), and every fresh simulation is
-    /// published back for later runs — phase-1 characterisations right after
-    /// the pass, phase-2 candidates in one batched store operation at
-    /// end-of-run (so a cold run pays `O(1)` lock round trips, not one per
-    /// candidate). The schedule is identical to an uncached run — the
+    /// published back for later runs: phase 1 reads the store's
+    /// characterisation or publishes the one it simulated, and phase-2
+    /// candidates go in one batched store operation at end-of-run (so a
+    /// cold run pays `O(1)` lock round trips, not one per candidate).
+    /// Phase 2 reads every single-core candidate from the characterisation.
+    /// The schedule is identical to an uncached run — the
     /// simulators are deterministic — and the paper's `simulation_effort`
     /// metric counts attempts either way. The store must only be shared
     /// between runs that use the same backend and system under test (keys
@@ -408,21 +377,13 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
         // ---- Phase 1 (lines 1-7): per-core characterisation. ----
         let mut phase1_span = self.tracer.span("scheduler.phase1");
         phase1_span.attr("cores", n);
-        // The per-run memo: every validation this run made, by core set.
-        let mut cache: HashMap<Vec<usize>, SessionThermalResult> = HashMap::new();
-        let mut bcmt = vec![0.0; n];
+        // Phase 2 reads every single-core candidate from this slice.
+        let singles = self.characterise_cores(shared, &mut warm_cache_hits)?;
+        let mut bcmt = Vec::with_capacity(n);
         let mut characterization_effort = 0.0;
-        for (core, result) in self
-            .characterise_cores(shared, &mut warm_cache_hits)?
-            .into_iter()
-            .enumerate()
-        {
-            bcmt[core] = result.block_max_temperature(core);
+        for (core, result) in singles.iter().enumerate() {
+            bcmt.push(result.block_max_temperature(core));
             characterization_effort += result.duration;
-            // Seed the session cache: phase 2 falls back to single-core
-            // sessions when no pair fits under the STC limit, and those are
-            // exactly the simulations this pass has already run.
-            cache.insert(vec![core], result);
         }
         phase1_span.attr("characterization_effort", characterization_effort);
         drop(phase1_span);
@@ -456,6 +417,9 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
         let mut max_temperature = f64::NEG_INFINITY;
         let mut final_temperatures: Option<Temperatures> = None;
         let mut iterations = 0usize;
+        // The per-run memo: every multi-core validation this run made, by
+        // core set.
+        let mut memo: HashMap<Vec<usize>, SessionThermalResult> = HashMap::new();
         // Livelock guard for weight_factor == 1.0 (the "no adaptation"
         // ablation): remembers every discarded candidate and its hottest
         // violator so a recurring candidate is shrunk instead of being
@@ -543,56 +507,64 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
                     }
                 }
 
-                // Lines 16-23: validate the candidate session thermally. The
-                // per-run cache turns re-attempted candidates into lookups, and
-                // the shared cache (when present) extends that to candidates
-                // first attempted by earlier runs; either way the attempt
-                // accrues the full session duration of simulation effort, so
-                // the paper's cost metric is unaffected.
+                // Lines 16-23: validate the candidate session thermally. A
+                // single core is read from phase 1's characterisation; the
+                // per-run memo turns re-attempted candidates into lookups,
+                // and the shared store (when present) extends that to
+                // candidates first attempted by earlier runs. Either way the
+                // attempt accrues the full session duration of simulation
+                // effort, so the paper's cost metric is unaffected.
                 let session = TestSession::new(active.iter().copied(), self.sut);
-                let key = session_key(session.cores());
-                if cache.contains_key(&key) {
-                    cached_validations += 1;
-                } else if let Some(result) = shared.and_then(|s| s.lookup(&key)) {
-                    cached_validations += 1;
-                    warm_cache_hits += 1;
-                    cache.insert(key.clone(), result);
-                } else {
-                    let power = session.power_map(self.sut)?;
-                    let result =
-                        validate_session(self.simulator, self.online, &power, session.duration())?;
-                    if shared.is_some() {
-                        pending_publish.push((key.clone(), result.clone()));
+                // Any larger candidate is keyed by its core set.
+                let key = (active.len() > 1).then(|| session_key(session.cores()));
+                let result = match &key {
+                    None => {
+                        cached_validations += 1;
+                        &singles[active[0]]
                     }
-                    cache.insert(key.clone(), result);
-                }
+                    Some(key) => {
+                        if memo.contains_key(key) {
+                            cached_validations += 1;
+                        } else if let Some(result) = shared.and_then(|s| s.lookup(key)) {
+                            cached_validations += 1;
+                            warm_cache_hits += 1;
+                            memo.insert(key.clone(), result);
+                        } else {
+                            let result = self.validate(&session)?;
+                            if shared.is_some() {
+                                pending_publish.push((key.clone(), result.clone()));
+                            }
+                            memo.insert(key.clone(), result);
+                        }
+                        &memo[key]
+                    }
+                };
                 simulation_effort += session.duration();
 
-                let (violators, session_max, hottest_violator) = {
-                    let result = cache.get(&key).expect("candidate was just validated");
-                    let violators: Vec<usize> = active
-                        .iter()
-                        .copied()
-                        .filter(|&c| result.block_max_temperature(c) >= effective_limit)
-                        .collect();
-                    let session_max = active
-                        .iter()
-                        .map(|&c| result.block_max_temperature(c))
-                        .fold(f64::NEG_INFINITY, f64::max);
-                    let hottest_violator = violators.iter().copied().max_by(|&a, &b| {
-                        result
-                            .block_max_temperature(a)
-                            .partial_cmp(&result.block_max_temperature(b))
-                            .expect("finite temperatures")
-                    });
-                    (violators, session_max, hottest_violator)
-                };
+                let violators: Vec<usize> = active
+                    .iter()
+                    .copied()
+                    .filter(|&c| result.block_max_temperature(c) >= effective_limit)
+                    .collect();
+                let session_max = active
+                    .iter()
+                    .map(|&c| result.block_max_temperature(c))
+                    .fold(f64::NEG_INFINITY, f64::max);
+                let hottest_violator = violators.iter().copied().max_by(|&a, &b| {
+                    result
+                        .block_max_temperature(a)
+                        .partial_cmp(&result.block_max_temperature(b))
+                        .expect("finite temperatures")
+                });
 
                 if violators.is_empty() {
                     // Lines 24-27: commit the session. A committed core set can
-                    // never recur, so the result is taken out of the cache and
-                    // its buffers move straight into the record — no clones.
-                    let result = cache.remove(&key).expect("candidate was just validated");
+                    // never recur, so a memo entry moves straight into the
+                    // record; a single core's result is cloned from the slice.
+                    let result = match &key {
+                        None => singles[active[0]].clone(),
+                        Some(key) => memo.remove(key).expect("candidate was just validated"),
+                    };
                     max_temperature = max_temperature.max(session_max);
                     available.retain(|c| !active.contains(c));
                     final_temperatures = Some(result.final_temperatures);
@@ -608,8 +580,11 @@ impl<'a, S: ThermalBackend + ?Sized> ThermalAwareScheduler<'a, S> {
                     discarded_sessions += 1;
                     let hottest_violator =
                         hottest_violator.expect("violators are non-empty in this branch");
-                    // `key` is the sorted candidate set already.
-                    discarded_violators.insert(key, hottest_violator);
+                    // `key` is the sorted candidate set already; the guard
+                    // never looks a single core up.
+                    if let Some(key) = key {
+                        discarded_violators.insert(key, hottest_violator);
+                    }
                     for v in violators {
                         weights.multiply(v, self.config.weight_factor);
                     }

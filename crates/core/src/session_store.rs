@@ -4,7 +4,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 
 use thermsched_thermal::SessionThermalResult;
 
@@ -15,7 +15,7 @@ use thermsched_thermal::SessionThermalResult;
 /// writers may observe counters from slightly different instants.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Keys probed through `lookup`/`lookup_batch`.
+    /// Keys probed, a read of the characterisation counting one per core.
     pub lookups: u64,
     /// Probes that found a cached result (the warm hits).
     pub hits: u64,
@@ -51,10 +51,11 @@ impl std::ops::Add for StoreStats {
     }
 }
 
-/// The map behind a handle, plus its usage counters.
+/// The map and the characterisation behind a handle, plus their counters.
 #[derive(Debug, Default)]
 struct Store {
     entries: Mutex<HashMap<Vec<usize>, SessionThermalResult>>,
+    characterisation: OnceLock<Vec<SessionThermalResult>>,
     lookups: AtomicU64,
     hits: AtomicU64,
     insertions: AtomicU64,
@@ -63,7 +64,8 @@ struct Store {
 
 /// A cloneable, thread-safe handle to one store of session
 /// thermal-validation results, keyed by the session's core ids in
-/// ascending order.
+/// ascending order, beside the system's *characterisation*: every core
+/// tested alone (phase 1 of Algorithm 1), indexed by core.
 ///
 /// The [`crate::Engine`] owns one so that every run reusing its backend
 /// starts warm, and the service layer gives each scenario one that all of
@@ -74,9 +76,13 @@ struct Store {
 ///   result stored under a key is a pure function of the key (for a fixed
 ///   system and backend). First write wins; a racing duplicate insert is
 ///   dropped, and either race outcome stores the same bytes.
-/// * **Batch operations** — [`Self::lookup_batch`] and [`Self::store_batch`]
-///   take the lock once, so the scheduler's phase-1 probe and end-of-run
-///   publication cost one lock round trip however many keys move.
+/// * **One characterisation** — set at most once, first write wins, and
+///   read as a slice without the lock or a copy. It counts as the
+///   single-core entries it stands for: one lookup, hit or insertion per
+///   core, and one result per core in [`Self::len`].
+/// * **Batch publication** — [`Self::store_batch`] takes the lock once, so
+///   the scheduler's end-of-run publication costs one lock round trip
+///   however many keys move.
 /// * **Panic tolerance** — the lock recovers from poisoning: a panicked
 ///   holder can only have left whole, valid entries behind (every mutation
 ///   is a single map operation), so the store stays usable for the
@@ -125,9 +131,9 @@ impl SessionCacheHandle {
         }
     }
 
-    /// Number of cached results.
+    /// Number of cached results, counting one per characterised core.
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.lock().len() + self.inner.characterisation.get().map_or(0, Vec::len)
     }
 
     /// Returns `true` if the store holds no results.
@@ -147,19 +153,26 @@ impl SessionCacheHandle {
         found
     }
 
-    /// Looks up many keys under one lock, returning one slot per key in
-    /// order. Counts one lookup (and at most one hit) per key.
-    pub fn lookup_batch(&self, keys: &[Vec<usize>]) -> Vec<Option<SessionThermalResult>> {
-        self.inner
-            .lookups
-            .fetch_add(keys.len() as u64, Ordering::Relaxed);
-        let found: Vec<Option<SessionThermalResult>> = {
-            let entries = self.lock();
-            keys.iter().map(|key| entries.get(key).cloned()).collect()
-        };
-        let hits = found.iter().filter(|slot| slot.is_some()).count();
-        self.inner.hits.fetch_add(hits as u64, Ordering::Relaxed);
-        found
+    /// The characterisation of the store's `cores` cores, if one was
+    /// published. Counts `cores` lookups, and `cores` hits when present.
+    pub fn characterisation(&self, cores: usize) -> Option<&[SessionThermalResult]> {
+        let cores = cores as u64;
+        self.inner.lookups.fetch_add(cores, Ordering::Relaxed);
+        let held = self.inner.characterisation.get()?;
+        self.inner.hits.fetch_add(cores, Ordering::Relaxed);
+        Some(held)
+    }
+
+    /// Publishes `results`, every core tested alone in core order, unless a
+    /// characterisation is already held (first write wins), and returns the
+    /// one the store holds. Counts one insertion per core when `results` is
+    /// kept.
+    pub fn characterise(&self, results: Vec<SessionThermalResult>) -> &[SessionThermalResult] {
+        let cores = results.len() as u64;
+        if self.inner.characterisation.set(results).is_ok() {
+            self.inner.insertions.fetch_add(cores, Ordering::Relaxed);
+        }
+        self.inner.characterisation.get().expect("set by now")
     }
 
     /// Stores a result unless the key is already cached (first write wins).
@@ -262,20 +275,49 @@ mod tests {
         let entries: Vec<(Vec<usize>, SessionThermalResult)> =
             keys.iter().map(|k| (k.clone(), result_for(k))).collect();
         let store = SessionCacheHandle::new();
-        let empty = store.lookup_batch(&keys);
-        assert!(empty.iter().all(Option::is_none));
         // Duplicate keys inside one batch: first entry wins.
         let mut with_dup = entries.clone();
         with_dup.push((vec![0], result_for(&[1])));
         store.store_batch(with_dup);
         assert_eq!(store.stats().insertions, keys.len() as u64);
-        let found = store.lookup_batch(&keys);
-        for ((slot, key), (_, expected)) in found.iter().zip(&keys).zip(&entries) {
-            assert_eq!(slot.as_ref(), Some(expected), "key {key:?}");
+        for (key, expected) in &entries {
+            assert_eq!(store.lookup(key).as_ref(), Some(expected), "key {key:?}");
         }
-        assert_eq!(store.lookup(&[0]), Some(entries[0].1.clone()));
-        assert_eq!(store.stats().lookups, 2 * keys.len() as u64 + 1);
-        assert_eq!(store.stats().hits, keys.len() as u64 + 1);
+        assert_eq!(store.stats().lookups, keys.len() as u64);
+        assert_eq!(store.stats().hits, keys.len() as u64);
+    }
+
+    #[test]
+    fn the_characterisation_is_kept_once_and_counted_per_core() {
+        let cores = 3;
+        let first: Vec<SessionThermalResult> = (0..cores).map(|c| result_for(&[c])).collect();
+        let store = SessionCacheHandle::new();
+        // A read before any publication misses every core.
+        assert_eq!(store.characterisation(cores), None);
+        assert_eq!(store.stats().lookups, cores as u64);
+        assert_eq!(store.stats().hits, 0);
+        // The first publication is kept and counts one insertion per core.
+        assert_eq!(store.characterise(first.clone()), first.as_slice());
+        assert_eq!(store.stats().insertions, cores as u64);
+        assert_eq!(store.len(), cores);
+        // A later one is dropped: the store returns and keeps the first.
+        let second: Vec<SessionThermalResult> = (0..cores).map(|c| result_for(&[c, 4])).collect();
+        assert_eq!(store.characterise(second), first.as_slice());
+        assert_eq!(store.stats().insertions, cores as u64);
+        // A read through any clone of the handle hits every core.
+        assert_eq!(
+            store.clone().characterisation(cores),
+            Some(first.as_slice())
+        );
+        let stats = store.stats();
+        assert_eq!(
+            (stats.lookups, stats.hits),
+            (2 * cores as u64, cores as u64)
+        );
+        // Keyed entries count beside it.
+        store.store(vec![0, 4, 7], result_for(&[0, 4, 7]));
+        assert_eq!(store.len(), cores + 1);
+        assert_eq!(store.stats().insertions, cores as u64 + 1);
     }
 
     #[test]
@@ -351,10 +393,9 @@ mod tests {
         assert_eq!(store.lookup(&[1]), Some(result_for(&[1])));
         store.store(vec![2], result_for(&[2]));
         assert_eq!(store.len(), 2);
-        // Batch operations go through the recovered lock too.
-        let found = store.lookup_batch(&[vec![1], vec![2]]);
-        assert!(found.iter().all(Option::is_some));
+        // Batch publication goes through the recovered lock too.
         store.store_batch(vec![(vec![0, 1, 2], result_for(&[0, 1, 2]))]);
         assert_eq!(store.len(), 3);
+        assert_eq!(store.lookup(&[2]), Some(result_for(&[2])));
     }
 }

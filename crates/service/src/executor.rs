@@ -3,9 +3,10 @@
 //!
 //! An [`Executor`] prepares scenarios once — one thermal backend per
 //! scenario (same-shape scenarios share one through the operator cache),
-//! one session store per scenario, and the same-shape prewarm for backends
-//! that batch, each group's lanes split over the configured worker threads
-//! — and then runs jobs through one attempt loop
+//! one session store per scenario, and for backends that batch the
+//! same-shape prewarm, which fills each store's phase-1 characterisation
+//! with each group's lanes split over the configured worker threads — and
+//! then runs jobs through one attempt loop
 //! ([`Executor::run`]: fault injection, deadline checkpoints, seeded
 //! retries, panic isolation), counting each job in one [`Tally`] from which
 //! [`ServiceStats`] is derived. A scenario's guidance model is built on its
@@ -31,9 +32,9 @@
 //!   frame at hand: it prepares them ([`Executor::add_scenarios`]) and
 //!   releases them once the frame's last job has answered.
 //!
-//! Releasing a scenario drops its store entries, its guidance model and
-//! whatever the executor owns of it; its store counters stay in the
-//! executor's totals ([`Executor::store_stats`]). No lookup follows a
+//! Releasing a scenario drops its store, its guidance model and whatever
+//! the executor owns of it; its store counters stay in the executor's
+//! totals ([`Executor::store_stats`]). No lookup follows a
 //! scenario's last job, so a release changes no job's result and no
 //! counter.
 //!
@@ -45,7 +46,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -284,6 +285,8 @@ pub(crate) struct Executor<'a> {
     /// Drain cancellation ([`Mode::Stream`] only): in-flight jobs interrupt
     /// at their next scheduling checkpoint once set.
     cancel: AtomicBool,
+    /// Threads that have run [`Self::work`]: the stats' `workers`.
+    threads: AtomicUsize,
 }
 
 impl<'a> Executor<'a> {
@@ -314,6 +317,7 @@ impl<'a> Executor<'a> {
             work_ready: Condvar::new(),
             idle: Condvar::new(),
             cancel: AtomicBool::new(false),
+            threads: AtomicUsize::new(0),
         };
         executor.add_scenarios(scenarios)?;
         Ok(executor)
@@ -367,7 +371,7 @@ impl<'a> Executor<'a> {
         };
         // Same-shape batching: advance all phase-1 characterisation
         // sessions of one operator key as multi-RHS passes split over the
-        // workers and publish them before the first job runs.
+        // workers and fill the stores before the first job runs.
         // Bit-identical to the per-job path, so only throughput changes.
         let mut span = self.tracer.span("prewarm");
         let (prewarmed, threads) = prewarm_same_shape(config, &added);
@@ -501,6 +505,7 @@ impl<'a> Executor<'a> {
     /// workers are the parallelism, and W workers × P phase-1 threads would
     /// oversubscribe the machine.
     pub(crate) fn work(&self) {
+        self.threads.fetch_add(1, Ordering::Relaxed);
         let _sequential = NestedParallelismGuard::enter();
         let mut finished = None;
         loop {
@@ -592,7 +597,7 @@ impl<'a> Executor<'a> {
         );
         let stats = self.tally.stats(
             &self.config,
-            self.config.workers,
+            self.threads.load(Ordering::Relaxed),
             self.scenario_count(),
             wall_seconds,
         );
@@ -950,16 +955,16 @@ impl Tally {
 /// (scenario, core) single-core session each — by operator key and session
 /// duration, advances each group through the shared backend's multi-RHS
 /// batch, split over up to [`ServiceConfig::workers`] threads (at least
-/// one) by [`simulate_split`], and publishes the results to the
-/// scenarios' session stores. Returns the number of prewarmed lanes and
-/// the most threads any group ran on (0 when nothing batched).
+/// one) by [`simulate_split`], and publishes the characterisation of each
+/// scenario whose lanes all simulated. Returns the number of published
+/// lanes and the most threads any group ran on (0 when nothing batched).
 ///
 /// The grouping and iteration order are deterministic (sorted by key,
 /// then corpus order within a group), the per-lane results are
 /// bit-identical to what the scheduler's own phase 1 would compute in any
-/// split, and a group that fails to simulate is simply skipped — its jobs
-/// compute phase 1 themselves and surface the error through the normal
-/// per-job path.
+/// split, and a group that fails to simulate is simply skipped — its
+/// scenarios' first jobs compute phase 1 themselves and surface the error
+/// through the normal per-job path.
 ///
 /// Prewarmed lanes are constant-power, from-ambient characterisations.
 /// Online jobs (traces / warm starts) never read the stores, so they
@@ -989,6 +994,8 @@ fn prewarm_same_shape(
         }
     }
     let (mut prewarmed, mut threads) = (0, 0);
+    // Simulated lanes by (scenario, core): each scenario's run in core order.
+    let mut simulated = BTreeMap::new();
     for lanes in groups.into_values() {
         let duration = lanes[0].2;
         let powers: std::result::Result<Vec<PowerMap>, _> = lanes
@@ -1009,17 +1016,16 @@ fn prewarm_same_shape(
         let Ok(results) = simulate_split(backend, &powers, duration, chunk) else {
             continue;
         };
-        let mut per_scenario: BTreeMap<usize, Vec<(Vec<usize>, SessionThermalResult)>> =
-            BTreeMap::new();
-        for (&(scenario, core, _), result) in lanes.iter().zip(results) {
-            per_scenario
-                .entry(scenario)
-                .or_default()
-                .push((vec![core], result));
-        }
-        prewarmed += lanes.len();
-        for (scenario, batch) in per_scenario {
-            scenarios[&scenario].cache.store_batch(batch);
+        let ids = lanes.iter().map(|&(scenario, core, _)| (scenario, core));
+        simulated.extend(ids.zip(results));
+    }
+    for (&index, prepared) in scenarios {
+        // The lanes of `index` are all the map holds below `(index + 1, 0)`.
+        let rest = simulated.split_off(&(index + 1, 0));
+        let lanes = std::mem::replace(&mut simulated, rest);
+        if lanes.len() == prepared.scenario.sut.core_count() {
+            prewarmed += lanes.len();
+            prepared.cache.characterise(lanes.into_values().collect());
         }
     }
     (prewarmed, threads)

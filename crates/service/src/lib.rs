@@ -24,13 +24,14 @@
 //!    scenario's backend, guidance model and session store
 //!    ([`thermsched::SessionCacheHandle`]), each built once per scenario
 //!    and released when the scenario's last job retires.
-//!    Constant-power jobs read and publish phase-1 characterisations and
-//!    validated sessions in the store; online jobs (a trace or a warm
-//!    start) lend the engine their context and keep their results to
-//!    themselves. For a [`BackendKind`] that batches, the runner first
-//!    prewarms every store with its scenario's single-core sessions,
-//!    advanced per operator key in multi-RHS passes split over the worker
-//!    threads.
+//!    Constant-power jobs share the store: its one phase-1
+//!    characterisation (every core tested alone), which the scenario's
+//!    first job publishes and every later job reads as a slice, and its
+//!    validated multi-core sessions. Online jobs (a trace or a warm start)
+//!    lend the engine their context and keep their results to themselves.
+//!    For a [`BackendKind`] that batches, the runner first fills every
+//!    store's characterisation, advancing the single-core sessions per
+//!    operator key in multi-RHS passes split over the worker threads.
 //! 3. **An aggregated report** ([`ServiceReport`]): deterministic per-job
 //!    results (identical at any worker count) plus run statistics —
 //!    throughput, cache hit rates, lock contention, latency percentiles

@@ -254,7 +254,7 @@ impl MultiprocCoordinator {
         if corpus.jobs().is_empty() {
             return Ok(ServiceReport::new(
                 Vec::new(),
-                self.finish(corpus, &Tally::new(), started, registry),
+                self.finish(corpus, 0, &Tally::new(), started, registry),
             ));
         }
         let dealt = deal(corpus, self.config.processes);
@@ -455,23 +455,24 @@ impl MultiprocCoordinator {
             .collect();
         Ok(ServiceReport::new(
             jobs_done,
-            self.finish(corpus, &tally, started, registry),
+            self.finish(corpus, processes, &tally, started, registry),
         ))
     }
 
-    /// Closes the books of a run that started at `started`: derives the
-    /// merged stats and absorbs the run's metrics into `registry`, as
-    /// [`Executor::finish`] does in-process.
+    /// Closes the books of a run over `processes` spawned workers that
+    /// started at `started`: derives the merged stats and absorbs the run's
+    /// metrics into `registry`, as [`Executor::finish`] does in-process.
     fn finish(
         &self,
         corpus: &Corpus,
+        processes: usize,
         tally: &Tally,
         started: Instant,
         registry: &MetricsRegistry,
     ) -> ServiceStats {
         let stats = tally.stats(
             &self.config.service,
-            self.config.processes,
+            processes,
             corpus.scenarios().len(),
             started.elapsed().as_secs_f64(),
         );
@@ -1631,6 +1632,33 @@ mod tests {
             })
             .collect();
         (outcome, handed, registry.snapshot())
+    }
+
+    /// A run reports the worker processes it spawned: one per scenario
+    /// with jobs at most, and none for an empty corpus.
+    #[test]
+    fn a_run_reports_the_worker_processes_it_spawned() {
+        let corpus = ScenarioSpec {
+            scenarios: 1,
+            seed: 3,
+            ..ScenarioSpec::default()
+        }
+        .build()
+        .unwrap();
+        let events = vec![result_event(0, 0), result_event(0, 1), fin_event(0)];
+        let (outcome, handed, _) = coordinate_scripted(&corpus, 3, events);
+        assert_eq!(handed.len(), 1, "one scenario deals to one worker");
+        assert_eq!(outcome.unwrap().stats().workers, 1);
+
+        let empty = Corpus::from_parts(corpus.scenarios().to_vec(), Vec::new()).unwrap();
+        let coordinator = MultiprocCoordinator::new(MultiprocConfig {
+            processes: 3,
+            program: "unused".into(),
+            args: Vec::new(),
+            service: ServiceConfig::default(),
+        })
+        .unwrap();
+        assert_eq!(coordinator.run(&empty).unwrap().stats().workers, 0);
     }
 
     #[test]

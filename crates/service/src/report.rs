@@ -202,7 +202,10 @@ impl JobResult {
 /// Timing- and interleaving-dependent aggregates of one batch run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServiceStats {
-    /// Worker threads the batch ran with.
+    /// What ran the jobs: the worker threads an in-process batch started
+    /// (one per job at most, at least one) or a [`crate::Frontend`]
+    /// started, or the worker processes a [`crate::MultiprocCoordinator`]
+    /// spawned (one per scenario with jobs at most).
     pub workers: usize,
     /// Label of the thermal backend kind validating every job
     /// (`"rc-compact"`, `"grid-transient(4)"`).

@@ -149,9 +149,9 @@ pub struct ServiceConfig {
     /// (at least one) before the first job runs.
     pub workers: usize,
     /// Thermal backend validating every job. For a kind that batches
-    /// ([`BackendKind::GridTransient`]) the runner prewarms each scenario's
-    /// session store before the first job: every scenario's single-core
-    /// characterisation sessions are grouped by [`BackendKind::key`] and
+    /// ([`BackendKind::GridTransient`]) the runner fills each scenario's
+    /// phase-1 characterisation before the first job: every scenario's
+    /// single-core sessions are grouped by [`BackendKind::key`] and
     /// duration, and each group's lanes are split into contiguous chunks
     /// over up to [`Self::workers`] threads (at least one), each advancing
     /// through the backend's multi-RHS solve in one pass. The multi-RHS
@@ -389,6 +389,29 @@ mod tests {
                 JobOutcome::Completed(JobMetrics::from(&outcome))
             })
             .collect()
+    }
+
+    /// A batch reports the threads it started: one per job at most.
+    #[test]
+    fn a_batch_reports_the_worker_threads_it_started() {
+        let corpus = ScenarioSpec {
+            scenarios: 1,
+            seed: 3,
+            ..ScenarioSpec::default()
+        }
+        .build()
+        .unwrap();
+        assert_eq!(corpus.jobs().len(), 2);
+        for (workers, started) in [(1, 1), (2, 2), (16, 2)] {
+            let report = ServiceRunner::new(ServiceConfig {
+                workers,
+                ..ServiceConfig::default()
+            })
+            .unwrap()
+            .run(&corpus)
+            .unwrap();
+            assert_eq!(report.stats().workers, started, "--workers {workers}");
+        }
     }
 
     #[test]

@@ -101,6 +101,34 @@ fn gen_then_run_is_deterministic_across_process_counts() {
 }
 
 #[test]
+fn run_reports_the_workers_that_ran_the_jobs() {
+    let dir = std::env::temp_dir().join("thermsched-cli-workers");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let corpus_path = dir.join("corpus.json");
+    let corpus_arg = corpus_path.to_str().expect("utf-8 temp path");
+    run_ok(&[
+        "gen",
+        "--seed",
+        "3",
+        "--scenarios",
+        "1",
+        "--out",
+        corpus_arg,
+    ]);
+    // Two jobs of one scenario: one worker process, and two threads.
+    let sharded = run_ok(&["run", corpus_arg, "--processes", "3"]);
+    assert!(
+        sharded.contains("2 jobs over 1 scenarios, 1 workers,"),
+        "{sharded}"
+    );
+    let threaded = run_ok(&["run", corpus_arg, "--workers", "16"]);
+    assert!(
+        threaded.contains("2 jobs over 1 scenarios, 2 workers,"),
+        "{threaded}"
+    );
+}
+
+#[test]
 fn run_trace_round_trips_through_the_trace_subcommand() {
     // Each codec step of a run is one run-level span: `(spans, jobless
     // spans)` per name must be `(1, 1)`.

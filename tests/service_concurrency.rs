@@ -7,9 +7,9 @@
 //!   them;
 //! * with the same-shape prewarm active, every job must give what it gives
 //!   when scheduled alone, at any worker count;
-//! * the session store must keep exactly the first write per key under a
-//!   multi-threaded hammer, without its lock poisoning out from under
-//!   surviving threads.
+//! * the session store must keep exactly the first write per key, and the
+//!   first characterisation published, under a multi-threaded hammer,
+//!   without its lock poisoning out from under surviving threads.
 
 use thermsched::{Engine, SessionCacheHandle};
 use thermsched_service::{
@@ -237,17 +237,32 @@ fn result_for_key(key: &[usize]) -> SessionThermalResult {
     }
 }
 
+/// The cores of the stress test.
+const STRESS_CORES: usize = 32;
+
 /// The key universe of the stress test: small sets over 32 cores, so
 /// concurrent threads collide on keys constantly.
 fn stress_keys() -> Vec<Vec<usize>> {
     let mut keys = Vec::new();
-    for a in 0..32 {
+    for a in 0..STRESS_CORES {
         keys.push(vec![a]);
-        keys.push(vec![a, (a + 5) % 32]);
-        keys.push(vec![a, (a + 3) % 32, (a + 11) % 32]);
+        keys.push(vec![a, (a + 5) % STRESS_CORES]);
+        keys.push(vec![a, (a + 3) % STRESS_CORES, (a + 11) % STRESS_CORES]);
     }
     keys.iter_mut().for_each(|k| k.sort_unstable());
     keys
+}
+
+/// Thread `publisher`'s characterisation of the stress test's cores: every
+/// result carries the publisher in its duration, so a reader can tell
+/// whose publication the store kept.
+fn characterisation_by(publisher: usize) -> Vec<SessionThermalResult> {
+    (0..STRESS_CORES)
+        .map(|core| SessionThermalResult {
+            duration: 1.0 + publisher as f64,
+            ..result_for_key(&[core])
+        })
+        .collect()
 }
 
 #[test]
@@ -257,52 +272,74 @@ fn store_keeps_first_writes_under_a_scoped_thread_hammer() {
     let threads = 8;
     let rounds = 30;
 
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let keys = &keys;
-            let store = &store;
-            scope.spawn(move || {
-                for round in 0..rounds {
-                    // Each thread walks the key space at its own stride,
-                    // mixing single ops with batched ones.
-                    for (i, key) in keys.iter().enumerate() {
-                        let slot = (i + t * 7 + round * 13) % 4;
-                        match slot {
-                            0 => store.store(key.clone(), result_for_key(key)),
-                            1 => {
-                                if let Some(found) = store.lookup(key) {
-                                    assert_eq!(found, result_for_key(key));
+    // Each thread returns the publisher of every characterisation it saw.
+    let seen: Vec<f64> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let keys = &keys;
+                let store = &store;
+                scope.spawn(move || {
+                    let mut seen = Vec::new();
+                    for round in 0..rounds {
+                        // Each thread walks the key space at its own stride,
+                        // mixing single ops with batched ones and with races
+                        // to publish and read the characterisation.
+                        for (i, key) in keys.iter().enumerate() {
+                            let slot = (i + t * 7 + round * 13) % 4;
+                            match slot {
+                                0 => store.store(key.clone(), result_for_key(key)),
+                                1 => {
+                                    if let Some(found) = store.lookup(key) {
+                                        assert_eq!(found, result_for_key(key));
+                                    }
                                 }
-                            }
-                            2 => {
-                                let batch: Vec<_> = keys[i..(i + 5).min(keys.len())]
-                                    .iter()
-                                    .map(|k| (k.clone(), result_for_key(k)))
-                                    .collect();
-                                store.store_batch(batch);
-                            }
-                            _ => {
-                                let probe: Vec<Vec<usize>> =
-                                    keys[i..(i + 5).min(keys.len())].to_vec();
-                                for (k, found) in probe.iter().zip(store.lookup_batch(&probe)) {
-                                    if let Some(found) = found {
-                                        assert_eq!(found, result_for_key(k));
+                                2 => {
+                                    let batch: Vec<_> = keys[i..(i + 5).min(keys.len())]
+                                        .iter()
+                                        .map(|k| (k.clone(), result_for_key(k)))
+                                        .collect();
+                                    store.store_batch(batch);
+                                }
+                                _ => {
+                                    let held = if (i + round) % 2 == 0 {
+                                        Some(store.characterise(characterisation_by(t)))
+                                    } else {
+                                        store.characterisation(STRESS_CORES)
+                                    };
+                                    if let Some(held) = held {
+                                        let publisher = held[0].duration - 1.0;
+                                        assert_eq!(held, characterisation_by(publisher as usize));
+                                        seen.push(publisher);
                                     }
                                 }
                             }
                         }
                     }
-                }
-            });
-        }
+                    seen
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| worker.join().unwrap())
+            .collect()
     });
 
     // Every key was stored at least once; the store must agree entry for
     // entry with the deterministic expectation.
-    assert_eq!(store.len(), keys.len());
+    assert_eq!(store.len(), keys.len() + STRESS_CORES);
     for key in &keys {
         assert_eq!(store.lookup(key), Some(result_for_key(key)), "key {key:?}");
     }
-    // Insertions are first-write-wins exact.
-    assert_eq!(store.stats().insertions, keys.len() as u64);
+    // Every reader saw the one characterisation the store kept: the first
+    // published.
+    let kept = store
+        .characterisation(STRESS_CORES)
+        .expect("some thread published");
+    let publisher = kept[0].duration - 1.0;
+    assert!(!seen.is_empty());
+    assert!(seen.iter().all(|&seen| seen == publisher), "{seen:?}");
+    // Insertions are first-write-wins exact: one per key, one per core of
+    // the one characterisation kept.
+    assert_eq!(store.stats().insertions, (keys.len() + STRESS_CORES) as u64);
 }
