@@ -7,7 +7,7 @@
 //! schedule live in a golden file on its own.
 
 use thermsched_wire::{
-    obj, wire_struct, wire_tagged_enum, wire_unit_enum, JsonValue, Result, Wire, WireError,
+    wire_struct, wire_tagged_enum, wire_unit_enum, ObjectSink, Result, Sink, View, Wire, WireError,
 };
 
 use crate::{
@@ -57,12 +57,13 @@ wire_struct! {
 impl Wire for TraceProfile {
     const WIRE_TYPE: &'static str = "trace_profile";
 
-    fn to_wire(&self) -> JsonValue {
-        let segments = self.segments().iter().map(Wire::to_wire).collect();
-        obj().field("segments", JsonValue::Array(segments)).build()
+    fn write<S: Sink>(&self, sink: S) -> Result<()> {
+        let mut object = sink.object(1)?;
+        object.entry("segments")?.items(self.segments().iter())?;
+        object.end()
     }
 
-    fn from_wire(value: &JsonValue) -> Result<Self> {
+    fn read<'a, V: View<'a>>(value: V) -> Result<Self> {
         TraceProfile::new(value.decode(Self::WIRE_TYPE, "segments")?)
             .map_err(WireError::invalid(Self::WIRE_TYPE))
     }
@@ -72,6 +73,7 @@ impl Wire for TraceProfile {
 mod tests {
     use super::*;
     use thermsched_soc::library;
+    use thermsched_wire::JsonValue;
 
     #[test]
     fn scheduler_config_roundtrips() {

@@ -6,7 +6,7 @@
 //! duplicate names, an empty list — is rejected with a typed error instead
 //! of producing an inconsistent value.
 
-use thermsched_wire::{obj, wire_struct, JsonValue, Result, Wire, WireError};
+use thermsched_wire::{wire_struct, ObjectSink, Result, Sink, View, Wire, WireError};
 
 use crate::{Block, Floorplan, Rect};
 
@@ -18,12 +18,13 @@ wire_struct! {
 impl Wire for Floorplan {
     const WIRE_TYPE: &'static str = "floorplan";
 
-    fn to_wire(&self) -> JsonValue {
-        let blocks = self.blocks().iter().map(Wire::to_wire).collect();
-        obj().field("blocks", JsonValue::Array(blocks)).build()
+    fn write<S: Sink>(&self, sink: S) -> Result<()> {
+        let mut object = sink.object(1)?;
+        object.entry("blocks")?.items(self.blocks().iter())?;
+        object.end()
     }
 
-    fn from_wire(value: &JsonValue) -> Result<Self> {
+    fn read<'a, V: View<'a>>(value: V) -> Result<Self> {
         Floorplan::new(value.decode(Self::WIRE_TYPE, "blocks")?)
             .map_err(WireError::invalid(Self::WIRE_TYPE))
     }
@@ -32,6 +33,7 @@ impl Wire for Floorplan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use thermsched_wire::obj;
 
     #[test]
     fn floorplan_roundtrips_and_revalidates() {

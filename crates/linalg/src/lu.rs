@@ -154,21 +154,26 @@ impl LuDecomposition {
         for (s, &p) in scratch.iter_mut().zip(&self.perm) {
             *s = rhs[p];
         }
-        // Forward substitution with unit lower-triangular L (in place).
+        // Forward substitution with unit lower-triangular L (in place),
+        // over row slices: the same products in the same order as indexing
+        // each element, without a bounds check per element.
         for i in 1..n {
-            let mut sum = scratch[i];
-            for (j, &yj) in scratch.iter().enumerate().take(i) {
-                sum -= self.lu.get(i, j) * yj;
+            let (solved, rest) = scratch.split_at_mut(i);
+            let mut sum = rest[0];
+            for (l, &yj) in self.lu.row(i)[..i].iter().zip(solved.iter()) {
+                sum -= l * yj;
             }
-            scratch[i] = sum;
+            rest[0] = sum;
         }
         // Backward substitution with U, reading y from scratch into out.
         for i in (0..n).rev() {
+            let row = self.lu.row(i);
+            let (head, solved) = out.split_at_mut(i + 1);
             let mut sum = scratch[i];
-            for (j, &xj) in out.iter().enumerate().skip(i + 1) {
-                sum -= self.lu.get(i, j) * xj;
+            for (u, &xj) in row[i + 1..].iter().zip(solved.iter()) {
+                sum -= u * xj;
             }
-            out[i] = sum / self.lu.get(i, i);
+            head[i] = sum / row[i];
         }
         Ok(())
     }
@@ -326,5 +331,67 @@ mod tests {
         let lu = LuDecomposition::new(&a).unwrap();
         let x = lu.solve(&b).unwrap();
         assert!(residual(&a, &x, &b) < 1e-9);
+    }
+
+    /// The substitution sweeps of `solve_into` as they read element by
+    /// element: the reference the row-slice sweeps must match bit for bit.
+    #[allow(clippy::needless_range_loop)]
+    fn solve_indexed(lu: &LuDecomposition, rhs: &[f64]) -> Vec<f64> {
+        let n = lu.dim();
+        let mut y: Vec<f64> = lu.perm.iter().map(|&p| rhs[p]).collect();
+        for i in 1..n {
+            let mut sum = y[i];
+            for j in 0..i {
+                sum -= lu.lu.get(i, j) * y[j];
+            }
+            y[i] = sum;
+        }
+        let mut x = vec![0.0; n];
+        for i in (0..n).rev() {
+            let mut sum = y[i];
+            for j in i + 1..n {
+                sum -= lu.lu.get(i, j) * x[j];
+            }
+            x[i] = sum / lu.lu.get(i, i);
+        }
+        x
+    }
+
+    #[test]
+    fn row_slice_sweeps_match_indexed_sweeps_bit_for_bit() {
+        let mut state = 2005u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64) / ((1u64 << 53) as f64) * 2.0 - 1.0
+        };
+        let mut pivoted = 0;
+        for n in [1, 2, 3, 7, 16, 33] {
+            for _ in 0..4 {
+                // Dense random entries with a small diagonal, so partial
+                // pivoting swaps rows.
+                let mut a = DenseMatrix::zeros(n, n);
+                for i in 0..n {
+                    for j in 0..n {
+                        let scale = if i == j { 1e-3 } else { 1.0 };
+                        a.set(i, j, next() * scale + if i == j { 1e-2 } else { 0.0 });
+                    }
+                }
+                let Ok(lu) = LuDecomposition::new(&a) else {
+                    continue;
+                };
+                pivoted += usize::from(lu.perm.iter().enumerate().any(|(i, &p)| i != p));
+                let b: Vec<f64> = (0..n).map(|_| next() * 10.0).collect();
+                let fast = lu.solve(&b).unwrap();
+                let reference = solve_indexed(&lu, &b);
+                assert_eq!(
+                    fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "n = {n}"
+                );
+            }
+        }
+        assert!(pivoted > 10, "only {pivoted} systems pivoted");
     }
 }

@@ -2,7 +2,7 @@
 //! snapshots and the versioned [`TraceDocument`].
 
 use thermsched_wire::{
-    obj, wire_struct, wire_unit_enum, JsonValue, Number, Result, Wire, WireError, WireStr,
+    wire_struct, wire_unit_enum, Number, ObjectSink, Result, Sink, View, Wire, WireError,
 };
 
 use crate::document::{TraceDocument, TRACE_VERSION};
@@ -17,29 +17,28 @@ wire_unit_enum! {
 impl Wire for AttrValue {
     const WIRE_TYPE: &'static str = "attr_value";
 
-    fn to_wire(&self) -> JsonValue {
+    fn write<S: Sink>(&self, sink: S) -> Result<()> {
         match self {
-            AttrValue::Bool(v) => (*v).into(),
-            AttrValue::Unsigned(v) => (*v).into(),
-            AttrValue::Signed(v) => (*v).into(),
-            AttrValue::Float(v) => (*v).into(),
-            AttrValue::Text(v) => v.as_str().into(),
+            AttrValue::Bool(v) => sink.bool(*v),
+            AttrValue::Unsigned(v) => sink.number(Number::Unsigned(*v)),
+            AttrValue::Signed(v) => sink.number(Number::from_i64(*v)),
+            AttrValue::Float(v) => sink.number(Number::Float(*v)),
+            AttrValue::Text(v) => sink.str(v),
         }
     }
 
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        match value {
-            JsonValue::Bool(v) => Ok(AttrValue::Bool(*v)),
-            JsonValue::Number(Number::Unsigned(v)) => Ok(AttrValue::Unsigned(*v)),
-            JsonValue::Number(Number::Signed(v)) => Ok(AttrValue::Signed(*v)),
-            JsonValue::Number(Number::Float(v)) => Ok(AttrValue::Float(*v)),
-            JsonValue::String(v) => Ok(AttrValue::Text(v.as_str().to_owned())),
+    fn read<'a, V: View<'a>>(value: V) -> Result<Self> {
+        match value.type_name() {
+            "bool" => value.as_bool().map(AttrValue::Bool),
+            "number" => Ok(match value.as_number()? {
+                Number::Unsigned(v) => AttrValue::Unsigned(v),
+                Number::Signed(v) => AttrValue::Signed(v),
+                Number::Float(v) => AttrValue::Float(v),
+            }),
+            "string" => Ok(AttrValue::Text(value.as_str()?.to_owned())),
             other => Err(WireError::Invalid {
                 type_name: Self::WIRE_TYPE,
-                message: format!(
-                    "expected bool, number or string, found {}",
-                    other.type_name()
-                ),
+                message: format!("expected bool, number or string, found {other}"),
             }),
         }
     }
@@ -67,22 +66,20 @@ wire_struct! {
         };
 }
 
-/// Encodes `(name, value)` pairs as an object keyed by name.
-fn named_to_wire<T: Wire>(pairs: &[(String, T)]) -> JsonValue {
-    JsonValue::Object(
-        pairs
-            .iter()
-            .map(|(name, v)| (WireStr::from(name.as_str()), v.to_wire()))
-            .collect(),
-    )
+/// Writes `(name, value)` pairs as an object keyed by name.
+fn write_named<S: Sink, T: Wire>(sink: S, pairs: &[(String, T)]) -> Result<()> {
+    let mut object = sink.object(pairs.len())?;
+    for (name, value) in pairs {
+        object.field(name, value)?;
+    }
+    object.end()
 }
 
-/// Decodes an object keyed by name into `(name, value)` pairs.
-fn named_from_wire<T: Wire>(value: &JsonValue) -> Result<Vec<(String, T)>> {
+/// Reads an object keyed by name into `(name, value)` pairs.
+fn read_named<'a, T: Wire>(value: impl View<'a>) -> Result<Vec<(String, T)>> {
     value
         .entries()?
-        .iter()
-        .map(|(name, v)| Ok((name.as_str().to_owned(), T::from_wire(v)?)))
+        .map(|(name, v)| Ok((name.to_owned(), T::read(v)?)))
         .collect()
 }
 
@@ -90,18 +87,18 @@ fn named_from_wire<T: Wire>(value: &JsonValue) -> Result<Vec<(String, T)>> {
 impl Wire for MetricsSnapshot {
     const WIRE_TYPE: &'static str = "metrics_snapshot";
 
-    fn to_wire(&self) -> JsonValue {
-        obj()
-            .field("counters", named_to_wire(&self.counters))
-            .field("gauges", named_to_wire(&self.gauges))
-            .field("histograms", self.histograms.to_wire())
-            .build()
+    fn write<S: Sink>(&self, sink: S) -> Result<()> {
+        let mut object = sink.object(3)?;
+        write_named(object.entry("counters")?, &self.counters)?;
+        write_named(object.entry("gauges")?, &self.gauges)?;
+        object.field("histograms", &self.histograms)?;
+        object.end()
     }
 
-    fn from_wire(value: &JsonValue) -> Result<Self> {
+    fn read<'a, V: View<'a>>(value: V) -> Result<Self> {
         Ok(MetricsSnapshot {
-            counters: named_from_wire(value.field(Self::WIRE_TYPE, "counters")?)?,
-            gauges: named_from_wire(value.field(Self::WIRE_TYPE, "gauges")?)?,
+            counters: read_named(value.field(Self::WIRE_TYPE, "counters")?)?,
+            gauges: read_named(value.field(Self::WIRE_TYPE, "gauges")?)?,
             histograms: value.decode(Self::WIRE_TYPE, "histograms")?,
         })
     }
@@ -111,17 +108,17 @@ impl Wire for MetricsSnapshot {
 impl Wire for TraceDocument {
     const WIRE_TYPE: &'static str = "trace_document";
 
-    fn to_wire(&self) -> JsonValue {
-        obj()
-            .field("version", self.version)
-            .field("clock", self.clock.to_wire())
-            .field("dropped_spans", self.dropped_spans)
-            .field("spans", self.spans.to_wire())
-            .field("metrics", self.metrics.to_wire())
-            .build()
+    fn write<S: Sink>(&self, sink: S) -> Result<()> {
+        let mut object = sink.object(5)?;
+        object.field("version", &self.version)?;
+        object.field("clock", &self.clock)?;
+        object.field("dropped_spans", &self.dropped_spans)?;
+        object.field("spans", &self.spans)?;
+        object.field("metrics", &self.metrics)?;
+        object.end()
     }
 
-    fn from_wire(value: &JsonValue) -> Result<Self> {
+    fn read<'a, V: View<'a>>(value: V) -> Result<Self> {
         const T: &str = "trace_document";
         let version = value.decode(T, "version")?;
         if version != TRACE_VERSION {
@@ -145,6 +142,7 @@ mod tests {
     use super::*;
     use crate::metrics::MetricsRegistry;
     use crate::tracer::{Tracer, TracerConfig};
+    use thermsched_wire::JsonValue;
 
     fn sample_document() -> TraceDocument {
         let tracer = Tracer::new(TracerConfig {

@@ -14,8 +14,11 @@
 //! # Protocol
 //!
 //! All frames use the [`thermsched_wire::frame`] framing (magic, version,
-//! kind byte, length-prefixed payload); payloads are binary-encoded
-//! [`JsonValue`]s. The conversation is strictly coordinator-driven:
+//! kind byte, length-prefixed payload); each payload is one value in the
+//! binary encoding of [`thermsched_wire`], written by the typed encoders
+//! straight into the frame's bytes and read by the typed decoders in
+//! place, with no value tree on either side. The conversation is strictly
+//! coordinator-driven:
 //!
 //! | kind | direction | payload |
 //! |---|---|---|
@@ -85,7 +88,9 @@ use std::time::Instant;
 use thermsched::{NestedParallelismGuard, OperatorCacheStats, StoreStats};
 use thermsched_obs::{Counter, MetricsRegistry, SpanRecord, Tracer, TracerConfig};
 use thermsched_wire::frame::{read_frame, write_frame, Frame};
-use thermsched_wire::{decode_value, encode_array, obj, wire_struct, JsonValue, Wire, WireError};
+use thermsched_wire::{
+    wire_struct, ArraySink, BinarySink, ObjectSink, Payload, Sink, View, Wire, WireError,
+};
 
 use crate::executor::{Executor, JobAccounting, Mode, Tally};
 use crate::{
@@ -495,35 +500,43 @@ fn by_scenario(corpus: &Corpus, indices: &[usize]) -> Vec<(usize, Vec<usize>)> {
 }
 
 /// Encodes one `WORK` payload of `entries`, each a corpus scenario with
-/// its jobs. The entries are encoded one scenario at a time, so the frame
-/// is never one value tree.
+/// its jobs, into `out` (cleared first). Every scenario and job writes its
+/// own fields straight into the binary sink, so no part of the frame is
+/// ever a value tree; the bytes are those of `encode_value` on the frame
+/// as a tree.
 fn work_payload(
     corpus: &Corpus,
     entries: &[(usize, Vec<usize>)],
-) -> std::result::Result<Vec<u8>, WireError> {
-    encode_array(
-        entries
-            .iter()
-            .map(|(scenario, jobs)| work_entry(corpus, *scenario, jobs)),
-    )
+    out: &mut Vec<u8>,
+) -> std::result::Result<(), WireError> {
+    out.clear();
+    let mut frame = BinarySink::new(out).array(entries.len())?;
+    for (scenario, jobs) in entries {
+        work_entry(frame.item(), corpus, *scenario, jobs)?;
+    }
+    frame.end()
 }
 
-/// One `WORK` entry: the corpus scenario `scenario` with the jobs `jobs`.
-fn work_entry(corpus: &Corpus, scenario: usize, jobs: &[usize]) -> JsonValue {
-    let jobs: Vec<JsonValue> = jobs
-        .iter()
-        .map(|&index| {
-            obj()
-                .field("index", index)
-                .field("job", corpus.jobs()[index].to_wire())
-                .build()
-        })
-        .collect();
-    obj()
-        .field("index", scenario)
-        .field("scenario", corpus.scenarios()[scenario].to_wire())
-        .field("jobs", jobs)
-        .build()
+/// Writes one `WORK` entry: the corpus scenario `scenario` with the jobs
+/// `jobs`.
+fn work_entry<S: Sink>(
+    sink: S,
+    corpus: &Corpus,
+    scenario: usize,
+    jobs: &[usize],
+) -> std::result::Result<(), WireError> {
+    let mut entry = sink.object(3)?;
+    entry.field("index", &scenario)?;
+    entry.field("scenario", &corpus.scenarios()[scenario])?;
+    let mut dealt = entry.entry("jobs")?.array(jobs.len())?;
+    for &index in jobs {
+        let mut job = dealt.item().object(2)?;
+        job.field("index", &index)?;
+        job.field("job", &corpus.jobs()[index])?;
+        job.end()?;
+    }
+    dealt.end()?;
+    entry.end()
 }
 
 /// Deals whole scenarios over at most `processes` workers: in corpus
@@ -569,9 +582,9 @@ fn worker_writer(
 ) {
     let mut stdin = BufWriter::new(stdin);
     // Writes one frame; `false` ends the thread.
-    let mut write = |kind, payload: std::result::Result<Vec<u8>, WireError>| {
+    let mut write = |kind, payload: std::result::Result<&[u8], WireError>| {
         let written = payload.and_then(|payload| {
-            write_frame(&mut stdin, kind, &payload)?;
+            write_frame(&mut stdin, kind, payload)?;
             sent.add(payload.len() as u64);
             Ok(())
         });
@@ -584,20 +597,23 @@ fn worker_writer(
             }
         }
     };
-    if !write(FRAME_HELLO, Ok(hello.to_vec())) {
+    if !write(FRAME_HELLO, Ok(hello)) {
         return;
     }
+    // One buffer holds each WORK payload in turn.
+    let mut payload = Vec::new();
     while let Ok(msg) = messages.recv() {
         match msg {
             WriterMsg::Work(indices) => {
                 for frame in by_scenario(corpus, &indices).chunks(WORK_FRAME_SCENARIOS) {
-                    if !write(FRAME_WORK, work_payload(corpus, frame)) {
+                    let encoded = work_payload(corpus, frame, &mut payload);
+                    if !write(FRAME_WORK, encoded.map(|()| payload.as_slice())) {
                         return;
                     }
                 }
             }
             WriterMsg::Shutdown => {
-                write(FRAME_SHUTDOWN, Ok(Vec::new()));
+                write(FRAME_SHUTDOWN, Ok(&[]));
                 return;
             }
         }
@@ -694,7 +710,8 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
     }
     // The version comes first: another version's HELLO need not have this
     // one's fields.
-    let hello = decode_value(&hello.payload)?;
+    let payload = Payload::new(&hello.payload)?;
+    let hello = payload.root();
     let protocol: u64 = hello.decode(Hello::WIRE_TYPE, "protocol")?;
     if protocol != PROTOCOL_VERSION {
         return Err(multiproc_error(format!(
@@ -706,7 +723,7 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
         config,
         trace,
         ..
-    } = Hello::from_wire(&hello)?;
+    } = Hello::read(hello)?;
     let crash = crash.filter(|plan| plan.only_worker.is_none() || plan.only_worker == Some(me));
     // An untraced worker pays zero observability cost. The worker's span
     // clock follows the service clock so Virtual runs produce deterministic
@@ -738,6 +755,7 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
         sent: BTreeSet::new(),
         resolved: 0,
         crash,
+        answer: Vec::new(),
     };
     loop {
         let Some(frame) = read_frame(&mut input).map_err(ServiceError::Wire)? else {
@@ -779,24 +797,30 @@ struct Worker {
     /// Jobs answered so far: what a [`CrashPlan`] counts.
     resolved: usize,
     crash: Option<CrashPlan>,
+    /// The buffer each `RESULT` payload is written into in turn.
+    answer: Vec<u8>,
 }
 
 impl Worker {
     /// Serves one `WORK` payload: prepares its scenarios, runs its jobs in
     /// frame order with one `RESULT` each on `output`, then releases the
-    /// scenarios. Returns `false` if the crash plan fired.
+    /// scenarios. Returns `false` if the crash plan fired. The payload is
+    /// checked whole before any entry is read, and each scenario and job
+    /// is decoded from its bytes in place.
     fn work(&mut self, payload: &[u8], output: &mut impl Write) -> Result<bool> {
         const T: &str = "work_frame";
-        let mut scenarios = Vec::new();
+        let payload = Payload::new(payload)?;
+        let entries = payload.root().items()?;
+        let mut scenarios = Vec::with_capacity(entries.len());
         let mut jobs = Vec::new();
-        for entry in decode_value(payload)?.as_array()? {
+        for entry in entries {
             let index: usize = entry.decode(T, "index")?;
             if !self.sent.insert(index) {
                 return Err(multiproc_error(format!("scenario {index} was sent twice")));
             }
             let scenario: Scenario = entry.decode(T, "scenario")?;
             scenarios.push((index, Cow::Owned(scenario)));
-            for dealt in entry.field(T, "jobs")?.as_array()? {
+            for dealt in entry.field(T, "jobs")?.items()? {
                 let job_index: usize = dealt.decode(T, "index")?;
                 let job: JobSpec = dealt.decode(T, "job")?;
                 if job.scenario != index {
@@ -820,13 +844,14 @@ impl Worker {
                 return Ok(false);
             }
             let (result, accounting) = self.executor.run(index as u64, &job, None, Instant::now());
-            let answer = Answer {
+            self.answer.clear();
+            Answer {
                 index,
                 result,
                 accounting,
             }
-            .to_binary()?;
-            write_frame(output, FRAME_RESULT, &answer).map_err(ServiceError::Wire)?;
+            .write(BinarySink::new(&mut self.answer))?;
+            write_frame(output, FRAME_RESULT, &self.answer).map_err(ServiceError::Wire)?;
             self.resolved += 1;
         }
         // Every job of these scenarios has answered, and no later frame
@@ -837,11 +862,14 @@ impl Worker {
 }
 
 #[cfg(test)]
+mod payloads;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::{ClockKind, JobOutcome, ScenarioSpec};
     use thermsched_obs::MetricsSnapshot;
-    use thermsched_wire::encode_value;
+    use thermsched_wire::{decode_value, encode_value, obj, JsonValue, TreeSink};
 
     /// In-memory worker loopback: runs `worker_serve` against buffered
     /// pipes, returning the frames it produced. The process-boundary tests
@@ -877,7 +905,16 @@ mod tests {
     /// scenarios.
     fn work_frame(corpus: &Corpus, jobs: &[usize]) -> (u8, Vec<u8>) {
         let entries = by_scenario(corpus, jobs);
-        (FRAME_WORK, work_payload(corpus, &entries).unwrap())
+        let mut payload = Vec::new();
+        work_payload(corpus, &entries, &mut payload).unwrap();
+        (FRAME_WORK, payload)
+    }
+
+    /// One WORK entry as a tree.
+    fn tree_entry(corpus: &Corpus, scenario: usize, jobs: &[usize]) -> JsonValue {
+        let mut tree = None;
+        work_entry(TreeSink::new(&mut tree), corpus, scenario, jobs).unwrap();
+        tree.unwrap()
     }
 
     /// One scenario, two jobs (the default TL × STCL grid).
@@ -934,10 +971,13 @@ mod tests {
         // A scenario sent twice, in one frame or in two, and a job that
         // travels with another scenario than its own.
         let greet = || hello(&ServiceConfig::default(), false);
-        let twice = encode_array([work_entry(&corpus, 0, &[0]), work_entry(&corpus, 0, &[1])]);
+        let twice = encode_value(&JsonValue::Array(vec![
+            tree_entry(&corpus, 0, &[0]),
+            tree_entry(&corpus, 0, &[1]),
+        ]));
         let two_scenarios = two_scenario_corpus();
         assert_eq!(two_scenarios.jobs()[2].scenario, 1);
-        let misplaced = encode_array([work_entry(&two_scenarios, 0, &[2])]);
+        let misplaced = encode_value(&JsonValue::Array(vec![tree_entry(&two_scenarios, 0, &[2])]));
         for frames in [
             vec![greet(), (FRAME_WORK, twice.unwrap())],
             vec![
@@ -1460,6 +1500,7 @@ mod tests {
             sent: BTreeSet::new(),
             resolved: 0,
             crash: None,
+            answer: Vec::new(),
         };
         let mut dealt = Vec::new();
         let mut output = Vec::new();

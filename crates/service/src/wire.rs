@@ -15,7 +15,8 @@
 
 use thermsched::{OnlineContext, TraceProfile};
 use thermsched_wire::{
-    obj, wire_struct, wire_tagged_enum, wire_unit_enum, JsonValue, Result, Wire, WireError,
+    wire_struct, wire_tagged_enum, wire_unit_enum, ArraySink, ObjectSink, Result, Sink, View, Wire,
+    WireError,
 };
 
 use crate::{
@@ -24,19 +25,27 @@ use crate::{
     ShedCause, TraceFamily,
 };
 
-/// Encodes a pair as a two-element array.
-fn pair<T: Wire>((a, b): &(T, T)) -> JsonValue {
-    JsonValue::Array(vec![a.to_wire(), b.to_wire()])
+/// Writes a pair as a two-element array.
+fn write_pair<S: Sink, T: Wire>(sink: S, (a, b): &(T, T)) -> Result<()> {
+    let mut array = sink.array(2)?;
+    a.write(array.item())?;
+    b.write(array.item())?;
+    array.end()
 }
 
-/// Decodes a two-element array back into a pair; `names` names its two
+/// Reads a two-element array back into a pair; `names` names its two
 /// elements in the length error.
-fn decode_pair<T: Wire>(value: &JsonValue, type_name: &'static str, names: &str) -> Result<(T, T)> {
-    match value.as_array()? {
-        [a, b] => Ok((T::from_wire(a)?, T::from_wire(b)?)),
-        items => Err(WireError::Invalid {
+fn read_pair<'a, T: Wire>(
+    value: impl View<'a>,
+    type_name: &'static str,
+    names: &str,
+) -> Result<(T, T)> {
+    let mut items = value.items()?;
+    match (items.len(), items.next(), items.next()) {
+        (2, Some(a), Some(b)) => Ok((T::read(a)?, T::read(b)?)),
+        (len, ..) => Err(WireError::Invalid {
             type_name,
-            message: format!("expected a [{names}] pair, got {} elements", items.len()),
+            message: format!("expected a [{names}] pair, got {len} elements"),
         }),
     }
 }
@@ -45,11 +54,11 @@ fn decode_pair<T: Wire>(value: &JsonValue, type_name: &'static str, names: &str)
 impl Wire for TraceFamily {
     const WIRE_TYPE: &'static str = "trace_family";
 
-    fn to_wire(&self) -> JsonValue {
-        JsonValue::from(self.label())
+    fn write<S: Sink>(&self, sink: S) -> Result<()> {
+        sink.str(self.label())
     }
 
-    fn from_wire(value: &JsonValue) -> Result<Self> {
+    fn read<'a, V: View<'a>>(value: V) -> Result<Self> {
         let name = value.as_str()?;
         TraceFamily::parse(name).ok_or_else(|| WireError::UnknownVariant {
             type_name: Self::WIRE_TYPE,
@@ -61,53 +70,57 @@ impl Wire for TraceFamily {
 impl Wire for ScenarioSpec {
     const WIRE_TYPE: &'static str = "scenario_spec";
 
-    fn to_wire(&self) -> JsonValue {
-        let grid_shapes: Vec<JsonValue> = self.grid_shapes.iter().map(pair).collect();
-        let mut spec = obj()
-            .field("seed", self.seed)
-            .field("scenarios", self.scenarios)
-            .field("grid_shapes", grid_shapes)
-            .field("core_size_mm", self.core_size_mm)
-            .field("power_density", pair(&self.power_density))
-            .field("test_time", pair(&self.test_time))
-            .field("temperature_limits", self.temperature_limits.to_wire())
-            .field("stc_limits", self.stc_limits.to_wire())
-            .field("weight_factors", self.weight_factors.to_wire())
-            .field("orderings", self.orderings.to_wire())
-            .field("raise_limit_margin", self.raise_limit_margin);
+    fn write<S: Sink>(&self, sink: S) -> Result<()> {
         // The online fields are omitted entirely when inactive so documents
         // (and golden bytes) from offline-only versions stay unchanged.
-        if !self.trace_families.is_empty() {
-            spec = spec.field("trace_families", self.trace_families.to_wire());
+        let families = !self.trace_families.is_empty();
+        let len = 11 + usize::from(families) + usize::from(self.warm_start_range.is_some());
+        let mut spec = sink.object(len)?;
+        spec.field("seed", &self.seed)?;
+        spec.field("scenarios", &self.scenarios)?;
+        let mut shapes = spec.entry("grid_shapes")?.array(self.grid_shapes.len())?;
+        for shape in &self.grid_shapes {
+            write_pair(shapes.item(), shape)?;
         }
-        if let Some(range) = self.warm_start_range {
-            spec = spec.field("warm_start_range", pair(&range));
+        shapes.end()?;
+        spec.field("core_size_mm", &self.core_size_mm)?;
+        write_pair(spec.entry("power_density")?, &self.power_density)?;
+        write_pair(spec.entry("test_time")?, &self.test_time)?;
+        spec.field("temperature_limits", &self.temperature_limits)?;
+        spec.field("stc_limits", &self.stc_limits)?;
+        spec.field("weight_factors", &self.weight_factors)?;
+        spec.field("orderings", &self.orderings)?;
+        spec.field("raise_limit_margin", &self.raise_limit_margin)?;
+        if families {
+            spec.field("trace_families", &self.trace_families)?;
         }
-        spec.build()
+        if let Some(range) = &self.warm_start_range {
+            write_pair(spec.entry("warm_start_range")?, range)?;
+        }
+        spec.end()
     }
 
-    fn from_wire(value: &JsonValue) -> Result<Self> {
+    fn read<'a, V: View<'a>>(value: V) -> Result<Self> {
         const T: &str = "scenario_spec";
         Ok(ScenarioSpec {
             trace_families: match value.get("trace_families") {
-                Some(families) => Wire::from_wire(families)?,
+                Some(families) => Wire::read(families)?,
                 None => vec![],
             },
             warm_start_range: value
                 .get("warm_start_range")
-                .map(|range| decode_pair(range, T, "low, high"))
+                .map(|range| read_pair(range, T, "low, high"))
                 .transpose()?,
             seed: value.decode(T, "seed")?,
             scenarios: value.decode(T, "scenarios")?,
             grid_shapes: value
                 .field(T, "grid_shapes")?
-                .as_array()?
-                .iter()
-                .map(|shape| decode_pair(shape, T, "columns, rows"))
+                .items()?
+                .map(|shape| read_pair(shape, T, "columns, rows"))
                 .collect::<Result<Vec<_>>>()?,
             core_size_mm: value.decode(T, "core_size_mm")?,
-            power_density: decode_pair(value.field(T, "power_density")?, T, "low, high")?,
-            test_time: decode_pair(value.field(T, "test_time")?, T, "low, high")?,
+            power_density: read_pair(value.field(T, "power_density")?, T, "low, high")?,
+            test_time: read_pair(value.field(T, "test_time")?, T, "low, high")?,
             temperature_limits: value.decode(T, "temperature_limits")?,
             stc_limits: value.decode(T, "stc_limits")?,
             weight_factors: value.decode(T, "weight_factors")?,
@@ -122,24 +135,22 @@ impl Wire for ScenarioSpec {
 impl Wire for Scenario {
     const WIRE_TYPE: &'static str = "scenario";
 
-    fn to_wire(&self) -> JsonValue {
-        // Built at its length: the builder would outgrow its first four
-        // entries and allocate twice.
-        JsonValue::Object(vec![
-            ("name".into(), self.name.as_str().into()),
-            ("seed".into(), self.seed.into()),
-            ("grid".into(), pair(&self.grid)),
-            ("core_size_mm".into(), self.core_size_mm.into()),
-            ("sut".into(), self.sut.to_wire()),
-        ])
+    fn write<S: Sink>(&self, sink: S) -> Result<()> {
+        let mut scenario = sink.object(5)?;
+        scenario.field("name", &self.name)?;
+        scenario.field("seed", &self.seed)?;
+        write_pair(scenario.entry("grid")?, &self.grid)?;
+        scenario.field("core_size_mm", &self.core_size_mm)?;
+        scenario.field("sut", &self.sut)?;
+        scenario.end()
     }
 
-    fn from_wire(value: &JsonValue) -> Result<Self> {
+    fn read<'a, V: View<'a>>(value: V) -> Result<Self> {
         const T: &str = "scenario";
         let scenario = Scenario {
             name: value.decode(T, "name")?,
             seed: value.decode(T, "seed")?,
-            grid: decode_pair(value.field(T, "grid")?, T, "columns, rows")?,
+            grid: read_pair(value.field(T, "grid")?, T, "columns, rows")?,
             core_size_mm: value.decode(T, "core_size_mm")?,
             sut: value.decode(T, "sut")?,
         };
@@ -165,43 +176,37 @@ impl Wire for Scenario {
 impl Wire for JobSpec {
     const WIRE_TYPE: &'static str = "job_spec";
 
-    fn to_wire(&self) -> JsonValue {
+    fn write<S: Sink>(&self, sink: S) -> Result<()> {
         let trace = self.online.trace();
         let warm = self.online.warm_start();
-        // Built at its length: with both online fields the builder would
-        // outgrow its first four entries and allocate twice.
-        let mut spec =
-            Vec::with_capacity(3 + usize::from(trace.is_some()) + usize::from(warm.is_some()));
-        spec.push(("scenario".into(), self.scenario.into()));
-        spec.push(("label".into(), self.label.as_str().into()));
-        spec.push(("config".into(), self.config.to_wire()));
+        let len = 3 + usize::from(trace.is_some()) + usize::from(warm.is_some());
+        let mut spec = sink.object(len)?;
+        spec.field("scenario", &self.scenario)?;
+        spec.field("label", &self.label)?;
+        spec.field("config", &self.config)?;
         // Omitted when absent, for byte-compatibility with offline documents.
         if let Some(trace) = trace {
-            spec.push(("trace".into(), trace.to_wire()));
+            spec.field("trace", trace)?;
         }
         if let Some(warm) = warm {
-            let warm = warm
-                .block_temperatures()
-                .iter()
-                .map(Wire::to_wire)
-                .collect();
-            spec.push(("warm_start".into(), JsonValue::Array(warm)));
+            spec.entry("warm_start")?
+                .items(warm.block_temperatures().iter())?;
         }
-        JsonValue::Object(spec)
+        spec.end()
     }
 
-    fn from_wire(value: &JsonValue) -> Result<Self> {
+    fn read<'a, V: View<'a>>(value: V) -> Result<Self> {
         const T: &str = "job_spec";
         let scenario = value.decode(T, "scenario")?;
         let label = value.decode(T, "label")?;
         let config = value.decode(T, "config")?;
         let mut online = OnlineContext::new();
         if let Some(trace) = value.get("trace") {
-            online = online.with_trace(TraceProfile::from_wire(trace)?);
+            online = online.with_trace(TraceProfile::read(trace)?);
         }
         if let Some(warm) = value.get("warm_start") {
             online = online
-                .with_warm_start(Wire::from_wire(warm)?)
+                .with_warm_start(Wire::read(warm)?)
                 .map_err(WireError::invalid(T))?;
         }
         Ok(JobSpec {
@@ -219,16 +224,14 @@ impl Wire for JobSpec {
 impl Wire for Corpus {
     const WIRE_TYPE: &'static str = "corpus";
 
-    fn to_wire(&self) -> JsonValue {
-        let scenarios = self.scenarios().iter().map(Wire::to_wire).collect();
-        let jobs = self.jobs().iter().map(Wire::to_wire).collect();
-        obj()
-            .field("scenarios", JsonValue::Array(scenarios))
-            .field("jobs", JsonValue::Array(jobs))
-            .build()
+    fn write<S: Sink>(&self, sink: S) -> Result<()> {
+        let mut corpus = sink.object(2)?;
+        corpus.entry("scenarios")?.items(self.scenarios().iter())?;
+        corpus.entry("jobs")?.items(self.jobs().iter())?;
+        corpus.end()
     }
 
-    fn from_wire(value: &JsonValue) -> Result<Self> {
+    fn read<'a, V: View<'a>>(value: V) -> Result<Self> {
         const T: &str = "corpus";
         Corpus::from_parts(value.decode(T, "scenarios")?, value.decode(T, "jobs")?)
     }
@@ -326,6 +329,7 @@ wire_struct! {
 mod tests {
     use super::*;
     use crate::ClockKind;
+    use thermsched_wire::{obj, JsonValue};
 
     fn spec() -> ScenarioSpec {
         ScenarioSpec {

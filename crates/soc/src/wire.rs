@@ -4,23 +4,23 @@
 //! one-spec-per-block invariant of [`SystemUnderTest`] holds for wire input
 //! exactly as it does for programmatic construction.
 
-use thermsched_wire::{obj, JsonValue, Result, Wire, WireError};
+use thermsched_wire::{ObjectSink, Result, Sink, View, Wire, WireError};
 
 use crate::{SystemUnderTest, TestSpec};
 
 impl Wire for TestSpec {
     const WIRE_TYPE: &'static str = "test_spec";
 
-    fn to_wire(&self) -> JsonValue {
-        obj()
-            .field("core_name", self.core_name())
-            .field("test_power", self.test_power())
-            .field("test_time", self.test_time())
-            .field("functional_power", self.functional_power())
-            .build()
+    fn write<S: Sink>(&self, sink: S) -> Result<()> {
+        let mut object = sink.object(4)?;
+        object.entry("core_name")?.str(self.core_name())?;
+        object.field("test_power", &self.test_power())?;
+        object.field("test_time", &self.test_time())?;
+        object.field("functional_power", &self.functional_power())?;
+        object.end()
     }
 
-    fn from_wire(value: &JsonValue) -> Result<Self> {
+    fn read<'a, V: View<'a>>(value: V) -> Result<Self> {
         const T: &str = "test_spec";
         let spec = TestSpec::new(
             value.field_str(T, "core_name")?,
@@ -40,15 +40,16 @@ impl Wire for TestSpec {
 impl Wire for SystemUnderTest {
     const WIRE_TYPE: &'static str = "system_under_test";
 
-    fn to_wire(&self) -> JsonValue {
-        let specs = self.test_specs().iter().map(Wire::to_wire).collect();
-        obj()
-            .field("floorplan", self.floorplan().to_wire())
-            .field("test_specs", JsonValue::Array(specs))
-            .build()
+    fn write<S: Sink>(&self, sink: S) -> Result<()> {
+        let mut object = sink.object(2)?;
+        object.field("floorplan", self.floorplan())?;
+        object
+            .entry("test_specs")?
+            .items(self.test_specs().iter())?;
+        object.end()
     }
 
-    fn from_wire(value: &JsonValue) -> Result<Self> {
+    fn read<'a, V: View<'a>>(value: V) -> Result<Self> {
         const T: &str = "system_under_test";
         SystemUnderTest::new(
             value.decode(T, "floorplan")?,
@@ -61,6 +62,7 @@ impl Wire for SystemUnderTest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use thermsched_wire::{obj, JsonValue};
 
     #[test]
     fn sut_roundtrips_both_encodings() {

@@ -1,7 +1,7 @@
 //! Transient (time-domain) solution of the thermal network.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use thermsched_linalg::{AffineStepOperator, DenseMatrix, LuDecomposition};
 
@@ -163,7 +163,7 @@ pub struct TransientSolver {
     /// count, so every session of the same duration after the first costs a
     /// single solve plus a matrix–vector product. Guarded by a mutex so the
     /// solver stays shareable across the scheduler's phase-1 threads.
-    powered: Mutex<HashMap<usize, AffineStepOperator>>,
+    powered: Mutex<HashMap<usize, Arc<AffineStepOperator>>>,
 }
 
 impl TransientSolver {
@@ -265,13 +265,17 @@ impl TransientSolver {
         steps: usize,
         apply: impl FnOnce(&AffineStepOperator) -> Result<T>,
     ) -> Result<T> {
-        if let Some(op) = self
+        // The operator is cloned out under the lock and applied after the
+        // guard drops, so sessions sharing this solver do not serialise on
+        // the matrix–vector product.
+        let cached = self
             .powered
             .lock()
             .expect("operator cache lock")
             .get(&steps)
-        {
-            return apply(op);
+            .cloned();
+        if let Some(op) = cached {
+            return apply(&op);
         }
         // Build the operator outside the lock so concurrent callers (the
         // scheduler's phase-1 threads) don't serialise on the O(n³·log k)
@@ -281,7 +285,7 @@ impl TransientSolver {
             .step_matrix
             .as_ref()
             .expect("fast path implies a precomputed step matrix");
-        let op = AffineStepOperator::single(step_matrix)?.pow(steps)?;
+        let op = Arc::new(AffineStepOperator::single(step_matrix)?.pow(steps)?);
         let out = apply(&op)?;
         self.powered
             .lock()
@@ -660,6 +664,22 @@ mod tests {
         let once = fast.simulate_from_ambient(&p, 1.0).unwrap();
         let twice = fast.simulate_from_ambient(&p, 1.0).unwrap();
         assert_eq!(once, twice);
+    }
+
+    #[test]
+    fn the_powered_operator_is_applied_outside_its_lock() {
+        let (net, _) = setup();
+        let fast = TransientSolver::new(&net, TransientConfig::default()).unwrap();
+        // The first call builds the operator, the second reads it from the
+        // cache: neither may hold the lock while applying it.
+        for _ in 0..2 {
+            fast.with_powered(40, |op| {
+                assert!(fast.powered.try_lock().is_ok(), "applied under the lock");
+                Ok(op.apply_from_rest(&vec![1.0; net.node_count()])?)
+            })
+            .unwrap();
+        }
+        assert_eq!(fast.powered.lock().unwrap().len(), 1);
     }
 
     #[test]

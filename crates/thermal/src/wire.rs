@@ -1,6 +1,6 @@
 //! [`Wire`] codecs for the thermal-model configuration types.
 
-use thermsched_wire::{obj, wire_struct, JsonValue, Result, Wire, WireError};
+use thermsched_wire::{wire_struct, ArraySink, ObjectSink, Result, Sink, View, Wire, WireError};
 
 use crate::{Material, PackageConfig, PowerMap, PowerTrace};
 
@@ -27,12 +27,13 @@ wire_struct! {
 impl Wire for PowerMap {
     const WIRE_TYPE: &'static str = "power_map";
 
-    fn to_wire(&self) -> JsonValue {
-        let powers = self.as_slice().iter().map(Wire::to_wire).collect();
-        obj().field("powers", JsonValue::Array(powers)).build()
+    fn write<S: Sink>(&self, sink: S) -> Result<()> {
+        let mut object = sink.object(1)?;
+        object.entry("powers")?.items(self.as_slice().iter())?;
+        object.end()
     }
 
-    fn from_wire(value: &JsonValue) -> Result<Self> {
+    fn read<'a, V: View<'a>>(value: V) -> Result<Self> {
         PowerMap::from_vec(value.decode(Self::WIRE_TYPE, "powers")?)
             .map_err(WireError::invalid(Self::WIRE_TYPE))
     }
@@ -42,26 +43,24 @@ impl Wire for PowerMap {
 impl Wire for PowerTrace {
     const WIRE_TYPE: &'static str = "power_trace";
 
-    fn to_wire(&self) -> JsonValue {
-        let phases = self
-            .phases()
-            .iter()
-            .map(|(power, duration)| {
-                obj()
-                    .field("power", power.to_wire())
-                    .field("duration", *duration)
-                    .build()
-            })
-            .collect();
-        obj().field("phases", JsonValue::Array(phases)).build()
+    fn write<S: Sink>(&self, sink: S) -> Result<()> {
+        let mut object = sink.object(1)?;
+        let mut phases = object.entry("phases")?.array(self.phases().len())?;
+        for (power, duration) in self.phases() {
+            let mut phase = phases.item().object(2)?;
+            phase.field("power", power)?;
+            phase.field("duration", duration)?;
+            phase.end()?;
+        }
+        phases.end()?;
+        object.end()
     }
 
-    fn from_wire(value: &JsonValue) -> Result<Self> {
+    fn read<'a, V: View<'a>>(value: V) -> Result<Self> {
         const T: &str = "power_trace";
         let phases = value
             .field(T, "phases")?
-            .as_array()?
-            .iter()
+            .items()?
             .map(|phase| Ok((phase.decode(T, "power")?, phase.decode(T, "duration")?)))
             .collect::<Result<Vec<_>>>()?;
         PowerTrace::new(phases).map_err(WireError::invalid(T))

@@ -10,18 +10,19 @@
 
 use std::collections::BTreeSet;
 
-use crate::{JsonValue, Result, Wire};
+use crate::{JsonValue, Number, ObjectSink, Result, Sink, View, Wire, WireStr};
 
 macro_rules! leaf_wire {
-    ($($ty:ty = $name:literal, $read:ident;)+) => {$(
+    ($($ty:ty = $name:literal, $read:ident, |$sink:ident, $v:ident| $write:expr;)+) => {$(
         impl Wire for $ty {
             const WIRE_TYPE: &'static str = $name;
 
-            fn to_wire(&self) -> JsonValue {
-                JsonValue::from(*self)
+            fn write<S: Sink>(&self, $sink: S) -> Result<()> {
+                let $v = *self;
+                $write
             }
 
-            fn from_wire(value: &JsonValue) -> Result<Self> {
+            fn read<'a, V: View<'a>>(value: V) -> Result<Self> {
                 value.$read()
             }
         }
@@ -29,21 +30,21 @@ macro_rules! leaf_wire {
 }
 
 leaf_wire! {
-    f64 = "f64", as_f64;
-    u64 = "u64", as_u64;
-    u32 = "u32", as_u32;
-    usize = "usize", as_usize;
-    bool = "bool", as_bool;
+    f64 = "f64", as_f64, |sink, v| sink.number(Number::Float(v));
+    u64 = "u64", as_u64, |sink, v| sink.number(Number::Unsigned(v));
+    u32 = "u32", as_u32, |sink, v| sink.number(Number::Unsigned(u64::from(v)));
+    usize = "usize", as_usize, |sink, v| sink.number(Number::Unsigned(v as u64));
+    bool = "bool", as_bool, |sink, v| sink.bool(v);
 }
 
 impl Wire for String {
     const WIRE_TYPE: &'static str = "string";
 
-    fn to_wire(&self) -> JsonValue {
-        JsonValue::from(self.as_str())
+    fn write<S: Sink>(&self, sink: S) -> Result<()> {
+        sink.str(self)
     }
 
-    fn from_wire(value: &JsonValue) -> Result<Self> {
+    fn read<'a, V: View<'a>>(value: V) -> Result<Self> {
         value.as_str().map(str::to_owned)
     }
 }
@@ -53,15 +54,15 @@ impl Wire for String {
 impl<T: Wire> Wire for Vec<T> {
     const WIRE_TYPE: &'static str = "array";
 
-    fn to_wire(&self) -> JsonValue {
-        JsonValue::Array(self.iter().map(Wire::to_wire).collect())
+    fn write<S: Sink>(&self, sink: S) -> Result<()> {
+        sink.items(self.iter())
     }
 
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        let items = value.as_array()?;
+    fn read<'a, V: View<'a>>(value: V) -> Result<Self> {
+        let items = value.items()?;
         let mut decoded = Vec::with_capacity(items.len());
         for item in items {
-            decoded.push(T::from_wire(item)?);
+            decoded.push(T::read(item)?);
         }
         Ok(decoded)
     }
@@ -70,27 +71,72 @@ impl<T: Wire> Wire for Vec<T> {
 impl<T: Wire + Ord> Wire for BTreeSet<T> {
     const WIRE_TYPE: &'static str = "set";
 
-    fn to_wire(&self) -> JsonValue {
-        JsonValue::Array(self.iter().map(Wire::to_wire).collect())
+    fn write<S: Sink>(&self, sink: S) -> Result<()> {
+        sink.items(self.iter())
     }
 
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        value.as_array()?.iter().map(T::from_wire).collect()
+    fn read<'a, V: View<'a>>(value: V) -> Result<Self> {
+        value.items()?.map(T::read).collect()
     }
 }
 
 impl<T: Wire> Wire for Option<T> {
     const WIRE_TYPE: &'static str = "option";
 
-    fn to_wire(&self) -> JsonValue {
-        self.as_ref().map_or(JsonValue::Null, Wire::to_wire)
+    fn write<S: Sink>(&self, sink: S) -> Result<()> {
+        match self {
+            Some(value) => value.write(sink),
+            None => sink.null(),
+        }
     }
 
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        match value {
-            JsonValue::Null => Ok(None),
-            other => T::from_wire(other).map(Some),
+    fn read<'a, V: View<'a>>(value: V) -> Result<Self> {
+        if value.is_null() {
+            Ok(None)
+        } else {
+            T::read(value).map(Some)
         }
+    }
+}
+
+/// A tree crosses as itself: written value by value into a sink, and
+/// built from a view. [`crate::encode_value`] is its binary encoder.
+impl Wire for JsonValue {
+    const WIRE_TYPE: &'static str = "value";
+
+    fn write<S: Sink>(&self, sink: S) -> Result<()> {
+        match self {
+            JsonValue::Null => sink.null(),
+            JsonValue::Bool(b) => sink.bool(*b),
+            JsonValue::Number(n) => sink.number(*n),
+            JsonValue::String(s) => sink.str(s),
+            JsonValue::Array(items) => sink.items(items.iter()),
+            JsonValue::Object(entries) => {
+                let mut object = sink.object(entries.len())?;
+                for (key, value) in entries {
+                    value.write(object.entry(key)?)?;
+                }
+                object.end()
+            }
+        }
+    }
+
+    fn read<'a, V: View<'a>>(value: V) -> Result<Self> {
+        Ok(match value.type_name() {
+            "null" => JsonValue::Null,
+            "bool" => JsonValue::Bool(value.as_bool()?),
+            "number" => JsonValue::Number(value.as_number()?),
+            "string" => JsonValue::String(WireStr::from(value.as_str()?)),
+            "array" => JsonValue::Array(Wire::read(value)?),
+            _ => {
+                let entries = value.entries()?;
+                let mut tree = Vec::with_capacity(entries.len());
+                for (key, value) in entries {
+                    tree.push((WireStr::from(key), JsonValue::read(value)?));
+                }
+                JsonValue::Object(tree)
+            }
+        })
     }
 }
 
@@ -137,15 +183,15 @@ macro_rules! wire_struct {
         impl $crate::Wire for $ty {
             const WIRE_TYPE: &'static str = $name;
 
-            fn to_wire(&self) -> $crate::JsonValue {
-                $crate::JsonValue::Object(vec![
-                    $(($crate::WireStr::from(stringify!($field)), $crate::Wire::to_wire(&self.$field)),)+
-                ])
+            fn write<S: $crate::Sink>(&self, sink: S) -> $crate::Result<()> {
+                let mut object = $crate::Sink::object(sink, <[&str]>::len(&[$(stringify!($field)),+]))?;
+                $($crate::ObjectSink::field(&mut object, stringify!($field), &self.$field)?;)+
+                $crate::ObjectSink::end(object)
             }
 
-            fn from_wire(value: &$crate::JsonValue) -> $crate::Result<Self> {
+            fn read<'a, V: $crate::View<'a>>(value: V) -> $crate::Result<Self> {
                 let decoded = $ty {
-                    $($field: value.decode($name, stringify!($field))?,)+
+                    $($field: $crate::View::decode(value, $name, stringify!($field))?,)+
                 };
                 $(($validate)(&decoded).map_err($crate::WireError::invalid($name))?;)?
                 Ok(decoded)
@@ -184,14 +230,14 @@ macro_rules! wire_unit_enum {
         impl $crate::Wire for $ty {
             const WIRE_TYPE: &'static str = $name;
 
-            fn to_wire(&self) -> $crate::JsonValue {
-                $crate::JsonValue::from(match self {
+            fn write<S: $crate::Sink>(&self, sink: S) -> $crate::Result<()> {
+                $crate::Sink::str(sink, match self {
                     $(Self::$variant => $label,)+
                 })
             }
 
-            fn from_wire(value: &$crate::JsonValue) -> $crate::Result<Self> {
-                match value.as_str()? {
+            fn read<'a, V: $crate::View<'a>>(value: V) -> $crate::Result<Self> {
+                match $crate::View::as_str(value)? {
                     $($label => Ok(Self::$variant),)+
                     other => Err($crate::WireError::UnknownVariant {
                         type_name: $name,
@@ -245,21 +291,26 @@ macro_rules! wire_tagged_enum {
         impl $crate::Wire for $ty {
             const WIRE_TYPE: &'static str = $name;
 
-            fn to_wire(&self) -> $crate::JsonValue {
+            fn write<S: $crate::Sink>(&self, sink: S) -> $crate::Result<()> {
                 match self {
-                    $(Self::$variant $({ $($field),* })? $(($inner))? => $crate::JsonValue::Object(vec![
-                        ($crate::WireStr::from("kind"), $crate::JsonValue::from($label)),
-                        $($(($crate::WireStr::from(stringify!($field)), $crate::Wire::to_wire($field)),)*)?
-                        $(($crate::WireStr::from(stringify!($inner)), $crate::Wire::to_wire($inner)),)?
-                    ]),)+
+                    $(Self::$variant $({ $($field),* })? $(($inner))? => {
+                        let len = <[&str]>::len(&[
+                            "kind" $($(, stringify!($field))*)? $(, stringify!($inner))?
+                        ]);
+                        let mut object = $crate::Sink::object(sink, len)?;
+                        $crate::Sink::str($crate::ObjectSink::entry(&mut object, "kind")?, $label)?;
+                        $($($crate::ObjectSink::field(&mut object, stringify!($field), $field)?;)*)?
+                        $($crate::ObjectSink::field(&mut object, stringify!($inner), $inner)?;)?
+                        $crate::ObjectSink::end(object)
+                    })+
                 }
             }
 
-            fn from_wire(value: &$crate::JsonValue) -> $crate::Result<Self> {
-                match value.field_str($name, "kind")? {
+            fn read<'a, V: $crate::View<'a>>(value: V) -> $crate::Result<Self> {
+                match $crate::View::field_str(value, $name, "kind")? {
                     $($label => Ok(Self::$variant
-                        $({ $($field: value.decode($name, stringify!($field))?),* })?
-                        $((value.decode($name, stringify!($inner))?))?),)+
+                        $({ $($field: $crate::View::decode(value, $name, stringify!($field))?),* })?
+                        $(($crate::View::decode(value, $name, stringify!($inner))?))?),)+
                     other => Err($crate::WireError::UnknownVariant {
                         type_name: $name,
                         variant: other.to_owned(),

@@ -23,6 +23,7 @@
 use std::fmt::Write as _;
 
 use crate::key::SeenKeys;
+use crate::view::{self, View};
 use crate::{Result, Wire, WireError, WireStr, MAX_NESTING_DEPTH};
 
 /// A JSON number, kept exact.
@@ -216,10 +217,7 @@ impl JsonValue {
     ///
     /// [`WireError::WrongType`] for non-numbers.
     pub fn as_f64(&self) -> Result<f64> {
-        match self {
-            JsonValue::Number(n) => Ok(n.as_f64()),
-            other => Err(wrong_type("number", other)),
-        }
+        View::as_f64(self)
     }
 
     /// The value as a `u64`. Only integer tokens qualify — a float in an
@@ -229,10 +227,7 @@ impl JsonValue {
     ///
     /// [`WireError::WrongType`] for floats, negatives and non-numbers.
     pub fn as_u64(&self) -> Result<u64> {
-        match self {
-            JsonValue::Number(Number::Unsigned(u)) => Ok(*u),
-            other => Err(wrong_type("unsigned integer", other)),
-        }
+        View::as_u64(self)
     }
 
     /// The value as an `i64`.
@@ -242,13 +237,7 @@ impl JsonValue {
     /// [`WireError::WrongType`] for floats, out-of-range magnitudes and
     /// non-numbers.
     pub fn as_i64(&self) -> Result<i64> {
-        match self {
-            JsonValue::Number(Number::Signed(s)) => Ok(*s),
-            JsonValue::Number(Number::Unsigned(u)) => {
-                i64::try_from(*u).map_err(|_| wrong_type("signed integer", self))
-            }
-            other => Err(wrong_type("signed integer", other)),
-        }
+        View::as_i64(self)
     }
 
     /// The value as a `usize`.
@@ -257,8 +246,7 @@ impl JsonValue {
     ///
     /// [`WireError::WrongType`] as for [`JsonValue::as_u64`].
     pub fn as_usize(&self) -> Result<usize> {
-        let u = self.as_u64()?;
-        usize::try_from(u).map_err(|_| wrong_type("usize", self))
+        View::as_usize(self)
     }
 
     /// The value as a `u32`.
@@ -267,8 +255,7 @@ impl JsonValue {
     ///
     /// [`WireError::WrongType`] as for [`JsonValue::as_u64`].
     pub fn as_u32(&self) -> Result<u32> {
-        let u = self.as_u64()?;
-        u32::try_from(u).map_err(|_| wrong_type("u32", self))
+        View::as_u32(self)
     }
 
     /// The value as an array slice.
@@ -297,13 +284,7 @@ impl JsonValue {
 
     /// Looks a field up by name (objects only; `None` on other types).
     pub fn get(&self, name: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Object(entries) => entries
-                .iter()
-                .find(|(key, _)| key == name)
-                .map(|(_, value)| value),
-            _ => None,
-        }
+        View::get(self, name)
     }
 
     /// A required field of an object.
@@ -313,11 +294,7 @@ impl JsonValue {
     /// [`WireError::WrongType`] if `self` is not an object,
     /// [`WireError::MissingField`] if the field is absent.
     pub fn field(&self, type_name: &'static str, name: &'static str) -> Result<&JsonValue> {
-        self.entries()?;
-        self.get(name).ok_or(WireError::MissingField {
-            type_name,
-            field: name,
-        })
+        View::field(self, type_name, name)
     }
 
     /// A required string field.
@@ -326,7 +303,7 @@ impl JsonValue {
     ///
     /// As [`JsonValue::field`] plus [`WireError::WrongType`].
     pub fn field_str(&self, type_name: &'static str, name: &'static str) -> Result<&str> {
-        self.field(type_name, name)?.as_str()
+        View::field_str(self, type_name, name)
     }
 
     /// A required field decoded as `T` — how declared and hand-written
@@ -336,7 +313,7 @@ impl JsonValue {
     ///
     /// As [`JsonValue::field`], plus whatever `T::from_wire` reports.
     pub fn decode<T: Wire>(&self, type_name: &'static str, name: &'static str) -> Result<T> {
-        T::from_wire(self.field(type_name, name)?)
+        View::decode(self, type_name, name)
     }
 
     /// Parses strict JSON text into a value. The whole input must be one
@@ -439,10 +416,7 @@ impl JsonValue {
 }
 
 fn wrong_type(expected: &'static str, found: &JsonValue) -> WireError {
-    WireError::WrongType {
-        expected,
-        found: found.type_name(),
-    }
+    view::wrong_type(expected, found.type_name())
 }
 
 fn open_line(out: &mut String, indent: Option<usize>) {

@@ -11,7 +11,7 @@ use crate::JsonValue;
 const INLINE_CAP: usize = 22;
 
 /// Object width below which [`SeenKeys`] scans the earlier keys.
-const SCAN_WIDTH: usize = 32;
+pub(crate) const SCAN_WIDTH: usize = 32;
 
 /// The text of a string in the value tree: an object key or a
 /// [`JsonValue::String`].
@@ -48,6 +48,7 @@ enum Repr {
 
 impl WireStr {
     /// The text.
+    #[inline]
     pub fn as_str(&self) -> &str {
         match &self.0 {
             Repr::Inline { .. } => {
@@ -58,6 +59,7 @@ impl WireStr {
     }
 
     /// The text's UTF-8 bytes, without the check [`WireStr::as_str`] makes.
+    #[inline]
     fn as_bytes(&self) -> &[u8] {
         match &self.0 {
             Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
@@ -67,6 +69,7 @@ impl WireStr {
 }
 
 impl From<&str> for WireStr {
+    #[inline]
     fn from(text: &str) -> Self {
         if text.len() <= INLINE_CAP {
             let mut bytes = [0; INLINE_CAP];
@@ -82,6 +85,7 @@ impl From<&str> for WireStr {
 }
 
 impl From<String> for WireStr {
+    #[inline]
     fn from(text: String) -> Self {
         if text.len() <= INLINE_CAP {
             WireStr::from(text.as_str())
@@ -94,12 +98,14 @@ impl From<String> for WireStr {
 impl Deref for WireStr {
     type Target = str;
 
+    #[inline]
     fn deref(&self) -> &str {
         self.as_str()
     }
 }
 
 impl PartialEq<str> for WireStr {
+    #[inline]
     fn eq(&self, other: &str) -> bool {
         self.as_bytes() == other.as_bytes()
     }
@@ -142,7 +148,7 @@ impl SeenKeys {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{decode_value, encode_value, obj, WireError};
+    use crate::{decode_value, encode_value, obj, Payload, Wire, WireError};
 
     #[test]
     fn inline_and_heap_keys_cross_every_codec() {
@@ -230,7 +236,10 @@ mod tests {
             };
             let value = JsonValue::parse(&render(&keys)).unwrap();
             assert_eq!(value.entries().unwrap().len(), WIDTH);
-            assert_eq!(decode_value(&encode_value(&value).unwrap()).unwrap(), value);
+            let bytes = encode_value(&value).unwrap();
+            assert_eq!(decode_value(&bytes).unwrap(), value);
+            let payload = Payload::new(&bytes).unwrap();
+            assert_eq!(JsonValue::read(payload.root()).unwrap(), value);
 
             // Past the scanned width, the first repeat is still the one
             // reported, at the repeated key's position.
@@ -252,13 +261,13 @@ mod tests {
                     .map(|(i, key)| (WireStr::from(key.as_str()), JsonValue::from(i)))
                     .collect(),
             );
-            assert_eq!(
-                decode_value(&encode_value(&repeated).unwrap()).unwrap_err(),
-                WireError::Invalid {
-                    type_name: "binary value",
-                    message: "duplicate object key `k10`".to_owned(),
-                }
-            );
+            let duplicate = Err(WireError::Invalid {
+                type_name: "binary value",
+                message: "duplicate object key `k10`".to_owned(),
+            });
+            let bytes = encode_value(&repeated).unwrap();
+            assert_eq!(decode_value(&bytes), duplicate);
+            assert_eq!(Payload::new(&bytes).map(|_| ()), duplicate.map(|_| ()));
             // Either side of the switch to the set, a repeat of the key
             // just before is still caught.
             for width in SCAN_WIDTH - 1..=SCAN_WIDTH + 1 {
@@ -267,6 +276,15 @@ mod tests {
                 let error = JsonValue::parse(&render(&keys)).unwrap_err();
                 let repeated = format!("`{}`", keys[width]);
                 assert!(error.to_string().contains(&repeated), "{width}: {error}");
+                let object = JsonValue::Object(
+                    keys.iter()
+                        .map(|key| (WireStr::from(key.as_str()), JsonValue::Null))
+                        .collect(),
+                );
+                let bytes = encode_value(&object).unwrap();
+                let error = decode_value(&bytes).unwrap_err();
+                assert!(error.to_string().contains(&repeated), "{width}: {error}");
+                assert_eq!(Payload::new(&bytes).unwrap_err(), error);
             }
             let _ = done.send(());
         });

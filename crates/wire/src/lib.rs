@@ -1,37 +1,54 @@
 //! Dependency-free self-describing wire format for the thermsched
 //! workspace.
 //!
-//! Two encodings of one value model ([`JsonValue`]):
+//! One value model, two encodings:
 //!
 //! * **strict JSON text** — human-readable, canonical (stable field order,
 //!   2-space indent), used for reports, corpora on disk and golden files;
+//!   it is parsed into and rendered from a [`JsonValue`] tree;
 //! * **compact framed binary** — length-prefixed frames of tagged values,
-//!   used on the coordinator↔worker pipes.
+//!   used on the coordinator↔worker pipes; typed values are written into
+//!   and read from these bytes directly, without a tree.
 //!
-//! Object keys and string values are [`WireStr`]s. Text of up to 22 bytes
-//! is stored inline, so the JSON parser, the binary decoder and `to_wire`
-//! make no allocation for a field name or a short string. An object is one
-//! `Vec` of `(WireStr, JsonValue)` entries and an array one `Vec` of
-//! values, each allocated once at its final length: the parser moves a
-//! finished container off its stack in one block, and the binary decoder
-//! reserves one from its declared count, capped by the bytes left. The
-//! parser reads each number token in one pass (see [`json`]).
+//! Each [`Wire`] type states its codec once, against a [`Sink`] and a
+//! [`View`]. Its encoder, [`Wire::write`], writes its fields into either
+//! sink: a [`TreeSink`] builds a [`JsonValue`] ([`Wire::to_wire`]), a
+//! [`BinarySink`] appends binary bytes ([`Wire::to_binary`]). Its decoder,
+//! [`Wire::read`], reads its fields from either view: a node of a tree
+//! ([`Wire::from_wire`]), or a [`BinaryView`] into a [`Payload`], binary
+//! bytes that one walk has checked (every tag, length, UTF-8 string,
+//! float, duplicate key and the nesting limit) and whose containers it
+//! has located ([`Wire::from_binary`]). The two views answer every
+//! accessor alike, so a type decodes to the same value, or fails with the
+//! same error, from either encoding. [`decode_value`] and
+//! [`encode_value`] are the tree's own binary codec: the same walk
+//! building a tree, and a tree written into the binary sink.
+//!
+//! Object keys and string values in a tree are [`WireStr`]s. Text of up
+//! to 22 bytes is stored inline, so the JSON parser, the binary decoder
+//! and the tree sink make no allocation for a field name or a short
+//! string. An object is one `Vec` of `(WireStr, JsonValue)` entries and an
+//! array one `Vec` of values, each allocated once at its final length: the
+//! parser moves a finished container off its stack in one block, the
+//! binary decoder reserves one from its declared count, capped by the
+//! bytes left, and the tree sink from the length the encoder opens it
+//! with. The parser reads each number token in one pass (see [`json`]).
 //!
 //! Domain crates implement the [`Wire`] trait for their public types; this
 //! crate deliberately knows nothing about them (it is a leaf with zero
 //! dependencies), which is what lets `floorplan`, `soc`, `thermal`, `core`
 //! and `service` all depend on it without cycles.
 //!
-//! Each type states its wire shape once. A struct that crosses the wire as
-//! an object of its fields is declared with [`wire_struct!`] (plus an
-//! optional `validate` hook), a fieldless enum with [`wire_unit_enum!`], and
-//! a `{"kind": ...}`-tagged enum with [`wire_tagged_enum!`]. The leaf and
-//! container impls give every field its codec: `f64`, `u64`, `u32`, `usize`,
-//! `bool`, `String`, `Vec<T>`, `BTreeSet<T>`, and `Option<T>` as a required
-//! field that is `null` for `None`. Types whose wire form is more than their
-//! fields (validating constructors, fields omitted when absent, legacy
-//! constant fields) keep a hand-written impl that reads each field through
-//! [`JsonValue::decode`].
+//! A struct that crosses the wire as an object of its fields is declared
+//! with [`wire_struct!`] (plus an optional `validate` hook), a fieldless
+//! enum with [`wire_unit_enum!`], and a `{"kind": ...}`-tagged enum with
+//! [`wire_tagged_enum!`]. The leaf and container impls give every field
+//! its codec: `f64`, `u64`, `u32`, `usize`, `bool`, `String`, `Vec<T>`,
+//! `BTreeSet<T>`, and `Option<T>` as a required field that is `null` for
+//! `None`. Types whose wire form is more than their fields (validating
+//! constructors, fields omitted when absent, legacy constant fields)
+//! write `read` and `write` by hand, reading each field through
+//! [`View::decode`].
 //!
 //! Finite `f64` values round-trip bit-exactly through *both* encodings:
 //! the JSON writer prints shortest-round-trip decimals (see [`json`]) and
@@ -46,13 +63,20 @@ mod declare;
 mod error;
 pub mod json;
 mod key;
+mod sink;
+mod view;
 
 pub mod frame;
 
-pub use binary::{decode_value, encode_array, encode_value};
+pub use binary::{
+    decode_value, encode_value, BinaryArray, BinaryEntries, BinaryItems, BinaryObject, BinarySink,
+    BinaryView, Payload,
+};
 pub use error::WireError;
 pub use json::{obj, JsonValue, Number, ObjectBuilder};
 pub use key::WireStr;
+pub use sink::{ArraySink, ObjectSink, Sink, TreeArray, TreeObject, TreeSink};
+pub use view::{TreeEntries, View};
 
 /// Shorthand for results carrying a [`WireError`].
 pub type Result<T> = std::result::Result<T, WireError>;
@@ -71,24 +95,49 @@ pub const MAX_NESTING_DEPTH: usize = 128;
 
 /// A type that can cross the wire.
 ///
-/// Implementors provide the [`JsonValue`] mapping; the trait derives both
-/// text and binary codecs from it. `to_wire` is infallible by design —
-/// every reachable value of a domain type is encodable (non-finite floats
-/// are caught when rendering) — while `from_wire` is where all the strict
-/// validation lives.
+/// Implementors state the codec once: [`Wire::write`] writes the value
+/// into any [`Sink`] and [`Wire::read`] reads it from any [`View`]. The
+/// provided methods run those two over the tree and the binary bytes, and
+/// are not overridden. Encoding is infallible by design for the tree —
+/// every reachable value of a domain type is encodable, and non-finite
+/// floats are caught when rendering or writing binary — while decoding is
+/// where all the strict validation lives.
 pub trait Wire: Sized {
     /// Tag naming this type inside document envelopes.
     const WIRE_TYPE: &'static str;
 
-    /// Encodes `self` into the value model.
-    fn to_wire(&self) -> JsonValue;
+    /// Writes `self` into `sink`, one value: the type's one encoder.
+    ///
+    /// # Errors
+    ///
+    /// Only what `sink` reports; the tree sink reports nothing.
+    fn write<S: Sink>(&self, sink: S) -> Result<()>;
 
-    /// Decodes a value of this type, validating structure and domain rules.
+    /// Reads a value of this type from `value`, validating structure and
+    /// domain rules: the type's one decoder.
     ///
     /// # Errors
     ///
     /// Any [`WireError`] describing the defect in `value`.
-    fn from_wire(value: &JsonValue) -> Result<Self>;
+    fn read<'a, V: View<'a>>(value: V) -> Result<Self>;
+
+    /// Encodes `self` into the value model.
+    fn to_wire(&self) -> JsonValue {
+        let mut tree = None;
+        match self.write(TreeSink::new(&mut tree)) {
+            Ok(()) => tree.expect("an encoder writes one value"),
+            Err(error) => unreachable!("the tree sink refused a value: {error}"),
+        }
+    }
+
+    /// Decodes a value of this type from the value model.
+    ///
+    /// # Errors
+    ///
+    /// Any [`WireError`] describing the defect in `value`.
+    fn from_wire(value: &JsonValue) -> Result<Self> {
+        Self::read(value)
+    }
 
     /// Renders `self` as canonical pretty JSON (no envelope).
     ///
@@ -109,22 +158,28 @@ pub trait Wire: Sized {
         Self::from_wire(&JsonValue::parse(text)?)
     }
 
-    /// Encodes `self` into the compact binary form (no frame header).
+    /// Encodes `self` into the compact binary form (no frame header),
+    /// writing the bytes directly: the bytes of [`encode_value`] on
+    /// [`Wire::to_wire`].
     ///
     /// # Errors
     ///
     /// [`WireError::NonFinite`] if a float field is NaN or infinite.
     fn to_binary(&self) -> Result<Vec<u8>> {
-        encode_value(&self.to_wire())
+        let mut out = Vec::new();
+        self.write(BinarySink::new(&mut out))?;
+        Ok(out)
     }
 
-    /// Decodes binary bytes produced by [`Wire::to_binary`].
+    /// Decodes binary bytes produced by [`Wire::to_binary`], reading them
+    /// in place once one walk has checked them: the result of
+    /// [`Wire::from_wire`] on [`decode_value`]'s tree, `Ok` or `Err`.
     ///
     /// # Errors
     ///
     /// Any [`WireError`] describing the defect in `bytes`.
     fn from_binary(bytes: &[u8]) -> Result<Self> {
-        Self::from_wire(&decode_value(bytes)?)
+        Self::read(Payload::new(bytes)?.root())
     }
 }
 
@@ -246,10 +301,10 @@ mod tests {
         struct Other;
         impl Wire for Other {
             const WIRE_TYPE: &'static str = "other";
-            fn to_wire(&self) -> JsonValue {
-                JsonValue::Object(vec![])
+            fn write<S: Sink>(&self, sink: S) -> Result<()> {
+                sink.object(0)?.end()
             }
-            fn from_wire(_: &JsonValue) -> Result<Self> {
+            fn read<'a, V: View<'a>>(_: V) -> Result<Self> {
                 Ok(Other)
             }
         }

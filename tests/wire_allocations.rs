@@ -5,6 +5,10 @@
 //! object is allocated once at its final length, so a tree costs one
 //! allocation per non-empty container plus one per longer string.
 //!
+//! Writing and reading binary payloads builds no tree at all: a payload
+//! of typed values is written into one buffer, and read back allocating
+//! only what the values own plus the payload's table of container ends.
+//!
 //! A counting global allocator counts allocations and reallocations made
 //! by the current thread only, so the test harness's other threads do not
 //! disturb the count, and records the largest single request. This file is
@@ -13,9 +17,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use thermsched_service::{Corpus, ScenarioSpec, TraceFamily};
+use thermsched_service::{
+    Corpus, JobResult, JobSpec, Scenario, ScenarioSpec, ServiceConfig, ServiceRunner, TraceFamily,
+};
 use thermsched_wire::{
-    decode_value, encode_value, from_document, to_document, JsonValue, Wire, WireError,
+    decode_value, encode_value, from_document, to_document, wire_struct, JsonValue, Payload, Wire,
+    WireError,
 };
 
 /// Longest string a `WireStr` stores inline, in bytes.
@@ -336,11 +343,162 @@ fn a_hostile_count_is_truncated_without_allocating_for_it() {
             matches!(decoded, Err(WireError::Truncated { .. })),
             "{decoded:?}"
         );
-        assert!(
-            decode.largest <= payload.len(),
-            "the largest request was {} bytes for a {}-byte payload",
-            decode.largest,
-            payload.len()
-        );
+        // The view's walk records the containers it meets, never the
+        // count one declares.
+        let (walked, walk) = measured(|| Payload::new(&payload).map(|_| ()));
+        assert_eq!(walked, decoded.map(|_| ()));
+        for counts in [decode, walk] {
+            assert!(
+                counts.largest <= payload.len(),
+                "the largest request was {} bytes for a {}-byte payload",
+                counts.largest,
+                payload.len()
+            );
+        }
     }
+}
+
+/// A `WORK` payload entry of the multi-process protocol: a scenario with
+/// its jobs, each under its corpus index.
+struct WorkEntry {
+    index: usize,
+    scenario: Scenario,
+    jobs: Vec<Dealt>,
+}
+
+struct Dealt {
+    index: usize,
+    job: JobSpec,
+}
+
+/// A `RESULT` payload: one job's result and what it added to the run's
+/// counters.
+struct Answer {
+    index: usize,
+    result: JobResult,
+    accounting: Accounting,
+}
+
+struct Accounting {
+    warm_cache_hits: usize,
+    cached_validations: usize,
+    injected_faults: usize,
+    retried_attempts: usize,
+    latency_seconds: f64,
+}
+
+wire_struct! {
+    "work_entry" => WorkEntry { index, scenario, jobs };
+    "dealt_job" => Dealt { index, job };
+    "result_frame" => Answer { index, result, accounting };
+    "job_accounting" => Accounting {
+        warm_cache_hits,
+        cached_validations,
+        injected_faults,
+        retried_attempts,
+        latency_seconds,
+    };
+}
+
+/// Arrays and objects in a tree, empty ones included.
+fn containers(value: &JsonValue) -> u64 {
+    match value {
+        JsonValue::Array(items) => 1 + items.iter().map(containers).sum::<u64>(),
+        JsonValue::Object(entries) => 1 + entries.iter().map(|(_, v)| containers(v)).sum::<u64>(),
+        _ => 0,
+    }
+}
+
+/// Encodes `value` straight into binary bytes and decodes it back through
+/// the view, checking both against the tree path. Returns what encoding
+/// and what decoding asked of the allocator, the decode as its excess
+/// over decoding the same typed values from a tree.
+fn binary_costs<T: Wire>(value: &T) -> (Counts, Counts) {
+    let (bytes, encode) = measured(|| value.to_binary().expect("encodes"));
+    let tree = value.to_wire();
+    assert_eq!(bytes, encode_value(&tree).expect("the tree encodes"));
+    let decoded = decode_value(&bytes).expect("decodes");
+    let (from_tree, typed) = measured(|| T::from_wire(&decoded).expect("decodes from a tree"));
+    let (from_binary, decode) = measured(|| T::from_binary(&bytes).expect("decodes from bytes"));
+    assert_eq!(from_binary.to_binary().expect("re-encodes"), bytes);
+    assert_eq!(from_tree.to_binary().expect("re-encodes"), bytes);
+    // The view's one table holds an end per container, pushed one by one:
+    // four at its first allocation, then doubling.
+    let ends = containers(&tree);
+    let doublings = u64::from((ends.max(4) - 1).ilog2()) - 1;
+    assert_eq!(
+        (decode.allocations, decode.reallocations),
+        (typed.allocations + 1, typed.reallocations + doublings),
+        "from_binary: {decode:?}; from a tree: {typed:?}; {ends} containers"
+    );
+    let excess = Counts {
+        allocations: decode.allocations - typed.allocations,
+        reallocations: decode.reallocations - typed.reallocations,
+        largest: decode.largest,
+    };
+    (encode, excess)
+}
+
+#[test]
+fn binary_payloads_are_written_and_read_without_a_tree() {
+    // Growth reallocations of each payload's output buffer, which starts
+    // empty.
+    const WORK_GROWTH: u64 = 15;
+    const ANSWER_GROWTH: u64 = 7;
+    // A WORK payload of 32 scenarios, each with its jobs.
+    let corpus = ScenarioSpec {
+        scenarios: 32,
+        seed: 1,
+        trace_families: vec![TraceFamily::Ramp, TraceFamily::Periodic],
+        warm_start_range: Some((48.0, 62.0)),
+        ..ScenarioSpec::default()
+    }
+    .build()
+    .expect("the spec builds");
+    let work: Vec<WorkEntry> = corpus
+        .scenarios()
+        .iter()
+        .enumerate()
+        .map(|(index, scenario)| WorkEntry {
+            index,
+            scenario: scenario.clone(),
+            jobs: (corpus.jobs().iter().enumerate())
+                .filter(|(_, job)| job.scenario == index)
+                .map(|(index, job)| Dealt {
+                    index,
+                    job: job.clone(),
+                })
+                .collect(),
+        })
+        .collect();
+    assert_eq!(work.iter().map(|entry| entry.jobs.len()).sum::<usize>(), 64);
+    // Encoding allocates the output buffer once and grows it by doubling;
+    // decoding allocates the typed values, plus the table of container
+    // ends: once, and grown 10 times for this payload's 2 521 containers.
+    let (encode, decode) = binary_costs(&work);
+    assert_eq!((encode.allocations, encode.reallocations), (1, WORK_GROWTH));
+    assert_eq!((decode.allocations, decode.reallocations), (1, 10));
+
+    // A RESULT payload of a completed job.
+    let report = ServiceRunner::new(ServiceConfig::default())
+        .and_then(|runner| runner.run(&corpus))
+        .expect("the corpus runs");
+    let answer = Answer {
+        index: 5,
+        result: report.jobs()[5].clone(),
+        accounting: Accounting {
+            warm_cache_hits: 3,
+            cached_validations: 2,
+            injected_faults: 0,
+            retried_attempts: 0,
+            latency_seconds: 0.000_125,
+        },
+    };
+    let (encode, decode) = binary_costs(&answer);
+    assert_eq!(
+        (encode.allocations, encode.reallocations),
+        (1, ANSWER_GROWTH)
+    );
+    // Five objects: one growth of the table of ends.
+    assert_eq!((decode.allocations, decode.reallocations), (1, 1));
 }
