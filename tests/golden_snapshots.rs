@@ -18,7 +18,7 @@ use std::path::PathBuf;
 
 use thermsched_obs::{MetricsRegistry, TraceDocument, Tracer, TracerConfig};
 use thermsched_service::{
-    ClockKind, Corpus, ScenarioSpec, ServiceConfig, ServiceRunner, TraceFamily,
+    BackendKind, ClockKind, Corpus, ScenarioSpec, ServiceConfig, ServiceRunner, TraceFamily,
 };
 use thermsched_wire::{to_document, JsonValue, Wire};
 
@@ -50,7 +50,12 @@ fn corpus_text(corpus: &Corpus) -> String {
 
 /// Exactly the bytes `thermsched run --jobs-only` emits for this corpus.
 fn jobs_text(corpus: &Corpus) -> String {
-    let report = ServiceRunner::new(ServiceConfig::default())
+    jobs_text_with(corpus, ServiceConfig::default())
+}
+
+/// The per-job results array of this corpus under `config`.
+fn jobs_text_with(corpus: &Corpus, config: ServiceConfig) -> String {
+    let report = ServiceRunner::new(config)
         .expect("valid config")
         .run(corpus)
         .expect("pinned corpus runs");
@@ -147,6 +152,25 @@ fn per_job_results_match_their_golden_bytes() {
             &jobs_text(&corpus(seed, scenarios)),
         );
     }
+}
+
+/// The seed-7 corpus on the grid-transient backend, 2 cells per core edge,
+/// at one worker. Its prewarm groups of 9 and 12 lanes run the multi-RHS
+/// kernel's full blocks and its remainders, and its jobs' later sessions
+/// the single-lane step, so this pins the bytes of both banded paths; every
+/// other golden runs the RC-compact backend.
+#[test]
+fn grid_transient_results_match_their_golden_bytes() {
+    let (_, seed, scenarios) = PINNED[0];
+    let config = ServiceConfig {
+        workers: 1,
+        backend: BackendKind::GridTransient { cells_per_core: 2 },
+        ..ServiceConfig::default()
+    };
+    check(
+        "jobs_seed7_grid.json",
+        &jobs_text_with(&corpus(seed, scenarios), config),
+    );
 }
 
 #[test]
