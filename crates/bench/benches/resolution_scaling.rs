@@ -13,8 +13,12 @@
 //!    advanced through one column-blocked banded solve per step versus the
 //!    same `k` sessions solved one at a time — identical arithmetic per
 //!    lane (the results are bit-identical by contract, checked before
-//!    timing), so the speedup is pure memory traffic: the factorisation is
-//!    streamed once per step instead of once per step *per lane*.
+//!    timing). A single lane is bound by latency: each row of both
+//!    substitution sweeps waits on a division in the row before it. The
+//!    lanes of a block are independent dependency chains, so the block
+//!    does their work side by side in that wait; that, more than reading
+//!    the factorisation once per step instead of once per lane, is the
+//!    speedup.
 //!
 //! The committed `BENCH_pr6.json` is a frozen record of an earlier run;
 //! this bench prints its timings and does not rewrite it.

@@ -41,8 +41,29 @@
 //! loop in the operator walks contiguous memory through the 4-lane unrolled
 //! [`axpy_neg`]-style kernels.
 
-use crate::banded::axpy_neg;
 use crate::{LinalgError, Result};
+
+/// `dst[c] -= coef * src[c]` over all lanes, manually unrolled four wide.
+///
+/// The pinned toolchain is stable (no `std::simd`), so the 4-lane blocks are
+/// spelled out by hand; each lane is an independent dependency chain, which
+/// is what lets the optimiser keep four multiply-subtracts in flight.
+/// Per lane the operation is a single `-=`, so unrolling cannot change any
+/// lane's result.
+#[inline]
+fn axpy_neg(coef: f64, src: &[f64], dst: &mut [f64]) {
+    let mut d = dst.chunks_exact_mut(4);
+    let mut s = src.chunks_exact(4);
+    for (d4, s4) in (&mut d).zip(&mut s) {
+        d4[0] -= coef * s4[0];
+        d4[1] -= coef * s4[1];
+        d4[2] -= coef * s4[2];
+        d4[3] -= coef * s4[3];
+    }
+    for (dr, sr) in d.into_remainder().iter_mut().zip(s.remainder()) {
+        *dr -= coef * *sr;
+    }
+}
 
 /// Shared constant-coefficient tridiagonal factorisation: the Thomas
 /// algorithm's forward-elimination multipliers and pivots for a symmetric
@@ -446,14 +467,11 @@ mod tests {
         let mut a_scratch = vec![0.0; 36];
         let mut e_state = vec![0.0; 36];
         let mut e_next = vec![0.0; 36];
-        let mut e_scratch = vec![0.0; 36];
         for step in 1..=200 {
             adi.step_into(&a_state, &power, &mut a_next, &mut a_scratch)
                 .unwrap();
             std::mem::swap(&mut a_state, &mut a_next);
-            euler
-                .step_into(&e_state, &power, &mut e_next, &mut e_scratch)
-                .unwrap();
+            euler.step_into(&e_state, &power, &mut e_next).unwrap();
             std::mem::swap(&mut e_state, &mut e_next);
             for (cell, (a, e)) in a_state.iter().zip(&e_state).enumerate() {
                 assert!(

@@ -27,6 +27,36 @@ use crate::{CsrMatrix, LinalgError, Result};
 /// side — the access pattern of transient integration, which solves against
 /// one fixed stepping matrix thousands of times per simulated second.
 ///
+/// # One operation order, and the latency floor
+///
+/// Every solve, and every [`ImplicitStepOperator`] step, computes each
+/// element with the same floating-point operations in the same order:
+///
+/// * forward, `y[i] = (r[i] − L[i][lo]·y[lo] − … − L[i][i−1]·y[i−1]) / L[i][i]`,
+///   the terms subtracted in ascending column order;
+/// * backward, `x[i] = (y[i] − L[hi][i]·x[hi] − … − L[i+1][i]·x[i+1]) / L[i][i]`,
+///   the terms subtracted in descending row order;
+///
+/// where `r[i]` is the given right-hand side, or `C/Δt[i]·x[i] + p[i]` in a
+/// step. So a lane of a multi-RHS solve equals a single solve, and a
+/// session's result does not depend on how it was batched, bit for bit.
+///
+/// A single lane is bound by latency, not arithmetic: in both sweeps row
+/// `i` waits on the row solved just before it. The one substitution kernel
+/// keeps that row's value in a register and subtracts its term last, as the
+/// order above has it, so the chain from one row to the next is one
+/// multiply, one subtract and one divide; a row's other terms are ready
+/// earlier and overlap the rows before it. That chain is the floor for this
+/// order. A fused multiply-add would shorten it, and so would multiplying
+/// by a stored reciprocal of the diagonal, but each rounds differently from
+/// a multiply then a subtract, or from a divide, and would move every grid
+/// result; the kernel uses neither. Both sweeps are dot products, the
+/// backward one over a column-major copy of the factor, so each reads
+/// contiguous band entries and stores each element once. A multi-RHS solve
+/// runs the same kernel on [`BandedCholesky::BLOCK_LANES`] independent
+/// lanes side by side, which fills the latency of one lane with the work of
+/// the others.
+///
 /// # Example
 ///
 /// ```
@@ -63,6 +93,10 @@ pub struct BandedCholesky {
     /// holds `L[i][j]` for `i - b <= j <= i` (leading rows are left-padded
     /// with zeros).
     bands: Vec<f64>,
+    /// Column-major copy of the sub-diagonal band, which the backward
+    /// sweep reads: `columns[j * b + d]` holds `L[j + 1 + d][j]` (trailing
+    /// columns are right-padded with zeros).
+    columns: Vec<f64>,
 }
 
 impl BandedCholesky {
@@ -136,10 +170,17 @@ impl BandedCholesky {
             }
         }
 
+        let mut columns = vec![0.0; n * bandwidth];
+        for j in 0..n {
+            for i in j + 1..n.min(j + 1 + bandwidth) {
+                columns[j * bandwidth + (i - j - 1)] = bands[i * width + (bandwidth - (i - j))];
+            }
+        }
         Ok(BandedCholesky {
             dim: n,
             bandwidth,
             bands,
+            columns,
         })
     }
 
@@ -167,16 +208,12 @@ impl BandedCholesky {
     /// Solves `A · x = b` into a caller-provided buffer without allocating:
     /// forward substitution with `L` writes into `out`, then backward
     /// substitution with `Lᵀ` finishes in place. `rhs` and `out` may not
-    /// alias but no scratch buffer is needed. Cost is `O(n · b)` per call —
-    /// the hot-loop variant used by [`ImplicitStepOperator::step_into`].
+    /// alias but no scratch buffer is needed. Cost is `O(n · b)` per call.
     ///
-    /// Both substitution sweeps traverse the factor's band rows
-    /// *contiguously*: the backward sweep is written in column-oriented
-    /// (saxpy) form, so `Lᵀ` is applied through the same cache-friendly row
-    /// slices as `L` instead of striding down a column of band storage. The
-    /// per-element accumulation order is exactly the per-column order of
-    /// [`BandedCholesky::solve_mat_into`], which is what makes the multi-RHS
-    /// path bit-identical to repeated single solves.
+    /// This is the single-lane case of the substitution kernel that every
+    /// solve and step here runs; see the [type docs](BandedCholesky) for
+    /// its operation order and why it sits at the substitution latency
+    /// floor.
     ///
     /// # Errors
     ///
@@ -196,32 +233,7 @@ impl BandedCholesky {
                 });
             }
         }
-        let b = self.bandwidth;
-        let width = b + 1;
-        // Forward: L · y = rhs. One dot product of the band row against the
-        // already-solved prefix per row, accumulated in ascending-j order.
-        for i in 0..n {
-            let mut sum = rhs[i];
-            let lo = i.saturating_sub(b);
-            let row = &self.bands[i * width + (b - (i - lo))..i * width + b];
-            for (l, &y) in row.iter().zip(&out[lo..i]) {
-                sum -= l * y;
-            }
-            out[i] = sum / self.bands[i * width + b];
-        }
-        // Backward: Lᵀ · x = y in column-oriented form — once x[i] is known,
-        // its contribution `L[i][j] · x[i]` is swept out of every pending
-        // y[j] through the contiguous band row i (an axpy), instead of each
-        // x[i] gathering its own strided column of Lᵀ.
-        for i in (0..n).rev() {
-            let xi = out[i] / self.bands[i * width + b];
-            out[i] = xi;
-            let lo = i.saturating_sub(b);
-            let row = &self.bands[i * width + (b - (i - lo))..i * width + b];
-            for (l, y) in row.iter().zip(&mut out[lo..i]) {
-                *y -= l * xi;
-            }
-        }
+        self.sweep::<1>(|_, r| rhs[r], out, 1, 0);
         Ok(())
     }
 
@@ -231,17 +243,16 @@ impl BandedCholesky {
     /// systems advance through one pass over the factor instead of
     /// re-traversing the band per right-hand side.
     ///
-    /// The inner kernel is register-blocked four lanes wide: each block of
-    /// four columns runs the whole forward/backward substitution with its
-    /// partial sums held in four independent register accumulators, so one
-    /// pass over the factor advances four systems and the per-row working
-    /// set never round-trips through memory (the naive lane-axpy form
-    /// re-reads and re-writes every lane for every band coefficient, which
-    /// measures no faster than repeated single solves). Lanes of a row are
-    /// independent, so the blocking cannot change any lane's result: per
-    /// column the accumulation order is identical to
-    /// [`BandedCholesky::solve_into`], making this **bit-identical** to
-    /// `columns` single solves — the property suite enforces it.
+    /// The columns are solved in blocks of [`Self::BLOCK_LANES`], then one
+    /// block of four if at least four are left, then one at a time, each
+    /// block with its lanes' partial sums side by side in registers. Lanes
+    /// are independent dependency chains, so a block keeps several
+    /// substitutions in flight where a single lane waits on its own
+    /// divisions. They share no arithmetic, and each runs the one operation
+    /// order of the [type docs](BandedCholesky), so the result is
+    /// **bit-identical** to `columns` single solves. (A zero-padded last
+    /// block of eight measures slower than the narrower blocks it would
+    /// replace.)
     ///
     /// # Errors
     ///
@@ -268,94 +279,89 @@ impl BandedCholesky {
                 });
             }
         }
-        let mut c0 = 0;
-        while c0 + 4 <= columns {
-            self.solve_lanes4(rhs, out, columns, c0);
-            c0 += 4;
-        }
-        for c in c0..columns {
-            self.solve_lane(rhs, out, columns, c);
-        }
+        self.sweep_blocks(|_, r| rhs[r], out, columns);
         Ok(())
     }
 
-    /// Solves lanes `c0..c0 + 4` of the row-major `dim × k` system with the
-    /// four partial sums in register accumulators. Per lane the operation
-    /// order matches [`BandedCholesky::solve_into`] exactly.
-    fn solve_lanes4(&self, rhs: &[f64], out: &mut [f64], k: usize, c0: usize) {
-        let n = self.dim;
-        let b = self.bandwidth;
-        let width = b + 1;
-        // Forward: L · Y = B. The four accumulators are independent
-        // dependency chains fed by one contiguous band-row stream.
-        for i in 0..n {
-            let lo = i.saturating_sub(b);
-            let band_row = &self.bands[i * width + (b - (i - lo))..i * width + b];
-            let r = i * k + c0;
-            let mut acc = [rhs[r], rhs[r + 1], rhs[r + 2], rhs[r + 3]];
-            for (l, j) in band_row.iter().zip(lo..i) {
-                let y = &out[j * k + c0..j * k + c0 + 4];
-                acc[0] -= l * y[0];
-                acc[1] -= l * y[1];
-                acc[2] -= l * y[2];
-                acc[3] -= l * y[3];
-            }
-            let diag = self.bands[i * width + b];
-            let row = &mut out[r..r + 4];
-            row[0] = acc[0] / diag;
-            row[1] = acc[1] / diag;
-            row[2] = acc[2] / diag;
-            row[3] = acc[3] / diag;
+    /// Lanes per block of the multi-RHS kernel: [`Self::solve_mat_into`]
+    /// and [`ImplicitStepOperator::step_mat_into`] advance this many
+    /// columns side by side. A caller splitting columns over threads keeps
+    /// every block whole by cutting at multiples of it.
+    pub const BLOCK_LANES: usize = 8;
+
+    /// Runs [`Self::sweep`] over all `k` columns: blocks of
+    /// [`Self::BLOCK_LANES`], then one of four, then single lanes.
+    fn sweep_blocks(&self, rhs: impl Fn(usize, usize) -> f64 + Copy, out: &mut [f64], k: usize) {
+        let mut c0 = 0;
+        while k - c0 >= Self::BLOCK_LANES {
+            self.sweep::<{ Self::BLOCK_LANES }>(rhs, out, k, c0);
+            c0 += Self::BLOCK_LANES;
         }
-        // Backward: Lᵀ · X = Y in the same column-oriented sweep as
-        // `solve_into` — once a row's four x values are known (and kept in
-        // registers), their contributions sweep out of every pending row.
-        for i in (0..n).rev() {
-            let lo = i.saturating_sub(b);
-            let band_row = &self.bands[i * width + (b - (i - lo))..i * width + b];
-            let diag = self.bands[i * width + b];
-            let r = i * k + c0;
-            let x = [
-                out[r] / diag,
-                out[r + 1] / diag,
-                out[r + 2] / diag,
-                out[r + 3] / diag,
-            ];
-            out[r..r + 4].copy_from_slice(&x);
-            for (l, j) in band_row.iter().zip(lo..i) {
-                let y = &mut out[j * k + c0..j * k + c0 + 4];
-                y[0] -= l * x[0];
-                y[1] -= l * x[1];
-                y[2] -= l * x[2];
-                y[3] -= l * x[3];
-            }
+        if k - c0 >= 4 {
+            self.sweep::<4>(rhs, out, k, c0);
+            c0 += 4;
+        }
+        for c in c0..k {
+            self.sweep::<1>(rhs, out, k, c);
         }
     }
 
-    /// Solves the single strided lane `c` of the row-major `dim × k` system
-    /// — the remainder path of [`BandedCholesky::solve_mat_into`], with the
-    /// operation order of [`BandedCholesky::solve_into`].
-    fn solve_lane(&self, rhs: &[f64], out: &mut [f64], k: usize, c: usize) {
-        let n = self.dim;
+    /// The substitution kernel: solves lanes `c0..c0 + L` of the row-major
+    /// `dim × k` system into `out`, reading row `i`'s right-hand side at
+    /// flat index `r` as `rhs(i, r)` when the forward sweep reaches it. Each
+    /// lane's partial sums stay in registers, and the last term of each row
+    /// comes from the registers the row before it was divided into.
+    fn sweep<const L: usize>(
+        &self,
+        rhs: impl Fn(usize, usize) -> f64,
+        out: &mut [f64],
+        k: usize,
+        c0: usize,
+    ) {
         let b = self.bandwidth;
-        let width = b + 1;
-        for i in 0..n {
+        let n = self.dim;
+        // Forward: L · Y = B. `carried` is row i - 1.
+        let mut carried = [0.0; L];
+        for (i, row) in self.bands.chunks_exact(b + 1).enumerate() {
+            let (band, diag) = row.split_at(b);
             let lo = i.saturating_sub(b);
-            let band_row = &self.bands[i * width + (b - (i - lo))..i * width + b];
-            let mut sum = rhs[i * k + c];
-            for (l, j) in band_row.iter().zip(lo..i) {
-                sum -= l * out[j * k + c];
+            let mut acc: [f64; L] = std::array::from_fn(|q| rhs(i, i * k + c0 + q));
+            let (solved, rest) = out.split_at_mut(i * k);
+            if let Some((nearest, farther)) = band[b - (i - lo)..].split_last() {
+                for (l, y) in farther.iter().zip(solved[lo * k..].chunks_exact(k)) {
+                    let y = lanes::<L>(y, c0);
+                    for q in 0..L {
+                        acc[q] -= l * y[q];
+                    }
+                }
+                for q in 0..L {
+                    acc[q] -= nearest * carried[q];
+                }
             }
-            out[i * k + c] = sum / self.bands[i * width + b];
+            carried = acc.map(|sum| sum / diag[0]);
+            *lanes_mut::<L>(rest, c0) = carried;
         }
+        // Backward: Lᵀ · X = Y over the columns of L. `carried` is row
+        // i + 1.
         for i in (0..n).rev() {
-            let lo = i.saturating_sub(b);
-            let band_row = &self.bands[i * width + (b - (i - lo))..i * width + b];
-            let xi = out[i * k + c] / self.bands[i * width + b];
-            out[i * k + c] = xi;
-            for (l, j) in band_row.iter().zip(lo..i) {
-                out[j * k + c] -= l * xi;
+            let hi = (i + b).min(n - 1);
+            let (above, below) = out.split_at_mut((i + 1) * k);
+            let mut acc = *lanes::<L>(above, i * k + c0);
+            if let Some((nearest, farther)) = self.columns[i * b..i * b + (hi - i)].split_first() {
+                let solved = below[k..(hi - i) * k].chunks_exact(k);
+                for (l, x) in farther.iter().zip(solved).rev() {
+                    let x = lanes::<L>(x, c0);
+                    for q in 0..L {
+                        acc[q] -= l * x[q];
+                    }
+                }
+                for q in 0..L {
+                    acc[q] -= nearest * carried[q];
+                }
             }
+            let diag = self.bands[i * (b + 1) + b];
+            carried = acc.map(|sum| sum / diag);
+            *lanes_mut::<L>(above, i * k + c0) = carried;
         }
     }
 
@@ -372,26 +378,14 @@ impl BandedCholesky {
     }
 }
 
-/// `dst[c] -= coef * src[c]` over all lanes, manually unrolled four wide.
-///
-/// The pinned toolchain is stable (no `std::simd`), so the 4-lane blocks are
-/// spelled out by hand; each lane is an independent dependency chain, which
-/// is what lets the optimiser keep four fused multiply-subtracts in flight.
-/// Per lane the operation is a single `-=`, so unrolling cannot change any
-/// lane's result.
-#[inline]
-pub(crate) fn axpy_neg(coef: f64, src: &[f64], dst: &mut [f64]) {
-    let mut d = dst.chunks_exact_mut(4);
-    let mut s = src.chunks_exact(4);
-    for (d4, s4) in (&mut d).zip(&mut s) {
-        d4[0] -= coef * s4[0];
-        d4[1] -= coef * s4[1];
-        d4[2] -= coef * s4[2];
-        d4[3] -= coef * s4[3];
-    }
-    for (dr, sr) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *dr -= coef * *sr;
-    }
+/// The `L` lanes of `v` from `at`.
+fn lanes<const L: usize>(v: &[f64], at: usize) -> &[f64; L] {
+    v[at..at + L].try_into().expect("a block of L lanes")
+}
+
+/// The `L` lanes of `v` from `at`, mutably.
+fn lanes_mut<const L: usize>(v: &mut [f64], at: usize) -> &mut [f64; L] {
+    (&mut v[at..at + L]).try_into().expect("a block of L lanes")
 }
 
 /// The factorised implicit-Euler step operator of a thermal (or any
@@ -418,9 +412,8 @@ pub(crate) fn axpy_neg(coef: f64, src: &[f64], dst: &mut [f64]) {
 /// let op = ImplicitStepOperator::new(&g, &[1.0], 0.1)?;
 /// let mut x = vec![0.0];
 /// let mut next = vec![0.0];
-/// let mut scratch = vec![0.0];
 /// for _ in 0..400 {
-///     op.step_into(&x, &[1.0], &mut next, &mut scratch)?;
+///     op.step_into(&x, &[1.0], &mut next)?;
 ///     std::mem::swap(&mut x, &mut next);
 /// }
 /// assert!((x[0] - 2.0).abs() < 1e-6);
@@ -496,25 +489,20 @@ impl ImplicitStepOperator {
     }
 
     /// Advances one implicit-Euler step: solves
-    /// `(C/Δt + G) · next = C/Δt · state + power` into `next`, using
-    /// `scratch` for the right-hand side. Allocation-free.
+    /// `(C/Δt + G) · next = C/Δt · state + power` into `next`, stamping each
+    /// row's right-hand side as the forward sweep reaches it. Allocation-free;
+    /// the sweep is [`BandedCholesky::solve_into`]'s.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if any slice has a length
     /// other than `self.dim()`.
-    pub fn step_into(
-        &self,
-        state: &[f64],
-        power: &[f64],
-        next: &mut [f64],
-        scratch: &mut [f64],
-    ) -> Result<()> {
+    pub fn step_into(&self, state: &[f64], power: &[f64], next: &mut [f64]) -> Result<()> {
         let n = self.dim();
         for (len, context) in [
             (state.len(), "ImplicitStepOperator::step_into state"),
             (power.len(), "ImplicitStepOperator::step_into power"),
-            (scratch.len(), "ImplicitStepOperator::step_into scratch"),
+            (next.len(), "ImplicitStepOperator::step_into next"),
         ] {
             if len != n {
                 return Err(LinalgError::DimensionMismatch {
@@ -524,19 +512,16 @@ impl ImplicitStepOperator {
                 });
             }
         }
-        for (s, ((&c, &x), &p)) in scratch
-            .iter_mut()
-            .zip(self.capacitance_over_dt.iter().zip(state).zip(power))
-        {
-            *s = c * x + p;
-        }
-        self.factorisation.solve_into(scratch, next)
+        let c = &self.capacitance_over_dt;
+        self.factorisation
+            .sweep::<1>(|i, r| c[i] * state[r] + power[r], next, 1, 0);
+        Ok(())
     }
 
     /// Advances `steps` implicit-Euler steps from rest (zero state) under
     /// constant `power`, reusing the caller's buffers; `state` holds the
-    /// final state on return. Allocation-free after the caller sizes the
-    /// three buffers to [`ImplicitStepOperator::dim`].
+    /// final state on return. Allocation-free after the caller sizes both
+    /// buffers to [`ImplicitStepOperator::dim`].
     ///
     /// # Errors
     ///
@@ -547,11 +532,10 @@ impl ImplicitStepOperator {
         steps: usize,
         state: &mut Vec<f64>,
         next: &mut Vec<f64>,
-        scratch: &mut [f64],
     ) -> Result<()> {
         state.iter_mut().for_each(|s| *s = 0.0);
         for _ in 0..steps {
-            self.step_into(state, power, next, scratch)?;
+            self.step_into(state, power, next)?;
             std::mem::swap(state, next);
         }
         Ok(())
@@ -559,12 +543,12 @@ impl ImplicitStepOperator {
 
     /// Multi-RHS variant of [`ImplicitStepOperator::step_into`]: advances
     /// `columns` independent states one implicit-Euler step in a single
-    /// matrix-matrix pass. All four buffers are `dim × columns` row-major
-    /// matrices (`state[i * columns + c]` is node `i` of lane `c`). Because
-    /// the stamped right-hand side is elementwise per lane and
-    /// [`BandedCholesky::solve_mat_into`] is bit-identical per column to the
-    /// single solve, the result of lane `c` equals a standalone `step_into`
-    /// on that lane, bit for bit.
+    /// matrix-matrix pass. All three buffers are `dim × columns` row-major
+    /// matrices (`state[i * columns + c]` is node `i` of lane `c`). The
+    /// right-hand side is stamped per lane exactly as the single step
+    /// stamps it and [`BandedCholesky::solve_mat_into`]'s blocks are
+    /// bit-identical per column to the single solve, so the result of lane
+    /// `c` equals a standalone `step_into` on that lane, bit for bit.
     ///
     /// # Errors
     ///
@@ -575,7 +559,6 @@ impl ImplicitStepOperator {
         state: &[f64],
         power: &[f64],
         next: &mut [f64],
-        scratch: &mut [f64],
         columns: usize,
     ) -> Result<()> {
         let n = self.dim();
@@ -589,7 +572,6 @@ impl ImplicitStepOperator {
         for (len, context) in [
             (state.len(), "ImplicitStepOperator::step_mat_into state"),
             (power.len(), "ImplicitStepOperator::step_mat_into power"),
-            (scratch.len(), "ImplicitStepOperator::step_mat_into scratch"),
             (next.len(), "ImplicitStepOperator::step_mat_into next"),
         ] {
             if len != n * columns {
@@ -600,17 +582,10 @@ impl ImplicitStepOperator {
                 });
             }
         }
-        for (i, &c) in self.capacitance_over_dt.iter().enumerate() {
-            let row = i * columns..(i + 1) * columns;
-            for ((s, &x), &p) in scratch[row.clone()]
-                .iter_mut()
-                .zip(&state[row.clone()])
-                .zip(&power[row])
-            {
-                *s = c * x + p;
-            }
-        }
-        self.factorisation.solve_mat_into(scratch, next, columns)
+        let c = &self.capacitance_over_dt;
+        self.factorisation
+            .sweep_blocks(|i, r| c[i] * state[r] + power[r], next, columns);
+        Ok(())
     }
 
     /// Multi-RHS variant of [`ImplicitStepOperator::advance_from_rest_into`]:
@@ -628,12 +603,11 @@ impl ImplicitStepOperator {
         steps: usize,
         state: &mut Vec<f64>,
         next: &mut Vec<f64>,
-        scratch: &mut [f64],
         columns: usize,
     ) -> Result<()> {
         state.iter_mut().for_each(|s| *s = 0.0);
         for _ in 0..steps {
-            self.step_mat_into(state, power, next, scratch, columns)?;
+            self.step_mat_into(state, power, next, columns)?;
             std::mem::swap(state, next);
         }
         Ok(())
@@ -770,10 +744,8 @@ mod tests {
         let mut x = 0.0;
         let mut state = vec![0.0];
         let mut next = vec![0.0];
-        let mut scratch = vec![0.0];
         for _ in 0..10 {
-            op.step_into(&state, &[3.0], &mut next, &mut scratch)
-                .unwrap();
+            op.step_into(&state, &[3.0], &mut next).unwrap();
             std::mem::swap(&mut state, &mut next);
             x = (8.0 * x + 3.0) / 10.0;
             assert!((state[0] - x).abs() < 1e-12);
@@ -787,8 +759,7 @@ mod tests {
         let power: Vec<f64> = (0..16).map(|i| 0.5 + (i % 3) as f64).collect();
         let mut state = vec![0.0; 16];
         let mut next = vec![0.0; 16];
-        let mut scratch = vec![0.0; 16];
-        op.advance_from_rest_into(&power, 4000, &mut state, &mut next, &mut scratch)
+        op.advance_from_rest_into(&power, 4000, &mut state, &mut next)
             .unwrap();
         let steady = BandedCholesky::new(&a).unwrap().solve(&power).unwrap();
         for (x, s) in state.iter().zip(&steady) {
@@ -803,14 +774,139 @@ mod tests {
         let power = vec![1.0; 9];
         let mut state = vec![0.0; 9];
         let mut next = vec![0.0; 9];
-        let mut scratch = vec![0.0; 9];
         for _ in 0..50 {
-            op.step_into(&state, &power, &mut next, &mut scratch)
-                .unwrap();
+            op.step_into(&state, &power, &mut next).unwrap();
             for (n, s) in next.iter().zip(&state) {
                 assert!(n + 1e-12 >= *s, "iterates must not decrease");
             }
             std::mem::swap(&mut state, &mut next);
+        }
+    }
+
+    /// splitmix64: a seeded stream of values in `[-1, 1)`.
+    struct Seeded(u64);
+
+    impl Seeded {
+        fn next(&mut self) -> f64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        }
+    }
+
+    /// A seeded SPD matrix of dimension `n` with every entry of half-band
+    /// `b` nonzero: off-diagonals of magnitude 0.1 to 1, each row
+    /// diagonally dominant.
+    fn seeded_band_matrix(n: usize, b: usize, seed: u64) -> CsrMatrix {
+        let mut rng = Seeded(seed);
+        let mut t = Vec::new();
+        let mut diag = vec![1.0; n];
+        for i in 0..n {
+            for j in i.saturating_sub(b)..i {
+                let v = rng.next();
+                let v = v.signum() * (0.1 + 0.9 * v.abs());
+                t.push(Triplet::new(i, j, v));
+                t.push(Triplet::new(j, i, v));
+                diag[i] += v.abs();
+                diag[j] += v.abs();
+            }
+        }
+        for (i, d) in diag.into_iter().enumerate() {
+            t.push(Triplet::new(i, i, d + rng.next().abs()));
+        }
+        CsrMatrix::from_triplets(n, n, &t).unwrap()
+    }
+
+    /// The substitution sweeps in their plain order, which every kernel
+    /// must reproduce bit for bit: an indexed dot-form forward sweep (terms
+    /// in ascending column order) and an axpy backward sweep (each `x[i]`
+    /// subtracted from the rows above it as soon as it is known).
+    #[allow(clippy::needless_range_loop)]
+    fn reference_solve(chol: &BandedCholesky, rhs: &[f64]) -> Vec<f64> {
+        let (n, b) = (chol.dim, chol.bandwidth);
+        let l = |i: usize, j: usize| chol.bands[i * (b + 1) + (b - (i - j))];
+        let mut out = vec![0.0; n];
+        for i in 0..n {
+            let mut sum = rhs[i];
+            for j in i.saturating_sub(b)..i {
+                sum -= l(i, j) * out[j];
+            }
+            out[i] = sum / l(i, i);
+        }
+        for i in (0..n).rev() {
+            let x = out[i] / l(i, i);
+            out[i] = x;
+            for j in i.saturating_sub(b)..i {
+                out[j] -= l(i, j) * x;
+            }
+        }
+        out
+    }
+
+    /// One implicit-Euler step in the plain order: the right-hand side
+    /// stamped in a separate pass, then [`reference_solve`].
+    fn reference_step(op: &ImplicitStepOperator, state: &[f64], power: &[f64]) -> Vec<f64> {
+        let rhs: Vec<f64> = (0..op.dim())
+            .map(|i| op.capacitance_over_dt[i] * state[i] + power[i])
+            .collect();
+        reference_solve(&op.factorisation, &rhs)
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Column `c` of a row-major `n × k` matrix.
+    fn column(matrix: &[f64], k: usize, c: usize) -> Vec<f64> {
+        matrix.iter().skip(c).step_by(k).copied().collect()
+    }
+
+    #[test]
+    fn every_kernel_matches_the_reference_order_bit_for_bit() {
+        // (n, b): diagonal matrices with one row and with several, full
+        // bands (b = n - 1), and grid-like half-bands over many rows.
+        let shapes = [
+            (1, 0),
+            (3, 0),
+            (9, 0),
+            (2, 1),
+            (5, 4),
+            (17, 16),
+            (12, 1),
+            (30, 3),
+            (40, 7),
+            (64, 12),
+        ];
+        for (shape, &(n, b)) in shapes.iter().enumerate() {
+            let seed = 0x5eed_0000 + shape as u64;
+            let g = seeded_band_matrix(n, b, seed);
+            let chol = BandedCholesky::new(&g).unwrap();
+            assert_eq!(chol.bandwidth(), b, "{n}×{n} band");
+            let capacitance: Vec<f64> = (0..n).map(|i| 0.05 + 0.01 * (i % 7) as f64).collect();
+            let op = ImplicitStepOperator::new(&g, &capacitance, 1e-3).unwrap();
+            let mut rng = Seeded(seed ^ 0xface);
+            for k in 1..=17 {
+                let what = format!("n {n}, b {b}, {k} columns");
+                let rhs: Vec<f64> = (0..n * k).map(|_| 4.0 * rng.next()).collect();
+                let state: Vec<f64> = (0..n * k).map(|_| 30.0 * rng.next()).collect();
+                let solved = chol.solve_mat(&rhs, k).unwrap();
+                let mut stepped = vec![0.0; n * k];
+                op.step_mat_into(&state, &rhs, &mut stepped, k).unwrap();
+                let mut single = vec![0.0; n];
+                for c in 0..k {
+                    let (rhs, state) = (column(&rhs, k, c), column(&state, k, c));
+                    let expected = reference_solve(&chol, &rhs);
+                    assert_eq!(bits(&column(&solved, k, c)), bits(&expected), "{what}");
+                    chol.solve_into(&rhs, &mut single).unwrap();
+                    assert_eq!(bits(&single), bits(&expected), "{what}");
+                    let expected = reference_step(&op, &state, &rhs);
+                    assert_eq!(bits(&column(&stepped, k, c)), bits(&expected), "{what}");
+                    op.step_into(&state, &rhs, &mut single).unwrap();
+                    assert_eq!(bits(&single), bits(&expected), "{what}");
+                }
+            }
         }
     }
 
@@ -819,8 +915,8 @@ mod tests {
         let a = grid_matrix(6, 5);
         let chol = BandedCholesky::new(&a).unwrap();
         let n = chol.dim();
-        // Column counts straddling the 4-lane unroll boundary, including the
-        // degenerate single-column case.
+        // Column counts straddling the 8- and 4-lane block boundaries,
+        // including the degenerate single-column case.
         for k in [1usize, 3, 4, 5, 8, 11] {
             let rhs: Vec<f64> = (0..n * k)
                 .map(|i| (i as f64 * 0.31).sin() * 4.0 + 0.5)
@@ -855,26 +951,18 @@ mod tests {
 
         let mut state = vec![0.0; n * k];
         let mut next = vec![0.0; n * k];
-        let mut scratch = vec![0.0; n * k];
-        op.advance_many_from_rest_into(&powers, steps, &mut state, &mut next, &mut scratch, k)
+        op.advance_many_from_rest_into(&powers, steps, &mut state, &mut next, k)
             .unwrap();
 
         let mut lane_power = vec![0.0; n];
         let mut lane_state = vec![0.0; n];
         let mut lane_next = vec![0.0; n];
-        let mut lane_scratch = vec![0.0; n];
         for c in 0..k {
             for i in 0..n {
                 lane_power[i] = powers[i * k + c];
             }
-            op.advance_from_rest_into(
-                &lane_power,
-                steps,
-                &mut lane_state,
-                &mut lane_next,
-                &mut lane_scratch,
-            )
-            .unwrap();
+            op.advance_from_rest_into(&lane_power, steps, &mut lane_state, &mut lane_next)
+                .unwrap();
             for i in 0..n {
                 assert_eq!(state[i * k + c], lane_state[i], "lane {c} node {i}");
             }
@@ -891,12 +979,14 @@ mod tests {
         assert!(chol.solve_mat_into(&[0.0; 18], &mut out[..17], 2).is_err());
         let op = ImplicitStepOperator::new(&a, &[1.0; 9], 0.1).unwrap();
         let mut next = vec![0.0; 18];
-        let mut scratch = vec![0.0; 18];
         assert!(op
-            .step_mat_into(&[0.0; 18], &[0.0; 18], &mut next, &mut scratch, 0)
+            .step_mat_into(&[0.0; 18], &[0.0; 18], &mut next, 0)
             .is_err());
         assert!(op
-            .step_mat_into(&[0.0; 9], &[0.0; 18], &mut next, &mut scratch, 2)
+            .step_mat_into(&[0.0; 9], &[0.0; 18], &mut next, 2)
+            .is_err());
+        assert!(op
+            .step_mat_into(&[0.0; 18], &[0.0; 18], &mut next[..17], 2)
             .is_err());
     }
 
@@ -909,12 +999,8 @@ mod tests {
         assert!(ImplicitStepOperator::new(&a, &[1.0, 1.0, -1.0, 1.0], 0.1).is_err());
         let op = ImplicitStepOperator::new(&a, &[1.0; 4], 0.1).unwrap();
         let mut next = vec![0.0; 4];
-        let mut scratch = vec![0.0; 4];
-        assert!(op
-            .step_into(&[0.0; 3], &[0.0; 4], &mut next, &mut scratch)
-            .is_err());
-        assert!(op
-            .step_into(&[0.0; 4], &[0.0; 3], &mut next, &mut scratch)
-            .is_err());
+        assert!(op.step_into(&[0.0; 3], &[0.0; 4], &mut next).is_err());
+        assert!(op.step_into(&[0.0; 4], &[0.0; 3], &mut next).is_err());
+        assert!(op.step_into(&[0.0; 4], &[0.0; 4], &mut next[..3]).is_err());
     }
 }

@@ -57,7 +57,9 @@ use thermsched::{
     TestSession,
 };
 use thermsched_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, Tracer};
-use thermsched_thermal::{PackageConfig, PowerMap, SessionThermalResult, ThermalBackend};
+use thermsched_thermal::{
+    GridThermalSimulator, PackageConfig, PowerMap, SessionThermalResult, ThermalBackend,
+};
 
 use crate::report::LatencyStats;
 use crate::{
@@ -1009,9 +1011,13 @@ fn prewarm_same_shape(
         // The operator cache gives all scenarios of a key group one
         // shared backend, so the group's first backend serves every lane.
         let backend = scenarios[&lanes[0].0].backend.as_ref();
-        // `workers` threads at most, one lane each at least; a front-end
-        // with no workers prewarms on its starting thread.
-        let chunk = lanes.len().div_ceil(config.workers.clamp(1, lanes.len()));
+        // `workers` threads at most, each chunk a whole number of
+        // multi-RHS blocks so that only the last can run a partial one; a
+        // front-end with no workers prewarms on its starting thread.
+        let chunk = lanes
+            .len()
+            .div_ceil(config.workers.clamp(1, lanes.len()))
+            .next_multiple_of(GridThermalSimulator::BATCH_BLOCK);
         threads = threads.max(lanes.len().div_ceil(chunk));
         let Ok(results) = simulate_split(backend, &powers, duration, chunk) else {
             continue;

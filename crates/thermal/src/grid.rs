@@ -150,7 +150,8 @@ enum GridStepper {
 }
 
 impl GridStepper {
-    /// One implicit step from `state` under cell powers `power`.
+    /// One implicit step from `state` under cell powers `power`; only the
+    /// ADI half-steps use `scratch`.
     fn step_into(
         &self,
         state: &[f64],
@@ -159,7 +160,7 @@ impl GridStepper {
         scratch: &mut [f64],
     ) -> Result<()> {
         match self {
-            GridStepper::Banded(op) => op.step_into(state, power, next, scratch)?,
+            GridStepper::Banded(op) => op.step_into(state, power, next)?,
             GridStepper::Adi(op) => op.step_into(state, power, next, scratch)?,
         }
         Ok(())
@@ -175,9 +176,7 @@ impl GridStepper {
         scratch: &mut [f64],
     ) -> Result<()> {
         match self {
-            GridStepper::Banded(op) => {
-                op.advance_from_rest_into(power, steps, state, next, scratch)?
-            }
+            GridStepper::Banded(op) => op.advance_from_rest_into(power, steps, state, next)?,
             GridStepper::Adi(op) => {
                 op.advance_from_rest_into(power, steps, state, next, scratch)?
             }
@@ -187,6 +186,12 @@ impl GridStepper {
 }
 
 impl GridThermalSimulator {
+    /// Sessions that [`crate::ThermalBackend::simulate_sessions`] advances
+    /// side by side in one block of the multi-RHS kernel
+    /// ([`BandedCholesky::BLOCK_LANES`]). A caller splitting a batch keeps
+    /// every block whole by cutting it at multiples of this.
+    pub const BATCH_BLOCK: usize = BandedCholesky::BLOCK_LANES;
+
     /// Builds the grid model for a floorplan, package and resolution, with
     /// the default transient configuration ([`TransientConfig::default`]:
     /// 1 ms steps, [`TransientMethod::Auto`]) and transient fidelity.
@@ -628,8 +633,7 @@ impl crate::ThermalBackend for GridThermalSimulator {
         }
         let mut state = vec![0.0; n * k];
         let mut next = vec![0.0; n * k];
-        let mut scratch = vec![0.0; n * k];
-        op.advance_many_from_rest_into(&p_mat, steps, &mut state, &mut next, &mut scratch, k)?;
+        op.advance_many_from_rest_into(&p_mat, steps, &mut state, &mut next, k)?;
         let mut lane = vec![0.0; n];
         let mut out = Vec::with_capacity(k);
         for c in 0..k {
@@ -990,7 +994,7 @@ mod tests {
     fn batched_sessions_are_bit_identical_to_sequential_sessions() {
         use crate::ThermalBackend;
         let (sim, fp) = grid_sim(16);
-        // Lane counts straddling the 4-lane unroll boundary.
+        // Lane counts straddling the 8- and 4-lane block boundaries.
         for lanes in [2usize, 5, 9] {
             let powers: Vec<PowerMap> = (0..lanes)
                 .map(|lane| {

@@ -649,9 +649,12 @@ impl<'a> Payload<'a> {
     ///
     /// As [`decode_value`]: the same error for the same bytes.
     pub fn new(bytes: &'a [u8]) -> Result<Self> {
+        // Room for a RESULT payload's five containers, so that a small
+        // payload allocates its table once; never more than the bytes can
+        // hold, at five (a tag and a count) per container.
         let mut walk_extents = Extents {
             bytes,
-            extents: Vec::new(),
+            extents: Vec::with_capacity((bytes.len() / 5).min(8)),
         };
         walk(bytes, &mut walk_extents)?;
         Ok(Payload {
